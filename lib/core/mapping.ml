@@ -63,47 +63,49 @@ let round_capacity = Rounding.round_capacity
 let sim_soft_margin = 1.10
 let sim_hard_margin = 1.5
 
-let sim_cross_check cfg mapped =
-  if Config.all_tasks cfg = [] then []
-  else
-    match Tdm_sim.Sim.run cfg mapped ~iterations:200 () with
-    | Error e -> [ Printf.sprintf "simulation failed: %s" e ]
-    | Ok report ->
-      List.concat_map
-        (fun g ->
-          let mu = Config.period cfg g in
-          let p = report.Tdm_sim.Sim.graph_period g in
-          if p > (sim_soft_margin *. mu) +. 1e-9 then
-            [
-              Printf.sprintf
-                "simulation: graph %s measured period %.4f exceeds required \
-                 %.4f"
-                (Config.graph_name cfg g) p mu;
-            ]
-          else [])
-        (Config.graphs cfg)
+(* One 200-iteration run serves both verdicts below; [None] when the
+   configuration has no task to simulate. *)
+let simulate cfg mapped =
+  if Config.all_tasks cfg = [] then None
+  else Some (Tdm_sim.Sim.run cfg mapped ~iterations:200 ())
+
+let sim_cross_check cfg = function
+  | None -> []
+  | Some (Error e) -> [ Printf.sprintf "simulation failed: %s" e ]
+  | Some (Ok report) ->
+    List.concat_map
+      (fun g ->
+        let mu = Config.period cfg g in
+        let p = report.Tdm_sim.Sim.graph_period g in
+        if p > (sim_soft_margin *. mu) +. 1e-9 then
+          [
+            Printf.sprintf
+              "simulation: graph %s measured period %.4f exceeds required \
+               %.4f"
+              (Config.graph_name cfg g) p mu;
+          ]
+        else [])
+      (Config.graphs cfg)
 
 (* A sim verdict that proves the mapping unusable (as opposed to a
    transient measurement overshoot): deadlock, invalid budgets, or a
    period beyond any startup effect. *)
-let sim_hard_failure cfg mapped =
-  if Config.all_tasks cfg = [] then None
-  else
-    match Tdm_sim.Sim.run cfg mapped ~iterations:200 () with
-    | Error e -> Some (Printf.sprintf "simulation failed: %s" e)
-    | Ok report ->
-      List.find_map
-        (fun g ->
-          let mu = Config.period cfg g in
-          let p = report.Tdm_sim.Sim.graph_period g in
-          if p > sim_hard_margin *. mu then
-            Some
-              (Printf.sprintf
-                 "simulation: graph %s measured period %.4f far exceeds \
-                  required %.4f"
-                 (Config.graph_name cfg g) p mu)
-          else None)
-        (Config.graphs cfg)
+let sim_hard_failure cfg = function
+  | None -> None
+  | Some (Error e) -> Some (Printf.sprintf "simulation failed: %s" e)
+  | Some (Ok report) ->
+    List.find_map
+      (fun g ->
+        let mu = Config.period cfg g in
+        let p = report.Tdm_sim.Sim.graph_period g in
+        if p > sim_hard_margin *. mu then
+          Some
+            (Printf.sprintf
+               "simulation: graph %s measured period %.4f far exceeds \
+                required %.4f"
+               (Config.graph_name cfg g) p mu)
+        else None)
+      (Config.graphs cfg)
 
 let rounded_objective_of cfg (mapped : Config.mapped) =
   List.fold_left
@@ -158,27 +160,29 @@ let corrupt_rounding cfg (mapped : Config.mapped) =
 let finish_optimal cfg ~policy ~obs builder result trace stats =
   let continuous = Socp_builder.extract cfg builder result in
   let granularity = Config.granularity cfg in
+  (* [all_tasks]/[all_buffers] list the dense ids in ascending order, so
+     slot [i] of each array belongs to id [i]. *)
+  let tasks = Array.of_list (Config.all_tasks cfg)
+  and buffers = Array.of_list (Config.all_buffers cfg) in
   let mapped_with eps =
     let budgets =
-      List.map
+      Array.map
         (fun w ->
-          ( Config.task_id w,
-            Rounding.round_budget_eps ~eps ~granularity
-              (continuous.Socp_builder.budget w) ))
-        (Config.all_tasks cfg)
+          Rounding.round_budget_eps ~eps ~granularity
+            (continuous.Socp_builder.budget w))
+        tasks
     in
     let capacities =
-      List.map
+      Array.map
         (fun b ->
-          ( Config.buffer_id b,
-            Rounding.round_capacity_eps ~eps
-              ~initial_tokens:(Config.initial_tokens cfg b)
-              (continuous.Socp_builder.space b) ))
-        (Config.all_buffers cfg)
+          Rounding.round_capacity_eps ~eps
+            ~initial_tokens:(Config.initial_tokens cfg b)
+            (continuous.Socp_builder.space b))
+        buffers
     in
     {
-      Config.budget = (fun w -> List.assoc (Config.task_id w) budgets);
-      Config.capacity = (fun b -> List.assoc (Config.buffer_id b) capacities);
+      Config.budget = (fun w -> budgets.(Config.task_id w));
+      Config.capacity = (fun b -> capacities.(Config.buffer_id b));
     }
   in
   match
@@ -224,7 +228,8 @@ let finish_optimal cfg ~policy ~obs builder result trace stats =
                (if Certify.certified certificate then "certified"
                 else "refuted");
            }));
-    let sim_check = sim_cross_check cfg mapped in
+    let sim = simulate cfg mapped in
+    let sim_check = sim_cross_check cfg sim in
     let uncertifiable msg =
       Error
         (Solver_failure
@@ -240,8 +245,7 @@ let finish_optimal cfg ~policy ~obs builder result trace stats =
     then uncertifiable (Certify.summary certificate)
     else
       (match
-         if Recovery.recovered trace then sim_hard_failure cfg mapped
-         else None
+         if Recovery.recovered trace then sim_hard_failure cfg sim else None
        with
       | Some msg -> uncertifiable msg
       | None ->
@@ -303,18 +307,23 @@ let fallback_lp cfg ~obs trace stats final_status =
     let mapped = tp.Two_phase.mapped in
     let verification = Dataflow_model.verify cfg mapped in
     let certificate = tp.Two_phase.certificate in
-    let hard =
+    let checked =
       if verification <> [] then
-        Some (String.concat "; " (List.map Violation.to_string verification))
+        Error
+          (String.concat "; " (List.map Violation.to_string verification))
       else if not (Certify.certified certificate) then
-        Some (Certify.summary certificate)
-      else sim_hard_failure cfg mapped
+        Error (Certify.summary certificate)
+      else
+        let sim = simulate cfg mapped in
+        match sim_hard_failure cfg sim with
+        | Some msg -> Error msg
+        | None -> Ok sim
     in
-    (match hard with
-    | Some msg ->
+    (match checked with
+    | Error msg ->
       exit_rung "uncertified";
       fail ~note:("fallback LP mapping failed certification: " ^ msg) ()
-    | None ->
+    | Ok sim ->
       exit_rung "recovered (exact simplex)";
       let attempt =
         {
@@ -346,7 +355,7 @@ let fallback_lp cfg ~obs trace stats final_status =
           rounded_objective = tp.Two_phase.objective;
           verification;
           certificate;
-          sim_check = sim_cross_check cfg mapped;
+          sim_check = sim_cross_check cfg sim;
           recovery = trace;
           stats = { stats with attempts = stats.attempts + 1 };
         })

@@ -73,26 +73,23 @@ let decode_result cfg ~candidate ib =
   D.expect_token ib "t";
   if D.scan_int ib <> List.length tasks then
     raise (Scanf.Scan_failure "task count mismatch");
+  (* Entries come in dense-id order, so slot [i] belongs to id [i]. *)
   let per_task =
-    List.map
-      (fun w ->
+    Array.init (List.length tasks) (fun _ ->
         let budget = D.scan_float ib in
         let lambda = D.scan_float ib in
         let mapped = D.scan_float ib in
-        (Config.task_id w, (budget, lambda, mapped)))
-      tasks
+        (budget, lambda, mapped))
   in
   D.expect_token ib "b";
   if D.scan_int ib <> List.length buffers then
     raise (Scanf.Scan_failure "buffer count mismatch");
   let per_buffer =
-    List.map
-      (fun b ->
+    Array.init (List.length buffers) (fun _ ->
         let space = D.scan_float ib in
         let capacity = D.scan_float ib in
         let mapped = D.scan_int ib in
-        (Config.buffer_id b, (space, capacity, mapped)))
-      buffers
+        (space, capacity, mapped))
   in
   let scan_notes tag =
     D.expect_token ib tag;
@@ -107,8 +104,8 @@ let decode_result cfg ~candidate ib =
       (scan_notes "v")
   in
   let sim_check = scan_notes "s" in
-  let task_field pick w = pick (List.assoc (Config.task_id w) per_task) in
-  let buffer_field pick b = pick (List.assoc (Config.buffer_id b) per_buffer) in
+  let task_field pick w = pick per_task.(Config.task_id w) in
+  let buffer_field pick b = pick per_buffer.(Config.buffer_id b) in
   let mapped =
     {
       Config.budget = task_field (fun (_, _, m) -> m);

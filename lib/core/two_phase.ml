@@ -265,13 +265,13 @@ let budgets_at_fixed_capacity ?params cfg ~capacity =
     (* Round eagerly: a NaN budget surfaces here as a typed error
        instead of escaping from some later closure call. *)
     (match
-       List.map
+       (* Slot [i] holds task id [i]: [all_tasks] is in id order. *)
+       Array.map
          (fun w ->
-           ( Config.task_id w,
-             Rounding.round_budget
-               ~granularity:(Config.granularity cfg)
-               (continuous.Socp_builder.budget w) ))
-         (Config.all_tasks cfg)
+           Rounding.round_budget
+             ~granularity:(Config.granularity cfg)
+             (continuous.Socp_builder.budget w))
+         (Array.of_list (Config.all_tasks cfg))
      with
     | exception Rounding.Non_finite { what; value } ->
       Error
@@ -279,7 +279,7 @@ let budgets_at_fixed_capacity ?params cfg ~capacity =
            (Printf.sprintf
               "non-finite %s %h emitted by the solver; rounding refused" what
               value))
-    | budgets -> Ok (fun w -> List.assoc (Config.task_id w) budgets))
+    | budgets -> Ok (fun w -> budgets.(Config.task_id w)))
 
 let buffer_first ?(policy = At_bound) ?(fallback = 2) ?params cfg =
   if fallback < 1 then invalid_arg "Two_phase.buffer_first: fallback < 1";

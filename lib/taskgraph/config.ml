@@ -34,18 +34,58 @@ type buffer_info = {
   mutable max_capacity : int option;
 }
 
+(* Growable array: amortised O(1) append and O(1) indexed read.  Slots
+   past [len] are spare capacity holding stale values; they are never
+   read. *)
+module Vec = struct
+  type 'a t = { mutable data : 'a array; mutable len : int }
+
+  let create () = { data = [||]; len = 0 }
+  let length v = v.len
+  let get v i = v.data.(i)
+
+  let push v x =
+    let i = v.len in
+    if i = Array.length v.data then begin
+      let data = Array.make (Int.max 8 (2 * i)) x in
+      Array.blit v.data 0 data 0 i;
+      v.data <- data
+    end;
+    v.data.(i) <- x;
+    v.len <- i + 1;
+    i
+
+  (* The copy owns a fresh array of exactly [len] slots, so a later
+     [push] on either side never writes into the other's storage. *)
+  let map f v = { data = Array.init v.len (fun i -> f v.data.(i)); len = v.len }
+
+  let exists p v =
+    let rec go i = i < v.len && (p v.data.(i) || go (i + 1)) in
+    go 0
+
+  let find_index p v =
+    let rec go i =
+      if i >= v.len then raise Not_found
+      else if p v.data.(i) then i
+      else go (i + 1)
+    in
+    go 0
+
+  (* Indices [i] in ascending order whose element satisfies [p]. *)
+  let indices p v =
+    let rec go i acc =
+      if i < 0 then acc else go (i - 1) (if p v.data.(i) then i :: acc else acc)
+    in
+    go (v.len - 1) []
+end
+
 type t = {
   granularity : float;
-  mutable procs : proc_info list; (* reversed *)
-  mutable mems : memory_info list;
-  mutable graph_infos : graph_info list;
-  mutable task_infos : task_info list;
-  mutable buffer_infos : buffer_info list;
-  mutable nprocs : int;
-  mutable nmems : int;
-  mutable ngraphs : int;
-  mutable ntasks : int;
-  mutable nbuffers : int;
+  procs : proc_info Vec.t;
+  mems : memory_info Vec.t;
+  graph_infos : graph_info Vec.t;
+  task_infos : task_info Vec.t;
+  buffer_infos : buffer_info Vec.t;
 }
 
 let create ~granularity () =
@@ -53,46 +93,29 @@ let create ~granularity () =
     invalid_arg "Config.create: granularity must be > 0";
   {
     granularity;
-    procs = [];
-    mems = [];
-    graph_infos = [];
-    task_infos = [];
-    buffer_infos = [];
-    nprocs = 0;
-    nmems = 0;
-    ngraphs = 0;
-    ntasks = 0;
-    nbuffers = 0;
+    procs = Vec.create ();
+    mems = Vec.create ();
+    graph_infos = Vec.create ();
+    task_infos = Vec.create ();
+    buffer_infos = Vec.create ();
   }
 
-let nth_rev lst n total = List.nth lst (total - 1 - n)
+let info what v i =
+  if i < 0 || i >= Vec.length v then invalid_arg ("Config: unknown " ^ what);
+  Vec.get v i
 
-let proc_info t p =
-  if p < 0 || p >= t.nprocs then invalid_arg "Config: unknown processor";
-  nth_rev t.procs p t.nprocs
-
-let memory_info t m =
-  if m < 0 || m >= t.nmems then invalid_arg "Config: unknown memory";
-  nth_rev t.mems m t.nmems
-
-let graph_info t g =
-  if g < 0 || g >= t.ngraphs then invalid_arg "Config: unknown task graph";
-  nth_rev t.graph_infos g t.ngraphs
-
-let task_info t w =
-  if w < 0 || w >= t.ntasks then invalid_arg "Config: unknown task";
-  nth_rev t.task_infos w t.ntasks
-
-let buffer_info t b =
-  if b < 0 || b >= t.nbuffers then invalid_arg "Config: unknown buffer";
-  nth_rev t.buffer_infos b t.nbuffers
+let proc_info t p = info "processor" t.procs p
+let memory_info t m = info "memory" t.mems m
+let graph_info t g = info "task graph" t.graph_infos g
+let task_info t w = info "task" t.task_infos w
+let buffer_info t b = info "buffer" t.buffer_infos b
 
 let name_exists t name =
-  List.exists (fun (p : proc_info) -> p.pname = name) t.procs
-  || List.exists (fun (m : memory_info) -> m.mname = name) t.mems
-  || List.exists (fun (g : graph_info) -> g.gname = name) t.graph_infos
-  || List.exists (fun (w : task_info) -> w.tname = name) t.task_infos
-  || List.exists (fun (b : buffer_info) -> b.bname = name) t.buffer_infos
+  Vec.exists (fun (p : proc_info) -> p.pname = name) t.procs
+  || Vec.exists (fun (m : memory_info) -> m.mname = name) t.mems
+  || Vec.exists (fun (g : graph_info) -> g.gname = name) t.graph_infos
+  || Vec.exists (fun (w : task_info) -> w.tname = name) t.task_infos
+  || Vec.exists (fun (b : buffer_info) -> b.bname = name) t.buffer_infos
 
 let check_fresh t name =
   if name_exists t name then
@@ -104,18 +127,12 @@ let add_processor t ~name ~replenishment ?(overhead = 0.0) () =
   if overhead < 0.0 then
     invalid_arg "Config.add_processor: overhead must be >= 0";
   check_fresh t name;
-  let p = t.nprocs in
-  t.procs <- { pname = name; replenishment; overhead } :: t.procs;
-  t.nprocs <- p + 1;
-  p
+  Vec.push t.procs { pname = name; replenishment; overhead }
 
 let add_memory t ~name ~capacity =
   if capacity < 0 then invalid_arg "Config.add_memory: capacity must be >= 0";
   check_fresh t name;
-  let m = t.nmems in
-  t.mems <- { mname = name; capacity } :: t.mems;
-  t.nmems <- m + 1;
-  m
+  Vec.push t.mems { mname = name; capacity }
 
 let add_graph t ~name ~period ?latency_bound () =
   if period <= 0.0 then invalid_arg "Config.add_graph: period must be > 0";
@@ -124,22 +141,15 @@ let add_graph t ~name ~period ?latency_bound () =
     invalid_arg "Config.add_graph: latency bound must be > 0"
   | Some _ | None -> ());
   check_fresh t name;
-  let g = t.ngraphs in
-  t.graph_infos <- { gname = name; period; latency_bound } :: t.graph_infos;
-  t.ngraphs <- g + 1;
-  g
+  Vec.push t.graph_infos { gname = name; period; latency_bound }
 
 let add_task t g ~name ~proc ~wcet ?(weight = 1.0) () =
   ignore (graph_info t g);
   ignore (proc_info t proc);
   if wcet <= 0.0 then invalid_arg "Config.add_task: wcet must be > 0";
   check_fresh t name;
-  let w = t.ntasks in
-  t.task_infos <-
+  Vec.push t.task_infos
     { tname = name; tgraph = g; tproc = proc; wcet; tweight = weight }
-    :: t.task_infos;
-  t.ntasks <- w + 1;
-  w
 
 let add_buffer t g ~name ~src ~dst ~memory ?(container_size = 1)
     ?(initial_tokens = 0) ?(weight = 1.0) ?max_capacity () =
@@ -158,8 +168,7 @@ let add_buffer t g ~name ~src ~dst ~memory ?(container_size = 1)
     invalid_arg "Config.add_buffer: max_capacity below initial tokens"
   | Some _ | None -> ());
   check_fresh t name;
-  let b = t.nbuffers in
-  t.buffer_infos <-
+  Vec.push t.buffer_infos
     {
       bname = name;
       bgraph = g;
@@ -171,25 +180,26 @@ let add_buffer t g ~name ~src ~dst ~memory ?(container_size = 1)
       bweight = weight;
       max_capacity;
     }
-    :: t.buffer_infos;
-  t.nbuffers <- b + 1;
-  b
 
 let copy ?(period_scale = 1.0) t =
   if period_scale <= 0.0 || not (Float.is_finite period_scale) then
     invalid_arg "Config.copy: period_scale must be > 0";
+  (* Every table gets a fresh array (so an [add_*] on either side never
+     writes into the other's storage).  Proc and memory infos are
+     immutable and may be shared; the rest carry mutable fields and are
+     duplicated so that mutations on the copy never reach the original
+     (and vice versa). *)
   {
-    t with
-    (* proc and memory infos are immutable and may be shared; the rest
-       carry mutable fields and must be duplicated so that mutations on
-       the copy never reach the original (and vice versa). *)
+    granularity = t.granularity;
+    procs = Vec.map Fun.id t.procs;
+    mems = Vec.map Fun.id t.mems;
     graph_infos =
-      List.map
+      Vec.map
         (fun gi -> { gi with period = gi.period *. period_scale })
         t.graph_infos;
-    task_infos = List.map (fun wi -> { wi with tname = wi.tname }) t.task_infos;
+    task_infos = Vec.map (fun wi -> { wi with tname = wi.tname }) t.task_infos;
     buffer_infos =
-      List.map (fun bi -> { bi with bname = bi.bname }) t.buffer_infos;
+      Vec.map (fun bi -> { bi with bname = bi.bname }) t.buffer_infos;
   }
 
 let set_period t g mu =
@@ -206,20 +216,14 @@ let set_max_capacity t b cap =
 
 let set_task_weight t w a = (task_info t w).tweight <- a
 let set_buffer_weight t b v = (buffer_info t b).bweight <- v
-let processors t = List.init t.nprocs Fun.id
-let memories t = List.init t.nmems Fun.id
-let graphs t = List.init t.ngraphs Fun.id
-
-let tasks t g =
-  List.filter (fun w -> (task_info t w).tgraph = g) (List.init t.ntasks Fun.id)
-
-let buffers t g =
-  List.filter
-    (fun b -> (buffer_info t b).bgraph = g)
-    (List.init t.nbuffers Fun.id)
-
-let all_tasks t = List.init t.ntasks Fun.id
-let all_buffers t = List.init t.nbuffers Fun.id
+let ids v = List.init (Vec.length v) Fun.id
+let processors t = ids t.procs
+let memories t = ids t.mems
+let graphs t = ids t.graph_infos
+let tasks t g = Vec.indices (fun (wi : task_info) -> wi.tgraph = g) t.task_infos
+let buffers t g = Vec.indices (fun bi -> bi.bgraph = g) t.buffer_infos
+let all_tasks t = ids t.task_infos
+let all_buffers t = ids t.buffer_infos
 let granularity t = t.granularity
 let proc_name t p = (proc_info t p).pname
 let replenishment t p = (proc_info t p).replenishment
@@ -244,33 +248,24 @@ let buffer_weight t b = (buffer_info t b).bweight
 let max_capacity t b = (buffer_info t b).max_capacity
 
 let tasks_on t p =
-  List.filter (fun w -> (task_info t w).tproc = p) (all_tasks t)
+  Vec.indices (fun (wi : task_info) -> wi.tproc = p) t.task_infos
 
-let buffers_in t m =
-  List.filter (fun b -> (buffer_info t b).bmemory = m) (all_buffers t)
-
-let find_by_name infos total get_name name =
-  let rec loop i =
-    if i >= total then raise Not_found
-    else if get_name (nth_rev infos i total) = name then i
-    else loop (i + 1)
-  in
-  loop 0
+let buffers_in t m = Vec.indices (fun bi -> bi.bmemory = m) t.buffer_infos
 
 let find_proc t name =
-  find_by_name t.procs t.nprocs (fun (p : proc_info) -> p.pname) name
+  Vec.find_index (fun (p : proc_info) -> p.pname = name) t.procs
 
 let find_memory t name =
-  find_by_name t.mems t.nmems (fun (m : memory_info) -> m.mname) name
+  Vec.find_index (fun (m : memory_info) -> m.mname = name) t.mems
 
 let find_graph t name =
-  find_by_name t.graph_infos t.ngraphs (fun (g : graph_info) -> g.gname) name
+  Vec.find_index (fun (g : graph_info) -> g.gname = name) t.graph_infos
 
 let find_task t name =
-  find_by_name t.task_infos t.ntasks (fun (w : task_info) -> w.tname) name
+  Vec.find_index (fun (w : task_info) -> w.tname = name) t.task_infos
 
 let find_buffer t name =
-  find_by_name t.buffer_infos t.nbuffers (fun (b : buffer_info) -> b.bname) name
+  Vec.find_index (fun (b : buffer_info) -> b.bname = name) t.buffer_infos
 
 let task_id w = w
 let buffer_id b = b

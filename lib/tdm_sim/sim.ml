@@ -35,55 +35,66 @@ let processing_completion ~window_offset ~budget ~interval ~start ~work =
     advance (Float.max 0.0 (floor (start /. interval) -. 1.0)) work
   end
 
-(* Mutable per-entity simulation state. *)
+(* Mutable per-entity simulation state, held in arrays indexed by the
+   dense buffer and task ids. *)
 type buffer_state = {
   mutable filled : int;  (** containers holding data, ready to consume *)
   mutable empty : int;   (** containers available to a producer *)
   capacity : int;
   mutable high_water : int;  (** max of capacity − empty seen so far *)
   initial_occ : int;  (** occupancy at time 0: the initial tokens *)
-  mutable occ_log : (float * int) list;
-      (** reversed (instant, occupancy) at every occupancy change *)
+  occ_times : float array;
+  occ_values : int array;
+      (** the first [occ_len] (instant, occupancy) pairs, one at every
+          occupancy change in time order: at most one claim per
+          producer execution plus one release per consumer execution *)
+  mutable occ_len : int;
+  producer : int;  (** task id of the source *)
+  consumer : int;  (** task id of the destination *)
 }
 
 type task_state = {
   mutable fired : int;        (** completed executions *)
   mutable busy : bool;
-  mutable completions : float list;  (** reversed *)
-  mutable claim_times : float list;  (** reversed; parallel to completions *)
+  completions : float array;  (** the first [fired] completion instants *)
+  claim_times : float array;  (** claim instant of every started execution *)
   window_offset : float;
   budget : float;
   interval : float;
   wcet : float;
-  inputs : int list;   (** buffer ids consumed from *)
-  outputs : int list;  (** buffer ids produced into *)
+  mutable inputs : buffer_state list;   (** consumed from, ascending id *)
+  mutable outputs : buffer_state list;  (** produced into, ascending id *)
 }
 
 let run cfg (mapped : Config.mapped) ~iterations ?execution_time () =
   if iterations < 4 then invalid_arg "Sim.run: iterations must be >= 4";
-  let tasks = Config.all_tasks cfg in
-  let buffers = Config.all_buffers cfg in
+  let tasks = Array.of_list (Config.all_tasks cfg) in
+  let buffers = Array.of_list (Config.all_buffers cfg) in
+  let procs = Array.of_list (Config.processors cfg) in
   (* Static window layout per processor: overhead first, then one window
      per task in declaration order. *)
-  let offsets = Hashtbl.create 16 in
+  let cursors = Array.map (Config.overhead cfg) procs in
+  let offsets =
+    Array.map
+      (fun w ->
+        let p = Config.proc_id (Config.task_proc cfg w) in
+        let offset = cursors.(p) in
+        cursors.(p) <- offset +. mapped.Config.budget w;
+        offset)
+      tasks
+  in
   let layout_errors = ref [] in
-  List.iter
-    (fun p ->
-      let cursor = ref (Config.overhead cfg p) in
-      List.iter
-        (fun w ->
-          Hashtbl.replace offsets (Config.task_id w) !cursor;
-          cursor := !cursor +. mapped.Config.budget w)
-        (Config.tasks_on cfg p);
-      if !cursor > Config.replenishment cfg p +. 1e-9 then
+  Array.iteri
+    (fun i p ->
+      if cursors.(i) > Config.replenishment cfg p +. 1e-9 then
         layout_errors :=
           Printf.sprintf "processor %s oversubscribed: %g > %g"
-            (Config.proc_name cfg p) !cursor
+            (Config.proc_name cfg p) cursors.(i)
             (Config.replenishment cfg p)
           :: !layout_errors)
-    (Config.processors cfg);
-  let buffer_states =
-    List.map
+    procs;
+  let bstates =
+    Array.map
       (fun b ->
         let cap = mapped.Config.capacity b in
         let iota = Config.initial_tokens cfg b in
@@ -92,20 +103,23 @@ let run cfg (mapped : Config.mapped) ~iterations ?execution_time () =
             Printf.sprintf "buffer %s: invalid capacity %d"
               (Config.buffer_name cfg b) cap
             :: !layout_errors;
-        ( Config.buffer_id b,
-          {
-            filled = iota;
-            empty = cap - iota;
-            capacity = cap;
-            high_water = iota;
-            initial_occ = iota;
-            occ_log = [];
-          } ))
+        {
+          filled = iota;
+          empty = cap - iota;
+          capacity = cap;
+          high_water = iota;
+          initial_occ = iota;
+          occ_times = Array.make (2 * iterations) 0.0;
+          occ_values = Array.make (2 * iterations) 0;
+          occ_len = 0;
+          producer = Config.task_id (Config.buffer_src cfg b);
+          consumer = Config.task_id (Config.buffer_dst cfg b);
+        })
       buffers
   in
-  let task_states =
-    List.map
-      (fun w ->
+  let tstates =
+    Array.mapi
+      (fun i w ->
         let beta = mapped.Config.budget w in
         let p = Config.task_proc cfg w in
         if beta <= 0.0 then
@@ -113,71 +127,59 @@ let run cfg (mapped : Config.mapped) ~iterations ?execution_time () =
             Printf.sprintf "task %s: non-positive budget"
               (Config.task_name cfg w)
             :: !layout_errors;
-        ( Config.task_id w,
-          {
-            fired = 0;
-            busy = false;
-            completions = [];
-            claim_times = [];
-            window_offset =
-              (try Hashtbl.find offsets (Config.task_id w) with Not_found -> 0.0);
-            budget = beta;
-            interval = Config.replenishment cfg p;
-            wcet = Config.wcet cfg w;
-            inputs =
-              List.filter_map
-                (fun b ->
-                  if Config.buffer_dst cfg b = w then
-                    Some (Config.buffer_id b)
-                  else None)
-                buffers;
-            outputs =
-              List.filter_map
-                (fun b ->
-                  if Config.buffer_src cfg b = w then
-                    Some (Config.buffer_id b)
-                  else None)
-                buffers;
-          } ))
+        {
+          fired = 0;
+          busy = false;
+          completions = Array.make iterations 0.0;
+          claim_times = Array.make iterations 0.0;
+          window_offset = offsets.(i);
+          budget = beta;
+          interval = Config.replenishment cfg p;
+          wcet = Config.wcet cfg w;
+          inputs = [];
+          outputs = [];
+        })
       tasks
   in
+  (* One pass over the buffers, last to first, leaves every task's
+     input and output lists in ascending buffer-id order. *)
+  for b = Array.length bstates - 1 downto 0 do
+    let bs = bstates.(b) in
+    let src = tstates.(bs.producer) and dst = tstates.(bs.consumer) in
+    src.outputs <- bs :: src.outputs;
+    dst.inputs <- bs :: dst.inputs
+  done;
   match !layout_errors with
   | _ :: _ as errs -> Error (String.concat "; " errs)
   | [] ->
-    let bstate id = List.assoc id buffer_states in
-    let tstate id = List.assoc id task_states in
-    let consumers = Hashtbl.create 16 and producers = Hashtbl.create 16 in
-    List.iter
-      (fun b ->
-        Hashtbl.replace consumers (Config.buffer_id b)
-          (Config.task_id (Config.buffer_dst cfg b));
-        Hashtbl.replace producers (Config.buffer_id b)
-          (Config.task_id (Config.buffer_src cfg b)))
-      buffers;
+    let log_occupancy bs now =
+      bs.occ_times.(bs.occ_len) <- now;
+      bs.occ_values.(bs.occ_len) <- bs.capacity - bs.empty;
+      bs.occ_len <- bs.occ_len + 1
+    in
     let events = Heap.create () in
     let makespan = ref 0.0 in
     (* Try to start an execution of the task at time [now]; claims one
        filled container on each input and one empty container on each
        output, then schedules the completion event. *)
     let try_start now id =
-      let st = tstate id in
+      let st = tstates.(id) in
       if (not st.busy) && st.fired < iterations then begin
         let ready =
-          List.for_all (fun b -> (bstate b).filled >= 1) st.inputs
-          && List.for_all (fun b -> (bstate b).empty >= 1) st.outputs
+          List.for_all (fun bs -> bs.filled >= 1) st.inputs
+          && List.for_all (fun bs -> bs.empty >= 1) st.outputs
         in
         if ready then begin
-          List.iter (fun b -> (bstate b).filled <- (bstate b).filled - 1) st.inputs;
+          List.iter (fun bs -> bs.filled <- bs.filled - 1) st.inputs;
           List.iter
-            (fun b ->
-              let bs = bstate b in
+            (fun bs ->
               bs.empty <- bs.empty - 1;
               if bs.capacity - bs.empty > bs.high_water then
                 bs.high_water <- bs.capacity - bs.empty;
-              bs.occ_log <- (now, bs.capacity - bs.empty) :: bs.occ_log)
+              log_occupancy bs now)
             st.outputs;
           st.busy <- true;
-          st.claim_times <- now :: st.claim_times;
+          st.claim_times.(st.fired) <- now;
           let work =
             match execution_time with
             | None -> st.wcet
@@ -195,59 +197,48 @@ let run cfg (mapped : Config.mapped) ~iterations ?execution_time () =
         end
       end
     in
-    List.iter (fun (id, _) -> try_start 0.0 id) task_states;
+    for id = 0 to Array.length tstates - 1 do
+      try_start 0.0 id
+    done;
     let rec drain () =
       match Heap.pop events with
       | None -> ()
       | Some (now, id) ->
-        let st = tstate id in
+        let st = tstates.(id) in
         st.busy <- false;
+        st.completions.(st.fired) <- now;
         st.fired <- st.fired + 1;
-        st.completions <- now :: st.completions;
         if now > !makespan then makespan := now;
         (* Produced data wakes consumers; released space wakes
            producers. *)
         List.iter
-          (fun b ->
-            (bstate b).filled <- (bstate b).filled + 1;
-            try_start now (Hashtbl.find consumers b))
+          (fun bs ->
+            bs.filled <- bs.filled + 1;
+            try_start now bs.consumer)
           st.outputs;
         List.iter
-          (fun b ->
-            let bs = bstate b in
+          (fun bs ->
             bs.empty <- bs.empty + 1;
-            bs.occ_log <- (now, bs.capacity - bs.empty) :: bs.occ_log;
-            try_start now (Hashtbl.find producers b))
+            log_occupancy bs now;
+            try_start now bs.producer)
           st.inputs;
         try_start now id;
         drain ()
     in
     drain ();
     let unfinished =
-      List.filter (fun (_, st) -> st.fired < iterations) task_states
+      Array.fold_left
+        (fun n st -> if st.fired < iterations then n + 1 else n)
+        0 tstates
     in
-    if unfinished <> [] then
+    if unfinished > 0 then
       Error
         (Printf.sprintf "deadlock: %d task(s) stalled before reaching %d \
                          executions"
-           (List.length unfinished) iterations)
+           unfinished iterations)
     else begin
-      let completion_arrays =
-        List.map
-          (fun (id, st) ->
-            (id, Array.of_list (List.rev st.completions)))
-          task_states
-      in
-      let execution_arrays =
-        List.map
-          (fun (id, st) ->
-            let claims = Array.of_list (List.rev st.claim_times)
-            and ends = Array.of_list (List.rev st.completions) in
-            (id, Array.init (Array.length ends) (fun i -> (claims.(i), ends.(i)))))
-          task_states
-      in
       let task_period w =
-        let arr = List.assoc (Config.task_id w) completion_arrays in
+        let arr = tstates.(Config.task_id w).completions in
         let n = Array.length arr in
         let k1 = n / 2 and k2 = n - 1 in
         (arr.(k2) -. arr.(k1)) /. float_of_int (k2 - k1)
@@ -261,11 +252,13 @@ let run cfg (mapped : Config.mapped) ~iterations ?execution_time () =
                 (fun acc w -> Float.max acc (task_period w))
                 0.0 (Config.tasks cfg g));
           task_completions =
-            (fun w -> List.assoc (Config.task_id w) completion_arrays);
+            (fun w -> tstates.(Config.task_id w).completions);
           task_executions =
-            (fun w -> List.assoc (Config.task_id w) execution_arrays);
+            (fun w ->
+              let st = tstates.(Config.task_id w) in
+              Array.map2 (fun c e -> (c, e)) st.claim_times st.completions);
           buffer_high_water =
-            (fun b -> (bstate (Config.buffer_id b)).high_water);
+            (fun b -> bstates.(Config.buffer_id b).high_water);
           buffer_high_water_steady =
             (fun b ->
               (* Max occupancy over the second half of the run.  The
@@ -274,16 +267,16 @@ let run cfg (mapped : Config.mapped) ~iterations ?execution_time () =
                  change and at the end of the log (a buffer whose
                  occupancy never changes after the midpoint still
                  holds [current] containers throughout). *)
-              let bs = bstate (Config.buffer_id b) in
+              let bs = bstates.(Config.buffer_id b) in
               let half = !makespan /. 2.0 in
-              let rec go current best = function
-                | [] -> Int.max best current
-                | (t, occ) :: rest ->
-                  if t >= half then
-                    go occ (Int.max (Int.max best current) occ) rest
-                  else go occ best rest
-              in
-              go bs.initial_occ min_int (List.rev bs.occ_log));
+              let current = ref bs.initial_occ and best = ref min_int in
+              for i = 0 to bs.occ_len - 1 do
+                let occ = bs.occ_values.(i) in
+                if bs.occ_times.(i) >= half then
+                  best := Int.max (Int.max !best !current) occ;
+                current := occ
+              done;
+              Int.max !best !current);
           makespan = !makespan;
         }
     end

@@ -727,6 +727,200 @@ let prop_more_budget_never_slower =
       in
       run (beta +. 2.0) <= run beta +. bias ~interval:40.0 ~iterations:400)
 
+(* ------------------------------------------------------------------ *)
+(* Report goldens                                                      *)
+(* ------------------------------------------------------------------ *)
+
+(* A mapping that depends on no solver, so the goldens below pin the
+   simulator alone.  Each task gets one of five shares (2% to 60%) of
+   its processor's interval after overhead, split between the tasks of
+   that processor: the small shares make one WCET span several windows.
+   Each buffer gets zero to two containers above its floor
+   [max 1 ι]. *)
+let fixed_mapping cfg =
+  let per_proc = Array.make (List.length (Config.processors cfg)) 0 in
+  List.iter
+    (fun w ->
+      let p = Config.proc_id (Config.task_proc cfg w) in
+      per_proc.(p) <- per_proc.(p) + 1)
+    (Config.all_tasks cfg);
+  let shares = [| 0.02; 0.05; 0.1; 0.3; 0.6 |] in
+  {
+    Config.budget =
+      (fun w ->
+        let p = Config.task_proc cfg w in
+        (Config.replenishment cfg p -. Config.overhead cfg p)
+        /. float_of_int per_proc.(Config.proc_id p)
+        *. shares.(Config.task_id w mod 5));
+    Config.capacity =
+      (fun b ->
+        Int.max 1 (Config.initial_tokens cfg b) + (Config.buffer_id b mod 3));
+  }
+
+(* One 10-hex-digit MD5 prefix per report field, in the order
+   task_executions, task_period, buffer_high_water,
+   buffer_high_water_steady, graph_period, makespan.  Floats are
+   rendered with [%h], so any change of any bit shows. *)
+let report_digests cfg (r : Sim.report) =
+  let field render =
+    let buf = Buffer.create 4096 in
+    render buf;
+    String.sub (Digest.to_hex (Digest.string (Buffer.contents buf))) 0 10
+  in
+  let each xs f buf = List.iter (fun x -> f buf x) xs in
+  let tasks = Config.all_tasks cfg and buffers = Config.all_buffers cfg in
+  String.concat " "
+    [
+      field
+        (each tasks (fun buf w ->
+             Array.iter
+               (fun (c, e) -> Printf.bprintf buf "%h %h;" c e)
+               (r.Sim.task_executions w);
+             Buffer.add_char buf '\n'));
+      field
+        (each tasks (fun buf w ->
+             Printf.bprintf buf "%h;" (r.Sim.task_period w)));
+      field
+        (each buffers (fun buf b ->
+             Printf.bprintf buf "%d;" (r.Sim.buffer_high_water b)));
+      field
+        (each buffers (fun buf b ->
+             Printf.bprintf buf "%d;" (r.Sim.buffer_high_water_steady b)));
+      field
+        (each (Config.graphs cfg) (fun buf g ->
+             Printf.bprintf buf "%h;" (r.Sim.graph_period g)));
+      field (fun buf -> Printf.bprintf buf "%h" r.Sim.makespan);
+    ]
+
+(* Two tasks feeding each other with no initial token: neither can
+   ever start, while a third, unconnected task runs to completion. *)
+let deadlocked_config () =
+  let cfg = Config.create ~granularity:1.0 () in
+  let p = Config.add_processor cfg ~name:"p" ~replenishment:40.0 () in
+  let m = Config.add_memory cfg ~name:"m" ~capacity:100 in
+  let g = Config.add_graph cfg ~name:"g" ~period:10.0 () in
+  let task name = Config.add_task cfg g ~name ~proc:p ~wcet:1.0 () in
+  let wa = task "wa" and wb = task "wb" in
+  ignore (task "wc");
+  ignore (Config.add_buffer cfg g ~name:"ab" ~src:wa ~dst:wb ~memory:m ());
+  ignore (Config.add_buffer cfg g ~name:"ba" ~src:wb ~dst:wa ~memory:m ());
+  cfg
+
+let golden_cases () =
+  let module Gen = Workloads.Gen in
+  let module Rng = Workloads.Rng in
+  let plain name cfg = (name, cfg, None) in
+  [
+    plain "chain100" (Gen.chain ~n:100 ());
+    plain "chain300" (Gen.chain ~n:300 ());
+    plain "mesh8" (Gen.mesh ~rows:8 ~cols:8 ());
+    plain "mesh10" (Gen.mesh ~rows:10 ~cols:10 ());
+    plain "tree5" (Gen.binary_tree ~depth:5 ());
+    plain "tree6" (Gen.binary_tree ~depth:6 ());
+    plain "multijob20"
+      (Gen.multi_job (Rng.create 1L) ~jobs:20 ~tasks_per_job:5 ~procs:20 ());
+    plain "random120" (Gen.random_chain (Rng.create 120L) ~n:120 ());
+    plain "t1" (Gen.paper_t1 ());
+    plain "t2" (Gen.paper_t2 ());
+    plain "ring6" (Gen.ring ~n:6 ~initial:2 ());
+  ]
+  @ List.init 15 (fun i ->
+        plain
+          (Printf.sprintf "random%02d" (i + 1))
+          (Gen.random_chain
+             (Rng.create (Int64.of_int (i + 1)))
+             ~n:(2 + (i mod 5)) ()))
+  @ [
+      (let cfg = Gen.mesh ~rows:8 ~cols:8 () in
+       (* Actual times from a quarter of χ up to 1.25χ (clamped to χ),
+          varying with the task and the execution index. *)
+       let actual w k =
+         Config.wcet cfg w
+         *. (0.25
+            +. (0.25 *. float_of_int ((Config.task_id w + (3 * k)) mod 5)))
+       in
+       ("mesh8-jitter", cfg, Some actual));
+      plain "deadlock" (deadlocked_config ());
+    ]
+
+(* Pinned simulator output: a change to any field of any case is a
+   change of simulator behaviour, to be made on purpose and re-recorded
+   here, never a side effect of a refactoring. *)
+let golden_expected =
+  [
+    ("chain100",
+      "420034cafe 5e44f8f112 3523d4c0cb 3523d4c0cb 777ecee058 02331ef4b2");
+    ("chain300",
+      "888f5f9066 20391ca967 9de92697ab 9de92697ab 777ecee058 8954c1a579");
+    ("mesh8",
+      "41aee09699 f733cefc64 bc770657bb bc770657bb 777ecee058 9f943ab76b");
+    ("mesh10",
+      "1ab78cb6a8 8d6b325529 4d39231673 4d39231673 418c1655d1 ace66e58fa");
+    ("tree5",
+      "585c07227b 64afdf166a 45a870451a 45a870451a 777ecee058 4df7b89a6f");
+    ("tree6",
+      "1d838001ac b00f6108db 190177fdc5 190177fdc5 777ecee058 c9d5d509c1");
+    ("multijob20",
+      "6eb021a1e6 bd6d0bef45 e900c4c94b 10b2c42603 83a979b213 236fd8d5b4");
+    ("random120",
+      "fc63734cdc 6aa731a676 5f88f07373 b470affe7b aa9dbcb076 a8e3f07f7f");
+    ("t1",
+      "747ad479a3 78949fe8af 4603e61bef 4603e61bef 777ecee058 31b37d1a71");
+    ("t2",
+      "e4f0673ad7 0552d44e4b 5415fbfcf3 5415fbfcf3 777ecee058 9c43dc4e5b");
+    ("ring6",
+      "f392d8d649 2cd4bd9506 921b6baf0b 921b6baf0b 777ecee058 fda5f5f97a");
+    ("random01",
+      "d5b2bf715d b831248cd5 4603e61bef 4603e61bef 28d9763cae ac342f9b77");
+    ("random02",
+      "dc282b1e68 91f9702f5e 5415fbfcf3 5415fbfcf3 f747ac5170 3427ba0d21");
+    ("random03",
+      "b91048f29b 69f203f6dd ec0336efdb ec0336efdb 727b600564 051bdb4682");
+    ("random04",
+      "84a73515c9 5157d1940e b8df5430cd b8df5430cd cdbe292bfe d9740f3178");
+    ("random05",
+      "42d081e788 7af186cef6 558c7f5426 558c7f5426 fb6238c754 a22a90b660");
+    ("random06",
+      "0afd449e1e b5ecda5bfc 4603e61bef 4603e61bef e72c6ff229 b22988a003");
+    ("random07",
+      "f9a87ad2a4 78c8111a41 5415fbfcf3 5415fbfcf3 dcc719b9c3 8fc37ef51c");
+    ("random08",
+      "443624ff0d 040a3ce980 bb7387fd49 bb7387fd49 83b5959496 fc1633f16a");
+    ("random09",
+      "4ae75bfa38 b81f2f690e b8df5430cd b8df5430cd b1773cfe39 de17a01934");
+    ("random10",
+      "634a2a003a f9f352ec41 85d84f9d03 85d84f9d03 44d2f897dc 711f539863");
+    ("random11",
+      "b20f0cdec6 704b12a696 4603e61bef 4603e61bef 462d0b9230 98674bbc6c");
+    ("random12",
+      "ebb045b5e5 2c8478be25 5415fbfcf3 5415fbfcf3 1e770f1d4d bf31ce71e7");
+    ("random13",
+      "9fde334876 064cb5dd50 bb7387fd49 bb7387fd49 b2e3481ed4 aeaf8f81a5");
+    ("random14",
+      "11db81cde9 8180150da0 060db82b8a 060db82b8a fce8118881 3da37addfd");
+    ("random15",
+      "9ae60d76c8 09d602da70 d6c7ca8dfb d6c7ca8dfb 8cb3cf8c4a 28ff1ef269");
+    ("mesh8-jitter",
+      "5cad3d0a26 b4abf939d1 fd6cb177b4 fd6cb177b4 fbe39f3852 56b868e773");
+    ("deadlock",
+      "error: deadlock: 2 task(s) stalled before reaching 200 executions");
+  ]
+
+let test_report_goldens () =
+  List.iter
+    (fun (name, cfg, execution_time) ->
+      let got =
+        match
+          Sim.run cfg (fixed_mapping cfg) ~iterations:200 ?execution_time ()
+        with
+        | Ok r -> report_digests cfg r
+        | Error e -> "error: " ^ e
+      in
+      match List.assoc_opt name golden_expected with
+      | Some want -> Alcotest.(check string) name want got
+      | None -> Alcotest.failf "no golden for %s: (%S, %S);" name name got)
+    (golden_cases ())
+
 let () =
   Alcotest.run "tdm_sim"
     [
@@ -789,6 +983,8 @@ let () =
         :: List.map QCheck_alcotest.to_alcotest
              [ prop_solver_capacities_are_used; prop_steady_never_above_full ]
       );
+      ( "goldens",
+        [ Alcotest.test_case "report digests" `Quick test_report_goldens ] );
       ( "vcd",
         [
           Alcotest.test_case "structure" `Quick test_vcd_structure;

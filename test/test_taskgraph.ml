@@ -105,6 +105,205 @@ let test_validate_clean () =
   let cfg, _, _, _, _, _, _, _ = sample () in
   Alcotest.(check (list string)) "no problems" [] (Config.validate cfg)
 
+(* After [copy], each side grows and mutates on its own: the same
+   fresh id denotes a different entity on each side, and no setter
+   reaches across. *)
+let test_copy_growth_isolation () =
+  let cfg, _, _, _, g, wa, _, b = sample () in
+  let copy = Config.copy cfg in
+  (* Grow both sides past any spare capacity the original had, with
+     different names, so a shared backing array would mix them up. *)
+  let grow t tag =
+    let p = Config.add_processor t ~name:(tag ^ "p") ~replenishment:30.0 () in
+    let m = Config.add_memory t ~name:(tag ^ "m") ~capacity:7 in
+    let g' = Config.add_graph t ~name:(tag ^ "g") ~period:20.0 () in
+    let ws =
+      List.init 20 (fun i ->
+          Config.add_task t g
+            ~name:(Printf.sprintf "%sw%d" tag i)
+            ~proc:p ~wcet:1.0 ())
+    in
+    let bs =
+      List.init 20 (fun i ->
+          Config.add_buffer t g
+            ~name:(Printf.sprintf "%sb%d" tag i)
+            ~src:wa ~dst:(List.nth ws i) ~memory:m ())
+    in
+    (p, m, g', ws, bs)
+  in
+  let op, om, og, ows, obs = grow cfg "orig-" in
+  let cp, cm, cg, cws, cbs = grow copy "copy-" in
+  Alcotest.(check bool) "fresh ids coincide" true
+    (Config.proc_id op = Config.proc_id cp
+    && Config.memory_id om = Config.memory_id cm
+    && Config.graph_id og = Config.graph_id cg
+    && List.map Config.task_id ows = List.map Config.task_id cws
+    && List.map Config.buffer_id obs = List.map Config.buffer_id cbs);
+  Alcotest.(check string) "proc on original" "orig-p" (Config.proc_name cfg op);
+  Alcotest.(check string) "proc on copy" "copy-p" (Config.proc_name copy op);
+  Alcotest.(check string) "memory on copy" "copy-m"
+    (Config.memory_name copy om);
+  Alcotest.(check string) "graph on original" "orig-g"
+    (Config.graph_name cfg og);
+  List.iteri
+    (fun i w ->
+      Alcotest.(check string) "task on original"
+        (Printf.sprintf "orig-w%d" i) (Config.task_name cfg w);
+      Alcotest.(check string) "task on copy"
+        (Printf.sprintf "copy-w%d" i) (Config.task_name copy w))
+    ows;
+  List.iteri
+    (fun i b' ->
+      Alcotest.(check string) "buffer on original"
+        (Printf.sprintf "orig-b%d" i) (Config.buffer_name cfg b');
+      Alcotest.(check string) "buffer on copy"
+        (Printf.sprintf "copy-b%d" i) (Config.buffer_name copy b'))
+    obs;
+  Alcotest.check_raises "copy's task absent from original" Not_found (fun () ->
+      ignore (Config.find_task cfg "copy-w0"));
+  Alcotest.check_raises "original's task absent from copy" Not_found (fun () ->
+      ignore (Config.find_task copy "orig-w0"));
+  Alcotest.(check int) "original task count" 22
+    (List.length (Config.all_tasks cfg));
+  Alcotest.(check int) "copy buffer count" 21
+    (List.length (Config.all_buffers copy));
+  (* Setters, in both directions. *)
+  Config.set_period copy g 99.0;
+  Config.set_task_weight copy wa 7.0;
+  Config.set_buffer_weight copy b 3.0;
+  Config.set_max_capacity copy b None;
+  check_float 0.0 "original period" 10.0 (Config.period cfg g);
+  check_float 0.0 "original task weight" 2.0 (Config.task_weight cfg wa);
+  check_float 0.0 "original buffer weight" 0.5 (Config.buffer_weight cfg b);
+  Alcotest.(check (option int)) "original cap" (Some 8)
+    (Config.max_capacity cfg b);
+  Config.set_period cfg g 11.0;
+  Config.set_task_weight cfg wa 5.0;
+  Config.set_buffer_weight cfg b 4.0;
+  Config.set_max_capacity cfg b (Some 12);
+  check_float 0.0 "copy period" 99.0 (Config.period copy g);
+  check_float 0.0 "copy task weight" 7.0 (Config.task_weight copy wa);
+  check_float 0.0 "copy buffer weight" 3.0 (Config.buffer_weight copy b);
+  Alcotest.(check (option int)) "copy cap" None (Config.max_capacity copy b)
+
+(* Every accessor returns what its [add_*] was given, in id order, on
+   configurations of up to 1000 tasks; the enumerations agree with a
+   filter over the same records. *)
+let prop_accessors_match_adds =
+  QCheck2.Test.make ~name:"accessors return what add_* was given" ~count:20
+    QCheck2.Gen.(pair (int_range 1 1000) int)
+    (fun (ntasks, seed) ->
+      let rs = Random.State.make [| seed |] in
+      let pick n = Random.State.int rs n in
+      let nprocs = 1 + pick 20 and nmems = 1 + pick 4
+      and ngraphs = 1 + pick 4 in
+      let cfg = Config.create ~granularity:1.0 () in
+      let procs =
+        Array.init nprocs (fun i ->
+            let r = 10.0 +. float_of_int i and o = float_of_int (i mod 3) in
+            (Config.add_processor cfg ~name:(Printf.sprintf "p%d" i)
+               ~replenishment:r ~overhead:o (), r, o))
+      in
+      let mems =
+        Array.init nmems (fun i ->
+            (Config.add_memory cfg ~name:(Printf.sprintf "m%d" i)
+               ~capacity:(100 * i), 100 * i))
+      in
+      let graphs =
+        Array.init ngraphs (fun i ->
+            let mu = 5.0 +. float_of_int i in
+            ( Config.add_graph cfg ~name:(Printf.sprintf "g%d" i) ~period:mu (),
+              mu ))
+      in
+      let tasks =
+        Array.init ntasks (fun i ->
+            let g = pick ngraphs and p = pick nprocs in
+            let wcet = 0.5 +. float_of_int (pick 8)
+            and weight = float_of_int (pick 5) in
+            let w =
+              Config.add_task cfg (fst graphs.(g))
+                ~name:(Printf.sprintf "w%d" i)
+                ~proc:(let p', _, _ = procs.(p) in p')
+                ~wcet ~weight ()
+            in
+            (w, g, p, wcet, weight))
+      in
+      let buffers =
+        Array.init (pick (ntasks + 1)) (fun i ->
+            let src, g, _, _, _ = tasks.(pick ntasks) in
+            (* Any task of the same graph, the source itself included. *)
+            let dst =
+              let rec find k =
+                let w, g', _, _, _ = tasks.(k mod ntasks) in
+                if g' = g then w else find (k + 1)
+              in
+              find (pick ntasks)
+            in
+            let m = pick nmems and zeta = 1 + pick 4 and iota = pick 3 in
+            let weight = float_of_int (pick 5) in
+            let b =
+              Config.add_buffer cfg (fst graphs.(g))
+                ~name:(Printf.sprintf "b%d" i)
+                ~src ~dst ~memory:(fst mems.(m)) ~container_size:zeta
+                ~initial_tokens:iota ~weight ()
+            in
+            (b, g, src, dst, m, zeta, iota, weight))
+      in
+      let ids f a = Array.to_list (Array.map f a) in
+      let filter_ids f a =
+        List.filteri (fun i _ -> f a.(i)) (List.init (Array.length a) Fun.id)
+      in
+      Array.for_all
+        (fun (p, r, o) ->
+          Config.replenishment cfg p = r && Config.overhead cfg p = o
+          && Config.find_proc cfg (Config.proc_name cfg p) = p)
+        procs
+      && Array.for_all (fun (m, c) -> Config.memory_capacity cfg m = c) mems
+      && Array.for_all (fun (g, mu) -> Config.period cfg g = mu) graphs
+      && Array.for_all
+           (fun (w, g, p, wcet, weight) ->
+             Config.task_graph cfg w = fst graphs.(g)
+             && Config.task_proc cfg w = (let p', _, _ = procs.(p) in p')
+             && Config.wcet cfg w = wcet
+             && Config.task_weight cfg w = weight
+             && Config.find_task cfg (Config.task_name cfg w) = w)
+           tasks
+      && Array.for_all
+           (fun (b, g, src, dst, m, zeta, iota, weight) ->
+             Config.buffer_src cfg b = src
+             && Config.buffer_dst cfg b = dst
+             && Config.buffer_memory cfg b = fst mems.(m)
+             && Config.container_size cfg b = zeta
+             && Config.initial_tokens cfg b = iota
+             && Config.buffer_weight cfg b = weight
+             && Config.max_capacity cfg b = None
+             && Config.find_buffer cfg (Config.buffer_name cfg b) = b
+             && Config.task_graph cfg src = fst graphs.(g))
+           buffers
+      && List.map Config.task_id (Config.all_tasks cfg)
+         = ids (fun (w, _, _, _, _) -> Config.task_id w) tasks
+      && List.map Config.buffer_id (Config.all_buffers cfg)
+         = ids (fun (b, _, _, _, _, _, _, _) -> Config.buffer_id b) buffers
+      && List.for_all
+           (fun gi ->
+             List.map Config.task_id (Config.tasks cfg (fst graphs.(gi)))
+             = filter_ids (fun (_, g, _, _, _) -> g = gi) tasks
+             && List.map Config.buffer_id
+                  (Config.buffers cfg (fst graphs.(gi)))
+                = filter_ids (fun (_, g, _, _, _, _, _, _) -> g = gi) buffers)
+           (List.init ngraphs Fun.id)
+      && List.for_all
+           (fun pi ->
+             let p, _, _ = procs.(pi) in
+             List.map Config.task_id (Config.tasks_on cfg p)
+             = filter_ids (fun (_, _, p', _, _) -> p' = pi) tasks)
+           (List.init nprocs Fun.id)
+      && List.for_all
+           (fun mi ->
+             List.map Config.buffer_id (Config.buffers_in cfg (fst mems.(mi)))
+             = filter_ids (fun (_, _, _, _, m, _, _, _) -> m = mi) buffers)
+           (List.init nmems Fun.id))
+
 (* ------------------------------------------------------------------ *)
 (* Parser                                                              *)
 (* ------------------------------------------------------------------ *)
@@ -337,6 +536,9 @@ let () =
           Alcotest.test_case "validate flags impossible" `Quick
             test_validate_flags_impossible;
           Alcotest.test_case "validate clean" `Quick test_validate_clean;
+          Alcotest.test_case "copy growth isolation" `Quick
+            test_copy_growth_isolation;
+          QCheck_alcotest.to_alcotest prop_accessors_match_adds;
         ] );
       ( "parse",
         [

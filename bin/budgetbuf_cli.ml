@@ -31,6 +31,15 @@ let load_config path =
     Error (Printf.sprintf "%s:%d: %s" path line msg)
   | exception Sys_error msg -> Error msg
 
+(* Loads the configuration for a command body; a load failure is one
+   [error:] line and exit 1. *)
+let with_config path f =
+  match load_config path with
+  | Error msg ->
+    Format.eprintf "error: %s@." msg;
+    1
+  | Ok cfg -> f cfg
+
 (* ------------------------------------------------------------------ *)
 (* --jobs: domain pool for the sweep commands                          *)
 (* ------------------------------------------------------------------ *)
@@ -46,28 +55,23 @@ let jobs_arg =
            recommended domain count).  $(b,--jobs 1) forces the sequential \
            path; the results are identical either way.")
 
+(* Resolves --jobs (falling back to BUDGETBUF_JOBS) to a domain count. *)
+let resolve_jobs = function
+  | Some n when n < 1 -> Error "--jobs must be >= 1"
+  | Some n -> Ok n
+  | None -> (
+    try Ok (Parallel.Pool.default_domains ())
+    with Invalid_argument msg -> Error msg)
+
 (* Resolves --jobs to an optional pool and hands it to [f]; jobs = 1
    passes no pool at all, which is exactly the sequential code path. *)
 let with_jobs jobs f =
-  match jobs with
-  | Some n when n < 1 ->
-    Format.eprintf "error: --jobs must be >= 1@.";
+  match resolve_jobs jobs with
+  | Error msg ->
+    Format.eprintf "error: %s@." msg;
     1
-  | _ -> begin
-    match
-      match jobs with
-      | Some n -> Ok n
-      | None -> begin
-        try Ok (Parallel.Pool.default_domains ())
-        with Invalid_argument msg -> Error msg
-      end
-    with
-    | Error msg ->
-      Format.eprintf "error: %s@." msg;
-      1
-    | Ok 1 -> f None
-    | Ok n -> Parallel.Pool.with_pool ~domains:n (fun pool -> f (Some pool))
-  end
+  | Ok 1 -> f None
+  | Ok n -> Parallel.Pool.with_pool ~domains:n (fun pool -> f (Some pool))
 
 (* ------------------------------------------------------------------ *)
 (* --fault: deterministic solver fault injection (testing aid)         *)
@@ -96,8 +100,7 @@ let fault_arg =
 let kkt_arg =
   Arg.(
     value
-    & opt (enum [ ("auto", `Auto); ("dense", `Dense); ("sparse", `Sparse) ])
-        `Auto
+    & opt (enum Mapping.kkt_backends) `Auto
     & info [ "kkt" ] ~docv:"BACKEND"
         ~doc:
           "KKT factorisation backend: $(b,auto) (the default: $(b,dense) \
@@ -121,27 +124,6 @@ let no_warm_arg =
            seeds every candidate; results are bit-identical with or \
            without $(b,--jobs) and across $(b,--resume), but cold starts \
            burn more interior-point iterations per candidate.")
-
-(* --kkt as solver params for Mapping.solve and the sweep drivers:
-   [None] keeps those calls on their historical hook-free path, which
-   is why `Auto resolves small instances to [None] rather than to
-   explicit dense params — bit-identical output to the seed there. *)
-let params_of_kkt kkt cfg =
-  let sparse =
-    Some { Conic.Socp.default_params with Conic.Socp.kkt = `Sparse }
-  in
-  match kkt with
-  | `Dense -> None
-  | `Sparse -> sparse
-  | `Auto -> (
-    match Mapping.kkt_auto cfg with `Dense -> None | `Sparse -> sparse)
-
-(* Resolves --fault (falling back to BUDGETBUF_FAULT) to a recovery
-   policy for Mapping.solve and the sweep drivers. *)
-let policy_of_fault fault =
-  match fault with
-  | Some plan -> { (Recovery.default_policy ()) with Recovery.fault = Some plan }
-  | None -> Recovery.default_policy ()
 
 (* ------------------------------------------------------------------ *)
 (* --trace / --metrics: observability (docs/observability.md)          *)
@@ -190,6 +172,20 @@ let with_obs ~trace ~metrics f =
       List.iter (Format.printf "  %s@.") (Obs.Ctx.report obs)
     end;
     code
+
+(* --fault --kkt --trace --metrics: the flags of every command that
+   solves (solve and the sweeps). *)
+type solver_flags = {
+  fault : Fault.plan option;
+  kkt : [ `Auto | `Dense | `Sparse ];
+  trace : string option;
+  metrics : bool;
+}
+
+let solver_flags =
+  Term.(
+    const (fun fault kkt trace metrics -> { fault; kkt; trace; metrics })
+    $ fault_arg $ kkt_arg $ obs_trace_arg $ metrics_arg)
 
 (* --certify: exact-certification summary on the sweep commands. *)
 let certify_arg =
@@ -240,6 +236,34 @@ let candidate_deadline_arg =
            a candidate that exceeds it is skipped as timed out while the \
            sweep continues (and is retried on a $(b,--resume)).")
 
+(* --jobs --no-warm-start --certify --resume --deadline
+   --per-candidate-deadline: the flags shared by the sweep commands. *)
+type sweep_flags = {
+  jobs : int option;
+  no_warm : bool;
+  certify : bool;
+  resume : string option;
+  deadline : float option;
+  candidate_deadline : float option;
+}
+
+let sweep_flags =
+  Term.(
+    const (fun jobs no_warm certify resume deadline candidate_deadline ->
+        { jobs; no_warm; certify; resume; deadline; candidate_deadline })
+    $ jobs_arg $ no_warm_arg $ certify_arg $ resume_arg $ deadline_arg
+    $ candidate_deadline_arg)
+
+(* The one check behind every --deadline-style flag (the sweeps',
+   serve's and request's): a budget in seconds must be a positive,
+   finite number. *)
+let check_deadline name = function
+  | Some s when Float.is_nan s || s <= 0.0 ->
+    Error (Printf.sprintf "%s must be positive" name)
+  | Some s when not (Float.is_finite s) ->
+    Error (Printf.sprintf "%s must be finite" name)
+  | _ -> Ok ()
+
 (* Ctrl-C or a TERM from a supervisor flips a flag the sweep polls
    between candidates: in-flight solves drain, get journaled, and the
    partial report still prints — the same graceful stop as a deadline.
@@ -280,23 +304,14 @@ let restore_drain_signals saved =
    a deadline stop exits 0 (the partial result is well-formed), an
    interrupt exits 128+signal (130 on INT, 143 on TERM). *)
 let with_durability ~fingerprint ~resume ~deadline ~candidate_deadline run =
-  let bad name = function
-    | Some s when Float.is_nan s || s <= 0.0 ->
-      Some (Printf.sprintf "%s must be positive" name)
-    | _ -> None
-  in
   match
-    match bad "--deadline" deadline with
-    | Some m -> Error m
-    | None -> begin
-      match bad "--per-candidate-deadline" candidate_deadline with
-      | Some m -> Error m
-      | None -> begin
-        match resume with
-        | None -> Ok None
-        | Some path -> Result.map Option.some (Journal.resume ~fingerprint path)
-      end
-    end
+    Result.bind (check_deadline "--deadline" deadline) @@ fun () ->
+    Result.bind
+      (check_deadline "--per-candidate-deadline" candidate_deadline)
+    @@ fun () ->
+    match resume with
+    | None -> Ok None
+    | Some path -> Result.map Option.some (Journal.resume ~fingerprint path)
   with
   | Error msg ->
     Format.eprintf "error: %s@." msg;
@@ -350,6 +365,67 @@ let sweep_fingerprint ~command ~cfg ~grid ~fault =
       (match fault with None -> "" | Some p -> Fault.to_string p);
     ]
 
+(* The optional arguments of every [Budgetbuf] sweep driver
+   ([Tradeoff.capacity_sweep], [Pareto.frontier], [Dse.throughput_curve])
+   in their shared order, ahead of the configuration. *)
+type 'a sweep =
+  ?params:Conic.Socp.params ->
+  ?policy:Recovery.policy ->
+  ?pool:Parallel.Pool.t ->
+  ?deadline:Deadline.t ->
+  ?candidate_deadline:float ->
+  ?journal:Journal.t ->
+  ?cancel:(unit -> bool) ->
+  ?obs:Obs.Ctx.t ->
+  ?on_progress:(Durable.Sweep.progress -> unit) ->
+  ?warm_start:bool ->
+  Config.t ->
+  'a
+
+(* The one sweep command skeleton.  [plan cfg] checks the command's own
+   arguments and answers the grid that keys the journal, the sweep
+   driver and the report printer; the shared flags then resolve in a
+   fixed order — --jobs, --trace/--metrics, the durability flags — and
+   the report's code is the exit code. *)
+let run_sweep ~command path solver flags
+    (plan : Config.t -> (string * 'a sweep * ('a -> int), string) result) =
+  with_config path @@ fun cfg ->
+  match plan cfg with
+  | Error msg ->
+    Format.eprintf "error: %s@." msg;
+    1
+  | Ok (grid, sweep, report) ->
+    with_jobs flags.jobs @@ fun pool ->
+    let fingerprint =
+      sweep_fingerprint ~command ~cfg ~grid ~fault:solver.fault
+    in
+    with_obs ~trace:solver.trace ~metrics:solver.metrics @@ fun obs ->
+    with_durability ~fingerprint ~resume:flags.resume ~deadline:flags.deadline
+      ~candidate_deadline:flags.candidate_deadline
+    @@ fun ~journal ~deadline ~candidate_deadline ~cancel ~on_progress ->
+    report
+      (sweep
+         ?params:(Mapping.params_of_kkt solver.kkt cfg)
+         ~policy:(Recovery.with_fault solver.fault)
+         ?pool ?journal ?deadline ?candidate_deadline ~cancel ?obs
+         ~on_progress ~warm_start:(not flags.no_warm) cfg)
+
+(* The summary lines under every sweep table: the candidates skipped
+   (solver failures and timeouts, not infeasibility verdicts) and, under
+   --certify, how many reported mappings carry an exact certificate. *)
+let print_skipped = function
+  | [] -> ()
+  | skipped ->
+    let reasons = List.sort_uniq compare (List.map snd skipped) in
+    Format.printf "skipped: %d (%s)@." (List.length skipped)
+      (String.concat ", " reasons)
+
+let print_certified ~certify verdicts =
+  if certify then
+    Format.printf "certified: %d/%d@."
+      (List.length (List.filter Fun.id verdicts))
+      (List.length verdicts)
+
 (* ------------------------------------------------------------------ *)
 (* solve                                                               *)
 (* ------------------------------------------------------------------ *)
@@ -383,89 +459,85 @@ let continuous_arg =
     & info [ "continuous" ]
         ~doc:"Also print the pre-rounding continuous optimum per variable.")
 
-let do_solve () path simulate continuous output fault kkt trace metrics =
-  match load_config path with
-  | Error msg ->
-    Format.eprintf "error: %s@." msg;
+let do_solve () path simulate continuous output
+    { fault; kkt; trace; metrics } =
+  with_config path @@ fun cfg ->
+  (match Config.validate cfg with
+  | [] -> ()
+  | problems ->
+    List.iter (Format.eprintf "warning: %s@.") problems);
+  with_obs ~trace ~metrics @@ fun obs ->
+  match
+    Mapping.solve
+      ?params:(Mapping.params_of_kkt kkt cfg)
+      ?obs ~policy:(Recovery.with_fault fault) cfg
+  with
+  | Error e ->
+    Format.eprintf "error: %a@." Mapping.pp_error e;
     1
-  | Ok cfg -> begin
-    (match Config.validate cfg with
-    | [] -> ()
+  | Ok r ->
+    Format.printf "%a@." (Config.pp_mapped cfg) r.Mapping.mapped;
+    Format.printf
+      "objective: continuous %.4f, rounded %.4f (%d vars, %d rows, %d \
+       iterations, %.2f ms)@."
+      r.Mapping.objective r.Mapping.rounded_objective
+      r.Mapping.stats.Mapping.variables r.Mapping.stats.Mapping.rows
+      r.Mapping.stats.Mapping.iterations
+      (1000.0 *. r.Mapping.stats.Mapping.solve_time_s);
+    if r.Mapping.stats.Mapping.attempts > 1 then
+      Format.printf "recovery: %d attempts (%a)@."
+        r.Mapping.stats.Mapping.attempts Recovery.pp_trace
+        r.Mapping.recovery;
+    if r.Mapping.stats.Mapping.kkt_fallbacks > 0 then
+      Format.printf "kkt fallbacks: %d (sparse factorisation reran dense)@."
+        r.Mapping.stats.Mapping.kkt_fallbacks;
+    if continuous then
+      List.iter
+        (fun w ->
+          Format.printf "continuous beta'(%s) = %.6f@."
+            (Config.task_name cfg w)
+            (r.Mapping.continuous.Socp_builder.budget w))
+        (Config.all_tasks cfg);
+    (match r.Mapping.verification with
+    | [] -> Format.printf "verification: ok@."
     | problems ->
-      List.iter (Format.eprintf "warning: %s@.") problems);
-    with_obs ~trace ~metrics @@ fun obs ->
-    match
-      Mapping.solve
-        ?params:(params_of_kkt kkt cfg)
-        ?obs ~policy:(policy_of_fault fault) cfg
-    with
-    | Error e ->
-      Format.eprintf "error: %a@." Mapping.pp_error e;
-      1
-    | Ok r ->
-      Format.printf "%a@." (Config.pp_mapped cfg) r.Mapping.mapped;
-      Format.printf
-        "objective: continuous %.4f, rounded %.4f (%d vars, %d rows, %d \
-         iterations, %.2f ms)@."
-        r.Mapping.objective r.Mapping.rounded_objective
-        r.Mapping.stats.Mapping.variables r.Mapping.stats.Mapping.rows
-        r.Mapping.stats.Mapping.iterations
-        (1000.0 *. r.Mapping.stats.Mapping.solve_time_s);
-      if r.Mapping.stats.Mapping.attempts > 1 then
-        Format.printf "recovery: %d attempts (%a)@."
-          r.Mapping.stats.Mapping.attempts Recovery.pp_trace
-          r.Mapping.recovery;
-      if r.Mapping.stats.Mapping.kkt_fallbacks > 0 then
-        Format.printf "kkt fallbacks: %d (sparse factorisation reran dense)@."
-          r.Mapping.stats.Mapping.kkt_fallbacks;
-      if continuous then
+      List.iter
+        (fun v ->
+          Format.printf "verification problem: %s@."
+            (Budgetbuf.Violation.to_string v))
+        problems);
+    Format.printf "certificate: %s@."
+      (Budgetbuf.Certify.summary r.Mapping.certificate);
+    (match output with
+    | None -> ()
+    | Some file ->
+      let oc = open_out file in
+      let ppf = Format.formatter_of_out_channel oc in
+      Format.fprintf ppf "%a@."
+        (Taskgraph.Mapped_io.print cfg)
+        r.Mapping.mapped;
+      close_out oc;
+      Format.printf "mapping written to %s@." file);
+    (match simulate with
+    | None -> ()
+    | Some iterations -> begin
+      match Tdm_sim.Sim.run cfg r.Mapping.mapped ~iterations () with
+      | Error e -> Format.printf "simulation: %s@." e
+      | Ok report ->
         List.iter
-          (fun w ->
-            Format.printf "continuous beta'(%s) = %.6f@."
-              (Config.task_name cfg w)
-              (r.Mapping.continuous.Socp_builder.budget w))
-          (Config.all_tasks cfg);
-      (match r.Mapping.verification with
-      | [] -> Format.printf "verification: ok@."
-      | problems ->
-        List.iter
-          (fun v ->
-            Format.printf "verification problem: %s@."
-              (Budgetbuf.Violation.to_string v))
-          problems);
-      Format.printf "certificate: %s@."
-        (Budgetbuf.Certify.summary r.Mapping.certificate);
-      (match output with
-      | None -> ()
-      | Some file ->
-        let oc = open_out file in
-        let ppf = Format.formatter_of_out_channel oc in
-        Format.fprintf ppf "%a@."
-          (Taskgraph.Mapped_io.print cfg)
-          r.Mapping.mapped;
-        close_out oc;
-        Format.printf "mapping written to %s@." file);
-      (match simulate with
-      | None -> ()
-      | Some iterations -> begin
-        match Tdm_sim.Sim.run cfg r.Mapping.mapped ~iterations () with
-        | Error e -> Format.printf "simulation: %s@." e
-        | Ok report ->
-          List.iter
-            (fun g ->
-              Format.printf
-                "simulation: graph %s period %.3f (required %.3f)@."
-                (Config.graph_name cfg g)
-                (report.Tdm_sim.Sim.graph_period g)
-                (Config.period cfg g))
-            (Config.graphs cfg)
-      end);
-      if
-        r.Mapping.verification = []
-        && Budgetbuf.Certify.certified r.Mapping.certificate
-      then 0
-      else 1
-  end
+          (fun g ->
+            Format.printf
+              "simulation: graph %s period %.3f (required %.3f)@."
+              (Config.graph_name cfg g)
+              (report.Tdm_sim.Sim.graph_period g)
+              (Config.period cfg g))
+          (Config.graphs cfg)
+    end);
+    if
+      r.Mapping.verification = []
+      && Budgetbuf.Certify.certified r.Mapping.certificate
+    then 0
+    else 1
 
 let solve_cmd =
   let doc = "compute budgets and buffer sizes jointly (Algorithm 1)" in
@@ -473,33 +545,28 @@ let solve_cmd =
     (Cmd.info "solve" ~doc)
     Term.(
       const do_solve $ logs_term $ file_arg $ simulate_arg $ continuous_arg
-      $ output_arg $ fault_arg $ kkt_arg $ obs_trace_arg $ metrics_arg)
+      $ output_arg $ solver_flags)
 
 (* ------------------------------------------------------------------ *)
 (* validate                                                            *)
 (* ------------------------------------------------------------------ *)
 
 let do_validate () path =
-  match load_config path with
-  | Error msg ->
-    Format.eprintf "error: %s@." msg;
+  with_config path @@ fun cfg ->
+  Format.printf "parsed: %d processors, %d memories, %d graphs, %d tasks, \
+                 %d buffers@."
+    (List.length (Config.processors cfg))
+    (List.length (Config.memories cfg))
+    (List.length (Config.graphs cfg))
+    (List.length (Config.all_tasks cfg))
+    (List.length (Config.all_buffers cfg));
+  match Config.validate cfg with
+  | [] ->
+    Format.printf "no structural problems found@.";
+    0
+  | problems ->
+    List.iter (Format.printf "problem: %s@.") problems;
     1
-  | Ok cfg -> begin
-    Format.printf "parsed: %d processors, %d memories, %d graphs, %d tasks, \
-                   %d buffers@."
-      (List.length (Config.processors cfg))
-      (List.length (Config.memories cfg))
-      (List.length (Config.graphs cfg))
-      (List.length (Config.all_tasks cfg))
-      (List.length (Config.all_buffers cfg));
-    match Config.validate cfg with
-    | [] ->
-      Format.printf "no structural problems found@.";
-      0
-    | problems ->
-      List.iter (Format.printf "problem: %s@.") problems;
-      1
-  end
 
 let validate_cmd =
   let doc = "parse a configuration file and report structural problems" in
@@ -525,48 +592,24 @@ let buffers_arg =
           "Comma-separated buffer names to cap (default: every buffer of \
            the configuration).")
 
-let do_tradeoff () path (lo, hi) buffer_names jobs fault kkt no_warm certify
-    resume deadline candidate_deadline trace metrics =
-  match load_config path with
-  | Error msg ->
-    Format.eprintf "error: %s@." msg;
-    1
-  | Ok cfg -> begin
-    match
-      match buffer_names with
-      | None -> Ok (Config.all_buffers cfg)
-      | Some names ->
-        (try Ok (List.map (Config.find_buffer cfg) names)
-         with Not_found -> Error "unknown buffer name")
-    with
-    | Error msg ->
-      Format.eprintf "error: %s@." msg;
-      1
-    | Ok buffers when lo > hi || lo < 1 ->
-      ignore buffers;
-      Format.eprintf "error: empty or invalid cap range@.";
-      1
-    | Ok buffers ->
-      with_jobs jobs @@ fun pool ->
-      let caps = List.init (hi - lo + 1) (fun i -> lo + i) in
-      let fingerprint =
-        sweep_fingerprint ~command:"tradeoff" ~cfg
-          ~grid:
-            (Printf.sprintf "caps=%d:%d buffers=%s" lo hi
-               (String.concat ","
-                  (List.map (Config.buffer_name cfg) buffers)))
-          ~fault
-      in
-      with_obs ~trace ~metrics @@ fun obs ->
-      with_durability ~fingerprint ~resume ~deadline ~candidate_deadline
-      @@ fun ~journal ~deadline ~candidate_deadline ~cancel ~on_progress ->
-      let points =
-        Tradeoff.capacity_sweep
-          ?params:(params_of_kkt kkt cfg)
-          ~policy:(policy_of_fault fault) ?pool ?journal ?deadline
-          ?candidate_deadline ~cancel ?obs ~on_progress
-          ~warm_start:(not no_warm) cfg ~buffers ~caps
-      in
+let do_tradeoff () path (lo, hi) buffer_names solver flags =
+  run_sweep ~command:"tradeoff" path solver flags @@ fun cfg ->
+  match
+    match buffer_names with
+    | None -> Ok (Config.all_buffers cfg)
+    | Some names -> (
+      try Ok (List.map (Config.find_buffer cfg) names)
+      with Not_found -> Error "unknown buffer name")
+  with
+  | Error msg -> Error msg
+  | Ok _ when lo > hi || lo < 1 -> Error "empty or invalid cap range"
+  | Ok buffers ->
+    let caps = List.init (hi - lo + 1) (fun i -> lo + i) in
+    let grid =
+      Printf.sprintf "caps=%d:%d buffers=%s" lo hi
+        (String.concat "," (List.map (Config.buffer_name cfg) buffers))
+    in
+    let report points =
       let tasks = Config.all_tasks cfg in
       Format.printf "%-6s" "cap";
       List.iter
@@ -593,43 +636,30 @@ let do_tradeoff () path (lo, hi) buffer_names jobs fault kkt no_warm certify
               tasks;
             Format.printf "@.")
         points;
-      (match Tradeoff.skipped points with
-      | [] -> ()
-      | skipped ->
-        let reasons = List.sort_uniq compare (List.map snd skipped) in
-        Format.printf "skipped: %d (%s)@." (List.length skipped)
-          (String.concat ", " reasons));
+      print_skipped (Tradeoff.skipped points);
+      let solved =
+        List.filter_map
+          (fun (p : Tradeoff.point) -> Result.to_option p.Tradeoff.result)
+          points
+      in
       (* Sparse-backend health: how many iterations across the sweep
          reran on the dense fallback (restored points report 0 — the
          solve did not run again). *)
       let fallbacks =
         List.fold_left
-          (fun acc (p : Tradeoff.point) ->
-            match p.Tradeoff.result with
-            | Ok r -> acc + r.Mapping.stats.Mapping.kkt_fallbacks
-            | Error _ -> acc)
-          0 points
+          (fun acc r -> acc + r.Mapping.stats.Mapping.kkt_fallbacks)
+          0 solved
       in
       if fallbacks > 0 then
         Format.printf "kkt fallbacks: %d (sparse factorisation reran dense)@."
           fallbacks;
-      if certify then begin
-        let solved =
-          List.filter_map
-            (fun (p : Tradeoff.point) ->
-              match p.Tradeoff.result with Ok r -> Some r | Error _ -> None)
-            points
-        in
-        let n =
-          List.length
-            (List.filter
-               (fun r -> Budgetbuf.Certify.certified r.Mapping.certificate)
-               solved)
-        in
-        Format.printf "certified: %d/%d@." n (List.length solved)
-      end;
+      print_certified ~certify:flags.certify
+        (List.map
+           (fun r -> Budgetbuf.Certify.certified r.Mapping.certificate)
+           solved);
       0
-  end
+    in
+    Ok (grid, Tradeoff.capacity_sweep ~buffers ~caps, report)
 
 let tradeoff_cmd =
   let doc = "sweep buffer-capacity caps and print the budget trade-off curve" in
@@ -637,9 +667,7 @@ let tradeoff_cmd =
     (Cmd.info "tradeoff" ~doc)
     Term.(
       const do_tradeoff $ logs_term $ file_arg $ caps_arg $ buffers_arg
-      $ jobs_arg $ fault_arg $ kkt_arg $ no_warm_arg $ certify_arg
-      $ resume_arg $ deadline_arg $ candidate_deadline_arg $ obs_trace_arg
-      $ metrics_arg)
+      $ solver_flags $ sweep_flags)
 
 (* ------------------------------------------------------------------ *)
 (* experiment                                                          *)
@@ -757,36 +785,31 @@ let load_mapped cfg path =
   | exception Sys_error msg -> Error msg
 
 let do_check () path mapped_path =
-  match load_config path with
+  with_config path @@ fun cfg ->
+  match load_mapped cfg mapped_path with
   | Error msg ->
     Format.eprintf "error: %s@." msg;
     1
-  | Ok cfg -> begin
-    match load_mapped cfg mapped_path with
-    | Error msg ->
-      Format.eprintf "error: %s@." msg;
+  | Ok mapped -> begin
+    match Budgetbuf.Dataflow_model.verify cfg mapped with
+    | [] ->
+      List.iter
+        (fun g ->
+          match Budgetbuf.Dataflow_model.min_feasible_period cfg g mapped with
+          | Some r ->
+            Format.printf
+              "graph %s: feasible, minimal period %.4f (required %.4f)@."
+              (Config.graph_name cfg g) r (Config.period cfg g)
+          | None ->
+            Format.printf "graph %s: deadlocked@." (Config.graph_name cfg g))
+        (Config.graphs cfg);
+      0
+    | problems ->
+      List.iter
+        (fun v ->
+          Format.printf "violation: %s@." (Budgetbuf.Violation.to_string v))
+        problems;
       1
-    | Ok mapped -> begin
-      match Budgetbuf.Dataflow_model.verify cfg mapped with
-      | [] ->
-        List.iter
-          (fun g ->
-            match Budgetbuf.Dataflow_model.min_feasible_period cfg g mapped with
-            | Some r ->
-              Format.printf
-                "graph %s: feasible, minimal period %.4f (required %.4f)@."
-                (Config.graph_name cfg g) r (Config.period cfg g)
-            | None ->
-              Format.printf "graph %s: deadlocked@." (Config.graph_name cfg g))
-          (Config.graphs cfg);
-        0
-      | problems ->
-        List.iter
-          (fun v ->
-            Format.printf "violation: %s@." (Budgetbuf.Violation.to_string v))
-          problems;
-        1
-    end
   end
 
 let check_cmd =
@@ -799,27 +822,22 @@ let check_cmd =
 (* ------------------------------------------------------------------ *)
 
 let do_certify () path mapped_path =
-  match load_config path with
+  with_config path @@ fun cfg ->
+  match load_mapped cfg mapped_path with
   | Error msg ->
     Format.eprintf "error: %s@." msg;
     1
-  | Ok cfg -> begin
-    match load_mapped cfg mapped_path with
-    | Error msg ->
-      Format.eprintf "error: %s@." msg;
-      1
-    | Ok mapped ->
-      let cert = Budgetbuf.Certify.check cfg mapped in
-      (match cert with
-      | Budgetbuf.Certify.Certified w ->
-        List.iter
-          (fun (actor, start) ->
-            Format.printf "start %s = %s@." actor (Exact.Rat.to_string start))
-          w.Budgetbuf.Certify.starts
-      | Budgetbuf.Certify.Refuted _ -> ());
-      Format.printf "certificate: %s@." (Budgetbuf.Certify.summary cert);
-      if Budgetbuf.Certify.certified cert then 0 else 1
-  end
+  | Ok mapped ->
+    let cert = Budgetbuf.Certify.check cfg mapped in
+    (match cert with
+    | Budgetbuf.Certify.Certified w ->
+      List.iter
+        (fun (actor, start) ->
+          Format.printf "start %s = %s@." actor (Exact.Rat.to_string start))
+        w.Budgetbuf.Certify.starts
+    | Budgetbuf.Certify.Refuted _ -> ());
+    Format.printf "certificate: %s@." (Budgetbuf.Certify.summary cert);
+    if Budgetbuf.Certify.certified cert then 0 else 1
 
 let certify_cmd =
   let doc =
@@ -850,51 +868,46 @@ let vcd_arg =
         ~doc:"Write the run as a VCD waveform (tasks + buffer levels).")
 
 let do_simulate () path mapped_path iterations trace vcd =
-  match load_config path with
+  with_config path @@ fun cfg ->
+  match load_mapped cfg mapped_path with
   | Error msg ->
     Format.eprintf "error: %s@." msg;
     1
-  | Ok cfg -> begin
-    match load_mapped cfg mapped_path with
-    | Error msg ->
-      Format.eprintf "error: %s@." msg;
+  | Ok mapped -> begin
+    match Tdm_sim.Sim.run cfg mapped ~iterations () with
+    | Error e ->
+      Format.eprintf "error: %s@." e;
       1
-    | Ok mapped -> begin
-      match Tdm_sim.Sim.run cfg mapped ~iterations () with
-      | Error e ->
-        Format.eprintf "error: %s@." e;
-        1
-      | Ok report ->
+    | Ok report ->
+      List.iter
+        (fun g ->
+          Format.printf "graph %s: measured period %.4f (required %.4f)@."
+            (Config.graph_name cfg g)
+            (report.Tdm_sim.Sim.graph_period g)
+            (Config.period cfg g))
+        (Config.graphs cfg);
+      (match vcd with
+      | None -> ()
+      | Some file ->
+        let oc = open_out file in
+        let ppf = Format.formatter_of_out_channel oc in
+        Tdm_sim.Vcd.dump cfg mapped report ppf;
+        Format.pp_print_flush ppf ();
+        close_out oc;
+        Format.printf "waveform written to %s@." file);
+      (match trace with
+      | None -> ()
+      | Some k ->
         List.iter
-          (fun g ->
-            Format.printf "graph %s: measured period %.4f (required %.4f)@."
-              (Config.graph_name cfg g)
-              (report.Tdm_sim.Sim.graph_period g)
-              (Config.period cfg g))
-          (Config.graphs cfg);
-        (match vcd with
-        | None -> ()
-        | Some file ->
-          let oc = open_out file in
-          let ppf = Format.formatter_of_out_channel oc in
-          Tdm_sim.Vcd.dump cfg mapped report ppf;
-          Format.pp_print_flush ppf ();
-          close_out oc;
-          Format.printf "waveform written to %s@." file);
-        (match trace with
-        | None -> ()
-        | Some k ->
-          List.iter
-            (fun w ->
-              let xs = report.Tdm_sim.Sim.task_executions w in
-              for i = 0 to Int.min k (Array.length xs) - 1 do
-                let claim, finish = xs.(i) in
-                Format.printf "trace %s #%d: claim %.3f done %.3f@."
-                  (Config.task_name cfg w) (i + 1) claim finish
-              done)
-            (Config.all_tasks cfg));
-        0
-    end
+          (fun w ->
+            let xs = report.Tdm_sim.Sim.task_executions w in
+            for i = 0 to Int.min k (Array.length xs) - 1 do
+              let claim, finish = xs.(i) in
+              Format.printf "trace %s #%d: claim %.3f done %.3f@."
+                (Config.task_name cfg w) (i + 1) claim finish
+            done)
+          (Config.all_tasks cfg));
+      0
   end
 
 let simulate_cmd =
@@ -929,93 +942,89 @@ let sim_iterations_arg =
 
 let do_tighten () path banks iterations jobs output resume deadline
     candidate_deadline trace metrics =
-  match load_config path with
-  | Error msg ->
-    Format.eprintf "error: %s@." msg;
-    1
-  | Ok cfg ->
-    if banks < 1 then begin
-      Format.eprintf "error: --banks must be >= 1@.";
-      2
-    end
-    else if iterations < 4 then begin
-      Format.eprintf "error: --iterations must be >= 4@.";
-      2
-    end
-    else begin
-      with_jobs jobs @@ fun pool ->
-      let fingerprint =
-        sweep_fingerprint ~command:"tighten" ~cfg
-          ~grid:(Printf.sprintf "bank=%d iterations=%d" banks iterations)
-          ~fault:None
-      in
-      with_obs ~trace ~metrics @@ fun obs ->
-      with_durability ~fingerprint ~resume ~deadline ~candidate_deadline
-      @@ fun ~journal ~deadline ~candidate_deadline ~cancel ~on_progress ->
-      match Mapping.solve ?obs cfg with
-      | Error e ->
-        Format.eprintf "error: %a@." Mapping.pp_error e;
+  with_config path @@ fun cfg ->
+  if banks < 1 then begin
+    Format.eprintf "error: --banks must be >= 1@.";
+    2
+  end
+  else if iterations < 4 then begin
+    Format.eprintf "error: --iterations must be >= 4@.";
+    2
+  end
+  else begin
+    with_jobs jobs @@ fun pool ->
+    let fingerprint =
+      sweep_fingerprint ~command:"tighten" ~cfg
+        ~grid:(Printf.sprintf "bank=%d iterations=%d" banks iterations)
+        ~fault:None
+    in
+    with_obs ~trace ~metrics @@ fun obs ->
+    with_durability ~fingerprint ~resume ~deadline ~candidate_deadline
+    @@ fun ~journal ~deadline ~candidate_deadline ~cancel ~on_progress ->
+    match Mapping.solve ?obs cfg with
+    | Error e ->
+      Format.eprintf "error: %a@." Mapping.pp_error e;
+      1
+    | Ok r -> begin
+      (* The analytic mapping and its exact certificate stay with the
+         result: the tightened capacities are simulation-backed, the
+         analytic ones machine-checked (docs/tightening.md). *)
+      Format.printf "certificate: %s@."
+        (Budgetbuf.Certify.summary r.Mapping.certificate);
+      match
+        Tighten.run ?pool ?journal ?deadline ?candidate_deadline ~cancel
+          ?obs ~on_progress ~iterations ~bank:banks cfg r.Mapping.mapped
+      with
+      | Error msg ->
+        Format.eprintf "error: %s@." msg;
         1
-      | Ok r -> begin
-        (* The analytic mapping and its exact certificate stay with the
-           result: the tightened capacities are simulation-backed, the
-           analytic ones machine-checked (docs/tightening.md). *)
-        Format.printf "certificate: %s@."
-          (Budgetbuf.Certify.summary r.Mapping.certificate);
-        match
-          Tighten.run ?pool ?journal ?deadline ?candidate_deadline ~cancel
-            ?obs ~on_progress ~iterations ~bank:banks cfg r.Mapping.mapped
-        with
-        | Error msg ->
-          Format.eprintf "error: %s@." msg;
-          1
-        | Ok t ->
-          List.iter
-            (fun (o : Tighten.outcome) ->
-              let b =
-                List.find
-                  (fun b -> Config.buffer_id b = o.Tighten.buffer_id)
-                  (Config.all_buffers cfg)
-              in
-              match o.Tighten.skipped with
-              | Some reason ->
-                Format.printf "buffer %-8s analytic %d, kept (%s)@."
-                  (Config.buffer_name cfg b)
-                  o.Tighten.analytic reason
-              | None ->
-                Format.printf
-                  "buffer %-8s analytic %d, simulated %d (floor %d, %d \
-                   probes)@."
-                  (Config.buffer_name cfg b)
-                  o.Tighten.analytic o.Tighten.tightened o.Tighten.floor
-                  o.Tighten.probes)
-            t.Tighten.outcomes;
-          let a = t.Tighten.analytic_containers in
-          let m = t.Tighten.tightened_containers in
-          let saved_pct =
-            if a <= 0 then 0.0 else 100.0 *. float_of_int (a - m) /. float_of_int a
-          in
+      | Ok t ->
+        List.iter
+          (fun (o : Tighten.outcome) ->
+            let b =
+              List.find
+                (fun b -> Config.buffer_id b = o.Tighten.buffer_id)
+                (Config.all_buffers cfg)
+            in
+            match o.Tighten.skipped with
+            | Some reason ->
+              Format.printf "buffer %-8s analytic %d, kept (%s)@."
+                (Config.buffer_name cfg b)
+                o.Tighten.analytic reason
+            | None ->
+              Format.printf
+                "buffer %-8s analytic %d, simulated %d (floor %d, %d \
+                 probes)@."
+                (Config.buffer_name cfg b)
+                o.Tighten.analytic o.Tighten.tightened o.Tighten.floor
+                o.Tighten.probes)
+          t.Tighten.outcomes;
+        let a = t.Tighten.analytic_containers in
+        let m = t.Tighten.tightened_containers in
+        let saved_pct =
+          if a <= 0 then 0.0 else 100.0 *. float_of_int (a - m) /. float_of_int a
+        in
+        Format.printf
+          "analytic: %d containers, simulated: %d containers (-%.0f%%)@." a
+          m saved_pct;
+        Format.printf "probes: %d simulations@." t.Tighten.probes;
+        if t.Tighten.repaired then
           Format.printf
-            "analytic: %d containers, simulated: %d containers (-%.0f%%)@." a
-            m saved_pct;
-          Format.printf "probes: %d simulations@." t.Tighten.probes;
-          if t.Tighten.repaired then
-            Format.printf
-              "repaired: per-buffer minima missed the joint target; \
-               sequential repair pass applied@.";
-          (match output with
-          | None -> ()
-          | Some file ->
-            let oc = open_out file in
-            let ppf = Format.formatter_of_out_channel oc in
-            Format.fprintf ppf "%a@."
-              (Taskgraph.Mapped_io.print cfg)
-              t.Tighten.mapped;
-            close_out oc;
-            Format.printf "mapping written to %s@." file);
-          0
-      end
+            "repaired: per-buffer minima missed the joint target; \
+             sequential repair pass applied@.";
+        (match output with
+        | None -> ()
+        | Some file ->
+          let oc = open_out file in
+          let ppf = Format.formatter_of_out_channel oc in
+          Format.fprintf ppf "%a@."
+            (Taskgraph.Mapped_io.print cfg)
+            t.Tighten.mapped;
+          close_out oc;
+          Format.printf "mapping written to %s@." file);
+        0
     end
+  end
 
 let tighten_cmd =
   let doc =
@@ -1053,51 +1062,47 @@ let export_check_arg =
            differential-testing seam's self-test).")
 
 let do_export () path format output check =
-  match load_config path with
-  | Error msg ->
-    Format.eprintf "error: %s@." msg;
-    1
-  | Ok cfg ->
-    let b = Socp_builder.build cfg in
-    let name = Filename.remove_extension (Filename.basename path) in
-    let ir = Conic.Lpfile.of_model ~name b.Socp_builder.model in
-    let render ir =
-      match format with
-      | `Mps -> Conic.Lpfile.to_mps ir
-      | `Lp -> Conic.Lpfile.to_lp ir
-    in
-    let text = render ir in
-    let check_ok =
-      (not check)
-      ||
-      match Conic.Lpfile.of_string_result text with
-      | Error msg ->
-        Format.eprintf "error: exported text does not parse back: %s@." msg;
+  with_config path @@ fun cfg ->
+  let b = Socp_builder.build cfg in
+  let name = Filename.remove_extension (Filename.basename path) in
+  let ir = Conic.Lpfile.of_model ~name b.Socp_builder.model in
+  let render ir =
+    match format with
+    | `Mps -> Conic.Lpfile.to_mps ir
+    | `Lp -> Conic.Lpfile.to_lp ir
+  in
+  let text = render ir in
+  let check_ok =
+    (not check)
+    ||
+    match Conic.Lpfile.of_string_result text with
+    | Error msg ->
+      Format.eprintf "error: exported text does not parse back: %s@." msg;
+      false
+    | Ok ir' ->
+      if String.equal text (render ir') then begin
+        Format.eprintf "check: parse round trip byte-identical@.";
+        true
+      end
+      else begin
+        Format.eprintf "error: export/parse round trip is not \
+                        byte-identical@.";
         false
-      | Ok ir' ->
-        if String.equal text (render ir') then begin
-          Format.eprintf "check: parse round trip byte-identical@.";
-          true
-        end
-        else begin
-          Format.eprintf "error: export/parse round trip is not \
-                          byte-identical@.";
-          false
-        end
-    in
-    if not check_ok then 1
-    else begin
-      (match output with
-      | None -> print_string text
-      | Some file ->
-        let oc = open_out file in
-        output_string oc text;
-        close_out oc;
-        Format.printf "model written to %s (%d variables, %d rows)@." file
-          (Array.length ir.Conic.Lpfile.vars)
-          (List.length ir.Conic.Lpfile.rows));
-      0
-    end
+      end
+  in
+  if not check_ok then 1
+  else begin
+    (match output with
+    | None -> print_string text
+    | Some file ->
+      let oc = open_out file in
+      output_string oc text;
+      close_out oc;
+      Format.printf "model written to %s (%d variables, %d rows)@." file
+        (Array.length ir.Conic.Lpfile.vars)
+        (List.length ir.Conic.Lpfile.rows));
+    0
+  end
 
 let export_cmd =
   let doc =
@@ -1117,60 +1122,14 @@ let steps_arg =
     value & opt int 9
     & info [ "steps" ] ~docv:"N" ~doc:"Number of weight ratios to sweep.")
 
-let do_pareto () path steps jobs fault kkt no_warm certify resume deadline
-    candidate_deadline trace metrics =
-  match load_config path with
-  | Error msg ->
-    Format.eprintf "error: %s@." msg;
-    1
-  | Ok cfg ->
-    if steps < 1 then begin
-      Format.eprintf "error: --steps must be at least 1@.";
-      1
-    end
-    else
-      with_jobs jobs @@ fun pool ->
-      let fingerprint =
-        sweep_fingerprint ~command:"pareto" ~cfg
-          ~grid:(Printf.sprintf "steps=%d" steps)
-          ~fault
-      in
-      with_obs ~trace ~metrics @@ fun obs ->
-      with_durability ~fingerprint ~resume ~deadline ~candidate_deadline
-      @@ fun ~journal ~deadline ~candidate_deadline ~cancel ~on_progress ->
-      let sweep =
-        Budgetbuf.Pareto.frontier ~steps
-          ?params:(params_of_kkt kkt cfg)
-          ~policy:(policy_of_fault fault) ?pool ?journal ?deadline
-          ?candidate_deadline ~cancel ?obs ~on_progress
-          ~warm_start:(not no_warm) cfg
-      in
-      let print_skipped () =
-        match sweep.Budgetbuf.Pareto.skipped with
-        | [] -> ()
-        | skipped ->
-          let reasons = List.sort_uniq compare (List.map snd skipped) in
-          Format.printf "skipped: %d (%s)@." (List.length skipped)
-            (String.concat ", " reasons)
-      in
-      let print_certified points =
-        if certify then
-          let n =
-            List.length
-              (List.filter
-                 (fun (p : Budgetbuf.Pareto.point) ->
-                   p.Budgetbuf.Pareto.certified)
-                 points)
-          in
-          Format.printf "certified: %d/%d@." n (List.length points)
-      in
-      (match sweep.Budgetbuf.Pareto.points with
-      | [] ->
-        Format.printf "no feasible point@.";
-        print_skipped ();
-        print_certified [];
-        1
-      | points ->
+let do_pareto () path steps solver flags =
+  run_sweep ~command:"pareto" path solver flags @@ fun _cfg ->
+  if steps < 1 then Error "--steps must be at least 1"
+  else
+    let report (sweep : Budgetbuf.Pareto.sweep) =
+      let points = sweep.Budgetbuf.Pareto.points in
+      if points = [] then Format.printf "no feasible point@."
+      else begin
         Format.printf "%-14s %-16s %-12s@." "weight ratio" "sum of budgets"
           "containers";
         List.iter
@@ -1178,87 +1137,66 @@ let do_pareto () path steps jobs fault kkt no_warm certify resume deadline
             Format.printf "%-14.3g %-16.4f %-12d@."
               p.Budgetbuf.Pareto.weight_ratio p.Budgetbuf.Pareto.budget_sum
               p.Budgetbuf.Pareto.buffer_containers)
-          points;
-        print_skipped ();
-        print_certified points;
-        0)
+          points
+      end;
+      print_skipped sweep.Budgetbuf.Pareto.skipped;
+      print_certified ~certify:flags.certify
+        (List.map
+           (fun (p : Budgetbuf.Pareto.point) -> p.Budgetbuf.Pareto.certified)
+           points);
+      if points = [] then 1 else 0
+    in
+    Ok
+      ( Printf.sprintf "steps=%d" steps,
+        Budgetbuf.Pareto.frontier ~steps,
+        report )
 
 let pareto_cmd =
   let doc = "sweep objective weights and print the budget/buffer Pareto front" in
   Cmd.v (Cmd.info "pareto" ~doc)
     Term.(
-      const do_pareto $ logs_term $ file_arg $ steps_arg $ jobs_arg
-      $ fault_arg $ kkt_arg $ no_warm_arg $ certify_arg $ resume_arg
-      $ deadline_arg $ candidate_deadline_arg $ obs_trace_arg $ metrics_arg)
+      const do_pareto $ logs_term $ file_arg $ steps_arg $ solver_flags
+      $ sweep_flags)
 
 (* ------------------------------------------------------------------ *)
 (* dse                                                                 *)
 (* ------------------------------------------------------------------ *)
 
-let do_dse () path (lo, hi) jobs fault kkt no_warm certify resume deadline
-    candidate_deadline trace metrics =
-  match load_config path with
-  | Error msg ->
-    Format.eprintf "error: %s@." msg;
-    1
-  | Ok cfg ->
-    if lo > hi || lo < 1 then begin
-      Format.eprintf "error: empty or invalid cap range@.";
-      1
-    end
-    else
-      with_jobs jobs @@ fun pool ->
-      let caps = List.init (hi - lo + 1) (fun i -> lo + i) in
-      let fingerprint =
-        sweep_fingerprint ~command:"dse" ~cfg
-          ~grid:(Printf.sprintf "caps=%d:%d" lo hi)
-          ~fault
-      in
-      with_obs ~trace ~metrics @@ fun obs ->
-      with_durability ~fingerprint ~resume ~deadline ~candidate_deadline
-      @@ fun ~journal ~deadline ~candidate_deadline ~cancel ~on_progress ->
-      let points =
-        Budgetbuf.Dse.throughput_curve
-          ?params:(params_of_kkt kkt cfg)
-          ~policy:(policy_of_fault fault) ?pool ?journal ?deadline
-          ?candidate_deadline ~cancel ?obs ~on_progress
-          ~warm_start:(not no_warm) cfg ~caps
-      in
+let do_dse () path (lo, hi) solver flags =
+  run_sweep ~command:"dse" path solver flags @@ fun _cfg ->
+  if lo > hi || lo < 1 then Error "empty or invalid cap range"
+  else
+    let caps = List.init (hi - lo + 1) (fun i -> lo + i) in
+    let report points =
       Format.printf "%-6s %-12s@." "cap" "min period";
-      let skipped = ref [] in
       List.iter
         (fun (p : Budgetbuf.Dse.curve_point) ->
           match p.Budgetbuf.Dse.outcome with
           | Ok (Some period) ->
             Format.printf "%-6d %-12.4f@." p.Budgetbuf.Dse.cap period
           | Ok None -> Format.printf "%-6d %-12s@." p.Budgetbuf.Dse.cap "infeasible"
-          | Error reason ->
-            skipped := (p.Budgetbuf.Dse.cap, reason) :: !skipped)
+          | Error _ -> ())
         points;
-      (match List.rev !skipped with
-      | [] -> ()
-      | skipped ->
-        let reasons = List.sort_uniq compare (List.map snd skipped) in
-        Format.printf "skipped: %d (%s)@." (List.length skipped)
-          (String.concat ", " reasons));
-      if certify then begin
-        let feasible =
-          List.filter
-            (fun (p : Budgetbuf.Dse.curve_point) ->
-              match p.Budgetbuf.Dse.outcome with
-              | Ok (Some _) -> true
-              | Ok None | Error _ -> false)
-            points
-        in
-        let n =
-          List.length
-            (List.filter
-               (fun (p : Budgetbuf.Dse.curve_point) -> p.Budgetbuf.Dse.certified)
-               feasible)
-        in
-        Format.printf "certified: %d/%d@." n (List.length feasible)
-      end;
+      print_skipped
+        (List.filter_map
+           (fun (p : Budgetbuf.Dse.curve_point) ->
+             match p.Budgetbuf.Dse.outcome with
+             | Error reason -> Some (p.Budgetbuf.Dse.cap, reason)
+             | Ok _ -> None)
+           points);
+      print_certified ~certify:flags.certify
+        (List.filter_map
+           (fun (p : Budgetbuf.Dse.curve_point) ->
+             match p.Budgetbuf.Dse.outcome with
+             | Ok (Some _) -> Some p.Budgetbuf.Dse.certified
+             | Ok None | Error _ -> None)
+           points);
       0
+    in
+    Ok
+      ( Printf.sprintf "caps=%d:%d" lo hi,
+        Budgetbuf.Dse.throughput_curve ~caps,
+        report )
 
 let dse_cmd =
   let doc =
@@ -1267,9 +1205,8 @@ let dse_cmd =
   in
   Cmd.v (Cmd.info "dse" ~doc)
     Term.(
-      const do_dse $ logs_term $ file_arg $ caps_arg $ jobs_arg $ fault_arg
-      $ kkt_arg $ no_warm_arg $ certify_arg $ resume_arg $ deadline_arg
-      $ candidate_deadline_arg $ obs_trace_arg $ metrics_arg)
+      const do_dse $ logs_term $ file_arg $ caps_arg $ solver_flags
+      $ sweep_flags)
 
 (* ------------------------------------------------------------------ *)
 (* bind                                                                *)
@@ -1290,27 +1227,22 @@ let strategy_arg =
         ~doc:"Binding strategy: greedy, firstfit, or exhaustive.")
 
 let do_bind () path strategy =
-  match load_config path with
+  with_config path @@ fun cfg ->
+  match Budgetbuf.Binding.optimize ~strategy cfg with
   | Error msg ->
     Format.eprintf "error: %s@." msg;
     1
-  | Ok cfg -> begin
-    match Budgetbuf.Binding.optimize ~strategy cfg with
-    | Error msg ->
-      Format.eprintf "error: %s@." msg;
-      1
-    | Ok o ->
-      List.iter
-        (fun (task, proc) -> Format.printf "bind %s -> %s@." task proc)
-        o.Budgetbuf.Binding.assignment;
-      Format.printf "%a@."
-        (Config.pp_mapped o.Budgetbuf.Binding.config)
-        o.Budgetbuf.Binding.result.Mapping.mapped;
-      Format.printf "objective %.4f after %d binding solve(s)@."
-        o.Budgetbuf.Binding.result.Mapping.rounded_objective
-        o.Budgetbuf.Binding.explored;
-      0
-  end
+  | Ok o ->
+    List.iter
+      (fun (task, proc) -> Format.printf "bind %s -> %s@." task proc)
+      o.Budgetbuf.Binding.assignment;
+    Format.printf "%a@."
+      (Config.pp_mapped o.Budgetbuf.Binding.config)
+      o.Budgetbuf.Binding.result.Mapping.mapped;
+    Format.printf "objective %.4f after %d binding solve(s)@."
+      o.Budgetbuf.Binding.result.Mapping.rounded_objective
+      o.Budgetbuf.Binding.explored;
+    0
 
 let bind_cmd =
   let doc = "search for a task-to-processor binding (paper future work)" in
@@ -1322,34 +1254,29 @@ let bind_cmd =
 (* ------------------------------------------------------------------ *)
 
 let do_latency () path =
-  match load_config path with
-  | Error msg ->
-    Format.eprintf "error: %s@." msg;
+  with_config path @@ fun cfg ->
+  match Mapping.solve cfg with
+  | Error e ->
+    Format.eprintf "error: %a@." Mapping.pp_error e;
     1
-  | Ok cfg -> begin
-    match Mapping.solve cfg with
-    | Error e ->
-      Format.eprintf "error: %a@." Mapping.pp_error e;
-      1
-    | Ok r ->
-      let failures = ref 0 in
-      List.iter
-        (fun g ->
-          match
-            Budgetbuf.Latency.chain_bound cfg g r.Mapping.mapped
-          with
-          | Some l ->
-            Format.printf "graph %s: end-to-end latency %.3f (period %.3f)@."
-              (Config.graph_name cfg g) l (Config.period cfg g)
-          | None ->
-            incr failures;
-            Format.printf "graph %s: no periodic schedule@."
-              (Config.graph_name cfg g)
-          | exception Invalid_argument msg ->
-            Format.printf "graph %s: %s@." (Config.graph_name cfg g) msg)
-        (Config.graphs cfg);
-      if !failures = 0 then 0 else 1
-  end
+  | Ok r ->
+    let failures = ref 0 in
+    List.iter
+      (fun g ->
+        match
+          Budgetbuf.Latency.chain_bound cfg g r.Mapping.mapped
+        with
+        | Some l ->
+          Format.printf "graph %s: end-to-end latency %.3f (period %.3f)@."
+            (Config.graph_name cfg g) l (Config.period cfg g)
+        | None ->
+          incr failures;
+          Format.printf "graph %s: no periodic schedule@."
+            (Config.graph_name cfg g)
+        | exception Invalid_argument msg ->
+          Format.printf "graph %s: %s@." (Config.graph_name cfg g) msg)
+      (Config.graphs cfg);
+    if !failures = 0 then 0 else 1
 
 let latency_cmd =
   let doc = "solve, then report end-to-end latency per task graph" in
@@ -1369,33 +1296,29 @@ let srdf_flag =
            first to obtain budgets and capacities.")
 
 let do_dot () path srdf =
-  match load_config path with
-  | Error msg ->
-    Format.eprintf "error: %s@." msg;
-    1
-  | Ok cfg ->
-    if not srdf then begin
-      Format.printf "%a" Config.pp_dot cfg;
+  with_config path @@ fun cfg ->
+  if not srdf then begin
+    Format.printf "%a" Config.pp_dot cfg;
+    0
+  end
+  else begin
+    match Mapping.solve cfg with
+    | Error e ->
+      Format.eprintf "error: %a@." Mapping.pp_error e;
+      1
+    | Ok r ->
+      List.iter
+        (fun g ->
+          let model =
+            Budgetbuf.Dataflow_model.build cfg g
+              ~budget:r.Mapping.mapped.Config.budget
+              ~capacity:r.Mapping.mapped.Config.capacity
+          in
+          Format.printf "%a" Dataflow.Srdf.pp_dot
+            model.Budgetbuf.Dataflow_model.srdf)
+        (Config.graphs cfg);
       0
-    end
-    else begin
-      match Mapping.solve cfg with
-      | Error e ->
-        Format.eprintf "error: %a@." Mapping.pp_error e;
-        1
-      | Ok r ->
-        List.iter
-          (fun g ->
-            let model =
-              Budgetbuf.Dataflow_model.build cfg g
-                ~budget:r.Mapping.mapped.Config.budget
-                ~capacity:r.Mapping.mapped.Config.capacity
-            in
-            Format.printf "%a" Dataflow.Srdf.pp_dot
-              model.Budgetbuf.Dataflow_model.srdf)
-          (Config.graphs cfg);
-        0
-    end
+  end
 
 let dot_cmd =
   let doc = "emit the configuration (or its SRDF model) in Graphviz DOT" in
@@ -1415,49 +1338,44 @@ let mapped_opt_arg =
            configuration is solved first.")
 
 let do_analyze () path mapped_path =
-  match load_config path with
+  with_config path @@ fun cfg ->
+  let mapped =
+    match mapped_path with
+    | Some file -> Result.map_error (fun m -> m) (load_mapped cfg file)
+    | None -> begin
+      match Mapping.solve cfg with
+      | Ok r -> Ok r.Mapping.mapped
+      | Error e -> Error (Format.asprintf "%a" Mapping.pp_error e)
+    end
+  in
+  match mapped with
   | Error msg ->
     Format.eprintf "error: %s@." msg;
     1
-  | Ok cfg -> begin
-    let mapped =
-      match mapped_path with
-      | Some file -> Result.map_error (fun m -> m) (load_mapped cfg file)
-      | None -> begin
-        match Mapping.solve cfg with
-        | Ok r -> Ok r.Mapping.mapped
-        | Error e -> Error (Format.asprintf "%a" Mapping.pp_error e)
-      end
-    in
-    match mapped with
-    | Error msg ->
-      Format.eprintf "error: %s@." msg;
-      1
-    | Ok mapped ->
-      List.iter
-        (fun g ->
-          Format.printf "graph %s:@." (Config.graph_name cfg g);
-          (match Budgetbuf.Sensitivity.throughput_slack cfg g mapped with
-          | Some slack ->
-            Format.printf "  throughput slack: %.4f (period %.4f)@." slack
-              (Config.period cfg g)
-          | None -> Format.printf "  deadlocked or invalid mapping@.");
-          (match Budgetbuf.Sensitivity.critical_cycle cfg g mapped with
-          | Some c ->
-            Format.printf "  %a@."
-              (Budgetbuf.Sensitivity.pp_critical cfg)
-              c
-          | None -> ());
-          List.iter
-            (fun w ->
-              Format.printf "  budget slack %s: %.4f of %.4f@."
-                (Config.task_name cfg w)
-                (Budgetbuf.Sensitivity.budget_slack cfg g mapped w)
-                (mapped.Config.budget w))
-            (Config.tasks cfg g))
-        (Config.graphs cfg);
-      0
-  end
+  | Ok mapped ->
+    List.iter
+      (fun g ->
+        Format.printf "graph %s:@." (Config.graph_name cfg g);
+        (match Budgetbuf.Sensitivity.throughput_slack cfg g mapped with
+        | Some slack ->
+          Format.printf "  throughput slack: %.4f (period %.4f)@." slack
+            (Config.period cfg g)
+        | None -> Format.printf "  deadlocked or invalid mapping@.");
+        (match Budgetbuf.Sensitivity.critical_cycle cfg g mapped with
+        | Some c ->
+          Format.printf "  %a@."
+            (Budgetbuf.Sensitivity.pp_critical cfg)
+            c
+        | None -> ());
+        List.iter
+          (fun w ->
+            Format.printf "  budget slack %s: %.4f of %.4f@."
+              (Config.task_name cfg w)
+              (Budgetbuf.Sensitivity.budget_slack cfg g mapped w)
+              (mapped.Config.budget w))
+          (Config.tasks cfg g))
+      (Config.graphs cfg);
+    0
 
 let analyze_cmd =
   let doc =
@@ -1471,29 +1389,24 @@ let analyze_cmd =
 (* ------------------------------------------------------------------ *)
 
 let do_report () path mapped_path =
-  match load_config path with
+  with_config path @@ fun cfg ->
+  let mapped =
+    match mapped_path with
+    | Some file -> load_mapped cfg file
+    | None -> begin
+      match Mapping.solve cfg with
+      | Ok r -> Ok r.Mapping.mapped
+      | Error e -> Error (Format.asprintf "%a" Mapping.pp_error e)
+    end
+  in
+  match mapped with
   | Error msg ->
     Format.eprintf "error: %s@." msg;
     1
-  | Ok cfg -> begin
-    let mapped =
-      match mapped_path with
-      | Some file -> load_mapped cfg file
-      | None -> begin
-        match Mapping.solve cfg with
-        | Ok r -> Ok r.Mapping.mapped
-        | Error e -> Error (Format.asprintf "%a" Mapping.pp_error e)
-      end
-    in
-    match mapped with
-    | Error msg ->
-      Format.eprintf "error: %s@." msg;
-      1
-    | Ok mapped ->
-      let report = Budgetbuf.Report.build cfg mapped in
-      Format.printf "%a@." (Budgetbuf.Report.pp cfg) report;
-      if report.Budgetbuf.Report.violations = [] then 0 else 1
-  end
+  | Ok mapped ->
+    let report = Budgetbuf.Report.build cfg mapped in
+    Format.printf "%a@." (Budgetbuf.Report.pp cfg) report;
+    if report.Budgetbuf.Report.violations = [] then 0 else 1
 
 let report_cmd =
   let doc = "summarise a mapping: loads, slack, latency, critical cycles" in
@@ -1742,16 +1655,26 @@ let serve_quarantine_arg =
            crash-safe journal discipline as $(b,--cache)); crash counts \
            survive server restarts.  Needs $(b,--isolate).")
 
+(* The counters of serve's exit line and of [request stats]; only the
+   live reply carries the gauges (pings, live, queue). *)
+let stats_fields ~gauges (s : Serve.Protocol.stats) =
+  Printf.sprintf
+    "admitted=%d rejected=%d infeasible=%d timed_out=%d failed=%d \
+     poisoned=%d shed=%d refused=%d released=%d cache_hits=%d \
+     cache_misses=%d%s worker_crashes=%d"
+    s.admitted s.rejected s.infeasible s.timed_out s.failed s.poisoned s.shed
+    s.refused s.released s.cache_hits s.cache_misses
+    (if gauges then
+       Printf.sprintf " pings=%d live=%d queue=%d" s.pings s.live s.queue
+     else "")
+    s.worker_crashes
+
 let do_serve () socket cache cache_max queue batch jobs deadline kkt chaos
     reconcile watchdog isolate rlimit_mem rlimit_cpu poison quarantine trace
     metrics =
   match
-    match jobs with
-    | Some n when n < 1 -> Error "--jobs must be >= 1"
-    | Some n -> Ok n
-    | None -> (
-      try Ok (Parallel.Pool.default_domains ())
-      with Invalid_argument msg -> Error msg)
+    Result.bind (check_deadline "--deadline" deadline) @@ fun () ->
+    resolve_jobs jobs
   with
   | Ok _ when isolate = None && rlimit_mem <> None ->
     Format.eprintf "error: --rlimit-mem needs --isolate@.";
@@ -1808,17 +1731,9 @@ let do_serve () socket cache cache_max queue batch jobs deadline kkt chaos
       Format.eprintf "error: %s@." msg;
       1
     | Ok (reason, s) ->
-      Format.printf
-        "serve: %s; admitted=%d rejected=%d infeasible=%d timed_out=%d \
-         failed=%d poisoned=%d shed=%d refused=%d released=%d cache_hits=%d \
-         cache_misses=%d worker_crashes=%d@."
+      Format.printf "serve: %s; %s@."
         (Serve.Server.describe reason)
-        s.Serve.Protocol.admitted s.Serve.Protocol.rejected
-        s.Serve.Protocol.infeasible s.Serve.Protocol.timed_out
-        s.Serve.Protocol.failed s.Serve.Protocol.poisoned s.Serve.Protocol.shed
-        s.Serve.Protocol.refused s.Serve.Protocol.released
-        s.Serve.Protocol.cache_hits s.Serve.Protocol.cache_misses
-        s.Serve.Protocol.worker_crashes;
+        (stats_fields ~gauges:false s);
       (match reason with
       | Serve.Server.Shutdown_request | Serve.Server.Halted -> 0
       | Serve.Server.Signalled n -> 128 + n))
@@ -1903,6 +1818,7 @@ let do_request () socket op ping file id deadline fault retry =
      a nonzero exit, not kill the client with SIGPIPE. *)
   ignore (Sys.signal Sys.sigpipe Sys.Signal_ignore);
   match
+    Result.bind (check_deadline "--deadline" deadline) @@ fun () ->
     match (op, ping) with
     | None, false -> Error "an OP (or --ping) is required"
     | Some _, true -> Error "--ping takes no OP"
@@ -1951,15 +1867,18 @@ let do_request () socket op ping file id deadline fault retry =
       match response with
       | Serve.Protocol.Admitted
           { id; cache; mapping; certificate; attempts; _ } ->
-        Format.printf "admitted %s (cache %s%s)@." id
+        (* One write: a reader that stops after the first line (say,
+           [head -1]) must not turn the rest into a broken pipe. *)
+        Printf.printf "admitted %s (cache %s%s)\n%s%scertificate: %s\n%!" id
           (match cache with `Hit -> "hit" | `Miss -> "miss")
           (if attempts > 1 then
              Printf.sprintf ", recovered in %d attempts" attempts
-           else "");
-        print_string mapping;
-        if mapping = "" || mapping.[String.length mapping - 1] <> '\n' then
-          print_newline ();
-        Format.printf "certificate: %s@." certificate;
+           else "")
+          mapping
+          (if mapping = "" || mapping.[String.length mapping - 1] <> '\n' then
+             "\n"
+           else "")
+          certificate;
         0
       | Serve.Protocol.Rejected { id; reason } ->
         Format.printf "rejected %s: %s@." id reason;
@@ -1986,19 +1905,7 @@ let do_request () socket op ping file id deadline fault retry =
         else Format.printf "released %s: not found@." id;
         if found then 0 else 1
       | Serve.Protocol.Stats_reply s ->
-        Format.printf
-          "stats: admitted=%d rejected=%d infeasible=%d timed_out=%d \
-           failed=%d poisoned=%d shed=%d refused=%d released=%d \
-           cache_hits=%d cache_misses=%d pings=%d live=%d queue=%d \
-           worker_crashes=%d@."
-          s.Serve.Protocol.admitted s.Serve.Protocol.rejected
-          s.Serve.Protocol.infeasible s.Serve.Protocol.timed_out
-          s.Serve.Protocol.failed s.Serve.Protocol.poisoned
-          s.Serve.Protocol.shed s.Serve.Protocol.refused
-          s.Serve.Protocol.released s.Serve.Protocol.cache_hits
-          s.Serve.Protocol.cache_misses s.Serve.Protocol.pings
-          s.Serve.Protocol.live s.Serve.Protocol.queue
-          s.Serve.Protocol.worker_crashes;
+        Format.printf "stats: %s@." (stats_fields ~gauges:true s);
         0
       | Serve.Protocol.Ready { state } ->
         Format.printf "ready: %s@." (Serve.Protocol.readiness_name state);

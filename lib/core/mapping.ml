@@ -374,6 +374,15 @@ let kkt_auto cfg =
   in
   if n >= sparse_auto_threshold then `Sparse else `Dense
 
+let kkt_backends = [ ("auto", `Auto); ("dense", `Dense); ("sparse", `Sparse) ]
+
+let params_of_kkt kkt cfg =
+  let sparse = Some { Socp.default_params with Socp.kkt = `Sparse } in
+  match kkt with
+  | `Dense -> None
+  | `Sparse -> sparse
+  | `Auto -> ( match kkt_auto cfg with `Dense -> None | `Sparse -> sparse)
+
 let solve ?params ?policy ?obs cfg =
   let policy =
     match policy with Some p -> p | None -> Recovery.default_policy ()

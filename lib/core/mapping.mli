@@ -104,6 +104,20 @@ val kkt_auto : Taskgraph.Config.t -> [ `Dense | `Sparse ]
     the sparse backend. *)
 val sparse_auto_threshold : int
 
+(** The [--kkt] backend names, as the CLI and the serve worker spell
+    them. *)
+val kkt_backends : (string * [ `Auto | `Dense | `Sparse ]) list
+
+(** [params_of_kkt kkt cfg] resolves a [--kkt] choice to solver params
+    for {!solve} and the sweep drivers.  [`Dense], and [`Auto] on an
+    instance {!kkt_auto} keeps dense, resolve to [None] rather than to
+    explicit dense params, so those calls keep the hook-free path and
+    their historical, bit-identical output.  [`Sparse] (forced or
+    picked by {!kkt_auto}) is the default params on the sparse KKT
+    backend. *)
+val params_of_kkt :
+  [ `Auto | `Dense | `Sparse ] -> Taskgraph.Config.t -> Conic.Socp.params option
+
 (** [round_budget ~granularity beta'] is [g·⌈β′/g⌉] with a small
     tolerance so values within 1e-9 of a grid point do not round up an
     extra granule.  (= {!Rounding.round_budget}.) *)

@@ -21,6 +21,9 @@ let after seconds =
     invalid_arg "Durable.Deadline.after: seconds must be positive and finite";
   now () +. seconds
 
+let of_remaining_s seconds =
+  if Float.is_nan seconds then now () else now () +. seconds
+
 let combine a b = Float.min a b
 let expired t = now () >= t
 let remaining_s t = t -. now ()

@@ -20,6 +20,12 @@ val is_none : t -> bool
     NaN. *)
 val after : float -> t
 
+(** [of_remaining_s seconds] is the deadline [seconds] from now, the
+    inverse of {!remaining_s}.  Unlike {!after} it takes any value, for
+    budgets that may have lapsed in transit: zero, negative or NaN give
+    an already-expired deadline, [infinity] gives {!none}. *)
+val of_remaining_s : float -> t
+
 (** [combine a b] is the earlier of the two deadlines ({!none} is the
     identity). *)
 val combine : t -> t -> t

@@ -80,43 +80,3 @@ let solve_upper_t l b =
   x
 
 let solve { l; _ } b = solve_upper_t l (solve_lower l b)
-
-let ldlt a =
-  let n = Mat.rows a in
-  if Mat.cols a <> n then invalid_arg "Cholesky.ldlt: not square";
-  let l = Mat.identity n in
-  let d = Vec.create n in
-  for j = 0 to n - 1 do
-    let dj = ref (Mat.get a j j) in
-    for k = 0 to j - 1 do
-      let ljk = Mat.get l j k in
-      dj := !dj -. (ljk *. ljk *. d.(k))
-    done;
-    if !dj = 0.0 || Float.is_nan !dj then raise Not_positive_definite;
-    d.(j) <- !dj;
-    for i = j + 1 to n - 1 do
-      let acc = ref (Mat.get a i j) in
-      for k = 0 to j - 1 do
-        acc := !acc -. (Mat.get l i k *. Mat.get l j k *. d.(k))
-      done;
-      Mat.set l i j (!acc /. !dj)
-    done
-  done;
-  (l, d)
-
-let ldlt_solve (l, d) b =
-  let y = solve_lower l b in
-  let n = Vec.dim y in
-  for i = 0 to n - 1 do
-    y.(i) <- y.(i) /. d.(i)
-  done;
-  (* lᵀ·x = y with unit diagonal. *)
-  let x = y in
-  for i = n - 1 downto 0 do
-    let acc = ref x.(i) in
-    for k = i + 1 to n - 1 do
-      acc := !acc -. (Mat.get l k i *. x.(k))
-    done;
-    x.(i) <- !acc
-  done;
-  x

@@ -1,7 +1,7 @@
-(** Cholesky and LDLᵀ factorisations of symmetric matrices, and the
-    triangular solves built on them.
+(** Cholesky factorisation of symmetric matrices, and the triangular
+    solves built on it.
 
-    These are the only factorisations the interior-point solver needs:
+    This is the only dense factorisation the interior-point solver needs:
     the KKT normal equations [Gᵀ·W⁻¹·W⁻ᵀ·G] are symmetric positive
     definite away from the boundary of the cone, and become nearly
     singular close to the optimum, which [factor] handles with a
@@ -32,11 +32,3 @@ val solve_lower : Mat.t -> Vec.t -> Vec.t
 
 (** [solve_upper_t l b] solves [lᵀ·x = b] for lower-triangular [l]. *)
 val solve_upper_t : Mat.t -> Vec.t -> Vec.t
-
-(** [ldlt a] computes unit lower-triangular [l] and diagonal [d] with
-    [l·diag(d)·lᵀ = a], without pivoting.  Works for quasi-definite
-    matrices; raises [Not_positive_definite] on a zero pivot. *)
-val ldlt : Mat.t -> Mat.t * Vec.t
-
-(** [ldlt_solve (l, d) b] solves [l·diag(d)·lᵀ·x = b]. *)
-val ldlt_solve : Mat.t * Vec.t -> Vec.t -> Vec.t

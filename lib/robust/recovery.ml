@@ -33,6 +33,10 @@ type policy = { fault : Fault.plan option; max_rungs : int }
 let default_policy () = { fault = Fault.of_env (); max_rungs = 4 }
 let no_recovery = { fault = None; max_rungs = 1 }
 
+let with_fault = function
+  | None -> default_policy ()
+  | Some plan -> { (default_policy ()) with fault = Some plan }
+
 let rung_params (base : Socp.params) = function
   | Base | Fallback_lp -> base
   (* Every rung past [Base] drops the warm-start point: a seed that

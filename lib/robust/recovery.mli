@@ -71,6 +71,12 @@ val default_policy : unit -> policy
     one [Base] attempt, no fault. *)
 val no_recovery : policy
 
+(** [with_fault plan] is {!default_policy} with [plan] injected in
+    place of [BUDGETBUF_FAULT]; [None] keeps the environment's plan.
+    The one place a [--fault] flag or an admit's fault spec becomes a
+    policy. *)
+val with_fault : Fault.plan option -> policy
+
 (** [rung_params base stage] is [base] adjusted for [stage] (the table
     above).  [Fallback_lp] returns [base] unchanged. *)
 val rung_params : Conic.Socp.params -> stage -> Conic.Socp.params

@@ -36,7 +36,7 @@ type request =
           (** arrival-to-reply budget; the server's default applies
               when absent *)
       fault : string option;
-          (** fault-injection spec ({!Robust.Fault.of_string}) applied
+          (** fault-injection spec ({!Robust.Fault} syntax) applied
               to this request's solve only *)
       retry : bool;
           (** marks a client re-issue after a lost reply: with

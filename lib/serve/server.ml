@@ -19,8 +19,6 @@
    leaking them in the registry forever. *)
 
 module Config = Taskgraph.Config
-module Mapping = Budgetbuf.Mapping
-module Durability = Budgetbuf.Durability
 
 type config = {
   socket_path : string;
@@ -341,31 +339,13 @@ let release state id =
 
 (* ---- solving ----------------------------------------------------- *)
 
-let base_params scfg cfg =
-  let sparse =
-    Some { Conic.Socp.default_params with Conic.Socp.kkt = `Sparse }
-  in
-  match scfg.kkt with
-  | `Dense -> None
-  | `Sparse -> sparse
-  | `Auto -> ( match Mapping.kkt_auto cfg with `Dense -> None | `Sparse -> sparse)
-
-let policy_for job =
-  let base = Robust.Recovery.default_policy () in
-  match job.fault with
-  | Some plan -> { base with Robust.Recovery.fault = Some plan }
-  | None -> base
-
-(* One isolated solve: no shared state, safe on any pool lane.  The
-   outcome distinguishes the cacheable verdicts (solved, infeasible —
-   facts about the instance) from the circumstantial ones (timed out,
-   failed — facts about this attempt). *)
+(* A job's verdict.  Every solve — in-process or on a worker — ends in
+   the shared step's [Worker.reply]; only the server itself answers
+   from the memo cache or the quarantine. *)
 type solve_outcome =
-  | S_solved of Cache.outcome * int * float  (* outcome, attempts, solve_s *)
-  | S_unsat of string
-  | S_late of string
-  | S_failed of string
-  | S_poisoned of string  (* quarantined instance, not solved *)
+  | Reply of Worker.reply
+  | Hit of Cache.outcome
+  | Poisoned of string  (* quarantined instance, not solved *)
 
 (* Attribute a worker death to the offending instance.  Crossing the
    poison threshold emits the [quarantined] trace event exactly once
@@ -387,7 +367,8 @@ let note_worker_crash state job ~reason =
 (* One solve on a supervised worker process.  Whatever the worker does
    — answer, crash, hang, trip an rlimit — the server answers the
    client with a structured verdict; a crash or reap is additionally
-   charged to the instance's quarantine record. *)
+   charged to the instance's quarantine record.  A deadline that
+   lapsed before dispatch is sent as 0: the worker answers [late]. *)
 let solve_isolated state sup job =
   let task =
     {
@@ -400,113 +381,87 @@ let solve_isolated state sup job =
     }
   in
   match Supervisor.solve sup task with
-  | Supervisor.Done (Worker.R_solved r) ->
-    S_solved
-      ( Cache.Solved
-          {
-            mapping = r.mapping;
-            certificate = r.certificate;
-            objective = r.objective;
-            rounded_objective = r.rounded_objective;
-          },
-        r.attempts,
-        r.solve_s )
-  | Supervisor.Done (Worker.R_unsat reason) -> S_unsat reason
-  | Supervisor.Done (Worker.R_late reason) -> S_late reason
-  | Supervisor.Done (Worker.R_failed reason) -> S_failed reason
+  | Supervisor.Done reply -> reply
   | Supervisor.Crashed reason ->
     note_worker_crash state job ~reason;
-    S_failed (Printf.sprintf "worker crashed (%s)" reason)
+    Worker.R_failed (Printf.sprintf "worker crashed (%s)" reason)
   | Supervisor.Reaped ->
     note_worker_crash state job ~reason:"reaped";
-    S_late "solve worker stuck past its deadline and was reaped"
-  | Supervisor.Unavailable reason -> S_failed reason
+    Worker.R_late "solve worker stuck past its deadline and was reaped"
+  | Supervisor.Unavailable reason -> Worker.R_failed reason
 
-let solve_in_process state job =
-  let params =
-    Durability.params_with_deadline
-      (base_params state.scfg job.job_cfg)
-      ~deadline:job.deadline ~candidate_deadline:None
-  in
-  let params = Durability.params_with_obs params state.scfg.obs in
-  let policy = policy_for job in
-  match Mapping.solve ?params ~policy ?obs:state.scfg.obs job.job_cfg with
-  | Ok r ->
-    let mapping =
-      Format.asprintf "%a" (Taskgraph.Mapped_io.print job.job_cfg) r.mapped
-    in
-    S_solved
-      ( Cache.Solved
-          {
-            mapping;
-            certificate = Budgetbuf.Certify.summary r.certificate;
-            objective = r.objective;
-            rounded_objective = r.rounded_objective;
-          },
-        r.stats.attempts,
-        r.stats.solve_time_s )
-  | Error (Mapping.Infeasible msg) -> S_unsat msg
-  | Error (Mapping.Timed_out msg) -> S_late msg
-  | Error (Mapping.Solver_failure msg) -> S_failed msg
-  | exception exn -> S_failed (Printexc.to_string exn)
-
+(* No shared state either way, so safe on any pool lane. *)
 let solve_job state job =
   match state.supervisor with
   | Some sup -> solve_isolated state sup job
-  | None -> solve_in_process state job
+  | None ->
+    Worker.solve ~kkt:state.scfg.kkt ?obs:state.scfg.obs ~deadline:job.deadline
+      job.job_cfg job.fault
 
 (* Settle a job whose verdict is in hand: admission check, reply,
    counters, trace.  Exactly-once: whoever wins the [settled] flag —
    this path on the dispatcher thread or the watchdog — writes the
    reply; the loser's verdict is dropped (the cache store already
-   happened, so a watchdog-reaped solve still pays forward). *)
+   happened, so a watchdog-reaped solve still pays forward).  Answers
+   whether this call won. *)
 let settle state job ~cache_tag ~dequeued outcome =
   with_lock state (fun () ->
       state.inflight <- List.filter (fun j -> j != job) state.inflight);
   if Atomic.compare_and_set job.settled false true then begin
+    let admit ~mapping ~certificate ~objective ~rounded_objective ~attempts =
+      let admission =
+        with_lock state (fun () ->
+            let fp =
+              footprint_of job.job_cfg
+                (Taskgraph.Mapped_io.parse job.job_cfg mapping)
+                ~key:job.key ~cid:job.job_conn.cid
+            in
+            let r = admit_locked state job.job_id ~retry:job.job_retry fp in
+            (* The connection may have died while we solved: with
+               reconcile on, releasing here (or in [reap_conn] when the
+               close races us) keeps dead clients from leaking
+               capacity. *)
+            (match r with
+            | Ok ()
+              when state.scfg.reconcile
+                   && (job.job_conn.eof || job.job_conn.closed) ->
+              Hashtbl.remove state.live job.job_id;
+              state.stats <-
+                { state.stats with released = state.stats.released + 1 }
+            | _ -> ());
+            r)
+      in
+      match admission with
+      | Ok () ->
+        Protocol.Admitted
+          {
+            id = job.job_id;
+            cache = cache_tag;
+            mapping;
+            certificate;
+            objective;
+            rounded_objective;
+            attempts;
+          }
+      | Error reason -> Protocol.Rejected { id = job.job_id; reason }
+    in
     let response =
       match outcome with
-      | S_solved (Cache.Solved s, attempts, _) -> (
-        let admission =
-          with_lock state (fun () ->
-              let fp =
-                footprint_of job.job_cfg
-                  (Taskgraph.Mapped_io.parse job.job_cfg s.mapping)
-                  ~key:job.key ~cid:job.job_conn.cid
-              in
-              let r = admit_locked state job.job_id ~retry:job.job_retry fp in
-              (* The connection may have died while we solved: with
-                 reconcile on, releasing here (or in [reap_conn] when
-                 the close races us) keeps dead clients from leaking
-                 capacity. *)
-              (match r with
-              | Ok ()
-                when state.scfg.reconcile
-                     && (job.job_conn.eof || job.job_conn.closed) ->
-                Hashtbl.remove state.live job.job_id;
-                state.stats <-
-                  { state.stats with released = state.stats.released + 1 }
-              | _ -> ());
-              r)
-        in
-        match admission with
-        | Ok () ->
-          Protocol.Admitted
-            {
-              id = job.job_id;
-              cache = cache_tag;
-              mapping = s.mapping;
-              certificate = s.certificate;
-              objective = s.objective;
-              rounded_objective = s.rounded_objective;
-              attempts;
-            }
-        | Error reason -> Protocol.Rejected { id = job.job_id; reason })
-      | S_solved (Cache.Unsat { reason }, _, _) | S_unsat reason ->
+      | Reply (Worker.R_solved r) ->
+        admit ~mapping:r.mapping ~certificate:r.certificate
+          ~objective:r.objective ~rounded_objective:r.rounded_objective
+          ~attempts:r.attempts
+      | Hit (Cache.Solved s) ->
+        admit ~mapping:s.mapping ~certificate:s.certificate
+          ~objective:s.objective ~rounded_objective:s.rounded_objective
+          ~attempts:1
+      | Reply (Worker.R_unsat reason) | Hit (Cache.Unsat { reason }) ->
         Protocol.Unsat { id = job.job_id; reason }
-      | S_late reason -> Protocol.Late { id = job.job_id; reason }
-      | S_failed reason -> Protocol.Failed { id = job.job_id; reason }
-      | S_poisoned reason -> Protocol.Poisoned { id = job.job_id; reason }
+      | Reply (Worker.R_late reason) ->
+        Protocol.Late { id = job.job_id; reason }
+      | Reply (Worker.R_failed reason) ->
+        Protocol.Failed { id = job.job_id; reason }
+      | Poisoned reason -> Protocol.Poisoned { id = job.job_id; reason }
     in
     bump state (fun s ->
         match response with
@@ -528,8 +483,10 @@ let settle state job ~cache_tag ~dequeued outcome =
            total_s = now -. job.arrival;
          });
     job_done state job.job_conn;
-    Atomic.incr state.settled_admits
+    Atomic.incr state.settled_admits;
+    true
   end
+  else false
 
 let update_ewma state sample =
   let rec go () =
@@ -566,13 +523,13 @@ let dispatch_batch state first =
   in
   let classify job =
     if Durable.Deadline.expired job.deadline then
-      `Settled (job, S_late "deadline expired while queued")
+      `Settled (job, Reply (Worker.R_late "deadline expired while queued"))
     else
       match quarantined job with
       | Some crashes ->
         `Settled
           ( job,
-            S_poisoned
+            Poisoned
               (Printf.sprintf "instance quarantined after %d worker crashes"
                  crashes) )
       | None -> (
@@ -583,7 +540,7 @@ let dispatch_batch state first =
         | Some outcome ->
           emit state (Obs.Trace.Cache_hit { key = Cache.digest job.key });
           bump state (fun s -> { s with cache_hits = s.cache_hits + 1 });
-          `Settled (job, S_solved (outcome, 1, 0.0))
+          `Settled (job, Hit outcome)
         | None ->
           emit state (Obs.Trace.Cache_miss { key = Cache.digest job.key });
           bump state (fun s -> { s with cache_misses = s.cache_misses + 1 });
@@ -605,8 +562,8 @@ let dispatch_batch state first =
         jobs
       |> List.map2
            (fun job -> function
-             | Ok outcome -> (job, outcome)
-             | Error exn -> (job, S_failed (Printexc.to_string exn)))
+             | Ok reply -> (job, reply)
+             | Error exn -> (job, Worker.R_failed (Printexc.to_string exn)))
            jobs
   in
   let solved = ref solved in
@@ -614,27 +571,34 @@ let dispatch_batch state first =
     (fun entry ->
       match entry with
       | `Settled (job, outcome) ->
-        settle state job ~cache_tag:`Hit ~dequeued outcome
+        ignore (settle state job ~cache_tag:`Hit ~dequeued outcome)
       | `Solve _ -> (
         match !solved with
-        | (job, outcome) :: rest ->
+        | (job, reply) :: rest ->
           solved := rest;
-          (match outcome with
-          | S_solved ((Cache.Solved _ as v), _, solve_s) ->
-            update_ewma state solve_s;
-            Option.iter (fun c -> Cache.store c ~key:job.key v) state.cache
-          | S_unsat reason ->
+          (* Cache the verdicts that are facts about the instance
+             (solved, infeasible), not those about this attempt (timed
+             out, failed). *)
+          (match reply with
+          | Worker.R_solved r ->
+            update_ewma state r.solve_s;
+            Option.iter
+              (fun c ->
+                Cache.store c ~key:job.key
+                  (Cache.Solved
+                     {
+                       mapping = r.mapping;
+                       certificate = r.certificate;
+                       objective = r.objective;
+                       rounded_objective = r.rounded_objective;
+                     }))
+              state.cache
+          | Worker.R_unsat reason ->
             Option.iter
               (fun c -> Cache.store c ~key:job.key (Cache.Unsat { reason }))
               state.cache
-          | S_solved (Cache.Unsat _, _, _) | S_late _ | S_failed _
-          | S_poisoned _ -> ());
-          let outcome =
-            match outcome with
-            | S_unsat reason -> S_solved (Cache.Unsat { reason }, 1, 0.0)
-            | o -> o
-          in
-          settle state job ~cache_tag:`Miss ~dequeued outcome
+          | Worker.R_late _ | Worker.R_failed _ -> ());
+          ignore (settle state job ~cache_tag:`Miss ~dequeued (Reply reply))
         | [] -> assert false))
     classified
 
@@ -672,30 +636,16 @@ let watchdog state ~grace stop =
               && Durable.Deadline.remaining_s j.deadline < -.grace)
             state.inflight)
     in
+    let reason =
+      Printf.sprintf "watchdog: solve stuck %gs past its deadline" grace
+    in
     List.iter
       (fun job ->
-        if Atomic.compare_and_set job.settled false true then begin
-          with_lock state (fun () ->
-              state.inflight <- List.filter (fun j -> j != job) state.inflight);
-          bump state (fun s ->
-              { s with Protocol.timed_out = s.Protocol.timed_out + 1 });
-          let reason =
-            Printf.sprintf "watchdog: solve stuck %gs past its deadline" grace
-          in
-          write_reply job.job_conn (Protocol.Late { id = job.job_id; reason });
-          emit state
-            (Obs.Trace.Request_done
-               {
-                 op = "admit";
-                 id = job.job_id;
-                 status = "timed_out";
-                 queue_s = 0.0;
-                 total_s = Unix.gettimeofday () -. job.arrival;
-               });
-          log state "watchdog: reaped %s (%s)" job.job_id reason;
-          job_done state job.job_conn;
-          Atomic.incr state.settled_admits
-        end)
+        (* Dequeue time = arrival: the trace charges no queue wait. *)
+        if
+          settle state job ~cache_tag:`Miss ~dequeued:job.arrival
+            (Reply (Worker.R_late reason))
+        then log state "watchdog: reaped %s (%s)" job.job_id reason)
       overdue
   done
 
@@ -705,37 +655,16 @@ type control = Keep_going | Begin_drain
 
 let handle_admit state conn ~id ~config_text ~deadline_s ~fault ~retry ~arrival
     =
-  match
-    let cfg =
-      try Ok (Taskgraph.Parse.config_of_string config_text)
-      with Taskgraph.Parse.Parse_error (line, msg) ->
-        Error (Printf.sprintf "config line %d: %s" line msg)
-    in
-    let plan =
-      match fault with
-      | None -> Ok None
-      | Some spec -> (
-        match Robust.Fault.of_string spec with
-        | Ok plan -> Ok (Some plan)
-        | Error msg -> Error (Printf.sprintf "fault spec: %s" msg))
-    in
-    match (cfg, plan) with
-    | Ok cfg, Ok plan -> Ok (cfg, plan)
-    | Error e, _ | _, Error e -> Error e
-  with
+  match Worker.parse ~config:config_text ~fault with
   | Error reason ->
     bump state (fun s -> { s with refused = s.refused + 1 });
     write_reply conn (Protocol.Refused { reason });
     "error"
   | Ok (cfg, plan) -> (
     let deadline =
-      match
-        match deadline_s with
-        | Some _ -> deadline_s
-        | None -> state.scfg.default_deadline_s
-      with
-      | Some s -> Durable.Deadline.after s
-      | None -> Durable.Deadline.none
+      match (deadline_s, state.scfg.default_deadline_s) with
+      | Some s, _ | None, Some s -> Durable.Deadline.after s
+      | None, None -> Durable.Deadline.none
     in
     let job =
       {
@@ -932,30 +861,25 @@ let run scfg =
   else if scfg.isolate = None && scfg.quarantine_path <> None then
     Error "a quarantine journal needs --isolate"
   else begin
-    match
-      match scfg.cache_path with
+    let open_opt f = function
       | None -> Ok None
-      | Some path -> (
-        match
-          Cache.open_ ?max_entries:scfg.cache_max_entries
-            ?chaos:(Chaos.journal_hook scfg.chaos) path
-        with
-        | Ok c -> Ok (Some c)
-        | Error msg -> Error msg)
+      | Some x -> Result.map Option.some (f x)
+    in
+    match
+      open_opt
+        (Cache.open_ ?max_entries:scfg.cache_max_entries
+           ?chaos:(Chaos.journal_hook scfg.chaos))
+        scfg.cache_path
     with
     | Error msg -> Error msg
     | Ok cache -> (
       match
-        match scfg.isolate with
-        | None -> Ok None
-        | Some _ -> (
-          match
+        open_opt
+          (fun _ ->
             Quarantine.create ?path:scfg.quarantine_path
               ?chaos:(Chaos.journal_hook scfg.chaos)
-              ~threshold:scfg.poison_threshold ()
-          with
-          | Ok q -> Ok (Some q)
-          | Error msg -> Error msg)
+              ~threshold:scfg.poison_threshold ())
+          scfg.isolate
       with
       | Error msg ->
         Option.iter Cache.close cache;
@@ -990,10 +914,10 @@ let run scfg =
                   worker_args =
                     [
                       "--kkt";
-                      (match scfg.kkt with
-                      | `Auto -> "auto"
-                      | `Dense -> "dense"
-                      | `Sparse -> "sparse");
+                      fst
+                        (List.find
+                           (fun (_, k) -> k = scfg.kkt)
+                           Budgetbuf.Mapping.kkt_backends);
                     ];
                   rlimit_mem_mb = scfg.rlimit_mem_mb;
                   rlimit_cpu_s = scfg.rlimit_cpu_s;

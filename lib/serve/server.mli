@@ -48,7 +48,7 @@ type config = {
           journal compaction; [None] = unbounded, never compacts *)
   kkt : [ `Auto | `Dense | `Sparse ];
       (** KKT backend for the solves; [`Auto] picks per instance via
-          {!Budgetbuf.Mapping.kkt_auto} *)
+          {!Budgetbuf.Mapping.params_of_kkt} *)
   obs : Obs.Ctx.t option;  (** request/cache/shed trace events and metrics *)
   signals : bool;
       (** install SIGINT/SIGTERM handlers for graceful drain (the CLI

@@ -91,6 +91,10 @@ type reply =
 
 let reply_line ~id reply =
   let id = ("id", Wire.String id) in
+  let verdict status reason =
+    Wire.render
+      [ ("status", Wire.String status); id; ("reason", Wire.String reason) ]
+  in
   match reply with
   | R_solved { mapping; certificate; objective; rounded_objective; attempts;
                solve_s } ->
@@ -105,15 +109,9 @@ let reply_line ~id reply =
         ("attempts", Wire.Number (float_of_int attempts));
         ("solve_s", Wire.Number solve_s);
       ]
-  | R_unsat reason ->
-    Wire.render
-      [ ("status", Wire.String "unsat"); id; ("reason", Wire.String reason) ]
-  | R_late reason ->
-    Wire.render
-      [ ("status", Wire.String "late"); id; ("reason", Wire.String reason) ]
-  | R_failed reason ->
-    Wire.render
-      [ ("status", Wire.String "failed"); id; ("reason", Wire.String reason) ]
+  | R_unsat reason -> verdict "unsat" reason
+  | R_late reason -> verdict "late" reason
+  | R_failed reason -> verdict "failed" reason
 
 let parse_reply line =
   match Wire.parse line with
@@ -179,40 +177,54 @@ let oom () =
   ignore (List.length !hold);
   exit 2
 
-let base_params ~kkt cfg =
-  let sparse =
-    Some { Conic.Socp.default_params with Conic.Socp.kkt = `Sparse }
-  in
-  match kkt with
-  | `Dense -> None
-  | `Sparse -> sparse
-  | `Auto -> (
-    match Mapping.kkt_auto cfg with `Dense -> None | `Sparse -> sparse)
+(* ---- the one solve path ------------------------------------------ *)
 
-let solve_task ~kkt task =
-  match
-    let cfg =
-      try Ok (Taskgraph.Parse.config_of_string task.task_config)
-      with Taskgraph.Parse.Parse_error (line, msg) ->
-        Error (Printf.sprintf "config line %d: %s" line msg)
-    in
-    let fault =
-      match task.task_fault with
-      | None -> Ok None
-      | Some spec -> (
-        match Robust.Fault.of_string spec with
-        | Ok plan -> Ok (Some plan)
-        | Error msg -> Error (Printf.sprintf "fault spec: %s" msg))
-    in
-    match (cfg, fault) with
-    | Ok cfg, Ok fault -> Ok (cfg, fault)
-    | Error e, _ | _, Error e -> Error e
-  with
+let parse ~config ~fault =
+  match Taskgraph.Parse.config_of_string config with
+  | exception Taskgraph.Parse.Parse_error (line, msg) ->
+    Error (Printf.sprintf "config line %d: %s" line msg)
+  | cfg -> (
+    match fault with
+    | None -> Ok (cfg, None)
+    | Some spec -> (
+      match Robust.Fault.of_string spec with
+      | Ok plan -> Ok (cfg, Some plan)
+      | Error msg -> Error (Printf.sprintf "fault spec: %s" msg)))
+
+let solve ~kkt ?obs ~deadline cfg plan =
+  let params =
+    Durability.params_with_deadline (Mapping.params_of_kkt kkt cfg) ~deadline
+      ~candidate_deadline:None
+  in
+  let params = Durability.params_with_obs params obs in
+  let policy = Robust.Recovery.with_fault plan in
+  match Mapping.solve ?params ~policy ?obs cfg with
+  | Ok r ->
+    R_solved
+      {
+        mapping = Format.asprintf "%a" (Taskgraph.Mapped_io.print cfg) r.mapped;
+        certificate = Budgetbuf.Certify.summary r.certificate;
+        objective = r.objective;
+        rounded_objective = r.rounded_objective;
+        attempts = r.stats.attempts;
+        solve_s = r.stats.solve_time_s;
+      }
+  | Error (Mapping.Infeasible msg) -> R_unsat msg
+  | Error (Mapping.Timed_out msg) -> R_late msg
+  | Error (Mapping.Solver_failure msg) -> R_failed msg
+  | exception exn -> R_failed (Printexc.to_string exn)
+
+(* A task is the shared parse step, the process fault it asks for —
+   fired before the solve: it models native crashes and livelocks,
+   which do not wait for the solver to finish — and the shared solve
+   step.  A budget that lapsed in transit arrives as [deadline_s <= 0]
+   and yields an already-expired deadline: the solve answers [late]
+   exactly as an in-process solve of a lapsed job does. *)
+let run_task ~kkt task =
+  match parse ~config:task.task_config ~fault:task.task_fault with
   | Error reason -> R_failed reason
-  | Ok (cfg, fault) -> (
-    (* Process faults fire before the solve: they model native crashes
-       and livelocks, which do not wait for the solver to finish. *)
-    (match Robust.Fault.process_kind fault with
+  | Ok (cfg, plan) ->
+    (match Robust.Fault.process_kind plan with
     | Some Robust.Fault.Crash -> Unix.kill (Unix.getpid ()) Sys.sigkill
     | Some Robust.Fault.Hang ->
       while true do
@@ -222,35 +234,10 @@ let solve_task ~kkt task =
     | None -> ());
     let deadline =
       match task.task_deadline_s with
-      | Some s -> Durable.Deadline.after s
+      | Some s -> Durable.Deadline.of_remaining_s s
       | None -> Durable.Deadline.none
     in
-    let params =
-      Durability.params_with_deadline (base_params ~kkt cfg) ~deadline
-        ~candidate_deadline:None
-    in
-    let policy =
-      let base = Robust.Recovery.default_policy () in
-      match fault with
-      | Some plan -> { base with Robust.Recovery.fault = Some plan }
-      | None -> base
-    in
-    match Mapping.solve ?params ~policy cfg with
-    | Ok r ->
-      R_solved
-        {
-          mapping =
-            Format.asprintf "%a" (Taskgraph.Mapped_io.print cfg) r.mapped;
-          certificate = Budgetbuf.Certify.summary r.certificate;
-          objective = r.objective;
-          rounded_objective = r.rounded_objective;
-          attempts = r.stats.attempts;
-          solve_s = r.stats.solve_time_s;
-        }
-    | Error (Mapping.Infeasible msg) -> R_unsat msg
-    | Error (Mapping.Timed_out msg) -> R_late msg
-    | Error (Mapping.Solver_failure msg) -> R_failed msg
-    | exception exn -> R_failed (Printexc.to_string exn))
+    solve ~kkt ~deadline cfg plan
 
 (* The hidden [budgetbuf worker] entry point.  argv is the full
    [Sys.argv] list; everything after "worker" is worker flags (only
@@ -261,17 +248,11 @@ let main argv =
   let rec parse_args = function
     | [] -> Ok ()
     | "--kkt" :: v :: rest -> (
-      match v with
-      | "auto" ->
-        kkt := `Auto;
+      match List.assoc_opt v Mapping.kkt_backends with
+      | Some k ->
+        kkt := k;
         parse_args rest
-      | "dense" ->
-        kkt := `Dense;
-        parse_args rest
-      | "sparse" ->
-        kkt := `Sparse;
-        parse_args rest
-      | v -> Error (Printf.sprintf "worker: bad --kkt %S" v))
+      | None -> Error (Printf.sprintf "worker: bad --kkt %S" v))
     | arg :: _ -> Error (Printf.sprintf "worker: unknown argument %S" arg)
   in
   let args =
@@ -294,7 +275,7 @@ let main argv =
         let id, reply =
           match parse_task line with
           | Error reason -> ("", R_failed reason)
-          | Ok task -> (task.task_id, solve_task ~kkt:!kkt task)
+          | Ok task -> (task.task_id, run_task ~kkt:!kkt task)
         in
         write_line Unix.stdout (reply_line ~id reply);
         serve ()

@@ -5,9 +5,12 @@
     {!Supervisor} slot.  It announces itself with a hello frame
     carrying {!Protocol.version} (a stale binary fails the spawn, not
     a mid-solve decode), then answers one reply line per task line
-    until its stdin reaches EOF.  Process faults — [crash], [hang],
-    [oom] ({!Robust.Fault.process}) — are executed {e here}, inside
-    the rlimit box the supervisor armed, never in the server process.
+    until its stdin reaches EOF.  A task whose [deadline_s] is zero or
+    negative (its budget lapsed before dispatch) answers [late] like
+    any expired solve; the worker lives on.  Process faults — [crash],
+    [hang], [oom] ({!Robust.Fault.process}) — are executed {e here},
+    inside the rlimit box the supervisor armed, never in the server
+    process.
 
     Frames use the {!Wire} codec.  The grammar:
 
@@ -29,7 +32,7 @@ val parse_hello : string -> (int, string) Stdlib.result
 type task = {
   task_id : string;
   task_config : string;  (** raw configuration text *)
-  task_fault : string option;  (** fault spec, {!Robust.Fault.of_string} *)
+  task_fault : string option;  (** fault spec, checked by {!parse} *)
   task_deadline_s : float option;
       (** remaining solve budget at dispatch; the supervisor reaps
           this much plus its grace *)
@@ -58,6 +61,34 @@ val parse_reply : string -> (reply, string) Stdlib.result
     [Unix.Unix_error] on a broken pipe — callers treat that as the
     peer's death. *)
 val write_line : Unix.file_descr -> string -> unit
+
+(** {2 The one solve path}
+
+    Every admitted solve, in-process or in a worker, is {!parse} then
+    {!solve}; the two paths differ only by the process boundary (and
+    the process faults a worker executes between the steps). *)
+
+(** [parse ~config ~fault] parses configuration text and an optional
+    {!Robust.Fault} spec.  Errors are one line: [config line N: …] or
+    [fault spec: …]. *)
+val parse :
+  config:string ->
+  fault:string option ->
+  (Taskgraph.Config.t * Robust.Fault.plan option, string) Stdlib.result
+
+(** [solve ~kkt ?obs ~deadline cfg plan] runs {!Budgetbuf.Mapping.solve}
+    under the KKT backend ({!Budgetbuf.Mapping.params_of_kkt}), the
+    deadline and the recovery policy of [plan]
+    ({!Robust.Recovery.with_fault}), and classifies the result: an
+    infeasibility verdict is [R_unsat], a lapsed deadline [R_late], a
+    solver failure or an exception [R_failed]. *)
+val solve :
+  kkt:[ `Auto | `Dense | `Sparse ] ->
+  ?obs:Obs.Ctx.t ->
+  deadline:Durable.Deadline.t ->
+  Taskgraph.Config.t ->
+  Robust.Fault.plan option ->
+  reply
 
 (** {2 Entry point} *)
 

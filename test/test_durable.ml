@@ -311,7 +311,7 @@ let test_pool_cancel_wellformed () =
 
 let fault_policy spec =
   match Fault.of_string spec with
-  | Ok plan -> { (Recovery.default_policy ()) with Recovery.fault = Some plan }
+  | Ok plan -> Recovery.with_fault (Some plan)
   | Error e -> Alcotest.failf "fault spec %S: %s" spec e
 
 let test_dse_resume_exact_solves () =

@@ -101,7 +101,7 @@ let test_mat_identity () =
   Alcotest.check vec_testable "I·x" x (Mat.mul_vec i3 x)
 
 (* ------------------------------------------------------------------ *)
-(* Cholesky / LDLᵀ                                                    *)
+(* Cholesky                                                           *)
 (* ------------------------------------------------------------------ *)
 
 let spd_3 =
@@ -132,20 +132,6 @@ let test_cholesky_indefinite_fails () =
   let a = mat22 0.0 1.0 1.0 0.0 in
   Alcotest.check_raises "indefinite" Cholesky.Not_positive_definite (fun () ->
       ignore (Cholesky.factor ~max_shift:1e-12 a))
-
-let test_ldlt () =
-  let l, d = Cholesky.ldlt spd_3 in
-  let ld = Mat.init 3 3 (fun i j -> Mat.get l i j *. d.(j)) in
-  let recon = Mat.mul ld (Mat.transpose l) in
-  Alcotest.(check bool) "L·D·Lᵀ = A" true (Mat.equal ~eps:1e-9 recon spd_3)
-
-let test_ldlt_solve_indefinite () =
-  (* Quasi-definite (indefinite) system solved exactly by LDLᵀ. *)
-  let a = Mat.of_rows [ [| 2.; 1. |]; [| 1.; -3. |] ] in
-  let fact = Cholesky.ldlt a in
-  let b = [| 1.; 2. |] in
-  let x = Cholesky.ldlt_solve fact b in
-  Alcotest.check vec_testable "A·x = b" b (Mat.mul_vec a x)
 
 (* ------------------------------------------------------------------ *)
 (* Properties                                                         *)
@@ -271,9 +257,6 @@ let () =
           Alcotest.test_case "solve" `Quick test_cholesky_solve;
           Alcotest.test_case "shifted" `Quick test_cholesky_shifted;
           Alcotest.test_case "indefinite" `Quick test_cholesky_indefinite_fails;
-          Alcotest.test_case "ldlt" `Quick test_ldlt;
-          Alcotest.test_case "ldlt indefinite solve" `Quick
-            test_ldlt_solve_indefinite;
         ] );
       ( "edge-cases",
         [

@@ -1584,6 +1584,194 @@ let test_server_isolated_crash_poison () =
   | Ok (r, _) -> Alcotest.failf "stop reason: %s" (Server.describe r)
   | Error e -> Alcotest.failf "server: %s" e
 
+(* A task whose budget lapsed before dispatch arrives with
+   [deadline_s = 0]: the worker answers [late] — with the reason an
+   in-process solve of a lapsed job gives — and lives on. *)
+let test_supervisor_expired_deadline () =
+  let sup = Supervisor.create (supervisor_config ()) in
+  let in_process =
+    match Worker.parse ~config:(t1_text ()) ~fault:None with
+    | Error e -> Alcotest.failf "parse: %s" e
+    | Ok (cfg, plan) ->
+      Worker.solve ~kkt:`Auto
+        ~deadline:(Durable.Deadline.of_remaining_s 0.0)
+        cfg plan
+  in
+  (match
+     ( Supervisor.solve sup
+         { (good_task "e1") with Worker.task_deadline_s = Some 0.0 },
+       in_process )
+   with
+  | Supervisor.Done (Worker.R_late reason), Worker.R_late expected ->
+    check_string "same reason as in-process" expected reason
+  | o, _ -> Alcotest.failf "lapsed deadline: %s" (describe_outcome o));
+  (match Supervisor.solve sup (good_task "e2") with
+  | Supervisor.Done (Worker.R_solved _) -> ()
+  | o -> Alcotest.failf "solve after lapse: %s" (describe_outcome o));
+  let c = Supervisor.counters sup in
+  check_int "no worker lost" 0 c.Supervisor.crashed;
+  check_int "one worker served both" 1 c.Supervisor.spawned;
+  Supervisor.shutdown sup
+
+(* Send [requests] back to back in one write on a bare socket, then
+   read one reply per request: the server queues them together, so
+   they land in one dispatch batch. *)
+let pipelined sock requests =
+  let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  Fun.protect ~finally:(fun () -> Unix.close fd) @@ fun () ->
+  Unix.connect fd (Unix.ADDR_UNIX sock);
+  Worker.write_line fd
+    (String.concat "\n" (List.map Protocol.request_to_line requests));
+  let frames = Wire.Framer.create () in
+  let buf = Bytes.create 4096 in
+  let rec reply () =
+    match Wire.Framer.next frames with
+    | Some (Wire.Framer.Frame line) -> (
+      match Protocol.response_of_line line with
+      | Ok r -> r
+      | Error e -> Alcotest.failf "reply: %s" e)
+    | Some Wire.Framer.Oversized -> Alcotest.fail "oversized reply"
+    | None -> (
+      match Unix.read fd buf 0 (Bytes.length buf) with
+      | 0 -> Alcotest.fail "server closed the connection"
+      | n ->
+        Wire.Framer.feed frames (Bytes.sub_string buf 0 n);
+        reply ())
+  in
+  List.map (fun _ -> reply ()) requests
+
+(* One batch, one lane: the slow solve holds the lane past the second
+   job's deadline, so the second reaches its worker already lapsed.
+   That is a timeout, never a worker crash or a quarantine record.  A
+   lead solve keeps the dispatcher busy while the pair queues, so the
+   pair is sure to share a batch. *)
+let test_server_isolated_lapsed_deadline () =
+  let sock = tmp_path "lapse.sock" and quarantine = tmp_path "lapse.qj" in
+  rm quarantine;
+  let th, res =
+    start_server
+      {
+        (Server.default_config ~socket_path:sock) with
+        Server.isolate = Some 1;
+        batch = 2;
+        domains = 1;
+        quarantine_path = Some quarantine;
+        worker_exe = Some cli_exe;
+      }
+  in
+  let lead =
+    Thread.create
+      (fun () ->
+        match
+          Client.with_connection sock (fun c ->
+              Ok (admit c ~id:"lead" ~fault:"slow" (t1_with_cap 11)))
+        with
+        | Ok r -> ignore (expect_admitted r)
+        | Error e -> Alcotest.failf "lead: %s" e)
+      ()
+  in
+  Thread.delay 0.1;
+  let admit_req ~id ?deadline_s ?fault config =
+    Protocol.Admit { id; config; deadline_s; fault; retry = false }
+  in
+  (match
+     pipelined sock
+       [
+         admit_req ~id:"slow" ~fault:"slow" (t1_with_cap 12);
+         admit_req ~id:"short" ~deadline_s:0.65 (t1_with_cap 13);
+       ]
+   with
+  | [ first; Protocol.Late _ ] -> ignore (expect_admitted first)
+  | rs ->
+    Alcotest.failf "replies: %s"
+      (String.concat ", " (List.map Protocol.status_of_response rs)));
+  Thread.join lead;
+  (match Client.with_connection sock (fun c -> shutdown c; Ok ()) with
+  | Ok () -> ()
+  | Error e -> Alcotest.failf "client: %s" e);
+  Thread.join th;
+  (match !res with
+  | Ok (Server.Shutdown_request, s) ->
+    check_int "one timeout" 1 s.Protocol.timed_out;
+    check_int "no worker crash" 0 s.Protocol.worker_crashes
+  | Ok (r, _) -> Alcotest.failf "stop reason: %s" (Server.describe r)
+  | Error e -> Alcotest.failf "server: %s" e);
+  (match Quarantine.create ~path:quarantine ~threshold:2 () with
+  | Ok q ->
+    check_int "no quarantine record" 0 (Quarantine.stats q).Quarantine.keys;
+    Quarantine.close q
+  | Error e -> Alcotest.failf "quarantine: %s" e);
+  rm quarantine
+
+(* ------------------------------------------------------------------ *)
+(* One solve path: in-process and isolated replies agree               *)
+(* ------------------------------------------------------------------ *)
+
+(* Everything a reply says about the instance — all of it but the
+   solve's wall-clock time. *)
+let reply_facts = function
+  | Worker.R_solved r ->
+    Printf.sprintf "solved\n%s%s\n%h %h attempts=%d" r.mapping r.certificate
+      r.objective r.rounded_objective r.attempts
+  | Worker.R_unsat m -> "unsat " ^ m
+  | Worker.R_late m -> "late " ^ m
+  | Worker.R_failed m -> "failed " ^ m
+
+let test_in_process_matches_isolated () =
+  let t1 = t1_text () in
+  let battery =
+    [
+      ("t1", t1, None);
+      ("t2", Format.asprintf "%a" Config.pp (Workloads.Gen.paper_t2 ()), None);
+      ("mem", replace ~sub:"capacity 1000" ~by:"capacity 15" t1, None);
+      ("infeasible", replace ~sub:"period 10" ~by:"period 1" t1, None);
+      ("stall", t1, Some "stall");
+      ("nan", t1, Some "nan");
+      ("bad_round", t1, Some "bad_round");
+      ("stall everywhere", t1, Some "stall,attempts=all");
+      ("malformed config", "processor p1 replenishment", None);
+      ("malformed fault", t1, Some "meltdown");
+    ]
+  in
+  List.iter
+    (fun kkt ->
+      let kkt_name =
+        match kkt with `Auto -> "auto" | `Dense -> "dense" | `Sparse -> "sparse"
+      in
+      let sup =
+        Supervisor.create
+          {
+            (supervisor_config ()) with
+            Supervisor.worker_args = [ "--kkt"; kkt_name ];
+          }
+      in
+      List.iter
+        (fun (name, config, fault) ->
+          let in_process =
+            match Worker.parse ~config ~fault with
+            | Error reason -> Worker.R_failed reason
+            | Ok (cfg, plan) ->
+              Worker.solve ~kkt ~deadline:Durable.Deadline.none cfg plan
+          in
+          match
+            Supervisor.solve sup
+              {
+                Worker.task_id = name;
+                task_config = config;
+                task_fault = fault;
+                task_deadline_s = None;
+              }
+          with
+          | Supervisor.Done isolated ->
+            check_string
+              (Printf.sprintf "%s (--kkt %s)" name kkt_name)
+              (reply_facts in_process) (reply_facts isolated)
+          | o -> Alcotest.failf "%s: %s" name (describe_outcome o))
+        battery;
+      check_int "no worker lost" 0 (Supervisor.counters sup).Supervisor.crashed;
+      Supervisor.shutdown sup)
+    [ `Auto; `Sparse ]
+
 let spawn_serve args =
   let devnull = Unix.openfile "/dev/null" [ Unix.O_RDWR ] 0 in
   (* The drill measures crash recovery, not chaos: don't let a
@@ -1767,5 +1955,14 @@ let () =
             test_server_isolated_crash_poison;
           Alcotest.test_case "kill -9 recovery of cache and quarantine" `Quick
             test_server_isolated_kill9_recovery;
+          Alcotest.test_case "expired deadline answers late" `Quick
+            test_supervisor_expired_deadline;
+          Alcotest.test_case "lapsed deadline is no crash" `Quick
+            test_server_isolated_lapsed_deadline;
+        ] );
+      ( "solve path",
+        [
+          Alcotest.test_case "in-process and isolated replies agree" `Quick
+            test_in_process_matches_isolated;
         ] );
     ]

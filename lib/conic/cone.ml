@@ -176,7 +176,8 @@ type block_scaling = W_diag of float array | W_soc of soc_scaling
 
 type scaling = {
   cone : t;
-  per_block : (int * int * block_scaling) list; (* offset, size, scaling *)
+  per_block : (int * int * block_scaling) array;
+      (* offset, size, scaling; offsets increasing *)
   lam : Linalg.Vec.t;
 }
 
@@ -233,13 +234,14 @@ let nt_scaling k ~s ~z =
           done;
           (o, n, W_soc { eta; v }))
       k.blocks
+    |> Array.of_list
   in
   { cone = k; per_block; lam }
 
 let apply_gen inv w u =
   check_dim "apply" w.cone u;
   let out = Linalg.Vec.create w.cone.dim in
-  List.iter
+  Array.iter
     (fun (o, n, bs) ->
       match bs with
       | W_diag d ->
@@ -266,9 +268,7 @@ let apply_inv w u = apply_gen true w u
 let lambda w = Linalg.Vec.copy w.lam
 
 let block_layout w =
-  List.map
-    (fun (o, n, _) -> (o, n))
-    w.per_block
+  Array.fold_right (fun (o, n, _) acc -> (o, n) :: acc) w.per_block []
 
 (* Merge [coeff × sparse-row] combinations into one column-sorted row. *)
 let combine parts =
@@ -285,15 +285,36 @@ let combine parts =
   Hashtbl.fold (fun j v acc -> if v = 0.0 then acc else (j, v) :: acc) tbl []
   |> List.sort (fun (a, _) (b, _) -> compare a b)
 
-let apply_inv_rows w offset rows =
-  let _, n, bs =
-    try List.find (fun (o, _, _) -> o = offset) w.per_block
-    with Not_found -> invalid_arg "Cone.apply_inv_rows: not a block boundary"
+(* Binary search of the block starting at [offset]. *)
+let block_at w offset =
+  let rec go lo hi =
+    if lo > hi then invalid_arg "Cone.apply_inv_rows: not a block boundary"
+    else
+      let mid = (lo + hi) / 2 in
+      let ((o, _, _) as b) = w.per_block.(mid) in
+      if o = offset then b
+      else if o < offset then go (mid + 1) hi
+      else go lo (mid - 1)
   in
+  go 0 (Array.length w.per_block - 1)
+
+let apply_inv_rows w offset rows =
+  let _, n, bs = block_at w offset in
   if Array.length rows <> n then
     invalid_arg "Cone.apply_inv_rows: row count mismatch";
   match bs with
-  | W_diag d -> Array.mapi (fun i r -> combine [ (1.0 /. d.(i), r) ]) rows
+  | W_diag d ->
+    (* One coefficient per row: the rows stay column-sorted, and an
+       entry that underflows to zero is dropped, as [combine] would. *)
+    Array.mapi
+      (fun i r ->
+        let coeff = 1.0 /. d.(i) in
+        List.filter_map
+          (fun (j, v) ->
+            let x = coeff *. v in
+            if x = 0.0 then None else Some (j, x))
+          r)
+      rows
   | W_soc { eta; v } ->
     (* W⁻¹ = η⁻¹·(2·(Jv)(Jv)ᵀ − J): row i of the result mixes the
        block's rows with coefficients 2·(Jv)ᵢ·(Jv)ₖ − Jᵢᵢ·[i=k]. *)

@@ -66,30 +66,45 @@ let pp_status ppf = function
 let emit_obs params ev =
   match params.obs with None -> () | Some o -> Obs.Ctx.emit o ev
 
+(* A [Nonneg] row with more nonzeros than this is a shared-resource
+   row — constraint (9) over one processor's budgets or (10) over one
+   memory's buffers — whose outer product would put a clique of that
+   size into GᵀW⁻²G.  Every other row of Algorithm 1 (cycle, bound and
+   cone rows) has at most a handful of nonzeros.  Such dense rows stay
+   out of the sparse factor and come back as a low-rank update. *)
+let dense_row_threshold = 16
+
 (* The once-per-solve sparse KKT context: the structural pattern of
-   GᵀW⁻²G (fixed across iterations — NT scaling mixes rows only within
-   one second-order block) and its symbolic Cholesky analysis. *)
+   GᵀW⁻²G without the dense rows (fixed across iterations — NT scaling
+   mixes rows only within one second-order block), its symbolic
+   Cholesky analysis, and the dense orthant rows left out of both. *)
 type sparse_kkt = {
   pattern : Linalg.Sparse.sym;
   symbolic : Linalg.Sparse.symbolic;
+  dense : int array;
 }
 
 let make_sparse_kkt ~params ~gsp cone =
-  let soc =
+  let soc, orthant =
     let off = ref 0 in
-    List.filter_map
+    List.partition_map
       (fun b ->
         let o = !off in
         match b with
         | Cone.Nonneg d ->
           off := o + d;
-          None
+          Either.Right (o, d)
         | Cone.Soc d ->
           off := o + d;
-          Some (o, d))
+          Either.Left (o, d))
       (Cone.blocks cone)
   in
-  let pattern = Sparse_rows.gram_pattern gsp ~soc in
+  let dense =
+    Sparse_rows.dense_rows gsp ~among:orthant ~above:dense_row_threshold
+  in
+  let pattern =
+    Sparse_rows.gram_pattern (Sparse_rows.drop_rows gsp dense) ~soc
+  in
   let symbolic = Linalg.Sparse.symbolic pattern in
   emit_obs params
     (Obs.Trace.Kkt_factor
@@ -99,7 +114,43 @@ let make_sparse_kkt ~params ~gsp cone =
          n = Sparse_rows.cols gsp;
          nnz = Linalg.Sparse.factor_nnz symbolic;
        });
-  { pattern; symbolic }
+  { pattern; symbolic; dense }
+
+let sparse_dot row v =
+  List.fold_left (fun acc (j, a) -> acc +. (a *. v.(j))) 0.0 row
+
+(* Sherman–Morrison–Woodbury on M = M_s + A·Aᵀ, where M_s is factored
+   in [fact] and the columns of A are the scaled dense rows [rows]:
+     M⁻¹b = y − U·C⁻¹·(Aᵀy),  y = M_s⁻¹b,  U = M_s⁻¹A,  C = I + AᵀU.
+   With no dense rows this is the plain sparse solve.
+   @raise Cholesky.Not_positive_definite if C is not positive definite. *)
+let woodbury ~n fact rows =
+  if Array.length rows = 0 then Linalg.Sparse.solve fact
+  else begin
+    let u =
+      Array.map
+        (fun r ->
+          let a = Vec.create n in
+          List.iter (fun (j, v) -> a.(j) <- v) r;
+          Linalg.Sparse.solve fact a)
+        rows
+    in
+    let k = Array.length rows in
+    let cap = Mat.create k k in
+    for i = 0 to k - 1 do
+      for l = 0 to i do
+        let v = (if i = l then 1.0 else 0.0) +. sparse_dot rows.(i) u.(l) in
+        Mat.set cap i l v;
+        Mat.set cap l i v
+      done
+    done;
+    let cf = Cholesky.factor cap in
+    fun b ->
+      let y = Linalg.Sparse.solve fact b in
+      let w = Cholesky.solve cf (Array.map (fun r -> sparse_dot r y) rows) in
+      Array.iteri (fun l ul -> Vec.axpy (-.w.(l)) ul y) u;
+      y
+  end
 
 (* Solve the 2×2 scaled KKT system
      Gᵀ·dz        = bx
@@ -109,10 +160,11 @@ let make_sparse_kkt ~params ~gsp cone =
 
    The factorisation backend is selected per iteration: [sparse]
    carries the once-per-solve symbolic analysis and each iteration
-   only refills the fixed pattern and runs the numeric
-   refactorisation; when the sparse factorisation fails (or a
-   [Dense_kkt] fault forces it) the iteration falls back to the dense
-   oracle path, counted in [fallbacks]. *)
+   only refills the fixed pattern, runs the numeric refactorisation
+   and adds the dense rows back through [woodbury]; when the sparse
+   factorisation or the capacitance matrix fails (or a [Dense_kkt]
+   fault forces it) the iteration falls back to the dense oracle path,
+   counted in [fallbacks]. *)
 let make_kkt ~params ~fallbacks ~sparse ~force_dense ~gsp w =
   (* The sparse rows of G have a handful of entries each, so the scaled
      matrix W⁻¹·G and its Gram matrix are formed in O(Σ nnz(row)²)
@@ -121,23 +173,26 @@ let make_kkt ~params ~fallbacks ~sparse ~force_dense ~gsp w =
     Sparse_rows.scale_rows gsp ~blocks:(Cone.block_layout w)
       ~scale_block:(Cone.apply_inv_rows w)
   in
-  (* Two rounds of iterative refinement recover the digits lost when the
-     factorisation needed a diagonal shift near convergence. *)
+  (* Two rounds of iterative refinement, measured against the full
+     matrix, recover the digits lost when the factorisation needed a
+     diagonal shift near convergence. *)
+  let refined ~apply ~solve rhs =
+    let dx = solve rhs in
+    for _ = 1 to 2 do
+      let r = Vec.sub rhs (apply dx) in
+      Vec.axpy 1.0 (solve r) dx
+    done;
+    dx
+  in
   let dense_refined () =
     let mmat = Sparse_rows.gram scaled in
     let fact = Cholesky.factor ~max_shift:1e-2 mmat in
-    fun rhs ->
-      let dx = Cholesky.solve fact rhs in
-      for _ = 1 to 2 do
-        let r = Vec.sub rhs (Mat.mul_vec mmat dx) in
-        Vec.axpy 1.0 (Cholesky.solve fact r) dx
-      done;
-      dx
+    refined ~apply:(Mat.mul_vec mmat) ~solve:(Cholesky.solve fact)
   in
   let solve_refined =
     match sparse with
     | None -> dense_refined ()
-    | Some { pattern; symbolic } ->
+    | Some { pattern; symbolic; dense } ->
       let fall_back () =
         incr fallbacks;
         emit_obs params
@@ -152,10 +207,20 @@ let make_kkt ~params ~fallbacks ~sparse ~force_dense ~gsp w =
       in
       if force_dense then fall_back ()
       else begin
-        Sparse_rows.fill_gram scaled ~into:pattern;
-        match Linalg.Sparse.factor ~max_shift:1e-2 symbolic pattern with
-        | exception Linalg.Sparse.Not_positive_definite -> fall_back ()
-        | fact ->
+        Sparse_rows.fill_gram
+          (Sparse_rows.drop_rows scaled dense)
+          ~into:pattern;
+        let rows = Array.map (Sparse_rows.row scaled) dense in
+        match
+          woodbury ~n:(Sparse_rows.cols gsp)
+            (Linalg.Sparse.factor ~max_shift:1e-2 symbolic pattern)
+            rows
+        with
+        | exception
+            ( Linalg.Sparse.Not_positive_definite
+            | Cholesky.Not_positive_definite ) ->
+          fall_back ()
+        | solve ->
           emit_obs params
             (Obs.Trace.Kkt_factor
                {
@@ -164,13 +229,17 @@ let make_kkt ~params ~fallbacks ~sparse ~force_dense ~gsp w =
                  n = Sparse_rows.cols gsp;
                  nnz = Linalg.Sparse.factor_nnz symbolic;
                });
-          fun rhs ->
-            let dx = Linalg.Sparse.solve fact rhs in
-            for _ = 1 to 2 do
-              let r = Vec.sub rhs (Linalg.Sparse.mul_vec pattern dx) in
-              Vec.axpy 1.0 (Linalg.Sparse.solve fact r) dx
-            done;
-            dx
+          (* M·x = M_s·x + Σ aᵢ·(aᵢᵀx). *)
+          let apply x =
+            let y = Linalg.Sparse.mul_vec pattern x in
+            Array.iter
+              (fun r ->
+                let t = sparse_dot r x in
+                List.iter (fun (j, a) -> y.(j) <- y.(j) +. (a *. t)) r)
+              rows;
+            y
+          in
+          refined ~apply ~solve
       end
   in
   fun ~bx ~bz ->
@@ -182,6 +251,21 @@ let make_kkt ~params ~fallbacks ~sparse ~force_dense ~gsp w =
         (Cone.apply_inv w (Vec.sub (Sparse_rows.mul_vec gsp dx) bz))
     in
     (dx, dz)
+
+let kkt_solve ~kkt ~g cone ~s ~z ~bx ~bz =
+  let params = { default_params with kkt } in
+  let gsp = Sparse_rows.of_mat g in
+  let sparse =
+    match kkt with
+    | `Dense -> None
+    | `Sparse -> Some (make_sparse_kkt ~params ~gsp cone)
+  in
+  let fallbacks = ref 0 in
+  let w = Cone.nt_scaling cone ~s ~z in
+  let dx, dz =
+    make_kkt ~params ~fallbacks ~sparse ~force_dense:false ~gsp w ~bx ~bz
+  in
+  (dx, dz, !fallbacks)
 
 (* The solver runs on the homogeneous self-dual embedding
 

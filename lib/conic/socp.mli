@@ -102,7 +102,10 @@ type params = {
           analysis per solve, one numeric refactorisation per
           iteration, falling back to the dense path (counted in
           {!solution.kkt_fallbacks}) for any iteration whose sparse
-          factorisation fails.  Both backends satisfy the same
+          factorisation fails.  Orthant rows with more than
+          {!dense_row_threshold} nonzeros stay out of the sparse
+          factor and are added back by a Sherman–Morrison–Woodbury
+          update.  Both backends satisfy the same
           tolerances; the dense path is the differential-testing
           oracle.  See docs/solver.md. *)
   warm : warm option;
@@ -121,6 +124,30 @@ val solve :
   h:Linalg.Vec.t ->
   Cone.t ->
   solution
+
+(** Orthant rows of [G] with more nonzeros than this are the dense rows
+    that the [`Sparse] backend keeps out of its Cholesky pattern. *)
+val dense_row_threshold : int
+
+(** [kkt_solve ~kkt ~g cone ~s ~z ~bx ~bz] solves one scaled KKT system
+    {v Gᵀ·dz = bx,   G·dx − W²·dz = bz v}
+    at the NT scaling [W] of the strictly interior pair [(s, z)], the
+    way one interior-point iteration does with backend [kkt], and
+    returns [(dx, dz, fallbacks)] — [fallbacks] is [1] when the sparse
+    backend had to take the dense path.  Exposed for the differential
+    tests of the KKT backends.
+    @raise Invalid_argument if [(s, z)] is not strictly interior.
+    @raise Linalg.Cholesky.Not_positive_definite if the dense path
+    fails too. *)
+val kkt_solve :
+  kkt:[ `Dense | `Sparse ] ->
+  g:Linalg.Mat.t ->
+  Cone.t ->
+  s:Linalg.Vec.t ->
+  z:Linalg.Vec.t ->
+  bx:Linalg.Vec.t ->
+  bz:Linalg.Vec.t ->
+  Linalg.Vec.t * Linalg.Vec.t * int
 
 (** [pp_status ppf st] prints a status for logs and error messages. *)
 val pp_status : Format.formatter -> status -> unit

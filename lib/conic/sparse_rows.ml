@@ -76,6 +76,36 @@ let scale_rows t ~blocks ~scale_block =
     blocks;
   { t with rows = scaled }
 
+let dense_rows t ~among ~above =
+  let candidate = Array.make t.m false in
+  List.iter
+    (fun (lo, len) ->
+      for i = lo to lo + len - 1 do
+        if List.compare_length_with t.rows.(i) above > 0 then
+          candidate.(i) <- true
+      done)
+    among;
+  let covered = Array.make t.n false in
+  let cover i = List.iter (fun (j, _) -> covered.(j) <- true) t.rows.(i) in
+  Array.iteri (fun i c -> if not c then cover i) candidate;
+  (* A candidate that is the only row touching some column stays in
+     place, in row order: without it that column of the remaining Gram
+     matrix would be empty. *)
+  List.filter
+    (fun i ->
+      if List.for_all (fun (j, _) -> covered.(j)) t.rows.(i) then true
+      else begin
+        cover i;
+        false
+      end)
+    (List.filter (Array.get candidate) (List.init t.m Fun.id))
+  |> Array.of_list
+
+let drop_rows t idx =
+  let rows = Array.copy t.rows in
+  Array.iter (fun i -> rows.(i) <- []) idx;
+  { t with rows }
+
 let gram t =
   let gram = Linalg.Mat.create t.n t.n in
   Array.iter

@@ -51,6 +51,18 @@ val scale_rows :
   scale_block:(int -> (int * float) list array -> (int * float) list array) ->
   t
 
+(** [dense_rows t ~among ~above] lists, in increasing order, the rows
+    inside the [(offset, length)] row blocks [among] that have more
+    than [above] stored entries — except that a row which is the only
+    one touching some column is left out (rows are taken in order), so
+    that every column touched by [t] stays touched once the listed
+    rows are dropped. *)
+val dense_rows : t -> among:(int * int) list -> above:int -> int array
+
+(** [drop_rows t idx] is [t] with the rows listed in [idx] emptied;
+    row numbering and dimensions are unchanged. *)
+val drop_rows : t -> int array -> t
+
 (** [gram t] is the dense symmetric Gram matrix [tᵀ·t], accumulated
     row by row in [O(Σ nnz(row)²)]. *)
 val gram : t -> Linalg.Mat.t

@@ -180,19 +180,24 @@ let frontier ?(steps = 9) ?params ?policy ?pool ?deadline ?candidate_deadline
     List.filter_map (function `Skipped s -> Some s | _ -> None) outcomes
   in
   (* Keep the non-dominated points (smaller budget AND smaller
-     buffers is better), sorted by buffer use. *)
+     buffers is better), sorted by buffer use.  Budgets compare in
+     whole granules: the continuous sum differs by solver noise from
+     recovery rung to recovery rung, so it must not decide which of
+     several tied ratios represents a point.  Ties keep the smallest
+     ratio. *)
+  let granules p = Float.round (p.budget_sum /. Config.granularity cfg) in
   let sorted =
     List.sort
       (fun p1 p2 ->
-        match compare p1.buffer_containers p2.buffer_containers with
-        | 0 -> compare p1.budget_sum p2.budget_sum
-        | c -> c)
+        compare
+          (p1.buffer_containers, granules p1, p1.weight_ratio)
+          (p2.buffer_containers, granules p2, p2.weight_ratio))
       raw
   in
-  let rec prune best_budget = function
+  let rec prune best = function
     | [] -> []
     | p :: rest ->
-      if p.budget_sum < best_budget -. 1e-6 then p :: prune p.budget_sum rest
-      else prune best_budget rest
+      if granules p < best then p :: prune (granules p) rest
+      else prune best rest
   in
   { points = prune infinity sorted; skipped }

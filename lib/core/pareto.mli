@@ -31,7 +31,10 @@ type sweep = { points : point list; skipped : (float * string) list }
     program for [steps] (default 9) weight ratios spread geometrically
     between heavily budget-dominant and heavily buffer-dominant and
     returns the non-dominated points sorted by increasing buffer use.
-    Each ratio reweights a private clone of [cfg], so the configuration
+    Budget sums compare rounded to whole granules; among ratios that
+    tie on containers and granules the smallest ratio represents the
+    point, so the frontier does not depend on which recovery rung
+    answered a candidate.  Each ratio reweights a private clone of [cfg], so the configuration
     is never mutated and the candidate solves are independent; with
     [?pool] they run concurrently, with results bit-identical to the
     sequential sweep (see {!Parallel.Pool.map_result}).  Infeasible

@@ -202,6 +202,7 @@ type symbolic = {
   pcolptr : int array;  (* permuted upper-triangle pattern... *)
   prowind : int array;
   psrc : int array;  (* ...with each entry mapped to its value slot in the original matrix *)
+  psrc_bound : int;  (* 1 + the largest slot in psrc, 0 if empty *)
   lcolptr : int array;  (* column pointers of the factor L (lower CSC) *)
 }
 
@@ -286,7 +287,8 @@ let symbolic ?order a =
   for c = 0 to n - 1 do
     lcolptr.(c + 1) <- lcolptr.(c) + count.(c)
   done;
-  { sn = n; perm; pinv; parent; pcolptr; prowind; psrc; lcolptr }
+  let psrc_bound = Array.fold_left (fun acc p -> max acc (p + 1)) 0 psrc in
+  { sn = n; perm; pinv; parent; pcolptr; prowind; psrc; psrc_bound; lcolptr }
 
 (* ---- numeric phase ------------------------------------------------ *)
 
@@ -308,8 +310,8 @@ let shift f = f.fshift
 let refactor sy a ~shift =
   let n = sy.sn in
   if a.n <> n then invalid_arg "Sparse.refactor: dimension mismatch";
-  if Array.length a.values < (if Array.length sy.psrc = 0 then 0 else 1 + Array.fold_left max 0 sy.psrc)
-  then invalid_arg "Sparse.refactor: pattern mismatch";
+  if Array.length a.values < sy.psrc_bound then
+    invalid_arg "Sparse.refactor: pattern mismatch";
   let lnz = sy.lcolptr.(n) in
   let lrowind = Array.make lnz 0 and lvalues = Array.make lnz 0.0 in
   let next = Array.sub sy.lcolptr 0 n in

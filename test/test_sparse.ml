@@ -335,6 +335,146 @@ let test_sparse_infeasible_agrees () =
   | _ -> Alcotest.fail "both backends must report infeasibility"
 
 (* ------------------------------------------------------------------ *)
+(* Dense rows: Sherman–Morrison–Woodbury against the dense oracle      *)
+(* ------------------------------------------------------------------ *)
+
+module Cone = Conic.Cone
+
+let rel_err x oracle =
+  Vec.nrm2 (Vec.sub x oracle) /. Float.max 1e-300 (Vec.nrm2 oracle)
+
+(* A random cone program shape with [dense] shared-resource rows of
+   17..n nonzeros among short rows (one bound per column plus a few
+   two- and three-term rows), and a three-row SOC block at the end;
+   (s, z) strictly interior. *)
+let random_dense_row_kkt ~dense seed =
+  let rng = Workloads.Rng.create (Int64.of_int seed) in
+  let f lo hi = Workloads.Rng.float rng ~lo ~hi in
+  let n = 20 + Workloads.Rng.int rng ~bound:13 in
+  let short k =
+    List.init k (fun _ -> (Workloads.Rng.int rng ~bound:n, f (-2.0) 2.0))
+  in
+  let bounds = List.init n (fun j -> [ (j, f 0.5 2.0) ]) in
+  let extra =
+    List.init (Workloads.Rng.int rng ~bound:n) (fun _ ->
+        short (2 + Workloads.Rng.int rng ~bound:2))
+  in
+  let dense_rows =
+    List.init dense (fun _ ->
+        let k = 17 + Workloads.Rng.int rng ~bound:(n - 16) in
+        let start = Workloads.Rng.int rng ~bound:n in
+        List.init k (fun i -> ((start + i) mod n, f 0.5 3.0)))
+  in
+  (* Interleave the dense rows among the short ones. *)
+  let orthant =
+    List.fold_left
+      (fun acc r ->
+        let at = Workloads.Rng.int rng ~bound:(List.length acc + 1) in
+        List.filteri (fun i _ -> i < at) acc
+        @ [ r ] @ List.filteri (fun i _ -> i >= at) acc)
+      (bounds @ extra) dense_rows
+  in
+  let rows = Array.of_list (orthant @ List.init 3 (fun _ -> short 2)) in
+  let m = Array.length rows in
+  let g = Mat.create m n in
+  Array.iteri
+    (fun i r -> List.iter (fun (j, v) -> Mat.update g i j (( +. ) v)) r)
+    rows;
+  let k = List.length orthant in
+  let cone = Cone.make [ Cone.Nonneg k; Cone.Soc 3 ] in
+  let interior () =
+    let v = Array.init m (fun _ -> f 0.1 10.0) in
+    v.(k + 1) <- f (-1.0) 1.0;
+    v.(k + 2) <- f (-1.0) 1.0;
+    v.(k) <- sqrt ((v.(k + 1) ** 2.0) +. (v.(k + 2) ** 2.0)) +. f 0.1 2.0;
+    v
+  in
+  let s = interior () and z = interior () in
+  let bx = Array.init n (fun _ -> f (-1.0) 1.0)
+  and bz = Array.init m (fun _ -> f (-1.0) 1.0) in
+  (g, cone, s, z, bx, bz)
+
+let prop_dense_rows_match_oracle =
+  QCheck2.Test.make
+    ~name:"dense-row KKT solve matches the dense Cholesky oracle" ~count:200
+    QCheck2.Gen.(pair (int_range 1 3) (int_range 0 1_000_000))
+    (fun (dense, seed) ->
+      let g, cone, s, z, bx, bz = random_dense_row_kkt ~dense seed in
+      let dxo, dzo, _ = Socp.kkt_solve ~kkt:`Dense ~g cone ~s ~z ~bx ~bz in
+      let dx, dz, fallbacks =
+        Socp.kkt_solve ~kkt:`Sparse ~g cone ~s ~z ~bx ~bz
+      in
+      fallbacks = 0 && rel_err dx dxo <= 1e-8 && rel_err dz dzo <= 1e-8)
+
+(* Column 19 appears only in dense row 19: dropping that row would
+   leave the sparse part of GᵀW⁻²G with an empty column, singular on
+   its own, so it stays in the pattern.  Row 20 is dense too and
+   covers nothing new, so it is the one added back through the
+   low-rank update; the full solve must match the oracle. *)
+let test_dense_row_only_variable () =
+  let n = 20 in
+  let g = Mat.create (n + 2) n in
+  for j = 0 to n - 2 do
+    Mat.set g j j 1.0
+  done;
+  for j = 0 to n - 1 do
+    Mat.set g (n - 1) j (1.0 +. (0.1 *. float_of_int j))
+  done;
+  for j = 0 to n - 3 do
+    Mat.set g n j (2.0 -. (0.05 *. float_of_int j))
+  done;
+  Mat.set g (n + 1) 0 (-1.0);
+  Mat.set g (n + 1) 1 1.0;
+  let m = n + 2 in
+  Alcotest.(check (array int))
+    "only the covered dense row is split out" [| n |]
+    (Sparse_rows.dense_rows (Sparse_rows.of_mat g) ~among:[ (0, m) ]
+       ~above:Socp.dense_row_threshold);
+  let cone = Cone.make [ Cone.Nonneg m ] in
+  let s = Array.init m (fun i -> 0.5 +. (0.05 *. float_of_int i))
+  and z = Array.init m (fun i -> 2.0 -. (0.03 *. float_of_int i)) in
+  let bx = Array.init n (fun j -> Float.of_int ((j mod 5) - 2))
+  and bz = Array.init m (fun i -> 0.1 *. float_of_int (i mod 7)) in
+  let dxo, dzo, _ = Socp.kkt_solve ~kkt:`Dense ~g cone ~s ~z ~bx ~bz in
+  let dx, dz, fallbacks = Socp.kkt_solve ~kkt:`Sparse ~g cone ~s ~z ~bx ~bz in
+  Alcotest.(check int) "no dense fallback" 0 fallbacks;
+  Alcotest.(check bool) "dx matches the oracle" true (rel_err dx dxo <= 1e-8);
+  Alcotest.(check bool) "dz matches the oracle" true (rel_err dz dzo <= 1e-8)
+
+(* Chain 300 keeps all 299 buffers in one memory: with the memory row
+   in the pattern the factor held a 299-clique (55192 nonzeros). *)
+let test_chain300_factor_without_memory_row () =
+  let cfg = Workloads.Gen.chain ~n:300 () in
+  let sink = Obs.Sink.ring ~capacity:4096 in
+  let r =
+    match
+      Mapping.solve
+        ?params:(Mapping.params_of_kkt `Auto cfg)
+        ~obs:(Obs.Ctx.make ~sink ()) cfg
+    with
+    | Ok r -> r
+    | Error e -> Alcotest.failf "chain 300: %s" (Mapping.short_reason e)
+  in
+  Alcotest.(check bool)
+    "certified" true
+    (Certify.certified r.Mapping.certificate);
+  Alcotest.(check int)
+    "no dense fallbacks" 0 r.Mapping.stats.Mapping.kkt_fallbacks;
+  match
+    List.filter_map
+      (fun e ->
+        match e.Obs.Trace.event with
+        | Obs.Trace.Kkt_factor { phase = "symbolic"; nnz; _ } -> Some nnz
+        | _ -> None)
+      (Obs.Sink.events sink)
+  with
+  | [ nnz ] ->
+    Alcotest.(check bool)
+      (Printf.sprintf "symbolic factor nnz %d < 10000" nnz)
+      true (nnz < 10_000)
+  | l -> Alcotest.failf "expected one symbolic analysis, got %d" (List.length l)
+
+(* ------------------------------------------------------------------ *)
 (* Warm starts                                                         *)
 (* ------------------------------------------------------------------ *)
 
@@ -484,6 +624,15 @@ let () =
             test_sparse_infeasible_agrees;
         ]
         @ List.map QCheck_alcotest.to_alcotest [ prop_differential_oracle ] );
+      ( "dense rows",
+        [
+          Alcotest.test_case "variable only in a dense row" `Quick
+            test_dense_row_only_variable;
+          Alcotest.test_case "chain 300 factor" `Quick
+            test_chain300_factor_without_memory_row;
+        ]
+        @ List.map QCheck_alcotest.to_alcotest [ prop_dense_rows_match_oracle ]
+      );
       ( "auto dispatch",
         [ Alcotest.test_case "kkt_auto threshold" `Quick test_kkt_auto_dispatch ]
       );

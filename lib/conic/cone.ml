@@ -270,21 +270,6 @@ let lambda w = Linalg.Vec.copy w.lam
 let block_layout w =
   Array.fold_right (fun (o, n, _) acc -> (o, n) :: acc) w.per_block []
 
-(* Merge [coeff × sparse-row] combinations into one column-sorted row. *)
-let combine parts =
-  let tbl = Hashtbl.create 8 in
-  List.iter
-    (fun (coeff, entries) ->
-      if coeff <> 0.0 then
-        List.iter
-          (fun (j, v) ->
-            let cur = try Hashtbl.find tbl j with Not_found -> 0.0 in
-            Hashtbl.replace tbl j (cur +. (coeff *. v)))
-          entries)
-    parts;
-  Hashtbl.fold (fun j v acc -> if v = 0.0 then acc else (j, v) :: acc) tbl []
-  |> List.sort (fun (a, _) (b, _) -> compare a b)
-
 (* Binary search of the block starting at [offset]. *)
 let block_at w offset =
   let rec go lo hi =
@@ -298,34 +283,58 @@ let block_at w offset =
   in
   go 0 (Array.length w.per_block - 1)
 
+(* [coeff·r] with entries that underflow to zero dropped; [r] is
+   column-sorted, so the result is too. *)
+let rec scale_row coeff = function
+  | [] -> []
+  | (j, v) :: rest ->
+    let x = coeff *. v in
+    if x = 0.0 then scale_row coeff rest else (j, x) :: scale_row coeff rest
+
+(* [acc.(p) += coeff·v] over one sparse row, where [cols.(p)] is the
+   entry's column.  [cols] is a sorted superset of the row's columns,
+   so [p] only moves forward from [0]. *)
+let rec accumulate_row acc cols coeff p = function
+  | [] -> ()
+  | (j, v) :: rest as row ->
+    if cols.(p) < j then accumulate_row acc cols coeff (p + 1) row
+    else begin
+      acc.(p) <- acc.(p) +. (coeff *. v);
+      accumulate_row acc cols coeff (p + 1) rest
+    end
+
 let apply_inv_rows w offset rows =
   let _, n, bs = block_at w offset in
   if Array.length rows <> n then
     invalid_arg "Cone.apply_inv_rows: row count mismatch";
   match bs with
   | W_diag d ->
-    (* One coefficient per row: the rows stay column-sorted, and an
-       entry that underflows to zero is dropped, as [combine] would. *)
-    Array.mapi
-      (fun i r ->
-        let coeff = 1.0 /. d.(i) in
-        List.filter_map
-          (fun (j, v) ->
-            let x = coeff *. v in
-            if x = 0.0 then None else Some (j, x))
-          r)
-      rows
+    (* One coefficient per row: the rows stay column-sorted. *)
+    Array.mapi (fun i r -> scale_row (1.0 /. d.(i)) r) rows
   | W_soc { eta; v } ->
     (* W⁻¹ = η⁻¹·(2·(Jv)(Jv)ᵀ − J): row i of the result mixes the
-       block's rows with coefficients 2·(Jv)ᵢ·(Jv)ₖ − Jᵢᵢ·[i=k]. *)
+       block's rows with coefficients 2·(Jv)ᵢ·(Jv)ₖ − Jᵢᵢ·[i=k],
+       summed per column over k in order, on a dense accumulator over
+       the union of the block's columns; exact zeros are dropped. *)
     let jv = Array.mapi (fun i x -> if i = 0 then x else -.x) v in
+    let cols =
+      Array.of_list
+        (List.sort_uniq compare
+           (Array.fold_left (fun acc r -> List.map fst r @ acc) [] rows))
+    in
+    let acc = Array.make (Array.length cols) 0.0 in
     Array.init n (fun i ->
-        let parts =
-          List.init n (fun k ->
-              let coeff =
-                (2.0 *. jv.(i) *. jv.(k))
-                -. (if i = k then if i = 0 then 1.0 else -1.0 else 0.0)
-              in
-              (coeff /. eta, rows.(k)))
-        in
-        combine parts)
+        Array.fill acc 0 (Array.length acc) 0.0;
+        for k = 0 to n - 1 do
+          let coeff =
+            ((2.0 *. jv.(i) *. jv.(k))
+            -. (if i = k then if i = 0 then 1.0 else -1.0 else 0.0))
+            /. eta
+          in
+          if coeff <> 0.0 then accumulate_row acc cols coeff 0 rows.(k)
+        done;
+        let out = ref [] in
+        for p = Array.length cols - 1 downto 0 do
+          if acc.(p) <> 0.0 then out := (cols.(p), acc.(p)) :: !out
+        done;
+        !out)

@@ -5,14 +5,13 @@ type scaling = { row : Vec.t; col : Vec.t; obj : float }
 
 let dynamic_range g =
   let mx = ref 0.0 and mn = ref infinity in
-  for i = 0 to Mat.rows g - 1 do
-    for j = 0 to Mat.cols g - 1 do
-      let v = Float.abs (Mat.get g i j) in
-      if v > 0.0 then begin
-        if v > !mx then mx := v;
-        if v < !mn then mn := v
-      end
-    done
+  let d = Mat.data g in
+  for k = 0 to Array.length d - 1 do
+    let v = Float.abs d.(k) in
+    if v > 0.0 then begin
+      if v > !mx then mx := v;
+      if v < !mn then mn := v
+    end
   done;
   if !mx = 0.0 then 1.0 else !mx /. !mn
 
@@ -36,6 +35,7 @@ let soc_groups cone =
 let equilibrate ?(iterations = 10) ~c ~g ~h cone =
   let m = Mat.rows g and n = Mat.cols g in
   let a = Mat.copy g in
+  let d = Mat.data a in
   let row = Vec.make m 1.0 and col = Vec.make n 1.0 in
   let groups = soc_groups cone in
   let rnorm = Vec.create m and cnorm = Vec.create n in
@@ -44,7 +44,7 @@ let equilibrate ?(iterations = 10) ~c ~g ~h cone =
     Vec.fill cnorm 0.0;
     for i = 0 to m - 1 do
       for j = 0 to n - 1 do
-        let v = Float.abs (Mat.get a i j) in
+        let v = Float.abs d.((i * n) + j) in
         if v > rnorm.(i) then rnorm.(i) <- v;
         if v > cnorm.(j) then cnorm.(j) <- v
       done
@@ -59,17 +59,19 @@ let equilibrate ?(iterations = 10) ~c ~g ~h cone =
           rnorm.(i) <- !mx
         done)
       groups;
-    let d i = if rnorm.(i) > 0.0 then 1.0 /. sqrt rnorm.(i) else 1.0 in
-    let e j = if cnorm.(j) > 0.0 then 1.0 /. sqrt cnorm.(j) else 1.0 in
+    let e =
+      Array.map (fun c -> if c > 0.0 then 1.0 /. sqrt c else 1.0) cnorm
+    in
     for i = 0 to m - 1 do
-      let di = d i in
+      let di = if rnorm.(i) > 0.0 then 1.0 /. sqrt rnorm.(i) else 1.0 in
       row.(i) <- row.(i) *. di;
+      let base = i * n in
       for j = 0 to n - 1 do
-        Mat.set a i j (Mat.get a i j *. di *. e j)
+        d.(base + j) <- d.(base + j) *. di *. e.(j)
       done
     done;
     for j = 0 to n - 1 do
-      col.(j) <- col.(j) *. e j
+      col.(j) <- col.(j) *. e.(j)
     done
   done;
   let obj =

@@ -116,9 +116,6 @@ let make_sparse_kkt ~params ~gsp cone =
        });
   { pattern; symbolic; dense }
 
-let sparse_dot row v =
-  List.fold_left (fun acc (j, a) -> acc +. (a *. v.(j))) 0.0 row
-
 (* Sherman–Morrison–Woodbury on M = M_s + A·Aᵀ, where M_s is factored
    in [fact] and the columns of A are the scaled dense rows [rows]:
      M⁻¹b = y − U·C⁻¹·(Aᵀy),  y = M_s⁻¹b,  U = M_s⁻¹A,  C = I + AᵀU.
@@ -139,7 +136,9 @@ let woodbury ~n fact rows =
     let cap = Mat.create k k in
     for i = 0 to k - 1 do
       for l = 0 to i do
-        let v = (if i = l then 1.0 else 0.0) +. sparse_dot rows.(i) u.(l) in
+        let v =
+          (if i = l then 1.0 else 0.0) +. Sparse_rows.row_dot rows.(i) u.(l)
+        in
         Mat.set cap i l v;
         Mat.set cap l i v
       done
@@ -147,10 +146,19 @@ let woodbury ~n fact rows =
     let cf = Cholesky.factor cap in
     fun b ->
       let y = Linalg.Sparse.solve fact b in
-      let w = Cholesky.solve cf (Array.map (fun r -> sparse_dot r y) rows) in
+      let w =
+        Cholesky.solve cf (Array.map (fun r -> Sparse_rows.row_dot r y) rows)
+      in
       Array.iteri (fun l ul -> Vec.axpy (-.w.(l)) ul y) u;
       y
   end
+
+(* Per-solve n×n storage of the dense path, the Gram matrix and its
+   Cholesky factor, overwritten by every iteration that takes it.  Lazy,
+   so the sparse backend allocates it only on a fallback iteration. *)
+type dense_store = { gram : Mat.t; chol : Mat.t }
+
+let dense_store n = lazy { gram = Mat.create n n; chol = Mat.create n n }
 
 (* Solve the 2×2 scaled KKT system
      Gᵀ·dz        = bx
@@ -165,7 +173,7 @@ let woodbury ~n fact rows =
    factorisation or the capacitance matrix fails (or a [Dense_kkt]
    fault forces it) the iteration falls back to the dense oracle path,
    counted in [fallbacks]. *)
-let make_kkt ~params ~fallbacks ~sparse ~force_dense ~gsp w =
+let make_kkt ~params ~fallbacks ~sparse ~store ~force_dense ~gsp w =
   (* The sparse rows of G have a handful of entries each, so the scaled
      matrix W⁻¹·G and its Gram matrix are formed in O(Σ nnz(row)²)
      instead of densifying. *)
@@ -185,8 +193,9 @@ let make_kkt ~params ~fallbacks ~sparse ~force_dense ~gsp w =
     dx
   in
   let dense_refined () =
-    let mmat = Sparse_rows.gram scaled in
-    let fact = Cholesky.factor ~max_shift:1e-2 mmat in
+    let { gram; chol } = Lazy.force store in
+    let mmat = Sparse_rows.gram ~into:gram scaled in
+    let fact = Cholesky.factor ~max_shift:1e-2 ~into:chol mmat in
     refined ~apply:(Mat.mul_vec mmat) ~solve:(Cholesky.solve fact)
   in
   let solve_refined =
@@ -234,7 +243,7 @@ let make_kkt ~params ~fallbacks ~sparse ~force_dense ~gsp w =
             let y = Linalg.Sparse.mul_vec pattern x in
             Array.iter
               (fun r ->
-                let t = sparse_dot r x in
+                let t = Sparse_rows.row_dot r x in
                 List.iter (fun (j, a) -> y.(j) <- y.(j) +. (a *. t)) r)
               rows;
             y
@@ -262,8 +271,10 @@ let kkt_solve ~kkt ~g cone ~s ~z ~bx ~bz =
   in
   let fallbacks = ref 0 in
   let w = Cone.nt_scaling cone ~s ~z in
+  let store = dense_store (Sparse_rows.cols gsp) in
   let dx, dz =
-    make_kkt ~params ~fallbacks ~sparse ~force_dense:false ~gsp w ~bx ~bz
+    make_kkt ~params ~fallbacks ~sparse ~store ~force_dense:false ~gsp w ~bx
+      ~bz
   in
   (dx, dz, !fallbacks)
 
@@ -308,6 +319,7 @@ let solve_direct ~params ~c ~g ~h cone =
       | `Dense -> None
       | `Sparse -> Some (make_sparse_kkt ~params ~gsp cone)
     in
+    let store = dense_store n in
     let norm_h = Float.max 1.0 (Vec.nrm2 h)
     and norm_c = Float.max 1.0 (Vec.nrm2 c) in
     let e = Cone.identity cone in
@@ -557,7 +569,9 @@ let solve_direct ~params ~c ~g ~h cone =
           match Cone.nt_scaling cone ~s:!s ~z:!z with
           | exception Invalid_argument _ -> finish_or Stalled
           | w -> begin
-            match make_kkt ~params ~fallbacks ~sparse ~force_dense ~gsp w with
+            match
+              make_kkt ~params ~fallbacks ~sparse ~store ~force_dense ~gsp w
+            with
             | exception Cholesky.Not_positive_definite -> finish_or Stalled
             | kkt ->
               let lam = Cone.lambda w in

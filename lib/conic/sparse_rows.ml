@@ -30,11 +30,12 @@ let of_rows ~cols rows =
 
 let of_mat a =
   let m = Linalg.Mat.rows a and n = Linalg.Mat.cols a in
+  let data = Linalg.Mat.data a in
   let rows =
     Array.init m (fun i ->
         let entries = ref [] in
         for j = n - 1 downto 0 do
-          let v = Linalg.Mat.get a i j in
+          let v = data.((i * n) + j) in
           if v <> 0.0 then entries := (j, v) :: !entries
         done;
         !entries)
@@ -49,10 +50,29 @@ let row t i =
   if i < 0 || i >= t.m then invalid_arg "Sparse_rows.row: out of range";
   t.rows.(i)
 
+(* Σ v·x.(j) over a row, left to right from 0.  A loop over a local
+   ref, not a fold or a recursion, so the running sum is never boxed. *)
+let row_dot row x =
+  let acc = ref 0.0 and rest = ref row in
+  while
+    match !rest with
+    | [] -> false
+    | (j, v) :: tl ->
+      acc := !acc +. (v *. x.(j));
+      rest := tl;
+      true
+  do
+    ()
+  done;
+  !acc
+
 let mul_vec t x =
   if Linalg.Vec.dim x <> t.n then invalid_arg "Sparse_rows.mul_vec: dimension";
-  Array.init t.m (fun i ->
-      List.fold_left (fun acc (j, v) -> acc +. (v *. x.(j))) 0.0 t.rows.(i))
+  let y = Array.make t.m 0.0 in
+  for i = 0 to t.m - 1 do
+    y.(i) <- row_dot t.rows.(i) x
+  done;
+  y
 
 let mul_tvec t y =
   if Linalg.Vec.dim y <> t.m then invalid_arg "Sparse_rows.mul_tvec: dimension";
@@ -106,27 +126,43 @@ let drop_rows t idx =
   Array.iter (fun i -> rows.(i) <- []) idx;
   { t with rows }
 
-let gram t =
-  let gram = Linalg.Mat.create t.n t.n in
+(* [d.(base + k) += vj·vk] along one row's tail: a direct recursion
+   rather than a [List.iter] closure, so no float is boxed. *)
+let rec accumulate d base vj = function
+  | [] -> ()
+  | (k, vk) :: rest ->
+    d.(base + k) <- d.(base + k) +. (vj *. vk);
+    accumulate d base vj rest
+
+let gram ?into t =
+  let n = t.n in
+  let gram =
+    match into with
+    | None -> Linalg.Mat.create n n
+    | Some g ->
+      if Linalg.Mat.rows g <> n || Linalg.Mat.cols g <> n then
+        invalid_arg "Sparse_rows.gram: into has the wrong dimensions";
+      g
+  in
+  let d = Linalg.Mat.data gram in
+  Array.fill d 0 (n * n) 0.0;
   Array.iter
     (fun entries ->
       (* Accumulate the outer product of one sparse row (upper triangle). *)
       let rec outer = function
         | [] -> ()
         | (j, vj) :: rest ->
-          Linalg.Mat.update gram j j (fun x -> x +. (vj *. vj));
-          List.iter
-            (fun (k, vk) ->
-              Linalg.Mat.update gram j k (fun x -> x +. (vj *. vk)))
-            rest;
+          let base = j * n in
+          d.(base + j) <- d.(base + j) +. (vj *. vj);
+          accumulate d base vj rest;
           outer rest
       in
       outer entries)
     t.rows;
   (* Mirror into the lower triangle. *)
-  for i = 0 to t.n - 1 do
-    for j = i + 1 to t.n - 1 do
-      Linalg.Mat.set gram j i (Linalg.Mat.get gram i j)
+  for i = 0 to n - 1 do
+    for j = i + 1 to n - 1 do
+      d.((j * n) + i) <- d.((i * n) + j)
     done
   done;
   gram

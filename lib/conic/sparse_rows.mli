@@ -32,6 +32,10 @@ val nnz : t -> int
     column order. *)
 val row : t -> int -> (int * float) list
 
+(** [row_dot r x] is the dot product of the sparse row [r] with [x],
+    summed in column order from [0.]. *)
+val row_dot : (int * float) list -> Linalg.Vec.t -> float
+
 (** [mul_vec t x] is [A·x]. *)
 val mul_vec : t -> Linalg.Vec.t -> Linalg.Vec.t
 
@@ -63,9 +67,12 @@ val dense_rows : t -> among:(int * int) list -> above:int -> int array
     row numbering and dimensions are unchanged. *)
 val drop_rows : t -> int array -> t
 
-(** [gram t] is the dense symmetric Gram matrix [tᵀ·t], accumulated
-    row by row in [O(Σ nnz(row)²)]. *)
-val gram : t -> Linalg.Mat.t
+(** [gram ?into t] is the dense symmetric Gram matrix [tᵀ·t],
+    accumulated row by row in [O(Σ nnz(row)²)].  With [into] (an
+    [n]×[n] matrix, [n = cols t]) the result overwrites it and is
+    returned; otherwise it is fresh.
+    @raise Invalid_argument if [into] has the wrong dimensions. *)
+val gram : ?into:Linalg.Mat.t -> t -> Linalg.Mat.t
 
 (** [scaled_gram t ~blocks ~scale_block] is
     [(gram (scale_rows t …), scale_rows t …)]. *)

@@ -16,13 +16,17 @@ type factor = {
 
 exception Not_positive_definite
 
-(** [factor ?max_shift a] computes a lower-triangular [l] with
+(** [factor ?max_shift ?into a] computes a lower-triangular [l] with
     [l·lᵀ = a + shift·I].  The shift starts at [0.] and is increased
     geometrically from [1e-14·‖a‖] up to [max_shift·‖a‖]
-    (default [1e-4]) until the factorisation succeeds.
+    (default [1e-4]) until the factorisation succeeds.  With [into]
+    (a matrix of [a]'s dimensions whose strict upper triangle is zero,
+    such as an earlier factor's [l]) the factor is written into its
+    storage and [l] is [into]; otherwise [l] is fresh.
     @raise Not_positive_definite if no shift in range succeeds.
-    @raise Invalid_argument if [a] is not square. *)
-val factor : ?max_shift:float -> Mat.t -> factor
+    @raise Invalid_argument if [a] is not square or [into] has the
+    wrong dimensions. *)
+val factor : ?max_shift:float -> ?into:Mat.t -> Mat.t -> factor
 
 (** [solve f b] solves [(l·lᵀ)·x = b] by forward and back substitution. *)
 val solve : factor -> Vec.t -> Vec.t

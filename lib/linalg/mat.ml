@@ -28,8 +28,15 @@ let of_arrays arr =
   end
 
 let of_rows rows = of_arrays (Array.of_list rows)
+
+let of_data m n data =
+  if m < 0 || n < 0 then invalid_arg "Mat.of_data: negative dimension";
+  if Array.length data <> m * n then invalid_arg "Mat.of_data: data length";
+  { m; n; data }
+
 let rows a = a.m
 let cols a = a.n
+let data a = a.data
 
 let get a i j =
   if i < 0 || i >= a.m || j < 0 || j >= a.n then
@@ -43,19 +50,21 @@ let set a i j x =
 
 let update a i j f = set a i j (f (get a i j))
 let copy a = { a with data = Array.copy a.data }
-let row a i = Array.init a.n (fun j -> get a i j)
 let col a j = Array.init a.m (fun i -> get a i j)
 let transpose a = init a.n a.m (fun i j -> get a j i)
 
 let mul_vec a x =
   if Vec.dim x <> a.n then invalid_arg "Mat.mul_vec: dimension mismatch";
-  Array.init a.m (fun i ->
-      let acc = ref 0.0 in
-      let base = i * a.n in
-      for j = 0 to a.n - 1 do
-        acc := !acc +. (a.data.(base + j) *. x.(j))
-      done;
-      !acc)
+  let y = Array.make a.m 0.0 in
+  for i = 0 to a.m - 1 do
+    let acc = ref 0.0 in
+    let base = i * a.n in
+    for j = 0 to a.n - 1 do
+      acc := !acc +. (a.data.(base + j) *. x.(j))
+    done;
+    y.(i) <- !acc
+  done;
+  y
 
 let mul_tvec a x =
   if Vec.dim x <> a.m then invalid_arg "Mat.mul_tvec: dimension mismatch";
@@ -92,8 +101,6 @@ let map2 name f a b =
   { a with data = Array.init (a.m * a.n) (fun k -> f a.data.(k) b.data.(k)) }
 
 let add a b = map2 "add" ( +. ) a b
-let sub a b = map2 "sub" ( -. ) a b
-let scale k a = { a with data = Array.map (fun x -> k *. x) a.data }
 
 let gram_weighted a w =
   if Vec.dim w <> a.m then invalid_arg "Mat.gram_weighted: weight dimension";
@@ -124,7 +131,12 @@ let gram_weighted a w =
 let gram a = gram_weighted a (Array.make a.m 1.0)
 
 let frobenius a =
-  sqrt (Array.fold_left (fun acc x -> acc +. (x *. x)) 0.0 a.data)
+  let acc = ref 0.0 in
+  for k = 0 to Array.length a.data - 1 do
+    let x = a.data.(k) in
+    acc := !acc +. (x *. x)
+  done;
+  sqrt !acc
 
 let equal ~eps a b =
   a.m = b.m && a.n = b.n
@@ -135,11 +147,3 @@ let equal ~eps a b =
          a.data;
        !ok
      end
-
-let pp ppf a =
-  Format.fprintf ppf "@[<v>";
-  for i = 0 to a.m - 1 do
-    Format.fprintf ppf "%a" Vec.pp (row a i);
-    if i < a.m - 1 then Format.fprintf ppf "@,"
-  done;
-  Format.fprintf ppf "@]"

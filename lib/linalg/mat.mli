@@ -23,11 +23,23 @@ val of_rows : float array list -> t
 (** [of_arrays a] builds a matrix from an array of rows. *)
 val of_arrays : float array array -> t
 
+(** [of_data m n data] is the [m]×[n] matrix whose row-major storage
+    is [data] itself (not a copy): entry [(i, j)] is
+    [data.(i * n + j)].
+    @raise Invalid_argument unless [Array.length data = m * n]. *)
+val of_data : int -> int -> float array -> t
+
 (** [rows a] is the number of rows. *)
 val rows : t -> int
 
 (** [cols a] is the number of columns. *)
 val cols : t -> int
+
+(** [data a] is the row-major storage of [a] itself (not a copy), of
+    length [rows a * cols a]: entry [(i, j)] is [data.(i * cols a + j)].
+    The numeric kernels index it directly, because every {!get} of a
+    float across a module boundary returns a boxed value. *)
+val data : t -> float array
 
 (** [get a i j] is entry [(i, j)]. *)
 val get : t -> int -> int -> float
@@ -40,9 +52,6 @@ val update : t -> int -> int -> (float -> float) -> unit
 
 (** [copy a] is a deep copy. *)
 val copy : t -> t
-
-(** [row a i] is a fresh copy of row [i]. *)
-val row : t -> int -> Vec.t
 
 (** [col a j] is a fresh copy of column [j]. *)
 val col : t -> int -> Vec.t
@@ -62,12 +71,6 @@ val mul : t -> t -> t
 (** [add a b] is the fresh sum. *)
 val add : t -> t -> t
 
-(** [sub a b] is the fresh difference. *)
-val sub : t -> t -> t
-
-(** [scale k a] is the fresh scalar multiple [k·A]. *)
-val scale : float -> t -> t
-
 (** [gram a] is [Aᵀ·A], computed symmetrically. *)
 val gram : t -> t
 
@@ -80,6 +83,3 @@ val frobenius : t -> float
 
 (** [equal ~eps a b] is component-wise equality within [eps]. *)
 val equal : eps:float -> t -> t -> bool
-
-(** [pp ppf a] prints the matrix row by row. *)
-val pp : Format.formatter -> t -> unit

@@ -24,16 +24,15 @@ let dot u v =
 let nrm2 v =
   (* Scaled to avoid overflow on extreme entries. *)
   let scale = ref 0.0 and ssq = ref 1.0 in
-  Array.iter
-    (fun x ->
-      let ax = Float.abs x in
-      if ax > 0.0 then
-        if !scale < ax then begin
-          ssq := 1.0 +. (!ssq *. (!scale /. ax) *. (!scale /. ax));
-          scale := ax
-        end
-        else ssq := !ssq +. ((ax /. !scale) *. (ax /. !scale)))
-    v;
+  for i = 0 to Array.length v - 1 do
+    let ax = Float.abs v.(i) in
+    if ax > 0.0 then
+      if !scale < ax then begin
+        ssq := 1.0 +. (!ssq *. (!scale /. ax) *. (!scale /. ax));
+        scale := ax
+      end
+      else ssq := !ssq +. ((ax /. !scale) *. (ax /. !scale))
+  done;
   !scale *. sqrt !ssq
 
 let amax v = Array.fold_left (fun acc x -> Float.max acc (Float.abs x)) 0.0 v
@@ -44,7 +43,15 @@ let scal a v =
     v.(i) <- a *. v.(i)
   done
 
-let scale a v = Array.map (fun x -> a *. x) v
+(* The element-wise operations below are plain loops rather than
+   [Array.map]/[map2] with a float closure, which would box every
+   entry: they run several times per interior-point iteration. *)
+let scale a v =
+  let r = Array.make (Array.length v) 0.0 in
+  for i = 0 to Array.length v - 1 do
+    r.(i) <- a *. v.(i)
+  done;
+  r
 
 let axpy a x y =
   check_dims "axpy" x y;
@@ -58,11 +65,44 @@ let map2 f u v =
   check_dims "map2" u v;
   Array.init (Array.length u) (fun i -> f u.(i) v.(i))
 
-let add u v = map2 ( +. ) u v
-let sub u v = map2 ( -. ) u v
-let neg v = Array.map (fun x -> -.x) v
-let mul u v = map2 ( *. ) u v
-let div u v = map2 ( /. ) u v
+let add u v =
+  check_dims "add" u v;
+  let r = Array.make (Array.length u) 0.0 in
+  for i = 0 to Array.length u - 1 do
+    r.(i) <- u.(i) +. v.(i)
+  done;
+  r
+
+let sub u v =
+  check_dims "sub" u v;
+  let r = Array.make (Array.length u) 0.0 in
+  for i = 0 to Array.length u - 1 do
+    r.(i) <- u.(i) -. v.(i)
+  done;
+  r
+
+let neg v =
+  let r = Array.make (Array.length v) 0.0 in
+  for i = 0 to Array.length v - 1 do
+    r.(i) <- -.v.(i)
+  done;
+  r
+
+let mul u v =
+  check_dims "mul" u v;
+  let r = Array.make (Array.length u) 0.0 in
+  for i = 0 to Array.length u - 1 do
+    r.(i) <- u.(i) *. v.(i)
+  done;
+  r
+
+let div u v =
+  check_dims "div" u v;
+  let r = Array.make (Array.length u) 0.0 in
+  for i = 0 to Array.length u - 1 do
+    r.(i) <- u.(i) /. v.(i)
+  done;
+  r
 let fill v x = Array.fill v 0 (Array.length v) x
 
 let blit src dst =

@@ -470,6 +470,55 @@ let test_model_unconstrained_zero_objective () =
   check_float 1e-9 "constant objective" 7.0 r.Model.objective
 
 
+(* ------------------------------------------------------------------ *)
+(* Bit-level pin of the dense KKT path                                *)
+(* ------------------------------------------------------------------ *)
+
+(* The dense normal-equation kernel (Gram assembly, Cholesky factor,
+   triangular solves) must keep the order of its floating-point
+   operations.  These digests of the IEEE bits of the final x, s and z
+   of dense cold solves are those of the boxed kernel that preceded
+   the flat-array one, so a reordering fails here instead of drifting
+   some sweep several layers up.  The solver also calls libm ([**]),
+   so the digests hold for the platform they were recorded on
+   (x86-64 Linux, glibc). *)
+let iterate_digest (sol : Socp.solution) =
+  let b = Buffer.create 4096 in
+  Buffer.add_string b
+    (Format.asprintf "%a/%d;" Socp.pp_status sol.Socp.status
+       sol.Socp.iterations);
+  List.iter
+    (fun v ->
+      Array.iter
+        (fun x ->
+          Buffer.add_string b (Printf.sprintf "%Lx," (Int64.bits_of_float x)))
+        v;
+      Buffer.add_char b '|')
+    [ sol.Socp.x; sol.Socp.s; sol.Socp.z ];
+  Digest.to_hex (Digest.string (Buffer.contents b))
+
+let dense_pin_cases =
+  [
+    ("paper t1", Workloads.Gen.paper_t1, "8c837e8b75548541a933e6aaa6dbfd98");
+    ("paper t2", Workloads.Gen.paper_t2, "cb776aa2a5fb690e2f4ceed784fddacd");
+    ( "chain 8",
+      (fun () -> Workloads.Gen.chain ~n:8 ()),
+      "1ff105c911588f237ffe8242cc8c8325" );
+    ( "multijob 3",
+      (fun () ->
+        Workloads.Gen.multi_job (Workloads.Rng.create 1L) ~jobs:3
+          ~tasks_per_job:3 ~procs:3 ()),
+      "39b76b6c956d878c3ea5d7c08f453259" );
+  ]
+
+let test_dense_bit_pin (name, cfg, expected) () =
+  let b = Budgetbuf.Socp_builder.build (cfg ()) in
+  let params = { Socp.default_params with Socp.kkt = `Dense } in
+  let r = Model.solve ~params b.Budgetbuf.Socp_builder.model in
+  let got = iterate_digest r.Model.raw in
+  Alcotest.(check string) (name ^ " iterate bits") expected got
+
+
 let () =
   Alcotest.run "conic"
     [
@@ -529,4 +578,9 @@ let () =
             prop_sparse_products_match_dense;
             prop_sparse_scaled_gram_matches_dense;
           ] );
+      ( "dense kkt bits",
+        List.map
+          (fun ((name, _, _) as case) ->
+            Alcotest.test_case name `Quick (test_dense_bit_pin case))
+          dense_pin_cases );
     ]

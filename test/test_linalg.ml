@@ -229,6 +229,119 @@ let test_triangular_solves_direct () =
   Alcotest.check vec_testable "backward" [| 0.5; 1.0 |] y
 
 
+(* ------------------------------------------------------------------ *)
+(* Flat-array kernel                                                  *)
+(* ------------------------------------------------------------------ *)
+
+let test_mat_data_aliasing () =
+  let d = [| 1.; 2.; 3.; 4.; 5.; 6. |] in
+  let a = Mat.of_data 2 3 d in
+  check_float "row-major (1, 0)" 4.0 (Mat.get a 1 0);
+  Mat.set a 0 2 9.0;
+  check_float "storage is shared" 9.0 d.(2);
+  Alcotest.(check bool) "data is the storage" true (Mat.data a == d);
+  Alcotest.check_raises "length checked"
+    (Invalid_argument "Mat.of_data: data length") (fun () ->
+      ignore (Mat.of_data 2 2 d))
+
+(* Random symmetric matrices of order n from a seed: [B·Bᵀ + I]
+   (well conditioned), [B·Bᵀ] with rank r < n (singular, so the factor
+   may need a shift), or [B·Bᵀ − c·I] with the same rank-deficient B
+   and c far beyond the largest shift (indefinite). *)
+type spd_kind = Definite | Singular | Indefinite
+
+let random_sym kind n seed =
+  let st = Random.State.make [| seed |] in
+  let r =
+    match kind with
+    | Definite -> n
+    | Singular | Indefinite -> 1 + Random.State.int st (max 1 (n - 1))
+  in
+  let b = Mat.init n r (fun _ _ -> Random.State.float st 2.0 -. 1.0) in
+  let bbt = Mat.gram (Mat.transpose b) in
+  match kind with
+  | Definite -> Mat.add bbt (Mat.identity n)
+  | Singular -> bbt
+  | Indefinite ->
+    let c = (0.5 *. Mat.frobenius bbt) +. 1.0 in
+    Mat.init n n (fun i j -> Mat.get bbt i j -. if i = j then c else 0.0)
+
+let prop_cholesky_kernel =
+  QCheck2.Test.make ~name:"Cholesky of random SPD, n <= 60" ~count:200
+    QCheck2.Gen.(
+      triple (int_range 1 60)
+        (oneofl [ Definite; Singular; Indefinite ])
+        (int_bound 1_000_000))
+    (fun (n, kind, seed) ->
+      let a = random_sym kind n seed in
+      match (kind, Cholesky.factor a) with
+      | Indefinite, _ -> false
+      | exception Cholesky.Not_positive_definite -> kind = Indefinite
+      | (Definite | Singular), { Cholesky.l; shift } ->
+        let shifted =
+          Mat.init n n (fun i j ->
+              Mat.get a i j +. if i = j then shift else 0.0)
+        in
+        let recon = Mat.mul l (Mat.transpose l) in
+        let err =
+          Mat.frobenius
+            (Mat.init n n (fun i j -> Mat.get recon i j -. Mat.get shifted i j))
+        in
+        let b = Array.init n (fun i -> float_of_int ((i mod 7) - 3)) in
+        let x = Cholesky.solve { Cholesky.l; shift } b in
+        let res = Vec.nrm2 (Vec.sub (Mat.mul_vec shifted x) b) in
+        err <= 1e-12 *. Mat.frobenius a
+        && res
+           <= 1e-10 *. ((Mat.frobenius shifted *. Vec.nrm2 x) +. Vec.nrm2 b))
+
+(* Words allocated per call of [f], averaged over [reps] calls after
+   one warm-up call: minor-heap words plus words allocated directly in
+   the major heap (large arrays).  [Gc.allocated_bytes] is not used
+   because on OCaml 5.1 its minor part only advances at minor
+   collections. *)
+let allocated_words ~reps f =
+  ignore (Sys.opaque_identity (f ()));
+  let _, promoted0, major0 = Gc.counters () in
+  let minor0 = Gc.minor_words () in
+  for _ = 1 to reps do
+    ignore (Sys.opaque_identity (f ()))
+  done;
+  let minor1 = Gc.minor_words () in
+  let _, promoted1, major1 = Gc.counters () in
+  (minor1 -. minor0 +. (major1 -. major0) -. (promoted1 -. promoted0))
+  /. float_of_int reps
+
+(* The kernel works on the flat storage of [Mat.t]: a solve allocates
+   its two result vectors, a factorisation its one n×n factor (reused
+   across shift attempts), and nothing per element.  With a boxed
+   float per element access a solve at n = 40 allocated about 3.5k
+   words and a factor about 18k words besides its factor. *)
+let test_cholesky_allocation () =
+  let n = 40 in
+  let vector = float_of_int (n + 1) and matrix = float_of_int ((n * n) + 1) in
+  let within what words budget =
+    Alcotest.(check bool)
+      (Printf.sprintf "%s: %.0f words <= %.0f" what words budget)
+      true (words <= budget)
+  in
+  let a = random_sym Definite n 7 in
+  let f = Cholesky.factor a in
+  let b = Array.init n float_of_int in
+  within "solve" (allocated_words ~reps:200 (fun () -> Cholesky.solve f b))
+    ((2.0 *. vector) +. 16.0);
+  within "factor" (allocated_words ~reps:50 (fun () -> Cholesky.factor a))
+    (matrix +. 64.0);
+  let singular = random_sym Singular n 7 in
+  Alcotest.(check bool) "singular input takes a shift" true
+    ((Cholesky.factor singular).Cholesky.shift > 0.0);
+  within "shifted factor"
+    (allocated_words ~reps:50 (fun () -> Cholesky.factor singular))
+    (matrix +. 64.0);
+  let into = Mat.create n n in
+  within "factor into storage"
+    (allocated_words ~reps:50 (fun () -> Cholesky.factor ~into singular))
+    64.0
+
 let () =
   Alcotest.run "linalg"
     [
@@ -279,4 +392,11 @@ let () =
             prop_cholesky_solve;
             prop_mul_tvec_consistent;
           ] );
+      ( "kernel",
+        [
+          Alcotest.test_case "of_data/data" `Quick test_mat_data_aliasing;
+          Alcotest.test_case "allocation budget" `Quick
+            test_cholesky_allocation;
+          QCheck_alcotest.to_alcotest prop_cholesky_kernel;
+        ] );
     ]

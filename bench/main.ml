@@ -13,7 +13,6 @@
      dune exec bench/main.exe -- durable  # journal overhead report only
      dune exec bench/main.exe -- certify  # certification overhead only
      dune exec bench/main.exe -- obs      # observability overhead only
-     dune exec bench/main.exe -- sparse   # sparse KKT scaling report only
      dune exec bench/main.exe -- tighten  # analytic vs simulated buffers
 
    [--jobs N] selects the domain-pool width for the experiment tables
@@ -516,91 +515,6 @@ let certify_report ppf =
     n solve_s cert_s overhead_pct;
   close_out oc;
   Format.fprintf ppf "  written: BENCH_certify.json@."
-
-(* ------------------------------------------------------------------ *)
-(* Sparse KKT scaling: dense vs sparse factorization wall-clock        *)
-(* ------------------------------------------------------------------ *)
-
-(* Direct solves of chain instances of growing size under both KKT
-   backends (docs/solver.md).  The normal-equations matrix of a chain
-   is banded, so the dense O(n³) Cholesky falls ever further behind the
-   fill-free sparse factorization as the actor count grows — the
-   headline number is the speedup at the largest size.  Also written to
-   BENCH_sparse.json. *)
-let sparse_report ppf =
-  Format.fprintf ppf "@.=== Sparse KKT scaling (dense vs sparse) ===@.@.";
-  let sizes = [ 30; 100; 300 ] in
-  let solve kkt cfg =
-    let params = { Conic.Socp.default_params with Conic.Socp.kkt } in
-    let b = Budgetbuf.Socp_builder.build cfg in
-    Conic.Model.solve ~params b.Budgetbuf.Socp_builder.model
-  in
-  let time_best ~reps f =
-    (* Best-of-[reps] end to end (build + solve), so allocator noise on
-       a shared box cannot masquerade as a backend difference. *)
-    let best = ref infinity and out = ref None in
-    for _ = 1 to reps do
-      let t0 = Unix.gettimeofday () in
-      let r = f () in
-      let t = Unix.gettimeofday () -. t0 in
-      if t < !best then begin
-        best := t;
-        out := Some r
-      end
-    done;
-    (!best, Option.get !out)
-  in
-  let rows =
-    List.map
-      (fun n ->
-        let cfg = Workloads.Gen.chain ~n () in
-        let reps = if n >= 300 then 1 else 3 in
-        let t_dense, rd = time_best ~reps (fun () -> solve `Dense cfg) in
-        let t_sparse, rs = time_best ~reps (fun () -> solve `Sparse cfg) in
-        let agree =
-          rd.Conic.Model.status = rs.Conic.Model.status
-          && Float.abs (rd.Conic.Model.objective -. rs.Conic.Model.objective)
-             <= 1e-4 *. (1.0 +. Float.abs rd.Conic.Model.objective)
-        in
-        let fallbacks = rs.Conic.Model.raw.Conic.Socp.kkt_fallbacks in
-        (n, t_dense, t_sparse, agree, fallbacks))
-      sizes
-  in
-  Format.fprintf ppf
-    "  actors      dense        sparse      speedup   agree@.";
-  List.iter
-    (fun (n, td, ts, agree, fallbacks) ->
-      Format.fprintf ppf "  %6d  %8.1f ms  %8.1f ms  %7.1fx   %s%s@." n
-        (1000.0 *. td) (1000.0 *. ts)
-        (td /. Float.max 1e-9 ts)
-        (if agree then "yes" else "NO")
-        (if fallbacks > 0 then Printf.sprintf "  (%d dense fallbacks)" fallbacks
-         else ""))
-    rows;
-  let n_max, td_max, ts_max, _, _ =
-    List.fold_left
-      (fun ((n0, _, _, _, _) as acc) ((n, _, _, _, _) as row) ->
-        if n > n0 then row else acc)
-      (List.hd rows) rows
-  in
-  let speedup = td_max /. Float.max 1e-9 ts_max in
-  Format.fprintf ppf "  speedup at %d actors: %8.1fx (target >= 10x)@." n_max
-    speedup;
-  let oc = open_out "BENCH_sparse.json" in
-  let buf = Buffer.create 256 in
-  List.iteri
-    (fun i (n, td, ts, agree, fallbacks) ->
-      if i > 0 then Buffer.add_string buf ", ";
-      Buffer.add_string buf
-        (Printf.sprintf
-           "{ \"actors\": %d, \"dense_s\": %.6f, \"sparse_s\": %.6f, \
-            \"agree\": %b, \"fallbacks\": %d }"
-           n td ts agree fallbacks))
-    rows;
-  Printf.fprintf oc "{ \"rows\": [ %s ], \"speedup_at_%d\": %.3f }\n"
-    (Buffer.contents buf) n_max speedup;
-  close_out oc;
-  Format.fprintf ppf "  written: BENCH_sparse.json@."
 
 (* ------------------------------------------------------------------ *)
 (* Admission server under load, faults and a crash                      *)
@@ -1537,7 +1451,6 @@ let () =
     durable_report ppf;
     certify_report ppf;
     obs_report ppf;
-    sparse_report ppf;
     serve_report ~jobs:!jobs ppf;
     chaos_report ppf;
     crash_report ppf;
@@ -1551,7 +1464,6 @@ let () =
   | [ "durable" ] -> durable_report ppf
   | [ "certify" ] -> certify_report ppf
   | [ "obs" ] | [ "--obs" ] -> obs_report ppf
-  | [ "sparse" ] -> sparse_report ppf
   | [ "serve" ] -> serve_report ~jobs:!jobs ppf
   | [ "chaos" ] -> chaos_report ppf
   | [ "crash" ] -> crash_report ppf
@@ -1566,7 +1478,7 @@ let () =
     | None ->
       Format.eprintf
         "unknown experiment %S (expected: %s, tables, bench, par, durable, \
-         certify, obs, sparse, serve, chaos, crash, tighten)@."
+         certify, obs, serve, chaos, crash, tighten)@."
         name
         (String.concat ", " Experiments.names);
       exit 2
@@ -1574,6 +1486,6 @@ let () =
   | _ ->
     Format.eprintf
       "usage: main.exe \
-       [EXPERIMENT|tables|bench|par|durable|certify|obs|sparse|serve|chaos|crash|tighten] \
+       [EXPERIMENT|tables|bench|par|durable|certify|obs|serve|chaos|crash|tighten] \
        [--jobs N]@.";
     exit 2

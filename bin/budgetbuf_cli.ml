@@ -97,23 +97,6 @@ let fault_arg =
            $(b,stall), $(b,nan), $(b,slow), $(b,dense_kkt) or \
            $(b,bad_round) (see docs/robustness.md).")
 
-let kkt_arg =
-  Arg.(
-    value
-    & opt (enum Mapping.kkt_backends) `Auto
-    & info [ "kkt" ] ~docv:"BACKEND"
-        ~doc:
-          "KKT factorisation backend: $(b,auto) (the default: $(b,dense) \
-           below the instance-size threshold where both are fast and the \
-           dense path is the proven oracle, $(b,sparse) above it, where \
-           the sparse Cholesky wins decisively — see BENCH_sparse.json), \
-           $(b,dense) (force the oracle path) or $(b,sparse) (CSC \
-           Cholesky with a fill-reducing ordering — symbolic analysis \
-           once per solve, numeric refactorisation per iteration; an \
-           iteration whose sparse factorisation fails silently reruns on \
-           the dense path and is counted in the $(b,kkt fallbacks) \
-           line).  See docs/solver.md.")
-
 let no_warm_arg =
   Arg.(
     value & flag
@@ -173,19 +156,18 @@ let with_obs ~trace ~metrics f =
     end;
     code
 
-(* --fault --kkt --trace --metrics: the flags of every command that
-   solves (solve and the sweeps). *)
+(* --fault --trace --metrics: the flags of every command that solves
+   (solve and the sweeps). *)
 type solver_flags = {
   fault : Fault.plan option;
-  kkt : [ `Auto | `Dense | `Sparse ];
   trace : string option;
   metrics : bool;
 }
 
 let solver_flags =
   Term.(
-    const (fun fault kkt trace metrics -> { fault; kkt; trace; metrics })
-    $ fault_arg $ kkt_arg $ obs_trace_arg $ metrics_arg)
+    const (fun fault trace metrics -> { fault; trace; metrics })
+    $ fault_arg $ obs_trace_arg $ metrics_arg)
 
 (* --certify: exact-certification summary on the sweep commands. *)
 let certify_arg =
@@ -404,9 +386,7 @@ let run_sweep ~command path solver flags
       ~candidate_deadline:flags.candidate_deadline
     @@ fun ~journal ~deadline ~candidate_deadline ~cancel ~on_progress ->
     report
-      (sweep
-         ?params:(Mapping.params_of_kkt solver.kkt cfg)
-         ~policy:(Recovery.with_fault solver.fault)
+      (sweep ~policy:(Recovery.with_fault solver.fault)
          ?pool ?journal ?deadline ?candidate_deadline ~cancel ?obs
          ~on_progress ~warm_start:(not flags.no_warm) cfg)
 
@@ -459,8 +439,7 @@ let continuous_arg =
     & info [ "continuous" ]
         ~doc:"Also print the pre-rounding continuous optimum per variable.")
 
-let do_solve () path simulate continuous output
-    { fault; kkt; trace; metrics } =
+let do_solve () path simulate continuous output { fault; trace; metrics } =
   with_config path @@ fun cfg ->
   (match Config.validate cfg with
   | [] -> ()
@@ -468,9 +447,7 @@ let do_solve () path simulate continuous output
     List.iter (Format.eprintf "warning: %s@.") problems);
   with_obs ~trace ~metrics @@ fun obs ->
   match
-    Mapping.solve
-      ?params:(Mapping.params_of_kkt kkt cfg)
-      ?obs ~policy:(Recovery.with_fault fault) cfg
+    Mapping.solve ?obs ~policy:(Recovery.with_fault fault) cfg
   with
   | Error e ->
     Format.eprintf "error: %a@." Mapping.pp_error e;
@@ -1669,7 +1646,7 @@ let stats_fields ~gauges (s : Serve.Protocol.stats) =
      else "")
     s.worker_crashes
 
-let do_serve () socket cache cache_max queue batch jobs deadline kkt chaos
+let do_serve () socket cache cache_max queue batch jobs deadline chaos
     reconcile watchdog isolate rlimit_mem rlimit_cpu poison quarantine trace
     metrics =
   match
@@ -1705,7 +1682,6 @@ let do_serve () socket cache cache_max queue batch jobs deadline kkt chaos
         default_deadline_s = deadline;
         cache_path = cache;
         cache_max_entries = cache_max;
-        kkt;
         obs;
         signals = true;
         halt_after_admits = None;
@@ -1749,7 +1725,7 @@ let serve_cmd =
     Term.(
       const do_serve $ logs_term $ socket_arg $ serve_cache_arg
       $ serve_cache_max_arg $ serve_queue_arg $ serve_batch_arg $ jobs_arg
-      $ serve_deadline_arg $ kkt_arg $ serve_chaos_arg $ serve_reconcile_arg
+      $ serve_deadline_arg $ serve_chaos_arg $ serve_reconcile_arg
       $ serve_watchdog_arg $ serve_isolate_arg $ serve_rlimit_mem_arg
       $ serve_rlimit_cpu_arg $ serve_poison_arg $ serve_quarantine_arg
       $ obs_trace_arg $ metrics_arg)

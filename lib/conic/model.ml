@@ -108,18 +108,25 @@ type result = {
   raw : Socp.solution;
 }
 
-(* Fold duplicate variables of an expression into a dense row of G and
-   the matching entry of h: the row states s_row = e(x) = h_row − G_row·x,
-   so G_row = −coeffs and h_row = const.  Variables pinned with [fix]
-   are substituted by their constant here. *)
-let emit_row m g h row e =
-  List.iter
-    (fun (k, v) ->
-      match Hashtbl.find_opt m.fixed v with
-      | Some value -> h.(row) <- h.(row) +. (k *. value)
-      | None -> Linalg.Mat.update g row v (fun x -> x -. k))
-    e.terms;
-  h.(row) <- h.(row) +. e.const
+(* One expression as a row of s = h − G·x: G_row = −coeffs and
+   h_row = const, with the variables pinned by [fix] substituted into
+   h.  [Sparse_rows.of_rows] sums a variable's terms in their recorded
+   order, and (−a) + (−b) = −(a + b) in IEEE arithmetic, so every entry
+   is bit-identical to subtracting the terms one by one from a zero
+   dense row. *)
+let lower_row m e =
+  let h = ref 0.0 in
+  let entries =
+    List.filter_map
+      (fun (k, v) ->
+        match Hashtbl.find_opt m.fixed v with
+        | Some value ->
+          h := !h +. (k *. value);
+          None
+        | None -> Some (v, -.k))
+      e.terms
+  in
+  (entries, !h +. e.const)
 
 (* A row block whose variables are all pinned reduces to constants: a
    satisfied constant row must be dropped (keeping it would pin a slack
@@ -136,8 +143,15 @@ let constant_value m e =
   in
   eval e.const e.terms
 
-let solve ?params m =
-  let all_blocks = List.rev m.blocks in
+type program = {
+  c : Linalg.Vec.t;
+  g : Sparse_rows.t;
+  h : Linalg.Vec.t;
+  cone : Cone.t;
+  offset : float;
+}
+
+let lower m =
   let infeasible_constant = ref false in
   let blocks =
     List.filter
@@ -171,9 +185,51 @@ let solve ?params m =
             | [] -> false
           end
         end)
-      all_blocks
+      (List.rev m.blocks)
   in
-  if !infeasible_constant then begin
+  if !infeasible_constant then None
+  else begin
+    let rows =
+      List.concat_map
+        (function Row_nonneg e -> [ e ] | Row_soc es -> es)
+        blocks
+      |> List.map (lower_row m)
+      |> Array.of_list
+    in
+    (* Merge runs of scalar orthant rows into larger blocks for speed. *)
+    let merged =
+      List.fold_left
+        (fun acc b ->
+          match (b, acc) with
+          | Row_nonneg _, Cone.Nonneg q :: rest -> Cone.Nonneg (q + 1) :: rest
+          | Row_nonneg _, _ -> Cone.Nonneg 1 :: acc
+          | Row_soc es, _ -> Cone.Soc (List.length es) :: acc)
+        [] blocks
+    in
+    let c = Linalg.Vec.create m.nvars in
+    let offset = ref m.objective.const in
+    List.iter
+      (fun (k, v) ->
+        match Hashtbl.find_opt m.fixed v with
+        | Some value -> offset := !offset +. (k *. value)
+        | None -> c.(v) <- c.(v) +. k)
+      m.objective.terms;
+    Some
+      {
+        c;
+        g = Sparse_rows.of_rows ~cols:m.nvars (Array.map fst rows);
+        h = Array.map snd rows;
+        cone = Cone.make (List.rev merged);
+        offset = !offset;
+      }
+  end
+
+let solve ?params m =
+  let fixed_or v f =
+    match Hashtbl.find_opt m.fixed v with Some x -> x | None -> f v
+  in
+  match lower m with
+  | None ->
     let dim0 = Linalg.Vec.create 0 in
     let raw =
       {
@@ -193,68 +249,18 @@ let solve ?params m =
     {
       status = Socp.Primal_infeasible;
       objective = nan;
-      value =
-        (fun v ->
-          match Hashtbl.find_opt m.fixed v with Some x -> x | None -> 0.0);
+      value = (fun v -> fixed_or v (fun _ -> 0.0));
       raw;
     }
-  end
-  else begin
-  let mrows =
-    List.fold_left
-      (fun acc b ->
-        acc + match b with Row_nonneg _ -> 1 | Row_soc es -> List.length es)
-      0 blocks
-  in
-  let g = Linalg.Mat.create mrows m.nvars in
-  let h = Linalg.Vec.create mrows in
-  let cone_blocks = ref [] in
-  let row = ref 0 in
-  List.iter
-    (fun b ->
-      match b with
-      | Row_nonneg e ->
-        emit_row m g h !row e;
-        incr row;
-        cone_blocks := Cone.Nonneg 1 :: !cone_blocks
-      | Row_soc es ->
-        List.iter
-          (fun e ->
-            emit_row m g h !row e;
-            incr row)
-          es;
-        cone_blocks := Cone.Soc (List.length es) :: !cone_blocks)
-    blocks;
-  (* Merge runs of scalar orthant rows into larger blocks for speed. *)
-  let merged =
-    List.fold_left
-      (fun acc b ->
-        match (b, acc) with
-        | Cone.Nonneg p, Cone.Nonneg q :: rest -> Cone.Nonneg (p + q) :: rest
-        | _ -> b :: acc)
-      []
-      (List.rev !cone_blocks)
-  in
-  let cone = Cone.make (List.rev merged) in
-  let c = Linalg.Vec.create m.nvars in
-  let obj_fixed = ref m.objective.const in
-  List.iter
-    (fun (k, v) ->
-      match Hashtbl.find_opt m.fixed v with
-      | Some value -> obj_fixed := !obj_fixed +. (k *. value)
-      | None -> c.(v) <- c.(v) +. k)
-    m.objective.terms;
-  let sol = Socp.solve ?params ~c ~g ~h cone in
-  {
-    status = sol.Socp.status;
-    objective = sol.Socp.primal_objective +. !obj_fixed;
-    value =
-      (fun v ->
-        if v < 0 || v >= m.nvars then invalid_arg "Model.value: foreign variable"
-        else
-          match Hashtbl.find_opt m.fixed v with
-          | Some value -> value
-          | None -> sol.Socp.x.(v));
-    raw = sol;
-  }
-  end
+  | Some { c; g; h; cone; offset } ->
+    let sol = Socp.solve ?params ~c ~g ~h cone in
+    {
+      status = sol.Socp.status;
+      objective = sol.Socp.primal_objective +. offset;
+      value =
+        (fun v ->
+          if v < 0 || v >= m.nvars then
+            invalid_arg "Model.value: foreign variable"
+          else fixed_or v (Array.get sol.Socp.x));
+      raw = sol;
+    }

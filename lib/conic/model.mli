@@ -103,5 +103,26 @@ type result = {
   raw : Socp.solution;
 }
 
-(** [solve ?params m] assembles [(c, G, h, K)] and runs {!Socp.solve}. *)
+(** The cone program a model lowers to, in {!Socp}'s form
+    [minimize cᵀx + offset  s.t.  G·x + s = h, s ∈ cone].  Variables
+    pinned with {!fix} are substituted: their column of [G] and entry
+    of [c] stay zero, their contributions move into [h] and [offset],
+    and constraint blocks that become constant and hold are left out.
+    Each row of [G] sums the coefficients of a repeated variable in
+    the order they were recorded; runs of scalar orthant rows share
+    one [Nonneg] block. *)
+type program = {
+  c : Linalg.Vec.t;
+  g : Sparse_rows.t;
+  h : Linalg.Vec.t;
+  cone : Cone.t;
+  offset : float;  (** the objective's constant, fixed variables included *)
+}
+
+(** [lower m] is the program [m] lowers to, or [None] when a block whose
+    variables are all fixed is violated (the model is then infeasible
+    outright). *)
+val lower : model -> program option
+
+(** [solve ?params m] lowers [m] and runs {!Socp.solve}. *)
 val solve : ?params:Socp.params -> model -> result

@@ -1,18 +1,24 @@
 module Vec = Linalg.Vec
-module Mat = Linalg.Mat
 
 type scaling = { row : Vec.t; col : Vec.t; obj : float }
 
+(* Every stored entry of [g] is nonzero, so the loops below visit only
+   the entries a dense scan would count. *)
+let iter_nonzeros f g =
+  for i = 0 to Sparse_rows.rows g - 1 do
+    List.iter (fun (j, v) -> f i j v) (Sparse_rows.row g i)
+  done
+
 let dynamic_range g =
   let mx = ref 0.0 and mn = ref infinity in
-  let d = Mat.data g in
-  for k = 0 to Array.length d - 1 do
-    let v = Float.abs d.(k) in
-    if v > 0.0 then begin
-      if v > !mx then mx := v;
-      if v < !mn then mn := v
-    end
-  done;
+  iter_nonzeros
+    (fun _ _ v ->
+      let v = Float.abs v in
+      if v > 0.0 then begin
+        if v > !mx then mx := v;
+        if v < !mn then mn := v
+      end)
+    g;
   if !mx = 0.0 then 1.0 else !mx /. !mn
 
 let auto_threshold = 1e6
@@ -33,22 +39,20 @@ let soc_groups cone =
   List.rev groups
 
 let equilibrate ?(iterations = 10) ~c ~g ~h cone =
-  let m = Mat.rows g and n = Mat.cols g in
-  let a = Mat.copy g in
-  let d = Mat.data a in
+  let m = Sparse_rows.rows g and n = Sparse_rows.cols g in
+  let a = ref g in
   let row = Vec.make m 1.0 and col = Vec.make n 1.0 in
   let groups = soc_groups cone in
   let rnorm = Vec.create m and cnorm = Vec.create n in
   for _ = 1 to iterations do
     Vec.fill rnorm 0.0;
     Vec.fill cnorm 0.0;
-    for i = 0 to m - 1 do
-      for j = 0 to n - 1 do
-        let v = Float.abs d.((i * n) + j) in
+    iter_nonzeros
+      (fun i j v ->
+        let v = Float.abs v in
         if v > rnorm.(i) then rnorm.(i) <- v;
-        if v > cnorm.(j) then cnorm.(j) <- v
-      done
-    done;
+        if v > cnorm.(j) then cnorm.(j) <- v)
+      !a;
     List.iter
       (fun (off, len) ->
         let mx = ref 0.0 in
@@ -62,14 +66,13 @@ let equilibrate ?(iterations = 10) ~c ~g ~h cone =
     let e =
       Array.map (fun c -> if c > 0.0 then 1.0 /. sqrt c else 1.0) cnorm
     in
+    let d =
+      Array.map (fun r -> if r > 0.0 then 1.0 /. sqrt r else 1.0) rnorm
+    in
     for i = 0 to m - 1 do
-      let di = if rnorm.(i) > 0.0 then 1.0 /. sqrt rnorm.(i) else 1.0 in
-      row.(i) <- row.(i) *. di;
-      let base = i * n in
-      for j = 0 to n - 1 do
-        d.(base + j) <- d.(base + j) *. di *. e.(j)
-      done
+      row.(i) <- row.(i) *. d.(i)
     done;
+    a := Sparse_rows.scale !a ~row:d ~col:e;
     for j = 0 to n - 1 do
       col.(j) <- col.(j) *. e.(j)
     done
@@ -85,7 +88,7 @@ let equilibrate ?(iterations = 10) ~c ~g ~h cone =
   let t = { row; col; obj } in
   let c' = Vec.init n (fun j -> obj *. col.(j) *. c.(j)) in
   let h' = Vec.init m (fun i -> row.(i) *. h.(i)) in
-  (t, c', a, h')
+  (t, c', !a, h')
 
 let unscale_point t ~x ~s ~z =
   let x' = Vec.init (Vec.dim x) (fun j -> t.col.(j) *. x.(j)) in

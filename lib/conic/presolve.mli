@@ -26,14 +26,15 @@ type scaling = {
 }
 
 (** [dynamic_range g] is the ratio between the largest and smallest
-    nonzero magnitude in [g] (1 for an all-zero or empty matrix). *)
-val dynamic_range : Linalg.Mat.t -> float
+    nonzero magnitude in [g] (1 for an all-zero or empty matrix).
+    This and {!equilibrate} visit the stored entries of [g] only. *)
+val dynamic_range : Sparse_rows.t -> float
 
 (** [badly_scaled g] decides whether equilibration is worth the extra
     work: true when {!dynamic_range} exceeds [1e6].  Used by the
     solver's automatic presolve mode, so well-scaled instances keep
     their bit-identical iteration path. *)
-val badly_scaled : Linalg.Mat.t -> bool
+val badly_scaled : Sparse_rows.t -> bool
 
 (** [equilibrate ?iterations ~c ~g ~h cone] runs the Ruiz iteration
     (default 10 rounds) and returns the scaling together with the
@@ -41,10 +42,10 @@ val badly_scaled : Linalg.Mat.t -> bool
 val equilibrate :
   ?iterations:int ->
   c:Linalg.Vec.t ->
-  g:Linalg.Mat.t ->
+  g:Sparse_rows.t ->
   h:Linalg.Vec.t ->
   Cone.t ->
-  scaling * Linalg.Vec.t * Linalg.Mat.t * Linalg.Vec.t
+  scaling * Linalg.Vec.t * Sparse_rows.t * Linalg.Vec.t
 
 (** [unscale_point t ~x ~s ~z] maps a scaled primal–dual point back to
     the original problem: [(Dc·x, Dr⁻¹·s, Dr·z/σ)].  Residuals and

@@ -44,7 +44,6 @@ type params = {
   inject : (int -> fault option) option;
   deadline : (unit -> bool) option;
   obs : Obs.Ctx.t option;
-  kkt : [ `Dense | `Sparse ];
   warm : warm option;
 }
 
@@ -53,7 +52,7 @@ type params = {
 let default_params =
   { max_iter = 100; feastol = 1e-7; abstol = 1e-7; reltol = 1e-7;
     step_fraction = 0.99; presolve = Presolve_auto; inject = None;
-    deadline = None; obs = None; kkt = `Dense; warm = None }
+    deadline = None; obs = None; warm = None }
 
 let pp_status ppf = function
   | Optimal -> Format.pp_print_string ppf "optimal"
@@ -153,9 +152,9 @@ let woodbury ~n fact rows =
       y
   end
 
-(* Per-solve n×n storage of the dense path, the Gram matrix and its
+(* Per-solve n×n storage of the dense fallback, the Gram matrix and its
    Cholesky factor, overwritten by every iteration that takes it.  Lazy,
-   so the sparse backend allocates it only on a fallback iteration. *)
+   so a solve allocates it only on its first fallback iteration. *)
 type dense_store = { gram : Mat.t; chol : Mat.t }
 
 let dense_store n = lazy { gram = Mat.create n n; chol = Mat.create n n }
@@ -166,14 +165,14 @@ let dense_store n = lazy { gram = Mat.create n n; chol = Mat.create n n }
    via dz = W⁻²·(G·dx − bz) and the normal equations
    (Gᵀ·W⁻²·G)·dx = bx + Gᵀ·W⁻²·bz, factorised once per iteration.
 
-   The factorisation backend is selected per iteration: [sparse]
-   carries the once-per-solve symbolic analysis and each iteration
-   only refills the fixed pattern, runs the numeric refactorisation
-   and adds the dense rows back through [woodbury]; when the sparse
-   factorisation or the capacitance matrix fails (or a [Dense_kkt]
-   fault forces it) the iteration falls back to the dense oracle path,
-   counted in [fallbacks]. *)
+   [sparse] carries the once-per-solve symbolic analysis, so each
+   iteration only refills the fixed pattern, runs the numeric
+   refactorisation and adds the dense rows back through [woodbury];
+   when the sparse factorisation or the capacitance matrix fails (or a
+   [Dense_kkt] fault forces it) the iteration falls back to a dense
+   Cholesky of the full Gram matrix, counted in [fallbacks]. *)
 let make_kkt ~params ~fallbacks ~sparse ~store ~force_dense ~gsp w =
+  let { pattern; symbolic; dense } = sparse in
   (* The sparse rows of G have a handful of entries each, so the scaled
      matrix W⁻¹·G and its Gram matrix are formed in O(Σ nnz(row)²)
      instead of densifying. *)
@@ -198,58 +197,53 @@ let make_kkt ~params ~fallbacks ~sparse ~store ~force_dense ~gsp w =
     let fact = Cholesky.factor ~max_shift:1e-2 ~into:chol mmat in
     refined ~apply:(Mat.mul_vec mmat) ~solve:(Cholesky.solve fact)
   in
+  let fall_back () =
+    incr fallbacks;
+    emit_obs params
+      (Obs.Trace.Kkt_factor
+         {
+           backend = "dense";
+           phase = "fallback";
+           n = Sparse_rows.cols gsp;
+           nnz = 0;
+         });
+    dense_refined ()
+  in
   let solve_refined =
-    match sparse with
-    | None -> dense_refined ()
-    | Some { pattern; symbolic; dense } ->
-      let fall_back () =
-        incr fallbacks;
+    if force_dense then fall_back ()
+    else begin
+      Sparse_rows.fill_gram (Sparse_rows.drop_rows scaled dense) ~into:pattern;
+      let rows = Array.map (Sparse_rows.row scaled) dense in
+      match
+        woodbury ~n:(Sparse_rows.cols gsp)
+          (Linalg.Sparse.factor ~max_shift:1e-2 symbolic pattern)
+          rows
+      with
+      | exception
+          (Linalg.Sparse.Not_positive_definite | Cholesky.Not_positive_definite)
+        ->
+        fall_back ()
+      | solve ->
         emit_obs params
           (Obs.Trace.Kkt_factor
              {
-               backend = "dense";
-               phase = "fallback";
+               backend = "sparse";
+               phase = "numeric";
                n = Sparse_rows.cols gsp;
-               nnz = 0;
+               nnz = Linalg.Sparse.factor_nnz symbolic;
              });
-        dense_refined ()
-      in
-      if force_dense then fall_back ()
-      else begin
-        Sparse_rows.fill_gram
-          (Sparse_rows.drop_rows scaled dense)
-          ~into:pattern;
-        let rows = Array.map (Sparse_rows.row scaled) dense in
-        match
-          woodbury ~n:(Sparse_rows.cols gsp)
-            (Linalg.Sparse.factor ~max_shift:1e-2 symbolic pattern)
-            rows
-        with
-        | exception
-            ( Linalg.Sparse.Not_positive_definite
-            | Cholesky.Not_positive_definite ) ->
-          fall_back ()
-        | solve ->
-          emit_obs params
-            (Obs.Trace.Kkt_factor
-               {
-                 backend = "sparse";
-                 phase = "numeric";
-                 n = Sparse_rows.cols gsp;
-                 nnz = Linalg.Sparse.factor_nnz symbolic;
-               });
-          (* M·x = M_s·x + Σ aᵢ·(aᵢᵀx). *)
-          let apply x =
-            let y = Linalg.Sparse.mul_vec pattern x in
-            Array.iter
-              (fun r ->
-                let t = Sparse_rows.row_dot r x in
-                List.iter (fun (j, a) -> y.(j) <- y.(j) +. (a *. t)) r)
-              rows;
-            y
-          in
-          refined ~apply ~solve
-      end
+        (* M·x = M_s·x + Σ aᵢ·(aᵢᵀx). *)
+        let apply x =
+          let y = Linalg.Sparse.mul_vec pattern x in
+          Array.iter
+            (fun r ->
+              let t = Sparse_rows.row_dot r x in
+              List.iter (fun (j, a) -> y.(j) <- y.(j) +. (a *. t)) r)
+            rows;
+          y
+        in
+        refined ~apply ~solve
+    end
   in
   fun ~bx ~bz ->
     let wbz = Cone.apply_inv w (Cone.apply_inv w bz) in
@@ -261,19 +255,14 @@ let make_kkt ~params ~fallbacks ~sparse ~store ~force_dense ~gsp w =
     in
     (dx, dz)
 
-let kkt_solve ~kkt ~g cone ~s ~z ~bx ~bz =
-  let params = { default_params with kkt } in
-  let gsp = Sparse_rows.of_mat g in
-  let sparse =
-    match kkt with
-    | `Dense -> None
-    | `Sparse -> Some (make_sparse_kkt ~params ~gsp cone)
-  in
+let kkt_solve ~g cone ~s ~z ~bx ~bz =
+  let params = default_params in
+  let sparse = make_sparse_kkt ~params ~gsp:g cone in
   let fallbacks = ref 0 in
   let w = Cone.nt_scaling cone ~s ~z in
-  let store = dense_store (Sparse_rows.cols gsp) in
+  let store = dense_store (Sparse_rows.cols g) in
   let dx, dz =
-    make_kkt ~params ~fallbacks ~sparse ~store ~force_dense:false ~gsp w ~bx
+    make_kkt ~params ~fallbacks ~sparse ~store ~force_dense:false ~gsp:g w ~bx
       ~bz
   in
   (dx, dz, !fallbacks)
@@ -288,9 +277,8 @@ let kkt_solve ~kkt ~g cone ~s ~z ~bx ~bz =
    infeasibility certificate (κ > 0, τ = 0).  This avoids the classic
    failure of plain infeasible-start methods where the complementarity
    gap collapses before the residuals do. *)
-let solve_direct ~params ~c ~g ~h cone =
+let solve_direct ~params ~c ~g:gsp ~h cone =
   let n = Vec.dim c and m = Vec.dim h in
-  let gsp = Sparse_rows.of_mat g in
   if m = 0 then begin
     (* No constraints: optimum 0 iff c = 0, otherwise unbounded below. *)
     let status =
@@ -314,11 +302,7 @@ let solve_direct ~params ~c ~g ~h cone =
     let deg = float_of_int (Cone.degree cone + 1) in
     (* Per-solve mutable state only (no globals): safe across domains. *)
     let fallbacks = ref 0 in
-    let sparse =
-      match params.kkt with
-      | `Dense -> None
-      | `Sparse -> Some (make_sparse_kkt ~params ~gsp cone)
-    in
+    let sparse = make_sparse_kkt ~params ~gsp cone in
     let store = dense_store n in
     let norm_h = Float.max 1.0 (Vec.nrm2 h)
     and norm_c = Float.max 1.0 (Vec.nrm2 c) in
@@ -665,7 +649,7 @@ let solve_direct ~params ~c ~g ~h cone =
    residuals recomputed on the original (c, G, h); infeasibility rays
    are renormalised to the certificate magnitude, matching what
    [result_certificate] reports on an unscaled solve. *)
-let unscale_solution sc ~c ~g ~h sol =
+let unscale_solution sc ~c ~g:gsp ~h sol =
   let x, s, z = Presolve.unscale_point sc ~x:sol.x ~s:sol.s ~z:sol.z in
   match sol.status with
   | Primal_infeasible ->
@@ -685,7 +669,6 @@ let unscale_solution sc ~c ~g ~h sol =
       z = Vec.scale (1.0 /. denom) z;
     }
   | Optimal | Iteration_limit | Stalled | Timed_out ->
-    let gsp = Sparse_rows.of_mat g in
     let norm_h = Float.max 1.0 (Vec.nrm2 h)
     and norm_c = Float.max 1.0 (Vec.nrm2 c) in
     let pres =
@@ -708,7 +691,7 @@ let unscale_solution sc ~c ~g ~h sol =
 
 let solve ?(params = default_params) ~c ~g ~h cone =
   let n = Vec.dim c and m = Vec.dim h in
-  if Mat.rows g <> m || Mat.cols g <> n then
+  if Sparse_rows.rows g <> m || Sparse_rows.cols g <> n then
     invalid_arg "Socp.solve: G dimensions do not match c and h";
   if Cone.dim cone <> m then invalid_arg "Socp.solve: cone dimension";
   (match params.obs with

@@ -10,9 +10,16 @@
     The implementation is an infeasible-start Mehrotra
     predictor–corrector method with Nesterov–Todd scaling, solving the
     KKT systems through the normal equations
-    [Gᵀ·W⁻²·G·Δx = r] with a shifted Cholesky factorisation — the
-    polynomial-complexity method the paper relies on (via CPLEX) to
-    solve Algorithm 1. *)
+    [Gᵀ·W⁻²·G·Δx = r] with a shifted sparse Cholesky factorisation —
+    the polynomial-complexity method the paper relies on (via CPLEX) to
+    solve Algorithm 1.  [G] is given as sparse rows ({!Sparse_rows});
+    one symbolic analysis per solve fixes the factor's pattern, each
+    iteration refactorises it numerically, and orthant rows with more
+    than {!dense_row_threshold} nonzeros stay out of the pattern and
+    are added back by a Sherman–Morrison–Woodbury update.  An iteration
+    whose sparse factorisation fails falls back to a dense Cholesky of
+    the full Gram matrix (counted in {!solution.kkt_fallbacks}).  See
+    docs/solver.md. *)
 
 type status =
   | Optimal
@@ -40,8 +47,8 @@ type solution = {
   iterations : int;
   kkt_fallbacks : int;
       (** iterations where the sparse KKT factorisation failed (or a
-          [Dense_kkt] fault forced it) and the dense oracle path was
-          used instead; always 0 on the pure dense path *)
+          [Dense_kkt] fault forced it) and the dense fallback was used
+          instead *)
 }
 
 (** Deterministic fault injected by tests through {!params.inject}:
@@ -51,9 +58,10 @@ type solution = {
     second at the chosen iteration and then proceeds normally — a
     wall-clock-pathological (but otherwise healthy) solve for deadline
     tests.  [Dense_kkt] forces the chosen iteration's sparse KKT
-    factorisation onto the dense fallback path (a no-op on the dense
-    backend) — the deterministic way to exercise the fallback
-    accounting.  See docs/robustness.md. *)
+    factorisation onto the dense fallback path — the deterministic way
+    to exercise the fallback accounting; injected at every iteration it
+    gives the dense reference solve the tests compare against.  See
+    docs/robustness.md. *)
 type fault = Stall | Nan | Slow | Dense_kkt
 
 (** Presolve policy.  [Presolve_auto] (the default) applies Ruiz
@@ -96,18 +104,6 @@ type params = {
           hook travels inside [params] so the recovery ladder and the
           sweep engines forward it without extra plumbing.  See
           docs/observability.md. *)
-  kkt : [ `Dense | `Sparse ];
-      (** KKT factorisation backend, default [`Dense].  [`Sparse] runs
-          the normal equations through {!Linalg.Sparse}: one symbolic
-          analysis per solve, one numeric refactorisation per
-          iteration, falling back to the dense path (counted in
-          {!solution.kkt_fallbacks}) for any iteration whose sparse
-          factorisation fails.  Orthant rows with more than
-          {!dense_row_threshold} nonzeros stay out of the sparse
-          factor and are added back by a Sherman–Morrison–Woodbury
-          update.  Both backends satisfy the same
-          tolerances; the dense path is the differential-testing
-          oracle.  See docs/solver.md. *)
   warm : warm option;
       (** optional warm-start point (default [None] — cold start). *)
 }
@@ -120,28 +116,27 @@ val default_params : params
 val solve :
   ?params:params ->
   c:Linalg.Vec.t ->
-  g:Linalg.Mat.t ->
+  g:Sparse_rows.t ->
   h:Linalg.Vec.t ->
   Cone.t ->
   solution
 
 (** Orthant rows of [G] with more nonzeros than this are the dense rows
-    that the [`Sparse] backend keeps out of its Cholesky pattern. *)
+    that the solver keeps out of its Cholesky pattern. *)
 val dense_row_threshold : int
 
-(** [kkt_solve ~kkt ~g cone ~s ~z ~bx ~bz] solves one scaled KKT system
+(** [kkt_solve ~g cone ~s ~z ~bx ~bz] solves one scaled KKT system
     {v Gᵀ·dz = bx,   G·dx − W²·dz = bz v}
     at the NT scaling [W] of the strictly interior pair [(s, z)], the
-    way one interior-point iteration does with backend [kkt], and
-    returns [(dx, dz, fallbacks)] — [fallbacks] is [1] when the sparse
-    backend had to take the dense path.  Exposed for the differential
-    tests of the KKT backends.
+    way one interior-point iteration does, and returns
+    [(dx, dz, fallbacks)] — [fallbacks] is [1] when the sparse
+    factorisation failed and the dense fallback answered.  Exposed for
+    the differential tests of the sparse factor.
     @raise Invalid_argument if [(s, z)] is not strictly interior.
-    @raise Linalg.Cholesky.Not_positive_definite if the dense path
+    @raise Linalg.Cholesky.Not_positive_definite if the dense fallback
     fails too. *)
 val kkt_solve :
-  kkt:[ `Dense | `Sparse ] ->
-  g:Linalg.Mat.t ->
+  g:Sparse_rows.t ->
   Cone.t ->
   s:Linalg.Vec.t ->
   z:Linalg.Vec.t ->

@@ -1,15 +1,18 @@
 type t = { m : int; n : int; rows : (int * float) list array }
 
 (* Canonical row form: strictly increasing column indices, duplicates
-   summed, explicit zeros dropped.  Every constructor funnels through
-   here so downstream consumers (Gram assembly, CSC patterns) can rely
-   on sortedness instead of silently mis-assembling. *)
+   summed in input order, explicit zeros dropped.  Every constructor
+   funnels through here so downstream consumers (Gram assembly, CSC
+   patterns) can rely on sortedness instead of silently
+   mis-assembling. *)
 let canonical_row n entries =
   List.iter
     (fun (j, _) ->
       if j < 0 || j >= n then invalid_arg "Sparse_rows: column index out of range")
     entries;
-  let sorted = List.sort (fun (a, _) (b, _) -> compare a b) entries in
+  let sorted =
+    List.stable_sort (fun (a, _) (b, _) -> Int.compare a b) entries
+  in
   let merged =
     List.fold_left
       (fun acc (j, v) ->
@@ -65,6 +68,22 @@ let row_dot row x =
     ()
   done;
   !acc
+
+let scale t ~row ~col =
+  if Linalg.Vec.dim row <> t.m || Linalg.Vec.dim col <> t.n then
+    invalid_arg "Sparse_rows.scale: dimension";
+  let rows =
+    Array.mapi
+      (fun i r ->
+        let di = row.(i) in
+        List.filter_map
+          (fun (j, v) ->
+            let v = v *. di *. col.(j) in
+            if v <> 0.0 then Some (j, v) else None)
+          r)
+      t.rows
+  in
+  { t with rows }
 
 let mul_vec t x =
   if Linalg.Vec.dim x <> t.n then invalid_arg "Sparse_rows.mul_vec: dimension";

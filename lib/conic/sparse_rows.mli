@@ -9,14 +9,15 @@
 
 type t
 
-(** [of_mat a] extracts the sparse rows of a dense matrix. *)
+(** [of_mat a] extracts the sparse rows of a dense matrix (entries
+    equal to zero are not stored). *)
 val of_mat : Linalg.Mat.t -> t
 
 (** [of_rows ~cols rows] builds a matrix from per-row
     [(column, value)] lists.  Rows are canonicalised on construction:
-    entries are sorted by column, duplicate columns are summed, and
-    explicit zeros are dropped — unsorted or duplicated input is never
-    stored as-is.
+    entries are sorted by column, duplicate columns are summed from
+    left to right in their input order, and explicit zeros are dropped
+    — unsorted or duplicated input is never stored as-is.
     @raise Invalid_argument on a column index out of range. *)
 val of_rows : cols:int -> (int * float) list array -> t
 
@@ -35,6 +36,12 @@ val row : t -> int -> (int * float) list
 (** [row_dot r x] is the dot product of the sparse row [r] with [x],
     summed in column order from [0.]. *)
 val row_dot : (int * float) list -> Linalg.Vec.t -> float
+
+(** [scale t ~row ~col] is [diag(row)·t·diag(col)]: entry [(i, j)]
+    becomes [v *. row.(i) *. col.(j)], and an entry that underflows to
+    zero is dropped.
+    @raise Invalid_argument if [row] or [col] has the wrong length. *)
+val scale : t -> row:Linalg.Vec.t -> col:Linalg.Vec.t -> t
 
 (** [mul_vec t x] is [A·x]. *)
 val mul_vec : t -> Linalg.Vec.t -> Linalg.Vec.t

@@ -360,29 +360,6 @@ let fallback_lp cfg ~obs trace stats final_status =
           stats = { stats with attempts = stats.attempts + 1 };
         })
 
-(* The sparse backend wins decisively on large instances (BENCH_sparse:
-   ~5x at a 30-task chain, ~23x at 300) while small instances are both
-   fast either way and pinned bit-identical to the historical dense
-   path by the cram goldens.  The threshold counts solver entities
-   (tasks + buffers), which tracks the KKT system dimension. *)
-let sparse_auto_threshold = 48
-
-let kkt_auto cfg =
-  let n =
-    List.length (Taskgraph.Config.all_tasks cfg)
-    + List.length (Taskgraph.Config.all_buffers cfg)
-  in
-  if n >= sparse_auto_threshold then `Sparse else `Dense
-
-let kkt_backends = [ ("auto", `Auto); ("dense", `Dense); ("sparse", `Sparse) ]
-
-let params_of_kkt kkt cfg =
-  let sparse = Some { Socp.default_params with Socp.kkt = `Sparse } in
-  match kkt with
-  | `Dense -> None
-  | `Sparse -> sparse
-  | `Auto -> ( match kkt_auto cfg with `Dense -> None | `Sparse -> sparse)
-
 let solve ?params ?policy ?obs cfg =
   let policy =
     match policy with Some p -> p | None -> Recovery.default_policy ()

@@ -28,8 +28,7 @@ type stats = {
   solve_time_s : float;  (** wall-clock time of the whole solve ladder *)
   kkt_fallbacks : int;
       (** iterations of the final attempt where the sparse KKT
-          factorisation fell back to the dense oracle (0 on the dense
-          backend) *)
+          factorisation fell back to the dense Cholesky *)
 }
 
 type result = {
@@ -91,32 +90,6 @@ val solve :
   ?obs:Obs.Ctx.t ->
   Taskgraph.Config.t ->
   (result, error) Stdlib.result
-
-(** [kkt_auto cfg] picks the KKT backend for an instance whose caller
-    did not force one: [`Sparse] when the instance counts at least
-    {!sparse_auto_threshold} tasks plus buffers (where the sparse
-    Cholesky is measurably ahead, see BENCH_sparse.json), [`Dense]
-    below it — the proven oracle path, bit-identical to the historical
-    behaviour on small instances. *)
-val kkt_auto : Taskgraph.Config.t -> [ `Dense | `Sparse ]
-
-(** Size threshold (tasks + buffers) at which {!kkt_auto} switches to
-    the sparse backend. *)
-val sparse_auto_threshold : int
-
-(** The [--kkt] backend names, as the CLI and the serve worker spell
-    them. *)
-val kkt_backends : (string * [ `Auto | `Dense | `Sparse ]) list
-
-(** [params_of_kkt kkt cfg] resolves a [--kkt] choice to solver params
-    for {!solve} and the sweep drivers.  [`Dense], and [`Auto] on an
-    instance {!kkt_auto} keeps dense, resolve to [None] rather than to
-    explicit dense params, so those calls keep the hook-free path and
-    their historical, bit-identical output.  [`Sparse] (forced or
-    picked by {!kkt_auto}) is the default params on the sparse KKT
-    backend. *)
-val params_of_kkt :
-  [ `Auto | `Dense | `Sparse ] -> Taskgraph.Config.t -> Conic.Socp.params option
 
 (** [round_budget ~granularity beta'] is [g·⌈β′/g⌉] with a small
     tolerance so values within 1e-9 of a grid point do not round up an

@@ -34,14 +34,12 @@ type event =
       (** a fault plan fired (solver faults at rung entry, [bad_round]
           at the rounding step) — exactly one per fired fault *)
   | Kkt_factor of { backend : string; phase : string; n : int; nnz : int }
-      (** a KKT factorisation event on the sparse path: [backend] is
-          ["sparse"] or ["dense"], [phase] is ["symbolic"] (once per
-          solve), ["numeric"] (once per iteration) or ["fallback"]
-          (the sparse factorisation failed and the iteration reran
-          dense); [n] is the system dimension and [nnz] the factor's
-          nonzero count (0 for a dense fallback).  Never emitted by
-          the pure dense path, so existing dense traces are
-          unchanged. *)
+      (** a KKT factorisation event: [backend] is ["sparse"] or
+          ["dense"], [phase] is ["symbolic"] (once per solve),
+          ["numeric"] (once per iteration) or ["fallback"] (the sparse
+          factorisation failed and the iteration reran dense); [n] is
+          the system dimension and [nnz] the factor's nonzero count (0
+          for a dense fallback). *)
   | Warm_start of { accepted : bool; reason : string }
       (** a warm-start point was offered to the solver: accepted (and
           pushed strictly inside the cone) or rejected for [reason]

@@ -59,13 +59,10 @@ let rung_params (base : Socp.params) = function
       abstol = base.Socp.abstol *. 10.0;
       reltol = base.Socp.reltol *. 10.0;
       (* A shorter fraction-to-boundary step and forced re-equilibration
-         push the iteration onto a different trajectory entirely — and
-         the proven dense KKT oracle replaces the sparse backend, in
-         case the stall was the factorisation's fault. *)
+         push the iteration onto a different trajectory entirely. *)
       step_fraction = 0.9;
       presolve = Socp.Presolve_force;
       warm = None;
-      kkt = `Dense;
     }
 
 let cone_stages = [ Base; Relaxed; Deep; Jittered ]
@@ -77,7 +74,11 @@ let solve_model ?policy ?(params = Socp.default_params) m =
   in
   let run attempt_no stage =
     let p = rung_params params stage in
-    let p = { p with Socp.inject = Fault.inject policy.fault ~attempt:attempt_no } in
+    let p =
+      match Fault.inject policy.fault ~attempt:attempt_no with
+      | None -> p
+      | inject -> { p with Socp.inject }
+    in
     (* The fault label carried by the rung-exit event (and the
        [Fault_injected] marker): the trace must agree exactly with the
        plan — one fired fault, one matching event. *)

@@ -10,9 +10,8 @@
       optimal" iterate the strict run rejected);
     + [Deep] — [max_iter] raised 4× (slow-but-steady convergence);
     + [Jittered] — deep iteration budget, loose tolerances, a smaller
-      fraction-to-boundary step, forced Ruiz re-equilibration and the
-      dense KKT oracle backend — a genuinely different trajectory
-      through the central path.
+      fraction-to-boundary step and forced Ruiz re-equilibration — a
+      genuinely different trajectory through the central path.
 
     Every rung past [Base] also drops any warm-start point from the
     parameters: the retry must not repeat the seeded trajectory that
@@ -28,7 +27,8 @@
 
     Fault injection: the policy's {!Fault.plan} decides which attempts
     run with a sabotaged solver ({!Conic.Socp.params.inject}), letting
-    tests pin every rung deterministically. *)
+    tests pin every rung deterministically.  An attempt the plan does
+    not cover keeps the caller's own [inject] hook. *)
 
 type stage = Base | Relaxed | Deep | Jittered | Fallback_lp
 

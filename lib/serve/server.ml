@@ -28,7 +28,6 @@ type config = {
   default_deadline_s : float option;
   cache_path : string option;
   cache_max_entries : int option;
-  kkt : [ `Auto | `Dense | `Sparse ];
   obs : Obs.Ctx.t option;
   signals : bool;
   halt_after_admits : int option;
@@ -53,7 +52,6 @@ let default_config ~socket_path =
     default_deadline_s = None;
     cache_path = None;
     cache_max_entries = None;
-    kkt = `Auto;
     obs = None;
     signals = false;
     halt_after_admits = None;
@@ -395,8 +393,8 @@ let solve_job state job =
   match state.supervisor with
   | Some sup -> solve_isolated state sup job
   | None ->
-    Worker.solve ~kkt:state.scfg.kkt ?obs:state.scfg.obs ~deadline:job.deadline
-      job.job_cfg job.fault
+    Worker.solve ?obs:state.scfg.obs ~deadline:job.deadline job.job_cfg
+      job.fault
 
 (* Settle a job whose verdict is in hand: admission check, reply,
    counters, trace.  Exactly-once: whoever wins the [settled] flag —
@@ -911,14 +909,6 @@ let run scfg =
                 {
                   base with
                   Supervisor.slots;
-                  worker_args =
-                    [
-                      "--kkt";
-                      fst
-                        (List.find
-                           (fun (_, k) -> k = scfg.kkt)
-                           Budgetbuf.Mapping.kkt_backends);
-                    ];
                   rlimit_mem_mb = scfg.rlimit_mem_mb;
                   rlimit_cpu_s = scfg.rlimit_cpu_s;
                   obs = scfg.obs;

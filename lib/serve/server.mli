@@ -46,9 +46,6 @@ type config = {
   cache_max_entries : int option;
       (** bound the memo cache (FIFO eviction) and arm size-triggered
           journal compaction; [None] = unbounded, never compacts *)
-  kkt : [ `Auto | `Dense | `Sparse ];
-      (** KKT backend for the solves; [`Auto] picks per instance via
-          {!Budgetbuf.Mapping.params_of_kkt} *)
   obs : Obs.Ctx.t option;  (** request/cache/shed trace events and metrics *)
   signals : bool;
       (** install SIGINT/SIGTERM handlers for graceful drain (the CLI

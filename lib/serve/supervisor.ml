@@ -30,7 +30,6 @@
 type config = {
   slots : int;
   exe : string;  (* the budgetbuf binary to exec in worker mode *)
-  worker_args : string list;  (* e.g. ["--kkt"; "sparse"] *)
   rlimit_mem_mb : int option;
   rlimit_cpu_s : int option;
   grace_s : float;  (* reply budget past the task deadline *)
@@ -49,7 +48,6 @@ let default_config ~exe =
   {
     slots = 1;
     exe;
-    worker_args = [];
     rlimit_mem_mb = None;
     rlimit_cpu_s = None;
     grace_s = 0.5;
@@ -153,7 +151,7 @@ let describe_status = function
 (* ---- spawning ---------------------------------------------------- *)
 
 let spawn_command cfg =
-  let argv = "worker" :: cfg.worker_args in
+  let argv = [ "worker" ] in
   match (cfg.rlimit_mem_mb, cfg.rlimit_cpu_s) with
   | None, None ->
     (cfg.exe, Array.of_list (Filename.basename cfg.exe :: argv))

@@ -23,7 +23,6 @@
 type config = {
   slots : int;  (** worker processes kept at most *)
   exe : string;  (** budgetbuf binary to exec in worker mode *)
-  worker_args : string list;  (** e.g. [["--kkt"; "sparse"]] *)
   rlimit_mem_mb : int option;  (** address-space cap (ulimit -v) *)
   rlimit_cpu_s : int option;  (** CPU-time cap (ulimit -t) *)
   grace_s : float;  (** reply budget past the task deadline *)

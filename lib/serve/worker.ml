@@ -191,10 +191,9 @@ let parse ~config ~fault =
       | Ok plan -> Ok (cfg, Some plan)
       | Error msg -> Error (Printf.sprintf "fault spec: %s" msg)))
 
-let solve ~kkt ?obs ~deadline cfg plan =
+let solve ?obs ~deadline cfg plan =
   let params =
-    Durability.params_with_deadline (Mapping.params_of_kkt kkt cfg) ~deadline
-      ~candidate_deadline:None
+    Durability.params_with_deadline None ~deadline ~candidate_deadline:None
   in
   let params = Durability.params_with_obs params obs in
   let policy = Robust.Recovery.with_fault plan in
@@ -220,7 +219,7 @@ let solve ~kkt ?obs ~deadline cfg plan =
    step.  A budget that lapsed in transit arrives as [deadline_s <= 0]
    and yields an already-expired deadline: the solve answers [late]
    exactly as an in-process solve of a lapsed job does. *)
-let run_task ~kkt task =
+let run_task task =
   match parse ~config:task.task_config ~fault:task.task_fault with
   | Error reason -> R_failed reason
   | Ok (cfg, plan) ->
@@ -237,34 +236,18 @@ let run_task ~kkt task =
       | Some s -> Durable.Deadline.of_remaining_s s
       | None -> Durable.Deadline.none
     in
-    solve ~kkt ~deadline cfg plan
+    solve ~deadline cfg plan
 
 (* The hidden [budgetbuf worker] entry point.  argv is the full
-   [Sys.argv] list; everything after "worker" is worker flags (only
-   [--kkt auto|dense|sparse] today).  Exit 0 on EOF — the supervisor
-   closed our stdin — and 2 on a usage error. *)
+   [Sys.argv] list; the worker takes no flags, so anything after
+   "worker" is a usage error.  Exit 0 on EOF — the supervisor closed
+   our stdin — and 2 on a usage error. *)
 let main argv =
-  let kkt = ref `Auto in
-  let rec parse_args = function
-    | [] -> Ok ()
-    | "--kkt" :: v :: rest -> (
-      match List.assoc_opt v Mapping.kkt_backends with
-      | Some k ->
-        kkt := k;
-        parse_args rest
-      | None -> Error (Printf.sprintf "worker: bad --kkt %S" v))
-    | arg :: _ -> Error (Printf.sprintf "worker: unknown argument %S" arg)
-  in
-  let args =
-    match argv with
-    | _exe :: "worker" :: rest -> rest
-    | _ -> []
-  in
-  match parse_args args with
-  | Error msg ->
-    prerr_endline msg;
+  match argv with
+  | _exe :: "worker" :: arg :: _ ->
+    prerr_endline (Printf.sprintf "worker: unknown argument %S" arg);
     2
-  | Ok () -> (
+  | _ -> (
     ignore (Sys.signal Sys.sigpipe Sys.Signal_ignore);
     write_line Unix.stdout (hello_line ());
     let frames = Wire.Framer.create () in
@@ -275,7 +258,7 @@ let main argv =
         let id, reply =
           match parse_task line with
           | Error reason -> ("", R_failed reason)
-          | Ok task -> (task.task_id, run_task ~kkt:!kkt task)
+          | Ok task -> (task.task_id, run_task task)
         in
         write_line Unix.stdout (reply_line ~id reply);
         serve ()

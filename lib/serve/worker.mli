@@ -76,14 +76,12 @@ val parse :
   fault:string option ->
   (Taskgraph.Config.t * Robust.Fault.plan option, string) Stdlib.result
 
-(** [solve ~kkt ?obs ~deadline cfg plan] runs {!Budgetbuf.Mapping.solve}
-    under the KKT backend ({!Budgetbuf.Mapping.params_of_kkt}), the
-    deadline and the recovery policy of [plan]
+(** [solve ?obs ~deadline cfg plan] runs {!Budgetbuf.Mapping.solve}
+    under the deadline and the recovery policy of [plan]
     ({!Robust.Recovery.with_fault}), and classifies the result: an
     infeasibility verdict is [R_unsat], a lapsed deadline [R_late], a
     solver failure or an exception [R_failed]. *)
 val solve :
-  kkt:[ `Auto | `Dense | `Sparse ] ->
   ?obs:Obs.Ctx.t ->
   deadline:Durable.Deadline.t ->
   Taskgraph.Config.t ->
@@ -94,7 +92,7 @@ val solve :
 
 (** [main argv] runs the worker loop on stdin/stdout and returns the
     process exit code.  [argv] is the full [Sys.argv] as a list; the
-    flags after ["worker"] are the worker's own ([--kkt
-    auto|dense|sparse]).  Dispatched by the CLI before its normal
-    command parsing, so the mode stays out of [--help]. *)
+    worker takes no flags, and any argument after ["worker"] is a usage
+    error (exit 2).  Dispatched by the CLI before its normal command
+    parsing, so the mode stays out of [--help]. *)
 val main : string list -> int

@@ -6,6 +6,7 @@ module Mat = Linalg.Mat
 module Cone = Conic.Cone
 module Socp = Conic.Socp
 module Model = Conic.Model
+module Sparse_rows = Conic.Sparse_rows
 
 let check_float eps = Alcotest.(check (float eps))
 
@@ -112,9 +113,12 @@ let test_nt_scaling_interior_required () =
 (* Socp on analytic problems                                          *)
 (* ------------------------------------------------------------------ *)
 
+(* G as sparse rows, from dense row literals. *)
+let g_of rows = Sparse_rows.of_mat (Mat.of_rows rows)
+
 (* min x  s.t. ‖(3, 4)‖ ≤ x  → x* = 5.  Cone rows: s = (x, 3, 4). *)
 let test_socp_norm_bound () =
-  let g = Mat.of_rows [ [| -1.0 |]; [| 0.0 |]; [| 0.0 |] ] in
+  let g = g_of [ [| -1.0 |]; [| 0.0 |]; [| 0.0 |] ] in
   let h = [| 0.0; 3.0; 4.0 |] in
   let sol = Socp.solve ~c:[| 1.0 |] ~g ~h (Cone.make [ Cone.Soc 3 ]) in
   Alcotest.(check bool) "optimal" true (sol.Socp.status = Socp.Optimal);
@@ -122,7 +126,7 @@ let test_socp_norm_bound () =
 
 (* min x + y s.t. x ≥ 1, y ≥ 2 → 3, plain LP through the IPM. *)
 let test_socp_as_lp () =
-  let g = Mat.of_rows [ [| -1.0; 0.0 |]; [| 0.0; -1.0 |] ] in
+  let g = g_of [ [| -1.0; 0.0 |]; [| 0.0; -1.0 |] ] in
   let h = [| -1.0; -2.0 |] in
   let sol =
     Socp.solve ~c:[| 1.0; 1.0 |] ~g ~h (Cone.make [ Cone.Nonneg 2 ])
@@ -133,7 +137,7 @@ let test_socp_as_lp () =
 
 let test_socp_duality () =
   (* At optimality primal and dual objectives coincide. *)
-  let g = Mat.of_rows [ [| -1.0 |]; [| 0.0 |]; [| 0.0 |] ] in
+  let g = g_of [ [| -1.0 |]; [| 0.0 |]; [| 0.0 |] ] in
   let h = [| 0.0; 3.0; 4.0 |] in
   let sol = Socp.solve ~c:[| 1.0 |] ~g ~h (Cone.make [ Cone.Soc 3 ]) in
   check_float 1e-5 "strong duality" sol.Socp.primal_objective
@@ -141,7 +145,7 @@ let test_socp_duality () =
 
 let test_socp_infeasible () =
   (* x ≤ 1 ∧ x ≥ 2 is primal infeasible. *)
-  let g = Mat.of_rows [ [| 1.0 |]; [| -1.0 |] ] in
+  let g = g_of [ [| 1.0 |]; [| -1.0 |] ] in
   let h = [| 1.0; -2.0 |] in
   let sol = Socp.solve ~c:[| 0.0 |] ~g ~h (Cone.make [ Cone.Nonneg 2 ]) in
   Alcotest.(check bool) "primal infeasible" true
@@ -150,7 +154,7 @@ let test_socp_infeasible () =
 let test_socp_unbounded () =
   (* min x s.t. −x ≤ 0 (x ≥ 0 missing: s = x... take min x, x ≤ 5:
      unbounded below). *)
-  let g = Mat.of_rows [ [| 1.0 |] ] in
+  let g = g_of [ [| 1.0 |] ] in
   let h = [| 5.0 |] in
   let sol = Socp.solve ~c:[| 1.0 |] ~g ~h (Cone.make [ Cone.Nonneg 1 ]) in
   Alcotest.(check bool) "dual infeasible (unbounded)" true
@@ -346,8 +350,6 @@ let prop_socp_kkt =
 (* Sparse row assembly                                                 *)
 (* ------------------------------------------------------------------ *)
 
-module Sparse_rows = Conic.Sparse_rows
-
 let gen_sparse_mat =
   (* Random 6x4 matrices with ~70% zero entries. *)
   QCheck2.Gen.(
@@ -437,7 +439,7 @@ let test_model_fix_infeasible () =
 let test_socp_iteration_limit_status () =
   (* A one-iteration budget cannot converge; the solver must report it
      rather than claim optimality. *)
-  let g = Mat.of_rows [ [| -1.0 |]; [| 0.0 |]; [| 0.0 |] ] in
+  let g = g_of [ [| -1.0 |]; [| 0.0 |]; [| 0.0 |] ] in
   let h = [| 0.0; 3.0; 4.0 |] in
   let params = { Socp.default_params with Socp.max_iter = 1 } in
   let sol = Socp.solve ~params ~c:[| 1.0 |] ~g ~h (Cone.make [ Cone.Soc 3 ]) in
@@ -471,15 +473,203 @@ let test_model_unconstrained_zero_objective () =
 
 
 (* ------------------------------------------------------------------ *)
+(* Lowering to sparse rows                                             *)
+(* ------------------------------------------------------------------ *)
+
+(* A random model whose every row keeps a free variable (so no block is
+   constant): repeated variables, fixed variables, a pair of terms on
+   an otherwise unused variable that cancels exactly, equalities and
+   SOC blocks, over coefficients whose sums round differently in a
+   different order. *)
+let random_lowering_model seed =
+  let rng = Workloads.Rng.create (Int64.of_int seed) in
+  let int bound = Workloads.Rng.int rng ~bound in
+  let coefs =
+    [| 1.0; -1.0; 0.1; -0.2; 0.3; 1.0 /. 3.0; 1e16; -1e16; 1e-17; 2.5 |]
+  in
+  let coef () =
+    coefs.(int (Array.length coefs)) *. Workloads.Rng.float rng ~lo:0.5 ~hi:2.0
+  in
+  let m = Model.create () in
+  let n = 3 + int 5 in
+  let vars =
+    Array.init n (fun i -> Model.variable m (Printf.sprintf "x%d" i))
+  in
+  let free = List.filter (fun i -> i = 0 || int 3 > 0) (List.init n Fun.id) in
+  Array.iteri
+    (fun i v -> if not (List.mem i free) then Model.fix m v (coef ()))
+    vars;
+  let pick l = List.nth l (int (List.length l)) in
+  let insert x l =
+    let at = int (List.length l + 1) in
+    List.filteri (fun i _ -> i < at) l
+    @ (x :: List.filteri (fun i _ -> i >= at) l)
+  in
+  let expr () =
+    let terms = List.init (1 + int 6) (fun _ -> (coef (), vars.(int n))) in
+    let terms = insert (coef (), vars.(pick free)) terms in
+    let terms =
+      if int 2 = 0 then terms
+      else begin
+        let k = coef () and v = vars.(int n) in
+        insert (-.k, v) (insert (k, v) terms)
+      end
+    in
+    Model.affine ~const:(coef ()) terms
+  in
+  for _ = 1 to 1 + int 8 do
+    match int 4 with
+    | 0 ->
+      Model.add_soc m ~head:(expr ())
+        ~tail:(List.init (1 + int 3) (fun _ -> expr ()))
+    | 1 -> Model.add_eq m (expr ()) (expr ())
+    | _ -> Model.add_ge0 m (expr ())
+  done;
+  Model.minimize m (expr ());
+  m
+
+(* The lowering Model ran before it emitted sparse rows: a dense G
+   accumulated term by term (G_row −= k, fixed variables folded into
+   h), objective and cone alike, then [Sparse_rows.of_mat]. *)
+let dense_lowering (snap : Model.snapshot) =
+  let fixed v = List.assoc_opt v snap.Model.snap_fixed in
+  let exprs =
+    List.concat_map
+      (function `Nonneg e -> [ e ] | `Soc es -> es)
+      snap.Model.snap_rows
+  in
+  let n = Array.length snap.Model.snap_vars and rows = List.length exprs in
+  let g = Mat.create rows n and h = Vec.create rows in
+  List.iteri
+    (fun row (terms, const) ->
+      List.iter
+        (fun (k, v) ->
+          match fixed v with
+          | Some value -> h.(row) <- h.(row) +. (k *. value)
+          | None -> Mat.update g row v (fun x -> x -. k))
+        terms;
+      h.(row) <- h.(row) +. const)
+    exprs;
+  let c = Vec.create n in
+  List.iter
+    (fun (k, v) -> if fixed v = None then c.(v) <- c.(v) +. k)
+    (fst snap.Model.snap_objective);
+  let blocks =
+    List.fold_left
+      (fun acc r ->
+        match (r, acc) with
+        | `Nonneg _, Cone.Nonneg q :: rest -> Cone.Nonneg (q + 1) :: rest
+        | `Nonneg _, _ -> Cone.Nonneg 1 :: acc
+        | `Soc es, _ -> Cone.Soc (List.length es) :: acc)
+      [] snap.Model.snap_rows
+  in
+  (c, g, h, List.rev blocks)
+
+(* The Ruiz equilibration Presolve ran on a dense G. *)
+let dense_equilibrate ~c ~g ~h cone =
+  let m = Mat.rows g and n = Mat.cols g in
+  let a = Mat.copy g in
+  let row = Vec.make m 1.0 and col = Vec.make n 1.0 in
+  let groups, _ =
+    List.fold_left
+      (fun (acc, off) b ->
+        match b with
+        | Cone.Nonneg q -> (acc, off + q)
+        | Cone.Soc q -> ((off, q) :: acc, off + q))
+      ([], 0) (Cone.blocks cone)
+  in
+  for _ = 1 to 10 do
+    let rnorm = Vec.create m and cnorm = Vec.create n in
+    for i = 0 to m - 1 do
+      for j = 0 to n - 1 do
+        let v = Float.abs (Mat.get a i j) in
+        if v > rnorm.(i) then rnorm.(i) <- v;
+        if v > cnorm.(j) then cnorm.(j) <- v
+      done
+    done;
+    List.iter
+      (fun (off, len) ->
+        let mx = ref 0.0 in
+        for i = off to off + len - 1 do
+          mx := Float.max !mx rnorm.(i)
+        done;
+        Array.fill rnorm off len !mx)
+      groups;
+    let e = Array.map (fun c -> if c > 0.0 then 1.0 /. sqrt c else 1.0) cnorm in
+    for i = 0 to m - 1 do
+      let di = if rnorm.(i) > 0.0 then 1.0 /. sqrt rnorm.(i) else 1.0 in
+      row.(i) <- row.(i) *. di;
+      for j = 0 to n - 1 do
+        Mat.set a i j (Mat.get a i j *. di *. e.(j))
+      done
+    done;
+    for j = 0 to n - 1 do
+      col.(j) <- col.(j) *. e.(j)
+    done
+  done;
+  let mx = ref 0.0 in
+  Array.iteri (fun j cj -> mx := Float.max !mx (Float.abs (col.(j) *. cj))) c;
+  let obj = if !mx > 0.0 then 1.0 /. !mx else 1.0 in
+  ( (row, col, obj),
+    Array.mapi (fun j cj -> obj *. col.(j) *. cj) c,
+    a,
+    Array.mapi (fun i hi -> row.(i) *. hi) h )
+
+let same_bits a b = Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b)
+let same_vec a b = Vec.dim a = Vec.dim b && Array.for_all2 same_bits a b
+
+let same_rows a b =
+  Sparse_rows.rows a = Sparse_rows.rows b
+  && Sparse_rows.cols a = Sparse_rows.cols b
+  && List.for_all
+       (fun i ->
+         List.equal
+           (fun (j, v) (j', v') -> j = j' && same_bits v v')
+           (Sparse_rows.row a i) (Sparse_rows.row b i))
+       (List.init (Sparse_rows.rows a) Fun.id)
+
+let prop_lowering_matches_dense =
+  QCheck2.Test.make ~name:"model lowers to the dense G, h and c bit for bit"
+    ~count:300 (QCheck2.Gen.int_range 0 1_000_000) (fun seed ->
+      let m = random_lowering_model seed in
+      match Model.lower m with
+      | None -> false
+      | Some p ->
+        let c, g, h, blocks = dense_lowering (Model.snapshot m) in
+        same_rows p.Model.g (Sparse_rows.of_mat g)
+        && same_vec p.Model.h h && same_vec p.Model.c c
+        && Cone.blocks p.Model.cone = blocks)
+
+let prop_equilibrate_matches_dense =
+  QCheck2.Test.make
+    ~name:"sparse equilibration matches the dense one bit for bit"
+    ~count:300 (QCheck2.Gen.int_range 0 1_000_000) (fun seed ->
+      let m = random_lowering_model seed in
+      match Model.lower m with
+      | None -> false
+      | Some { Model.c; g; h; cone; _ } ->
+        let _, dense_g, _, _ = dense_lowering (Model.snapshot m) in
+        let sc, c', g', h' = Conic.Presolve.equilibrate ~c ~g ~h cone in
+        let (row, col, obj), dc, dg, dh =
+          dense_equilibrate ~c ~g:dense_g ~h cone
+        in
+        same_vec sc.Conic.Presolve.row row
+        && same_vec sc.Conic.Presolve.col col
+        && same_bits sc.Conic.Presolve.obj obj
+        && same_vec c' dc && same_vec h' dh
+        && same_rows g' (Sparse_rows.of_mat dg))
+
+(* ------------------------------------------------------------------ *)
 (* Bit-level pin of the dense KKT path                                *)
 (* ------------------------------------------------------------------ *)
 
 (* The dense normal-equation kernel (Gram assembly, Cholesky factor,
    triangular solves) must keep the order of its floating-point
    operations.  These digests of the IEEE bits of the final x, s and z
-   of dense cold solves are those of the boxed kernel that preceded
-   the flat-array one, so a reordering fails here instead of drifting
-   some sweep several layers up.  The solver also calls libm ([**]),
+   of cold solves with every iteration forced onto the dense fallback
+   are those of the boxed kernel that preceded the flat-array one, so
+   a reordering fails here instead of drifting some sweep several
+   layers up.  The solver also calls libm ([**]),
    so the digests hold for the platform they were recorded on
    (x86-64 Linux, glibc). *)
 let iterate_digest (sol : Socp.solution) =
@@ -513,7 +703,12 @@ let dense_pin_cases =
 
 let test_dense_bit_pin (name, cfg, expected) () =
   let b = Budgetbuf.Socp_builder.build (cfg ()) in
-  let params = { Socp.default_params with Socp.kkt = `Dense } in
+  let params =
+    {
+      Socp.default_params with
+      Socp.inject = Some (fun _ -> Some Socp.Dense_kkt);
+    }
+  in
   let r = Model.solve ~params b.Budgetbuf.Socp_builder.model in
   let got = iterate_digest r.Model.raw in
   Alcotest.(check string) (name ^ " iterate bits") expected got
@@ -578,6 +773,9 @@ let () =
             prop_sparse_products_match_dense;
             prop_sparse_scaled_gram_matches_dense;
           ] );
+      ( "lowering",
+        List.map QCheck_alcotest.to_alcotest
+          [ prop_lowering_matches_dense; prop_equilibrate_matches_dense ] );
       ( "dense kkt bits",
         List.map
           (fun ((name, _, _) as case) ->

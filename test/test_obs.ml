@@ -416,16 +416,12 @@ let test_traced_solve_matches_plain () =
 
 (* The sparse KKT path announces its factorisation schedule: exactly
    one symbolic analysis per interior-point attempt, then one numeric
-   refactorisation per iteration — the cost model docs/solver.md sells.
-   A dense solve of the same instance emits no kkt_factor events at
-   all, so existing dense goldens cannot move. *)
+   refactorisation per iteration — the cost model docs/solver.md
+   sells. *)
 let test_sparse_solve_trace_shape () =
   let cfg = Workloads.Gen.paper_t1 () in
-  let params =
-    { Conic.Socp.default_params with Conic.Socp.kkt = `Sparse }
-  in
   let sink = Sink.ring ~capacity:4096 in
-  (match Mapping.solve ~params ~obs:(Ctx.make ~sink ()) cfg with
+  (match Mapping.solve ~obs:(Ctx.make ~sink ()) cfg with
   | Ok _ -> ()
   | Error _ -> Alcotest.fail "paper T1 must solve");
   let events = Sink.events sink in
@@ -460,21 +456,7 @@ let test_sparse_solve_trace_shape () =
         Alcotest.(check bool) "dimension recorded" true (n > 0);
         Alcotest.(check bool) "pattern size recorded" true (nnz > 0)
       | _ -> ())
-    events;
-  (* The dense oracle path stays silent. *)
-  let dense_sink = Sink.ring ~capacity:4096 in
-  (match Mapping.solve ~obs:(Ctx.make ~sink:dense_sink ()) cfg with
-  | Ok _ -> ()
-  | Error _ -> Alcotest.fail "paper T1 must solve");
-  Alcotest.(check int)
-    "dense solve emits no kkt_factor events" 0
-    (List.length
-       (List.filter
-          (fun e ->
-            match e.Trace.event with
-            | Trace.Kkt_factor _ | Trace.Warm_start _ -> true
-            | _ -> false)
-          (Sink.events dense_sink)))
+    events
 
 (* Warm starts announce acceptance or rejection with a reason; the
    codec line for each is pinned here (seq/t come from the fake

@@ -8,6 +8,7 @@ module Mat = Linalg.Mat
 module Cone = Conic.Cone
 module Socp = Conic.Socp
 module Presolve = Conic.Presolve
+module Sparse_rows = Conic.Sparse_rows
 module Fault = Robust.Fault
 module Recovery = Robust.Recovery
 module Config = Taskgraph.Config
@@ -88,7 +89,9 @@ let test_fault_candidate_and_coverage () =
    change the feasible set, so the optimum is unchanged; the 1e7
    dynamic range trips both the auto-detector and the equilibrator. *)
 let test_equilibrate_lp_exact () =
-  let g = Mat.of_rows [ [| -1e4; 0.0 |]; [| 0.0; -1e-3 |] ] in
+  let g =
+    Sparse_rows.of_mat (Mat.of_rows [ [| -1e4; 0.0 |]; [| 0.0; -1e-3 |] ])
+  in
   let h = [| -1e4; -2e-3 |] in
   let c = [| 1.0; 1.0 |] in
   let cone = Cone.make [ Cone.Nonneg 2 ] in
@@ -105,7 +108,9 @@ let test_equilibrate_soc_block_uniform () =
   (* min x s.t. ‖(3, 4)‖ ≤ x with the three cone rows scaled by wildly
      different factors: block-uniform row scaling must keep the SOC
      membership intact and still find x* = 5. *)
-  let g = Mat.of_rows [ [| -1.0 |]; [| 0.0 |]; [| 0.0 |] ] in
+  let g =
+    Sparse_rows.of_mat (Mat.of_rows [ [| -1.0 |]; [| 0.0 |]; [| 0.0 |] ])
+  in
   let h = [| 0.0; 3.0; 4.0 |] in
   let sc, c', g', h' =
     Presolve.equilibrate ~c:[| 1e6 |] ~g ~h (Cone.make [ Cone.Soc 3 ])
@@ -122,9 +127,10 @@ let test_equilibrate_soc_block_uniform () =
 
 let test_dynamic_range () =
   Alcotest.(check bool) "well-scaled" false
-    (Presolve.badly_scaled (Mat.of_rows [ [| 1.0; -2.0 |]; [| 0.5; 4.0 |] ]));
+    (Presolve.badly_scaled
+       (Sparse_rows.of_mat (Mat.of_rows [ [| 1.0; -2.0 |]; [| 0.5; 4.0 |] ])));
   check_float 0.0 "zero matrix range" 1.0
-    (Presolve.dynamic_range (Mat.create 2 2))
+    (Presolve.dynamic_range (Sparse_rows.of_mat (Mat.create 2 2)))
 
 (* Random strictly-feasible LPs: h = G·x₀ + 1 (primal interior),
    c = −Gᵀ·z₀ with z₀ > 0 (dual interior), so the optimum exists and
@@ -154,7 +160,7 @@ let prop_equilibration_preserves_optimum =
                 (Array.init m (fun i -> Mat.get g i j *. z0.(i))))
       in
       let cone = Cone.make [ Cone.Nonneg m ] in
-      let reference = Socp.solve ~c ~g ~h cone in
+      let reference = Socp.solve ~c ~g:(Sparse_rows.of_mat g) ~h cone in
       QCheck2.assume (reference.Socp.status = Socp.Optimal);
       let dr = Array.map (fun e -> 10.0 ** e) row_exp in
       let dc = Array.map (fun e -> 10.0 ** e) col_exp in
@@ -164,7 +170,9 @@ let prop_equilibration_preserves_optimum =
       let params =
         { Socp.default_params with Socp.presolve = Socp.Presolve_force }
       in
-      let sol = Socp.solve ~params ~c:c2 ~g:g2 ~h:h2 cone in
+      let sol =
+        Socp.solve ~params ~c:c2 ~g:(Sparse_rows.of_mat g2) ~h:h2 cone
+      in
       if sol.Socp.status <> Socp.Optimal then
         QCheck2.Test.fail_reportf "scaled solve not optimal: %a"
           Socp.pp_status sol.Socp.status;

@@ -1593,7 +1593,7 @@ let test_supervisor_expired_deadline () =
     match Worker.parse ~config:(t1_text ()) ~fault:None with
     | Error e -> Alcotest.failf "parse: %s" e
     | Ok (cfg, plan) ->
-      Worker.solve ~kkt:`Auto
+      Worker.solve
         ~deadline:(Durable.Deadline.of_remaining_s 0.0)
         cfg plan
   in
@@ -1733,44 +1733,30 @@ let test_in_process_matches_isolated () =
       ("malformed fault", t1, Some "meltdown");
     ]
   in
+  let sup = Supervisor.create (supervisor_config ()) in
   List.iter
-    (fun kkt ->
-      let kkt_name =
-        match kkt with `Auto -> "auto" | `Dense -> "dense" | `Sparse -> "sparse"
+    (fun (name, config, fault) ->
+      let in_process =
+        match Worker.parse ~config ~fault with
+        | Error reason -> Worker.R_failed reason
+        | Ok (cfg, plan) ->
+          Worker.solve ~deadline:Durable.Deadline.none cfg plan
       in
-      let sup =
-        Supervisor.create
+      match
+        Supervisor.solve sup
           {
-            (supervisor_config ()) with
-            Supervisor.worker_args = [ "--kkt"; kkt_name ];
+            Worker.task_id = name;
+            task_config = config;
+            task_fault = fault;
+            task_deadline_s = None;
           }
-      in
-      List.iter
-        (fun (name, config, fault) ->
-          let in_process =
-            match Worker.parse ~config ~fault with
-            | Error reason -> Worker.R_failed reason
-            | Ok (cfg, plan) ->
-              Worker.solve ~kkt ~deadline:Durable.Deadline.none cfg plan
-          in
-          match
-            Supervisor.solve sup
-              {
-                Worker.task_id = name;
-                task_config = config;
-                task_fault = fault;
-                task_deadline_s = None;
-              }
-          with
-          | Supervisor.Done isolated ->
-            check_string
-              (Printf.sprintf "%s (--kkt %s)" name kkt_name)
-              (reply_facts in_process) (reply_facts isolated)
-          | o -> Alcotest.failf "%s: %s" name (describe_outcome o))
-        battery;
-      check_int "no worker lost" 0 (Supervisor.counters sup).Supervisor.crashed;
-      Supervisor.shutdown sup)
-    [ `Auto; `Sparse ]
+      with
+      | Supervisor.Done isolated ->
+        check_string name (reply_facts in_process) (reply_facts isolated)
+      | o -> Alcotest.failf "%s: %s" name (describe_outcome o))
+    battery;
+  check_int "no worker lost" 0 (Supervisor.counters sup).Supervisor.crashed;
+  Supervisor.shutdown sup
 
 let spawn_serve args =
   let devnull = Unix.openfile "/dev/null" [ Unix.O_RDWR ] 0 in

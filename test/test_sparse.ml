@@ -1,11 +1,14 @@
 (* Sparse KKT path: the sparse Cholesky core, the canonicalised sparse
-   rows, and the dense-vs-sparse differential oracle (docs/solver.md).
+   rows, and the fallback-vs-sparse differential oracle
+   (docs/solver.md).
 
-   The dense backend is the oracle: on every instance the sparse path
-   must reproduce its verdict, its objective and its certificate.  The
-   unit half pins the mutation cases a naive CSC implementation gets
-   wrong — duplicate triplets, unsorted rows, rank-deficient and
-   singular matrices, empty columns. *)
+   The oracle is the solver's own dense fallback: the reference solve
+   forces every iteration onto the dense Cholesky of the full Gram
+   matrix, and on every instance the sparse path must reproduce its
+   verdict, its objective and its certificate.  The unit half pins the
+   mutation cases a naive CSC implementation gets wrong — duplicate
+   triplets, unsorted rows, rank-deficient and singular matrices,
+   empty columns. *)
 
 module Vec = Linalg.Vec
 module Mat = Linalg.Mat
@@ -21,7 +24,12 @@ module Socp_builder = Budgetbuf.Socp_builder
 
 let check_float = Alcotest.(check (float 1e-9))
 
-let sparse_params = { Socp.default_params with Socp.kkt = `Sparse }
+(* Every iteration on the dense fallback: the reference solve. *)
+let dense_reference =
+  {
+    Socp.default_params with
+    Socp.inject = Some (fun _ -> Some Socp.Dense_kkt);
+  }
 
 (* ------------------------------------------------------------------ *)
 (* Sparse symmetric construction                                       *)
@@ -272,13 +280,13 @@ let test_gram_pattern_soc_union () =
   Alcotest.(check int) "soc block adds cross term" 3 (Sparse.nnz soc)
 
 (* ------------------------------------------------------------------ *)
-(* Dense-vs-sparse differential oracle                                 *)
+(* Fallback-vs-sparse differential oracle                              *)
 (* ------------------------------------------------------------------ *)
 
 let rel_close a b = Float.abs (a -. b) <= 1e-4 *. (1.0 +. Float.abs a)
 
 (* The oracle proper: on a random workload the sparse path must agree
-   with the dense path on the verdict, the objective and the
+   with the dense reference on the verdict, the objective and the
    certificate — and a sparse-accepted mapping must itself certify
    exactly. *)
 let prop_differential_oracle =
@@ -287,8 +295,8 @@ let prop_differential_oracle =
     (fun (n, seed) ->
       let rng = Workloads.Rng.create (Int64.of_int seed) in
       let cfg = Workloads.Gen.random_chain rng ~n () in
-      let dense = Mapping.solve cfg in
-      let sparse = Mapping.solve ~params:sparse_params cfg in
+      let dense = Mapping.solve ~params:dense_reference cfg in
+      let sparse = Mapping.solve cfg in
       match (dense, sparse) with
       | Ok d, Ok s ->
         rel_close d.Mapping.objective s.Mapping.objective
@@ -305,7 +313,7 @@ let test_oracle_on_paper_instances () =
   List.iter
     (fun cfg ->
       match
-        (Mapping.solve cfg, Mapping.solve ~params:sparse_params cfg)
+        (Mapping.solve ~params:dense_reference cfg, Mapping.solve cfg)
       with
       | Ok d, Ok s ->
         Alcotest.(check bool)
@@ -316,12 +324,12 @@ let test_oracle_on_paper_instances () =
           (Certify.certified s.Mapping.certificate);
         Alcotest.(check int)
           "no dense fallbacks" 0 s.Mapping.stats.Mapping.kkt_fallbacks
-      | _ -> Alcotest.fail "both backends must solve the paper instances")
+      | _ -> Alcotest.fail "reference and sparse must solve the paper instances")
     [ Workloads.Gen.paper_t1 (); Workloads.Gen.paper_t2 () ]
 
 let test_sparse_infeasible_agrees () =
-  (* µ < χ can never be met: both backends must report the same
-     infeasibility verdict. *)
+  (* µ < χ can never be met: the reference and the sparse solve must
+     report the same infeasibility verdict. *)
   let cfg = Config.create ~granularity:1.0 () in
   let p1 = Config.add_processor cfg ~name:"p1" ~replenishment:40.0 () in
   let p2 = Config.add_processor cfg ~name:"p2" ~replenishment:40.0 () in
@@ -330,9 +338,9 @@ let test_sparse_infeasible_agrees () =
   let wa = Config.add_task cfg g ~name:"wa" ~proc:p1 ~wcet:1.0 () in
   let wb = Config.add_task cfg g ~name:"wb" ~proc:p2 ~wcet:1.0 () in
   ignore (Config.add_buffer cfg g ~name:"b" ~src:wa ~dst:wb ~memory:m ());
-  match (Mapping.solve cfg, Mapping.solve ~params:sparse_params cfg) with
+  match (Mapping.solve ~params:dense_reference cfg, Mapping.solve cfg) with
   | Error (Mapping.Infeasible _), Error (Mapping.Infeasible _) -> ()
-  | _ -> Alcotest.fail "both backends must report infeasibility"
+  | _ -> Alcotest.fail "reference and sparse must report infeasibility"
 
 (* ------------------------------------------------------------------ *)
 (* Dense rows: Sherman–Morrison–Woodbury against the dense oracle      *)
@@ -342,6 +350,21 @@ module Cone = Conic.Cone
 
 let rel_err x oracle =
   Vec.nrm2 (Vec.sub x oracle) /. Float.max 1e-300 (Vec.nrm2 oracle)
+
+(* The dense oracle of one KKT solve: the full Gram matrix GᵀW⁻²G and
+   a dense Cholesky, dx from the normal equations and
+   dz = W⁻²·(G·dx − bz). *)
+let dense_kkt_solve ~g cone ~s ~z ~bx ~bz =
+  let w = Cone.nt_scaling cone ~s ~z in
+  let scaled =
+    Sparse_rows.scale_rows g ~blocks:(Cone.block_layout w)
+      ~scale_block:(Cone.apply_inv_rows w)
+  in
+  let fact = Cholesky.factor (Sparse_rows.gram scaled) in
+  let w2 v = Cone.apply_inv w (Cone.apply_inv w v) in
+  let rhs = Vec.add bx (Sparse_rows.mul_tvec g (w2 bz)) in
+  let dx = Cholesky.solve fact rhs in
+  (dx, w2 (Vec.sub (Sparse_rows.mul_vec g dx) bz))
 
 (* A random cone program shape with [dense] shared-resource rows of
    17..n nonzeros among short rows (one bound per column plus a few
@@ -376,10 +399,7 @@ let random_dense_row_kkt ~dense seed =
   in
   let rows = Array.of_list (orthant @ List.init 3 (fun _ -> short 2)) in
   let m = Array.length rows in
-  let g = Mat.create m n in
-  Array.iteri
-    (fun i r -> List.iter (fun (j, v) -> Mat.update g i j (( +. ) v)) r)
-    rows;
+  let g = Sparse_rows.of_rows ~cols:n rows in
   let k = List.length orthant in
   let cone = Cone.make [ Cone.Nonneg k; Cone.Soc 3 ] in
   let interior () =
@@ -400,10 +420,8 @@ let prop_dense_rows_match_oracle =
     QCheck2.Gen.(pair (int_range 1 3) (int_range 0 1_000_000))
     (fun (dense, seed) ->
       let g, cone, s, z, bx, bz = random_dense_row_kkt ~dense seed in
-      let dxo, dzo, _ = Socp.kkt_solve ~kkt:`Dense ~g cone ~s ~z ~bx ~bz in
-      let dx, dz, fallbacks =
-        Socp.kkt_solve ~kkt:`Sparse ~g cone ~s ~z ~bx ~bz
-      in
+      let dxo, dzo = dense_kkt_solve ~g cone ~s ~z ~bx ~bz in
+      let dx, dz, fallbacks = Socp.kkt_solve ~g cone ~s ~z ~bx ~bz in
       fallbacks = 0 && rel_err dx dxo <= 1e-8 && rel_err dz dzo <= 1e-8)
 
 (* Column 19 appears only in dense row 19: dropping that row would
@@ -425,18 +443,19 @@ let test_dense_row_only_variable () =
   done;
   Mat.set g (n + 1) 0 (-1.0);
   Mat.set g (n + 1) 1 1.0;
+  let g = Sparse_rows.of_mat g in
   let m = n + 2 in
   Alcotest.(check (array int))
     "only the covered dense row is split out" [| n |]
-    (Sparse_rows.dense_rows (Sparse_rows.of_mat g) ~among:[ (0, m) ]
+    (Sparse_rows.dense_rows g ~among:[ (0, m) ]
        ~above:Socp.dense_row_threshold);
   let cone = Cone.make [ Cone.Nonneg m ] in
   let s = Array.init m (fun i -> 0.5 +. (0.05 *. float_of_int i))
   and z = Array.init m (fun i -> 2.0 -. (0.03 *. float_of_int i)) in
   let bx = Array.init n (fun j -> Float.of_int ((j mod 5) - 2))
   and bz = Array.init m (fun i -> 0.1 *. float_of_int (i mod 7)) in
-  let dxo, dzo, _ = Socp.kkt_solve ~kkt:`Dense ~g cone ~s ~z ~bx ~bz in
-  let dx, dz, fallbacks = Socp.kkt_solve ~kkt:`Sparse ~g cone ~s ~z ~bx ~bz in
+  let dxo, dzo = dense_kkt_solve ~g cone ~s ~z ~bx ~bz in
+  let dx, dz, fallbacks = Socp.kkt_solve ~g cone ~s ~z ~bx ~bz in
   Alcotest.(check int) "no dense fallback" 0 fallbacks;
   Alcotest.(check bool) "dx matches the oracle" true (rel_err dx dxo <= 1e-8);
   Alcotest.(check bool) "dz matches the oracle" true (rel_err dz dzo <= 1e-8)
@@ -447,11 +466,7 @@ let test_chain300_factor_without_memory_row () =
   let cfg = Workloads.Gen.chain ~n:300 () in
   let sink = Obs.Sink.ring ~capacity:4096 in
   let r =
-    match
-      Mapping.solve
-        ?params:(Mapping.params_of_kkt `Auto cfg)
-        ~obs:(Obs.Ctx.make ~sink ()) cfg
-    with
+    match Mapping.solve ~obs:(Obs.Ctx.make ~sink ()) cfg with
     | Ok r -> r
     | Error e -> Alcotest.failf "chain 300: %s" (Mapping.short_reason e)
   in
@@ -534,38 +549,16 @@ let prop_warm_start_preserves_oracle =
       let rng = Workloads.Rng.create (Int64.of_int seed) in
       let cfg = Workloads.Gen.random_chain rng ~n () in
       let anchor = Budgetbuf.Durability.warm_anchor cfg in
-      let params =
-        Budgetbuf.Durability.params_with_warm (Some sparse_params) anchor
-      in
-      match (Mapping.solve cfg, Mapping.solve ?params cfg) with
+      let params = Budgetbuf.Durability.params_with_warm None anchor in
+      match
+        (Mapping.solve ~params:dense_reference cfg, Mapping.solve ?params cfg)
+      with
       | Ok d, Ok s ->
         rel_close d.Mapping.objective s.Mapping.objective
         && Certify.certified s.Mapping.certificate
       | Error de, Error se ->
         String.equal (Mapping.short_reason de) (Mapping.short_reason se)
       | Ok _, Error _ | Error _, Ok _ -> false)
-
-(* ------------------------------------------------------------------ *)
-(* Automatic backend dispatch                                          *)
-(* ------------------------------------------------------------------ *)
-
-(* `Auto keys on tasks + buffers against [sparse_auto_threshold]: the
-   paper instances (3 entities) stay on the bit-identical dense path, a
-   chain of n tasks has 2n - 1 entities and flips to sparse at the
-   first n past the threshold. *)
-let test_kkt_auto_dispatch () =
-  Alcotest.(check bool)
-    "paper t1 stays dense" true
-    (Mapping.kkt_auto (Workloads.Gen.paper_t1 ()) = `Dense);
-  Alcotest.(check bool)
-    "paper t2 stays dense" true
-    (Mapping.kkt_auto (Workloads.Gen.paper_t2 ()) = `Dense);
-  let at n = Mapping.kkt_auto (Workloads.Gen.chain ~n ()) in
-  let t = Mapping.sparse_auto_threshold in
-  let below = t / 2 (* 2n - 1 = t - 1 < t *)
-  and above = (t / 2) + 1 (* 2n - 1 = t + 1 >= t *) in
-  Alcotest.(check bool) "below threshold is dense" true (at below = `Dense);
-  Alcotest.(check bool) "above threshold is sparse" true (at above = `Sparse)
 
 (* ------------------------------------------------------------------ *)
 
@@ -632,9 +625,6 @@ let () =
             test_chain300_factor_without_memory_row;
         ]
         @ List.map QCheck_alcotest.to_alcotest [ prop_dense_rows_match_oracle ]
-      );
-      ( "auto dispatch",
-        [ Alcotest.test_case "kkt_auto threshold" `Quick test_kkt_auto_dispatch ]
       );
       ( "warm starts",
         [

@@ -21,22 +21,23 @@ let refute r = raise (Refute r)
 (* ρ(v1) = ̺ − β and ρ(v2) = ̺·χ/β for one graph, every edge weight
    w(e) = ρ(src) − δ(e)·µ — the longest-path formulation of the PAS
    existence condition, mirrored from the float analysis but on exact
-   rationals.  Returns the actor start times when a PAS exists. *)
-let certify_graph cfg (mapped : Config.mapped) g =
+   rationals.  Returns the actor start times when a PAS exists.
+   [beta] and [repl] are the exact budgets (by task id) and
+   replenishment intervals; [node] receives each task's first node. *)
+let certify_graph cfg (mapped : Config.mapped) ~beta ~repl ~node g =
   let graph = Config.graph_name cfg g in
   let tasks = Config.tasks cfg g and buffers = Config.buffers cfg g in
   let mu = Rat.of_float (Config.period cfg g) in
-  let index = Hashtbl.create 16 in
   let n = ref 0 in
   let names = Array.make (2 * List.length tasks) "" in
   let rho = Array.make (2 * List.length tasks) Rat.zero in
   List.iter
     (fun w ->
       let name = Config.task_name cfg w in
-      let repl = Rat.of_float (Config.replenishment cfg (Config.task_proc cfg w)) in
-      let beta = Rat.of_float (mapped.Config.budget w) in
+      let repl = repl (Config.task_proc cfg w) in
+      let beta = beta.(Config.task_id w) in
       let chi = Rat.of_float (Config.wcet cfg w) in
-      Hashtbl.replace index (Config.task_id w) !n;
+      node.(Config.task_id w) <- !n;
       names.(!n) <- name ^ ".1";
       rho.(!n) <- Rat.sub repl beta;
       names.(!n + 1) <- name ^ ".2";
@@ -49,7 +50,7 @@ let certify_graph cfg (mapped : Config.mapped) g =
   in
   List.iter
     (fun w ->
-      let v1 = Hashtbl.find index (Config.task_id w) in
+      let v1 = node.(Config.task_id w) in
       add_edge v1 (v1 + 1) 0;
       add_edge (v1 + 1) (v1 + 1) 1)
     tasks;
@@ -63,8 +64,8 @@ let certify_graph cfg (mapped : Config.mapped) g =
         refute
           (Violated
              (Violation.Throughput { graph; period = Config.period cfg g }));
-      let src = Hashtbl.find index (Config.task_id (Config.buffer_src cfg b)) in
-      let dst = Hashtbl.find index (Config.task_id (Config.buffer_dst cfg b)) in
+      let src = node.(Config.task_id (Config.buffer_src cfg b)) in
+      let dst = node.(Config.task_id (Config.buffer_dst cfg b)) in
       add_edge (src + 1) dst iota;
       add_edge (dst + 1) src (gamma - iota))
     buffers;
@@ -103,8 +104,8 @@ let certify_graph cfg (mapped : Config.mapped) g =
                List.filter (fun w -> not (has_output w)) tasks )
            with
           | [ src ], [ snk ] ->
-              let v_src = Hashtbl.find index (Config.task_id src) in
-              let v_snk = Hashtbl.find index (Config.task_id snk) + 1 in
+              let v_src = node.(Config.task_id src) in
+              let v_snk = node.(Config.task_id snk) + 1 in
               let latency =
                 Rat.sub (Rat.add d.(v_snk) rho.(v_snk)) d.(v_src)
               in
@@ -117,29 +118,49 @@ let certify_graph cfg (mapped : Config.mapped) g =
       List.mapi (fun i di -> (names.(i), di)) (Array.to_list d)
 
 let check_exn cfg (mapped : Config.mapped) =
+  let tasks = Config.all_tasks cfg in
+  let beta = Array.make (List.length tasks) Rat.zero in
+  (* Converted on first use, so a non-finite interval fails at the same
+     point, with the same message, as a conversion per use would. *)
+  let repl =
+    let procs = Config.processors cfg in
+    let exact = Array.make (List.length procs) (lazy Rat.zero) in
+    List.iter
+      (fun p ->
+        exact.(Config.proc_id p) <-
+          lazy (Rat.of_float (Config.replenishment cfg p)))
+      procs;
+    fun p -> Lazy.force exact.(Config.proc_id p)
+  in
   (* Budgets first: everything downstream divides by them. *)
   List.iter
     (fun w ->
-      let beta = mapped.Config.budget w in
+      let b = mapped.Config.budget w in
       let name = Config.task_name cfg w in
-      if not (Float.is_finite beta) then
+      if not (Float.is_finite b) then
         refute
           (Violated
              (Violation.Non_finite
-                { what = "budget of task " ^ name; value = beta }));
-      let repl = Config.replenishment cfg (Config.task_proc cfg w) in
-      if
-        Rat.sign (Rat.of_float beta) <= 0
-        || Rat.compare (Rat.of_float beta) (Rat.of_float repl) > 0
-      then
+                { what = "budget of task " ^ name; value = b }));
+      let p = Config.task_proc cfg w in
+      let exact = Rat.of_float b in
+      if Rat.sign exact <= 0 || Rat.compare exact (repl p) > 0 then
         refute
           (Violated
              (Violation.Budget_range
-                { task = name; budget = beta; replenishment = repl })))
-    (Config.all_tasks cfg);
+                {
+                  task = name;
+                  budget = b;
+                  replenishment = Config.replenishment cfg p;
+                }));
+      beta.(Config.task_id w) <- exact)
+    tasks;
   (* Throughput (and latency) of every graph, via exact Bellman-Ford. *)
+  let node = Array.make (List.length tasks) 0 in
   let starts =
-    List.concat_map (certify_graph cfg mapped) (Config.graphs cfg)
+    List.concat_map
+      (certify_graph cfg mapped ~beta ~repl ~node)
+      (Config.graphs cfg)
   in
   (* Processor capacity, constraint (4) plus overhead — exact, with no
      epsilon indulgence. *)
@@ -147,19 +168,18 @@ let check_exn cfg (mapped : Config.mapped) =
     (fun p ->
       let used =
         List.fold_left
-          (fun acc w -> Rat.add acc (Rat.of_float (mapped.Config.budget w)))
+          (fun acc w -> Rat.add acc beta.(Config.task_id w))
           (Rat.of_float (Config.overhead cfg p))
           (Config.tasks_on cfg p)
       in
-      let repl = Config.replenishment cfg p in
-      if Rat.compare used (Rat.of_float repl) > 0 then
+      if Rat.compare used (repl p) > 0 then
         refute
           (Violated
              (Violation.Processor_capacity
                 {
                   proc = Config.proc_name cfg p;
                   used = Rat.to_float used;
-                  capacity = repl;
+                  capacity = Config.replenishment cfg p;
                 })))
     (Config.processors cfg);
   (* Memory pre-reservation: integers, so already exact. *)

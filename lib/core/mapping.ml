@@ -164,6 +164,9 @@ let finish_optimal cfg ~policy ~obs builder result trace stats =
      slot [i] of each array belongs to id [i]. *)
   let tasks = Array.of_list (Config.all_tasks cfg)
   and buffers = Array.of_list (Config.all_buffers cfg) in
+  let certify mapped =
+    Obs.Ctx.with_span obs "certify" (fun () -> Certify.check cfg mapped)
+  in
   let mapped_with eps =
     let budgets =
       Array.map
@@ -194,11 +197,11 @@ let finish_optimal cfg ~policy ~obs builder result trace stats =
     let mapped, verification, certificate =
       let snapped = mapped_with Rounding.round_eps in
       let v = Dataflow_model.verify cfg snapped in
-      let c = Certify.check cfg snapped in
+      let c = certify snapped in
       if v = [] && Certify.certified c then (snapped, v, c)
       else
         let strict = mapped_with 0.0 in
-        (strict, Dataflow_model.verify cfg strict, Certify.check cfg strict)
+        (strict, Dataflow_model.verify cfg strict, certify strict)
     in
     if Fault.corrupts_rounding policy.Recovery.fault then begin
       (match obs with
@@ -207,7 +210,7 @@ let finish_optimal cfg ~policy ~obs builder result trace stats =
         Obs.Ctx.emit o
           (Obs.Trace.Fault_injected { kind = "bad_round"; attempt = 1 }));
       let bad = corrupt_rounding cfg mapped in
-      (bad, Dataflow_model.verify cfg bad, Certify.check cfg bad)
+      (bad, Dataflow_model.verify cfg bad, certify bad)
     end
     else (mapped, verification, certificate)
   with

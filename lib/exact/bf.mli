@@ -20,5 +20,8 @@ type verdict =
     [(src, dst, weight)] with node indices in [0 .. nodes-1].
 
     Internally all weights are brought onto the least common
-    denominator once, so the relaxation loop runs on integers. *)
+    denominator once, so the relaxation loop runs on integers: native
+    [int] when the scaled weights are small enough that no relaxed
+    value can overflow, {!Bigint} otherwise.  The two give the same
+    verdict, potentials and cycle. *)
 val longest_path : nodes:int -> (int * int * Rat.t) array -> verdict

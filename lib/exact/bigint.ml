@@ -61,10 +61,6 @@ let bit_length_mag m =
     done;
     ((l - 1) * base_bits) + !bits
 
-let bit_mag m i =
-  let limb = i / base_bits in
-  if limb >= Array.length m then 0 else (m.(limb) lsr (i mod base_bits)) land 1
-
 let to_int t =
   if bit_length_mag t.mag > 62 then None
   else
@@ -102,19 +98,17 @@ let compare a b =
   else compare_mag b.mag a.mag
 
 let add_mag a b =
+  let a, b = if Array.length a >= Array.length b then (a, b) else (b, a) in
   let la = Array.length a and lb = Array.length b in
-  let l = Int.max la lb in
-  let r = Array.make (l + 1) 0 in
+  let r = Array.make la 0 in
   let carry = ref 0 in
-  for i = 0 to l - 1 do
-    let ai = if i < la then a.(i) else 0 in
-    let bi = if i < lb then b.(i) else 0 in
-    let s = ai + bi + !carry in
+  for i = 0 to la - 1 do
+    let s = a.(i) + (if i < lb then b.(i) else 0) + !carry in
     r.(i) <- s land mask;
     carry := s lsr base_bits
   done;
-  r.(l) <- !carry;
-  norm_mag r
+  (* Without a carry out the top limb is at least [a]'s, so nonzero. *)
+  if !carry = 0 then r else Array.append r [| !carry |]
 
 (* Requires [a >= b]. *)
 let sub_mag a b =
@@ -199,47 +193,116 @@ let shift_left t k =
   else if t.sign = 0 || k = 0 then t
   else { t with mag = shift_left_mag t.mag k }
 
-let shift_right_one_mag m =
-  let l = Array.length m in
-  if l = 0 then m
+let shift_right_mag m k =
+  let limbs = k / base_bits and bits = k mod base_bits in
+  let lm = Array.length m in
+  if limbs >= lm then [||]
   else begin
+    let l = lm - limbs in
     let r = Array.make l 0 in
     for i = 0 to l - 1 do
-      let v = m.(i) lsr 1 in
-      r.(i) <-
-        (if i + 1 < l && m.(i + 1) land 1 = 1 then v lor (1 lsl (base_bits - 1))
-         else v)
+      let hi =
+        if i + 1 < l then (m.(i + limbs + 1) lsl (base_bits - bits)) land mask
+        else 0
+      in
+      r.(i) <- (m.(i + limbs) lsr bits) lor hi
     done;
     norm_mag r
   end
 
-(* Bit-by-bit long division of magnitudes; quadratic but our operands
-   are a handful of limbs. *)
+(* Magnitudes of at most two limbs (60 bits) as native ints, and back. *)
+let small_mag m = Array.length m <= 2
+
+let int_of_small m =
+  match Array.length m with
+  | 0 -> 0
+  | 1 -> m.(0)
+  | _ -> (m.(1) lsl base_bits) lor m.(0)
+
+let mag_of_small v =
+  if v = 0 then [||]
+  else if v < base then [| v |]
+  else [| v land mask; v lsr base_bits |]
+
+(* Short division by a single limb (< 2^30). *)
+let divmod_small m d =
+  let l = Array.length m in
+  let q = Array.make l 0 in
+  let r = ref 0 in
+  for i = l - 1 downto 0 do
+    let cur = (!r lsl base_bits) lor m.(i) in
+    q.(i) <- cur / d;
+    r := cur mod d
+  done;
+  (norm_mag q, !r)
+
+(* Knuth's algorithm D (TAOCP vol. 2, 4.3.1) on base-2^30 limbs, for a
+   divisor of at least two limbs and [a >= b].  Every product and
+   two-limb numerator stays below 2^61. *)
+let divmod_knuth a b =
+  let n = Array.length b in
+  (* Normalise so the divisor's top limb has its high bit set; the
+     quotient digit estimate is then at most 2 too large. *)
+  let s = base_bits - bit_length_mag [| b.(n - 1) |] in
+  let v = shift_left_mag b s in
+  let u = Array.make (Array.length a + 1) 0 in
+  let ua = shift_left_mag a s in
+  Array.blit ua 0 u 0 (Array.length ua);
+  let m = Array.length a - n in
+  let q = Array.make (m + 1) 0 in
+  let vtop = v.(n - 1) and vnext = v.(n - 2) in
+  for j = m downto 0 do
+    let num = (u.(j + n) lsl base_bits) lor u.(j + n - 1) in
+    let qhat = ref (num / vtop) and rhat = ref (num mod vtop) in
+    while
+      !rhat < base
+      && (!qhat >= base
+         || !qhat * vnext > (!rhat lsl base_bits) lor u.(j + n - 2))
+    do
+      decr qhat;
+      rhat := !rhat + vtop
+    done;
+    (* u[j..j+n] -= qhat * v *)
+    let carry = ref 0 and borrow = ref 0 in
+    for i = 0 to n - 1 do
+      let p = (!qhat * v.(i)) + !carry in
+      carry := p lsr base_bits;
+      let t = u.(i + j) - (p land mask) - !borrow in
+      if t < 0 then begin
+        u.(i + j) <- t + base;
+        borrow := 1
+      end
+      else begin
+        u.(i + j) <- t;
+        borrow := 0
+      end
+    done;
+    let top = u.(j + n) - !carry - !borrow in
+    if top >= 0 then u.(j + n) <- top
+    else begin
+      (* qhat was one too large: add v back once. *)
+      decr qhat;
+      let c = ref 0 in
+      for i = 0 to n - 1 do
+        let t = u.(i + j) + v.(i) + !c in
+        u.(i + j) <- t land mask;
+        c := t lsr base_bits
+      done;
+      u.(j + n) <- top + !c
+    end;
+    q.(j) <- !qhat
+  done;
+  (norm_mag q, shift_right_mag (Array.sub u 0 n) s)
+
 let divmod_mag a b =
   if compare_mag a b < 0 then ([||], a)
-  else begin
-    let n = bit_length_mag a in
-    let q = Array.make ((n + base_bits - 1) / base_bits) 0 in
-    let r = ref [||] in
-    for i = n - 1 downto 0 do
-      let r2 = shift_left_mag !r 1 in
-      let r2 =
-        if bit_mag a i = 1 then
-          if Array.length r2 = 0 then [| 1 |]
-          else begin
-            r2.(0) <- r2.(0) lor 1;
-            r2
-          end
-        else r2
-      in
-      if compare_mag r2 b >= 0 then begin
-        r := sub_mag r2 b;
-        q.(i / base_bits) <- q.(i / base_bits) lor (1 lsl (i mod base_bits))
-      end
-      else r := r2
-    done;
-    (norm_mag q, !r)
-  end
+  else if small_mag a then
+    let x = int_of_small a and y = int_of_small b in
+    (mag_of_small (x / y), mag_of_small (x mod y))
+  else if Array.length b = 1 then
+    let q, r = divmod_small a b.(0) in
+    (q, mag_of_small r)
+  else divmod_knuth a b
 
 let divmod a b =
   if b.sign = 0 then raise Division_by_zero
@@ -251,38 +314,14 @@ let divmod a b =
 let div a b = fst (divmod a b)
 let rem a b = snd (divmod a b)
 
-let trailing_zeros_mag m =
-  let rec limb i = if m.(i) = 0 then limb (i + 1) else i in
-  let i = limb 0 in
-  let v = ref m.(i) and k = ref 0 in
-  while !v land 1 = 0 do
-    v := !v lsr 1;
-    incr k
-  done;
-  (i * base_bits) + !k
+let rec gcd_int a b = if b = 0 then a else gcd_int b (a mod b)
 
-let shift_right_mag m k =
-  let rec go m k = if k = 0 then m else go (shift_right_one_mag m) (k - 1) in
-  go m k
-
-(* Binary gcd on magnitudes: shifts and subtractions only. *)
-let gcd_mag a b =
-  if Array.length a = 0 then b
-  else if Array.length b = 0 then a
-  else begin
-    let za = trailing_zeros_mag a and zb = trailing_zeros_mag b in
-    let k = Int.min za zb in
-    let strip m = shift_right_mag m (trailing_zeros_mag m) in
-    let rec loop u v =
-      (* u, v odd *)
-      let c = compare_mag u v in
-      if c = 0 then u
-      else
-        let u, v = if c > 0 then (v, u) else (u, v) in
-        loop u (strip (sub_mag v u))
-    in
-    shift_left_mag (loop (shift_right_mag a za) (shift_right_mag b zb)) k
-  end
+(* Euclid on limbs until both operands fit 60 bits, then native. *)
+let rec gcd_mag a b =
+  if Array.length b = 0 then a
+  else if small_mag a && small_mag b then
+    mag_of_small (gcd_int (int_of_small a) (int_of_small b))
+  else gcd_mag b (snd (divmod_mag a b))
 
 let gcd a b = make 1 (gcd_mag a.mag b.mag)
 
@@ -291,18 +330,6 @@ let lcm a b =
   else
     let g = gcd a b in
     abs (mul (div a g) b)
-
-(* Short division by a single limb (< 2^30), for decimal printing. *)
-let divmod_small m d =
-  let l = Array.length m in
-  let q = Array.make l 0 in
-  let r = ref 0 in
-  for i = l - 1 downto 0 do
-    let cur = (!r lsl base_bits) lor m.(i) in
-    q.(i) <- cur / d;
-    r := cur mod d
-  done;
-  (norm_mag q, !r)
 
 let chunk = 1_000_000_000
 

@@ -1,11 +1,13 @@
 (** Arbitrary-precision signed integers, dependency-free.
 
     Magnitudes are little-endian arrays of base-2^30 limbs, so limb
-    products fit comfortably in OCaml's 63-bit native [int].  The
-    implementation favours being obviously correct over being fast:
-    schoolbook multiplication, bit-by-bit long division and binary gcd
-    are all that the exact Bellman–Ford certifier needs, on numbers a
-    few limbs long. *)
+    products fit comfortably in OCaml's 63-bit native [int].  Sized for
+    the exact Bellman–Ford certifier, whose numbers are a few limbs
+    long: schoolbook multiplication, Knuth's algorithm D for division
+    (short division when the divisor is one limb, native division when
+    both operands fit 60 bits), and Euclid's gcd on that division,
+    which finishes in native arithmetic once both operands fit 60
+    bits. *)
 
 type t
 
@@ -48,8 +50,8 @@ val divmod : t -> t -> t * t
 val div : t -> t -> t
 val rem : t -> t -> t
 
-(** [gcd a b] is the non-negative greatest common divisor (binary
-    gcd — no division).  [gcd zero zero] is [zero]. *)
+(** [gcd a b] is the non-negative greatest common divisor.
+    [gcd zero zero] is [zero]. *)
 val gcd : t -> t -> t
 
 (** [lcm a b] is the non-negative least common multiple. *)

@@ -31,9 +31,17 @@ let of_float f =
     let m, e = Float.frexp f in
     let mant = Int64.of_float (Float.ldexp m 53) in
     let e = e - 53 in
-    let mant = Bigint.of_int64 mant in
-    if e >= 0 then of_bigint (Bigint.shift_left mant e)
-    else make mant (Bigint.shift_left Bigint.one (-e))
+    if e >= 0 then of_bigint (Bigint.shift_left (Bigint.of_int64 mant) e)
+    else begin
+      (* The denominator is a power of two: cancel the mantissa's
+         trailing zero bits against it and the fraction is reduced. *)
+      let mant = ref mant and e = ref e in
+      while !e < 0 && Int64.logand !mant 1L = 0L do
+        mant := Int64.shift_right !mant 1;
+        incr e
+      done;
+      { num = Bigint.of_int64 !mant; den = Bigint.shift_left Bigint.one (- !e) }
+    end
   end
 
 (* Naive num/.den over- or underflows once either side outgrows the
@@ -56,17 +64,48 @@ let to_float t =
 let neg t = { t with num = Bigint.neg t.num }
 let abs t = { t with num = Bigint.abs t.num }
 
+let is_one b = Bigint.equal b Bigint.one
+
+(* Sum and product as in Knuth, TAOCP vol. 2, 4.5.1: the gcds run on
+   denominators and cross factors instead of on the full products, and
+   are mostly 1.  The result is reduced, so it equals [make]'s. *)
 let add a b =
-  make
-    (Bigint.add (Bigint.mul a.num b.den) (Bigint.mul b.num a.den))
-    (Bigint.mul a.den b.den)
+  if Bigint.is_zero a.num then b
+  else if Bigint.is_zero b.num then a
+  else
+    let d1 = Bigint.gcd a.den b.den in
+    if is_one d1 then
+      let num = Bigint.add (Bigint.mul a.num b.den) (Bigint.mul b.num a.den) in
+      if Bigint.is_zero num then zero
+      else { num; den = Bigint.mul a.den b.den }
+    else
+      let ad = Bigint.div a.den d1 in
+      let t =
+        Bigint.add (Bigint.mul a.num (Bigint.div b.den d1)) (Bigint.mul b.num ad)
+      in
+      if Bigint.is_zero t then zero
+      else
+        let d2 = Bigint.gcd t d1 in
+        if is_one d2 then { num = t; den = Bigint.mul ad b.den }
+        else { num = Bigint.div t d2; den = Bigint.mul ad (Bigint.div b.den d2) }
 
 let sub a b = add a (neg b)
-let mul a b = make (Bigint.mul a.num b.num) (Bigint.mul a.den b.den)
+
+let mul a b =
+  if Bigint.is_zero a.num || Bigint.is_zero b.num then zero
+  else
+    let d1 = Bigint.gcd a.num b.den and d2 = Bigint.gcd b.num a.den in
+    let cancel x d = if is_one d then x else Bigint.div x d in
+    {
+      num = Bigint.mul (cancel a.num d1) (cancel b.num d2);
+      den = Bigint.mul (cancel a.den d2) (cancel b.den d1);
+    }
 
 let div a b =
   if Bigint.is_zero b.num then raise Division_by_zero
-  else make (Bigint.mul a.num b.den) (Bigint.mul a.den b.num)
+  else if Bigint.sign b.num < 0 then
+    mul a { num = Bigint.neg b.den; den = Bigint.neg b.num }
+  else mul a { num = b.den; den = b.num }
 
 (* a/b ? c/d  <=>  a·d ? c·b   (denominators positive) *)
 let compare a b =

@@ -414,6 +414,30 @@ let test_traced_solve_matches_plain () =
       "socp_iter"; "solve_end"; "certificate";
     ]
 
+(* Each exact check of the rounded mapping runs in a [certify] span
+   nested in [finish], so a trace shows what certification costs. *)
+let test_certify_span_nests_in_finish () =
+  let sink = Sink.ring ~capacity:4096 in
+  (match Mapping.solve ~obs:(Ctx.make ~sink ()) (Workloads.Gen.paper_t1 ()) with
+  | Ok _ -> ()
+  | Error _ -> Alcotest.fail "paper T1 must solve");
+  let spans =
+    List.filter_map
+      (fun e ->
+        match e.Trace.event with
+        | Trace.Span_open { name } -> Some ("open " ^ name)
+        | Trace.Span_close { name; _ } -> Some ("close " ^ name)
+        | _ -> None)
+      (Sink.events sink)
+  in
+  Alcotest.(check (list string))
+    "span sequence"
+    [
+      "open socp"; "close socp"; "open finish"; "open certify";
+      "close certify"; "close finish";
+    ]
+    spans
+
 (* The sparse KKT path announces its factorisation schedule: exactly
    one symbolic analysis per interior-point attempt, then one numeric
    refactorisation per iteration — the cost model docs/solver.md
@@ -495,6 +519,8 @@ let () =
           Alcotest.test_case "span edge cases" `Quick test_span_edges;
           Alcotest.test_case "codec rejects damage" `Quick
             test_json_rejects_damage;
+          Alcotest.test_case "certify span inside finish" `Quick
+            test_certify_span_nests_in_finish;
         ] );
       ( "metrics",
         [

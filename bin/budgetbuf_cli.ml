@@ -475,14 +475,20 @@ let do_solve () path simulate continuous output { fault; trace; metrics } =
             (Config.task_name cfg w)
             (r.Mapping.continuous.Socp_builder.budget w))
         (Config.all_tasks cfg);
-    (match r.Mapping.verification with
-    | [] -> Format.printf "verification: ok@."
-    | problems ->
-      List.iter
-        (fun v ->
-          Format.printf "verification problem: %s@."
-            (Budgetbuf.Violation.to_string v))
-        problems);
+    (* The verification line renders the certificate, the one verdict:
+       a positive cycle is a missed throughput requirement. *)
+    (match r.Mapping.certificate with
+    | Budgetbuf.Certify.Certified _ -> Format.printf "verification: ok@."
+    | Budgetbuf.Certify.Refuted refutation ->
+      let v =
+        match refutation with
+        | Budgetbuf.Certify.Violated v -> v
+        | Budgetbuf.Certify.Positive_cycle { graph; _ } ->
+          Budgetbuf.Violation.Throughput
+            { graph; period = Config.period cfg (Config.find_graph cfg graph) }
+      in
+      Format.printf "verification problem: %s@."
+        (Budgetbuf.Violation.to_string v));
     Format.printf "certificate: %s@."
       (Budgetbuf.Certify.summary r.Mapping.certificate);
     (match output with
@@ -510,11 +516,7 @@ let do_solve () path simulate continuous output { fault; trace; metrics } =
               (Config.period cfg g))
           (Config.graphs cfg)
     end);
-    if
-      r.Mapping.verification = []
-      && Budgetbuf.Certify.certified r.Mapping.certificate
-    then 0
-    else 1
+    if Budgetbuf.Certify.certified r.Mapping.certificate then 0 else 1
 
 let solve_cmd =
   let doc = "compute budgets and buffer sizes jointly (Algorithm 1)" in

@@ -152,7 +152,7 @@ let first_fit cfg =
 let solve_binding ?params cfg assign =
   let candidate = rebind cfg ~assign in
   match Mapping.solve ?params candidate with
-  | Ok r when r.Mapping.verification = [] -> Some (candidate, r)
+  | Ok r when Certify.certified r.Mapping.certificate -> Some (candidate, r)
   | Ok _ | Error _ -> None
 
 let optimize ?(strategy = Greedy_utilization) ?params cfg =
@@ -288,7 +288,7 @@ let place_memories cfg ~heaviest_first ~best_fit =
 let solve_memory_binding ?params cfg assign =
   let candidate = rebind_memories cfg ~assign in
   match Mapping.solve ?params candidate with
-  | Ok r when r.Mapping.verification = [] -> Some (candidate, r)
+  | Ok r when Certify.certified r.Mapping.certificate -> Some (candidate, r)
   | Ok _ | Error _ -> None
 
 let optimize_memories ?(strategy = Greedy_utilization) ?params cfg =

@@ -1,9 +1,9 @@
 (** Exact rational certification of mapped configurations.
 
-    The float pipeline rounds a continuous optimum onto the discrete
-    grids and re-verifies it with epsilon-tolerant floating-point
-    Bellman–Ford — arithmetic with the very rounding error the check
-    is guarding against.  This module rebuilds the SRDF constraint
+    The solver rounds a continuous optimum onto the discrete grids; a
+    floating-point Bellman–Ford check of the result would carry the
+    very rounding error it is guarding against.  This module is the
+    one verdict on a rounded mapping: it rebuilds the SRDF constraint
     graph of the {e rounded} mapping in exact rational arithmetic
     (ρ(v1) = ̺ − β and ρ(v2) = ̺·χ/β are exact rationals once β is a
     float) and decides constraints (1)–(10) with no tolerance at all:

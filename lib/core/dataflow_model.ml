@@ -194,9 +194,9 @@ let min_feasible_period cfg g (mapped : Config.mapped) =
   with
   | exception Invalid_argument _ -> None
   | model -> begin
-    (* Howard's policy iteration: the fastest of the three MCR
-       implementations (see the mcr bench ablation), cross-validated
-       against the binary search and Karp in the test suite. *)
+    (* Howard's policy iteration: faster than the binary search (see
+       the mcr ablation), cross-validated against it and against
+       Karp's algorithm in the test suite. *)
     match Dataflow.Howard.max_cycle_ratio model.srdf with
     | Analysis.Mcr r -> Some r
     | Analysis.Acyclic -> Some 0.0

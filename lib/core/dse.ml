@@ -27,7 +27,7 @@ let min_period_scale ?(tolerance = 1e-4) ?params ?policy ?obs ?on_probe
     List.iter (fun (g, mu) -> Config.set_period probe_cfg g (mu *. scale)) base;
     match Mapping.solve ?params ?policy probe_cfg with
     | Ok r ->
-      let ok = r.Mapping.verification = [] in
+      let ok = Certify.certified r.Mapping.certificate in
       if ok then (match on_feasible with None -> () | Some f -> f r);
       ok
     | Error (Mapping.Solver_failure _ as e) ->
@@ -157,13 +157,6 @@ let throughput_curve ?params ?policy ?pool ?deadline ?candidate_deadline
     let on_failure e =
       if !failed = None then failed := Some (Mapping.short_reason e)
     in
-    (* The bisection only ever narrows [hi] onto feasible probes, so
-       the last feasible probe *is* the accepted period: its
-       certificate decides the point's [certified] verdict. *)
-    let last_certified = ref false in
-    let on_feasible r =
-      last_certified := Certify.certified r.Mapping.certificate
-    in
     let point =
       match
         let capped = Config.copy cfg in
@@ -183,7 +176,7 @@ let throughput_curve ?params ?policy ?pool ?deadline ?candidate_deadline
         in
         match
           min_period_scale ?params ~policy:candidate_policy ~on_failure
-            ~on_feasible capped
+            capped
         with
         | None -> None
         | Some scale -> begin
@@ -193,7 +186,9 @@ let throughput_curve ?params ?policy ?pool ?deadline ?candidate_deadline
         end
       with
       | Some period ->
-        { cap; outcome = Ok (Some period); certified = !last_certified }
+        (* [min_period_scale] accepts only certified probes, and the
+           bisection only ever narrows onto accepted ones. *)
+        { cap; outcome = Ok (Some period); certified = true }
       | None -> begin
         (* No feasible scale: an infeasibility verdict everywhere is the
            honest [Ok None]; a failing solver is a skip with a reason. *)

@@ -31,12 +31,12 @@ val with_periods : Taskgraph.Config.t -> scale:float -> Taskgraph.Config.t
     silently regress.  [on_failure] is called with every probe error
     that is a solver failure (not an infeasibility verdict): the sweep
     drivers use it to tell a broken candidate from a genuine dead end
-    and report it as skipped instead of infeasible.  [on_feasible] is
-    called with the full {!Mapping.result} of every probe that passes
-    verification; because the bisection only ever narrows onto feasible
-    probes, the last such call describes the accepted scale — the sweep
-    drivers use it to read the exact certificate ({!Certify}) of the
-    mapping behind the answer.
+    and report it as skipped instead of infeasible.  A probe is
+    feasible iff its mapping's exact certificate ({!Certify}) is
+    [Certified]; [on_feasible] is called with the full
+    {!Mapping.result} of every such probe.  Because the bisection only
+    ever narrows onto feasible probes, the last such call describes
+    the mapping behind the accepted scale.
 
     When [params] carries a {!Conic.Socp.params.deadline} and a probe
     times out, the whole search is abandoned ([None]) after reporting
@@ -61,9 +61,10 @@ val min_period_scale :
     its evaluation crashed (the sweep carries on — see
     {!Parallel.Pool.map_result}).  [certified] reports whether the
     mapping behind the accepted period carries an exact rational
-    certificate ({!Certify}); it is only meaningful for
-    [Ok (Some _)] outcomes and [false] otherwise.  The flag is
-    journaled, so a restored point keeps the original verdict. *)
+    certificate ({!Certify}): always [true] for a freshly solved
+    [Ok (Some _)], since only certified probes are accepted, and
+    [false] for every other outcome.  The flag is journaled, so a
+    point restored from a journal keeps its recorded verdict. *)
 type curve_point = {
   cap : int;
   outcome : (float option, string) Stdlib.result;

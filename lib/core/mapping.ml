@@ -18,9 +18,7 @@ type result = {
   continuous : Socp_builder.continuous;
   objective : float;
   rounded_objective : float;
-  verification : Violation.t list;
   certificate : Certify.t;
-  sim_check : string list;
   recovery : Recovery.trace;
   stats : stats;
 }
@@ -53,59 +51,6 @@ let short_reason = function
 
 let round_budget = Rounding.round_budget
 let round_capacity = Rounding.round_capacity
-
-(* TDM-simulation cross-check of a rounded mapping: the dataflow model
-   is conservative, so a mapping whose PAS admits period µ must
-   simulate close to µ or better.  A deadlock (or a gross period miss)
-   means the mapping is unusable regardless of what the solver
-   claimed; a small transient overshoot is reported but tolerated —
-   200 iterations measure the steady state through a startup phase. *)
-let sim_soft_margin = 1.10
-let sim_hard_margin = 1.5
-
-(* One 200-iteration run serves both verdicts below; [None] when the
-   configuration has no task to simulate. *)
-let simulate cfg mapped =
-  if Config.all_tasks cfg = [] then None
-  else Some (Tdm_sim.Sim.run cfg mapped ~iterations:200 ())
-
-let sim_cross_check cfg = function
-  | None -> []
-  | Some (Error e) -> [ Printf.sprintf "simulation failed: %s" e ]
-  | Some (Ok report) ->
-    List.concat_map
-      (fun g ->
-        let mu = Config.period cfg g in
-        let p = report.Tdm_sim.Sim.graph_period g in
-        if p > (sim_soft_margin *. mu) +. 1e-9 then
-          [
-            Printf.sprintf
-              "simulation: graph %s measured period %.4f exceeds required \
-               %.4f"
-              (Config.graph_name cfg g) p mu;
-          ]
-        else [])
-      (Config.graphs cfg)
-
-(* A sim verdict that proves the mapping unusable (as opposed to a
-   transient measurement overshoot): deadlock, invalid budgets, or a
-   period beyond any startup effect. *)
-let sim_hard_failure cfg = function
-  | None -> None
-  | Some (Error e) -> Some (Printf.sprintf "simulation failed: %s" e)
-  | Some (Ok report) ->
-    List.find_map
-      (fun g ->
-        let mu = Config.period cfg g in
-        let p = report.Tdm_sim.Sim.graph_period g in
-        if p > sim_hard_margin *. mu then
-          Some
-            (Printf.sprintf
-               "simulation: graph %s measured period %.4f far exceeds \
-                required %.4f"
-               (Config.graph_name cfg g) p mu)
-        else None)
-      (Config.graphs cfg)
 
 let rounded_objective_of cfg (mapped : Config.mapped) =
   List.fold_left
@@ -150,13 +95,10 @@ let corrupt_rounding cfg (mapped : Config.mapped) =
     | [] -> mapped
   end
 
-(* Round and certify an Optimal continuous point.  Certification is in
-   three tiers: the float Bellman–Ford re-verification (reported in
-   [verification] as before) and the exact rational certificate
-   ([certificate]) always run; on a *recovered* solve the mapping must
-   additionally pass both — and the simulation hard check — or the
-   degraded solve is turned into an error rather than silently
-   returned. *)
+(* Round and certify an Optimal continuous point.  The exact
+   certificate is the one verdict: it is always computed and returned,
+   and a *recovered* solve whose mapping it refutes is turned into an
+   error rather than silently returned. *)
 let finish_optimal cfg ~policy ~obs builder result trace stats =
   let continuous = Socp_builder.extract cfg builder result in
   let granularity = Config.granularity cfg in
@@ -189,19 +131,16 @@ let finish_optimal cfg ~policy ~obs builder result trace stats =
     }
   in
   match
-    (* Snap near-grid values first; if either re-check rejects that
-       (possible only when the optimum genuinely sits past a grid
-       point — the exact certifier decides the boundary the float
-       check cannot), fall back to the strictly conservative
-       rounding. *)
-    let mapped, verification, certificate =
+    (* Snap near-grid values first and keep them iff they certify;
+       otherwise (the optimum genuinely sits past a grid point) fall
+       back to the strictly conservative rounding. *)
+    let mapped, certificate =
       let snapped = mapped_with Rounding.round_eps in
-      let v = Dataflow_model.verify cfg snapped in
       let c = certify snapped in
-      if v = [] && Certify.certified c then (snapped, v, c)
+      if Certify.certified c then (snapped, c)
       else
         let strict = mapped_with 0.0 in
-        (strict, Dataflow_model.verify cfg strict, certify strict)
+        (strict, certify strict)
     in
     if Fault.corrupts_rounding policy.Recovery.fault then begin
       (match obs with
@@ -210,9 +149,9 @@ let finish_optimal cfg ~policy ~obs builder result trace stats =
         Obs.Ctx.emit o
           (Obs.Trace.Fault_injected { kind = "bad_round"; attempt = 1 }));
       let bad = corrupt_rounding cfg mapped in
-      (bad, Dataflow_model.verify cfg bad, certify bad)
+      (bad, certify bad)
     end
-    else (mapped, verification, certificate)
+    else (mapped, certificate)
   with
   | exception Rounding.Non_finite { what; value } ->
     Error
@@ -220,7 +159,7 @@ let finish_optimal cfg ~policy ~obs builder result trace stats =
          (Printf.sprintf
             "non-finite %s %h emitted by the solver; rounding refused" what
             value))
-  | mapped, verification, certificate ->
+  | mapped, certificate ->
     (match obs with
     | None -> ()
     | Some o ->
@@ -231,137 +170,89 @@ let finish_optimal cfg ~policy ~obs builder result trace stats =
                (if Certify.certified certificate then "certified"
                 else "refuted");
            }));
-    let sim = simulate cfg mapped in
-    let sim_check = sim_cross_check cfg sim in
-    let uncertifiable msg =
+    if Recovery.recovered trace && not (Certify.certified certificate) then
       Error
         (Solver_failure
            (Format.asprintf
               "stalled recovery produced an uncertifiable mapping (%s) after \
                %d attempt(s) (%a)"
-              msg (Recovery.attempts trace) Recovery.pp_trace trace))
-    in
-    if Recovery.recovered trace && verification <> [] then
-      uncertifiable
-        (String.concat "; " (List.map Violation.to_string verification))
-    else if Recovery.recovered trace && not (Certify.certified certificate)
-    then uncertifiable (Certify.summary certificate)
+              (Certify.summary certificate)
+              (Recovery.attempts trace) Recovery.pp_trace trace))
     else
-      (match
-         if Recovery.recovered trace then sim_hard_failure cfg sim else None
-       with
-      | Some msg -> uncertifiable msg
-      | None ->
-        Ok
-          {
-            mapped;
-            continuous;
-            objective = continuous.Socp_builder.objective;
-            rounded_objective = rounded_objective_of cfg mapped;
-            verification;
-            certificate;
-            sim_check;
-            recovery = trace;
-            stats;
-          })
+      Ok
+        {
+          mapped;
+          continuous;
+          objective = continuous.Socp_builder.objective;
+          rounded_objective = rounded_objective_of cfg mapped;
+          certificate;
+          recovery = trace;
+          stats;
+        }
 
 (* Last rung of the ladder: when every cone-solver attempt stalled,
    restate the problem on the exact-simplex path — Fair_share budgets
    plus the phase-2 buffer LP of the two-phase baseline.  The result is
-   not the joint optimum, but it is feasible and certified, which beats
-   returning nothing.  The synthesized [continuous] point reports the
-   fallback's own (rounded) values. *)
+   not the joint optimum, but {!Two_phase.budget_first} returns only a
+   certified mapping, which beats returning nothing.  The synthesized
+   [continuous] point reports the fallback's own (rounded) values. *)
 let fallback_lp cfg ~obs trace stats final_status =
-  let fail ?note () =
-    let suffix = match note with None -> "" | Some n -> "; " ^ n in
-    Error
-      (Solver_failure
-         (Format.asprintf "%a after %d attempt(s) (%a)%s" Socp.pp_status
-            final_status (Recovery.attempts trace) Recovery.pp_trace trace
-            suffix))
-  in
+  let attempt_no = Recovery.attempts trace + 1 in
   (match obs with
   | None -> ()
   | Some o ->
     Obs.Ctx.emit o
-      (Obs.Trace.Rung_enter
-         { attempt = Recovery.attempts trace + 1; stage = "fallback-lp" }));
+      (Obs.Trace.Rung_enter { attempt = attempt_no; stage = "fallback-lp" }));
   let exit_rung status =
     match obs with
     | None -> ()
     | Some o ->
       Obs.Ctx.emit o
         (Obs.Trace.Rung_exit
-           {
-             attempt = Recovery.attempts trace + 1;
-             stage = "fallback-lp";
-             status;
-             fault = None;
-           })
+           { attempt = attempt_no; stage = "fallback-lp"; status; fault = None })
   in
   match Two_phase.budget_first ~policy:Two_phase.Fair_share ?obs cfg with
   | Error e ->
     exit_rung "failed";
-    fail
-      ~note:
-        (Format.asprintf "fallback LP also failed: %a" Two_phase.pp_error e)
-      ()
+    Error
+      (Solver_failure
+         (Format.asprintf
+            "%a after %d attempt(s) (%a); fallback LP also failed: %a"
+            Socp.pp_status final_status (Recovery.attempts trace)
+            Recovery.pp_trace trace Two_phase.pp_error e))
   | Ok tp ->
+    exit_rung "recovered (exact simplex)";
     let mapped = tp.Two_phase.mapped in
-    let verification = Dataflow_model.verify cfg mapped in
-    let certificate = tp.Two_phase.certificate in
-    let checked =
-      if verification <> [] then
-        Error
-          (String.concat "; " (List.map Violation.to_string verification))
-      else if not (Certify.certified certificate) then
-        Error (Certify.summary certificate)
-      else
-        let sim = simulate cfg mapped in
-        match sim_hard_failure cfg sim with
-        | Some msg -> Error msg
-        | None -> Ok sim
+    let attempt =
+      {
+        Recovery.stage = Recovery.Fallback_lp;
+        status = "recovered (exact simplex)";
+        iterations = 0;
+        time_s = 0.0;
+      }
     in
-    (match checked with
-    | Error msg ->
-      exit_rung "uncertified";
-      fail ~note:("fallback LP mapping failed certification: " ^ msg) ()
-    | Ok sim ->
-      exit_rung "recovered (exact simplex)";
-      let attempt =
-        {
-          Recovery.stage = Recovery.Fallback_lp;
-          status = "recovered (exact simplex)";
-          iterations = 0;
-          time_s = 0.0;
-        }
-      in
-      let trace = trace @ [ attempt ] in
-      let continuous =
-        {
-          Socp_builder.budget = (fun w -> mapped.Config.budget w);
-          (* λ is the reciprocal surrogate of Constraint (8), λ·β′ ≥ 1. *)
-          lambda = (fun w -> 1.0 /. mapped.Config.budget w);
-          space =
-            (fun b ->
-              float_of_int
-                (mapped.Config.capacity b - Config.initial_tokens cfg b));
-          capacity = (fun b -> float_of_int (mapped.Config.capacity b));
-          objective = tp.Two_phase.objective;
-        }
-      in
-      Ok
-        {
-          mapped;
-          continuous;
-          objective = tp.Two_phase.objective;
-          rounded_objective = tp.Two_phase.objective;
-          verification;
-          certificate;
-          sim_check = sim_cross_check cfg sim;
-          recovery = trace;
-          stats = { stats with attempts = stats.attempts + 1 };
-        })
+    let continuous =
+      {
+        Socp_builder.budget = (fun w -> mapped.Config.budget w);
+        (* λ is the reciprocal surrogate of Constraint (8), λ·β′ ≥ 1. *)
+        lambda = (fun w -> 1.0 /. mapped.Config.budget w);
+        space =
+          (fun b ->
+            float_of_int (mapped.Config.capacity b - Config.initial_tokens cfg b));
+        capacity = (fun b -> float_of_int (mapped.Config.capacity b));
+        objective = tp.Two_phase.objective;
+      }
+    in
+    Ok
+      {
+        mapped;
+        continuous;
+        objective = tp.Two_phase.objective;
+        rounded_objective = tp.Two_phase.objective;
+        certificate = tp.Two_phase.certificate;
+        recovery = trace @ [ attempt ];
+        stats = { stats with attempts = stats.attempts + 1 };
+      }
 
 let solve ?params ?policy ?obs cfg =
   let policy =

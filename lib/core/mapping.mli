@@ -4,21 +4,21 @@
     [solve] builds Algorithm 1 for the whole configuration, runs the
     interior-point solver under the {!Robust.Recovery} ladder, applies
     the conservative roundings [β = g·⌈β′/g⌉] and [γ = ι + ⌈δ′⌉], and
-    re-verifies the rounded mapping against the dataflow feasibility
-    test (Constraint (1) via Bellman–Ford), the processor budget
-    capacities and the memory capacities, plus a TDM-simulation
-    cross-check and an exact rational certificate ({!Certify}).  By
-    the monotonicity argument of Section IV the verification must
-    succeed whenever the solver returned an optimal continuous point;
-    it is nevertheless checked and reported.
+    certifies the rounded mapping exactly ({!Certify}): Constraint (1)
+    (a periodic admissible schedule with the required period), the
+    processor budget capacities and the memory capacities, in rational
+    arithmetic.  That certificate is the one verdict on the mapping.
+    By the monotonicity argument of Section IV it must be [Certified]
+    whenever the solver returned an optimal continuous point; it is
+    nevertheless computed and returned with every result.
 
     Resilience (docs/robustness.md): when the cone solve stalls, the
     recovery ladder retries with relaxed tolerances, a deeper iteration
     budget and a re-equilibrated problem, and finally restates the
     problem on the exact-simplex buffer LP of {!Two_phase}.  A
-    recovered (degraded) solve must pass certification — Bellman–Ford
-    and the simulation hard check — or [solve] returns an error rather
-    than silently handing back an unverified mapping. *)
+    recovered (degraded) solve must be certified, or [solve] returns
+    an error rather than silently handing back an unverified mapping.
+    Simulating the mapping ({!Tdm_sim.Sim}) is left to the caller. *)
 
 type stats = {
   variables : int;
@@ -39,19 +39,14 @@ type result = {
   objective : float;  (** continuous optimum of Objective (5) *)
   rounded_objective : float;
       (** Objective (5) evaluated on the rounded β, γ *)
-  verification : Violation.t list;
-      (** violations found when re-checking the rounded mapping with
-          the float dataflow test; empty in normal operation *)
   certificate : Certify.t;
-      (** exact rational certificate of the rounded mapping:
-          [Certified] with the start-time witness, or [Refuted] with
-          the violated constraint / positive-cycle witness.  Always
-          computed; a {e recovered} solve that fails it is turned into
-          an error instead of being returned *)
-  sim_check : string list;
-      (** TDM-simulation cross-check notes (measured period beyond the
-          required period by more than a startup margin, or a failed
-          run); empty in normal operation *)
+      (** the verdict on the rounded mapping: [Certified] with the
+          exact start-time witness, or [Refuted] with the violated
+          constraint or positive-cycle witness.  A {e recovered} solve
+          (including the LP fallback) is returned only when certified;
+          a first-attempt result carries its certificate whatever it
+          says, so callers that need a feasible mapping test
+          {!Certify.certified} *)
   recovery : Robust.Recovery.trace;
       (** one attempt per solver run; more than one means the solve was
           recovered *)
@@ -65,7 +60,7 @@ type error =
           processor, memory and capacity bounds *)
   | Solver_failure of string
       (** every rung of the recovery ladder returned an unusable status
-          (or a recovered mapping failed certification) *)
+          (or a recovered mapping was refuted by its certificate) *)
   | Timed_out of string
       (** the solve's cooperative deadline
           ({!Conic.Socp.params.deadline}) expired mid-solve.  Unlike a

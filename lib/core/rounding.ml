@@ -1,6 +1,6 @@
 (* The tolerance matches the solver accuracy: a continuous value within
    1e-6 of a grid point is snapped down rather than rounded a whole
-   granule up.  Callers re-verify the rounded mapping and fall back to
+   granule up.  Callers certify the rounded mapping and fall back to
    strict (eps = 0) rounding should the snap ever be unsound. *)
 let round_eps = 1e-6
 

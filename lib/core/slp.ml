@@ -196,5 +196,5 @@ let solve ?(max_iterations = 25) ?(tolerance = 1e-6) ?(initial = 1.0) cfg =
                      * (mapped.Config.capacity b - Config.initial_tokens cfg b)))
            0.0 (Config.all_buffers cfg)
     in
-    let verified = Dataflow_model.verify cfg mapped = [] in
+    let verified = Certify.certified (Certify.check cfg mapped) in
     Ok { mapped; objective; iterations; converged; verified }

@@ -23,8 +23,8 @@ type outcome = {
       (** true when successive budget vectors agreed to [tolerance]
           before [max_iterations] *)
   verified : bool;
-      (** true when the final rounded mapping passes the exact
-          feasibility re-check — linearisation gives no guarantee *)
+      (** true when the final rounded mapping is certified by
+          {!Certify.check} — linearisation gives no guarantee *)
 }
 
 type error =

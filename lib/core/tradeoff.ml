@@ -10,15 +10,14 @@ type point = {
 (* Journal payload of one sweep point (docs/formats.md).  A successful
    solve is encoded as a faithful projection of [Mapping.result]:
    objectives, the continuous budget/λ per task and space/capacity per
-   buffer (in dense-id order), the rounded mapping, and the
-   verification / sim-check notes.  The recovery trace and timing stats
-   are *not* journaled — a restored point reports [recovery = []] and
-   zeroed stats, documented as "restored from journal".  The exact
-   certificate is not journaled either, deliberately: the decoder
-   re-certifies the restored mapping against the candidate
-   configuration, so the CRC guards the bits and the certifier guards
-   the meaning.  A timed-out candidate is never journaled, so a resume
-   retries it. *)
+   buffer (in dense-id order) and the rounded mapping.  The recovery
+   trace and timing stats are *not* journaled — a restored point
+   reports [recovery = []] and zeroed stats, documented as "restored
+   from journal".  The exact certificate is not journaled either,
+   deliberately: the decoder re-certifies the restored mapping against
+   the candidate configuration, so the CRC guards the bits and the
+   certifier guards the meaning.  A timed-out candidate is never
+   journaled, so a resume retries it. *)
 let encode_result cfg (r : Mapping.result) =
   let buf = Buffer.create 256 in
   let tok s =
@@ -46,14 +45,6 @@ let encode_result cfg (r : Mapping.result) =
       flt (r.Mapping.continuous.Socp_builder.capacity b);
       tok (string_of_int (r.Mapping.mapped.Config.capacity b)))
     buffers;
-  tok "v";
-  tok (string_of_int (List.length r.Mapping.verification));
-  List.iter
-    (fun v -> tok (Printf.sprintf "%S" (Violation.encode v)))
-    r.Mapping.verification;
-  tok "s";
-  tok (string_of_int (List.length r.Mapping.sim_check));
-  List.iter (fun n -> tok (Printf.sprintf "%S" n)) r.Mapping.sim_check;
   Buffer.contents buf
 
 let encode_point cfg p =
@@ -91,19 +82,8 @@ let decode_result cfg ~candidate ib =
         let mapped = D.scan_int ib in
         (space, capacity, mapped))
   in
-  let scan_notes tag =
-    D.expect_token ib tag;
-    List.init (D.scan_int ib) (fun _ -> ()) |> List.map (fun () -> D.scan_quoted ib)
-  in
-  let verification =
-    List.map
-      (fun s ->
-        match Violation.decode s with
-        | Some v -> v
-        | None -> raise (Scanf.Scan_failure "malformed violation"))
-      (scan_notes "v")
-  in
-  let sim_check = scan_notes "s" in
+  (* Decoding stops here: the [v] (verification) and [s] (sim-check)
+     note groups that older journals append are ignored. *)
   let task_field pick w = pick per_task.(Config.task_id w) in
   let buffer_field pick b = pick per_buffer.(Config.buffer_id b) in
   let mapped =
@@ -124,12 +104,10 @@ let decode_result cfg ~candidate ib =
       };
     objective = obj;
     rounded_objective = robj;
-    verification;
     (* CRC already guarded the bits; re-certifying guards the meaning
        (and gives a reused entry the original's certificate instead of
        an empty one). *)
     certificate = Certify.check candidate mapped;
-    sim_check;
     (* Restored from journal: the solve was not re-run, so there is no
        recovery trace and no timing to report. *)
     recovery = [];

@@ -25,8 +25,8 @@ type point = {
     Durability (docs/robustness.md): [?journal] records every completed
     cap (including infeasible and failed verdicts — they are verdicts)
     and restores recorded caps instead of re-solving them.  A restored
-    point carries the exact objectives, continuous values, rounded
-    mapping and verification notes of the original solve, plus a
+    point carries the exact objectives, continuous values and rounded
+    mapping of the original solve, plus a
     {e freshly recomputed} exact certificate — the decoder re-certifies
     the restored mapping against the capped candidate configuration
     (the CRC guards the bits, the certifier guards the meaning) — but

@@ -199,17 +199,27 @@ let buffer_lp cfg ~budget =
           ~initial_tokens:(Config.initial_tokens cfg b)
           (value (dv b)))
 
+(* The exact certificate is the verdict: a refuted mapping is an error,
+   so an [Ok] result is always certified. *)
+let certified_or_error what mapped certificate ~objective ~rounds =
+  if Certify.certified certificate then
+    Ok { mapped; objective = objective (); rounds; certificate }
+  else
+    Error
+      (Solver_failure
+         (Printf.sprintf "%s failed certification: %s" what
+            (Certify.summary certificate)))
+
 let finish ?obs cfg ~budget ~capacity ~rounds =
   let mapped = { Config.budget; Config.capacity } in
-  match Dataflow_model.verify cfg mapped with
+  match Certify.check cfg mapped with
   | exception Rounding.Non_finite { what; value } ->
     Error
       (Solver_failure
          (Printf.sprintf
             "non-finite %s %h emitted by the solver; rounding refused" what
             value))
-  | [] ->
-    let certificate = Certify.check cfg mapped in
+  | certificate ->
     (match obs with
     | None -> ()
     | Some o ->
@@ -220,11 +230,9 @@ let finish ?obs cfg ~budget ~capacity ~rounds =
                (if Certify.certified certificate then "certified"
                 else "refuted");
            }));
-    Ok { mapped; objective = objective_of cfg mapped; rounds; certificate }
-  | problems ->
-    Error (Solver_failure ("two-phase result failed verification: "
-                           ^ String.concat "; "
-                               (List.map Violation.to_string problems)))
+    certified_or_error "two-phase result" mapped certificate
+      ~objective:(fun () -> objective_of cfg mapped)
+      ~rounds
 
 let budget_first ?(policy = Min_budget) ?obs cfg =
   let budget = budgets_of_policy cfg policy in
@@ -329,15 +337,8 @@ let alternating ?(max_rounds = 10) ?params cfg =
   let* best = loop budget0 None 0 in
   match best with
   | None -> Error (Infeasible "alternating flow found no feasible point")
-  | Some (mapped, objective, rounds) -> begin
-    match Dataflow_model.verify cfg mapped with
-    | [] ->
-      Ok { mapped; objective; rounds; certificate = Certify.check cfg mapped }
-    | problems ->
-      Error
-        (Solver_failure
-           ("alternating result failed verification: "
-           ^ String.concat "; " (List.map Violation.to_string problems)))
-  end
+  | Some (mapped, objective, rounds) ->
+    certified_or_error "alternating result" mapped
+      (Certify.check cfg mapped) ~objective:(fun () -> objective) ~rounds
 
 let buffer_sizing_lp = buffer_lp

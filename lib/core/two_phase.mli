@@ -40,10 +40,9 @@ type result = {
           {!Mapping.result.rounded_objective} *)
   rounds : int;  (** number of phase solves performed *)
   certificate : Certify.t;
-      (** exact rational certificate of the final mapping (two-phase
-          results only reach the caller after passing the float
-          verification, so a [Refuted] certificate flags a genuine
-          near-boundary rounding problem) *)
+      (** exact rational certificate of the final mapping; always
+          [Certified], since a refuted mapping is returned as a
+          [Solver_failure] instead *)
 }
 
 type error =

@@ -39,60 +39,3 @@ let to_string = function
       Printf.sprintf "%s is not finite (%g)" what value
 
 let pp fmt v = Format.pp_print_string fmt (to_string v)
-
-let ftok = Durability.float_to_token
-
-let encode = function
-  | Throughput { graph; period } ->
-      Printf.sprintf "tput %S %s" graph (ftok period)
-  | Processor_capacity { proc; used; capacity } ->
-      Printf.sprintf "proc %S %s %s" proc (ftok used) (ftok capacity)
-  | Memory_capacity { memory; used; capacity } ->
-      Printf.sprintf "mem %S %d %d" memory used capacity
-  | Latency { graph; latency; bound } ->
-      Printf.sprintf "lat %S %s %s" graph (ftok latency) (ftok bound)
-  | Buffer_bound { buffer; capacity; bound } ->
-      Printf.sprintf "bufb %S %d %d" buffer capacity bound
-  | Budget_range { task; budget; replenishment } ->
-      Printf.sprintf "brange %S %s %s" task (ftok budget) (ftok replenishment)
-  | Non_finite { what; value } ->
-      Printf.sprintf "nonfin %S %s" what (ftok value)
-
-let decode s =
-  let ib = Scanf.Scanning.from_string s in
-  let tok () = Durability.scan_token ib in
-  let quoted () = Durability.scan_quoted ib in
-  let f () = Durability.scan_float ib in
-  let i () = Durability.scan_int ib in
-  match
-    match tok () with
-    | "tput" ->
-        let graph = quoted () in
-        Throughput { graph; period = f () }
-    | "proc" ->
-        let proc = quoted () in
-        let used = f () in
-        Processor_capacity { proc; used; capacity = f () }
-    | "mem" ->
-        let memory = quoted () in
-        let used = i () in
-        Memory_capacity { memory; used; capacity = i () }
-    | "lat" ->
-        let graph = quoted () in
-        let latency = f () in
-        Latency { graph; latency; bound = f () }
-    | "bufb" ->
-        let buffer = quoted () in
-        let capacity = i () in
-        Buffer_bound { buffer; capacity; bound = i () }
-    | "brange" ->
-        let task = quoted () in
-        let budget = f () in
-        Budget_range { task; budget; replenishment = f () }
-    | "nonfin" ->
-        let what = quoted () in
-        Non_finite { what; value = f () }
-    | _ -> raise (Scanf.Scan_failure "unknown violation tag")
-  with
-  | v -> Some v
-  | exception (Scanf.Scan_failure _ | Failure _ | End_of_file) -> None

@@ -32,9 +32,3 @@ val constraint_id : t -> string
 val to_string : t -> string
 
 val pp : Format.formatter -> t -> unit
-
-(** Single-line token encoding for sweep journals; [decode] inverts it
-    ([None] on malformed input). Floats round-trip bit-exactly. *)
-val encode : t -> string
-
-val decode : string -> t option

@@ -262,9 +262,9 @@ let random_srdf rng ~n =
   g
 
 let mcr_ablation ppf =
-  header ppf "Ablation: Howard vs Karp vs binary-search MCR";
-  Format.fprintf ppf "  %-8s %-14s %-11s %-11s %-11s %-8s@." "actors"
-    "MCR" "Howard[ms]" "Karp[ms]" "bisect[ms]" "agree";
+  header ppf "Ablation: Howard vs binary-search MCR";
+  Format.fprintf ppf "  %-8s %-14s %-11s %-11s %-8s@." "actors" "MCR"
+    "Howard[ms]" "bisect[ms]" "agree";
   let rng = Workloads.Rng.create 1234L in
   List.iter
     (fun n ->
@@ -275,17 +275,11 @@ let mcr_ablation ppf =
         (r, 1000.0 *. (Unix.gettimeofday () -. t0))
       in
       let h, th = time (fun () -> Dataflow.Howard.max_cycle_ratio g) in
-      let k, tk = time (fun () -> Dataflow.Karp.max_cycle_ratio g) in
       let b, tb = time (fun () -> Dataflow.Analysis.max_cycle_ratio g) in
-      match (h, k, b) with
-      | Dataflow.Analysis.Mcr rh, Dataflow.Analysis.Mcr rk,
-        Dataflow.Analysis.Mcr rb ->
-        let agree =
-          Float.abs (rh -. rb) <= 1e-6 *. Float.max 1.0 rb
-          && Float.abs (rk -. rb) <= 1e-6 *. Float.max 1.0 rb
-        in
-        Format.fprintf ppf "  %-8d %-14.6f %-11.3f %-11.3f %-11.3f %-8s@." n
-          rb th tk tb
+      match (h, b) with
+      | Dataflow.Analysis.Mcr rh, Dataflow.Analysis.Mcr rb ->
+        let agree = Float.abs (rh -. rb) <= 1e-6 *. Float.max 1.0 rb in
+        Format.fprintf ppf "  %-8d %-14.6f %-11.3f %-11.3f %-8s@." n rb th tb
           (if agree then "yes" else "NO")
       | _ -> Format.fprintf ppf "  %-8d unexpected classification@." n)
     [ 10; 50; 100; 200 ]

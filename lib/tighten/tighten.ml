@@ -64,8 +64,8 @@ type t = {
    of the target and the analytic mapping is the weaker bar. *)
 let threshold mu = (mu *. (1.0 +. 1e-9)) +. 1e-12
 
-(* The repo-wide hard margin (see [Mapping.sim_hard_failure]): a
-   baseline this far past µ is broken, not transient. *)
+(* Tighten's hard margin: a baseline this far past µ is broken, not a
+   start-up transient. *)
 let hard_margin = 1.5
 
 let thresholds cfg (baseline : Sim.report) =

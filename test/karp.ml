@@ -1,10 +1,15 @@
 (* Karp's maximum-cycle-mean algorithm and the delay-element reduction
-   from cycle ratio to cycle mean. *)
+   from cycle ratio to cycle mean: the tests' independent oracle for
+   Howard's policy iteration and the binary search. *)
+
+module Srdf = Dataflow.Srdf
+module Analysis = Dataflow.Analysis
 
 let neg_inf = neg_infinity
 
 (* Strongly connected components of a generic edge list (iterative
-   Tarjan, local to this module since {!Scc} is typed to SRDF graphs). *)
+   Tarjan, local to this module since [Dataflow.Scc] is typed to SRDF
+   graphs). *)
 let generic_sccs ~num_vertices ~edges =
   let adj = Array.make num_vertices [] in
   List.iter (fun (s, d, _) -> adj.(s) <- d :: adj.(s)) edges;

@@ -8,9 +8,10 @@
     graph of its {e delay elements}: every token becomes one edge, and
     zero-token paths are contracted into longest-path weights between
     the tokens they connect.  This gives a third MCR implementation —
-    exact like the binary search, division-free like Howard — used to
-    cross-validate both ({!Analysis.max_cycle_ratio},
-    {!Howard.max_cycle_ratio}). *)
+    exact like the binary search, division-free like Howard — that the
+    tests use to cross-validate both
+    ({!Dataflow.Analysis.max_cycle_ratio},
+    {!Dataflow.Howard.max_cycle_ratio}). *)
 
 (** [max_cycle_mean ~num_vertices ~edges] computes
     [max over cycles of (Σ weight) / (number of edges)] of the directed
@@ -24,4 +25,4 @@ val max_cycle_mean :
     the delay-element reduction and {!max_cycle_mean}.  Uses the
     graph's integral token counts (the continuous [δ′] relaxation does
     not apply to this method). *)
-val max_cycle_ratio : Srdf.t -> Analysis.mcr_result
+val max_cycle_ratio : Dataflow.Srdf.t -> Dataflow.Analysis.mcr_result

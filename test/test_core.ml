@@ -162,7 +162,7 @@ let test_t1_rounding_verifies () =
       let r = solve_exn cfg in
       Alcotest.(check (list string))
         (Printf.sprintf "d=%d verification" d)
-        [] (vnotes r.Mapping.verification))
+        [] (vnotes (Dataflow_model.verify cfg r.Mapping.mapped)))
     [ 1; 4; 7; 10 ]
 
 let test_t1_relaxation_tight () =
@@ -350,7 +350,7 @@ let test_budget_first_min_budget_false_negative () =
      Section I. *)
   let cfg = t1_with_cap 6 in
   (match Mapping.solve cfg with
-  | Ok r -> Alcotest.(check (list string)) "joint ok" [] (vnotes r.Mapping.verification)
+  | Ok r -> Alcotest.(check (list string)) "joint ok" [] (vnotes (Dataflow_model.verify cfg r.Mapping.mapped))
   | Error e -> Alcotest.failf "joint flow failed: %a" Mapping.pp_error e);
   match Two_phase.budget_first ~policy:Two_phase.Min_budget cfg with
   | Error (Two_phase.Infeasible _) -> ()
@@ -435,7 +435,7 @@ let test_multi_job_budget_constraint () =
   let rng = Workloads.Rng.create 11L in
   let cfg = Workloads.Gen.multi_job rng ~jobs:3 ~tasks_per_job:3 ~procs:3 () in
   let r = solve_exn cfg in
-  Alcotest.(check (list string)) "verifies" [] (vnotes r.Mapping.verification);
+  Alcotest.(check (list string)) "verifies" [] (vnotes (Dataflow_model.verify cfg r.Mapping.mapped));
   (* Constraint (4): Σ budgets ≤ ̺ on every processor. *)
   List.iter
     (fun p ->
@@ -463,7 +463,7 @@ let prop_random_chains_verify =
       let cfg = Workloads.Gen.random_chain rng ~n () in
       match Mapping.solve cfg with
       | Error _ -> false
-      | Ok r -> r.Mapping.verification = [])
+      | Ok r -> Dataflow_model.verify cfg r.Mapping.mapped = [])
 
 let prop_rounded_dominates_continuous =
   QCheck2.Test.make
@@ -570,7 +570,7 @@ let test_initial_tokens_respected () =
   let r = solve_exn cfg in
   let b = Config.find_buffer cfg "bab" in
   Alcotest.(check bool) "γ ≥ ι" true (r.Mapping.mapped.Config.capacity b >= 3);
-  Alcotest.(check (list string)) "verifies" [] (vnotes r.Mapping.verification)
+  Alcotest.(check (list string)) "verifies" [] (vnotes (Dataflow_model.verify cfg r.Mapping.mapped))
 
 let test_memory_capacity_binds () =
   (* Memory for at most 6 unit containers (constraint (10) reserves one
@@ -592,7 +592,7 @@ let test_container_size_scales_memory () =
   let r = solve_exn cfg in
   let b = Config.find_buffer cfg "bab" in
   Alcotest.(check bool) "γ ≤ 5" true (r.Mapping.mapped.Config.capacity b <= 5);
-  Alcotest.(check (list string)) "verifies" [] (vnotes r.Mapping.verification)
+  Alcotest.(check (list string)) "verifies" [] (vnotes (Dataflow_model.verify cfg r.Mapping.mapped))
 
 let test_shared_memory_couples_buffers () =
   (* Two graphs share one small memory: the sum of their capacities is
@@ -622,7 +622,7 @@ let test_shared_memory_couples_buffers () =
       0 (Config.all_buffers cfg)
   in
   Alcotest.(check bool) "Σγ ≤ 10" true (total <= 10);
-  Alcotest.(check (list string)) "verifies" [] (vnotes r.Mapping.verification)
+  Alcotest.(check (list string)) "verifies" [] (vnotes (Dataflow_model.verify cfg r.Mapping.mapped))
 
 let test_overhead_reduces_available_budget () =
   (* With o(p) = 30 of 40 Mcycles, budgets are capped at 9 (granule
@@ -641,7 +641,7 @@ let test_overhead_reduces_available_budget () =
     (fun w ->
       Alcotest.(check bool) "β ≤ 9" true (r.Mapping.mapped.Config.budget w <= 9.0 +. 1e-9))
     (Config.all_tasks cfg);
-  Alcotest.(check (list string)) "verifies" [] (vnotes r.Mapping.verification)
+  Alcotest.(check (list string)) "verifies" [] (vnotes (Dataflow_model.verify cfg r.Mapping.mapped))
 
 
 
@@ -735,7 +735,7 @@ let test_latency_bound_tightens_budgets () =
   let cfg = t1_with_latency (Some 60.0) in
   let r = solve_exn cfg in
   Alcotest.(check (list string)) "verified incl. latency" []
-    (vnotes r.Mapping.verification);
+    (vnotes (Dataflow_model.verify cfg r.Mapping.mapped));
   let g = Config.find_graph cfg "t1" in
   match Budgetbuf.Latency.chain_bound cfg g r.Mapping.mapped with
   | Some l -> Alcotest.(check bool) "latency ≤ 60" true (l <= 60.0 +. 1e-6)

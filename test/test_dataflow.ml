@@ -736,8 +736,6 @@ let prop_csdf_period_matches_self_timed =
 (* Karp's algorithm                                                    *)
 (* ------------------------------------------------------------------ *)
 
-module Karp = Dataflow.Karp
-
 let test_karp_mcm_simple () =
   (* Triangle with weights 3, 1, 2: mean 2.  Plus a lighter 2-cycle. *)
   let edges = [ (0, 1, 3.0); (1, 2, 1.0); (2, 0, 2.0); (0, 1, 1.0); (1, 0, 1.0) ] in

@@ -402,14 +402,81 @@ let test_tradeoff_resume_restores_results () =
               (ra.Mapping.mapped.Config.capacity b')
               (rb.Mapping.mapped.Config.capacity b'))
           buffers;
-        Alcotest.(check (list string)) "verification notes"
-          (List.map Budgetbuf.Violation.to_string ra.Mapping.verification)
-          (List.map Budgetbuf.Violation.to_string rb.Mapping.verification)
+        Alcotest.(check string) "certificate"
+          (Budgetbuf.Certify.summary ra.Mapping.certificate)
+          (Budgetbuf.Certify.summary rb.Mapping.certificate)
       | Error ea, Error eb ->
         Alcotest.(check string) "same verdict" (Mapping.short_reason ea)
           (Mapping.short_reason eb)
       | _ -> Alcotest.fail "verdict changed across resume")
     full restored;
+  Sys.remove path
+
+(* Journals written before the float verification and sim-check notes
+   left [Mapping.result] append [v] and [s] groups after the [b] group.
+   The decoder stops after [b]: such a line restores the same point as
+   the current payload, without a re-solve. *)
+let test_tradeoff_resume_old_payload () =
+  let cfg = Workloads.Gen.paper_t1 () in
+  let buffers = Config.all_buffers cfg in
+  let caps = [ 1; 2; 3 ] in
+  let path = temp_journal () in
+  let fp = Journal.fingerprint [ "tradeoff-old-payload" ] in
+  let fresh =
+    with_journal ~fingerprint:fp path (fun j ->
+        Tradeoff.capacity_sweep ~journal:j cfg ~buffers ~caps)
+  in
+  let old_tails =
+    [| " v 0 s 0"; {| v 1 "tput \"t1\" 0x1.4p+3" s 1 "simulation: note"|} |]
+  in
+  with_journal ~fingerprint:fp path (fun j ->
+      let entries =
+        List.map
+          (fun (e : Journal.entry) ->
+            if String.length e.Journal.payload >= 3
+               && String.sub e.Journal.payload 0 3 = "ok "
+            then
+              {
+                e with
+                Journal.payload =
+                  e.Journal.payload
+                  ^ old_tails.(e.Journal.index mod Array.length old_tails);
+              }
+            else e)
+          (Journal.entries j)
+      in
+      Alcotest.(check int) "every cap journaled" 3 (List.length entries);
+      Journal.replace j ~entries);
+  let prog = ref None in
+  let restored =
+    with_journal ~fingerprint:fp path (fun j ->
+        Tradeoff.capacity_sweep ~journal:j
+          ~on_progress:(fun p -> prog := Some p)
+          cfg ~buffers ~caps)
+  in
+  (match !prog with
+  | Some p ->
+    Alcotest.(check int) "all restored" 3 p.Sweep.resumed;
+    Alcotest.(check int) "none re-solved" 0 p.Sweep.solved
+  | None -> Alcotest.fail "no progress report");
+  let signature (p : Tradeoff.point) =
+    match p.Tradeoff.result with
+    | Ok r ->
+      Printf.sprintf "%d ok %h %h %s %s [%s]" p.Tradeoff.cap
+        r.Mapping.objective r.Mapping.rounded_objective
+        (String.concat ","
+           (List.map
+              (fun w -> Printf.sprintf "%h" (r.Mapping.mapped.Config.budget w))
+              (Config.all_tasks cfg)))
+        (String.concat ","
+           (List.map
+              (fun b -> string_of_int (r.Mapping.mapped.Config.capacity b))
+              buffers))
+        (Budgetbuf.Certify.summary r.Mapping.certificate)
+    | Error e -> Format.asprintf "%d error %a" p.Tradeoff.cap Mapping.pp_error e
+  in
+  Alcotest.(check (list string)) "old payloads decode to the same points"
+    (List.map signature fresh) (List.map signature restored);
   Sys.remove path
 
 (* ------------------------------------------------------------------ *)
@@ -632,6 +699,8 @@ let () =
             test_dse_resume_exact_solves;
           Alcotest.test_case "tradeoff resume" `Quick
             test_tradeoff_resume_restores_results;
+          Alcotest.test_case "tradeoff resume from old payloads" `Quick
+            test_tradeoff_resume_old_payload;
           Alcotest.test_case "warm sweep jobs determinism" `Quick
             test_warm_sweep_jobs_determinism;
           Alcotest.test_case "warm dse resume bit-identical" `Quick

@@ -562,8 +562,9 @@ module Config = Taskgraph.Config
 module Mapping = Budgetbuf.Mapping
 module Certify = Budgetbuf.Certify
 
-(* Property (a): every mapping the solver accepts (Ok verdict, empty
-   float verification) carries an exact certificate.  200 random
+(* Property (a): every mapping the solver accepts (Ok verdict) that
+   passes the float dataflow test ({!Dataflow_model.verify}) also
+   carries an exact certificate.  200 random
    instances spanning single chains and processor-coupled multi-job
    sets; infeasible draws prove nothing and pass vacuously. *)
 let random_instance seed =
@@ -581,10 +582,11 @@ let test_certify_accepts_qcheck () =
   QCheck.Test.make ~count:200 ~name:"solver-accepted mappings are Certified"
     QCheck.(int_range 1 1_000_000)
     (fun seed ->
-      match Mapping.solve (random_instance seed) with
+      let cfg = random_instance seed in
+      match Mapping.solve cfg with
       | Error _ -> true
       | Ok r ->
-        r.Mapping.verification <> []
+        Budgetbuf.Dataflow_model.verify cfg r.Mapping.mapped <> []
         || Certify.certified r.Mapping.certificate)
 
 (* The witness of a Certified mapping is the earliest periodic

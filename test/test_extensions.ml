@@ -58,7 +58,8 @@ let test_binding_greedy_feasible () =
     Alcotest.(check int) "single solve" 1 o.Binding.explored;
     Alcotest.(check (list string)) "verified" []
       (List.map Budgetbuf.Violation.to_string
-         o.Binding.result.Mapping.verification);
+         (Budgetbuf.Dataflow_model.verify o.Binding.config
+            o.Binding.result.Mapping.mapped));
     Alcotest.(check int) "every task assigned"
       (List.length (Config.all_tasks cfg))
       (List.length o.Binding.assignment)
@@ -70,7 +71,8 @@ let test_binding_first_fit_feasible () =
   | Ok o ->
     Alcotest.(check (list string)) "verified" []
       (List.map Budgetbuf.Violation.to_string
-         o.Binding.result.Mapping.verification)
+         (Budgetbuf.Dataflow_model.verify o.Binding.config
+            o.Binding.result.Mapping.mapped))
 
 let test_binding_exhaustive_beats_or_ties_greedy () =
   (* Two tasks with very different WCETs and two processors with
@@ -331,7 +333,8 @@ let test_memory_greedy_spreads () =
     Alcotest.(check int) "uses both memories" 2 (List.length mems);
     Alcotest.(check (list string)) "verified" []
       (List.map Budgetbuf.Violation.to_string
-         o.Binding.result.Mapping.verification)
+         (Budgetbuf.Dataflow_model.verify o.Binding.config
+            o.Binding.result.Mapping.mapped))
 
 let test_memory_exhaustive_finds_best () =
   let cfg = memory_instance ~m0:11 ~m1:11 in
@@ -341,7 +344,8 @@ let test_memory_exhaustive_finds_best () =
     Alcotest.(check int) "explored all 4" 4 o.Binding.explored;
     Alcotest.(check (list string)) "verified" []
       (List.map Budgetbuf.Violation.to_string
-         o.Binding.result.Mapping.verification)
+         (Budgetbuf.Dataflow_model.verify o.Binding.config
+            o.Binding.result.Mapping.mapped))
 
 let test_memory_infeasible () =
   (* Memories too small for even the minimal footprint. *)
@@ -502,6 +506,43 @@ let test_dse_min_period_infeasible_structure () =
   Alcotest.(check bool) "structural dead end" true
     (Dse.min_period_scale cfg = None)
 
+(* The bisection accepts a probe on its exact certificate alone.  On
+   car-radio at caps 7-10 (each cap seeded from its own warm anchor,
+   as [Dse.throughput_curve] does), a float dataflow check accepted
+   probes the certificate refutes, which left cap 10 at a period twice
+   that of cap 9.  Every accepted probe must be certified, and more
+   buffering can only help. *)
+let test_dse_accepts_only_certified () =
+  let cfg = List.assoc "car-radio" Workloads.Apps.all () in
+  let min_period cap =
+    let capped = Config.copy cfg in
+    List.iter
+      (fun b -> Config.set_max_capacity capped b (Some cap))
+      (Config.all_buffers capped);
+    let params =
+      Budgetbuf.Durability.params_with_warm None
+        (Budgetbuf.Durability.warm_anchor capped)
+    in
+    let on_feasible r =
+      Alcotest.(check bool)
+        (Printf.sprintf "cap %d: accepted probe certified" cap)
+        true
+        (Budgetbuf.Certify.certified r.Mapping.certificate)
+    in
+    match
+      Dse.min_period_scale ?params ~policy:(Robust.Recovery.with_fault None)
+        ~on_feasible capped
+    with
+    | None -> Alcotest.failf "cap %d: no feasible period" cap
+    | Some scale -> Config.period capped (List.hd (Config.graphs capped)) *. scale
+  in
+  match List.map min_period [ 7; 8; 9; 10 ] with
+  | [ _; _; p9; p10 ] ->
+    Alcotest.(check bool)
+      (Printf.sprintf "cap 10 (%.4f) no worse than cap 9 (%.4f)" p10 p9)
+      true (p10 <= p9)
+  | _ -> assert false
+
 let test_dse_throughput_curve_monotone () =
   (* More buffering can only improve the best period (Fig 2a dualised). *)
   let cfg = Workloads.Gen.paper_t1 () in
@@ -565,7 +606,8 @@ let test_multirate_solves_and_simulates () =
     | Error e -> Alcotest.failf "solve failed: %a" Mapping.pp_error e
     | Ok r ->
       Alcotest.(check (list string)) "verified" []
-        (List.map Budgetbuf.Violation.to_string r.Mapping.verification);
+        (List.map Budgetbuf.Violation.to_string
+           (Budgetbuf.Dataflow_model.verify cfg r.Mapping.mapped));
       (* Aggregates are consistent with the per-copy values. *)
       let total_src = prov.Multirate.task_budget r.Mapping.mapped src in
       Alcotest.(check bool) "src budget positive" true (total_src > 0.0);
@@ -849,6 +891,8 @@ let () =
             test_dse_min_period_infeasible_structure;
           Alcotest.test_case "throughput curve" `Quick
             test_dse_throughput_curve_monotone;
+          Alcotest.test_case "accepts only certified probes" `Quick
+            test_dse_accepts_only_certified;
         ] );
       ( "report",
         [

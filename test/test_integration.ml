@@ -41,7 +41,8 @@ let full_pipeline name build () =
   | Error e -> Alcotest.failf "%s: solve failed: %a" name Mapping.pp_error e
   | Ok r ->
     Alcotest.(check (list string)) (name ^ ": verified") []
-      (List.map Budgetbuf.Violation.to_string r.Mapping.verification);
+      (List.map Budgetbuf.Violation.to_string
+         (Budgetbuf.Dataflow_model.verify cfg r.Mapping.mapped));
     let mapped = r.Mapping.mapped in
     (* 3. The mapping serialises and parses back identically. *)
     let mtext = Format.asprintf "%a" (Taskgraph.Mapped_io.print cfg) mapped in

@@ -28,7 +28,7 @@ let t1_analytic_budget d =
 (* Structural equality on [Mapping.result] raises (the mapped record
    holds closures), so the comparison projects every observable of a
    solve into a string: rounded budgets and capacities, the continuous
-   optimum bit-patterns, the verification report and the error
+   optimum bit-patterns, the certificate and the error
    constructor.  Bit-identical projections ⇒ bit-identical results. *)
 let solve_signature cfg = function
   | Ok (r : Mapping.result) ->
@@ -45,12 +45,11 @@ let solve_signature cfg = function
         (fun b -> string_of_int (r.Mapping.mapped.Config.capacity b))
         (Config.all_buffers cfg)
     in
-    Printf.sprintf "ok obj=%Lx robj=%Lx budgets=%s caps=%s verif=%s"
+    Printf.sprintf "ok obj=%Lx robj=%Lx budgets=%s caps=%s cert=%s"
       (Int64.bits_of_float r.Mapping.objective)
       (Int64.bits_of_float r.Mapping.rounded_objective)
       (String.concat "," budgets) (String.concat "," caps)
-      (String.concat ";"
-         (List.map Budgetbuf.Violation.to_string r.Mapping.verification))
+      (Budgetbuf.Certify.summary r.Mapping.certificate)
   | Error e -> Format.asprintf "error: %a" Mapping.pp_error e
 
 (* One capacity point: cap every buffer of a private clone (handles

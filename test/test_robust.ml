@@ -203,7 +203,8 @@ let test_presolve_force_matches_default () =
     check_float 1e-9 "rounded objective" reference.Mapping.rounded_objective
       r.Mapping.rounded_objective;
     Alcotest.(check (list string)) "verified" []
-        (List.map Budgetbuf.Violation.to_string r.Mapping.verification)
+        (List.map Budgetbuf.Violation.to_string
+           (Budgetbuf.Dataflow_model.verify cfg r.Mapping.mapped))
 
 (* ------------------------------------------------------------------ *)
 (* Recovery ladder, rung by rung                                       *)
@@ -237,7 +238,9 @@ let check_recovered_matches ?(compare_budgets = true) spec expected_stages =
       (List.length expected_stages)
       r.Mapping.stats.Mapping.attempts;
     Alcotest.(check (list string)) (spec ^ " verified") []
-      (List.map Budgetbuf.Violation.to_string r.Mapping.verification);
+      (List.map Budgetbuf.Violation.to_string
+         (Budgetbuf.Dataflow_model.verify (Workloads.Gen.paper_t1 ())
+            r.Mapping.mapped));
     if compare_budgets then begin
       let reference = reference_mapping () in
       (* Every cone rung solves the same convex program, so whichever
@@ -273,7 +276,9 @@ let test_nan_fault_recovers () =
   | Ok r ->
     Alcotest.(check bool) "recovered" true (Recovery.recovered r.Mapping.recovery);
     Alcotest.(check (list string)) "verified" []
-        (List.map Budgetbuf.Violation.to_string r.Mapping.verification)
+        (List.map Budgetbuf.Violation.to_string
+           (Budgetbuf.Dataflow_model.verify (Workloads.Gen.paper_t1 ())
+              r.Mapping.mapped))
 
 let test_permanent_fault_fails_cleanly () =
   match solve_with "stall,attempts=all" with

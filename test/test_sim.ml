@@ -692,27 +692,61 @@ let prop_jitter_meets_solver_bound =
 (* Conservativeness of the dataflow model (the paper's foundation)     *)
 (* ------------------------------------------------------------------ *)
 
+(* The solve path no longer simulates its own answers; this is the
+   oracle in its place.  [simulates_within cfg mapped] holds when the
+   mapping's measured steady-state period stays within µ plus the
+   sampling bias on every graph. *)
+let simulates_within cfg mapped =
+  match Sim.run cfg mapped ~iterations:400 () with
+  | Error _ -> false
+  | Ok report ->
+    List.for_all
+      (fun g ->
+        report.Sim.graph_period g
+        <= Config.period cfg g +. bias ~interval:60.0 ~iterations:400)
+      (Config.graphs cfg)
+
+let random_chain_gen = QCheck2.Gen.(pair (int_range 2 5) (int_range 0 10_000))
+
+let random_chain_of (n, seed) =
+  Workloads.Gen.random_chain (Workloads.Rng.create (Int64.of_int seed)) ~n ()
+
 let prop_model_conservative =
   (* For solver-produced mappings on random chains, the simulated
      steady-state period never exceeds the required period. *)
   QCheck2.Test.make
     ~name:"dataflow model is conservative wrt TDM simulation" ~count:20
-    QCheck2.Gen.(pair (int_range 2 5) (int_range 0 10_000))
-    (fun (n, seed) ->
-      let rng = Workloads.Rng.create (Int64.of_int seed) in
-      let cfg = Workloads.Gen.random_chain rng ~n () in
+    random_chain_gen
+    (fun input ->
+      let cfg = random_chain_of input in
       match Mapping.solve cfg with
       | Error _ -> false
-      | Ok r -> begin
-        match Sim.run cfg r.Mapping.mapped ~iterations:400 () with
-        | Error _ -> false
-        | Ok report ->
-          List.for_all
-            (fun g ->
-              report.Sim.graph_period g
-              <= Config.period cfg g +. bias ~interval:60.0 ~iterations:400)
-            (Config.graphs cfg)
-      end)
+      | Ok r -> simulates_within cfg r.Mapping.mapped)
+
+(* The same oracle down every rung of the recovery ladder:
+   [stall,attempts=k] stalls the first [k] cone attempts, so the answer
+   comes from the relaxed, deep or jittered rung, or (k = 4) from the
+   exact-simplex fallback.  Every [Ok] must come from that rung, carry
+   a certified certificate and simulate within µ.  A failed solve
+   proves nothing here; the ladder's reach is pinned in test_robust. *)
+let prop_recovered_conservative k =
+  let spec = Printf.sprintf "stall,attempts=%d" k in
+  let policy =
+    match Robust.Fault.of_string spec with
+    | Ok plan -> Robust.Recovery.with_fault (Some plan)
+    | Error e -> failwith e
+  in
+  QCheck2.Test.make
+    ~name:(Printf.sprintf "%s: Ok is certified and conservative" spec)
+    ~count:10 random_chain_gen
+    (fun input ->
+      let cfg = random_chain_of input in
+      match Mapping.solve ~policy cfg with
+      | Error _ -> true
+      | Ok r ->
+        Robust.Recovery.attempts r.Mapping.recovery > k
+        && Budgetbuf.Certify.certified r.Mapping.certificate
+        && simulates_within cfg r.Mapping.mapped)
 
 let prop_more_budget_never_slower =
   QCheck2.Test.make ~name:"larger budget never slows the simulation"
@@ -995,5 +1029,6 @@ let () =
         List.map QCheck_alcotest.to_alcotest [ prop_budget_isolation ] );
       ( "conservativeness",
         List.map QCheck_alcotest.to_alcotest
-          [ prop_model_conservative; prop_more_budget_never_slower ] );
+          ([ prop_model_conservative; prop_more_budget_never_slower ]
+          @ List.map prop_recovered_conservative [ 1; 2; 3; 4 ]) );
     ]

@@ -304,7 +304,7 @@ let prop_differential_oracle =
         && Certify.certified d.Mapping.certificate
            = Certify.certified s.Mapping.certificate
         && Certify.certified s.Mapping.certificate
-        && s.Mapping.verification = []
+        && Budgetbuf.Dataflow_model.verify cfg s.Mapping.mapped = []
       | Error de, Error se ->
         String.equal (Mapping.short_reason de) (Mapping.short_reason se)
       | Ok _, Error _ | Error _, Ok _ -> false)

@@ -168,7 +168,7 @@ let test_multi_job_invalid () =
 
 let solvable cfg =
   match Budgetbuf.Mapping.solve cfg with
-  | Ok r -> r.Budgetbuf.Mapping.verification = []
+  | Ok r -> Budgetbuf.Dataflow_model.verify cfg r.Budgetbuf.Mapping.mapped = []
   | Error _ -> false
 
 let test_generators_solvable () =
@@ -283,7 +283,8 @@ let test_apps_solvable_and_simulate () =
         Alcotest.failf "%s failed: %a" name Budgetbuf.Mapping.pp_error e
       | Ok r ->
         Alcotest.(check (list string)) (name ^ " verifies") []
-          (List.map Budgetbuf.Violation.to_string r.Budgetbuf.Mapping.verification))
+          (List.map Budgetbuf.Violation.to_string
+             (Budgetbuf.Dataflow_model.verify cfg r.Budgetbuf.Mapping.mapped)))
     Apps.all
 
 let test_apps_registry () =

@@ -669,23 +669,8 @@ let prop_equilibrate_matches_dense =
    of cold solves with every iteration forced onto the dense fallback
    are those of the boxed kernel that preceded the flat-array one, so
    a reordering fails here instead of drifting some sweep several
-   layers up.  The solver also calls libm ([**]),
-   so the digests hold for the platform they were recorded on
-   (x86-64 Linux, glibc). *)
-let iterate_digest (sol : Socp.solution) =
-  let b = Buffer.create 4096 in
-  Buffer.add_string b
-    (Format.asprintf "%a/%d;" Socp.pp_status sol.Socp.status
-       sol.Socp.iterations);
-  List.iter
-    (fun v ->
-      Array.iter
-        (fun x ->
-          Buffer.add_string b (Printf.sprintf "%Lx," (Int64.bits_of_float x)))
-        v;
-      Buffer.add_char b '|')
-    [ sol.Socp.x; sol.Socp.s; sol.Socp.z ];
-  Digest.to_hex (Digest.string (Buffer.contents b))
+   layers up ([Iterate_digest] says which platform they hold on). *)
+let iterate_digest = Iterate_digest.of_solution
 
 let dense_pin_cases =
   [

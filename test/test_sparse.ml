@@ -490,6 +490,56 @@ let test_chain300_factor_without_memory_row () =
   | l -> Alcotest.failf "expected one symbolic analysis, got %d" (List.length l)
 
 (* ------------------------------------------------------------------ *)
+(* Bit-level pin of the sparse KKT path                                *)
+(* ------------------------------------------------------------------ *)
+
+(* The default path — sparse refill, numeric refactorisation, the
+   Woodbury update of the dense rows — must keep the order of its
+   floating-point operations, as "dense kkt bits" in test_conic.ml does
+   for the fallback.  These are the digests of cold default-params
+   solves recorded on the list-row kernel that preceded the flat-array
+   one; chain 100, multi-job 20 and mesh 8×8 each have one dense row,
+   so they pin the Woodbury solve too. *)
+let sparse_pin_cases =
+  [
+    ("paper t1", Workloads.Gen.paper_t1, "cf8daea5be8f9d7b11aa96870644b3f3", 11);
+    ("paper t2", Workloads.Gen.paper_t2, "96650aeb301aa0e85e6367b93526f096", 12);
+    ( "chain 8",
+      (fun () -> Workloads.Gen.chain ~n:8 ()),
+      "6aa4743f4e7a14e9dff5ae185e369128",
+      24 );
+    ( "multijob 3",
+      (fun () ->
+        Workloads.Gen.multi_job (Workloads.Rng.create 1L) ~jobs:3
+          ~tasks_per_job:3 ~procs:3 ()),
+      "d2e9d0109b54b8aa8c34d7ea2427f04d",
+      17 );
+    ( "chain 100",
+      (fun () -> Workloads.Gen.chain ~n:100 ()),
+      "ca262cf30369d1d300df9e2b4d100a8e",
+      27 );
+    ( "multijob 20",
+      (fun () ->
+        Workloads.Gen.multi_job (Workloads.Rng.create 1L) ~jobs:20
+          ~tasks_per_job:5 ~procs:20 ()),
+      "378ea4144f7c51a1f0091fe198c04333",
+      17 );
+    ( "mesh 8x8",
+      (fun () -> Workloads.Gen.mesh ~rows:8 ~cols:8 ()),
+      "b4e770867d2833581267ae7869f67226",
+      20 );
+  ]
+
+let test_sparse_bit_pin (name, cfg, expected, iterations) () =
+  let b = Socp_builder.build (cfg ()) in
+  let r = Model.solve b.Socp_builder.model in
+  Alcotest.(check int) (name ^ " iterations") iterations
+    r.Model.raw.Socp.iterations;
+  Alcotest.(check string)
+    (name ^ " iterate bits") expected
+    (Iterate_digest.of_solution r.Model.raw)
+
+(* ------------------------------------------------------------------ *)
 (* Warm starts                                                         *)
 (* ------------------------------------------------------------------ *)
 
@@ -626,6 +676,11 @@ let () =
         ]
         @ List.map QCheck_alcotest.to_alcotest [ prop_dense_rows_match_oracle ]
       );
+      ( "sparse kkt bits",
+        List.map
+          (fun ((name, _, _, _) as case) ->
+            Alcotest.test_case name `Quick (test_sparse_bit_pin case))
+          sparse_pin_cases );
       ( "warm starts",
         [
           Alcotest.test_case "reaches same optimum" `Quick

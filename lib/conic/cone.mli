@@ -39,13 +39,17 @@ val min_eig : t -> Linalg.Vec.t -> float
 (** [mem ?eps k u] tests membership of [u] in [K] within tolerance. *)
 val mem : ?eps:float -> t -> Linalg.Vec.t -> bool
 
-(** [prod k u v] is the Jordan product [u ∘ v]:
-    component-wise on orthants, [(uᵀv, u₀v̄ + v₀ū)] on SOC blocks. *)
-val prod : t -> Linalg.Vec.t -> Linalg.Vec.t -> Linalg.Vec.t
+(** [prod ?into k u v] is the Jordan product [u ∘ v]:
+    component-wise on orthants, [(uᵀv, u₀v̄ + v₀ū)] on SOC blocks.
+    With [into] (neither [u] nor [v]) the product overwrites it and is
+    returned; otherwise it is fresh.  The same holds for {!div}. *)
+val prod :
+  ?into:Linalg.Vec.t -> t -> Linalg.Vec.t -> Linalg.Vec.t -> Linalg.Vec.t
 
-(** [div k lam d] solves [lam ∘ u = d] for [u] block by block.
+(** [div ?into k lam d] solves [lam ∘ u = d] for [u] block by block.
     [lam] must be strictly interior. *)
-val div : t -> Linalg.Vec.t -> Linalg.Vec.t -> Linalg.Vec.t
+val div :
+  ?into:Linalg.Vec.t -> t -> Linalg.Vec.t -> Linalg.Vec.t -> Linalg.Vec.t
 
 (** [max_step k u du] is [sup {α ≥ 0 | u + α·du ∈ K}] for [u ∈ K];
     [infinity] when the ray stays inside. *)
@@ -53,35 +57,34 @@ val max_step : t -> Linalg.Vec.t -> Linalg.Vec.t -> float
 
 (** Nesterov–Todd scaling point for a strictly feasible primal–dual pair
     [(s, z)].  The scaling [W] is the unique symmetric cone automorphism
-    with [W·z = W⁻¹·s = λ] (the scaled variable). *)
-type scaling
+    with [W·z = W⁻¹·s = λ] (the scaled variable).  It is stored flat:
+    on an orthant block [W = diag(w)]; on an SOC block
+    [W·u = η·(2·v·(vᵀu) − J·u)] with [J = diag(1, −I)] and [vᵀJv = 1],
+    [v] stored in [w] at the block's entries and [η] in [eta] at the
+    block's index.  The arrays must not be written. *)
+type scaling = private {
+  cone : t;
+  w : float array;  (** [dim cone] entries: [wᵢ] on orthants, [v] on SOC blocks *)
+  eta : float array;  (** one entry per block: [η] of an SOC block, unused otherwise *)
+  lam : Linalg.Vec.t;  (** [λ]; {!lambda} returns a copy *)
+}
 
-(** [nt_scaling k ~s ~z] computes the scaling.
-    @raise Invalid_argument if [s] or [z] is not strictly interior. *)
-val nt_scaling : t -> s:Linalg.Vec.t -> z:Linalg.Vec.t -> scaling
+(** [nt_scaling ?into k ~s ~z] computes the scaling.  With [into] (an
+    earlier scaling of [k]) its storage is overwritten and returned, so
+    an interior-point solve rescales in fixed memory.
+    @raise Invalid_argument if [s] or [z] is not strictly interior, or
+    [into] is a scaling of another cone. *)
+val nt_scaling :
+  ?into:scaling -> t -> s:Linalg.Vec.t -> z:Linalg.Vec.t -> scaling
 
-(** [apply w u] computes [W·u]. *)
-val apply : scaling -> Linalg.Vec.t -> Linalg.Vec.t
+(** [apply ?into w u] computes [W·u].  With [into] (which may be [u]
+    itself) the result overwrites it and is returned; otherwise it is
+    fresh.  The same holds for {!apply_inv}. *)
+val apply : ?into:Linalg.Vec.t -> scaling -> Linalg.Vec.t -> Linalg.Vec.t
 
-(** [apply_inv w u] computes [W⁻¹·u]; [W] is symmetric so this is also
-    [W⁻ᵀ·u]. *)
-val apply_inv : scaling -> Linalg.Vec.t -> Linalg.Vec.t
+(** [apply_inv ?into w u] computes [W⁻¹·u]; [W] is symmetric so this is
+    also [W⁻ᵀ·u]. *)
+val apply_inv : ?into:Linalg.Vec.t -> scaling -> Linalg.Vec.t -> Linalg.Vec.t
 
 (** [lambda w] is the scaled variable [λ = W·z = W⁻¹·s]. *)
 val lambda : scaling -> Linalg.Vec.t
-
-(** [block_layout w] lists the [(offset, length)] of every cone block,
-    in order.  Used to drive sparse block-wise application of the
-    scaling. *)
-val block_layout : scaling -> (int * int) list
-
-(** [apply_inv_rows w offset rows] applies [W⁻¹] to the block starting
-    at [offset], where [rows] holds the block's rows of a sparse matrix
-    (each a column-sorted [(column, value)] list): the result rows are
-    the corresponding rows of [W⁻¹·A].  Orthant blocks scale each row
-    independently; SOC blocks form short linear combinations of the
-    block's rows.
-    @raise Invalid_argument if [offset] is not a block boundary or the
-    row count does not match the block. *)
-val apply_inv_rows :
-  scaling -> int -> (int * float) list array -> (int * float) list array

@@ -5,8 +5,11 @@ type scaling = { row : Vec.t; col : Vec.t; obj : float }
 (* Every stored entry of [g] is nonzero, so the loops below visit only
    the entries a dense scan would count. *)
 let iter_nonzeros f g =
+  let { Sparse_rows.ptr; col; value; _ } = g in
   for i = 0 to Sparse_rows.rows g - 1 do
-    List.iter (fun (j, v) -> f i j v) (Sparse_rows.row g i)
+    for p = ptr.(i) to ptr.(i + 1) - 1 do
+      f i col.(p) value.(p)
+    done
   done
 
 let dynamic_range g =

@@ -70,202 +70,18 @@ let emit_obs params ev =
    memory's buffers — whose outer product would put a clique of that
    size into GᵀW⁻²G.  Every other row of Algorithm 1 (cycle, bound and
    cone rows) has at most a handful of nonzeros.  Such dense rows stay
-   out of the sparse factor and come back as a low-rank update. *)
-let dense_row_threshold = 16
-
-(* The once-per-solve sparse KKT context: the structural pattern of
-   GᵀW⁻²G without the dense rows (fixed across iterations — NT scaling
-   mixes rows only within one second-order block), its symbolic
-   Cholesky analysis, and the dense orthant rows left out of both. *)
-type sparse_kkt = {
-  pattern : Linalg.Sparse.sym;
-  symbolic : Linalg.Sparse.symbolic;
-  dense : int array;
-}
-
-let make_sparse_kkt ~params ~gsp cone =
-  let soc, orthant =
-    let off = ref 0 in
-    List.partition_map
-      (fun b ->
-        let o = !off in
-        match b with
-        | Cone.Nonneg d ->
-          off := o + d;
-          Either.Right (o, d)
-        | Cone.Soc d ->
-          off := o + d;
-          Either.Left (o, d))
-      (Cone.blocks cone)
-  in
-  let dense =
-    Sparse_rows.dense_rows gsp ~among:orthant ~above:dense_row_threshold
-  in
-  let pattern =
-    Sparse_rows.gram_pattern (Sparse_rows.drop_rows gsp dense) ~soc
-  in
-  let symbolic = Linalg.Sparse.symbolic pattern in
-  emit_obs params
-    (Obs.Trace.Kkt_factor
-       {
-         backend = "sparse";
-         phase = "symbolic";
-         n = Sparse_rows.cols gsp;
-         nnz = Linalg.Sparse.factor_nnz symbolic;
-       });
-  { pattern; symbolic; dense }
-
-(* Sherman–Morrison–Woodbury on M = M_s + A·Aᵀ, where M_s is factored
-   in [fact] and the columns of A are the scaled dense rows [rows]:
-     M⁻¹b = y − U·C⁻¹·(Aᵀy),  y = M_s⁻¹b,  U = M_s⁻¹A,  C = I + AᵀU.
-   With no dense rows this is the plain sparse solve.
-   @raise Cholesky.Not_positive_definite if C is not positive definite. *)
-let woodbury ~n fact rows =
-  if Array.length rows = 0 then Linalg.Sparse.solve fact
-  else begin
-    let u =
-      Array.map
-        (fun r ->
-          let a = Vec.create n in
-          List.iter (fun (j, v) -> a.(j) <- v) r;
-          Linalg.Sparse.solve fact a)
-        rows
-    in
-    let k = Array.length rows in
-    let cap = Mat.create k k in
-    for i = 0 to k - 1 do
-      for l = 0 to i do
-        let v =
-          (if i = l then 1.0 else 0.0) +. Sparse_rows.row_dot rows.(i) u.(l)
-        in
-        Mat.set cap i l v;
-        Mat.set cap l i v
-      done
-    done;
-    let cf = Cholesky.factor cap in
-    fun b ->
-      let y = Linalg.Sparse.solve fact b in
-      let w =
-        Cholesky.solve cf (Array.map (fun r -> Sparse_rows.row_dot r y) rows)
-      in
-      Array.iteri (fun l ul -> Vec.axpy (-.w.(l)) ul y) u;
-      y
-  end
-
-(* Per-solve n×n storage of the dense fallback, the Gram matrix and its
-   Cholesky factor, overwritten by every iteration that takes it.  Lazy,
-   so a solve allocates it only on its first fallback iteration. *)
-type dense_store = { gram : Mat.t; chol : Mat.t }
-
-let dense_store n = lazy { gram = Mat.create n n; chol = Mat.create n n }
-
-(* Solve the 2×2 scaled KKT system
-     Gᵀ·dz        = bx
-     G·dx − W²·dz = bz
-   via dz = W⁻²·(G·dx − bz) and the normal equations
-   (Gᵀ·W⁻²·G)·dx = bx + Gᵀ·W⁻²·bz, factorised once per iteration.
-
-   [sparse] carries the once-per-solve symbolic analysis, so each
-   iteration only refills the fixed pattern, runs the numeric
-   refactorisation and adds the dense rows back through [woodbury];
-   when the sparse factorisation or the capacitance matrix fails (or a
-   [Dense_kkt] fault forces it) the iteration falls back to a dense
-   Cholesky of the full Gram matrix, counted in [fallbacks]. *)
-let make_kkt ~params ~fallbacks ~sparse ~store ~force_dense ~gsp w =
-  let { pattern; symbolic; dense } = sparse in
-  (* The sparse rows of G have a handful of entries each, so the scaled
-     matrix W⁻¹·G and its Gram matrix are formed in O(Σ nnz(row)²)
-     instead of densifying. *)
-  let scaled =
-    Sparse_rows.scale_rows gsp ~blocks:(Cone.block_layout w)
-      ~scale_block:(Cone.apply_inv_rows w)
-  in
-  (* Two rounds of iterative refinement, measured against the full
-     matrix, recover the digits lost when the factorisation needed a
-     diagonal shift near convergence. *)
-  let refined ~apply ~solve rhs =
-    let dx = solve rhs in
-    for _ = 1 to 2 do
-      let r = Vec.sub rhs (apply dx) in
-      Vec.axpy 1.0 (solve r) dx
-    done;
-    dx
-  in
-  let dense_refined () =
-    let { gram; chol } = Lazy.force store in
-    let mmat = Sparse_rows.gram ~into:gram scaled in
-    let fact = Cholesky.factor ~max_shift:1e-2 ~into:chol mmat in
-    refined ~apply:(Mat.mul_vec mmat) ~solve:(Cholesky.solve fact)
-  in
-  let fall_back () =
-    incr fallbacks;
-    emit_obs params
-      (Obs.Trace.Kkt_factor
-         {
-           backend = "dense";
-           phase = "fallback";
-           n = Sparse_rows.cols gsp;
-           nnz = 0;
-         });
-    dense_refined ()
-  in
-  let solve_refined =
-    if force_dense then fall_back ()
-    else begin
-      Sparse_rows.fill_gram (Sparse_rows.drop_rows scaled dense) ~into:pattern;
-      let rows = Array.map (Sparse_rows.row scaled) dense in
-      match
-        woodbury ~n:(Sparse_rows.cols gsp)
-          (Linalg.Sparse.factor ~max_shift:1e-2 symbolic pattern)
-          rows
-      with
-      | exception
-          (Linalg.Sparse.Not_positive_definite | Cholesky.Not_positive_definite)
-        ->
-        fall_back ()
-      | solve ->
-        emit_obs params
-          (Obs.Trace.Kkt_factor
-             {
-               backend = "sparse";
-               phase = "numeric";
-               n = Sparse_rows.cols gsp;
-               nnz = Linalg.Sparse.factor_nnz symbolic;
-             });
-        (* M·x = M_s·x + Σ aᵢ·(aᵢᵀx). *)
-        let apply x =
-          let y = Linalg.Sparse.mul_vec pattern x in
-          Array.iter
-            (fun r ->
-              let t = Sparse_rows.row_dot r x in
-              List.iter (fun (j, a) -> y.(j) <- y.(j) +. (a *. t)) r)
-            rows;
-          y
-        in
-        refined ~apply ~solve
-    end
-  in
-  fun ~bx ~bz ->
-    let wbz = Cone.apply_inv w (Cone.apply_inv w bz) in
-    let rhs = Vec.add bx (Sparse_rows.mul_tvec gsp wbz) in
-    let dx = solve_refined rhs in
-    let dz =
-      Cone.apply_inv w
-        (Cone.apply_inv w (Vec.sub (Sparse_rows.mul_vec gsp dx) bz))
-    in
-    (dx, dz)
+   out of the sparse factor and come back as a low-rank update
+   ([Kkt]). *)
+let dense_row_threshold = Kkt.dense_row_threshold
 
 let kkt_solve ~g cone ~s ~z ~bx ~bz =
-  let params = default_params in
-  let sparse = make_sparse_kkt ~params ~gsp:g cone in
-  let fallbacks = ref 0 in
+  let ws = Kkt.create ~g cone in
   let w = Cone.nt_scaling cone ~s ~z in
-  let store = dense_store (Sparse_rows.cols g) in
-  let dx, dz =
-    make_kkt ~params ~fallbacks ~sparse ~store ~force_dense:false ~gsp:g w ~bx
-      ~bz
-  in
-  (dx, dz, !fallbacks)
+  Kkt.factor ws w ~force_dense:false;
+  let dx = Vec.create (Sparse_rows.cols g)
+  and dz = Vec.create (Sparse_rows.rows g) in
+  Kkt.solve ws w ~bx ~bz ~dx ~dz;
+  (dx, dz, Kkt.fallbacks ws)
 
 (* The solver runs on the homogeneous self-dual embedding
 
@@ -300,18 +116,31 @@ let solve_direct ~params ~c ~g:gsp ~h cone =
   end
   else begin
     let deg = float_of_int (Cone.degree cone + 1) in
-    (* Per-solve mutable state only (no globals): safe across domains. *)
-    let fallbacks = ref 0 in
-    let sparse = make_sparse_kkt ~params ~gsp cone in
-    let store = dense_store n in
+    (* Per-solve mutable state only (no globals): safe across domains.
+       The KKT workspace and every vector the iteration writes are
+       allocated here, once; the loop below refills them in place. *)
+    let ws = Kkt.create ?obs:params.obs ~g:gsp cone in
     let norm_h = Float.max 1.0 (Vec.nrm2 h)
     and norm_c = Float.max 1.0 (Vec.nrm2 c) in
+    let neg_c = Vec.neg c in
     let e = Cone.identity cone in
-    let x = ref (Vec.create n)
-    and s = ref (Vec.copy e)
-    and z = ref (Vec.copy e)
-    and tau = ref 1.0
-    and kappa = ref 1.0 in
+    let x = Vec.create n and s = Vec.copy e and z = Vec.copy e in
+    let tau = ref 1.0 and kappa = ref 1.0 in
+    (* The homogeneous residuals and their negations as KKT inputs. *)
+    let res_z = Vec.create m and res_x = Vec.create n in
+    let neg_res_x = Vec.create n in
+    (* The τ-scaled iterate and the residual scratch of its checks. *)
+    let xt = Vec.create n and st = Vec.create m and zt = Vec.create m in
+    let tmp_n = Vec.create n and tmp_m = Vec.create m in
+    (* The constant second KKT solve, both Newton directions (affine
+       and combined) and the Jordan-algebra scratch that builds them. *)
+    let x2 = Vec.create n and z2 = Vec.create m in
+    let dx_a = Vec.create n and ds_a = Vec.create m and dz_a = Vec.create m in
+    let dx_c = Vec.create n and ds_c = Vec.create m and dz_c = Vec.create m in
+    let lam_lam = Vec.create m and ds_in = Vec.create m in
+    let lam_div = Vec.create m and bz = Vec.create m in
+    let wt = Vec.create m and corr = Vec.create m in
+    let scaling = ref None in
     (* Warm start: seed (x, s, z) from a caller-supplied point — in a
        sweep, the neighbouring candidate's solution.  The homogeneous
        embedding tolerates any strictly interior seed with τ = κ = 1,
@@ -321,14 +150,14 @@ let solve_direct ~params ~c ~g:gsp ~h cone =
        neighbour did). *)
     (match params.warm with
     | None -> ()
-    | Some { wx; ws; wz } ->
+    | Some { wx; ws = wsv; wz } ->
       let finite v = Array.for_all Float.is_finite v in
       let reject reason =
         emit_obs params (Obs.Trace.Warm_start { accepted = false; reason })
       in
-      if Vec.dim wx <> n || Vec.dim ws <> m || Vec.dim wz <> m then
+      if Vec.dim wx <> n || Vec.dim wsv <> m || Vec.dim wz <> m then
         reject "dimension mismatch"
-      else if not (finite wx && finite ws && finite wz) then
+      else if not (finite wx && finite wsv && finite wz) then
         reject "non-finite"
       else begin
         let interior v =
@@ -340,44 +169,59 @@ let solve_direct ~params ~c ~g:gsp ~h cone =
           if me < margin then Vec.axpy (margin -. me) e u;
           u
         in
-        x := Vec.copy wx;
-        s := interior ws;
-        z := interior wz;
+        Vec.blit wx x;
+        Vec.blit (interior wsv) s;
+        Vec.blit (interior wz) z;
         emit_obs params (Obs.Trace.Warm_start { accepted = true; reason = "ok" })
       end);
     (* Best iterate seen so far: near the numerical floor later
        iterations can degrade, so Stalled/Iteration_limit exits restore
        the snapshot with the smallest combined error. *)
     let best_score = ref infinity in
-    let best_state = ref None in
+    let best_x = Vec.create n and best_s = Vec.create m in
+    let best_z = Vec.create m and best_tau = ref 0.0 in
+    let has_best = ref false in
     let last_improvement = ref 0 in
     (* Step length that produced the current iterate, reported with the
        iteration trace event (0 before the first step). *)
     let last_step = ref 0.0 in
-    let scaled () =
-      let t = !tau in
-      ( Vec.scale (1.0 /. t) !x,
-        Vec.scale (1.0 /. t) !s,
-        Vec.scale (1.0 /. t) !z )
+    let scale_iterate () =
+      let t = 1.0 /. !tau in
+      for i = 0 to n - 1 do
+        xt.(i) <- t *. x.(i)
+      done;
+      for i = 0 to m - 1 do
+        st.(i) <- t *. s.(i);
+        zt.(i) <- t *. z.(i)
+      done
+    in
+    (* Relative primal and dual residuals of the τ-scaled iterate. *)
+    let residuals () =
+      ignore (Sparse_rows.mul_vec ~into:tmp_m gsp xt);
+      for i = 0 to m - 1 do
+        tmp_m.(i) <- tmp_m.(i) +. st.(i) -. h.(i)
+      done;
+      ignore (Sparse_rows.mul_tvec ~into:tmp_n gsp zt);
+      for i = 0 to n - 1 do
+        tmp_n.(i) <- tmp_n.(i) +. c.(i)
+      done;
+      (Vec.nrm2 tmp_m /. norm_h, Vec.nrm2 tmp_n /. norm_c)
     in
     let result status iterations =
-      let xt, st, zt = scaled () in
-      let pres =
-        Vec.nrm2 (Vec.sub (Vec.add (Sparse_rows.mul_vec gsp xt) st) h) /. norm_h
-      in
-      let dres = Vec.nrm2 (Vec.add (Sparse_rows.mul_tvec gsp zt) c) /. norm_c in
+      scale_iterate ();
+      let pres, dres = residuals () in
       {
         status;
-        x = xt;
-        s = st;
-        z = zt;
+        x = Vec.copy xt;
+        s = Vec.copy st;
+        z = Vec.copy zt;
         primal_objective = Vec.dot c xt;
         dual_objective = -.Vec.dot h zt;
         gap = Vec.dot st zt;
         primal_residual = pres;
         dual_residual = dres;
         iterations;
-        kkt_fallbacks = !fallbacks;
+        kkt_fallbacks = Kkt.fallbacks ws;
       }
     in
     let result_certificate status iterations =
@@ -385,21 +229,21 @@ let solve_direct ~params ~c ~g:gsp ~h cone =
          magnitude rather than by τ. *)
       let denom =
         match status with
-        | Primal_infeasible -> Float.max 1e-300 (-.Vec.dot h !z)
-        | _ -> Float.max 1e-300 (-.Vec.dot c !x)
+        | Primal_infeasible -> Float.max 1e-300 (-.Vec.dot h z)
+        | _ -> Float.max 1e-300 (-.Vec.dot c x)
       in
       {
         status;
-        x = Vec.scale (1.0 /. denom) !x;
-        s = Vec.scale (1.0 /. denom) !s;
-        z = Vec.scale (1.0 /. denom) !z;
+        x = Vec.scale (1.0 /. denom) x;
+        s = Vec.scale (1.0 /. denom) s;
+        z = Vec.scale (1.0 /. denom) z;
         primal_objective = nan;
         dual_objective = nan;
         gap = nan;
         primal_residual = nan;
         dual_residual = nan;
         iterations;
-        kkt_fallbacks = !fallbacks;
+        kkt_fallbacks = Kkt.fallbacks ws;
       }
     in
     let rec iterate iter =
@@ -426,8 +270,8 @@ let solve_direct ~params ~c ~g:gsp ~h cone =
         |> function
         | Some Stall -> result Stalled iter
         | Some Nan ->
-          !s.(0) <- nan;
-          !z.(0) <- nan;
+          s.(0) <- nan;
+          z.(0) <- nan;
           iterate_clean ~force_dense:false (iter + 1)
         | Some Slow ->
           Unix.sleepf 0.5;
@@ -439,29 +283,20 @@ let solve_direct ~params ~c ~g:gsp ~h cone =
           iterate_clean ~force_dense:true iter
         | None -> iterate_clean ~force_dense:false iter
     and iterate_clean ~force_dense iter =
-      (* Homogeneous residuals. *)
-      let hx = Sparse_rows.mul_vec gsp !x in
-      let res_z =
-        (* G·x + s − h·τ *)
-        let r = Vec.add hx !s in
-        Vec.axpy (-. !tau) h r;
-        r
-      in
-      let res_x =
-        (* Gᵀ·z + c·τ *)
-        let r = Sparse_rows.mul_tvec gsp !z in
-        Vec.axpy !tau c r;
-        r
-      in
-      let res_tau = -.Vec.dot c !x -. Vec.dot h !z -. !kappa in
-      let gap_h = Vec.dot !s !z +. (!tau *. !kappa) in
+      (* Homogeneous residuals: G·x + s − h·τ and Gᵀ·z + c·τ. *)
+      ignore (Sparse_rows.mul_vec ~into:res_z gsp x);
+      for i = 0 to m - 1 do
+        res_z.(i) <- res_z.(i) +. s.(i)
+      done;
+      Vec.axpy (-. !tau) h res_z;
+      ignore (Sparse_rows.mul_tvec ~into:res_x gsp z);
+      Vec.axpy !tau c res_x;
+      let res_tau = -.Vec.dot c x -. Vec.dot h z -. !kappa in
+      let gap_h = Vec.dot s z +. (!tau *. !kappa) in
       let mu = gap_h /. deg in
       (* Convergence checks on the τ-scaled iterate. *)
-      let xt, st, zt = scaled () in
-      let pres =
-        Vec.nrm2 (Vec.sub (Vec.add (Sparse_rows.mul_vec gsp xt) st) h) /. norm_h
-      in
-      let dres = Vec.nrm2 (Vec.add (Sparse_rows.mul_tvec gsp zt) c) /. norm_c in
+      scale_iterate ();
+      let pres, dres = residuals () in
       let pcost = Vec.dot c xt and dcost = -.Vec.dot h zt in
       let gap = Vec.dot st zt in
       let relgap =
@@ -492,17 +327,19 @@ let solve_direct ~params ~c ~g:gsp ~h cone =
       if score < 0.9 *. !best_score then last_improvement := iter;
       if score < !best_score then begin
         best_score := score;
-        best_state :=
-          Some (Vec.copy !x, Vec.copy !s, Vec.copy !z, !tau)
+        Vec.blit x best_x;
+        Vec.blit s best_s;
+        Vec.blit z best_z;
+        best_tau := !tau;
+        has_best := true
       end;
       let restore_best () =
-        match !best_state with
-        | None -> ()
-        | Some (bx, bs, bz, bt) ->
-          x := bx;
-          s := bs;
-          z := bz;
-          tau := bt
+        if !has_best then begin
+          Vec.blit best_x x;
+          Vec.blit best_s s;
+          Vec.blit best_z z;
+          tau := !best_tau
+        end
       in
       let accept_at scale =
         pres <= params.feastol *. scale
@@ -514,8 +351,8 @@ let solve_direct ~params ~c ~g:gsp ~h cone =
            embedding's infeasibility ray even when the algebraic
            certificate has not fully converged. *)
         if !kappa > 1e6 *. !tau then begin
-          if Vec.dot h !z < 0.0 then result_certificate Primal_infeasible iter
-          else if Vec.dot c !x < 0.0 then
+          if Vec.dot h z < 0.0 then result_certificate Primal_infeasible iter
+          else if Vec.dot c x < 0.0 then
             result_certificate Dual_infeasible iter
           else result status iter
         end
@@ -529,17 +366,21 @@ let solve_direct ~params ~c ~g:gsp ~h cone =
       else if iter - !last_improvement > 8 then finish_or Stalled
       else begin
         (* Certificate checks: κ dominating τ signals infeasibility. *)
-        let hz = Vec.dot h !z and cx = Vec.dot c !x in
+        let hz = Vec.dot h z and cx = Vec.dot c x in
         let cert_threshold = params.feastol in
         let primal_cert =
           hz < 0.0
-          && Vec.nrm2 (Sparse_rows.mul_tvec gsp !z) /. (-.hz)
+          && Vec.nrm2 (Sparse_rows.mul_tvec ~into:tmp_n gsp z) /. (-.hz)
              <= cert_threshold *. norm_c
         in
         let dual_cert =
           cx < 0.0
-          && Vec.nrm2 (Vec.add (Sparse_rows.mul_vec gsp !x) !s) /. (-.cx)
-             <= cert_threshold *. norm_h
+          &&
+          (ignore (Sparse_rows.mul_vec ~into:tmp_m gsp x);
+           for i = 0 to m - 1 do
+             tmp_m.(i) <- tmp_m.(i) +. s.(i)
+           done;
+           Vec.nrm2 tmp_m /. (-.cx) <= cert_threshold *. norm_h)
         in
         if !kappa > 1e6 *. !tau && primal_cert then
           result_certificate Primal_infeasible iter
@@ -550,89 +391,97 @@ let solve_direct ~params ~c ~g:gsp ~h cone =
           else if dual_cert then result_certificate Dual_infeasible iter
           else finish_or Iteration_limit
         else begin
-          match Cone.nt_scaling cone ~s:!s ~z:!z with
+          match Cone.nt_scaling ?into:!scaling cone ~s ~z with
           | exception Invalid_argument _ -> finish_or Stalled
           | w -> begin
-            match
-              make_kkt ~params ~fallbacks ~sparse ~store ~force_dense ~gsp w
-            with
+            scaling := Some w;
+            match Kkt.factor ws w ~force_dense with
             | exception Cholesky.Not_positive_definite -> finish_or Stalled
-            | kkt ->
-              let lam = Cone.lambda w in
+            | () ->
+              let lam = w.Cone.lam in
               (* Constant second solve: (x₂, z₂) with rhs (−c, h). *)
-              let x2, z2 = kkt ~bx:(Vec.neg c) ~bz:h in
+              Kkt.solve ws w ~bx:neg_c ~bz:h ~dx:x2 ~dz:z2;
               let ctx2 = Vec.dot c x2 and htz2 = Vec.dot h z2 in
               let denom_tau = (!kappa /. !tau) -. ctx2 -. htz2 in
-              (* One Newton direction for right-hand sides (ds, dkappa)
-                 of the complementarity equations. *)
-              let direction ~ds ~dkappa =
-                let lam_div = Cone.div cone lam ds in
-                let bz =
-                  (* Δs is eliminated as Δs = W·(λ\ds) − W²·Δz, so the
-                     primal row becomes G·Δx − W²·Δz = −res_z − W·(λ\ds)
-                     (+ h·Δτ handled via the second solve). *)
-                  let b = Vec.neg res_z in
-                  Vec.axpy (-1.0) (Cone.apply w lam_div) b;
-                  b
-                in
-                let x1, z1 = kkt ~bx:(Vec.neg res_x) ~bz in
+              for i = 0 to n - 1 do
+                neg_res_x.(i) <- -.res_x.(i)
+              done;
+              (* One Newton direction (dx, ds, dz) for right-hand sides
+                 (ds_rhs, dkappa) of the complementarity equations;
+                 returns (Δτ, Δκ). *)
+              let direction ~ds_rhs ~dkappa ~dx ~ds ~dz =
+                ignore (Cone.div ~into:lam_div cone lam ds_rhs);
+                (* Δs is eliminated as Δs = W·(λ\ds) − W²·Δz, so the
+                   primal row becomes G·Δx − W²·Δz = −res_z − W·(λ\ds)
+                   (+ h·Δτ handled via the second solve). *)
+                ignore (Cone.apply ~into:wt w lam_div);
+                for i = 0 to m - 1 do
+                  bz.(i) <- -.res_z.(i)
+                done;
+                Vec.axpy (-1.0) wt bz;
+                Kkt.solve ws w ~bx:neg_res_x ~bz ~dx ~dz;
                 let dtau =
-                  (-.res_tau +. (dkappa /. !tau) +. Vec.dot c x1
-                 +. Vec.dot h z1)
+                  (-.res_tau +. (dkappa /. !tau) +. Vec.dot c dx
+                 +. Vec.dot h dz)
                   /. denom_tau
                 in
-                let dx = Vec.copy x1 in
                 Vec.axpy dtau x2 dx;
-                let dz = Vec.copy z1 in
                 Vec.axpy dtau z2 dz;
-                let ds =
-                  (* W·(λ\ds) − W²·Δz *)
-                  let t = Vec.sub lam_div (Cone.apply w dz) in
-                  Cone.apply w t
-                in
+                (* W·(λ\ds) − W²·Δz *)
+                ignore (Cone.apply ~into:wt w dz);
+                for i = 0 to m - 1 do
+                  wt.(i) <- lam_div.(i) -. wt.(i)
+                done;
+                ignore (Cone.apply ~into:ds w wt);
                 let dkap = (dkappa -. (!kappa *. dtau)) /. !tau in
-                (dx, ds, dz, dtau, dkap)
+                (dtau, dkap)
               in
-              let max_step_all (_, ds, dz, dtau, dkap) =
-                let a = Cone.max_step cone !s ds in
-                let b = Cone.max_step cone !z dz in
+              let max_step_all ~ds ~dz (dtau, dkap) =
+                let a = Cone.max_step cone s ds in
+                let b = Cone.max_step cone z dz in
                 let c1 = if dtau < 0.0 then -. !tau /. dtau else infinity in
                 let c2 = if dkap < 0.0 then -. !kappa /. dkap else infinity in
                 Float.min (Float.min a b) (Float.min c1 c2)
               in
               (* Predictor. *)
-              let aff =
-                direction
-                  ~ds:(Vec.neg (Cone.prod cone lam lam))
+              ignore (Cone.prod ~into:lam_lam cone lam lam);
+              for i = 0 to m - 1 do
+                ds_in.(i) <- -.lam_lam.(i)
+              done;
+              let ((dtau_a, dkap_a) as aff) =
+                direction ~ds_rhs:ds_in
                   ~dkappa:(-. (!tau *. !kappa))
+                  ~dx:dx_a ~ds:ds_a ~dz:dz_a
               in
-              let alpha_a = Float.min 1.0 (max_step_all aff) in
+              let alpha_a =
+                Float.min 1.0 (max_step_all ~ds:ds_a ~dz:dz_a aff)
+              in
               let sigma = (1.0 -. alpha_a) ** 3.0 in
               (* Corrector with Mehrotra second-order term. *)
-              let _, ds_a, dz_a, dtau_a, dkap_a = aff in
-              let corr_s =
-                Cone.prod cone (Cone.apply_inv w ds_a) (Cone.apply w dz_a)
-              in
-              let ds_rhs =
-                (* σµe − λ∘λ − corr *)
-                let d = Vec.scale (-1.0) (Cone.prod cone lam lam) in
-                Vec.axpy (-1.0) corr_s d;
-                Vec.axpy (sigma *. mu) e d;
-                d
-              in
+              ignore (Cone.apply_inv ~into:tmp_m w ds_a);
+              ignore (Cone.apply ~into:wt w dz_a);
+              ignore (Cone.prod ~into:corr cone tmp_m wt);
+              (* σµe − λ∘λ − corr *)
+              for i = 0 to m - 1 do
+                ds_in.(i) <- -1.0 *. lam_lam.(i)
+              done;
+              Vec.axpy (-1.0) corr ds_in;
+              Vec.axpy (sigma *. mu) e ds_in;
               let dkappa_rhs =
                 (sigma *. mu) -. (!tau *. !kappa) -. (dtau_a *. dkap_a)
               in
-              let dir = direction ~ds:ds_rhs ~dkappa:dkappa_rhs in
-              let dx, ds, dz, dtau, dkap = dir in
-              let alpha = max_step_all dir in
+              let ((dtau, dkap) as dir) =
+                direction ~ds_rhs:ds_in ~dkappa:dkappa_rhs ~dx:dx_c ~ds:ds_c
+                  ~dz:dz_c
+              in
+              let alpha = max_step_all ~ds:ds_c ~dz:dz_c dir in
               let step = Float.min 1.0 (params.step_fraction *. alpha) in
               if step <= 1e-12 || Float.is_nan step then finish_or Stalled
               else begin
                 last_step := step;
-                Vec.axpy step dx !x;
-                Vec.axpy step ds !s;
-                Vec.axpy step dz !z;
+                Vec.axpy step dx_c x;
+                Vec.axpy step ds_c s;
+                Vec.axpy step dz_c z;
                 tau := !tau +. (step *. dtau);
                 kappa := !kappa +. (step *. dkap);
                 iterate (iter + 1)

@@ -53,12 +53,31 @@ let create ~n triplets =
   done;
   { n; colptr; rowind; values }
 
+let of_pattern ~n ~colptr ~rowind =
+  if n < 0 || Array.length colptr <> n + 1 || colptr.(0) <> 0 then
+    invalid_arg "Sparse.of_pattern: column pointers";
+  let nz = colptr.(n) in
+  if Array.length rowind <> nz then invalid_arg "Sparse.of_pattern: row indices";
+  for j = 0 to n - 1 do
+    if colptr.(j + 1) < colptr.(j) then
+      invalid_arg "Sparse.of_pattern: column pointers";
+    for p = colptr.(j) to colptr.(j + 1) - 1 do
+      let i = rowind.(p) in
+      if i < 0 || i > j || (p > colptr.(j) && rowind.(p - 1) >= i) then
+        invalid_arg "Sparse.of_pattern: rows not strictly increasing in the upper triangle"
+    done
+  done;
+  { n; colptr; rowind; values = Array.make nz 0.0 }
+
 let dim a = a.n
 let nnz a = a.colptr.(a.n)
+let colptr a = a.colptr
+let rowind a = a.rowind
+let values a = a.values
 let clear a = Array.fill a.values 0 (Array.length a.values) 0.0
 
 (* Binary search for row [i] inside column [j] of the upper triangle. *)
-let index a i j =
+let slot a i j =
   let i, j = if i <= j then (i, j) else (j, i) in
   let lo = ref a.colptr.(j) and hi = ref (a.colptr.(j + 1) - 1) in
   let found = ref (-1) in
@@ -70,17 +89,25 @@ let index a i j =
   !found
 
 let add a i j v =
-  let k = index a i j in
+  let k = slot a i j in
   if k < 0 then invalid_arg "Sparse.add: entry outside the pattern";
   a.values.(k) <- a.values.(k) +. v
 
 let get a i j =
-  let k = index a i j in
+  let k = slot a i j in
   if k < 0 then 0.0 else a.values.(k)
 
-let mul_vec a x =
+let mul_vec ?into a x =
   if Array.length x <> a.n then invalid_arg "Sparse.mul_vec: dimension";
-  let y = Array.make a.n 0.0 in
+  let y =
+    match into with
+    | None -> Array.make a.n 0.0
+    | Some y ->
+      if Array.length y <> a.n || y == x then
+        invalid_arg "Sparse.mul_vec: into";
+      Array.fill y 0 a.n 0.0;
+      y
+  in
   for j = 0 to a.n - 1 do
     for p = a.colptr.(j) to a.colptr.(j + 1) - 1 do
       let i = a.rowind.(p) and v = a.values.(p) in
@@ -116,11 +143,55 @@ let frobenius a =
 
 (* ---- minimum-degree ordering ------------------------------------- *)
 
+(* A binary min-heap of int keys with lazy deletion: [min_degree]
+   pushes a vertex again whenever its degree changes and skips the
+   stale keys it pops. *)
+type heap = { mutable keys : int array; mutable size : int }
+
+let heap_push h key =
+  if h.size = Array.length h.keys then begin
+    let keys = Array.make (max 16 (2 * h.size)) 0 in
+    Array.blit h.keys 0 keys 0 h.size;
+    h.keys <- keys
+  end;
+  let keys = h.keys in
+  let i = ref h.size in
+  h.size <- h.size + 1;
+  while !i > 0 && keys.((!i - 1) / 2) > key do
+    keys.(!i) <- keys.((!i - 1) / 2);
+    i := (!i - 1) / 2
+  done;
+  keys.(!i) <- key
+
+let heap_pop h =
+  let keys = h.keys in
+  let top = keys.(0) in
+  h.size <- h.size - 1;
+  let last = keys.(h.size) and n = h.size in
+  let i = ref 0 and continue = ref (n > 0) in
+  while !continue do
+    let l = (2 * !i) + 1 in
+    if l >= n then continue := false
+    else begin
+      let c = if l + 1 < n && keys.(l + 1) < keys.(l) then l + 1 else l in
+      if keys.(c) < last then begin
+        keys.(!i) <- keys.(c);
+        i := c
+      end
+      else continue := false
+    end
+  done;
+  if n > 0 then keys.(!i) <- last;
+  top
+
 (* Greedy minimum degree on the quotient-free (explicit clique merge)
-   graph.  Quadratic in the worst case, but the KKT patterns here are
-   near-banded and small relative to solve cost.  Determinism matters
-   more than constant factors: candidate selection and neighbour
-   merges always break ties toward the smallest index. *)
+   graph.  The vertex eliminated next is the alive one of smallest
+   (degree, index), found through a heap keyed by [degree·n + index]
+   in O(log n) instead of a scan of every vertex, so selection costs
+   O(nnz·log n) over the whole ordering; the clique merges are the
+   same explicit ones as before.  Determinism matters more than
+   constant factors: candidate selection and neighbour merges always
+   break ties toward the smallest index. *)
 let min_degree a =
   let n = a.n in
   let adj = Array.make n [||] in
@@ -153,42 +224,60 @@ let min_degree a =
   let tag = ref 0 in
   let perm = Array.make n 0 in
   let scratch = Array.make n 0 in
+  let nbrs = Array.make n 0 in
+  let queue = { keys = Array.make (max 16 (2 * n)) 0; size = 0 } in
+  for v = 0 to n - 1 do
+    heap_push queue ((deg.(v) * n) + v)
+  done;
   for k = 0 to n - 1 do
-    (* Pick the alive vertex of minimum degree, smallest index first. *)
-    let best = ref (-1) in
-    for v = n - 1 downto 0 do
-      if alive.(v) && (!best < 0 || deg.(v) <= deg.(!best)) then best := v
+    (* Pop the alive vertex of minimum degree, smallest index first;
+       a key whose vertex is dead or whose degree has moved on since
+       it was pushed is stale. *)
+    let v = ref (-1) in
+    while !v < 0 do
+      let key = heap_pop queue in
+      let u = key mod n in
+      if alive.(u) && deg.(u) = key / n then v := u
     done;
-    let v = !best in
+    let v = !v in
     perm.(k) <- v;
     alive.(v) <- false;
-    let nbrs = Array.of_seq (Seq.filter (fun u -> alive.(u)) (Array.to_seq adj.(v))) in
-    (* Eliminating [v] turns its alive neighbourhood into a clique. *)
+    let nn = ref 0 in
     Array.iter
       (fun u ->
-        incr tag;
-        let t = !tag in
-        stamp.(u) <- t;
-        let len = ref 0 in
-        Array.iter
-          (fun w ->
-            if alive.(w) && stamp.(w) <> t then begin
-              stamp.(w) <- t;
-              scratch.(!len) <- w;
-              incr len
-            end)
-          adj.(u);
-        Array.iter
-          (fun w ->
-            if w <> u && stamp.(w) <> t then begin
-              stamp.(w) <- t;
-              scratch.(!len) <- w;
-              incr len
-            end)
-          nbrs;
-        adj.(u) <- Array.sub scratch 0 !len;
-        deg.(u) <- !len)
-      nbrs
+        if alive.(u) then begin
+          nbrs.(!nn) <- u;
+          incr nn
+        end)
+      adj.(v);
+    let nn = !nn in
+    (* Eliminating [v] turns its alive neighbourhood into a clique. *)
+    for a = 0 to nn - 1 do
+      let u = nbrs.(a) in
+      incr tag;
+      let t = !tag in
+      stamp.(u) <- t;
+      let len = ref 0 in
+      Array.iter
+        (fun w ->
+          if alive.(w) && stamp.(w) <> t then begin
+            stamp.(w) <- t;
+            scratch.(!len) <- w;
+            incr len
+          end)
+        adj.(u);
+      for b = 0 to nn - 1 do
+        let w = nbrs.(b) in
+        if w <> u && stamp.(w) <> t then begin
+          stamp.(w) <- t;
+          scratch.(!len) <- w;
+          incr len
+        end
+      done;
+      adj.(u) <- Array.sub scratch 0 !len;
+      deg.(u) <- !len;
+      heap_push queue ((!len * n) + u)
+    done
   done;
   perm
 
@@ -292,12 +381,34 @@ let symbolic ?order a =
 
 (* ---- numeric phase ------------------------------------------------ *)
 
+(* The factor [L] and the scratch of its numeric phase: one storage
+   per symbolic analysis, overwritten by every refactorisation that is
+   handed it, so an interior-point solve factors in fixed memory. *)
 type factor = {
   sy : symbolic;
   lrowind : int array;
   lvalues : float array;
-  fshift : float;
+  mutable fshift : float;
+  next : int array;
+  x : float array;  (* dense accumulator of the up-looking solve; the solves' permuted vector *)
+  w : int array;
+  stack : int array;
+  s : int array;
 }
+
+let factor_storage sy =
+  let n = sy.sn and lnz = sy.lcolptr.(sy.sn) in
+  {
+    sy;
+    lrowind = Array.make lnz 0;
+    lvalues = Array.make lnz 0.0;
+    fshift = 0.0;
+    next = Array.make n 0;
+    x = Array.make n 0.0;
+    w = Array.make n (-1);
+    stack = Array.make n 0;
+    s = Array.make n 0;
+  }
 
 let shift f = f.fshift
 
@@ -306,19 +417,20 @@ let shift f = f.fshift
    of the permuted column k — computed on the fly — and the values
    come from one sparse triangular solve against the columns already
    built.  By construction the first stored entry of every L column is
-   its diagonal. *)
-let refactor sy a ~shift =
+   its diagonal.  Every entry of L an attempt reads was written earlier
+   in that attempt, so the storage needs no clearing between attempts;
+   only the marks and the accumulator are reset. *)
+let refactor_into f a ~shift =
+  let sy = f.sy in
   let n = sy.sn in
   if a.n <> n then invalid_arg "Sparse.refactor: dimension mismatch";
   if Array.length a.values < sy.psrc_bound then
     invalid_arg "Sparse.refactor: pattern mismatch";
-  let lnz = sy.lcolptr.(n) in
-  let lrowind = Array.make lnz 0 and lvalues = Array.make lnz 0.0 in
-  let next = Array.sub sy.lcolptr 0 n in
-  let x = Array.make n 0.0 in
-  let w = Array.make n (-1) in
-  let stack = Array.make n 0 in
-  let s = Array.make n 0 in
+  let lrowind = f.lrowind and lvalues = f.lvalues in
+  let next = f.next and x = f.x and w = f.w and stack = f.stack and s = f.s in
+  Array.blit sy.lcolptr 0 next 0 n;
+  Array.fill x 0 n 0.0;
+  Array.fill w 0 n (-1);
   let ok = ref true in
   (try
      for k = 0 to n - 1 do
@@ -370,28 +482,50 @@ let refactor sy a ~shift =
        lvalues.(p) <- sqrt !d
      done
    with Exit -> ());
-  if !ok then Some { sy; lrowind; lvalues; fshift = shift } else None
+  f.fshift <- shift;
+  !ok
 
-let factor ?(max_shift = 1e-4) sy a =
+let storage_for ?into sy =
+  match into with
+  | None -> factor_storage sy
+  | Some f ->
+    if f.sy != sy then invalid_arg "Sparse: into belongs to another analysis";
+    f
+
+let refactor ?into sy a ~shift =
+  let f = storage_for ?into sy in
+  if refactor_into f a ~shift then Some f else None
+
+let factor ?(max_shift = 1e-4) ?into sy a =
+  let f = storage_for ?into sy in
   let scale =
-    let f = frobenius a in
-    if f > 0.0 then f else 1.0
+    let fr = frobenius a in
+    if fr > 0.0 then fr else 1.0
   in
   let rec attempt shift =
-    match refactor sy a ~shift with
-    | Some f -> f
-    | None ->
+    if refactor_into f a ~shift then f
+    else
       let next = if shift = 0.0 then 1e-14 *. scale else shift *. 100.0 in
       if next > max_shift *. scale then raise Not_positive_definite
       else attempt next
   in
   attempt 0.0
 
-let solve f b =
+let solve ?into f b =
   let sy = f.sy in
   let n = sy.sn in
   if Array.length b <> n then invalid_arg "Sparse.solve: dimension";
-  let y = Array.init n (fun i -> b.(sy.perm.(i))) in
+  let out =
+    match into with
+    | None -> Array.make n 0.0
+    | Some out ->
+      if Array.length out <> n then invalid_arg "Sparse.solve: into";
+      out
+  in
+  let y = f.x in
+  for i = 0 to n - 1 do
+    y.(i) <- b.(sy.perm.(i))
+  done;
   for j = 0 to n - 1 do
     let p0 = sy.lcolptr.(j) in
     let yj = y.(j) /. f.lvalues.(p0) in
@@ -408,7 +542,6 @@ let solve f b =
     done;
     y.(j) <- !acc /. f.lvalues.(p0)
   done;
-  let out = Array.make n 0.0 in
   for i = 0 to n - 1 do
     out.(sy.perm.(i)) <- y.(i)
   done;

@@ -390,10 +390,10 @@ let prop_sparse_scaled_gram_matches_dense =
       let s = fix s_raw and z = fix z_raw in
       let w = Cone.nt_scaling k ~s ~z in
       let sp = Sparse_rows.of_mat a in
-      let gram_sparse, scaled =
-        Sparse_rows.scaled_gram sp ~blocks:(Cone.block_layout w)
-          ~scale_block:(Cone.apply_inv_rows w)
-      in
+      let ws = Conic.Kkt.create ~g:sp k in
+      Conic.Kkt.scale_rows ws w;
+      let scaled = Conic.Kkt.scaled ws in
+      let gram_sparse = Sparse_rows.gram scaled in
       (* Dense reference: apply W⁻¹ to each column of A. *)
       let dense_scaled =
         Mat.init 6 4 (fun i j ->

@@ -250,13 +250,19 @@ let test_of_rows_out_of_range () =
     (Invalid_argument "Sparse_rows: column index out of range") (fun () ->
       ignore (Sparse_rows.of_rows ~cols:4 [| [ (4, 1.0) ] |]))
 
+(* The workspace's Gram refill at the identity scaling (s = z = e, so
+   W⁻¹·G = G) must equal the dense Gram matrix of G. *)
 let test_fill_gram_matches_dense_gram () =
   let t =
     Sparse_rows.of_rows ~cols:3
       [| [ (0, 1.0); (2, 2.0) ]; [ (1, 3.0) ]; [ (0, -1.0); (1, 1.0) ] |]
   in
-  let pattern = Sparse_rows.gram_pattern t ~soc:[] in
-  Sparse_rows.fill_gram t ~into:pattern;
+  let cone = Conic.Cone.make [ Conic.Cone.Nonneg 3 ] in
+  let ws = Conic.Kkt.create ~g:t cone in
+  let e = Conic.Cone.identity cone in
+  Conic.Kkt.scale_rows ws (Conic.Cone.nt_scaling cone ~s:e ~z:e);
+  Conic.Kkt.fill_gram ws;
+  let pattern = Conic.Kkt.gram ws in
   let dense = Sparse_rows.gram t in
   for i = 0 to 2 do
     for j = 0 to 2 do
@@ -273,8 +279,9 @@ let test_gram_pattern_soc_union () =
   let t =
     Sparse_rows.of_rows ~cols:2 [| [ (0, 1.0) ]; [ (1, 1.0) ] |]
   in
-  let plain = Sparse_rows.gram_pattern t ~soc:[] in
-  let soc = Sparse_rows.gram_pattern t ~soc:[ (0, 2) ] in
+  let gram cone = Conic.Kkt.gram (Conic.Kkt.create ~g:t (Conic.Cone.make cone)) in
+  let plain = gram [ Conic.Cone.Nonneg 2 ] in
+  let soc = gram [ Conic.Cone.Soc 2 ] in
   check_float "no block: no cross term" 0.0 (Sparse.get plain 0 1);
   Alcotest.(check int) "no block: nnz" 2 (Sparse.nnz plain);
   Alcotest.(check int) "soc block adds cross term" 3 (Sparse.nnz soc)
@@ -357,8 +364,8 @@ let rel_err x oracle =
 let dense_kkt_solve ~g cone ~s ~z ~bx ~bz =
   let w = Cone.nt_scaling cone ~s ~z in
   let scaled =
-    Sparse_rows.scale_rows g ~blocks:(Cone.block_layout w)
-      ~scale_block:(Cone.apply_inv_rows w)
+    Sparse_rows.of_rows ~cols:(Sparse_rows.cols g)
+      (Kkt_reference.scale_rows w (Kkt_reference.rows_of g))
   in
   let fact = Cholesky.factor (Sparse_rows.gram scaled) in
   let w2 v = Cone.apply_inv w (Cone.apply_inv w v) in

@@ -21,6 +21,30 @@ let t1_analytic_budget d =
     (((80.0 -. (10.0 *. d)) +. sqrt ((((10.0 *. d) -. 80.0) ** 2.0) +. 640.0))
     /. 4.0)
 
+(* Two domains solve different instances at the same time, each on its
+   own per-solve KKT workspace: chain 100 and a 20-job configuration,
+   both with a dense row on the Woodbury path.  Every interior-point
+   iterate is a pure function of its instance, so each domain must
+   reproduce the IEEE bits of its sequential solve. *)
+let test_concurrent_solves_bit_identical () =
+  let digest cfg () =
+    let b = Budgetbuf.Socp_builder.build (cfg ()) in
+    Iterate_digest.of_solution
+      (Conic.Model.solve b.Budgetbuf.Socp_builder.model).Conic.Model.raw
+  in
+  let chain = digest (fun () -> Workloads.Gen.chain ~n:100 ())
+  and jobs =
+    digest (fun () ->
+        Workloads.Gen.multi_job (Workloads.Rng.create 1L) ~jobs:20
+          ~tasks_per_job:5 ~procs:20 ())
+  in
+  let sequential_chain = chain () and sequential_jobs = jobs () in
+  let repeat f () = List.init 3 (fun _ -> f ()) in
+  let d1 = Domain.spawn (repeat chain) and d2 = Domain.spawn (repeat jobs) in
+  let got_chain = Domain.join d1 and got_jobs = Domain.join d2 in
+  List.iter (Alcotest.(check string) "chain 100 digest" sequential_chain) got_chain;
+  List.iter (Alcotest.(check string) "multi-job 20 digest" sequential_jobs) got_jobs
+
 (* ------------------------------------------------------------------ *)
 (* Determinism: Pool.map ≡ List.map, bit for bit                       *)
 (* ------------------------------------------------------------------ *)
@@ -325,6 +349,8 @@ let () =
         [
           Alcotest.test_case "concurrent T1 solves hit the optimum" `Quick
             test_concurrent_solves_reproduce_optimum;
+          Alcotest.test_case "concurrent workspaces bit-identical" `Quick
+            test_concurrent_solves_bit_identical;
         ] );
       ( "pool",
         [

@@ -15,6 +15,7 @@ module Mat = Linalg.Mat
 module Sparse = Linalg.Sparse
 module Cholesky = Linalg.Cholesky
 module Sparse_rows = Conic.Sparse_rows
+module Cone = Conic.Cone
 module Socp = Conic.Socp
 module Model = Conic.Model
 module Config = Taskgraph.Config
@@ -224,6 +225,25 @@ let test_bad_order_rejected () =
     (Invalid_argument "Sparse.symbolic: order is not a permutation")
     (fun () -> ignore (Sparse.symbolic ~order:[| 0; 0 |] a))
 
+(* A random pattern of density [d]: the heap ordering must pick exactly
+   the vertices the quadratic scan picks. *)
+let prop_min_degree_matches_reference =
+  QCheck2.Test.make ~name:"min_degree matches the quadratic reference"
+    ~count:200
+    QCheck2.Gen.(triple (int_range 1 80) (float_range 0.0 0.5) (int_range 0 1_000_000))
+    (fun (n, density, seed) ->
+      let rng = Workloads.Rng.create (Int64.of_int seed) in
+      let triplets = ref [] in
+      for i = 0 to n - 1 do
+        triplets := (i, i, 1.0) :: !triplets;
+        for j = i + 1 to n - 1 do
+          if Workloads.Rng.float rng ~lo:0.0 ~hi:1.0 < density then
+            triplets := (i, j, 1.0) :: !triplets
+        done
+      done;
+      let a = Sparse.create ~n !triplets in
+      Sparse.min_degree a = Kkt_reference.min_degree a)
+
 (* ------------------------------------------------------------------ *)
 (* Sparse_rows canonicalisation                                        *)
 (* ------------------------------------------------------------------ *)
@@ -285,6 +305,126 @@ let test_gram_pattern_soc_union () =
   check_float "no block: no cross term" 0.0 (Sparse.get plain 0 1);
   Alcotest.(check int) "no block: nnz" 2 (Sparse.nnz plain);
   Alcotest.(check int) "soc block adds cross term" 3 (Sparse.nnz soc)
+
+(* ------------------------------------------------------------------ *)
+(* KKT workspace against the list-row reference                        *)
+(* ------------------------------------------------------------------ *)
+
+module Kkt = Conic.Kkt
+
+let same_bits a b = Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b)
+
+(* A random cone program shape: 1-6 blocks, orthants of 1-6 rows and
+   second-order cones of 1-5 rows, over 1-24 columns.  Rows carry 0-4
+   entries from a small value set, sometimes a duplicate column whose
+   terms cancel in [of_rows], sometimes a subnormal entry that the
+   scaling flushes to zero, and now and then an orthant row longer
+   than the dense-row threshold.  (s, z) is strictly interior. *)
+let random_workspace_case seed =
+  let rng = Workloads.Rng.create (Int64.of_int seed) in
+  let int bound = Workloads.Rng.int rng ~bound in
+  let f lo hi = Workloads.Rng.float rng ~lo ~hi in
+  let n = 1 + int 24 in
+  let blocks =
+    List.init (1 + int 6) (fun _ ->
+        if Workloads.Rng.bool rng then Cone.Soc (1 + int 5)
+        else Cone.Nonneg (1 + int 6))
+  in
+  let value () =
+    match int 6 with
+    | 0 -> 1.0
+    | 1 -> -1.0
+    | 2 -> 0.5
+    | 3 -> 1e-323
+    | _ -> f (-3.0) 3.0
+  in
+  let row ~orthant =
+    if orthant && int 8 = 0 then
+      List.init (Kkt.dense_row_threshold + 1 + int 8) (fun _ -> (int n, f 0.5 2.0))
+    else begin
+      let entries = List.init (int 5) (fun _ -> (int n, value ())) in
+      if int 3 = 0 then
+        let j = int n and v = value () in
+        (j, v) :: (j, -.v) :: entries
+      else entries
+    end
+  in
+  let rows =
+    List.concat_map
+      (function
+        | Cone.Nonneg d -> List.init d (fun _ -> row ~orthant:true)
+        | Cone.Soc d -> List.init d (fun _ -> row ~orthant:false))
+      blocks
+  in
+  let g = Sparse_rows.of_rows ~cols:n (Array.of_list rows) in
+  let cone = Cone.make blocks in
+  let interior () =
+    Array.concat
+      (List.map
+         (function
+           | Cone.Nonneg d -> Array.init d (fun _ -> f 0.1 10.0)
+           | Cone.Soc d ->
+             let v = Array.init d (fun _ -> f (-2.0) 2.0) in
+             let tail = ref 0.0 in
+             for i = 1 to d - 1 do
+               tail := !tail +. (v.(i) *. v.(i))
+             done;
+             v.(0) <- sqrt !tail +. f 0.05 2.0;
+             v)
+         blocks)
+  in
+  (g, cone, interior (), interior ())
+
+let prop_workspace_matches_reference =
+  QCheck2.Test.make
+    ~name:"workspace scaled rows and Gram match the list reference bit for bit"
+    ~count:500 (QCheck2.Gen.int_range 0 1_000_000)
+    (fun seed ->
+      let g, cone, s, z = random_workspace_case seed in
+      let w = Cone.nt_scaling cone ~s ~z in
+      let ws = Kkt.create ~g cone in
+      Kkt.scale_rows ws w;
+      Kkt.fill_gram ws;
+      let reference = Kkt_reference.scale_rows w (Kkt_reference.rows_of g) in
+      let scaled = Kkt.scaled ws in
+      let rows_match =
+        Array.for_all Fun.id
+          (Array.mapi
+             (fun i r ->
+               List.equal
+                 (fun (j, v) (j', v') -> j = j' && same_bits v v')
+                 r (Sparse_rows.row scaled i))
+             reference)
+      in
+      (* The reference Gram: the dense rows emptied, SOC rows mixed
+         within their blocks. *)
+      let kept = Array.copy reference in
+      Array.iter (fun i -> kept.(i) <- []) (Kkt.dense ws);
+      let soc =
+        let off = ref 0 in
+        List.filter_map
+          (fun b ->
+            let o = !off in
+            match b with
+            | Cone.Nonneg d ->
+              off := o + d;
+              None
+            | Cone.Soc d ->
+              off := o + d;
+              Some (o, d))
+          (Cone.blocks cone)
+      in
+      let structural = Kkt_reference.rows_of g in
+      Array.iter (fun i -> structural.(i) <- []) (Kkt.dense ws);
+      let pattern =
+        Kkt_reference.gram_pattern ~n:(Sparse_rows.cols g) structural ~soc
+      in
+      Kkt_reference.fill_gram kept ~into:pattern;
+      let gram = Kkt.gram ws in
+      rows_match
+      && Sparse.colptr gram = Sparse.colptr pattern
+      && Sparse.rowind gram = Sparse.rowind pattern
+      && Array.for_all2 same_bits (Sparse.values gram) (Sparse.values pattern))
 
 (* ------------------------------------------------------------------ *)
 (* Fallback-vs-sparse differential oracle                              *)
@@ -353,7 +493,6 @@ let test_sparse_infeasible_agrees () =
 (* Dense rows: Sherman–Morrison–Woodbury against the dense oracle      *)
 (* ------------------------------------------------------------------ *)
 
-module Cone = Conic.Cone
 
 let rel_err x oracle =
   Vec.nrm2 (Vec.sub x oracle) /. Float.max 1e-300 (Vec.nrm2 oracle)
@@ -547,6 +686,73 @@ let test_sparse_bit_pin (name, cfg, expected, iterations) () =
     (Iterate_digest.of_solution r.Model.raw)
 
 (* ------------------------------------------------------------------ *)
+(* Allocation                                                          *)
+(* ------------------------------------------------------------------ *)
+
+(* Words allocated per call of [f], averaged over [reps] calls after
+   one warm-up call: minor-heap words plus words allocated directly in
+   the major heap (large arrays), as in test_linalg.ml. *)
+let allocated_words ~reps f =
+  ignore (Sys.opaque_identity (f ()));
+  let _, promoted0, major0 = Gc.counters () in
+  let minor0 = Gc.minor_words () in
+  for _ = 1 to reps do
+    ignore (Sys.opaque_identity (f ()))
+  done;
+  let minor1 = Gc.minor_words () in
+  let _, promoted1, major1 = Gc.counters () in
+  (minor1 -. minor0 +. (major1 -. major0) -. (promoted1 -. promoted0))
+  /. float_of_int reps
+
+let within what words budget =
+  Alcotest.(check bool)
+    (Printf.sprintf "%s: %.0f words <= %.0f" what words budget)
+    true (words <= budget)
+
+(* Factoring into a storage and solving into a buffer allocate no
+   array: at n = 200 any per-call vector would cost 200 words.  The
+   shifted case runs several attempts on the same storage. *)
+let test_factor_solve_allocation () =
+  let n = 200 in
+  let a = random_spd ~n 11 in
+  let sy = Sparse.symbolic a in
+  let into = Sparse.factor_storage sy in
+  let f = Sparse.factor ~into sy a in
+  let b = random_rhs ~n 11 and out = Vec.create n in
+  within "factor into storage"
+    (allocated_words ~reps:50 (fun () -> Sparse.factor ~into sy a))
+    64.0;
+  within "solve into buffer"
+    (allocated_words ~reps:200 (fun () -> Sparse.solve ~into:out f b))
+    16.0;
+  let singular =
+    Sparse.create ~n:2 [ (0, 0, 1.0); (0, 1, 1.0); (1, 1, 1.0) ]
+  in
+  let sy = Sparse.symbolic singular in
+  let into = Sparse.factor_storage sy in
+  Alcotest.(check bool) "singular input takes a shift" true
+    (Sparse.shift (Sparse.factor ~into sy singular) > 0.0);
+  within "shifted factor into storage"
+    (allocated_words ~reps:50 (fun () -> Sparse.factor ~into sy singular))
+    64.0
+
+(* A cold solve of chain 8 (24 iterations) allocated 531,199 minor
+   words on the list-row kernel; the per-solve workspace keeps it to a
+   fraction of that. *)
+let test_cold_solve_allocation () =
+  let b = Socp_builder.build (Workloads.Gen.chain ~n:8 ()) in
+  match Model.lower b.Socp_builder.model with
+  | None -> Alcotest.fail "chain 8 lowers"
+  | Some { Model.c; g; h; cone; _ } ->
+    let solve () = Socp.solve ~c ~g ~h cone in
+    ignore (solve ());
+    let minor0 = Gc.minor_words () in
+    let sol = Sys.opaque_identity (solve ()) in
+    let words = Gc.minor_words () -. minor0 in
+    Alcotest.(check int) "iterations" 24 sol.Socp.iterations;
+    within "cold chain 8 solve, minor words" words 200_000.0
+
+(* ------------------------------------------------------------------ *)
 (* Warm starts                                                         *)
 (* ------------------------------------------------------------------ *)
 
@@ -653,6 +859,7 @@ let () =
             [
               prop_sparse_solve_matches_dense;
               prop_min_degree_is_permutation;
+              prop_min_degree_matches_reference;
               prop_refactor_reuses_pattern;
             ] );
       ( "sparse rows",
@@ -665,7 +872,9 @@ let () =
             test_fill_gram_matches_dense_gram;
           Alcotest.test_case "gram_pattern soc union" `Quick
             test_gram_pattern_soc_union;
-        ] );
+        ]
+        @ List.map QCheck_alcotest.to_alcotest
+            [ prop_workspace_matches_reference ] );
       ( "differential oracle",
         [
           Alcotest.test_case "paper instances" `Quick
@@ -688,6 +897,13 @@ let () =
           (fun ((name, _, _, _) as case) ->
             Alcotest.test_case name `Quick (test_sparse_bit_pin case))
           sparse_pin_cases );
+      ( "allocation",
+        [
+          Alcotest.test_case "factor and solve into storage" `Quick
+            test_factor_solve_allocation;
+          Alcotest.test_case "cold chain 8 solve" `Quick
+            test_cold_solve_allocation;
+        ] );
       ( "warm starts",
         [
           Alcotest.test_case "reaches same optimum" `Quick

@@ -87,19 +87,19 @@ let prod ?into k u v =
   for bi = 0 to Array.length k.kinds - 1 do
     let o = k.offsets.(bi) in
     match k.kinds.(bi) with
-      | Nonneg n ->
-        for i = o to o + n - 1 do
-          w.(i) <- u.(i) *. v.(i)
-        done
-      | Soc n ->
-        let d = ref 0.0 in
-        for i = o to o + n - 1 do
-          d := !d +. (u.(i) *. v.(i))
-        done;
-        w.(o) <- !d;
-        for i = o + 1 to o + n - 1 do
-          w.(i) <- (u.(o) *. v.(i)) +. (v.(o) *. u.(i))
-        done
+    | Nonneg n ->
+      for i = o to o + n - 1 do
+        w.(i) <- u.(i) *. v.(i)
+      done
+    | Soc n ->
+      let d = ref 0.0 in
+      for i = o to o + n - 1 do
+        d := !d +. (u.(i) *. v.(i))
+      done;
+      w.(o) <- !d;
+      for i = o + 1 to o + n - 1 do
+        w.(i) <- (u.(o) *. v.(i)) +. (v.(o) *. u.(i))
+      done
   done;
   w
 
@@ -110,23 +110,23 @@ let div ?into k lam d =
   for bi = 0 to Array.length k.kinds - 1 do
     let o = k.offsets.(bi) in
     match k.kinds.(bi) with
-      | Nonneg n ->
-        for i = o to o + n - 1 do
-          u.(i) <- d.(i) /. lam.(i)
-        done
-      | Soc n ->
-        (* Solve lam ∘ u = d on one SOC block. *)
-        let lt = tail_norm lam o n in
-        let det = (lam.(o) *. lam.(o)) -. (lt *. lt) in
-        let lam_dot_d = ref 0.0 in
-        for i = o + 1 to o + n - 1 do
-          lam_dot_d := !lam_dot_d +. (lam.(i) *. d.(i))
-        done;
-        let u0 = ((lam.(o) *. d.(o)) -. !lam_dot_d) /. det in
-        u.(o) <- u0;
-        for i = o + 1 to o + n - 1 do
-          u.(i) <- (d.(i) -. (u0 *. lam.(i))) /. lam.(o)
-        done
+    | Nonneg n ->
+      for i = o to o + n - 1 do
+        u.(i) <- d.(i) /. lam.(i)
+      done
+    | Soc n ->
+      (* Solve lam ∘ u = d on one SOC block. *)
+      let lt = tail_norm lam o n in
+      let det = (lam.(o) *. lam.(o)) -. (lt *. lt) in
+      let lam_dot_d = ref 0.0 in
+      for i = o + 1 to o + n - 1 do
+        lam_dot_d := !lam_dot_d +. (lam.(i) *. d.(i))
+      done;
+      let u0 = ((lam.(o) *. d.(o)) -. !lam_dot_d) /. det in
+      u.(o) <- u0;
+      for i = o + 1 to o + n - 1 do
+        u.(i) <- (d.(i) -. (u0 *. lam.(i))) /. lam.(o)
+      done
   done;
   u
 
@@ -220,44 +220,40 @@ let nt_scaling ?into k ~s ~z =
   for bi = 0 to Array.length k.kinds - 1 do
     let o = k.offsets.(bi) in
     match k.kinds.(bi) with
-      | Nonneg n ->
-        for i = o to o + n - 1 do
-          w.(i) <- sqrt (s.(i) /. z.(i));
-          lam.(i) <- sqrt (s.(i) *. z.(i))
-        done
-      | Soc n ->
-        let snorm = sqrt ((s.(o) *. s.(o)) -. (tail_norm s o n ** 2.0))
-        and znorm = sqrt ((z.(o) *. z.(o)) -. (tail_norm z o n ** 2.0)) in
-        (* Normalised points s/‖s‖ and z/‖z‖, formed entry by entry,
-           and the geometric mean direction w̄ with
-           w̄ᵢ = (s̄ᵢ + (Jz̄)ᵢ)/(2γ). *)
-        let dot_sz = ref 0.0 in
-        for i = 0 to n - 1 do
-          dot_sz := !dot_sz +. (s.(o + i) /. snorm *. (z.(o + i) /. znorm))
-        done;
-        let gamma = sqrt ((1.0 +. !dot_sz) /. 2.0) in
-        let wbar i =
-          let zb = z.(o + i) /. znorm in
-          let ji = if i = 0 then zb else -.zb in
-          ((s.(o + i) /. snorm) +. ji) /. (2.0 *. gamma)
-        in
-        let eta = sqrt (snorm /. znorm) in
-        let wbar0 = wbar 0 in
-        let denom = sqrt (2.0 *. (wbar0 +. 1.0)) in
-        w.(o) <- (wbar0 +. 1.0) /. denom;
-        for i = 1 to n - 1 do
-          w.(o + i) <- wbar i /. denom
-        done;
-        sc.eta.(bi) <- eta;
-        (* λ block: W·z computed directly. *)
-        let dot_vz = ref 0.0 in
-        for i = 0 to n - 1 do
-          dot_vz := !dot_vz +. (w.(o + i) *. z.(o + i))
-        done;
-        for i = 0 to n - 1 do
-          let ju = if i = 0 then z.(o + i) else -.z.(o + i) in
-          lam.(o + i) <- eta *. ((2.0 *. w.(o + i) *. !dot_vz) -. ju)
-        done
+    | Nonneg n ->
+      for i = o to o + n - 1 do
+        w.(i) <- sqrt (s.(i) /. z.(i));
+        lam.(i) <- sqrt (s.(i) *. z.(i))
+      done
+    | Soc n ->
+      let snorm = sqrt ((s.(o) *. s.(o)) -. (tail_norm s o n ** 2.0))
+      and znorm = sqrt ((z.(o) *. z.(o)) -. (tail_norm z o n ** 2.0)) in
+      (* Normalised points s/‖s‖ and z/‖z‖, formed entry by entry,
+         and the geometric mean direction w̄ with
+         w̄ᵢ = (s̄ᵢ + (Jz̄)ᵢ)/(2γ). *)
+      let dot_sz = ref 0.0 in
+      for i = 0 to n - 1 do
+        dot_sz := !dot_sz +. (s.(o + i) /. snorm *. (z.(o + i) /. znorm))
+      done;
+      let gamma = sqrt ((1.0 +. !dot_sz) /. 2.0) in
+      let eta = sqrt (snorm /. znorm) in
+      let wbar0 = ((s.(o) /. snorm) +. (z.(o) /. znorm)) /. (2.0 *. gamma) in
+      let denom = sqrt (2.0 *. (wbar0 +. 1.0)) in
+      w.(o) <- (wbar0 +. 1.0) /. denom;
+      for i = o + 1 to o + n - 1 do
+        let ji = -.(z.(i) /. znorm) in
+        w.(i) <- ((s.(i) /. snorm) +. ji) /. (2.0 *. gamma) /. denom
+      done;
+      sc.eta.(bi) <- eta;
+      (* λ block: W·z computed directly. *)
+      let dot_vz = ref 0.0 in
+      for i = 0 to n - 1 do
+        dot_vz := !dot_vz +. (w.(o + i) *. z.(o + i))
+      done;
+      for i = 0 to n - 1 do
+        let ju = if i = 0 then z.(o + i) else -.z.(o + i) in
+        lam.(o + i) <- eta *. ((2.0 *. w.(o + i) *. !dot_vz) -. ju)
+      done
   done;
   sc
 
@@ -272,23 +268,23 @@ let apply_gen inv ?into sc u =
   for bi = 0 to Array.length k.kinds - 1 do
     let o = k.offsets.(bi) in
     match k.kinds.(bi) with
-      | Nonneg n ->
-        for i = o to o + n - 1 do
-          out.(i) <- (if inv then u.(i) /. w.(i) else u.(i) *. w.(i))
-        done
-      | Soc n ->
-        let eta = sc.eta.(bi) in
-        let scale = if inv then 1.0 /. eta else eta in
-        let dot_vu = ref 0.0 in
-        for i = 0 to n - 1 do
-          let vv = if inv && i > 0 then -.w.(o + i) else w.(o + i) in
-          dot_vu := !dot_vu +. (vv *. u.(o + i))
-        done;
-        for i = 0 to n - 1 do
-          let vv = if inv && i > 0 then -.w.(o + i) else w.(o + i) in
-          let ju = if i = 0 then u.(o + i) else -.u.(o + i) in
-          out.(o + i) <- scale *. ((2.0 *. vv *. !dot_vu) -. ju)
-        done
+    | Nonneg n ->
+      for i = o to o + n - 1 do
+        out.(i) <- (if inv then u.(i) /. w.(i) else u.(i) *. w.(i))
+      done
+    | Soc n ->
+      let eta = sc.eta.(bi) in
+      let scale = if inv then 1.0 /. eta else eta in
+      let dot_vu = ref 0.0 in
+      for i = 0 to n - 1 do
+        let vv = if inv && i > 0 then -.w.(o + i) else w.(o + i) in
+        dot_vu := !dot_vu +. (vv *. u.(o + i))
+      done;
+      for i = 0 to n - 1 do
+        let vv = if inv && i > 0 then -.w.(o + i) else w.(o + i) in
+        let ju = if i = 0 then u.(o + i) else -.u.(o + i) in
+        out.(o + i) <- scale *. ((2.0 *. vv *. !dot_vu) -. ju)
+      done
   done;
   out
 

@@ -299,48 +299,48 @@ let scale_rows ws (w : Cone.scaling) =
     let o0 = ws.offsets.(bi) in
     match ws.kinds.(bi) with
     | Cone.Nonneg d ->
-        for i = o0 to o0 + d - 1 do
-          let coeff = 1.0 /. v.(i) in
-          for p = ptr.(i) to ptr.(i + 1) - 1 do
-            let x = coeff *. value.(p) in
-            if x <> 0.0 then begin
-              scol.(!q) <- col.(p);
-              sval.(!q) <- x;
-              spos.(!q) <- p - ptr.(i);
-              incr q
-            end
-          done;
-          sptr.(i + 1) <- !q
-        done
+      for i = o0 to o0 + d - 1 do
+        let coeff = 1.0 /. v.(i) in
+        for p = ptr.(i) to ptr.(i + 1) - 1 do
+          let x = coeff *. value.(p) in
+          if x <> 0.0 then begin
+            scol.(!q) <- col.(p);
+            sval.(!q) <- x;
+            spos.(!q) <- p - ptr.(i);
+            incr q
+          end
+        done;
+        sptr.(i + 1) <- !q
+      done
     | Cone.Soc d ->
-        let eta = w.Cone.eta.(bi) in
-        let start = ws.cap_start.(o0) and len = ws.cap_len.(o0) in
-        for i = 0 to d - 1 do
-          Array.fill acc 0 len 0.0;
-          let jvi = if i = 0 then v.(o0) else -.v.(o0 + i) in
-          for k = 0 to d - 1 do
-            let jvk = if k = 0 then v.(o0) else -.v.(o0 + k) in
-            let coeff =
-              ((2.0 *. jvi *. jvk)
-              -. (if i = k then if i = 0 then 1.0 else -1.0 else 0.0))
-              /. eta
-            in
-            if coeff <> 0.0 then
-              for p = ptr.(o0 + k) to ptr.(o0 + k + 1) - 1 do
-                let a = ws.upos.(p) in
-                acc.(a) <- acc.(a) +. (coeff *. value.(p))
-              done
-          done;
-          for a = 0 to len - 1 do
-            if acc.(a) <> 0.0 then begin
-              scol.(!q) <- ws.cap_col.(start + a);
-              sval.(!q) <- acc.(a);
-              spos.(!q) <- a;
-              incr q
-            end
-          done;
-          sptr.(o0 + i + 1) <- !q
-        done
+      let eta = w.Cone.eta.(bi) in
+      let start = ws.cap_start.(o0) and len = ws.cap_len.(o0) in
+      for i = 0 to d - 1 do
+        Array.fill acc 0 len 0.0;
+        let jvi = if i = 0 then v.(o0) else -.v.(o0 + i) in
+        for k = 0 to d - 1 do
+          let jvk = if k = 0 then v.(o0) else -.v.(o0 + k) in
+          let coeff =
+            ((2.0 *. jvi *. jvk)
+            -. (if i = k then if i = 0 then 1.0 else -1.0 else 0.0))
+            /. eta
+          in
+          if coeff <> 0.0 then
+            for p = ptr.(o0 + k) to ptr.(o0 + k + 1) - 1 do
+              let a = ws.upos.(p) in
+              acc.(a) <- acc.(a) +. (coeff *. value.(p))
+            done
+        done;
+        for a = 0 to len - 1 do
+          if acc.(a) <> 0.0 then begin
+            scol.(!q) <- ws.cap_col.(start + a);
+            sval.(!q) <- acc.(a);
+            spos.(!q) <- a;
+            incr q
+          end
+        done;
+        sptr.(o0 + i + 1) <- !q
+      done
   done
 
 (* Σ rᵀr over the scaled rows outside [dense], into the pattern's

@@ -522,25 +522,26 @@ let solve ?into f b =
       if Array.length out <> n then invalid_arg "Sparse.solve: into";
       out
   in
-  let y = f.x in
+  let y = f.x and perm = sy.perm and lcolptr = sy.lcolptr in
+  let lrowind = f.lrowind and lvalues = f.lvalues in
   for i = 0 to n - 1 do
-    y.(i) <- b.(sy.perm.(i))
+    y.(i) <- b.(perm.(i))
   done;
   for j = 0 to n - 1 do
-    let p0 = sy.lcolptr.(j) in
-    let yj = y.(j) /. f.lvalues.(p0) in
+    let p0 = lcolptr.(j) in
+    let yj = y.(j) /. lvalues.(p0) in
     y.(j) <- yj;
-    for p = p0 + 1 to sy.lcolptr.(j + 1) - 1 do
-      y.(f.lrowind.(p)) <- y.(f.lrowind.(p)) -. (f.lvalues.(p) *. yj)
+    for p = p0 + 1 to lcolptr.(j + 1) - 1 do
+      y.(lrowind.(p)) <- y.(lrowind.(p)) -. (lvalues.(p) *. yj)
     done
   done;
   for j = n - 1 downto 0 do
-    let p0 = sy.lcolptr.(j) in
+    let p0 = lcolptr.(j) in
     let acc = ref y.(j) in
-    for p = p0 + 1 to sy.lcolptr.(j + 1) - 1 do
-      acc := !acc -. (f.lvalues.(p) *. y.(f.lrowind.(p)))
+    for p = p0 + 1 to lcolptr.(j + 1) - 1 do
+      acc := !acc -. (lvalues.(p) *. y.(lrowind.(p)))
     done;
-    y.(j) <- !acc /. f.lvalues.(p0)
+    y.(j) <- !acc /. lvalues.(p0)
   done;
   for i = 0 to n - 1 do
     out.(sy.perm.(i)) <- y.(i)

@@ -64,8 +64,10 @@ val max_step : t -> Linalg.Vec.t -> Linalg.Vec.t -> float
     block's index.  The arrays must not be written. *)
 type scaling = private {
   cone : t;
-  w : float array;  (** [dim cone] entries: [wᵢ] on orthants, [v] on SOC blocks *)
-  eta : float array;  (** one entry per block: [η] of an SOC block, unused otherwise *)
+  w : float array;
+      (** [dim cone] entries: [wᵢ] on orthants, [v] on SOC blocks *)
+  eta : float array;
+      (** one entry per block: [η] of an SOC block, unused otherwise *)
   lam : Linalg.Vec.t;  (** [λ]; {!lambda} returns a copy *)
 }
 

@@ -224,7 +224,8 @@ let create ?obs ~g cone =
       let q = ref tri_start.(lo) in
       for a = 0 to len - 1 do
         for b = a to len - 1 do
-          gslot.(!q) <- Sparse.slot pattern cap_col.(start + a) cap_col.(start + b);
+          gslot.(!q) <-
+            Sparse.slot pattern cap_col.(start + a) cap_col.(start + b);
           incr q
         done
       done)
@@ -296,10 +297,10 @@ let scale_rows ws (w : Cone.scaling) =
   let spos = ws.spos and acc = ws.acc and v = w.Cone.w in
   let q = ref 0 in
   for bi = 0 to Array.length ws.kinds - 1 do
-    let o0 = ws.offsets.(bi) in
+    let o = ws.offsets.(bi) in
     match ws.kinds.(bi) with
     | Cone.Nonneg d ->
-      for i = o0 to o0 + d - 1 do
+      for i = o to o + d - 1 do
         let coeff = 1.0 /. v.(i) in
         for p = ptr.(i) to ptr.(i + 1) - 1 do
           let x = coeff *. value.(p) in
@@ -314,19 +315,19 @@ let scale_rows ws (w : Cone.scaling) =
       done
     | Cone.Soc d ->
       let eta = w.Cone.eta.(bi) in
-      let start = ws.cap_start.(o0) and len = ws.cap_len.(o0) in
+      let start = ws.cap_start.(o) and len = ws.cap_len.(o) in
       for i = 0 to d - 1 do
         Array.fill acc 0 len 0.0;
-        let jvi = if i = 0 then v.(o0) else -.v.(o0 + i) in
+        let jvi = if i = 0 then v.(o) else -.v.(o + i) in
         for k = 0 to d - 1 do
-          let jvk = if k = 0 then v.(o0) else -.v.(o0 + k) in
+          let jvk = if k = 0 then v.(o) else -.v.(o + k) in
           let coeff =
             ((2.0 *. jvi *. jvk)
             -. (if i = k then if i = 0 then 1.0 else -1.0 else 0.0))
             /. eta
           in
           if coeff <> 0.0 then
-            for p = ptr.(o0 + k) to ptr.(o0 + k + 1) - 1 do
+            for p = ptr.(o + k) to ptr.(o + k + 1) - 1 do
               let a = ws.upos.(p) in
               acc.(a) <- acc.(a) +. (coeff *. value.(p))
             done
@@ -339,7 +340,7 @@ let scale_rows ws (w : Cone.scaling) =
             incr q
           end
         done;
-        sptr.(o0 + i + 1) <- !q
+        sptr.(o + i + 1) <- !q
       done
   done
 
@@ -422,7 +423,8 @@ let factor ws w ~force_dense =
   else begin
     fill_gram ws;
     match
-      ignore (Sparse.factor ~max_shift:1e-2 ~into:ws.factor ws.symbolic ws.pattern);
+      ignore
+        (Sparse.factor ~max_shift:1e-2 ~into:ws.factor ws.symbolic ws.pattern);
       woodbury_setup ws
     with
     | exception (Sparse.Not_positive_definite | Cholesky.Not_positive_definite)

@@ -63,7 +63,9 @@ let of_rows ~cols rows =
 let of_mat a =
   let m = Linalg.Mat.rows a and n = Linalg.Mat.cols a in
   let data = Linalg.Mat.data a in
-  let nz = Array.fold_left (fun acc v -> if v <> 0.0 then acc + 1 else acc) 0 data in
+  let nz =
+    Array.fold_left (fun acc v -> if v <> 0.0 then acc + 1 else acc) 0 data
+  in
   let t = empty ~rows:m ~cols:n ~capacity:nz in
   let q = ref 0 in
   for i = 0 to m - 1 do

@@ -64,7 +64,7 @@ let of_pattern ~n ~colptr ~rowind =
     for p = colptr.(j) to colptr.(j + 1) - 1 do
       let i = rowind.(p) in
       if i < 0 || i > j || (p > colptr.(j) && rowind.(p - 1) >= i) then
-        invalid_arg "Sparse.of_pattern: rows not strictly increasing in the upper triangle"
+        invalid_arg "Sparse.of_pattern: rows not increasing in the upper triangle"
     done
   done;
   { n; colptr; rowind; values = Array.make nz 0.0 }
@@ -390,7 +390,8 @@ type factor = {
   lvalues : float array;
   mutable fshift : float;
   next : int array;
-  x : float array;  (* dense accumulator of the up-looking solve; the solves' permuted vector *)
+  x : float array;
+      (* the up-looking solve's dense accumulator; the solves' permuted vector *)
   w : int array;
   stack : int array;
   s : int array;
@@ -485,19 +486,19 @@ let refactor_into f a ~shift =
   f.fshift <- shift;
   !ok
 
-let storage_for ?into sy =
-  match into with
-  | None -> factor_storage sy
-  | Some f ->
-    if f.sy != sy then invalid_arg "Sparse: into belongs to another analysis";
-    f
-
-let refactor ?into sy a ~shift =
-  let f = storage_for ?into sy in
+let refactor sy a ~shift =
+  let f = factor_storage sy in
   if refactor_into f a ~shift then Some f else None
 
 let factor ?(max_shift = 1e-4) ?into sy a =
-  let f = storage_for ?into sy in
+  let f =
+    match into with
+    | None -> factor_storage sy
+    | Some f ->
+      if f.sy != sy then
+        invalid_arg "Sparse.factor: into belongs to another analysis";
+      f
+  in
   let scale =
     let fr = frobenius a in
     if fr > 0.0 then fr else 1.0

@@ -100,25 +100,24 @@ type factor
     domains at once. *)
 
 (** [factor_storage s] is fresh storage for factors of the analysis
-    [s]; it holds no valid factor until {!refactor} or {!factor} has
-    succeeded on it. *)
+    [s]; it holds no valid factor until {!factor} has succeeded on it. *)
 val factor_storage : symbolic -> factor
 
-(** [refactor ?into s a ~shift] numerically factors [P·(A + shift·I)·Pᵀ =
-    L·Lᵀ] reusing the symbolic analysis [s].  [a] must have the same
-    pattern [s] was computed from.  Returns [None] when a pivot is
-    non-positive (the matrix plus shift is not positive definite).
-    With [into] (storage of [s]) the factor is written there and
-    [Some into] is returned; otherwise the storage is fresh.
-    @raise Invalid_argument if [into] belongs to another analysis. *)
-val refactor : ?into:factor -> symbolic -> sym -> shift:float -> factor option
+(** [refactor s a ~shift] numerically factors [P·(A + shift·I)·Pᵀ =
+    L·Lᵀ] into fresh storage, reusing the symbolic analysis [s].  [a]
+    must have the same pattern [s] was computed from.  Returns [None]
+    when a pivot is non-positive (the matrix plus shift is not positive
+    definite). *)
+val refactor : symbolic -> sym -> shift:float -> factor option
 
 (** [factor ?max_shift ?into s a] is {!refactor} wrapped in the same
     progressive diagonal shift policy as {!Cholesky.factor}: shift [0.],
     then [1e-14·‖a‖] growing ×100 up to [max_shift·‖a‖]
     (default [1e-4]).  Every attempt writes the same storage — [into]
-    if given, else one fresh storage — and allocates no array.
-    @raise Not_positive_definite if no shift in range succeeds. *)
+    (storage of [s]) if given, else one fresh storage — and allocates
+    no array.
+    @raise Not_positive_definite if no shift in range succeeds.
+    @raise Invalid_argument if [into] belongs to another analysis. *)
 val factor : ?max_shift:float -> ?into:factor -> symbolic -> sym -> factor
 
 (** [shift f] is the diagonal regularisation that was applied. *)

@@ -54,7 +54,10 @@ let apply_inv_rows (w : Cone.scaling) offset rows =
     Array.mapi (fun i r -> scale_row (1.0 /. w.Cone.w.(o + i)) r) rows
   | Cone.Soc _ ->
     let eta = w.Cone.eta.(bi) in
-    let jv = Array.init n (fun i -> if i = 0 then w.Cone.w.(o) else -.w.Cone.w.(o + i)) in
+    let jv =
+      Array.init n (fun i ->
+          if i = 0 then w.Cone.w.(o) else -.w.Cone.w.(o + i))
+    in
     let cols =
       Array.of_list
         (List.sort_uniq compare
@@ -176,7 +179,9 @@ let min_degree a =
     let v = !best in
     perm.(k) <- v;
     alive.(v) <- false;
-    let nbrs = Array.of_seq (Seq.filter (fun u -> alive.(u)) (Array.to_seq adj.(v))) in
+    let nbrs =
+      Array.of_seq (Seq.filter (fun u -> alive.(u)) (Array.to_seq adj.(v)))
+    in
     Array.iter
       (fun u ->
         incr tag;

@@ -230,7 +230,8 @@ let test_bad_order_rejected () =
 let prop_min_degree_matches_reference =
   QCheck2.Test.make ~name:"min_degree matches the quadratic reference"
     ~count:200
-    QCheck2.Gen.(triple (int_range 1 80) (float_range 0.0 0.5) (int_range 0 1_000_000))
+    QCheck2.Gen.(
+      triple (int_range 1 80) (float_range 0.0 0.5) (int_range 0 1_000_000))
     (fun (n, density, seed) ->
       let rng = Workloads.Rng.create (Int64.of_int seed) in
       let triplets = ref [] in
@@ -340,7 +341,9 @@ let random_workspace_case seed =
   in
   let row ~orthant =
     if orthant && int 8 = 0 then
-      List.init (Kkt.dense_row_threshold + 1 + int 8) (fun _ -> (int n, f 0.5 2.0))
+      List.init
+        (Kkt.dense_row_threshold + 1 + int 8)
+        (fun _ -> (int n, f 0.5 2.0))
     else begin
       let entries = List.init (int 5) (fun _ -> (int n, value ())) in
       if int 3 = 0 then

@@ -3,6 +3,12 @@ module Mat = Linalg.Mat
 module Cholesky = Linalg.Cholesky
 module Sparse = Linalg.Sparse
 
+(* A [Nonneg] row with more nonzeros than this is a shared-resource
+   row — constraint (9) over one processor's budgets or (10) over one
+   memory's buffers — whose outer product would put a clique of that
+   size into GᵀW⁻²G.  Every other row of Algorithm 1 (cycle, bound and
+   cone rows) has at most a handful of nonzeros.  Such dense rows stay
+   out of the sparse factor and come back as a low-rank update. *)
 let dense_row_threshold = 16
 
 (* Per-solve n×n storage of the dense fallback, the Gram matrix and its

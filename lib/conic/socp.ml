@@ -1,5 +1,4 @@
 module Vec = Linalg.Vec
-module Mat = Linalg.Mat
 module Cholesky = Linalg.Cholesky
 
 let src = Logs.Src.create "conic.socp" ~doc:"interior-point SOCP solver"
@@ -64,15 +63,6 @@ let pp_status ppf = function
 
 let emit_obs params ev =
   match params.obs with None -> () | Some o -> Obs.Ctx.emit o ev
-
-(* A [Nonneg] row with more nonzeros than this is a shared-resource
-   row — constraint (9) over one processor's budgets or (10) over one
-   memory's buffers — whose outer product would put a clique of that
-   size into GᵀW⁻²G.  Every other row of Algorithm 1 (cycle, bound and
-   cone rows) has at most a handful of nonzeros.  Such dense rows stay
-   out of the sparse factor and come back as a low-rank update
-   ([Kkt]). *)
-let dense_row_threshold = Kkt.dense_row_threshold
 
 let kkt_solve ~g cone ~s ~z ~bx ~bz =
   let ws = Kkt.create ~g cone in

@@ -12,13 +12,15 @@
     KKT systems through the normal equations
     [Gᵀ·W⁻²·G·Δx = r] with a shifted sparse Cholesky factorisation —
     the polynomial-complexity method the paper relies on (via CPLEX) to
-    solve Algorithm 1.  [G] is given as sparse rows ({!Sparse_rows});
-    one symbolic analysis per solve fixes the factor's pattern, each
-    iteration refactorises it numerically, and orthant rows with more
-    than {!dense_row_threshold} nonzeros stay out of the pattern and
-    are added back by a Sherman–Morrison–Woodbury update.  An iteration
-    whose sparse factorisation fails falls back to a dense Cholesky of
-    the full Gram matrix (counted in {!solution.kkt_fallbacks}).  See
+    solve Algorithm 1.  [G] is given as compressed sparse rows
+    ({!Sparse_rows}).  Each solve allocates one KKT workspace ({!Kkt})
+    and the vectors of its iteration once: one symbolic analysis fixes
+    the factor's pattern, each iteration refactorises it numerically in
+    place, and orthant rows with more than {!Kkt.dense_row_threshold}
+    nonzeros stay out of the pattern and are added back by a
+    Sherman–Morrison–Woodbury update.  An iteration whose sparse
+    factorisation fails falls back to a dense Cholesky of the full Gram
+    matrix (counted in {!solution.kkt_fallbacks}).  See
     docs/solver.md. *)
 
 type status =
@@ -120,10 +122,6 @@ val solve :
   h:Linalg.Vec.t ->
   Cone.t ->
   solution
-
-(** Orthant rows of [G] with more nonzeros than this are the dense rows
-    that the solver keeps out of its Cholesky pattern. *)
-val dense_row_threshold : int
 
 (** [kkt_solve ~g cone ~s ~z ~bx ~bz] solves one scaled KKT system
     {v Gᵀ·dz = bx,   G·dx − W²·dz = bz v}

@@ -597,7 +597,7 @@ let test_dense_row_only_variable () =
   Alcotest.(check (array int))
     "only the covered dense row is split out" [| n |]
     (Sparse_rows.dense_rows g ~among:[ (0, m) ]
-       ~above:Socp.dense_row_threshold);
+       ~above:Kkt.dense_row_threshold);
   let cone = Cone.make [ Cone.Nonneg m ] in
   let s = Array.init m (fun i -> 0.5 +. (0.05 *. float_of_int i))
   and z = Array.init m (fun i -> 2.0 -. (0.03 *. float_of_int i)) in

@@ -16,6 +16,7 @@ module Sparse = Linalg.Sparse
 module Cholesky = Linalg.Cholesky
 module Sparse_rows = Conic.Sparse_rows
 module Cone = Conic.Cone
+module Kkt = Conic.Kkt
 module Socp = Conic.Socp
 module Model = Conic.Model
 module Config = Taskgraph.Config
@@ -225,8 +226,8 @@ let test_bad_order_rejected () =
     (Invalid_argument "Sparse.symbolic: order is not a permutation")
     (fun () -> ignore (Sparse.symbolic ~order:[| 0; 0 |] a))
 
-(* A random pattern of density [d]: the heap ordering must pick exactly
-   the vertices the quadratic scan picks. *)
+(* On a random pattern of the given density the heap ordering must
+   pick exactly the vertices the quadratic scan picks. *)
 let prop_min_degree_matches_reference =
   QCheck2.Test.make ~name:"min_degree matches the quadratic reference"
     ~count:200
@@ -278,12 +279,12 @@ let test_fill_gram_matches_dense_gram () =
     Sparse_rows.of_rows ~cols:3
       [| [ (0, 1.0); (2, 2.0) ]; [ (1, 3.0) ]; [ (0, -1.0); (1, 1.0) ] |]
   in
-  let cone = Conic.Cone.make [ Conic.Cone.Nonneg 3 ] in
-  let ws = Conic.Kkt.create ~g:t cone in
-  let e = Conic.Cone.identity cone in
-  Conic.Kkt.scale_rows ws (Conic.Cone.nt_scaling cone ~s:e ~z:e);
-  Conic.Kkt.fill_gram ws;
-  let pattern = Conic.Kkt.gram ws in
+  let cone = Cone.make [ Cone.Nonneg 3 ] in
+  let ws = Kkt.create ~g:t cone in
+  let e = Cone.identity cone in
+  Kkt.scale_rows ws (Cone.nt_scaling cone ~s:e ~z:e);
+  Kkt.fill_gram ws;
+  let pattern = Kkt.gram ws in
   let dense = Sparse_rows.gram t in
   for i = 0 to 2 do
     for j = 0 to 2 do
@@ -300,9 +301,9 @@ let test_gram_pattern_soc_union () =
   let t =
     Sparse_rows.of_rows ~cols:2 [| [ (0, 1.0) ]; [ (1, 1.0) ] |]
   in
-  let gram cone = Conic.Kkt.gram (Conic.Kkt.create ~g:t (Conic.Cone.make cone)) in
-  let plain = gram [ Conic.Cone.Nonneg 2 ] in
-  let soc = gram [ Conic.Cone.Soc 2 ] in
+  let gram cone = Kkt.gram (Kkt.create ~g:t (Cone.make cone)) in
+  let plain = gram [ Cone.Nonneg 2 ] in
+  let soc = gram [ Cone.Soc 2 ] in
   check_float "no block: no cross term" 0.0 (Sparse.get plain 0 1);
   Alcotest.(check int) "no block: nnz" 2 (Sparse.nnz plain);
   Alcotest.(check int) "soc block adds cross term" 3 (Sparse.nnz soc)
@@ -310,8 +311,6 @@ let test_gram_pattern_soc_union () =
 (* ------------------------------------------------------------------ *)
 (* KKT workspace against the list-row reference                        *)
 (* ------------------------------------------------------------------ *)
-
-module Kkt = Conic.Kkt
 
 let same_bits a b = Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b)
 

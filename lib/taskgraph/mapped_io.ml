@@ -37,6 +37,8 @@ let parse cfg text =
           | None -> fail lineno "budget of %s: %S is not a number" name value
           | Some v when v <= 0.0 ->
             fail lineno "budget of %s must be > 0" name
+          | Some v when not (Float.is_finite v) ->
+            fail lineno "budget of %s must be finite" name
           | Some v ->
             if Hashtbl.mem budgets (Config.task_id w) then
               fail lineno "duplicate budget for %s" name

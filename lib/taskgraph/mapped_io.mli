@@ -21,8 +21,8 @@ val print : Config.t -> Format.formatter -> Config.mapped -> unit
 
 (** [parse cfg text] reads a mapping back.  Every task and buffer of
     [cfg] must be assigned exactly once; unknown names, duplicates,
-    non-positive budgets and capacities below a buffer's initial tokens
-    are rejected.
+    non-positive or non-finite budgets and capacities below a buffer's
+    initial tokens are rejected.
     @raise Parse_error with a 1-based line number on malformed or
     incomplete input (a missing assignment, having no line of its own,
     is blamed on the last line). *)

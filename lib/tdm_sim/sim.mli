@@ -56,8 +56,9 @@ type report = {
 
     @return [Error reason] on deadlock (no runnable task before the
     iteration target is met) or when a budget/capacity is invalid
-    (non-positive budget, capacity below the initial tokens,
-    oversubscribed processor).
+    (non-positive or non-finite budget, budget above its replenishment
+    interval, capacity below the initial tokens, oversubscribed
+    processor).
     @raise Invalid_argument if [iterations < 4] (too short to measure a
     steady-state period). *)
 val run :
@@ -67,6 +68,69 @@ val run :
   ?execution_time:(Taskgraph.Config.task -> int -> float) ->
   unit ->
   (report, string) Stdlib.result
+
+(** {2 Plans and workspaces}
+
+    [run] is a {!plan} (everything fixed by the configuration, the
+    budgets and the iteration count) executed on a fresh
+    {!workspace} (the mutable state of one run).  A caller that
+    simulates one budget layout at many capacities builds the plan
+    once and reuses one workspace per sequential run; a run on a
+    workspace allocates nothing that grows with its length. *)
+
+(** Immutable, and safe to share across domains. *)
+type plan
+
+(** [plan cfg ~budget ~iterations] lays out the TDM windows and buffer
+    adjacency of [cfg] under [budget] and validates the layout
+    (non-positive or non-finite budgets, a budget above its
+    replenishment interval, oversubscribed processors); a run of an
+    invalid plan returns [Error _] (or [false] from {!meets}).
+    @raise Invalid_argument if [iterations < 4]. *)
+val plan :
+  Taskgraph.Config.t ->
+  budget:(Taskgraph.Config.task -> float) ->
+  iterations:int ->
+  plan
+
+(** [simulate plan ~capacity ?execution_time ()] is {!run} of the
+    plan's configuration and budgets with buffer [b] at capacity
+    [capacity.(Config.buffer_id b)], on a fresh workspace.
+    @raise Invalid_argument if [capacity] has fewer entries than the
+    configuration has buffers. *)
+val simulate :
+  plan ->
+  capacity:int array ->
+  ?execution_time:(Taskgraph.Config.task -> int -> float) ->
+  unit ->
+  (report, string) Stdlib.result
+
+(** The mutable state of one run, sized by its plan and reset by every
+    run.  Not safe to share across domains. *)
+type workspace
+
+(** [workspace plan] allocates the state {!meets} needs for runs of
+    [plan]: buffer fills and per-task completions.  The occupancy log
+    and claim instants only a {!report} reads are left out. *)
+val workspace : plan -> workspace
+
+(** [meets ws ~capacity ~threshold] runs the workspace's plan at
+    [capacity] (worst-case execution times) and tells whether every
+    task's measured period ({!report.task_period}) is at most
+    [threshold.(Config.task_id w)]; deadlocks and invalid budgets or
+    capacities give [false].  With non-negative thresholds this is
+    [∀g. graph_period g ≤ thr g] of the {!simulate} report when every
+    task of [g] carries [thr g].
+
+    The run stops with [false] as soon as a task past half of its
+    executions is bound to miss its threshold: every later completion
+    happens no earlier than the current event, and the period is
+    monotone in the last completion, so the verdict is the one the
+    full run would give.  Allocates nothing that grows with the
+    iteration count.
+    @raise Invalid_argument if [capacity] or [threshold] is shorter
+    than the number of buffers or tasks. *)
+val meets : workspace -> capacity:int array -> threshold:float array -> bool
 
 (** [processing_completion ~window_offset ~budget ~interval ~start
     ~work] is the instant at which [work] cycles of processing finish

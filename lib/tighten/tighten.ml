@@ -8,10 +8,12 @@ module Durability = Budgetbuf.Durability
    period µ simulates at a steady-state period ≤ µ, so the analytic
    capacities usually overshoot what the platform needs.  Per buffer we
    run a dichotomy between the exact lower bound max(1, ι) and the
-   analytic capacity, with [Sim.run] + steady-state detection as the
-   feasibility oracle.  Feasibility is monotone in capacity (budget
-   schedulers are temporally monotone: more empty space can only let
-   the producer start earlier), so binary search is sound.
+   analytic capacity.  The feasibility oracle is a fixed-horizon
+   simulation compared against a threshold period: [Sim.meets] on one
+   plan of the analytic budgets, which stops a run as soon as its
+   verdict is known to be a miss.  Feasibility is monotone in capacity
+   (budget schedulers are temporally monotone: more empty space can
+   only let the producer start earlier), so binary search is sound.
 
    Determinism contract: each buffer's search probes candidate
    configurations built from the *analytic* capacities plus one
@@ -68,19 +70,20 @@ let threshold mu = (mu *. (1.0 +. 1e-9)) +. 1e-12
    start-up transient. *)
 let hard_margin = 1.5
 
+(* One threshold per task, indexed by task id: its graph's. *)
 let thresholds cfg (baseline : Sim.report) =
-  List.map
-    (fun g ->
-      ( g,
-        threshold
-          (Float.max (Config.period cfg g) (baseline.Sim.graph_period g)) ))
-    (Config.graphs cfg)
-
-(* Graph handles are dense ids, valid across [Config.copy] clones, so
-   thresholds computed on the original config apply to any probe's
-   report. *)
-let feasible thrs (report : Sim.report) =
-  List.for_all (fun (g, thr) -> report.Sim.graph_period g <= thr) thrs
+  let per_graph =
+    List.map
+      (fun g ->
+        ( g,
+          threshold
+            (Float.max (Config.period cfg g) (baseline.Sim.graph_period g)) ))
+      (Config.graphs cfg)
+  in
+  Array.of_list
+    (List.map
+       (fun w -> List.assoc (Config.task_graph cfg w) per_graph)
+       (Config.all_tasks cfg))
 
 (* ---- journal codec (docs/formats.md) ----------------------------- *)
 
@@ -139,10 +142,11 @@ let run ?pool ?journal ?deadline ?candidate_deadline ?cancel ?obs ?on_progress
       capacity = (fun b -> caps.(Config.buffer_id b));
     }
   in
-  let simulate local_cfg caps = Sim.run local_cfg (mapped_with caps) ~iterations () in
+  (* Budgets never change across probes: one plan serves every run. *)
+  let plan = Sim.plan cfg ~budget:mapped.Config.budget ~iterations in
   (* Baseline: the analytic mapping itself, which also yields the
      per-buffer high waters seeding each search. *)
-  match simulate cfg analytic_caps with
+  match Sim.simulate plan ~capacity:analytic_caps () with
   | Error e -> Error (Printf.sprintf "analytic mapping does not simulate: %s" e)
   | Ok baseline ->
     if
@@ -156,7 +160,8 @@ let run ?pool ?journal ?deadline ?candidate_deadline ?cancel ?obs ?on_progress
         "analytic mapping misses its throughput target in simulation; \
          nothing to tighten against"
     else begin
-      let thrs = thresholds cfg baseline in
+      let threshold = thresholds cfg baseline in
+      let meets ws caps = Sim.meets ws ~capacity:caps ~threshold in
       let probes_extra = ref 1 (* the baseline run *) in
       let floor_of b = Int.max 1 (Config.initial_tokens cfg b) in
       let per_candidate () =
@@ -264,17 +269,16 @@ let run ?pool ?journal ?deadline ?candidate_deadline ?cancel ?obs ?on_progress
                    { buffer = Config.buffer_name cfg b; capacity = o_.analytic }))
       in
       (* Phase 1: independent per-buffer searches, fanned out on the
-         pool, journaled per buffer.  Probes clone the config so
-         concurrent searches never share mutable state. *)
+         pool, journaled per buffer.  Each search owns its workspace and
+         capacity vector, so concurrent searches share only the
+         immutable plan. *)
       let solve_buffer index =
         match
-          let local = Config.copy cfg in
+          let ws = Sim.workspace plan in
+          let caps = Array.copy analytic_caps in
           let probe b cap =
-            let caps = Array.copy analytic_caps in
             caps.(Config.buffer_id b) <- cap;
-            match simulate local caps with
-            | Error _ -> false
-            | Ok report -> feasible thrs report
+            meets ws caps
           in
           let b = Config.buffer_of_id cfg index in
           let hw =
@@ -340,14 +344,13 @@ let run ?pool ?journal ?deadline ?candidate_deadline ?cancel ?obs ?on_progress
       let proposed = Array.copy analytic_caps in
       List.iter (fun o -> proposed.(o.buffer_id) <- o.tightened) outcomes;
       let changed = proposed <> analytic_caps in
+      let ws = Sim.workspace plan in
       let joint_ok =
         (not changed)
         ||
         begin
           incr probes_extra;
-          match simulate cfg proposed with
-          | Error _ -> false
-          | Ok report -> feasible thrs report
+          meets ws proposed
         end
       in
       let final_caps, outcomes, repaired =
@@ -363,9 +366,7 @@ let run ?pool ?journal ?deadline ?candidate_deadline ?cancel ?obs ?on_progress
                     let caps = Array.copy current in
                     caps.(Config.buffer_id b) <- cap;
                     incr probes_extra;
-                    match simulate cfg caps with
-                    | Error _ -> false
-                    | Ok report -> feasible thrs report
+                    meets ws caps
                   in
                   (* The unprobed upper bound here must be the analytic
                      capacity: the invariant "[current] is feasible"
@@ -399,11 +400,7 @@ let run ?pool ?journal ?deadline ?candidate_deadline ?cancel ?obs ?on_progress
              verify the joint configuration once more and fall back to
              the certified analytic capacities if the check disagrees. *)
           incr probes_extra;
-          let repaired_ok =
-            match simulate cfg current with
-            | Error _ -> false
-            | Ok report -> feasible thrs report
-          in
+          let repaired_ok = meets ws current in
           if repaired_ok then (current, outcomes, true)
           else
             ( Array.copy analytic_caps,

@@ -955,6 +955,275 @@ let test_report_goldens () =
       | None -> Alcotest.failf "no golden for %s: (%S, %S);" name name got)
     (golden_cases ())
 
+(* ------------------------------------------------------------------ *)
+(* Engine against the reference simulator                              *)
+(* ------------------------------------------------------------------ *)
+
+(* One random simulation case, drawn from a seed: a chain (possibly on
+   shared processors), a split-join, a ring with initial tokens, a
+   multi-job config on shared processors or a deadlocked pair, with
+   random budgets and capacities.  About one case in six carries a
+   fault: a zero or negative budget, an oversubscribed processor or a
+   capacity below the initial tokens. *)
+type case = {
+  label : string;
+  cfg : Config.t;
+  mapped : Config.mapped;
+  iterations : int;
+}
+
+let case_of_seed seed =
+  let rng = Random.State.make [| seed |] in
+  let int lo hi = lo + Random.State.int rng (hi - lo + 1) in
+  let label, cfg =
+    match int 0 9 with
+    | 0 | 1 ->
+      let n = int 2 7 in
+      ( Printf.sprintf "chain %d" n,
+        Workloads.Gen.chain ~n ~shared_procs:(int 1 n) () )
+    | 2 | 3 ->
+      let branches = int 1 4 in
+      ( Printf.sprintf "split-join %d" branches,
+        Workloads.Gen.split_join ~branches () )
+    | 4 | 5 ->
+      let n = int 2 5 and initial = int 1 3 in
+      ( Printf.sprintf "ring %d initial %d" n initial,
+        Workloads.Gen.ring ~n ~initial () )
+    | 6 | 7 | 8 ->
+      let jobs = int 1 3 and tasks_per_job = int 1 4 in
+      let procs = int 1 jobs in
+      ( Printf.sprintf "multijob %dx%d on %d" jobs tasks_per_job procs,
+        Workloads.Gen.multi_job
+          (Workloads.Rng.create (Int64.of_int seed))
+          ~jobs ~tasks_per_job ~procs () )
+    | _ -> ("deadlock", deadlocked_config ())
+  in
+  let tasks = Array.of_list (Config.all_tasks cfg) in
+  let on_proc = Hashtbl.create 8 in
+  let proc w = Config.proc_id (Config.task_proc cfg w) in
+  Array.iter
+    (fun w ->
+      Hashtbl.replace on_proc (proc w)
+        (1 + Option.value ~default:0 (Hashtbl.find_opt on_proc (proc w))))
+    tasks;
+  let budgets =
+    Array.map
+      (fun w ->
+        let p = Config.task_proc cfg w in
+        (Config.replenishment cfg p -. Config.overhead cfg p)
+        /. float_of_int (Hashtbl.find on_proc (proc w))
+        *. (0.05 +. Random.State.float rng 0.95))
+      tasks
+  in
+  let capacities =
+    Array.of_list
+      (List.map
+         (fun b -> Int.max 1 (Config.initial_tokens cfg b) + int 0 3)
+         (Config.all_buffers cfg))
+  in
+  let victim = int 0 (Array.length tasks - 1) in
+  let fault =
+    match int 0 17 with
+    | 0 ->
+      budgets.(victim) <- 0.0;
+      " zero budget"
+    | 1 ->
+      budgets.(victim) <- -1.0;
+      " negative budget"
+    | 2 ->
+      let p = Config.task_proc cfg tasks.(victim) in
+      budgets.(victim) <- Config.replenishment cfg p;
+      " oversubscribed"
+    | 3 when Array.length capacities > 0 ->
+      let b = Config.buffer_of_id cfg (int 0 (Array.length capacities - 1)) in
+      capacities.(Config.buffer_id b) <- Config.initial_tokens cfg b - 1;
+      " capacity below initial tokens"
+    | _ -> ""
+  in
+  {
+    label = label ^ fault;
+    cfg;
+    mapped =
+      {
+        Config.budget = (fun w -> budgets.(Config.task_id w));
+        capacity = (fun b -> capacities.(Config.buffer_id b));
+      };
+    iterations = int 4 24;
+  }
+
+(* Actual times from a quarter of χ up to 1.25χ (clamped to χ). *)
+let jitter cfg salt w k =
+  Config.wcet cfg w
+  *. (0.25 +. (0.25 *. float_of_int ((Config.task_id w + (3 * k) + salt) mod 5)))
+
+(* Every report field, floats in [%h] so any changed bit shows. *)
+let render cfg = function
+  | Error e -> "error: " ^ e
+  | Ok (r : Sim.report) ->
+    let buf = Buffer.create 1024 in
+    List.iter
+      (fun w ->
+        Printf.bprintf buf "task %d: %h |" (Config.task_id w)
+          (r.Sim.task_period w);
+        Array.iter (fun c -> Printf.bprintf buf " %h" c)
+          (r.Sim.task_completions w);
+        Buffer.add_string buf " |";
+        Array.iter
+          (fun (c, e) -> Printf.bprintf buf " %h-%h" c e)
+          (r.Sim.task_executions w);
+        Buffer.add_char buf '\n')
+      (Config.all_tasks cfg);
+    List.iter
+      (fun b ->
+        Printf.bprintf buf "buffer %d: %d %d\n" (Config.buffer_id b)
+          (r.Sim.buffer_high_water b)
+          (r.Sim.buffer_high_water_steady b))
+      (Config.all_buffers cfg);
+    List.iter
+      (fun g -> Printf.bprintf buf "graph %h\n" (r.Sim.graph_period g))
+      (Config.graphs cfg);
+    Printf.bprintf buf "makespan %h" r.Sim.makespan;
+    Buffer.contents buf
+
+let prop_engine_matches_reference =
+  QCheck2.Test.make ~name:"engine report = reference, bit for bit"
+    ~count:400 ~print:string_of_int
+    QCheck2.Gen.(int_range 0 1_000_000)
+    (fun seed ->
+      let c = case_of_seed seed in
+      let execution_time =
+        if seed mod 2 = 0 then None else Some (jitter c.cfg (seed mod 5))
+      in
+      let got =
+        render c.cfg
+          (Sim.run c.cfg c.mapped ~iterations:c.iterations ?execution_time ())
+      and want =
+        render c.cfg
+          (Sim_reference.run c.cfg c.mapped ~iterations:c.iterations
+             ?execution_time ())
+      in
+      got = want
+      || QCheck2.Test.fail_reportf "%s, %d iterations:\nengine    %s\nreference %s"
+           c.label c.iterations got want)
+
+(* The full-run verdict of a threshold per graph, as a probe computed
+   it before the early stop: [Error _ → false | Ok r → ∀g. period ≤
+   thr]. *)
+let full_verdict cfg result thr =
+  match result with
+  | Error _ -> false
+  | Ok (r : Sim.report) ->
+    List.for_all (fun g -> r.Sim.graph_period g <= thr g) (Config.graphs cfg)
+
+let prop_early_stop_verdict =
+  QCheck2.Test.make ~name:"early-stop verdict = full-run verdict"
+    ~count:300 ~print:string_of_int
+    QCheck2.Gen.(int_range 0 1_000_000)
+    (fun seed ->
+      let c = case_of_seed seed in
+      let reference = Sim_reference.run c.cfg c.mapped ~iterations:c.iterations () in
+      let plan =
+        Sim.plan c.cfg ~budget:c.mapped.Config.budget ~iterations:c.iterations
+      in
+      (* one workspace for every probe of the case: runs must reset it *)
+      let ws = Sim.workspace plan in
+      let capacity =
+        Array.of_list (List.map c.mapped.Config.capacity (Config.all_buffers c.cfg))
+      in
+      let measured g =
+        match reference with
+        | Ok r -> r.Sim.graph_period g
+        | Error _ -> 1.0
+      in
+      let graph_id g = List.length (List.filter (fun g' -> g' < g) (Config.graphs c.cfg)) in
+      (* per graph: the measured period, one ulp either side, or well
+         below or above it; the last choice mixes them per graph *)
+      let choices =
+        [ Fun.id; Float.pred; Float.succ; ( *. ) 0.5; ( *. ) 0.9; ( *. ) 2.0 ]
+      in
+      let pick i g =
+        if i < List.length choices then List.nth choices i (measured g)
+        else List.nth choices ((graph_id g + seed) mod List.length choices) (measured g)
+      in
+      List.for_all
+        (fun i ->
+          let thr = pick i in
+          let threshold =
+            Array.of_list
+              (List.map (fun w -> thr (Config.task_graph c.cfg w)) (Config.all_tasks c.cfg))
+          in
+          let want = full_verdict c.cfg reference thr in
+          let got = Sim.meets ws ~capacity ~threshold in
+          got = want
+          || QCheck2.Test.fail_reportf "%s, %d iterations, threshold choice %d: \
+                                        early stop %b, full run %b"
+               c.label c.iterations i got want)
+        (List.init (List.length choices + 1) Fun.id))
+
+(* Budgets that would stall or break the window walk are refused by the
+   plan: with a NaN budget the walk never finds a window, and a budget
+   above its interval but inside the 1e-9 oversubscription slack is an
+   invalid window for [processing_completion]. *)
+let test_plan_rejects_bad_budgets () =
+  let check what budget =
+    let cfg, _ = t1_mapped 4.0 10 in
+    let mapped =
+      {
+        Config.budget = (fun w -> if Config.task_id w = 0 then budget else 4.0);
+        capacity = (fun _ -> 10);
+      }
+    in
+    (match Sim.run cfg mapped ~iterations:10 () with
+    | Error _ -> ()
+    | Ok _ -> Alcotest.failf "%s: expected an error" what);
+    let plan = Sim.plan cfg ~budget:mapped.Config.budget ~iterations:10 in
+    Alcotest.(check bool) (what ^ ": verdict") false
+      (Sim.meets (Sim.workspace plan) ~capacity:[| 10 |]
+         ~threshold:[| 1e9; 1e9 |])
+  in
+  check "nan" Float.nan;
+  check "infinity" Float.infinity;
+  check "5e-10 over the interval" (40.0 +. 5e-10)
+
+(* A 64-iteration verdict probe on chain 50 (analytic mapping, every
+   capacity at its analytic value, so the run goes the full length:
+   3,200 completions) allocates no major words and a constant number of
+   minor words: the bound is below one boxed float per event. *)
+let test_verdict_allocation () =
+  let cfg = Workloads.Gen.chain ~n:50 () in
+  let mapped =
+    match Mapping.solve cfg with
+    | Ok r -> r.Mapping.mapped
+    | Error e -> Alcotest.failf "chain 50: %s" (Mapping.short_reason e)
+  in
+  let plan = Sim.plan cfg ~budget:mapped.Config.budget ~iterations:64 in
+  let capacity =
+    Array.of_list (List.map mapped.Config.capacity (Config.all_buffers cfg))
+  in
+  let threshold =
+    match Sim.simulate plan ~capacity () with
+    | Error e -> Alcotest.failf "chain 50 baseline: %s" e
+    | Ok r ->
+      Array.of_list
+        (List.map
+           (fun w -> 1.000001 *. r.Sim.graph_period (Config.task_graph cfg w))
+           (Config.all_tasks cfg))
+  in
+  let ws = Sim.workspace plan in
+  let probe () = Sim.meets ws ~capacity ~threshold in
+  Alcotest.(check bool) "analytic capacities meet the baseline" true (probe ());
+  let _, _, major0 = Gc.counters () in
+  let minor0 = Gc.minor_words () in
+  let ok = Sys.opaque_identity (probe ()) in
+  let minor1 = Gc.minor_words () in
+  let _, _, major1 = Gc.counters () in
+  Alcotest.(check bool) "verdict" true ok;
+  Alcotest.(check (float 0.0)) "major words" 0.0 (major1 -. major0);
+  let minor = minor1 -. minor0 in
+  Alcotest.(check bool)
+    (Printf.sprintf "minor words %.0f <= 1000" minor)
+    true (minor <= 1_000.0)
+
 let () =
   Alcotest.run "tdm_sim"
     [
@@ -1019,6 +1288,13 @@ let () =
       );
       ( "goldens",
         [ Alcotest.test_case "report digests" `Quick test_report_goldens ] );
+      ( "engine",
+        Alcotest.test_case "plan rejects bad budgets" `Quick
+          test_plan_rejects_bad_budgets
+        :: Alcotest.test_case "verdict probe allocation" `Quick
+             test_verdict_allocation
+        :: List.map QCheck_alcotest.to_alcotest
+             [ prop_engine_matches_reference; prop_early_stop_verdict ] );
       ( "vcd",
         [
           Alcotest.test_case "structure" `Quick test_vcd_structure;

@@ -178,8 +178,9 @@ type workspace = {
   plan : plan;
   record : bool;
       (** keep what only a report reads: the high waters, the
-          occupancy log and the claim instants ([occ_times],
-          [occ_values] and [claims] are empty otherwise) *)
+          occupancy log, every completion and claim instant
+          ([occ_times], [occ_values], [completions] and [claims] are
+          empty otherwise) *)
   capacity : int array;
   filled : int array;  (** containers holding data, ready to consume *)
   empty : int array;  (** containers available to the producer *)
@@ -197,7 +198,11 @@ type workspace = {
       (** task [w]'s first [fired.(w)] completion instants from slot
           [iterations·w] on *)
   claims : float array;  (** claim instant of every started execution *)
-  pending : float array;  (** completion instant of the running execution *)
+  pending : float array;
+      (** completion instant of the running execution, or of the last
+          one once the task is idle: c_w[iterations − 1] after a
+          complete run *)
+  mid : float array;  (** c_w[iterations / 2], once reached *)
   clock : float array;  (** [| instant of the current event; makespan |] *)
   events : Heap.t;
 }
@@ -217,9 +222,10 @@ let make_workspace ~record p =
     occ_values = Array.make (2 * logged * nb) 0;
     fired = Array.make nt 0;
     busy = Array.make nt false;
-    completions = Array.make (n * nt) 0.0;
+    completions = Array.make (logged * nt) 0.0;
     claims = Array.make (logged * nt) 0.0;
     pending = Array.make nt 0.0;
+    mid = Array.make nt 0.0;
     clock = Array.make 2 0.0;
     events = Heap.create ~capacity:nt ();
   }
@@ -327,7 +333,8 @@ let execute ws ~capacity ~execution_time ~threshold =
     ws.clock.(0) <- now;
     ws.busy.(id) <- false;
     let k = ws.fired.(id) in
-    ws.completions.((n * id) + k) <- now;
+    if ws.record then ws.completions.((n * id) + k) <- now;
+    if k = k1 then ws.mid.(id) <- now;
     ws.fired.(id) <- k + 1;
     if now > !makespan then makespan := now;
     if watch then begin
@@ -338,7 +345,7 @@ let execute ws ~capacity ~execution_time ~threshold =
         for w = 0 to nt - 1 do
           let fired = ws.fired.(w) in
           if fired > k1 && fired < n then begin
-            let c1 = ws.completions.((n * w) + k1) in
+            let c1 = ws.mid.(w) in
             if (now -. c1) /. span > threshold.(w) then stopped := true
             else next := Float.min !next (c1 +. (span *. threshold.(w)))
           end
@@ -373,11 +380,11 @@ let execute ws ~capacity ~execution_time ~threshold =
     !unfinished
   end
 
+(* Task [w]'s period over the second half of a complete run:
+   (c_w[n−1] − c_w[k1]) / (n−1−k1), k1 = n/2. *)
 let period ws w =
   let n = ws.plan.iterations in
-  let k1 = n / 2 and k2 = n - 1 in
-  (ws.completions.((n * w) + k2) -. ws.completions.((n * w) + k1))
-  /. float_of_int (k2 - k1)
+  (ws.pending.(w) -. ws.mid.(w)) /. float_of_int (n - 1 - (n / 2))
 
 let check_capacity name p capacity =
   if Array.length capacity < nbuffers p then

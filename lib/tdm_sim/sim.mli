@@ -110,8 +110,10 @@ val simulate :
 type workspace
 
 (** [workspace plan] allocates the state {!meets} needs for runs of
-    [plan]: buffer fills and per-task completions.  The occupancy log
-    and claim instants only a {!report} reads are left out. *)
+    [plan]: buffer fills, the event queue and, per task, the two
+    completion instants its period is measured between.  Its size
+    does not depend on the iteration count; the occupancy log and the
+    execution instants only a {!report} reads are left out. *)
 val workspace : plan -> workspace
 
 (** [meets ws ~capacity ~threshold] runs the workspace's plan at

@@ -55,7 +55,7 @@ type plan = {
   iterations : int;
   offsets : float array;  (** window offset of every task *)
   budgets : float array;
-  intervals : float array;  (** replenishment interval of the task's processor *)
+  intervals : float array;  (** replenishment interval of the processor *)
   wcets : float array;
   in_ptr : int array;
   in_buf : int array;
@@ -123,7 +123,9 @@ let plan cfg ~budget ~iterations =
             (Config.replenishment cfg p)
           :: !proc_errors)
     procs;
-  let intervals = Array.mapi (fun i _ -> Config.replenishment cfg (proc_of i)) tasks in
+  let intervals =
+    Array.mapi (fun i _ -> Config.replenishment cfg (proc_of i)) tasks
+  in
   let task_errors = ref [] in
   Array.iteri
     (fun i w ->

@@ -963,8 +963,9 @@ let test_report_goldens () =
    shared processors), a split-join, a ring with initial tokens, a
    multi-job config on shared processors or a deadlocked pair, with
    random budgets and capacities.  About one case in six carries a
-   fault: a zero or negative budget, an oversubscribed processor or a
-   capacity below the initial tokens. *)
+   fault: a zero or negative budget, a budget of the whole interval
+   (oversubscribing a shared processor) or a capacity below the
+   initial tokens. *)
 type case = {
   label : string;
   cfg : Config.t;
@@ -1033,7 +1034,7 @@ let case_of_seed seed =
     | 2 ->
       let p = Config.task_proc cfg tasks.(victim) in
       budgets.(victim) <- Config.replenishment cfg p;
-      " oversubscribed"
+      " full-interval budget"
     | 3 when Array.length capacities > 0 ->
       let b = Config.buffer_of_id cfg (int 0 (Array.length capacities - 1)) in
       capacities.(Config.buffer_id b) <- Config.initial_tokens cfg b - 1;
@@ -1054,7 +1055,8 @@ let case_of_seed seed =
 (* Actual times from a quarter of χ up to 1.25χ (clamped to χ). *)
 let jitter cfg salt w k =
   Config.wcet cfg w
-  *. (0.25 +. (0.25 *. float_of_int ((Config.task_id w + (3 * k) + salt) mod 5)))
+  *. (0.25
+     +. (0.25 *. float_of_int ((Config.task_id w + (3 * k) + salt) mod 5)))
 
 (* Every report field, floats in [%h] so any changed bit shows. *)
 let render cfg = function
@@ -1103,8 +1105,9 @@ let prop_engine_matches_reference =
              ?execution_time ())
       in
       got = want
-      || QCheck2.Test.fail_reportf "%s, %d iterations:\nengine    %s\nreference %s"
-           c.label c.iterations got want)
+      || QCheck2.Test.fail_reportf
+           "%s, %d iterations:\nengine    %s\nreference %s" c.label
+           c.iterations got want)
 
 (* The full-run verdict of a threshold per graph, as a probe computed
    it before the early stop: [Error _ → false | Ok r → ∀g. period ≤
@@ -1121,44 +1124,54 @@ let prop_early_stop_verdict =
     QCheck2.Gen.(int_range 0 1_000_000)
     (fun seed ->
       let c = case_of_seed seed in
-      let reference = Sim_reference.run c.cfg c.mapped ~iterations:c.iterations () in
+      let reference =
+        Sim_reference.run c.cfg c.mapped ~iterations:c.iterations ()
+      in
       let plan =
         Sim.plan c.cfg ~budget:c.mapped.Config.budget ~iterations:c.iterations
       in
       (* one workspace for every probe of the case: runs must reset it *)
       let ws = Sim.workspace plan in
       let capacity =
-        Array.of_list (List.map c.mapped.Config.capacity (Config.all_buffers c.cfg))
+        Array.of_list
+          (List.map c.mapped.Config.capacity (Config.all_buffers c.cfg))
       in
       let measured g =
         match reference with
         | Ok r -> r.Sim.graph_period g
         | Error _ -> 1.0
       in
-      let graph_id g = List.length (List.filter (fun g' -> g' < g) (Config.graphs c.cfg)) in
       (* per graph: the measured period, one ulp either side, or well
          below or above it; the last choice mixes them per graph *)
       let choices =
         [ Fun.id; Float.pred; Float.succ; ( *. ) 0.5; ( *. ) 0.9; ( *. ) 2.0 ]
       in
+      let n_choices = List.length choices in
+      let graph_index = List.mapi (fun j g -> (g, j)) (Config.graphs c.cfg) in
       let pick i g =
-        if i < List.length choices then List.nth choices i (measured g)
-        else List.nth choices ((graph_id g + seed) mod List.length choices) (measured g)
+        let k =
+          if i < n_choices then i
+          else (List.assoc g graph_index + seed) mod n_choices
+        in
+        List.nth choices k (measured g)
       in
       List.for_all
         (fun i ->
           let thr = pick i in
           let threshold =
             Array.of_list
-              (List.map (fun w -> thr (Config.task_graph c.cfg w)) (Config.all_tasks c.cfg))
+              (List.map
+                 (fun w -> thr (Config.task_graph c.cfg w))
+                 (Config.all_tasks c.cfg))
           in
           let want = full_verdict c.cfg reference thr in
           let got = Sim.meets ws ~capacity ~threshold in
           got = want
-          || QCheck2.Test.fail_reportf "%s, %d iterations, threshold choice %d: \
-                                        early stop %b, full run %b"
+          || QCheck2.Test.fail_reportf
+               "%s, %d iterations, threshold choice %d: early stop %b, \
+                full run %b"
                c.label c.iterations i got want)
-        (List.init (List.length choices + 1) Fun.id))
+        (List.init (n_choices + 1) Fun.id))
 
 (* Budgets that would stall or break the window walk are refused by the
    plan: with a NaN budget the walk never finds a window, and a budget

@@ -75,8 +75,8 @@ val run :
     budgets and the iteration count) executed on a fresh
     {!workspace} (the mutable state of one run).  A caller that
     simulates one budget layout at many capacities builds the plan
-    once and reuses one workspace per sequential run; a run on a
-    workspace allocates nothing that grows with its length. *)
+    once and reuses one workspace for its sequential runs, which then
+    allocate nothing that grows with their length. *)
 
 (** Immutable, and safe to share across domains. *)
 type plan

@@ -12,8 +12,9 @@
     The iteration is a fixed-point heuristic, not a descent method: at
     the LP step the frozen [λ] makes the processing durations
     constants, so the LP is free to shrink budgets that the {e next}
-    [λ] update then punishes.  The [slp] bench ablation compares its
-    trajectories against the one-shot cone program. *)
+    [λ] update then punishes.  The [slp] ablation
+    ([budgetbuf experiment slp]) compares its trajectories against the
+    one-shot cone program. *)
 
 type outcome = {
   mapped : Taskgraph.Config.mapped;

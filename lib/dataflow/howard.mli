@@ -7,7 +7,7 @@
     In practice it needs only a handful of iterations, which is why
     tools like SDF3 use it; here it serves both as the fast path and as
     an independent implementation the binary search is cross-validated
-    against (see the [mcr] bench ablation).
+    against (see the [mcr] ablation, [budgetbuf experiment mcr]).
 
     Both methods agree on the same {!Analysis.mcr_result}
     classification: the MCR is the smallest period admitting a periodic

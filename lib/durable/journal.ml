@@ -29,6 +29,8 @@
      dance, so a crash at any point leaves either the old complete
      file or the new complete file, never a hybrid. *)
 
+module Crc = Obs.Crc
+
 type entry = { index : int; payload : string }
 type io_fault = [ `Pass | `Fail | `Corrupt ]
 
@@ -53,17 +55,6 @@ let fingerprint parts =
          Crc.update (Crc.update acc (string_of_int (String.length p) ^ ":")) p)
        0l parts)
 
-let render_line body = Crc.hex (Crc.string body) ^ " " ^ body ^ "\n"
-
-(* [line] has no trailing newline.  [None] on any damage: too short,
-   missing separator, CRC mismatch. *)
-let body_of_line line =
-  if String.length line < 10 || line.[8] <> ' ' then None
-  else
-    let crc = String.sub line 0 8 in
-    let body = String.sub line 9 (String.length line - 9) in
-    if String.equal crc (Crc.hex (Crc.string body)) then Some body else None
-
 let entry_of_body body =
   match String.split_on_char ' ' body with
   | "done" :: idx :: rest -> begin
@@ -74,19 +65,6 @@ let entry_of_body body =
   end
   | _ -> None
 
-(* Newline-terminated lines with their start offsets; an unterminated
-   tail chunk is torn by definition and not returned. *)
-let scan_lines content =
-  let len = String.length content in
-  let rec scan pos acc =
-    if pos >= len then List.rev acc
-    else
-      match String.index_from_opt content pos '\n' with
-      | None -> List.rev acc
-      | Some nl -> scan (nl + 1) ((pos, String.sub content pos (nl - pos)) :: acc)
-  in
-  scan 0 []
-
 (* Returns the good entries, the byte length of the valid prefix, the
    fingerprint found in the header, and (in salvage mode) the damaged
    interior lines.  Without [salvage], loading stops at the first
@@ -94,10 +72,10 @@ let scan_lines content =
    With it, damaged lines are collected and the valid entries around
    them are all kept. *)
 let load ?(salvage = false) content =
-  match scan_lines content with
+  match Crc.scan_lines content with
   | [] -> Error "empty or truncated journal header"
   | (_, first) :: rest -> begin
-    match Option.bind (body_of_line first) (fun body ->
+    match Option.bind (Crc.body_of_line first) (fun body ->
         match String.split_on_char ' ' body with
         | [ m; v; fp ] when String.equal m magic && String.equal v version ->
           Some fp
@@ -110,7 +88,7 @@ let load ?(salvage = false) content =
       let rec take acc = function
         | [] -> List.rev acc
         | (pos, line) :: rest -> begin
-          match Option.bind (body_of_line line) entry_of_body with
+          match Option.bind (Crc.body_of_line line) entry_of_body with
           | Some e ->
             good_len := pos + String.length line + 1;
             take (e :: acc) rest
@@ -155,11 +133,11 @@ let tmp_path path = path ^ ".tmp"
 let render_all ~fingerprint entries =
   let b = Buffer.create 256 in
   Buffer.add_string b
-    (render_line (String.concat " " [ magic; version; fingerprint ]));
+    (Crc.render_line (String.concat " " [ magic; version; fingerprint ]));
   List.iter
     (fun { index; payload } ->
       Buffer.add_string b
-        (render_line (Printf.sprintf "done %d %s" index payload)))
+        (Crc.render_line (Printf.sprintf "done %d %s" index payload)))
     entries;
   Buffer.contents b
 
@@ -231,7 +209,7 @@ let resume ?salvage ?chaos ~fingerprint path =
         (Printf.sprintf "resume journal %s: %s" path (Unix.error_message err))
     | fd ->
       let header =
-        render_line (String.concat " " [ magic; version; fingerprint ])
+        Crc.render_line (String.concat " " [ magic; version; fingerprint ])
       in
       write_fully fd header;
       Unix.fsync fd;
@@ -263,7 +241,7 @@ let record t ~index ~payload =
   if index < 0 then invalid_arg "Durable.Journal.record: index must be >= 0";
   if String.contains payload '\n' then
     invalid_arg "Durable.Journal.record: payload must not contain newlines";
-  let line = render_line (Printf.sprintf "done %d %s" index payload) in
+  let line = Crc.render_line (Printf.sprintf "done %d %s" index payload) in
   Mutex.lock t.mutex;
   Fun.protect
     ~finally:(fun () -> Mutex.unlock t.mutex)

@@ -3,10 +3,9 @@
     ablations called out in DESIGN.md.
 
     Each function prints one experiment's series to the given
-    formatter, in the same rows/columns the paper plots.  The bench
-    harness ([bench/main.exe]) and the CLI ([budgetbuf experiment])
-    both dispatch here, so the numbers recorded in EXPERIMENTS.md come
-    from exactly this code. *)
+    formatter, in the same rows/columns the paper plots.  The CLI
+    ([budgetbuf experiment ID|all]) dispatches here, so the numbers
+    recorded in EXPERIMENTS.md come from exactly this code. *)
 
 (** [fig2a ppf] — Figure 2(a): the non-linear budget/buffer trade-off
     on the producer–consumer graph T1, with the closed-form oracle and

@@ -2,8 +2,8 @@
    of gzip and PNG.  Table-driven, one table built at module load.
 
    This lives at the bottom of the dependency graph so both the trace
-   sinks here and the sweep journals in [Durable] (which re-exports
-   this module as [Durable.Crc]) can frame their lines with it. *)
+   sinks here and the sweep journals in [Durable] frame their lines
+   with the one codec below. *)
 
 let table =
   lazy
@@ -32,3 +32,25 @@ let update crc s =
 let string s = update 0l s
 
 let hex crc = Printf.sprintf "%08lx" crc
+
+(* Framed lines: "<crc32-hex> <body>\n", the CRC covering the body. *)
+
+let render_line body = hex (string body) ^ " " ^ body ^ "\n"
+
+let body_of_line line =
+  if String.length line < 10 || line.[8] <> ' ' then None
+  else
+    let crc = String.sub line 0 8 in
+    let body = String.sub line 9 (String.length line - 9) in
+    if String.equal crc (hex (string body)) then Some body else None
+
+let scan_lines content =
+  let len = String.length content in
+  let rec scan pos acc =
+    if pos >= len then List.rev acc
+    else
+      match String.index_from_opt content pos '\n' with
+      | None -> List.rev acc
+      | Some nl -> scan (nl + 1) ((pos, String.sub content pos (nl - pos)) :: acc)
+  in
+  scan 0 []

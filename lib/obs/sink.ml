@@ -1,7 +1,7 @@
 (* Pluggable trace consumers.
 
-   The file sink uses the same line framing as the sweep journal
-   (lib/durable/journal.ml): every line is
+   The file sink frames its lines with {!Crc.render_line}, as the sweep
+   journal (lib/durable/journal.ml) does: every line is
 
      <crc32-hex> <body>
 
@@ -15,17 +15,6 @@
 
 let magic = "budgetbuf-trace"
 let version = "1"
-
-let render_line body = Crc.hex (Crc.string body) ^ " " ^ body ^ "\n"
-
-(* [line] has no trailing newline.  [None] on any damage: too short,
-   missing separator, CRC mismatch. *)
-let body_of_line line =
-  if String.length line < 10 || line.[8] <> ' ' then None
-  else
-    let crc = String.sub line 0 8 in
-    let body = String.sub line 9 (String.length line - 9) in
-    if String.equal crc (Crc.hex (Crc.string body)) then Some body else None
 
 type t =
   | Null
@@ -45,7 +34,7 @@ let ring ~capacity =
 
 let file path =
   let oc = open_out_gen [ Open_wronly; Open_creat; Open_trunc ] 0o644 path in
-  output_string oc (render_line (magic ^ " " ^ version));
+  output_string oc (Crc.render_line (magic ^ " " ^ version));
   File { path; oc; m = Mutex.create (); closed = false }
 
 let emit t ev =
@@ -60,7 +49,7 @@ let emit t ev =
     Mutex.unlock r.m
   | File f ->
     Mutex.lock f.m;
-    if not f.closed then output_string f.oc (render_line (Trace.to_json ev));
+    if not f.closed then output_string f.oc (Crc.render_line (Trace.to_json ev));
     Mutex.unlock f.m
 
 let events = function
@@ -83,34 +72,21 @@ let close = function
     end;
     Mutex.unlock f.m
 
-(* Newline-terminated lines; an unterminated tail chunk is torn by
-   definition and not returned (same discipline as Journal.scan_lines). *)
-let scan_lines content =
-  let len = String.length content in
-  let rec scan pos acc =
-    if pos >= len then List.rev acc
-    else
-      match String.index_from_opt content pos '\n' with
-      | None -> List.rev acc
-      | Some nl -> scan (nl + 1) (String.sub content pos (nl - pos) :: acc)
-  in
-  scan 0 []
-
 let read_file p =
   match In_channel.with_open_bin p In_channel.input_all with
   | exception Sys_error msg -> Error msg
   | content -> begin
-    match scan_lines content with
+    match List.map snd (Crc.scan_lines content) with
     | [] -> Error (p ^ ": empty or truncated trace header")
     | first :: rest -> begin
-      match body_of_line first with
+      match Crc.body_of_line first with
       | Some body when String.equal body (magic ^ " " ^ version) ->
         (* Stop at the first damaged line: after a torn write nothing
            downstream is trustworthy. *)
         let rec take acc = function
           | [] -> List.rev acc
           | line :: rest -> begin
-            match Option.bind (body_of_line line) Trace.of_json_line with
+            match Option.bind (Crc.body_of_line line) Trace.of_json_line with
             | Some ev -> take (ev :: acc) rest
             | None -> List.rev acc
           end

@@ -4,13 +4,3 @@ type t = {
   queue_high_water : int;
   busy_s : float array;
 }
-
-let pp ppf s =
-  Format.fprintf ppf "%d domain%s, %d task%s, queue high-water %d, busy %s s"
-    s.domains
-    (if s.domains = 1 then "" else "s")
-    s.tasks_run
-    (if s.tasks_run = 1 then "" else "s")
-    s.queue_high_water
-    (String.concat "/"
-       (List.map (Printf.sprintf "%.2f") (Array.to_list s.busy_s)))

@@ -3,8 +3,8 @@
     Counters are maintained under the pool lock (except the per-domain
     busy times, each of which is written by exactly one domain), so
     reading them costs nothing on the solve path.  They exist so that
-    speedups can be measured rather than asserted: the bench harness
-    prints them next to every wall-clock figure. *)
+    pool behaviour is checked rather than assumed: [test_parallel]
+    pins the task, queue and busy-time counters. *)
 
 type t = {
   domains : int;  (** total lanes: the submitting domain plus workers *)
@@ -14,7 +14,3 @@ type t = {
       (** per-lane busy seconds; index 0 is the submitting domain,
           indices 1.. are the spawned workers *)
 }
-
-(** [pp ppf s] prints the counters on one line, e.g.
-    ["4 domains, 40 tasks, queue high-water 10, busy 1.20/1.18/1.22/1.19 s"]. *)
-val pp : Format.formatter -> t -> unit

@@ -63,7 +63,7 @@ let canonical_key cfg =
     (sorted_by_name (Config.buffer_name cfg) (Config.all_buffers cfg));
   Buffer.contents b
 
-let digest key = Durable.Crc.hex (Durable.Crc.string key)
+let digest key = Obs.Crc.hex (Obs.Crc.string key)
 
 (* ---- journal payloads -------------------------------------------- *)
 

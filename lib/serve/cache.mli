@@ -40,7 +40,7 @@ val canonical_key : Taskgraph.Config.t -> string
     but a misleading label. *)
 val digest : string -> string
 
-(** Housekeeping counters for the bench and the logs.  [entries] and
+(** Housekeeping counters for the server's stats and logs.  [entries] and
     [journal_lines] are instantaneous ([journal_lines] counts entry
     lines on disk, live or dead); the rest are monotone since
     {!open_}. *)

@@ -1,6 +1,6 @@
 (** A blocking client for the admission protocol — what the
-    [budgetbuf request] subcommand, the load-generator bench and the
-    in-process tests speak through.
+    [budgetbuf request] subcommand, the benchmark's admit workloads
+    and the in-process tests speak through.
 
     One request, one reply, in order.  A connection may carry any
     number of round trips; the server answers control requests even

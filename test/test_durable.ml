@@ -6,7 +6,7 @@
    resumed performs exactly n − k new solves with results identical to
    the uninterrupted run. *)
 
-module Crc = Durable.Crc
+module Crc = Obs.Crc
 module Deadline = Durable.Deadline
 module Journal = Durable.Journal
 module Sweep = Durable.Sweep

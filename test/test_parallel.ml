@@ -105,19 +105,31 @@ let prop_pool_map_matches_sequential =
           (String.concat " | " seq) (String.concat " | " par);
       true)
 
+(* The journal-less pooled curve against the sequential one, point by
+   point: period bits, certification and failure reasons alike. *)
 let test_throughput_curve_matches_sequential () =
-  let cfg = Workloads.Gen.paper_t1 () in
-  let caps = List.init 6 (fun i -> i + 1) in
-  let seq =
-    Budgetbuf.Dse.curve_points (Budgetbuf.Dse.throughput_curve cfg ~caps)
+  let caps = List.init 10 (fun i -> i + 1) in
+  let show (p : Budgetbuf.Dse.curve_point) =
+    Printf.sprintf "%d %s %b" p.cap
+      (match p.outcome with
+       | Ok None -> "none"
+       | Ok (Some period) -> Printf.sprintf "%h" period
+       | Error reason -> "error " ^ reason)
+      p.certified
   in
-  let par =
-    Pool.with_pool ~domains:4 @@ fun pool ->
-    Budgetbuf.Dse.curve_points
-      (Budgetbuf.Dse.throughput_curve ~pool cfg ~caps)
-  in
-  Alcotest.(check (list (pair int (float 0.0))))
-    "curve identical across job counts" seq par
+  List.iter
+    (fun (name, cfg) ->
+      let curve ?pool () =
+        List.map show (Budgetbuf.Dse.throughput_curve ?pool cfg ~caps)
+      in
+      let seq = curve () in
+      let par = Pool.with_pool ~domains:4 @@ fun pool -> curve ~pool () in
+      Alcotest.(check (list string))
+        (name ^ ": curve identical across job counts") seq par)
+    [
+      ("paper T1", Workloads.Gen.paper_t1 ());
+      ("chain n=6", Workloads.Gen.chain ~n:6 ());
+    ]
 
 (* ------------------------------------------------------------------ *)
 (* Failure semantics: earliest exception at the join, pool survives    *)

@@ -224,7 +224,7 @@ let test_bank_granule () =
 
 let test_repair_path () =
   (* A workload whose independent per-buffer minima miss the joint
-     target (bench's rand03) exercises the sequential repair pass.
+     target exercises the sequential repair pass.
      The repaired mapping must satisfy the differential oracle — the
      repair search may only trust the analytic capacity unprobed, not
      the baseline high water, which need not survive the tightened

@@ -1,15 +1,7 @@
-(* The event vocabulary and its line codec.
+(* The event vocabulary and its line codec.  One event is one Json
+   object on one line:
 
-   One event is one flat JSON object on one line:
-
-     {"seq":12,"t":0.0312,"ev":"socp_iter","iter":4,"pres":...}
-
-   Floats render with "%.17g", which [float_of_string] parses back
-   bit-exactly (17 significant digits pin a binary64); the non-finite
-   values JSON cannot spell are quoted ("nan", "inf", "-inf") and the
-   decoder accepts both spellings.  The decoder is a tiny parser for
-   exactly this shape — flat objects of strings, numbers and booleans —
-   not a general JSON library; anything else is rejected as damage. *)
+     {"seq":12,"t":0.0312,"ev":"socp_iter","iter":4,"pres":...} *)
 
 type event =
   | Solve_start of { rows : int; cols : int }
@@ -94,270 +86,152 @@ let event_name = function
 
 (* ---- encoding ---------------------------------------------------- *)
 
-let add_json_string b s =
-  Buffer.add_char b '"';
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | '\r' -> Buffer.add_string b "\\r"
-      | '\t' -> Buffer.add_string b "\\t"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.add_char b '"'
+let fields_of_event event : Json.obj =
+  Json.(
+    match event with
+    | Solve_start { rows; cols } -> [ ("rows", Int rows); ("cols", Int cols) ]
+    | Solve_end { status; iterations; time_s } ->
+      [
+        ("status", String status);
+        ("iterations", Int iterations);
+        ("time_s", Number time_s);
+      ]
+    | Socp_iter { iter; pres; dres; gap; step } ->
+      [
+        ("iter", Int iter);
+        ("pres", Number pres);
+        ("dres", Number dres);
+        ("gap", Number gap);
+        ("step", Number step);
+      ]
+    | Presolve { range_before; range_after } ->
+      [
+        ("range_before", Number range_before);
+        ("range_after", Number range_after);
+      ]
+    | Rung_enter { attempt; stage } ->
+      [ ("attempt", Int attempt); ("stage", String stage) ]
+    | Rung_exit { attempt; stage; status; fault } ->
+      [
+        ("attempt", Int attempt);
+        ("stage", String stage);
+        ("status", String status);
+      ]
+      @ (match fault with None -> [] | Some f -> [ ("fault", String f) ])
+    | Fault_injected { kind; attempt } ->
+      [ ("kind", String kind); ("attempt", Int attempt) ]
+    | Kkt_factor { backend; phase; n; nnz } ->
+      [
+        ("backend", String backend);
+        ("phase", String phase);
+        ("n", Int n);
+        ("nnz", Int nnz);
+      ]
+    | Warm_start { accepted; reason } ->
+      [ ("accepted", Bool accepted); ("reason", String reason) ]
+    | Certificate { verdict } -> [ ("verdict", String verdict) ]
+    | Restore { index; hit } -> [ ("index", Int index); ("hit", Bool hit) ]
+    | Task_dispatch { index } -> [ ("index", Int index) ]
+    | Task_join { index; ok } -> [ ("index", Int index); ("ok", Bool ok) ]
+    | Candidate { index; verdict } ->
+      [ ("index", Int index); ("verdict", String verdict) ]
+    | Request_start { op; id } -> [ ("op", String op); ("id", String id) ]
+    | Request_done { op; id; status; queue_s; total_s } ->
+      [
+        ("op", String op);
+        ("id", String id);
+        ("status", String status);
+        ("queue_s", Number queue_s);
+        ("total_s", Number total_s);
+      ]
+    | Cache_hit { key } -> [ ("key", String key) ]
+    | Cache_miss { key } -> [ ("key", String key) ]
+    | Shed { queue } -> [ ("queue", Int queue) ]
+    | Chaos_injected { kind; site; ordinal } ->
+      [ ("kind", String kind); ("site", String site); ("ordinal", Int ordinal) ]
+    | Worker_spawn { pid; slot } -> [ ("pid", Int pid); ("slot", Int slot) ]
+    | Worker_exit { pid; reason; solves } ->
+      [ ("pid", Int pid); ("reason", String reason); ("solves", Int solves) ]
+    | Worker_reaped { pid; after_s } ->
+      [ ("pid", Int pid); ("after_s", Number after_s) ]
+    | Quarantined { key; crashes } ->
+      [ ("key", String key); ("crashes", Int crashes) ]
+    | Tighten_probe { buffer; capacity; feasible } ->
+      [
+        ("buffer", String buffer);
+        ("capacity", Int capacity);
+        ("feasible", Bool feasible);
+      ]
+    | Tighten_accept { buffer; capacity; saved } ->
+      [
+        ("buffer", String buffer);
+        ("capacity", Int capacity);
+        ("saved", Int saved);
+      ]
+    | Tighten_reject { buffer; capacity } ->
+      [ ("buffer", String buffer); ("capacity", Int capacity) ]
+    | Span_open { name } -> [ ("name", String name) ]
+    | Span_close { name; elapsed_s } ->
+      [ ("name", String name); ("elapsed_s", Number elapsed_s) ])
 
-let add_float b f =
-  if Float.is_finite f then Buffer.add_string b (Printf.sprintf "%.17g" f)
-  else
-    add_json_string b
-      (if Float.is_nan f then "nan" else if f > 0.0 then "inf" else "-inf")
+(* The trace's one addition to the codec: a non-finite float is written
+   as the string "nan", "inf" or "-inf" (the decoder accepts both
+   spellings), and [summary] prints it quoted. *)
+let non_finite f =
+  if Float.is_nan f then "nan" else if f > 0.0 then "inf" else "-inf"
 
-type field = S of string | N of float | I of int | B of bool
-
-let fields_of_event = function
-  | Solve_start { rows; cols } -> [ ("rows", I rows); ("cols", I cols) ]
-  | Solve_end { status; iterations; time_s } ->
-    [ ("status", S status); ("iterations", I iterations); ("time_s", N time_s) ]
-  | Socp_iter { iter; pres; dres; gap; step } ->
-    [
-      ("iter", I iter);
-      ("pres", N pres);
-      ("dres", N dres);
-      ("gap", N gap);
-      ("step", N step);
-    ]
-  | Presolve { range_before; range_after } ->
-    [ ("range_before", N range_before); ("range_after", N range_after) ]
-  | Rung_enter { attempt; stage } ->
-    [ ("attempt", I attempt); ("stage", S stage) ]
-  | Rung_exit { attempt; stage; status; fault } ->
-    [ ("attempt", I attempt); ("stage", S stage); ("status", S status) ]
-    @ (match fault with None -> [] | Some f -> [ ("fault", S f) ])
-  | Fault_injected { kind; attempt } ->
-    [ ("kind", S kind); ("attempt", I attempt) ]
-  | Kkt_factor { backend; phase; n; nnz } ->
-    [ ("backend", S backend); ("phase", S phase); ("n", I n); ("nnz", I nnz) ]
-  | Warm_start { accepted; reason } ->
-    [ ("accepted", B accepted); ("reason", S reason) ]
-  | Certificate { verdict } -> [ ("verdict", S verdict) ]
-  | Restore { index; hit } -> [ ("index", I index); ("hit", B hit) ]
-  | Task_dispatch { index } -> [ ("index", I index) ]
-  | Task_join { index; ok } -> [ ("index", I index); ("ok", B ok) ]
-  | Candidate { index; verdict } ->
-    [ ("index", I index); ("verdict", S verdict) ]
-  | Request_start { op; id } -> [ ("op", S op); ("id", S id) ]
-  | Request_done { op; id; status; queue_s; total_s } ->
-    [
-      ("op", S op);
-      ("id", S id);
-      ("status", S status);
-      ("queue_s", N queue_s);
-      ("total_s", N total_s);
-    ]
-  | Cache_hit { key } -> [ ("key", S key) ]
-  | Cache_miss { key } -> [ ("key", S key) ]
-  | Shed { queue } -> [ ("queue", I queue) ]
-  | Chaos_injected { kind; site; ordinal } ->
-    [ ("kind", S kind); ("site", S site); ("ordinal", I ordinal) ]
-  | Worker_spawn { pid; slot } -> [ ("pid", I pid); ("slot", I slot) ]
-  | Worker_exit { pid; reason; solves } ->
-    [ ("pid", I pid); ("reason", S reason); ("solves", I solves) ]
-  | Worker_reaped { pid; after_s } ->
-    [ ("pid", I pid); ("after_s", N after_s) ]
-  | Quarantined { key; crashes } ->
-    [ ("key", S key); ("crashes", I crashes) ]
-  | Tighten_probe { buffer; capacity; feasible } ->
-    [ ("buffer", S buffer); ("capacity", I capacity); ("feasible", B feasible) ]
-  | Tighten_accept { buffer; capacity; saved } ->
-    [ ("buffer", S buffer); ("capacity", I capacity); ("saved", I saved) ]
-  | Tighten_reject { buffer; capacity } ->
-    [ ("buffer", S buffer); ("capacity", I capacity) ]
-  | Span_open { name } -> [ ("name", S name) ]
-  | Span_close { name; elapsed_s } ->
-    [ ("name", S name); ("elapsed_s", N elapsed_s) ]
+let quote_non_finite = function
+  | Json.Number f when not (Float.is_finite f) -> Json.String (non_finite f)
+  | v -> v
 
 let to_json { seq; time; event } =
-  let b = Buffer.create 96 in
-  Buffer.add_string b "{\"seq\":";
-  Buffer.add_string b (string_of_int seq);
-  Buffer.add_string b ",\"t\":";
-  add_float b time;
-  Buffer.add_string b ",\"ev\":";
-  add_json_string b (event_name event);
-  List.iter
-    (fun (k, v) ->
-      Buffer.add_char b ',';
-      add_json_string b k;
-      Buffer.add_char b ':';
-      match v with
-      | S s -> add_json_string b s
-      | N f -> add_float b f
-      | I i -> Buffer.add_string b (string_of_int i)
-      | B v -> Buffer.add_string b (if v then "true" else "false"))
-    (fields_of_event event);
-  Buffer.add_char b '}';
-  Buffer.contents b
+  Json.render
+    (("seq", Json.Int seq)
+    :: ("t", quote_non_finite (Json.Number time))
+    :: ("ev", Json.String (event_name event))
+    :: List.map
+         (fun (k, v) -> (k, quote_non_finite v))
+         (fields_of_event event))
 
 (* One-line human rendering for `budgetbuf trace cat`.  The timestamp
    is deliberately omitted — it is the one nondeterministic column, and
    leaving it out keeps golden cram output stable. *)
 let summary { seq; event; _ } =
-  let b = Buffer.create 64 in
-  Buffer.add_string b (string_of_int seq);
-  Buffer.add_char b ' ';
-  Buffer.add_string b (event_name event);
-  List.iter
-    (fun (k, v) ->
-      Buffer.add_char b ' ';
-      Buffer.add_string b k;
-      Buffer.add_char b '=';
-      match v with
-      | S s -> Buffer.add_string b s
-      | N f -> add_float b f
-      | I i -> Buffer.add_string b (string_of_int i)
-      | B v -> Buffer.add_string b (if v then "true" else "false"))
-    (fields_of_event event);
-  Buffer.contents b
+  let field (k, v) =
+    k ^ "="
+    ^
+    match v with
+    | Json.String s -> s
+    | Json.Number f when Float.is_finite f -> Printf.sprintf "%.17g" f
+    | Json.Number f -> "\"" ^ non_finite f ^ "\""
+    | Json.Int i -> string_of_int i
+    | Json.Bool v -> string_of_bool v
+  in
+  String.concat " "
+    (string_of_int seq :: event_name event
+    :: List.map field (fields_of_event event))
 
 (* ---- decoding ---------------------------------------------------- *)
 
-type json = Jstr of string | Jnum of float | Jbool of bool
-
 exception Bad
-
-let parse_object line =
-  let len = String.length line in
-  let pos = ref 0 in
-  let peek () = if !pos >= len then raise Bad else line.[!pos] in
-  let advance () = incr pos in
-  let skip_ws () =
-    while !pos < len && (match line.[!pos] with ' ' | '\t' -> true | _ -> false)
-    do
-      advance ()
-    done
-  in
-  let expect c = if peek () <> c then raise Bad else advance () in
-  let parse_string () =
-    expect '"';
-    let b = Buffer.create 16 in
-    let rec go () =
-      match peek () with
-      | '"' -> advance ()
-      | '\\' ->
-        advance ();
-        (match peek () with
-        | '"' -> Buffer.add_char b '"'
-        | '\\' -> Buffer.add_char b '\\'
-        | '/' -> Buffer.add_char b '/'
-        | 'n' -> Buffer.add_char b '\n'
-        | 'r' -> Buffer.add_char b '\r'
-        | 't' -> Buffer.add_char b '\t'
-        | 'u' ->
-          if !pos + 4 >= len then raise Bad;
-          let hex = String.sub line (!pos + 1) 4 in
-          let code =
-            match int_of_string_opt ("0x" ^ hex) with
-            | Some c when c < 0x80 -> c
-            | Some _ | None -> raise Bad
-          in
-          pos := !pos + 4;
-          Buffer.add_char b (Char.chr code)
-        | _ -> raise Bad);
-        advance ();
-        go ()
-      | c ->
-        Buffer.add_char b c;
-        advance ();
-        go ()
-    in
-    go ();
-    Buffer.contents b
-  in
-  let parse_value () =
-    skip_ws ();
-    match peek () with
-    | '"' -> Jstr (parse_string ())
-    | 't' ->
-      if !pos + 4 <= len && String.sub line !pos 4 = "true" then begin
-        pos := !pos + 4;
-        Jbool true
-      end
-      else raise Bad
-    | 'f' ->
-      if !pos + 5 <= len && String.sub line !pos 5 = "false" then begin
-        pos := !pos + 5;
-        Jbool false
-      end
-      else raise Bad
-    | '-' | '0' .. '9' ->
-      let start = !pos in
-      while
-        !pos < len
-        &&
-        match line.[!pos] with
-        | '0' .. '9' | '-' | '+' | '.' | 'e' | 'E' -> true
-        | _ -> false
-      do
-        advance ()
-      done;
-      (match float_of_string_opt (String.sub line start (!pos - start)) with
-      | Some f -> Jnum f
-      | None -> raise Bad)
-    | _ -> raise Bad
-  in
-  skip_ws ();
-  expect '{';
-  let rec pairs acc =
-    skip_ws ();
-    match peek () with
-    | '}' ->
-      advance ();
-      List.rev acc
-    | _ ->
-      let k = parse_string () in
-      skip_ws ();
-      expect ':';
-      let v = parse_value () in
-      skip_ws ();
-      (match peek () with
-      | ',' ->
-        advance ();
-        pairs ((k, v) :: acc)
-      | '}' ->
-        advance ();
-        List.rev ((k, v) :: acc)
-      | _ -> raise Bad)
-  in
-  let obj = pairs [] in
-  skip_ws ();
-  if !pos <> len then raise Bad;
-  obj
 
 let of_json_line line =
   match
-    let obj = parse_object line in
-    let str k =
-      match List.assoc_opt k obj with Some (Jstr s) -> s | _ -> raise Bad
+    let obj =
+      match Json.parse line with Ok obj -> obj | Error _ -> raise Bad
     in
+    let get field k =
+      match field obj k with Some v -> v | None -> raise Bad
+    in
+    let str = get Json.str and int = get Json.int in
+    let boolean = get Json.bool in
     let num k =
       match List.assoc_opt k obj with
-      | Some (Jnum f) -> f
-      | Some (Jstr "nan") -> Float.nan
-      | Some (Jstr "inf") -> Float.infinity
-      | Some (Jstr "-inf") -> Float.neg_infinity
+      | Some (Json.Number f) -> f
+      | Some (Json.String "nan") -> Float.nan
+      | Some (Json.String "inf") -> Float.infinity
+      | Some (Json.String "-inf") -> Float.neg_infinity
       | _ -> raise Bad
-    in
-    let int k =
-      let f = num k in
-      let i = int_of_float f in
-      if float_of_int i = f then i else raise Bad
-    in
-    let boolean k =
-      match List.assoc_opt k obj with Some (Jbool v) -> v | _ -> raise Bad
     in
     let event =
       match str "ev" with
@@ -391,7 +265,7 @@ let of_json_line line =
             status = str "status";
             fault =
               (match List.assoc_opt "fault" obj with
-              | Some (Jstr s) -> Some s
+              | Some (Json.String s) -> Some s
               | None -> None
               | Some _ -> raise Bad);
           }

@@ -4,11 +4,8 @@ type t = {
   cond : Condition.t;
       (* signalled on: new work, a map completing, shutdown *)
   queue : (unit -> unit) Queue.t;
-  mutable queue_high_water : int;
-  mutable tasks_run : int;
   mutable shutdown : bool;
   mutable finished : bool;
-  busy_s : float array; (* slot 0: submitters; slots 1..: workers *)
   mutable workers : unit Domain.t array;
 }
 
@@ -25,15 +22,7 @@ let default_domains () =
         (Printf.sprintf "BUDGETBUF_JOBS must be a positive integer, got %S" s)
   end
 
-(* Runs one task and charges its wall-clock time to [slot].  Tasks are
-   the closures built by [map]; they capture their own exceptions, so
-   this never raises. *)
-let run_task t slot task =
-  let t0 = Unix.gettimeofday () in
-  task ();
-  t.busy_s.(slot) <- t.busy_s.(slot) +. (Unix.gettimeofday () -. t0)
-
-let worker t slot =
+let worker t =
   let rec loop () =
     Mutex.lock t.mutex;
     next ()
@@ -42,7 +31,7 @@ let worker t slot =
     match Queue.take_opt t.queue with
     | Some task ->
       Mutex.unlock t.mutex;
-      run_task t slot task;
+      task () (* tasks capture their own exceptions *);
       loop ()
     | None ->
       if t.shutdown then Mutex.unlock t.mutex
@@ -61,17 +50,13 @@ let create ~domains =
       mutex = Mutex.create ();
       cond = Condition.create ();
       queue = Queue.create ();
-      queue_high_water = 0;
-      tasks_run = 0;
       shutdown = false;
       finished = false;
-      busy_s = Array.make domains 0.0;
       workers = [||];
     }
   in
   t.workers <-
-    Array.init (domains - 1) (fun i ->
-        Domain.spawn (fun () -> worker t (i + 1)));
+    Array.init (domains - 1) (fun _ -> Domain.spawn (fun () -> worker t));
   t
 
 let domains t = t.lanes
@@ -83,11 +68,7 @@ exception Cancelled
    only in how they join the outcomes.  [cancel] is polled once per
    task, before it starts: tasks already running are drained to
    completion (their results are kept), tasks not yet started record
-   [Cancelled] without running — the pool itself is never torn down.
-   [tasks_run] counts the tasks that actually ran [f]: a
-   cancel-short-circuited slot records its [Cancelled] outcome without
-   bumping the counter, so after any fan-out [tasks_run] equals the
-   number of items started (= all of them when nothing cancels). *)
+   [Cancelled] without running — the pool itself is never torn down. *)
 let execute ?cancel ?obs t ~caller f xs =
   if t.finished then
     invalid_arg (Printf.sprintf "Parallel.Pool.%s: pool already finalised" caller);
@@ -124,7 +105,6 @@ let execute ?cancel ?obs t ~caller f xs =
              { index = i; ok = (match r with Ok _ -> true | Error _ -> false) });
       Mutex.lock t.mutex;
       results.(i) <- Some r;
-      if ran then t.tasks_run <- t.tasks_run + 1;
       decr remaining;
       if !remaining = 0 then Condition.broadcast t.cond;
       Mutex.unlock t.mutex
@@ -133,8 +113,6 @@ let execute ?cancel ?obs t ~caller f xs =
     for i = 0 to n - 1 do
       Queue.add (task_for i) t.queue
     done;
-    let depth = Queue.length t.queue in
-    if depth > t.queue_high_water then t.queue_high_water <- depth;
     Condition.broadcast t.cond;
     (* The submitter drains the queue too (this is the whole pool when
        [domains = 1], and what makes nested maps deadlock-free), then
@@ -146,7 +124,7 @@ let execute ?cancel ?obs t ~caller f xs =
         match Queue.take_opt t.queue with
         | Some task ->
           Mutex.unlock t.mutex;
-          run_task t 0 task;
+          task ();
           Mutex.lock t.mutex;
           drive ()
         | None ->
@@ -177,19 +155,6 @@ let map_result ?cancel ?obs t f xs =
   let results = execute ?cancel ?obs t ~caller:"map_result" f xs in
   Array.to_list
     (Array.map (function Ok v -> Ok v | Error (e, _bt) -> Error e) results)
-
-let stats t =
-  Mutex.lock t.mutex;
-  let s =
-    {
-      Stats.domains = t.lanes;
-      tasks_run = t.tasks_run;
-      queue_high_water = t.queue_high_water;
-      busy_s = Array.copy t.busy_s;
-    }
-  in
-  Mutex.unlock t.mutex;
-  s
 
 let fini t =
   if not t.finished then begin

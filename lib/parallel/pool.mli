@@ -81,15 +81,6 @@ val map_result :
   ?cancel:(unit -> bool) -> ?obs:Obs.Ctx.t -> t -> ('a -> 'b) -> 'a list ->
   ('b, exn) Stdlib.result list
 
-(** [stats t] snapshots the instrumentation counters.
-    [Stats.tasks_run] counts tasks that actually ran their function:
-    after any {!map}/{!map_result} it equals the number of items,
-    except under cooperative cancellation where it equals the number
-    of items started (cancel-short-circuited slots record their
-    [Cancelled] outcome without counting as run).  [Stats.busy_s] is
-    monotone non-decreasing across calls. *)
-val stats : t -> Stats.t
-
 (** [fini t] shuts the pool down and joins the worker domains.
     Idempotent.  Calling [map] afterwards raises [Invalid_argument]. *)
 val fini : t -> unit

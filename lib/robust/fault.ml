@@ -14,104 +14,58 @@ type plan = {
 let stall_first =
   { kind = Solver Socp.Stall; iteration = 0; attempts = 1; only = None }
 
-let of_string spec =
-  let spec = String.trim spec in
-  match String.split_on_char ',' spec with
-  | [] | [ "" ] -> Error "empty fault spec"
-  | kind :: opts -> begin
-    match
-      (match String.trim kind with
-      | "stall" -> Ok (Solver Socp.Stall)
-      | "nan" -> Ok (Solver Socp.Nan)
-      | "slow" -> Ok (Solver Socp.Slow)
-      | "dense_kkt" -> Ok (Solver Socp.Dense_kkt)
-      | "bad_round" -> Ok Bad_round
-      | "crash" -> Ok (Process Crash)
-      | "hang" -> Ok (Process Hang)
-      | "oom" -> Ok (Process Oom)
-      | k ->
-        Error
-          (Printf.sprintf
-             "unknown fault kind %S (expected stall, nan, slow, dense_kkt, \
-              bad_round, crash, hang or oom)" k))
-    with
-    | Error _ as e -> e
-    | Ok kind ->
-      let parse_int name v =
-        match int_of_string_opt (String.trim v) with
-        | Some n when n >= 0 -> Ok n
-        | Some _ | None ->
-          Error (Printf.sprintf "fault spec: %s expects a non-negative integer, got %S" name v)
-      in
-      List.fold_left
-        (fun acc opt ->
-          match acc with
-          | Error _ as e -> e
-          | Ok plan -> begin
-            match String.index_opt opt '=' with
-            | None -> Error (Printf.sprintf "fault spec: malformed option %S" opt)
-            | Some i ->
-              let key = String.trim (String.sub opt 0 i) in
-              let v = String.sub opt (i + 1) (String.length opt - i - 1) in
-              (match key with
-              | "iter" ->
-                Result.map (fun n -> { plan with iteration = n }) (parse_int "iter" v)
-              | "attempts" -> begin
-                match String.trim v with
-                | "all" -> Ok { plan with attempts = max_int }
-                | v -> begin
-                  match int_of_string_opt v with
-                  | Some n when n >= 1 -> Ok { plan with attempts = n }
-                  | Some _ | None ->
-                    Error
-                      (Printf.sprintf
-                         "fault spec: attempts expects a positive integer or \
-                          \"all\", got %S" v)
-                end
-              end
-              | "only" ->
-                Result.map (fun n -> { plan with only = Some n }) (parse_int "only" v)
-              | k -> Error (Printf.sprintf "fault spec: unknown option %S" k))
-          end)
-        (Ok { stall_first with kind })
-        opts
-  end
+let grammar =
+  {
+    Spec.name = "fault";
+    kinds =
+      [
+        (Solver Socp.Stall, "stall");
+        (Solver Socp.Nan, "nan");
+        (Solver Socp.Slow, "slow");
+        (Solver Socp.Dense_kkt, "dense_kkt");
+        (Bad_round, "bad_round");
+        (Process Crash, "crash");
+        (Process Hang, "hang");
+        (Process Oom, "oom");
+      ];
+    plan = (fun kind -> { stall_first with kind });
+    kind = (fun p -> p.kind);
+    keys =
+      [
+        Spec.int_key "iter" ~at_least:`Zero
+          ~get:(fun p -> if p.iteration = 0 then None else Some p.iteration)
+          ~set:(fun p n -> { p with iteration = n });
+        {
+          key = "attempts";
+          set =
+            (fun p raw ->
+              match String.trim raw with
+              | "all" -> Ok { p with attempts = max_int }
+              | v -> (
+                match int_of_string_opt v with
+                | Some n when n >= 1 -> Ok { p with attempts = n }
+                | Some _ | None ->
+                  Error
+                    (Printf.sprintf
+                       "attempts expects a positive integer or \"all\", got %S"
+                       v)));
+          show =
+            (fun p ->
+              if p.attempts = 1 then None
+              else if p.attempts = max_int then Some "all"
+              else Some (string_of_int p.attempts));
+        };
+        Spec.int_key "only" ~at_least:`Zero
+          ~get:(fun p -> p.only)
+          ~set:(fun p n -> { p with only = Some n });
+      ];
+    positional = 0;
+  }
 
-let kind_name = function
-  | Solver Socp.Stall -> "stall"
-  | Solver Socp.Nan -> "nan"
-  | Solver Socp.Slow -> "slow"
-  | Solver Socp.Dense_kkt -> "dense_kkt"
-  | Bad_round -> "bad_round"
-  | Process Crash -> "crash"
-  | Process Hang -> "hang"
-  | Process Oom -> "oom"
-
-let to_string plan =
-  let kind = kind_name plan.kind in
-  let b = Buffer.create 32 in
-  Buffer.add_string b kind;
-  if plan.iteration <> 0 then
-    Buffer.add_string b (Printf.sprintf ",iter=%d" plan.iteration);
-  if plan.attempts <> 1 then
-    Buffer.add_string b
-      (if plan.attempts = max_int then ",attempts=all"
-       else Printf.sprintf ",attempts=%d" plan.attempts);
-  (match plan.only with
-  | None -> ()
-  | Some i -> Buffer.add_string b (Printf.sprintf ",only=%d" i));
-  Buffer.contents b
-
-let of_env () =
-  match Sys.getenv_opt "BUDGETBUF_FAULT" with
-  | None -> None
-  | Some s when String.trim s = "" -> None
-  | Some s -> begin
-    match of_string s with
-    | Ok plan -> Some plan
-    | Error msg ->
-      invalid_arg (Printf.sprintf "BUDGETBUF_FAULT: %s" msg)
-  end
+let of_string = Spec.parse grammar
+let kind_name = Spec.kind_name grammar
+let to_string = Spec.to_string grammar
+let of_env () = Spec.of_env grammar ~var:"BUDGETBUF_FAULT"
 
 let for_candidate plan ~index =
   match plan with

@@ -3,7 +3,9 @@
     A plan describes which solver attempts of a {!Recovery} ladder are
     sabotaged and how, so tests (and the [@runtest-fault] suite) can
     exercise every recovery rung without fishing for pathological
-    instances.  Plans are plain data parsed from a spec string:
+    instances.  Plans are plain data parsed from a spec string in the
+    {!Spec} grammar (shared with [Serve.Chaos]), over this kind and key
+    table:
 
     {v KIND[,iter=N][,attempts=N|all][,only=I] v}
 
@@ -53,7 +55,8 @@ val stall_first : plan
     label trace events carry. *)
 val kind_name : kind -> string
 
-(** [of_string spec] parses the spec grammar above. *)
+(** [of_string spec] parses the spec grammar above; errors as in
+    {!Spec}, prefixed ["fault spec: "]. *)
 val of_string : string -> (plan, string) Stdlib.result
 
 (** [to_string plan] prints a spec that parses back to [plan]. *)

@@ -18,112 +18,44 @@ type kind =
   | Corrupt  (* a journal record lands with a flipped byte *)
   | Mix  (* every kind, chosen per firing *)
 
-let kind_name = function
-  | Torn -> "torn"
-  | Reset -> "reset"
-  | Stall -> "stall"
-  | Exn -> "exn"
-  | Fsync -> "fsync"
-  | Corrupt -> "corrupt"
-  | Mix -> "all"
-
 type spec = { skind : kind; every : int; seed : int }
 
 let default_every = 4
 
-let of_string s =
-  let s = String.trim s in
-  match String.split_on_char ',' s with
-  | [] | [ "" ] -> Error "empty chaos spec"
-  | kind :: opts -> begin
-    match
-      match String.trim kind with
-      | "torn" -> Ok Torn
-      | "reset" -> Ok Reset
-      | "stall" -> Ok Stall
-      | "exn" -> Ok Exn
-      | "fsync" -> Ok Fsync
-      | "corrupt" -> Ok Corrupt
-      | "all" -> Ok Mix
-      | k ->
-        Error
-          (Printf.sprintf
-             "unknown chaos kind %S (expected torn, reset, stall, exn, fsync, \
-              corrupt or all)"
-             k)
-    with
-    | Error _ as e -> e
-    | Ok skind ->
-      let parse_pos name v =
-        match int_of_string_opt (String.trim v) with
-        | Some n when n >= 1 -> Ok n
-        | Some _ | None ->
-          Error
-            (Printf.sprintf "chaos spec: %s expects a positive integer, got %S"
-               name v)
-      in
-      let parse_seed v =
-        match int_of_string_opt (String.trim v) with
-        | Some n -> Ok n
-        | None ->
-          Error (Printf.sprintf "chaos spec: seed expects an integer, got %S" v)
-      in
-      (* Options are [n=N] (fire one operation in N, default 4) and
-         [seed=S]; bare integers are positional shorthand in that
-         order, matching the --fault habit of terse specs. *)
-      let rec fold acc bare = function
-        | [] -> acc
-        | opt :: rest -> begin
-          match acc with
-          | Error _ as e -> e
-          | Ok spec -> begin
-            match String.index_opt opt '=' with
-            | Some i ->
-              let key = String.trim (String.sub opt 0 i) in
-              let v = String.sub opt (i + 1) (String.length opt - i - 1) in
-              let acc =
-                match key with
-                | "n" ->
-                  Result.map (fun n -> { spec with every = n }) (parse_pos "n" v)
-                | "seed" ->
-                  Result.map (fun n -> { spec with seed = n }) (parse_seed v)
-                | k -> Error (Printf.sprintf "chaos spec: unknown option %S" k)
-              in
-              fold acc bare rest
-            | None -> begin
-              match (bare, parse_pos "n" opt) with
-              | 0, Ok n -> fold (Ok { spec with every = n }) 1 rest
-              | 1, _ ->
-                fold
-                  (Result.map (fun n -> { spec with seed = n }) (parse_seed opt))
-                  2 rest
-              | _, Error e -> Error e
-              | _, _ ->
-                Error (Printf.sprintf "chaos spec: unexpected option %S" opt)
-            end
-          end
-        end
-      in
-      fold (Ok { skind; every = default_every; seed = 0 }) 0 opts
-  end
+(* Options are [n=N] (fire one operation in N, default 4) and [seed=S];
+   bare integers are positional shorthand in that order, matching the
+   --fault habit of terse specs. *)
+let grammar =
+  {
+    Robust.Spec.name = "chaos";
+    kinds =
+      [
+        (Torn, "torn");
+        (Reset, "reset");
+        (Stall, "stall");
+        (Exn, "exn");
+        (Fsync, "fsync");
+        (Corrupt, "corrupt");
+        (Mix, "all");
+      ];
+    plan = (fun skind -> { skind; every = default_every; seed = 0 });
+    kind = (fun s -> s.skind);
+    keys =
+      [
+        Robust.Spec.int_key "n" ~at_least:`One
+          ~get:(fun s -> if s.every = default_every then None else Some s.every)
+          ~set:(fun s every -> { s with every });
+        Robust.Spec.int_key "seed" ~at_least:`Any
+          ~get:(fun s -> if s.seed = 0 then None else Some s.seed)
+          ~set:(fun s seed -> { s with seed });
+      ];
+    positional = 2;
+  }
 
-let to_string { skind; every; seed } =
-  let b = Buffer.create 24 in
-  Buffer.add_string b (kind_name skind);
-  if every <> default_every then
-    Buffer.add_string b (Printf.sprintf ",n=%d" every);
-  if seed <> 0 then Buffer.add_string b (Printf.sprintf ",seed=%d" seed);
-  Buffer.contents b
-
-let of_env () =
-  match Sys.getenv_opt "BUDGETBUF_CHAOS" with
-  | None -> None
-  | Some s when String.trim s = "" -> None
-  | Some s -> begin
-    match of_string s with
-    | Ok spec -> Some spec
-    | Error msg -> invalid_arg (Printf.sprintf "BUDGETBUF_CHAOS: %s" msg)
-  end
+let kind_name = Robust.Spec.kind_name grammar
+let of_string = Robust.Spec.parse grammar
+let to_string = Robust.Spec.to_string grammar
+let of_env () = Robust.Spec.of_env grammar ~var:"BUDGETBUF_CHAOS"
 
 (* ---- the injector ------------------------------------------------ *)
 

@@ -1,7 +1,8 @@
 (** Deterministic, schedule-driven chaos injection for the serve
     stack — {!Robust.Fault}'s sibling at the I/O and process boundary.
 
-    A chaos spec
+    A chaos spec — the {!Robust.Spec} grammar of fault plans, over
+    this kind and key table —
 
     {v KIND[,n=N][,seed=S] v}
 
@@ -32,6 +33,8 @@ val kind_name : kind -> string
 
 type spec = { skind : kind; every : int; seed : int }
 
+(** [of_string s] parses a spec; errors as in {!Robust.Spec},
+    prefixed ["chaos spec: "]. *)
 val of_string : string -> (spec, string) Stdlib.result
 
 (** [to_string spec] prints a spec that parses back to [spec]. *)

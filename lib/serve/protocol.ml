@@ -3,6 +3,8 @@
    turns that into a [Refused] reply instead of dropping the
    connection. *)
 
+module Json = Obs.Json
+
 (* Bumped whenever the wire grammar changes incompatibly.  The ping
    request and the ready reply both carry it, so a mismatched
    client/server pair fails the health exchange with one clean line
@@ -118,71 +120,64 @@ let status_of_response = function
 
 let request_to_line = function
   | Admit { id; config; deadline_s; fault; retry } ->
-    Wire.render
-      ([ ("op", Wire.String "admit"); ("id", Wire.String id) ]
+    Json.render
+      ([ ("op", Json.String "admit"); ("id", Json.String id) ]
       @ (match deadline_s with
-        | Some s -> [ ("deadline_s", Wire.Number s) ]
+        | Some s -> [ ("deadline_s", Json.Number s) ]
         | None -> [])
       @ (match fault with
-        | Some f -> [ ("fault", Wire.String f) ]
+        | Some f -> [ ("fault", Json.String f) ]
         | None -> [])
-      @ (if retry then [ ("retry", Wire.Bool true) ] else [])
-      @ [ ("config", Wire.String config) ])
+      @ (if retry then [ ("retry", Json.Bool true) ] else [])
+      @ [ ("config", Json.String config) ])
   | Release { id } ->
-    Wire.render [ ("op", Wire.String "release"); ("id", Wire.String id) ]
+    Json.render [ ("op", Json.String "release"); ("id", Json.String id) ]
   | Ping ->
-    Wire.render
-      [ ("op", Wire.String "ping"); ("v", Wire.Number (float_of_int version)) ]
-  | Stats -> Wire.render [ ("op", Wire.String "stats") ]
-  | Shutdown -> Wire.render [ ("op", Wire.String "shutdown") ]
+    Json.render [ ("op", Json.String "ping"); ("v", Json.Int version) ]
+  | Stats -> Json.render [ ("op", Json.String "stats") ]
+  | Shutdown -> Json.render [ ("op", Json.String "shutdown") ]
+
+let ( let* ) = Result.bind
 
 let request_of_line line =
-  match Wire.parse line with
-  | Error _ as e -> e
+  match Json.parse line with
+  | Error msg -> Error ("malformed request: " ^ msg)
   | Ok obj -> (
     let required k =
-      match Wire.str obj k with
+      match Json.str obj k with
       | Some v -> Ok v
       | None -> Error (Printf.sprintf "missing or non-string field %S" k)
     in
-    match Wire.str obj "op" with
+    match Json.str obj "op" with
     | None -> Error "missing or non-string field \"op\""
-    | Some "admit" -> (
-      match (required "id", required "config") with
-      | Ok id, Ok config ->
-        if id = "" then Error "empty job id"
-        else begin
-          (* A present field of the wrong type is an error, not a
-             silently dropped option. *)
-          let opt k wrap =
-            match List.assoc_opt k obj with
-            | None -> Ok None
-            | Some v -> (
-              match wrap v with
-              | Some x -> Ok (Some x)
-              | None -> Error (Printf.sprintf "ill-typed field %S" k))
-          in
-          let number = function Wire.Number s -> Some s | _ -> None in
-          let string = function Wire.String s -> Some s | _ -> None in
-          let boolean = function Wire.Bool v -> Some v | _ -> None in
-          match (opt "deadline_s" number, opt "fault" string, opt "retry" boolean)
-          with
-          | Ok (Some s), _, _ when s <= 0.0 -> Error "non-positive deadline_s"
-          | Ok deadline_s, Ok fault, Ok retry ->
-            Ok
-              (Admit
-                 {
-                   id;
-                   config;
-                   deadline_s;
-                   fault;
-                   retry = Option.value retry ~default:false;
-                 })
-          | (Error _ as e), _, _ | _, (Error _ as e), _ | _, _, (Error _ as e)
-            ->
-            e
-        end
-      | (Error _ as e), _ | _, (Error _ as e) -> e)
+    | Some "admit" ->
+      (* A present field of the wrong type is an error, not a silently
+         dropped option. *)
+      let opt k get =
+        match (List.assoc_opt k obj, get obj k) with
+        | None, _ -> Ok None
+        | Some _, Some x -> Ok (Some x)
+        | Some _, None -> Error (Printf.sprintf "ill-typed field %S" k)
+      in
+      let* id = required "id" in
+      let* config = required "config" in
+      if id = "" then Error "empty job id"
+      else
+        let* deadline_s = opt "deadline_s" Json.number in
+        if Option.fold ~none:false ~some:(fun s -> s <= 0.0) deadline_s then
+          Error "non-positive deadline_s"
+        else
+          let* fault = opt "fault" Json.str in
+          let* retry = opt "retry" Json.bool in
+          Ok
+            (Admit
+               {
+                 id;
+                 config;
+                 deadline_s;
+                 fault;
+                 retry = Option.value retry ~default:false;
+               })
     | Some "release" -> (
       match required "id" with
       | Ok id -> Ok (Release { id })
@@ -194,9 +189,8 @@ let request_of_line line =
          ping without the field is accepted as a bare liveness probe. *)
       match List.assoc_opt "v" obj with
       | None -> Ok Ping
-      | Some v -> (
-        match (match v with Wire.Number _ -> Wire.int obj "v" | _ -> None)
-        with
+      | Some _ -> (
+        match Json.int obj "v" with
         | Some v when v = version -> Ok Ping
         | Some v ->
           Error
@@ -212,69 +206,69 @@ let request_of_line line =
 
 let stats_fields s =
   [
-    ("admitted", Wire.Number (float_of_int s.admitted));
-    ("rejected", Wire.Number (float_of_int s.rejected));
-    ("infeasible", Wire.Number (float_of_int s.infeasible));
-    ("timed_out", Wire.Number (float_of_int s.timed_out));
-    ("failed", Wire.Number (float_of_int s.failed));
-    ("poisoned", Wire.Number (float_of_int s.poisoned));
-    ("shed", Wire.Number (float_of_int s.shed));
-    ("refused", Wire.Number (float_of_int s.refused));
-    ("cache_hits", Wire.Number (float_of_int s.cache_hits));
-    ("cache_misses", Wire.Number (float_of_int s.cache_misses));
-    ("released", Wire.Number (float_of_int s.released));
-    ("pings", Wire.Number (float_of_int s.pings));
-    ("live", Wire.Number (float_of_int s.live));
-    ("queue", Wire.Number (float_of_int s.queue));
-    ("worker_crashes", Wire.Number (float_of_int s.worker_crashes));
+    ("admitted", Json.Int s.admitted);
+    ("rejected", Json.Int s.rejected);
+    ("infeasible", Json.Int s.infeasible);
+    ("timed_out", Json.Int s.timed_out);
+    ("failed", Json.Int s.failed);
+    ("poisoned", Json.Int s.poisoned);
+    ("shed", Json.Int s.shed);
+    ("refused", Json.Int s.refused);
+    ("cache_hits", Json.Int s.cache_hits);
+    ("cache_misses", Json.Int s.cache_misses);
+    ("released", Json.Int s.released);
+    ("pings", Json.Int s.pings);
+    ("live", Json.Int s.live);
+    ("queue", Json.Int s.queue);
+    ("worker_crashes", Json.Int s.worker_crashes);
   ]
 
 let response_to_line r =
-  let status = ("status", Wire.String (status_of_response r)) in
+  let status = ("status", Json.String (status_of_response r)) in
   match r with
   | Admitted { id; cache; mapping; certificate; objective; rounded_objective;
                attempts } ->
-    Wire.render
+    Json.render
       [
         status;
-        ("id", Wire.String id);
-        ("cache", Wire.String (match cache with `Hit -> "hit" | `Miss -> "miss"));
-        ("mapping", Wire.String mapping);
-        ("certificate", Wire.String certificate);
-        ("objective", Wire.Number objective);
-        ("rounded_objective", Wire.Number rounded_objective);
-        ("attempts", Wire.Number (float_of_int attempts));
+        ("id", Json.String id);
+        ("cache", Json.String (match cache with `Hit -> "hit" | `Miss -> "miss"));
+        ("mapping", Json.String mapping);
+        ("certificate", Json.String certificate);
+        ("objective", Json.Number objective);
+        ("rounded_objective", Json.Number rounded_objective);
+        ("attempts", Json.Int attempts);
       ]
   | Rejected { id; reason } | Unsat { id; reason } | Late { id; reason }
   | Failed { id; reason } | Poisoned { id; reason } ->
-    Wire.render
-      [ status; ("id", Wire.String id); ("reason", Wire.String reason) ]
+    Json.render
+      [ status; ("id", Json.String id); ("reason", Json.String reason) ]
   | Overloaded { id; retry_after_s } ->
-    Wire.render
+    Json.render
       [
         status;
-        ("id", Wire.String id);
-        ("retry_after_s", Wire.Number retry_after_s);
+        ("id", Json.String id);
+        ("retry_after_s", Json.Number retry_after_s);
       ]
   | Released { id; found } ->
-    Wire.render [ status; ("id", Wire.String id); ("found", Wire.Bool found) ]
+    Json.render [ status; ("id", Json.String id); ("found", Json.Bool found) ]
   | Ready { state } ->
-    Wire.render
+    Json.render
       [
         status;
-        ("state", Wire.String (readiness_name state));
-        ("v", Wire.Number (float_of_int version));
+        ("state", Json.String (readiness_name state));
+        ("v", Json.Int version);
       ]
-  | Stats_reply s -> Wire.render (status :: stats_fields s)
-  | Refused { reason } -> Wire.render [ status; ("reason", Wire.String reason) ]
-  | Bye -> Wire.render [ status ]
+  | Stats_reply s -> Json.render (status :: stats_fields s)
+  | Refused { reason } -> Json.render [ status; ("reason", Json.String reason) ]
+  | Bye -> Json.render [ status ]
 
 let response_of_line line =
-  match Wire.parse line with
-  | Error _ as e -> e
+  match Json.parse line with
+  | Error msg -> Error ("malformed reply: " ^ msg)
   | Ok obj -> (
     let required k =
-      match Wire.str obj k with
+      match Json.str obj k with
       | Some v -> Ok v
       | None -> Error (Printf.sprintf "missing or non-string field %S" k)
     in
@@ -283,49 +277,41 @@ let response_of_line line =
       | Ok id, Ok reason -> Ok (mk id reason)
       | (Error _ as e), _ | _, (Error _ as e) -> e
     in
-    match Wire.str obj "status" with
+    match Json.str obj "status" with
     | None -> Error "missing or non-string field \"status\""
-    | Some "admitted" -> (
+    | Some "admitted" ->
       let num k =
-        match Wire.number obj k with
+        match Json.number obj k with
         | Some f -> Ok f
         | None -> Error (Printf.sprintf "missing or non-number field %S" k)
       in
-      match
-        ( required "id",
-          required "cache",
-          required "mapping",
-          required "certificate",
-          num "objective",
-          num "rounded_objective",
-          Wire.int obj "attempts" )
-      with
-      | ( Ok id,
-          Ok cache_tag,
-          Ok mapping,
-          Ok certificate,
-          Ok objective,
-          Ok rounded_objective,
-          Some attempts ) -> (
+      let* id = required "id" in
+      let* cache_tag = required "cache" in
+      let* mapping = required "mapping" in
+      let* certificate = required "certificate" in
+      let* objective = num "objective" in
+      let* rounded_objective = num "rounded_objective" in
+      let* attempts =
+        Option.to_result (Json.int obj "attempts")
+          ~none:"missing or non-integer field \"attempts\""
+      in
+      let* cache =
         match cache_tag with
-        | "hit" | "miss" ->
-          Ok
-            (Admitted
-               {
-                 id;
-                 cache = (if cache_tag = "hit" then `Hit else `Miss);
-                 mapping;
-                 certificate;
-                 objective;
-                 rounded_objective;
-                 attempts;
-               })
-        | _ -> Error "bad cache tag")
-      | (Error e, _, _, _, _, _, _ | _, Error e, _, _, _, _, _
-        | _, _, Error e, _, _, _, _ | _, _, _, Error e, _, _, _
-        | _, _, _, _, Error e, _, _ | _, _, _, _, _, Error e, _ ) ->
-        Error e
-      | _, _, _, _, _, _, None -> Error "missing or non-integer field \"attempts\"")
+        | "hit" -> Ok `Hit
+        | "miss" -> Ok `Miss
+        | _ -> Error "bad cache tag"
+      in
+      Ok
+        (Admitted
+           {
+             id;
+             cache;
+             mapping;
+             certificate;
+             objective;
+             rounded_objective;
+             attempts;
+           })
     | Some "rejected" -> with_id_reason (fun id reason -> Rejected { id; reason })
     | Some "infeasible" -> with_id_reason (fun id reason -> Unsat { id; reason })
     | Some "timed_out" -> with_id_reason (fun id reason -> Late { id; reason })
@@ -333,12 +319,12 @@ let response_of_line line =
     | Some "poisoned" ->
       with_id_reason (fun id reason -> Poisoned { id; reason })
     | Some "overloaded" -> (
-      match (required "id", Wire.number obj "retry_after_s") with
+      match (required "id", Json.number obj "retry_after_s") with
       | Ok id, Some retry_after_s -> Ok (Overloaded { id; retry_after_s })
       | (Error _ as e), _ -> e
       | _, None -> Error "missing or non-number field \"retry_after_s\"")
     | Some "released" -> (
-      match (required "id", Wire.bool obj "found") with
+      match (required "id", Json.bool obj "found") with
       | Ok id, Some found -> Ok (Released { id; found })
       | (Error _ as e), _ -> e
       | _, None -> Error "missing or non-boolean field \"found\"")
@@ -349,9 +335,8 @@ let response_of_line line =
         | Some state -> (
           match List.assoc_opt "v" obj with
           | None -> Ok (Ready { state })
-          | Some v -> (
-            match (match v with Wire.Number _ -> Wire.int obj "v" | _ -> None)
-            with
+          | Some _ -> (
+            match Json.int obj "v" with
             | Some v when v = version -> Ok (Ready { state })
             | Some v ->
               Error
@@ -363,12 +348,11 @@ let response_of_line line =
       | Error _ as e -> e)
     | Some "stats" ->
       let count k =
-        match Wire.int obj k with
+        match Json.int obj k with
         | Some n when n >= 0 -> Ok n
         | Some _ | None ->
           Error (Printf.sprintf "missing or non-count field %S" k)
       in
-      let ( let* ) = Result.bind in
       let* admitted = count "admitted" in
       let* rejected = count "rejected" in
       let* infeasible = count "infeasible" in

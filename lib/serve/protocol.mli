@@ -1,5 +1,5 @@
-(** The admission protocol: typed requests and replies and their
-    {!Wire} line codecs.
+(** The admission protocol: typed requests and replies and their line
+    codecs, one {!Obs.Json} object per {!Wire} frame.
 
     One request line in, one reply line out, in order, per connection.
     The full grammar with examples lives in docs/serving.md; the
@@ -125,7 +125,9 @@ type response =
 val status_of_response : response -> string
 
 (** Line codecs: no trailing newline; [Error] is a one-line reason
-    suitable for a [Refused] reply. *)
+    suitable for a [Refused] reply.  A line that is not a flat JSON
+    object fails with ["malformed request: "] or ["malformed reply: "]
+    and the codec's reason. *)
 
 val request_to_line : request -> string
 val request_of_line : string -> (request, string) Stdlib.result

@@ -126,7 +126,6 @@ type job = {
   key : string;
   deadline : Durable.Deadline.t;
   fault : Robust.Fault.plan option;
-  job_fault_spec : string option;  (* the unparsed spec, for workers *)
   job_retry : bool;
   job_conn : conn;
   arrival : float;
@@ -366,13 +365,15 @@ let note_worker_crash state job ~reason =
    — answer, crash, hang, trip an rlimit — the server answers the
    client with a structured verdict; a crash or reap is additionally
    charged to the instance's quarantine record.  A deadline that
-   lapsed before dispatch is sent as 0: the worker answers [late]. *)
+   lapsed before dispatch is sent as 0: the worker answers [late].  The
+   fault plan travels as its canonical spec, which parses back to the
+   same plan. *)
 let solve_isolated state sup job =
   let task =
     {
       Worker.task_id = job.job_id;
       task_config = job.job_text;
-      task_fault = job.job_fault_spec;
+      task_fault = Option.map Robust.Fault.to_string job.fault;
       task_deadline_s =
         (let r = Durable.Deadline.remaining_s job.deadline in
          if Float.is_finite r then Some (Float.max r 0.0) else None);
@@ -672,7 +673,6 @@ let handle_admit state conn ~id ~config_text ~deadline_s ~fault ~retry ~arrival
         key = Cache.canonical_key cfg;
         deadline;
         fault = plan;
-        job_fault_spec = fault;
         job_retry = retry;
         job_conn = conn;
         arrival;

@@ -1,37 +1,7 @@
-(** The admission server's wire codec: one flat JSON object per line.
-
-    The grammar is the same restricted shape as the trace sink's
-    ({!Obs.Trace}): objects one level deep whose values are strings,
-    numbers or booleans — nothing nested, nothing null.  Requests and
-    replies are each a single such line terminated by ['\n']
-    (docs/serving.md).  Finite floats render with ["%.17g"] so a value
-    round-trips bit-exactly; non-finite floats are rejected outright
-    rather than quoted, because no protocol field has a meaningful
-    non-finite value. *)
-
-type value = String of string | Number of float | Bool of bool
-
-(** An object as an ordered field list.  Duplicate keys are rejected by
-    {!parse}; {!render} trusts its caller. *)
-type obj = (string * value) list
-
-(** [render obj] prints the object on one line, no trailing newline.
-    @raise Invalid_argument on a non-finite number. *)
-val render : obj -> string
-
-(** [parse line] decodes what {!render} wrote (plus insignificant
-    whitespace).  [Error msg] on anything outside the restricted
-    grammar: nesting, null, duplicate keys, trailing garbage. *)
-val parse : string -> (obj, string) Stdlib.result
-
-(** Field accessors; [None] when the key is absent {e or} holds a value
-    of the wrong type ([int] additionally requires an integral
-    number). *)
-
-val str : obj -> string -> string option
-val number : obj -> string -> float option
-val int : obj -> string -> int option
-val bool : obj -> string -> bool option
+(** The admission server's framing: one ['\n']-terminated line per
+    frame, in both directions of the client socket and of the worker
+    pipes.  The body of each frame is one {!Obs.Json} object
+    (docs/serving.md); {!Protocol} and {!Worker} encode and decode it. *)
 
 (** Frame reassembly for arbitrarily chunked byte streams.
 

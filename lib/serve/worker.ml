@@ -1,5 +1,5 @@
 (* The isolated solve worker: one disposable process per supervisor
-   slot, speaking Wire frames on stdin/stdout.
+   slot, speaking Obs.Json frames on stdin/stdout.
 
    Both directions of the pipe protocol are defined here so the
    supervisor and the worker cannot drift apart: the hello the worker
@@ -16,24 +16,25 @@
    them safe to request: the blast radius is this process, under the
    rlimits the supervisor armed. *)
 
+module Json = Obs.Json
 module Mapping = Budgetbuf.Mapping
 module Durability = Budgetbuf.Durability
 
 (* ---- pipe protocol ----------------------------------------------- *)
 
 let hello_line () =
-  Wire.render
+  Json.render
     [
-      ("ev", Wire.String "hello");
-      ("v", Wire.Number (float_of_int Protocol.version));
-      ("pid", Wire.Number (float_of_int (Unix.getpid ())));
+      ("ev", Json.String "hello");
+      ("v", Json.Int Protocol.version);
+      ("pid", Json.Int (Unix.getpid ()));
     ]
 
 let parse_hello line =
-  match Wire.parse line with
+  match Json.parse line with
   | Error msg -> Error (Printf.sprintf "malformed worker hello: %s" msg)
   | Ok obj -> (
-    match (Wire.str obj "ev", Wire.int obj "v", Wire.int obj "pid") with
+    match (Json.str obj "ev", Json.int obj "v", Json.int obj "pid") with
     | Some "hello", Some v, Some pid ->
       if v = Protocol.version then Ok pid
       else
@@ -51,28 +52,28 @@ type task = {
 }
 
 let task_line t =
-  Wire.render
-    ([ ("id", Wire.String t.task_id) ]
+  Json.render
+    ([ ("id", Json.String t.task_id) ]
     @ (match t.task_fault with
-      | Some f -> [ ("fault", Wire.String f) ]
+      | Some f -> [ ("fault", Json.String f) ]
       | None -> [])
     @ (match t.task_deadline_s with
-      | Some s -> [ ("deadline_s", Wire.Number s) ]
+      | Some s -> [ ("deadline_s", Json.Number s) ]
       | None -> [])
-    @ [ ("config", Wire.String t.task_config) ])
+    @ [ ("config", Json.String t.task_config) ])
 
 let parse_task line =
-  match Wire.parse line with
+  match Json.parse line with
   | Error msg -> Error (Printf.sprintf "malformed task: %s" msg)
   | Ok obj -> (
-    match (Wire.str obj "id", Wire.str obj "config") with
+    match (Json.str obj "id", Json.str obj "config") with
     | Some task_id, Some task_config ->
       Ok
         {
           task_id;
           task_config;
-          task_fault = Wire.str obj "fault";
-          task_deadline_s = Wire.number obj "deadline_s";
+          task_fault = Json.str obj "fault";
+          task_deadline_s = Json.number obj "deadline_s";
         }
     | _ -> Error "malformed task: missing id or config")
 
@@ -90,45 +91,45 @@ type reply =
   | R_failed of string
 
 let reply_line ~id reply =
-  let id = ("id", Wire.String id) in
+  let id = ("id", Json.String id) in
   let verdict status reason =
-    Wire.render
-      [ ("status", Wire.String status); id; ("reason", Wire.String reason) ]
+    Json.render
+      [ ("status", Json.String status); id; ("reason", Json.String reason) ]
   in
   match reply with
   | R_solved { mapping; certificate; objective; rounded_objective; attempts;
                solve_s } ->
-    Wire.render
+    Json.render
       [
-        ("status", Wire.String "solved");
+        ("status", Json.String "solved");
         id;
-        ("mapping", Wire.String mapping);
-        ("certificate", Wire.String certificate);
-        ("objective", Wire.Number objective);
-        ("rounded_objective", Wire.Number rounded_objective);
-        ("attempts", Wire.Number (float_of_int attempts));
-        ("solve_s", Wire.Number solve_s);
+        ("mapping", Json.String mapping);
+        ("certificate", Json.String certificate);
+        ("objective", Json.Number objective);
+        ("rounded_objective", Json.Number rounded_objective);
+        ("attempts", Json.Int attempts);
+        ("solve_s", Json.Number solve_s);
       ]
   | R_unsat reason -> verdict "unsat" reason
   | R_late reason -> verdict "late" reason
   | R_failed reason -> verdict "failed" reason
 
 let parse_reply line =
-  match Wire.parse line with
+  match Json.parse line with
   | Error msg -> Error (Printf.sprintf "malformed worker reply: %s" msg)
   | Ok obj -> (
     let reason () =
-      match Wire.str obj "reason" with Some r -> r | None -> "missing reason"
+      match Json.str obj "reason" with Some r -> r | None -> "missing reason"
     in
-    match Wire.str obj "status" with
+    match Json.str obj "status" with
     | Some "solved" -> (
       match
-        ( Wire.str obj "mapping",
-          Wire.str obj "certificate",
-          Wire.number obj "objective",
-          Wire.number obj "rounded_objective",
-          Wire.int obj "attempts",
-          Wire.number obj "solve_s" )
+        ( Json.str obj "mapping",
+          Json.str obj "certificate",
+          Json.number obj "objective",
+          Json.number obj "rounded_objective",
+          Json.int obj "attempts",
+          Json.number obj "solve_s" )
       with
       | ( Some mapping,
           Some certificate,

@@ -12,7 +12,8 @@
     inside the rlimit box the supervisor armed, never in the server
     process.
 
-    Frames use the {!Wire} codec.  The grammar:
+    Each frame is one {!Obs.Json} object on one {!Wire} line.  The
+    grammar:
 
     {v worker → {"ev":"hello","v":2,"pid":P}
        server → {"id":J[,"fault":SPEC][,"deadline_s":S],"config":TEXT}

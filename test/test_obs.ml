@@ -13,6 +13,7 @@ module Trace = Obs.Trace
 module Sink = Obs.Sink
 module Ctx = Obs.Ctx
 module Metrics = Obs.Metrics
+module Json = Obs.Json
 
 (* A deterministic clock: every reading is the previous one plus 1. *)
 let with_fake_clock f =
@@ -288,6 +289,54 @@ let test_json_rejects_damage () =
       {|{"seq":0,"t":0,"ev":"restore","index":1,"hit":"yes"}|};
     ]
 
+(* ---- the flat-JSON codec ----------------------------------------- *)
+
+(* Obs.Json carries every trace line and every serve frame.  Random
+   flat objects (distinct keys; arbitrary byte strings, finite floats,
+   ints, booleans) survive render then parse, an [Int] coming back as
+   the [Number] it spells.  Damage is refused without an exception:
+   every strict prefix of a line is an [Error], and a line with one
+   byte overwritten is either refused or parses to an object that
+   renders and parses back to itself. *)
+let test_json_codec_qcheck () =
+  let value_gen =
+    QCheck.Gen.(
+      oneof
+        [
+          map (fun s -> Json.String s) (string_size ~gen:char (int_range 0 12));
+          map
+            (fun f -> Json.Number (if Float.is_finite f then f else 0.5))
+            float;
+          map (fun i -> Json.Int i) int;
+          map (fun b -> Json.Bool b) bool;
+        ])
+  in
+  let obj_gen =
+    QCheck.Gen.(
+      map
+        (List.fold_left
+           (fun acc (k, v) -> if List.mem_assoc k acc then acc else acc @ [ (k, v) ])
+           [])
+        (list_size (int_range 0 6)
+           (pair (string_size ~gen:printable (int_range 0 6)) value_gen)))
+  in
+  let as_parsed = function Json.Int i -> Json.Number (float_of_int i) | v -> v in
+  QCheck.Test.make ~count:500 ~name:"flat JSON round trip, damage refused"
+    (QCheck.make QCheck.Gen.(triple obj_gen nat char))
+    (fun (obj, pos, c) ->
+      let line = Json.render obj in
+      let len = String.length line in
+      Json.parse line = Ok (List.map (fun (k, v) -> (k, as_parsed v)) obj)
+      && List.for_all
+           (fun n -> Result.is_error (Json.parse (String.sub line 0 n)))
+           (List.init len Fun.id)
+      &&
+      let b = Bytes.of_string line in
+      Bytes.set b (pos mod len) c;
+      match Json.parse (Bytes.to_string b) with
+      | Error _ -> true
+      | Ok o -> Json.parse (Json.render o) = Ok o)
+
 (* ---- metrics aggregation and the report table -------------------- *)
 
 let test_report_lines () =
@@ -521,6 +570,7 @@ let () =
             test_json_rejects_damage;
           Alcotest.test_case "certify span inside finish" `Quick
             test_certify_span_nests_in_finish;
+          QCheck_alcotest.to_alcotest (test_json_codec_qcheck ());
         ] );
       ( "metrics",
         [

@@ -201,46 +201,47 @@ let test_concurrent_solves_reproduce_optimum () =
 (* Instrumentation and configuration                                   *)
 (* ------------------------------------------------------------------ *)
 
+(* The pool keeps no counters of its own (the --metrics pool line folds
+   Task_dispatch/Task_join trace events), so these count in the tasks:
+   every item of a map runs exactly once, on one of [domains] lanes. *)
 let test_stats_counters () =
   Pool.with_pool ~domains:3 @@ fun pool ->
-  ignore (Pool.map pool (fun i -> i * 2) (List.init 10 Fun.id));
-  ignore (Pool.map pool (fun i -> i * 3) (List.init 7 Fun.id));
-  let s = Pool.stats pool in
-  Alcotest.(check int) "domains" 3 s.Parallel.Stats.domains;
-  Alcotest.(check int) "tasks run" 17 s.Parallel.Stats.tasks_run;
-  Alcotest.(check bool) "queue high-water bounded" true
-    (s.Parallel.Stats.queue_high_water >= 1
-    && s.Parallel.Stats.queue_high_water <= 10);
-  Alcotest.(check int) "busy slot per lane" 3
-    (Array.length s.Parallel.Stats.busy_s)
+  Alcotest.(check int) "domains" 3 (Pool.domains pool);
+  let runs = Atomic.make 0 in
+  let count f i =
+    Atomic.incr runs;
+    f i
+  in
+  ignore (Pool.map pool (count (fun i -> i * 2)) (List.init 10 Fun.id));
+  ignore (Pool.map pool (count (fun i -> i * 3)) (List.init 7 Fun.id));
+  Alcotest.(check int) "tasks run" 17 (Atomic.get runs)
 
-(* Pin the tasks_run contract the --metrics pool line is built on:
-   after a map or map_result every item counts (failures included —
-   they ran), while under cooperative cancellation only started tasks
-   count, because the short-circuited slots record [Error Cancelled]
-   without ever running [f].  Busy seconds can only accumulate. *)
+(* The cancellation contract: after a map or map_result every item has
+   run (failures included), while under cooperative cancellation the
+   short-circuited slots record [Error Cancelled] without ever running
+   [f], so the slots that hold a result are exactly the started ones. *)
 let test_stats_tasks_run_contract () =
   Pool.with_pool ~domains:3 @@ fun pool ->
-  let busy s = Array.fold_left ( +. ) 0.0 s.Parallel.Stats.busy_s in
-  ignore (Pool.map pool (fun i -> i + 1) (List.init 11 Fun.id));
-  let s1 = Pool.stats pool in
-  Alcotest.(check int) "map counts every item" 11 s1.Parallel.Stats.tasks_run;
+  let started = Atomic.make 0 in
+  let start f i =
+    Atomic.incr started;
+    f i
+  in
+  ignore (Pool.map pool (start (fun i -> i + 1)) (List.init 11 Fun.id));
+  Alcotest.(check int) "map runs every item" 11 (Atomic.get started);
   ignore
     (Pool.map_result pool
-       (fun i -> if i = 2 then failwith "boom" else i)
+       (start (fun i -> if i = 2 then failwith "boom" else i))
        (List.init 5 Fun.id));
-  let s2 = Pool.stats pool in
-  Alcotest.(check int) "map_result counts every item, failures included" 16
-    s2.Parallel.Stats.tasks_run;
-  Alcotest.(check bool) "busy seconds monotone" true (busy s2 >= busy s1);
-  let started = Atomic.make 0 in
+  Alcotest.(check int) "map_result runs every item, failures included" 16
+    (Atomic.get started);
+  Atomic.set started 0;
   let outcomes =
     Pool.map_result pool
       ~cancel:(fun () -> Atomic.get started >= 3)
-      (fun i ->
-        Atomic.incr started;
-        Unix.sleepf 0.002;
-        i)
+      (start (fun i ->
+           Unix.sleepf 0.002;
+           i))
       (List.init 50 Fun.id)
   in
   let ran, cancelled =
@@ -254,10 +255,8 @@ let test_stats_tasks_run_contract () =
   Alcotest.(check int) "every slot accounted for" 50 (ran + cancelled);
   Alcotest.(check bool) "cancellation actually short-circuited" true
     (cancelled > 0);
-  let s3 = Pool.stats pool in
-  Alcotest.(check int) "under cancellation only started tasks count"
-    (16 + ran) s3.Parallel.Stats.tasks_run;
-  Alcotest.(check bool) "busy seconds still monotone" true (busy s3 >= busy s2)
+  Alcotest.(check int) "under cancellation only started tasks ran"
+    (Atomic.get started) ran
 
 let test_single_domain_runs_in_submission_order () =
   (* domains:1 spawns nothing; tasks run on the caller in order. *)

@@ -80,6 +80,118 @@ let test_fault_candidate_and_coverage () =
   Alcotest.(check bool) "all covers the fallback too" true
     (Fault.covers (Some (plan "stall,attempts=all")) ~attempt:5)
 
+(* The spec grammar shared by [--fault] and [--chaos]: each row is a
+   spec and either the canonical [to_string] of the plan it parses to
+   or the exact error text.  The table pins both grammars' behaviour —
+   defaults, every key, positional shorthand, whitespace, and each
+   kind of malformed spec — so the parser they share cannot drift. *)
+let fault_kinds =
+  "(expected stall, nan, slow, dense_kkt, bad_round, crash, hang or oom)"
+
+let fault_rows =
+  [
+    ("stall", Ok "stall");
+    ("nan", Ok "nan");
+    ("slow", Ok "slow");
+    ("dense_kkt", Ok "dense_kkt");
+    ("bad_round", Ok "bad_round");
+    ("crash", Ok "crash");
+    ("hang", Ok "hang");
+    ("oom", Ok "oom");
+    ("stall,iter=0", Ok "stall");
+    ("nan,iter=3", Ok "nan,iter=3");
+    ("stall,attempts=1", Ok "stall");
+    ("stall,attempts=2", Ok "stall,attempts=2");
+    ("stall,attempts=all", Ok "stall,attempts=all");
+    ("stall,only=0", Ok "stall,only=0");
+    ("nan,iter=3,attempts=2,only=1", Ok "nan,iter=3,attempts=2,only=1");
+    ("stall,only=1,iter=2", Ok "stall,iter=2,only=1");
+    ("  stall , iter = 4 ", Ok "stall,iter=4");
+    ("stall,iter=4,iter=5", Ok "stall,iter=5");
+    ("", Error "empty fault spec");
+    ("   ", Error "empty fault spec");
+    ("wedge", Error ("unknown fault kind \"wedge\" " ^ fault_kinds));
+    ("STALL", Error ("unknown fault kind \"STALL\" " ^ fault_kinds));
+    (",iter=1", Error ("unknown fault kind \"\" " ^ fault_kinds));
+    ( "stall,iter=x",
+      Error "fault spec: iter expects a non-negative integer, got \"x\"" );
+    ( "stall,iter=-1",
+      Error "fault spec: iter expects a non-negative integer, got \"-1\"" );
+    ( "stall,only=-2",
+      Error "fault spec: only expects a non-negative integer, got \"-2\"" );
+    ( "stall,attempts=0",
+      Error
+        "fault spec: attempts expects a positive integer or \"all\", got \"0\""
+    );
+    ( "stall,attempts= x",
+      Error
+        "fault spec: attempts expects a positive integer or \"all\", got \"x\""
+    );
+    ("stall,bogus=1", Error "fault spec: unknown option \"bogus\"");
+    ("stall,3", Error "fault spec: malformed option \"3\"");
+    ("stall,", Error "fault spec: malformed option \"\"");
+    ( "stall,iter=x,bogus=1",
+      Error "fault spec: iter expects a non-negative integer, got \"x\"" );
+  ]
+
+let chaos_kinds =
+  "(expected torn, reset, stall, exn, fsync, corrupt or all)"
+
+let chaos_rows =
+  [
+    ("torn", Ok "torn");
+    ("reset", Ok "reset");
+    ("stall", Ok "stall");
+    ("exn", Ok "exn");
+    ("fsync", Ok "fsync");
+    ("corrupt", Ok "corrupt");
+    ("all", Ok "all");
+    ("all,n=4", Ok "all");
+    ("stall,seed=0", Ok "stall");
+    ("all,n=4,seed=123", Ok "all,seed=123");
+    ("all,4,7", Ok "all,seed=7");
+    ("torn,2", Ok "torn,n=2");
+    ("torn,seed=-5", Ok "torn,seed=-5");
+    ("exn,seed=9,n=3", Ok "exn,n=3,seed=9");
+    (" fsync , n = 2 ", Ok "fsync,n=2");
+    ("all,n= 5", Ok "all,n=5");
+    ("corrupt,n=1,5", Ok "corrupt,n=5");
+    ("all,seed=3,2", Ok "all,n=2,seed=3");
+    ("all,n=2,n=3", Ok "all,n=3");
+    ("", Error "empty chaos spec");
+    ("quake", Error ("unknown chaos kind \"quake\" " ^ chaos_kinds));
+    ("Torn", Error ("unknown chaos kind \"Torn\" " ^ chaos_kinds));
+    ("all,n=0", Error "chaos spec: n expects a positive integer, got \"0\"");
+    ("all,n=x", Error "chaos spec: n expects a positive integer, got \"x\"");
+    ("all,seed=x", Error "chaos spec: seed expects an integer, got \"x\"");
+    ("all,bogus=1", Error "chaos spec: unknown option \"bogus\"");
+    ("all,4,7,9", Error "chaos spec: unexpected option \"9\"");
+    ("all,0", Error "chaos spec: n expects a positive integer, got \"0\"");
+    ("all,4,x", Error "chaos spec: seed expects an integer, got \"x\"");
+    ("all,", Error "chaos spec: n expects a positive integer, got \"\"");
+  ]
+
+let test_spec_parity () =
+  let check grammar parse print rows =
+    List.iter
+      (fun (spec, want) ->
+        let got = Result.map print (parse spec) in
+        Alcotest.(check (result string string))
+          (Printf.sprintf "%s %S" grammar spec)
+          want got;
+        (* the canonical form parses back to the same plan *)
+        match (parse spec, want) with
+        | Ok plan, Ok canonical ->
+          Alcotest.(check bool)
+            (Printf.sprintf "%s %S canonical form" grammar spec)
+            true
+            (parse canonical = Ok plan)
+        | _ -> ())
+      rows
+  in
+  check "fault" Fault.of_string Fault.to_string fault_rows;
+  check "chaos" Serve.Chaos.of_string Serve.Chaos.to_string chaos_rows
+
 (* ------------------------------------------------------------------ *)
 (* Equilibration                                                       *)
 (* ------------------------------------------------------------------ *)
@@ -482,6 +594,7 @@ let () =
           Alcotest.test_case "spec roundtrip" `Quick test_fault_roundtrip;
           Alcotest.test_case "candidates and coverage" `Quick
             test_fault_candidate_and_coverage;
+          Alcotest.test_case "spec parity table" `Quick test_spec_parity;
         ] );
       ( "presolve",
         [

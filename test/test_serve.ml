@@ -10,6 +10,7 @@
    but deadlines, fault recovery, admission control and crash/restart
    cache recovery are all deterministic enough to assert here. *)
 
+module Json = Obs.Json
 module Wire = Serve.Wire
 module Protocol = Serve.Protocol
 module Bounded = Serve.Bounded
@@ -23,6 +24,7 @@ module Parse = Taskgraph.Parse
 let check_string = Alcotest.(check string)
 let check_int = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)
+let cli_exe = "../bin/budgetbuf_cli.exe"
 
 (* ------------------------------------------------------------------ *)
 (* Wire codec                                                          *)
@@ -31,32 +33,32 @@ let check_bool = Alcotest.(check bool)
 let test_wire_roundtrip () =
   let obj =
     [
-      ("op", Wire.String "admit");
-      ("id", Wire.String "j\"1\n\\x");
-      ("deadline_s", Wire.Number 0.1);
-      ("n", Wire.Number 42.0);
-      ("flag", Wire.Bool true);
+      ("op", Json.String "admit");
+      ("id", Json.String "j\"1\n\\x");
+      ("deadline_s", Json.Number 0.1);
+      ("n", Json.Number 42.0);
+      ("flag", Json.Bool true);
     ]
   in
-  let line = Wire.render obj in
-  (match Wire.parse line with
+  let line = Json.render obj in
+  (match Json.parse line with
   | Ok obj' ->
     check_bool "objects equal" true (obj = obj');
     check_string "string field" "j\"1\n\\x"
-      (Option.get (Wire.str obj' "id"));
-    check_int "int field" 42 (Option.get (Wire.int obj' "n"));
-    check_bool "bool field" true (Option.get (Wire.bool obj' "flag"))
+      (Option.get (Json.str obj' "id"));
+    check_int "int field" 42 (Option.get (Json.int obj' "n"));
+    check_bool "bool field" true (Option.get (Json.bool obj' "flag"))
   | Error e -> Alcotest.failf "parse failed: %s" e);
   (* %.17g floats survive bit-exactly. *)
   let f = 0.30000000000000004 in
-  match Wire.parse (Wire.render [ ("x", Wire.Number f) ]) with
+  match Json.parse (Json.render [ ("x", Json.Number f) ]) with
   | Ok o ->
-    check_bool "float bit-exact" true (Option.get (Wire.number o "x") = f)
+    check_bool "float bit-exact" true (Option.get (Json.number o "x") = f)
   | Error e -> Alcotest.failf "parse failed: %s" e
 
 let test_wire_rejects () =
   let bad line =
-    match Wire.parse line with
+    match Json.parse line with
     | Ok _ -> Alcotest.failf "accepted %S" line
     | Error _ -> ()
   in
@@ -66,14 +68,14 @@ let test_wire_rejects () =
   bad "{\"a\":1} trailing";
   bad "{\"a\":[1]}";
   bad "not json";
-  (match Wire.render [ ("x", Wire.Number Float.nan) ] with
+  (match Json.render [ ("x", Json.Number Float.nan) ] with
   | exception Invalid_argument _ -> ()
   | _ -> Alcotest.fail "nan must be rejected");
   (* Wrong-typed accessors answer None, not garbage. *)
-  match Wire.parse "{\"a\":1.5}" with
+  match Json.parse "{\"a\":1.5}" with
   | Ok o ->
-    check_bool "not a string" true (Wire.str o "a" = None);
-    check_bool "not integral" true (Wire.int o "a" = None)
+    check_bool "not a string" true (Json.str o "a" = None);
+    check_bool "not integral" true (Json.int o "a" = None)
   | Error e -> Alcotest.failf "parse failed: %s" e
 
 (* ------------------------------------------------------------------ *)
@@ -318,14 +320,45 @@ let test_protocol_rejects () =
   (* missing op *)
   bad "{\"op\":\"admit\",\"id\":\"j\",\"config\":\"x\",\"deadline_s\":\"soon\"}"
 
+(* A line the codec refuses is reported under the name of the message
+   it should have been, with the codec's bare reason: a request, a
+   reply, and each of the worker pipe's three frames — the last also
+   end to end, through a real worker process. *)
+let test_codec_errors_name_the_message () =
+  let check name want got =
+    Alcotest.(check (result reject string)) name (Error want) got
+  in
+  check "request" "malformed request: truncated"
+    (Protocol.request_of_line "{\"op\":");
+  check "reply" "malformed reply: bad value"
+    (Protocol.response_of_line "{\"status\":}");
+  check "worker hello" "malformed worker hello: expected '{'"
+    (Serve.Worker.parse_hello "hello");
+  check "worker task" "malformed task: bad value"
+    (Serve.Worker.parse_task "{\"id\":\"t\",\"config\":}");
+  check "worker reply" "malformed worker reply: duplicate key"
+    (Serve.Worker.parse_reply "{\"status\":\"late\",\"status\":\"late\"}");
+  let from_worker, to_worker =
+    Unix.open_process_args cli_exe [| cli_exe; "worker" |]
+  in
+  output_string to_worker "{\"id\":\"t\",\"config\":}\n";
+  close_out to_worker;
+  ignore (input_line from_worker);
+  let reply = input_line from_worker in
+  ignore (Unix.close_process (from_worker, to_worker));
+  match Serve.Worker.parse_reply reply with
+  | Ok (Serve.Worker.R_failed reason) ->
+    check_string "worker process" "malformed task: bad value" reason
+  | Ok _ | Error _ -> Alcotest.failf "worker answered %S" reply
+
 (* Protocol versioning: ping and ready carry [Protocol.version]; a
    mismatched peer fails with one clean line, while a bare probe
    without the field still passes (it predates versioning). *)
 let test_protocol_version () =
   let ping = Protocol.request_to_line Protocol.Ping in
   check_bool "ping carries v" true
-    (match Wire.parse ping with
-    | Ok obj -> Wire.int obj "v" = Some Protocol.version
+    (match Json.parse ping with
+    | Ok obj -> Json.int obj "v" = Some Protocol.version
     | Error _ -> false);
   (match Protocol.request_of_line "{\"op\":\"ping\"}" with
   | Ok Protocol.Ping -> ()
@@ -341,8 +374,8 @@ let test_protocol_version () =
   | Ok _ -> Alcotest.fail "mismatched ping version must be refused");
   let ready = Protocol.response_to_line (Protocol.Ready { state = Protocol.Serving }) in
   check_bool "ready carries v" true
-    (match Wire.parse ready with
-    | Ok obj -> Wire.int obj "v" = Some Protocol.version
+    (match Json.parse ready with
+    | Ok obj -> Json.int obj "v" = Some Protocol.version
     | Error _ -> false);
   (match
      Protocol.response_of_line
@@ -1351,7 +1384,6 @@ module Worker = Serve.Worker
 (* The suite runs from _build/default/test/; the CLI binary — which
    doubles as the worker via the hidden [worker] mode — sits one
    directory over and is declared as a dune dependency. *)
-let cli_exe = "../bin/budgetbuf_cli.exe"
 
 let contains ~sub s = sub = "" || replace ~sub ~by:"" s <> s
 
@@ -1474,6 +1506,33 @@ let test_supervisor_solve_crash_respawn () =
   check_int "two workers spawned" 2 c.Supervisor.spawned;
   check_int "one worker crashed" 1 c.Supervisor.crashed;
   check_int "none reaped" 0 c.Supervisor.reaped;
+  Supervisor.shutdown sup
+
+(* The oom fault inside a 512 MB address-space box: the worker answers
+   a good task, then allocates until the runtime gives up (uncaught
+   [Out_of_memory], exit 2), and the pool respawns for the next task.
+   (Near 256 MB the OCaml 5 runtime cannot reserve its minor heaps and
+   a worker dies before its hello; docs/serving.md.) *)
+let test_supervisor_oom_respawn () =
+  let sup =
+    Supervisor.create
+      { (supervisor_config ()) with Supervisor.rlimit_mem_mb = Some 512 }
+  in
+  let good id =
+    match Supervisor.solve sup (good_task id) with
+    | Supervisor.Done (Worker.R_solved _) -> ()
+    | o -> Alcotest.failf "good solve %s: %s" id (describe_outcome o)
+  in
+  good "m1";
+  (match
+     Supervisor.solve sup { (good_task "o1") with Worker.task_fault = Some "oom" }
+   with
+  | Supervisor.Crashed reason -> check_string "oom reason" "exit 2" reason
+  | o -> Alcotest.failf "oom solve: %s" (describe_outcome o));
+  good "m2";
+  let c = Supervisor.counters sup in
+  check_int "two workers spawned" 2 c.Supervisor.spawned;
+  check_int "one worker crashed" 1 c.Supervisor.crashed;
   Supervisor.shutdown sup
 
 let test_supervisor_reaps_hang () =
@@ -1870,6 +1929,8 @@ let () =
           Alcotest.test_case "round trips" `Quick test_protocol_roundtrip;
           Alcotest.test_case "rejects" `Quick test_protocol_rejects;
           Alcotest.test_case "version handshake" `Quick test_protocol_version;
+          Alcotest.test_case "codec errors name the message" `Quick
+            test_codec_errors_name_the_message;
         ] );
       ( "bounded",
         [
@@ -1934,6 +1995,8 @@ let () =
             test_quarantine_salvage;
           Alcotest.test_case "supervisor solve, crash, respawn" `Quick
             test_supervisor_solve_crash_respawn;
+          Alcotest.test_case "supervisor oom, respawn" `Quick
+            test_supervisor_oom_respawn;
           Alcotest.test_case "supervisor reaps a hang" `Quick
             test_supervisor_reaps_hang;
           Alcotest.test_case "circuit breaker" `Quick test_supervisor_breaker;

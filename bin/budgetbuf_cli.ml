@@ -1243,7 +1243,7 @@ let do_latency () path =
     List.iter
       (fun g ->
         match
-          Budgetbuf.Latency.chain_bound cfg g r.Mapping.mapped
+          Budgetbuf.Dataflow_model.chain_latency cfg g r.Mapping.mapped
         with
         | Some l ->
           Format.printf "graph %s: end-to-end latency %.3f (period %.3f)@."

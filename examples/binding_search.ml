@@ -10,7 +10,7 @@
 module Config = Taskgraph.Config
 module Mapping = Budgetbuf.Mapping
 module Binding = Budgetbuf.Binding
-module Latency = Budgetbuf.Latency
+module Dataflow_model = Budgetbuf.Dataflow_model
 module Pareto = Budgetbuf.Pareto
 
 let make_config () =
@@ -68,7 +68,9 @@ let () =
   | Ok o ->
     let cfg = o.Binding.config in
     let g = Config.find_graph cfg "pipe" in
-    (match Latency.chain_bound cfg g o.Binding.result.Mapping.mapped with
+    (match
+       Dataflow_model.chain_latency cfg g o.Binding.result.Mapping.mapped
+     with
     | Some l ->
       Format.printf
         "@.end-to-end latency of the best mapping: %.1f Mcycles (period 12)@."

@@ -9,20 +9,22 @@
 
    Run with:  dune exec examples/multirate_sdf.exe *)
 
-module Sdf = Dataflow.Sdf
+module Csdf = Dataflow.Csdf
 module Srdf = Dataflow.Srdf
 module Analysis = Dataflow.Analysis
 module Howard = Dataflow.Howard
 
 let () =
-  let t = Sdf.create () in
+  (* An SDF graph is a one-phase CSDF graph: one duration per actor and
+     one rate per channel endpoint. *)
+  let t = Csdf.create () in
   (* Firing durations in microseconds (illustrative DSP kernel costs). *)
-  let cd = Sdf.add_actor t ~name:"cd" ~duration:2.0 in
-  let fir1 = Sdf.add_actor t ~name:"fir1" ~duration:6.0 in
-  let fir2 = Sdf.add_actor t ~name:"fir2" ~duration:12.0 in
-  let fir3 = Sdf.add_actor t ~name:"fir3" ~duration:24.0 in
-  let fir4 = Sdf.add_actor t ~name:"fir4" ~duration:8.0 in
-  let dat = Sdf.add_actor t ~name:"dat" ~duration:1.0 in
+  let cd = Csdf.add_actor t ~name:"cd" ~durations:[| 2.0 |] in
+  let fir1 = Csdf.add_actor t ~name:"fir1" ~durations:[| 6.0 |] in
+  let fir2 = Csdf.add_actor t ~name:"fir2" ~durations:[| 12.0 |] in
+  let fir3 = Csdf.add_actor t ~name:"fir3" ~durations:[| 24.0 |] in
+  let fir4 = Csdf.add_actor t ~name:"fir4" ~durations:[| 8.0 |] in
+  let dat = Csdf.add_actor t ~name:"dat" ~durations:[| 1.0 |] in
   let chain =
     [
       (cd, 1, fir1, 1); (fir1, 2, fir2, 3); (fir2, 2, fir3, 7);
@@ -31,20 +33,22 @@ let () =
   in
   List.iter
     (fun (src, production, dst, consumption) ->
-      ignore (Sdf.add_channel t ~src ~production ~dst ~consumption ()))
+      ignore
+        (Csdf.add_channel t ~src ~production:[| production |] ~dst
+           ~consumption:[| consumption |] ()))
     chain;
 
-  (match Sdf.repetition_vector t with
+  (match Csdf.repetition_vector t with
   | Error e ->
     Format.printf "inconsistent: %s@." e;
     exit 1
   | Ok q ->
     Format.printf "repetition vector (firings per iteration):@.";
     List.iter
-      (fun a -> Format.printf "  %-6s %d@." (Sdf.actor_name t a) (q a))
+      (fun a -> Format.printf "  %-6s %d@." (Csdf.actor_name t a) (q a))
       [ cd; fir1; fir2; fir3; fir4; dat ]);
 
-  (match Sdf.expand t with
+  (match Csdf.expand t with
   | Error e ->
     Format.printf "expansion failed: %s@." e;
     exit 1
@@ -61,7 +65,7 @@ let () =
 
   (* Sequential actors (one firing in flight per actor) give the real
      iteration bound: max over actors of q(a)·duration(a). *)
-  match Sdf.iteration_period ~serialize:true t with
+  match Csdf.iteration_period ~serialize:true t with
   | Error e ->
     Format.printf "%s@." e;
     exit 1

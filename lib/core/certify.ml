@@ -94,16 +94,8 @@ let certify_graph cfg (mapped : Config.mapped) ~beta ~repl ~node g =
       (match Config.latency_bound cfg g with
       | None -> ()
       | Some bound ->
-          let has_input w =
-            List.exists (fun b -> Config.buffer_dst cfg b = w) buffers
-          and has_output w =
-            List.exists (fun b -> Config.buffer_src cfg b = w) buffers
-          in
-          (match
-             ( List.filter (fun w -> not (has_input w)) tasks,
-               List.filter (fun w -> not (has_output w)) tasks )
-           with
-          | [ src ], [ snk ] ->
+          (match Dataflow_model.chain_ends cfg g with
+          | Some (src, snk) ->
               let v_src = node.(Config.task_id src) in
               let v_snk = node.(Config.task_id snk) + 1 in
               let latency =
@@ -114,7 +106,7 @@ let certify_graph cfg (mapped : Config.mapped) ~beta ~repl ~node g =
                   (Violated
                      (Violation.Latency
                         { graph; latency = Rat.to_float latency; bound }))
-          | _ -> ()));
+          | None -> ()));
       List.mapi (fun i di -> (names.(i), di)) (Array.to_list d)
 
 let check_exn cfg (mapped : Config.mapped) =

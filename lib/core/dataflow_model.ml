@@ -85,10 +85,7 @@ let throughput_ok cfg g (mapped : Config.mapped) =
     Analysis.pas_exists model.srdf ~period:(Config.period cfg g)
   | exception Invalid_argument _ -> false
 
-(* End-to-end latency of the earliest PAS, for graphs with a unique
-   source/sink pair; [None] when no PAS exists (the throughput check
-   reports that case separately). *)
-let latency_of cfg g (mapped : Config.mapped) =
+let chain_ends cfg g =
   let tasks = Config.tasks cfg g and buffers = Config.buffers cfg g in
   let has_input w = List.exists (fun b -> Config.buffer_dst cfg b = w) buffers in
   let has_output w = List.exists (fun b -> Config.buffer_src cfg b = w) buffers in
@@ -96,24 +93,34 @@ let latency_of cfg g (mapped : Config.mapped) =
     ( List.filter (fun w -> not (has_input w)) tasks,
       List.filter (fun w -> not (has_output w)) tasks )
   with
-  | [ src ], [ snk ] -> begin
-    match
-      build cfg g ~budget:mapped.Config.budget
-        ~capacity:mapped.Config.capacity
-    with
-    | exception Invalid_argument _ -> None
-    | model -> begin
-      let srdf = model.srdf in
-      match Analysis.pas_start_times srdf ~period:(Config.period cfg g) with
-      | None -> None
-      | Some s ->
-        let v_src = model.actor1 src and v_dst = model.actor2 snk in
-        Some
-          (s.(Srdf.actor_id v_dst) +. Srdf.duration srdf v_dst
-          -. s.(Srdf.actor_id v_src))
-    end
-  end
+  | [ src ], [ snk ] -> Some (src, snk)
   | _ -> None
+
+(* From the activation of [src] to the completion of [snk] under the
+   earliest PAS; [None] when no PAS exists. *)
+let pas_latency cfg g (mapped : Config.mapped) (src, snk) =
+  match
+    build cfg g ~budget:mapped.Config.budget ~capacity:mapped.Config.capacity
+  with
+  | exception Invalid_argument _ -> None
+  | model -> begin
+    let srdf = model.srdf in
+    match Analysis.pas_start_times srdf ~period:(Config.period cfg g) with
+    | None -> None
+    | Some s ->
+      let v_src = model.actor1 src and v_dst = model.actor2 snk in
+      Some
+        (s.(Srdf.actor_id v_dst) +. Srdf.duration srdf v_dst
+        -. s.(Srdf.actor_id v_src))
+  end
+
+let chain_latency cfg g mapped =
+  match chain_ends cfg g with
+  | Some ends -> pas_latency cfg g mapped ends
+  | None ->
+    invalid_arg
+      "Dataflow_model.chain_latency: the graph has no unique source/sink \
+       pair"
 
 let verify cfg (mapped : Config.mapped) =
   let problems = ref [] in
@@ -164,8 +171,10 @@ let verify cfg (mapped : Config.mapped) =
       match Config.latency_bound cfg g with
       | None -> ()
       | Some bound -> begin
-        match latency_of cfg g mapped with
-        | None -> () (* throughput check already reported the failure *)
+        (* Graphs without a unique source/sink pair go unchecked; no
+           PAS: the throughput check already reported the failure. *)
+        match Option.bind (chain_ends cfg g) (pas_latency cfg g mapped) with
+        | None -> ()
         | Some l ->
           if l > bound +. 1e-6 then
             add

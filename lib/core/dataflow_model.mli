@@ -44,6 +44,29 @@ val throughput_ok :
   Taskgraph.Config.t -> Taskgraph.Config.graph -> Taskgraph.Config.mapped ->
   bool
 
+(** [chain_ends cfg g] is the unique task of [g] with no incoming
+    buffer and the unique task with no outgoing buffer, as
+    [Some (source, sink)]; [None] when either is not unique. *)
+val chain_ends :
+  Taskgraph.Config.t ->
+  Taskgraph.Config.graph ->
+  (Taskgraph.Config.task * Taskgraph.Config.task) option
+
+(** [chain_latency cfg g mapped] is the end-to-end latency (Mcycles)
+    of [g] from the activation of its source to the completion of its
+    sink ({!chain_ends}).  Data item [k] is accepted when the source's
+    waiting actor starts its [k]-th firing and delivered when the
+    sink's processing actor finishes its [k]-th firing, so under a PAS
+    with start times [s] the per-item latency is the constant
+    [s(sink.v2) + ρ(sink.v2) − s(source.v1)]; the start times are
+    those of the earliest PAS with period [µ(g)] (Bellman–Ford
+    potentials).  [None] when the mapped graph admits no such
+    schedule.
+    @raise Invalid_argument when [g] has no unique source/sink pair. *)
+val chain_latency :
+  Taskgraph.Config.t -> Taskgraph.Config.graph -> Taskgraph.Config.mapped ->
+  float option
+
 (** [verify cfg mapped] checks the whole mapped configuration:
     throughput of every task graph (via {!throughput_ok}), processor
     budget capacity (Constraint (4) plus overhead), and memory

@@ -146,7 +146,7 @@ let throughput_curve ?params ?policy ?pool ?deadline ?candidate_deadline
   let solve_cap index =
     let cap = caps.(index) in
     let candidate_policy =
-      { policy with Recovery.fault = Fault.for_candidate policy.Recovery.fault ~index }
+      { Recovery.fault = Fault.for_candidate policy.Recovery.fault ~index }
     in
     let params =
       Durability.params_with_obs

@@ -1,5 +1,5 @@
 module Config = Taskgraph.Config
-module Sdf = Dataflow.Sdf
+module Csdf = Dataflow.Csdf
 
 type rtask = int
 type rchannel = int
@@ -110,10 +110,6 @@ type provenance = {
   channel_capacity : Config.mapped -> rchannel -> int;
 }
 
-let floor_div a b = if a >= 0 then a / b else -(((-a) + b - 1) / b)
-let ceil_div a b = -floor_div (-a) b
-let emod a b = ((a mod b) + b) mod b
-
 let compile ?(serialize = false) t =
   match t.default_memory with
   | None -> Error "Multirate.compile: at least one memory is required"
@@ -140,33 +136,39 @@ let compile ?(serialize = false) t =
     let proc_of p = List.assoc (Config.proc_id p) procs in
     let task_list = List.rev t.task_infos in
     let channel_list = List.rev t.channel_infos in
-    (* Repetition vectors per graph via the SDF balance equations. *)
+    (* Each graph is a one-phase CSDF graph: its repetition vector and
+       the dependency queues of its channels come from the expansion. *)
     let rec per_graph acc = function
       | [] -> Ok (List.rev acc)
       | (gname, period) :: rest -> begin
-        let sdf = Sdf.create () in
-        let sdf_actor = Hashtbl.create 16 in
+        let csdf = Csdf.create () in
+        let actor = Hashtbl.create 16 and channel = Hashtbl.create 16 in
         List.iteri
           (fun w info ->
             if info.tgraph = gname then
-              Hashtbl.replace sdf_actor w
-                (Sdf.add_actor sdf ~name:info.tname ~duration:info.wcet))
+              Hashtbl.replace actor w
+                (Csdf.add_actor csdf ~name:info.tname
+                   ~durations:[| info.wcet |]))
           task_list;
-        List.iter
-          (fun ch ->
+        List.iteri
+          (fun cidx ch ->
             if ch.cgraph = gname then
-              ignore
-                (Sdf.add_channel sdf
-                   ~src:(Hashtbl.find sdf_actor ch.csrc)
-                   ~production:ch.production
-                   ~dst:(Hashtbl.find sdf_actor ch.cdst)
-                   ~consumption:ch.consumption ~initial_tokens:ch.initial ()))
+              Hashtbl.replace channel cidx
+                (Csdf.add_channel csdf
+                   ~src:(Hashtbl.find actor ch.csrc)
+                   ~production:[| ch.production |]
+                   ~dst:(Hashtbl.find actor ch.cdst)
+                   ~consumption:[| ch.consumption |]
+                   ~initial_tokens:ch.initial ()))
           channel_list;
-        match Sdf.repetition_vector sdf with
+        match Csdf.repetition_vector csdf with
         | Error msg -> Error (Printf.sprintf "graph %s: %s" gname msg)
         | Ok q ->
-          let rep w = q (Hashtbl.find sdf_actor w) in
-          per_graph ((gname, period, rep) :: acc) rest
+          let rep w = q (Hashtbl.find actor w) in
+          let deps cidx =
+            Csdf.dependencies csdf q (Hashtbl.find channel cidx)
+          in
+          per_graph ((gname, period, rep, deps) :: acc) rest
       end
     in
     (match per_graph [] (List.rev t.graph_periods) with
@@ -175,7 +177,7 @@ let compile ?(serialize = false) t =
       let copy_table = Hashtbl.create 16 in
       let fifo_table = Hashtbl.create 16 in
       List.iter
-        (fun (gname, period, rep) ->
+        (fun (gname, period, rep, deps) ->
           let g = Config.add_graph cfg ~name:gname ~period () in
           (* Firing copies. *)
           List.iteri
@@ -211,39 +213,22 @@ let compile ?(serialize = false) t =
                 done
               end)
             task_list;
-          (* Channel dependencies, as in the SDF→HSDF expansion. *)
+          (* One FIFO per dependency queue, created in expansion
+             order. *)
           List.iteri
             (fun cidx ch ->
-              if ch.cgraph = gname then begin
-                let qa = rep ch.csrc and qb = rep ch.cdst in
-                let bests = Hashtbl.create 16 in
-                for l = 1 to qb do
-                  for j = 1 to ch.consumption do
-                    let n_tok = (ch.consumption * (l - 1)) + j in
-                    let k' = ceil_div (n_tok - ch.initial) ch.production in
-                    let s = emod (k' - 1) qa + 1 in
-                    let it = ((k' - s) / qa) + 1 in
-                    let delta = 1 - it in
-                    let key = (s, l) in
-                    match Hashtbl.find_opt bests key with
-                    | Some d when d <= delta -> ()
-                    | Some _ | None -> Hashtbl.replace bests key delta
-                  done
-                done;
-                let fifos =
-                  Hashtbl.fold
-                    (fun (s, l) delta acc ->
-                      Config.add_buffer cfg g
-                        ~name:(Printf.sprintf "%s#%d-%d" ch.cname s l)
-                        ~src:(copy ch.csrc s) ~dst:(copy ch.cdst l)
-                        ~memory:(mem_of default_memory)
-                        ~container_size:ch.container_size
-                        ~initial_tokens:delta ~weight:ch.cweight ()
-                      :: acc)
-                    bests []
-                in
-                Hashtbl.replace fifo_table cidx fifos
-              end)
+              if ch.cgraph = gname then
+                Hashtbl.replace fifo_table cidx
+                  (List.fold_left
+                     (fun acc (s, l, tokens) ->
+                       Config.add_buffer cfg g
+                         ~name:(Printf.sprintf "%s#%d-%d" ch.cname s l)
+                         ~src:(copy ch.csrc s) ~dst:(copy ch.cdst l)
+                         ~memory:(mem_of default_memory)
+                         ~container_size:ch.container_size
+                         ~initial_tokens:tokens ~weight:ch.cweight ()
+                       :: acc)
+                     [] (deps cidx)))
             channel_list)
         graph_data;
       let copies w =

@@ -69,8 +69,10 @@ type provenance = {
       (** total containers over all FIFOs of the channel *)
 }
 
-(** [compile ?serialize t] expands every graph (repetition vectors,
-    inter-firing dependencies) into a single-rate configuration.  The
+(** [compile ?serialize t] expands every graph, as a one-phase
+    {!Dataflow.Csdf} graph (its repetition vector and
+    {!Dataflow.Csdf.dependencies}), into a single-rate configuration:
+    one FIFO per dependency queue, in expansion order.  The
     per-iteration period of a graph becomes the period of the compiled
     graph (each copy fires exactly once per iteration).
 

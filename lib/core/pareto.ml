@@ -113,7 +113,7 @@ let frontier ?(steps = 9) ?params ?policy ?pool ?deadline ?candidate_deadline
   let solve_ratio index =
     let ratio = ratios.(index) in
     let candidate_policy =
-      { policy with Recovery.fault = Fault.for_candidate policy.Recovery.fault ~index }
+      { Recovery.fault = Fault.for_candidate policy.Recovery.fault ~index }
     in
     let params =
       Durability.params_with_warm

@@ -75,7 +75,7 @@ let build cfg (mapped : Config.mapped) =
           period_min;
           slack = Sensitivity.throughput_slack cfg graph mapped;
           latency =
-            (try Latency.chain_bound cfg graph mapped
+            (try Dataflow_model.chain_latency cfg graph mapped
              with Invalid_argument _ -> None);
           critical = Sensitivity.critical_cycle cfg graph mapped;
         })

@@ -135,25 +135,15 @@ let build cfg =
     (fun gr ->
       match Config.latency_bound cfg gr with
       | None -> ()
-      | Some bound ->
-        let tasks = Config.tasks cfg gr and buffers = Config.buffers cfg gr in
-        let has_input w =
-          List.exists (fun b -> Config.buffer_dst cfg b = w) buffers
-        in
-        let has_output w =
-          List.exists (fun b -> Config.buffer_src cfg b = w) buffers
-        in
-        (match
-           ( List.filter (fun w -> not (has_input w)) tasks,
-             List.filter (fun w -> not (has_output w)) tasks )
-         with
-        | [ src ], [ snk ] ->
+      | Some bound -> (
+        match Dataflow_model.chain_ends cfg gr with
+        | Some (src, snk) ->
           Model.add_le m
             (Model.add
                (Model.affine [ (1.0, svar2 snk); (-1.0, svar1 src) ])
                (rho2 snk))
             (Model.const bound)
-        | _ ->
+        | None ->
           invalid_arg
             (Printf.sprintf
                "Socp_builder: graph %s has a latency bound but no unique \

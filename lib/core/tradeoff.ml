@@ -172,7 +172,7 @@ let capacity_sweep ?params ?policy ?pool ?deadline ?candidate_deadline ?journal
   let solve_cap index =
     let cap = caps.(index) in
     let candidate_policy =
-      { policy with Recovery.fault = Fault.for_candidate policy.Recovery.fault ~index }
+      { Recovery.fault = Fault.for_candidate policy.Recovery.fault ~index }
     in
     let params =
       Durability.params_with_warm

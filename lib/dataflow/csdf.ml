@@ -90,29 +90,69 @@ let phases t a =
   check_actor t a;
   phases_of (actor_infos t).(a)
 
-(* The balance equations over whole phase cycles coincide with an SDF
-   graph whose rates are the per-cycle sums, so delegate. *)
+let rec gcd a b = if b = 0 then a else gcd b (a mod b)
+
+let lcm a b = a / gcd a b * b
+
+(* Solve the balance equations over whole phase cycles,
+   q(src)·Σproduction = q(dst)·Σconsumption, by propagating rational
+   cycle counts over the channels (BFS per connected component), then
+   scaling each component to the smallest positive integer vector. *)
 let repetition_vector t =
-  let sdf = Sdf.create () in
-  let infos = actor_infos t in
-  let sdf_actors =
-    Array.map (fun info -> Sdf.add_actor sdf ~name:info.name ~duration:0.0) infos
-  in
+  let n = t.nactors in
   let sum = Array.fold_left ( + ) 0 in
+  let adj = Array.make n [] in
   List.iter
     (fun ch ->
-      ignore
-        (Sdf.add_channel sdf ~src:sdf_actors.(ch.src)
-           ~production:(sum ch.production) ~dst:sdf_actors.(ch.dst)
-           ~consumption:(sum ch.consumption) ()))
+      let p = sum ch.production and c = sum ch.consumption in
+      adj.(ch.src) <- (ch.dst, p, c) :: adj.(ch.src);
+      adj.(ch.dst) <- (ch.src, c, p) :: adj.(ch.dst))
     (List.rev t.channel_infos);
-  match Sdf.repetition_vector sdf with
-  | Error _ as e -> e
-  | Ok q ->
+  (* q(a) as the reduced fraction num/den; den = 0 while unvisited. *)
+  let num = Array.make n 0 and den = Array.make n 0 in
+  let components = ref [] and consistent = ref true in
+  for root = 0 to n - 1 do
+    if den.(root) = 0 then begin
+      num.(root) <- 1;
+      den.(root) <- 1;
+      let members = ref [ root ] in
+      let queue = Queue.create () in
+      Queue.add root queue;
+      while not (Queue.is_empty queue) do
+        let a = Queue.take queue in
+        List.iter
+          (fun (b, rate_a, rate_b) ->
+            (* rate_a·q(a) = rate_b·q(b) ⟹ q(b) = q(a)·rate_a/rate_b *)
+            let nb = num.(a) * rate_a and db = den.(a) * rate_b in
+            if den.(b) = 0 then begin
+              let g = gcd nb db in
+              num.(b) <- nb / g;
+              den.(b) <- db / g;
+              members := b :: !members;
+              Queue.add b queue
+            end
+            else if num.(b) * db <> nb * den.(b) then consistent := false)
+          adj.(a)
+      done;
+      components := !members :: !components
+    end
+  done;
+  if not !consistent then
+    Error "inconsistent SDF graph: the balance equations have no solution"
+  else begin
+    let q = Array.make n 0 in
+    List.iter
+      (fun members ->
+        let l = List.fold_left (fun acc a -> lcm acc den.(a)) 1 members in
+        List.iter (fun a -> q.(a) <- num.(a) * (l / den.(a))) members;
+        let g = List.fold_left (fun acc a -> gcd acc q.(a)) 0 members in
+        List.iter (fun a -> q.(a) <- q.(a) / g) members)
+      !components;
     Ok
       (fun a ->
         check_actor t a;
-        q sdf_actors.(a))
+        q.(a))
+  end
 
 type expansion = {
   srdf : Srdf.t;
@@ -148,6 +188,34 @@ let producing_firing rates m =
   in
   search (approx_cycles * p)
 
+(* The j-th token consumed by firing l of dst was produced by firing k′
+   of src, counted across iterations (k′ ≤ 0: an initial token).
+   Decomposing k′ into (iteration, firing s) gives the dependency
+   s → l and its token count, the iteration distance.  A firing pair
+   keeps its smallest distance; pairs come out in hash-table order. *)
+let channel_dependencies infos q ch =
+  let firings a = q a * phases_of infos.(a) in
+  let qa = firings ch.src and qb = firings ch.dst in
+  let bests = Hashtbl.create 16 in
+  for l = 1 to qb do
+    for n_tok = cumulative ch.consumption (l - 1) + 1
+        to cumulative ch.consumption l do
+      let k' = producing_firing ch.production (n_tok - ch.initial) in
+      let s = emod (k' - 1) qa + 1 in
+      let delta = (s - k') / qa in
+      assert (delta >= 0);
+      match Hashtbl.find_opt bests (s, l) with
+      | Some d when d <= delta -> ()
+      | Some _ | None -> Hashtbl.replace bests (s, l) delta
+    done
+  done;
+  List.rev (Hashtbl.fold (fun (s, l) d acc -> (s, l, d) :: acc) bests [])
+
+let dependencies t q c =
+  if c < 0 || c >= t.nchannels then invalid_arg "Csdf: unknown channel";
+  channel_dependencies (actor_infos t) q
+    (List.nth t.channel_infos (t.nchannels - 1 - c))
+
 let expand ?(serialize = false) t =
   match repetition_vector t with
   | Error _ as e -> e
@@ -171,6 +239,8 @@ let expand ?(serialize = false) t =
           let qn = Array.length arr in
           if qn > 1 then
             for k = 0 to qn - 1 do
+              (* Chain firing k → k+1, closing the cycle with one token
+                 so at most one firing of the actor is in flight. *)
               ignore
                 (Srdf.add_edge srdf ~src:arr.(k)
                    ~dst:arr.((k + 1) mod qn)
@@ -179,31 +249,14 @@ let expand ?(serialize = false) t =
         copies;
     List.iter
       (fun ch ->
-        let qa = firings_per_iter ch.src and qb = firings_per_iter ch.dst in
-        let bests = Hashtbl.create 16 in
-        for l = 1 to qb do
-          let consumed_before = cumulative ch.consumption (l - 1) in
-          let consumed_after = cumulative ch.consumption l in
-          for n_tok = consumed_before + 1 to consumed_after do
-            let k' = producing_firing ch.production (n_tok - ch.initial) in
-            let s = emod (k' - 1) qa + 1 in
-            let it = ((k' - s) / qa) + 1 in
-            let delta = 1 - it in
-            assert (delta >= 0);
-            let key = (s, l) in
-            match Hashtbl.find_opt bests key with
-            | Some d when d <= delta -> ()
-            | Some _ | None -> Hashtbl.replace bests key delta
-          done
-        done;
-        Hashtbl.iter
-          (fun (s, l) delta ->
+        List.iter
+          (fun (s, l, tokens) ->
             ignore
               (Srdf.add_edge srdf
                  ~src:copies.(ch.src).(s - 1)
                  ~dst:copies.(ch.dst).(l - 1)
-                 ~tokens:delta))
-          bests)
+                 ~tokens))
+          (channel_dependencies infos q ch))
       (List.rev t.channel_infos);
     Ok
       {

@@ -16,13 +16,13 @@
 
    Two opt-in extensions serve the chaos-hardened memo cache:
 
-   - salvage mode ([resume ~salvage]): a damaged line in the middle of
-     the file no longer drops everything after it.  The damaged line is
-     handed to the callback (for a .quarantine sidecar) and the valid
-     entries beyond it are kept; the file is compacted to a clean copy
-     via an atomic tmp+rename.  An unterminated tail chunk is still
-     silently truncated — it is the expected residue of a crash, not
-     data loss.
+   - salvage mode ([resume ~salvage:true]): a damaged line in the
+     middle of the file no longer drops everything after it.  The
+     damaged line is appended to the <path>.quarantine sidecar
+     (fsync'd) and the valid entries beyond it are kept; the file is
+     compacted to a clean copy via an atomic tmp+rename.  An
+     unterminated tail chunk is still silently truncated — it is the
+     expected residue of a crash, not data loss.
 
    - [replace]: rewrites the whole journal with a given entry list
      (fresh header, fresh CRCs) through the same tmp+fsync+rename
@@ -40,6 +40,7 @@ type t = {
   mutex : Mutex.t;
   mutable closed : bool;
   entries : entry list;
+  salvaged : int;
   fp : string;
   chaos : (unit -> io_fault) option;
 }
@@ -156,14 +157,26 @@ let atomic_rewrite ~fingerprint path entries =
   Unix.rename tmp path;
   fsync_dir path
 
-let resume ?salvage ?chaos ~fingerprint path =
+(* Append the damaged lines to the sidecar and fsync it: the operator
+   keeps the raw bytes the compaction drops. *)
+let quarantine path lines =
+  let fd =
+    Unix.openfile (path ^ ".quarantine")
+      [ Unix.O_WRONLY; Unix.O_CREAT; Unix.O_APPEND ]
+      0o644
+  in
+  List.iter (fun line -> write_fully fd (line ^ "\n")) lines;
+  Unix.fsync fd;
+  Unix.close fd
+
+let resume ?(salvage = false) ?chaos ~fingerprint path =
   (* A stale .tmp is the residue of a crash mid-compaction: the rename
      never happened, so the real journal is intact and the partial
      copy is garbage. *)
   (try Sys.remove (tmp_path path) with Sys_error _ -> ());
   if Sys.file_exists path then begin
     let content = In_channel.with_open_bin path In_channel.input_all in
-    match load ~salvage:(Option.is_some salvage) content with
+    match load ~salvage content with
     | Error msg -> Error (Printf.sprintf "resume journal %s: %s" path msg)
     | Ok (entries, good_len, found, damaged) ->
       if not (String.equal found fingerprint) then
@@ -174,13 +187,12 @@ let resume ?salvage ?chaos ~fingerprint path =
               start over"
              path)
       else begin
-        (match salvage with
-        | Some quarantine -> List.iter quarantine damaged
-        | None -> ());
-        if damaged <> [] then
+        if damaged <> [] then begin
           (* Compact away the damage so the on-disk file is clean
-             again; the quarantine callback above kept the raw bytes. *)
+             again; the sidecar keeps the raw bytes. *)
+          quarantine path damaged;
           atomic_rewrite ~fingerprint path entries
+        end
         else begin
           let fd = Unix.openfile path [ Unix.O_WRONLY ] 0o644 in
           if good_len < String.length content then Unix.ftruncate fd good_len;
@@ -195,6 +207,7 @@ let resume ?salvage ?chaos ~fingerprint path =
             mutex = Mutex.create ();
             closed = false;
             entries;
+            salvaged = List.length damaged;
             fp = fingerprint;
             chaos;
           }
@@ -220,12 +233,14 @@ let resume ?salvage ?chaos ~fingerprint path =
           mutex = Mutex.create ();
           closed = false;
           entries = [];
+          salvaged = 0;
           fp = fingerprint;
           chaos;
         }
   end
 
 let entries t = t.entries
+let salvaged t = t.salvaged
 let path t = t.path
 
 (* Flip one byte in the middle of the line body so the CRC no longer

@@ -39,20 +39,20 @@ val fingerprint : string list -> string
     when the file is not a journal, its header is damaged, or its
     fingerprint differs from [fingerprint].
 
-    [?salvage] switches damaged-line handling from truncate-at-first-
-    damage to quarantine-and-continue: each damaged {e terminated}
-    interior line is passed (raw, without its newline) to the callback,
-    the valid CRC'd entries beyond it are kept, and the file is
-    compacted to a clean copy via an atomic tmp+rename.  An
-    unterminated tail chunk is still silently truncated in either
-    mode.  A stale [<path>.tmp] left by a crash mid-compaction is
+    [~salvage:true] (default [false]) switches damaged-line handling
+    from truncate-at-first-damage to quarantine-and-continue: each
+    damaged {e terminated} interior line is appended raw to the
+    [<path>.quarantine] sidecar (fsync'd; count in {!salvaged}), the
+    valid CRC'd entries beyond it are kept, and the file is compacted
+    to a clean copy via an atomic tmp+rename.  An unterminated tail
+    chunk is still silently truncated in either mode.  A stale [<path>.tmp] left by a crash mid-compaction is
     removed on open.
 
     [?chaos] installs a per-record fault hook consulted by {!record}
     (one draw per call) — the deterministic injection point used by
     the serve-layer chaos campaigns. *)
 val resume :
-  ?salvage:(string -> unit) ->
+  ?salvage:bool ->
   ?chaos:(unit -> io_fault) ->
   fingerprint:string ->
   string ->
@@ -62,6 +62,10 @@ val resume :
     (empty for a fresh journal).  Records appended by {!record} after
     opening are not reflected. *)
 val entries : t -> entry list
+
+(** [salvaged t] is the number of damaged lines {!resume} moved to the
+    sidecar (0 without [~salvage:true]). *)
+val salvaged : t -> int
 
 (** [record t ~index ~payload] durably appends one completed-candidate
     line: the call returns only after [fsync].  Thread-safe.

@@ -499,7 +499,9 @@ let latency ppf =
       | Error e -> Format.fprintf ppf "  %-14s %a@." label Mapping.pp_error e
       | Ok r ->
         let achieved =
-          match Budgetbuf.Latency.chain_bound cfg g r.Mapping.mapped with
+          match
+            Budgetbuf.Dataflow_model.chain_latency cfg g r.Mapping.mapped
+          with
           | Some l -> Printf.sprintf "%.2f" l
           | None -> "-"
         in

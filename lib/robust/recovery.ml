@@ -28,14 +28,13 @@ let pp_trace ppf trace =
     (fun ppf a -> Format.fprintf ppf "%s: %s" (stage_name a.stage) a.status)
     ppf trace
 
-type policy = { fault : Fault.plan option; max_rungs : int }
+type policy = { fault : Fault.plan option }
 
-let default_policy () = { fault = Fault.of_env (); max_rungs = 4 }
-let no_recovery = { fault = None; max_rungs = 1 }
+let default_policy () = { fault = Fault.of_env () }
 
 let with_fault = function
   | None -> default_policy ()
-  | Some plan -> { (default_policy ()) with fault = Some plan }
+  | Some plan -> { fault = Some plan }
 
 let rung_params (base : Socp.params) = function
   | Base | Fallback_lp -> base
@@ -69,9 +68,6 @@ let cone_stages = [ Base; Relaxed; Deep; Jittered ]
 
 let solve_model ?policy ?(params = Socp.default_params) m =
   let policy = match policy with Some p -> p | None -> default_policy () in
-  let rungs =
-    List.filteri (fun i _ -> i < Int.max 1 policy.max_rungs) cone_stages
-  in
   let run attempt_no stage =
     let p = rung_params params stage in
     let p =
@@ -136,4 +132,4 @@ let solve_model ?policy ?(params = Socp.default_params) m =
       | Socp.Iteration_limit | Socp.Stalled ->
         if rest = [] then (r, final) else climb (attempt_no + 1) trace rest)
   in
-  climb 1 [] rungs
+  climb 1 [] cone_stages

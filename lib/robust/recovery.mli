@@ -58,7 +58,6 @@ val pp_trace : Format.formatter -> trace -> unit
 
 type policy = {
   fault : Fault.plan option;  (** injected faults, for tests *)
-  max_rungs : int;  (** how many cone-solver rungs to climb, 1–4 *)
 }
 
 (** [default_policy ()] reads {!Fault.of_env} and enables the full
@@ -66,10 +65,6 @@ type policy = {
     when the library was loaded earlier.
     @raise Invalid_argument on a malformed [BUDGETBUF_FAULT]. *)
 val default_policy : unit -> policy
-
-(** [no_recovery] disables every retry (the pre-ladder behaviour):
-    one [Base] attempt, no fault. *)
-val no_recovery : policy
 
 (** [with_fault plan] is {!default_policy} with [plan] injected in
     place of [BUDGETBUF_FAULT]; [None] keeps the environment's plan.

@@ -124,11 +124,8 @@ type t = {
   mutable journal_lines : int;  (* entry lines on disk, live or dead *)
   mutable total_lines : int;  (* entry lines ever appended (monotone) *)
   mutable compactions : int;
-  mutable quarantined : int;
   mutable io_errors : int;
 }
-
-let quarantine_path path = path ^ ".quarantine"
 
 let open_ ?max_entries ?chaos path =
   (match max_entries with
@@ -138,24 +135,7 @@ let open_ ?max_entries ?chaos path =
   (* Damaged interior lines are not data loss: Journal salvage mode
      keeps the trustworthy entries around them, and the raw damaged
      bytes land in the .quarantine sidecar for the operator. *)
-  let quarantined = ref 0 in
-  let salvage line =
-    let fd =
-      Unix.openfile (quarantine_path path)
-        [ Unix.O_WRONLY; Unix.O_CREAT; Unix.O_APPEND ]
-        0o644
-    in
-    let line = line ^ "\n" in
-    let rec go pos =
-      if pos < String.length line then
-        go (pos + Unix.write_substring fd line pos (String.length line - pos))
-    in
-    go 0;
-    Unix.fsync fd;
-    Unix.close fd;
-    incr quarantined
-  in
-  match Durable.Journal.resume ~salvage ?chaos ~fingerprint path with
+  match Durable.Journal.resume ~salvage:true ?chaos ~fingerprint path with
   | Error _ as e -> e
   | Ok journal ->
     let table = Hashtbl.create 64 in
@@ -189,7 +169,6 @@ let open_ ?max_entries ?chaos path =
         journal_lines = !lines;
         total_lines = !lines;
         compactions = 0;
-        quarantined = !quarantined;
         io_errors = 0;
       }
 
@@ -269,7 +248,7 @@ let stats t =
       journal_lines = t.journal_lines;
       total_lines = t.total_lines;
       compactions = t.compactions;
-      quarantined = t.quarantined;
+      quarantined = Durable.Journal.salvaged t.journal;
       io_errors = t.io_errors;
     }
   in

@@ -31,7 +31,6 @@ type t = {
   counts : (string, int ref) Hashtbl.t;
   mutable next_index : int;
   mutable crashes : int;
-  mutable salvaged : int;
   mutable io_errors : int;
 }
 
@@ -49,8 +48,6 @@ let decode_payload payload =
     Some (key, reason)
   | _ -> None
   | exception (Scanf.Scan_failure _ | Failure _ | End_of_file) -> None
-
-let sidecar_path path = path ^ ".quarantine"
 
 let create ?path ?chaos ~threshold () =
   if threshold < 1 then
@@ -71,28 +68,10 @@ let create ?path ?chaos ~threshold () =
         counts;
         next_index = 0;
         crashes = 0;
-        salvaged = 0;
         io_errors = 0;
       }
   | Some path -> (
-    let salvaged = ref 0 in
-    let salvage line =
-      let fd =
-        Unix.openfile (sidecar_path path)
-          [ Unix.O_WRONLY; Unix.O_CREAT; Unix.O_APPEND ]
-          0o644
-      in
-      let line = line ^ "\n" in
-      let rec go pos =
-        if pos < String.length line then
-          go (pos + Unix.write_substring fd line pos (String.length line - pos))
-      in
-      go 0;
-      Unix.fsync fd;
-      Unix.close fd;
-      incr salvaged
-    in
-    match Durable.Journal.resume ~salvage ?chaos ~fingerprint path with
+    match Durable.Journal.resume ~salvage:true ?chaos ~fingerprint path with
     | Error _ as e -> e
     | Ok journal ->
       let next_index = ref 0 in
@@ -114,7 +93,6 @@ let create ?path ?chaos ~threshold () =
           counts;
           next_index = !next_index;
           crashes = !crashes;
-          salvaged = !salvaged;
           io_errors = 0;
         })
 
@@ -173,7 +151,8 @@ let stats t =
       keys = Hashtbl.length t.counts;
       poisoned;
       crashes = t.crashes;
-      salvaged = t.salvaged;
+      salvaged =
+        Option.fold ~none:0 ~some:Durable.Journal.salvaged t.journal;
       io_errors = t.io_errors;
     }
   in

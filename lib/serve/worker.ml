@@ -190,7 +190,7 @@ let parse ~config ~fault =
     | Some spec -> (
       match Robust.Fault.of_string spec with
       | Ok plan -> Ok (cfg, Some plan)
-      | Error msg -> Error (Printf.sprintf "fault spec: %s" msg)))
+      | Error _ as e -> e))
 
 let solve ?obs ~deadline cfg plan =
   let params =

@@ -70,8 +70,8 @@ val write_line : Unix.file_descr -> string -> unit
     the process faults a worker executes between the steps). *)
 
 (** [parse ~config ~fault] parses configuration text and an optional
-    {!Robust.Fault} spec.  Errors are one line: [config line N: …] or
-    [fault spec: …]. *)
+    {!Robust.Fault} spec.  Errors are one line: [config line N: …], or
+    the message of {!Robust.Fault.of_string} unchanged. *)
 val parse :
   config:string ->
   fault:string option ->

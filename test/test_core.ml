@@ -737,7 +737,7 @@ let test_latency_bound_tightens_budgets () =
   Alcotest.(check (list string)) "verified incl. latency" []
     (vnotes (Dataflow_model.verify cfg r.Mapping.mapped));
   let g = Config.find_graph cfg "t1" in
-  match Budgetbuf.Latency.chain_bound cfg g r.Mapping.mapped with
+  match Dataflow_model.chain_latency cfg g r.Mapping.mapped with
   | Some l -> Alcotest.(check bool) "latency ≤ 60" true (l <= 60.0 +. 1e-6)
   | None -> Alcotest.fail "expected a schedule"
 

@@ -423,55 +423,71 @@ let prop_howard_is_feasibility_boundary =
 (* Multi-rate SDF                                                      *)
 (* ------------------------------------------------------------------ *)
 
-module Sdf = Dataflow.Sdf
+(* An SDF graph is a one-phase CSDF graph: one duration, one rate per
+   endpoint. *)
+module Csdf = Dataflow.Csdf
 
 let test_sdf_repetition_vector () =
-  let t = Sdf.create () in
-  let a = Sdf.add_actor t ~name:"a" ~duration:1.0 in
-  let b = Sdf.add_actor t ~name:"b" ~duration:1.0 in
-  ignore (Sdf.add_channel t ~src:a ~production:2 ~dst:b ~consumption:3 ());
-  match Sdf.repetition_vector t with
+  let t = Csdf.create () in
+  let a = Csdf.add_actor t ~name:"a" ~durations:[| 1.0 |] in
+  let b = Csdf.add_actor t ~name:"b" ~durations:[| 1.0 |] in
+  ignore
+    (Csdf.add_channel t ~src:a ~production:[| 2 |] ~dst:b
+       ~consumption:[| 3 |] ());
+  match Csdf.repetition_vector t with
   | Error e -> Alcotest.fail e
   | Ok q ->
     Alcotest.(check int) "q(a)" 3 (q a);
     Alcotest.(check int) "q(b)" 2 (q b)
 
 let test_sdf_inconsistent () =
-  let t = Sdf.create () in
-  let a = Sdf.add_actor t ~name:"a" ~duration:1.0 in
-  let b = Sdf.add_actor t ~name:"b" ~duration:1.0 in
-  let c = Sdf.add_actor t ~name:"c" ~duration:1.0 in
-  ignore (Sdf.add_channel t ~src:a ~production:1 ~dst:b ~consumption:1 ());
-  ignore (Sdf.add_channel t ~src:b ~production:1 ~dst:c ~consumption:1 ());
-  ignore (Sdf.add_channel t ~src:c ~production:2 ~dst:a ~consumption:1 ());
-  match Sdf.repetition_vector t with
+  let t = Csdf.create () in
+  let a = Csdf.add_actor t ~name:"a" ~durations:[| 1.0 |] in
+  let b = Csdf.add_actor t ~name:"b" ~durations:[| 1.0 |] in
+  let c = Csdf.add_actor t ~name:"c" ~durations:[| 1.0 |] in
+  ignore
+    (Csdf.add_channel t ~src:a ~production:[| 1 |] ~dst:b
+       ~consumption:[| 1 |] ());
+  ignore
+    (Csdf.add_channel t ~src:b ~production:[| 1 |] ~dst:c
+       ~consumption:[| 1 |] ());
+  ignore
+    (Csdf.add_channel t ~src:c ~production:[| 2 |] ~dst:a
+       ~consumption:[| 1 |] ());
+  match Csdf.repetition_vector t with
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "expected inconsistency"
 
 let test_sdf_components_independent () =
   (* Two disconnected pairs get independent minimal vectors. *)
-  let t = Sdf.create () in
-  let a = Sdf.add_actor t ~name:"a" ~duration:1.0 in
-  let b = Sdf.add_actor t ~name:"b" ~duration:1.0 in
-  let c = Sdf.add_actor t ~name:"c" ~duration:1.0 in
-  let d = Sdf.add_actor t ~name:"d" ~duration:1.0 in
-  ignore (Sdf.add_channel t ~src:a ~production:4 ~dst:b ~consumption:6 ());
-  ignore (Sdf.add_channel t ~src:c ~production:1 ~dst:d ~consumption:5 ());
-  match Sdf.repetition_vector t with
+  let t = Csdf.create () in
+  let a = Csdf.add_actor t ~name:"a" ~durations:[| 1.0 |] in
+  let b = Csdf.add_actor t ~name:"b" ~durations:[| 1.0 |] in
+  let c = Csdf.add_actor t ~name:"c" ~durations:[| 1.0 |] in
+  let d = Csdf.add_actor t ~name:"d" ~durations:[| 1.0 |] in
+  ignore
+    (Csdf.add_channel t ~src:a ~production:[| 4 |] ~dst:b
+       ~consumption:[| 6 |] ());
+  ignore
+    (Csdf.add_channel t ~src:c ~production:[| 1 |] ~dst:d
+       ~consumption:[| 5 |] ());
+  match Csdf.repetition_vector t with
   | Error e -> Alcotest.fail e
   | Ok q ->
     Alcotest.(check (list int)) "vector" [ 3; 2; 5; 1 ] [ q a; q b; q c; q d ]
 
 let test_sdf_single_rate_expansion_identity () =
   (* A single-rate SDF ring expands to an isomorphic SRDF ring. *)
-  let t = Sdf.create () in
-  let a = Sdf.add_actor t ~name:"a" ~duration:2.0 in
-  let b = Sdf.add_actor t ~name:"b" ~duration:3.0 in
-  ignore (Sdf.add_channel t ~src:a ~production:1 ~dst:b ~consumption:1 ());
+  let t = Csdf.create () in
+  let a = Csdf.add_actor t ~name:"a" ~durations:[| 2.0 |] in
+  let b = Csdf.add_actor t ~name:"b" ~durations:[| 3.0 |] in
   ignore
-    (Sdf.add_channel t ~src:b ~production:1 ~dst:a ~consumption:1
+    (Csdf.add_channel t ~src:a ~production:[| 1 |] ~dst:b
+       ~consumption:[| 1 |] ());
+  ignore
+    (Csdf.add_channel t ~src:b ~production:[| 1 |] ~dst:a ~consumption:[| 1 |]
        ~initial_tokens:1 ());
-  match Sdf.expand t with
+  match Csdf.expand t with
   | Error e -> Alcotest.fail e
   | Ok { srdf; repetitions; _ } ->
     Alcotest.(check int) "q(a)" 1 (repetitions a);
@@ -484,25 +500,30 @@ let test_sdf_single_rate_expansion_identity () =
 let test_sdf_multirate_period () =
   (* a -(2:1)-> b with a return channel b -(1:2)-> a holding 2 tokens:
      q = (1, 2); expansion cycles a1->b_l->a1 have ratio 2. *)
-  let t = Sdf.create () in
-  let a = Sdf.add_actor t ~name:"a" ~duration:1.0 in
-  let b = Sdf.add_actor t ~name:"b" ~duration:1.0 in
-  ignore (Sdf.add_channel t ~src:a ~production:2 ~dst:b ~consumption:1 ());
+  let t = Csdf.create () in
+  let a = Csdf.add_actor t ~name:"a" ~durations:[| 1.0 |] in
+  let b = Csdf.add_actor t ~name:"b" ~durations:[| 1.0 |] in
   ignore
-    (Sdf.add_channel t ~src:b ~production:1 ~dst:a ~consumption:2
+    (Csdf.add_channel t ~src:a ~production:[| 2 |] ~dst:b
+       ~consumption:[| 1 |] ());
+  ignore
+    (Csdf.add_channel t ~src:b ~production:[| 1 |] ~dst:a ~consumption:[| 2 |]
        ~initial_tokens:2 ());
-  (match Sdf.iteration_period t with
+  (match Csdf.iteration_period t with
   | Ok r -> check_float 1e-9 "iteration period" 2.0 r
   | Error e -> Alcotest.fail e);
   (* One token fewer on the feedback: the graph deadlocks. *)
-  let t' = Sdf.create () in
-  let a' = Sdf.add_actor t' ~name:"a" ~duration:1.0 in
-  let b' = Sdf.add_actor t' ~name:"b" ~duration:1.0 in
-  ignore (Sdf.add_channel t' ~src:a' ~production:2 ~dst:b' ~consumption:1 ());
+  let t' = Csdf.create () in
+  let a' = Csdf.add_actor t' ~name:"a" ~durations:[| 1.0 |] in
+  let b' = Csdf.add_actor t' ~name:"b" ~durations:[| 1.0 |] in
   ignore
-    (Sdf.add_channel t' ~src:b' ~production:1 ~dst:a' ~consumption:2
+    (Csdf.add_channel t' ~src:a' ~production:[| 2 |] ~dst:b'
+       ~consumption:[| 1 |] ());
+  ignore
+    (Csdf.add_channel t' ~src:b' ~production:[| 1 |] ~dst:a'
+       ~consumption:[| 2 |]
        ~initial_tokens:1 ());
-  match Sdf.iteration_period t' with
+  match Csdf.iteration_period t' with
   | Error _ -> ()
   | Ok r -> Alcotest.failf "expected deadlock, got period %f" r
 
@@ -511,37 +532,42 @@ let test_sdf_serialize_slows () =
      binding cycle becomes a1 -> b1 -> b2 -> a1 with one token:
      1 + 3 + 3 = 7, up from the concurrent period of 4. *)
   let build () =
-    let t = Sdf.create () in
-    let a = Sdf.add_actor t ~name:"a" ~duration:1.0 in
-    let b = Sdf.add_actor t ~name:"b" ~duration:3.0 in
-    ignore (Sdf.add_channel t ~src:a ~production:2 ~dst:b ~consumption:1 ());
+    let t = Csdf.create () in
+    let a = Csdf.add_actor t ~name:"a" ~durations:[| 1.0 |] in
+    let b = Csdf.add_actor t ~name:"b" ~durations:[| 3.0 |] in
     ignore
-      (Sdf.add_channel t ~src:b ~production:1 ~dst:a ~consumption:2
+      (Csdf.add_channel t ~src:a ~production:[| 2 |] ~dst:b
+         ~consumption:[| 1 |] ());
+    ignore
+      (Csdf.add_channel t ~src:b ~production:[| 1 |] ~dst:a ~consumption:[| 2 |]
          ~initial_tokens:2 ());
     t
   in
-  (match Sdf.iteration_period ~serialize:false (build ()) with
+  (match Csdf.iteration_period ~serialize:false (build ()) with
   | Ok r -> check_float 1e-9 "concurrent" 4.0 r
   | Error e -> Alcotest.fail e);
-  match Sdf.iteration_period ~serialize:true (build ()) with
+  match Csdf.iteration_period ~serialize:true (build ()) with
   | Ok r -> check_float 1e-9 "serialized" 7.0 r
   | Error e -> Alcotest.fail e
 
 let test_sdf_expansion_copy_bounds () =
-  let t = Sdf.create () in
-  let a = Sdf.add_actor t ~name:"a" ~duration:1.0 in
-  let b = Sdf.add_actor t ~name:"b" ~duration:1.0 in
-  ignore (Sdf.add_channel t ~src:a ~production:3 ~dst:b ~consumption:1 ());
+  let t = Csdf.create () in
+  let a = Csdf.add_actor t ~name:"a" ~durations:[| 1.0 |] in
+  let b = Csdf.add_actor t ~name:"b" ~durations:[| 1.0 |] in
   ignore
-    (Sdf.add_channel t ~src:b ~production:1 ~dst:a ~consumption:3
+    (Csdf.add_channel t ~src:a ~production:[| 3 |] ~dst:b
+       ~consumption:[| 1 |] ());
+  ignore
+    (Csdf.add_channel t ~src:b ~production:[| 1 |] ~dst:a ~consumption:[| 3 |]
        ~initial_tokens:3 ());
-  match Sdf.expand t with
+  match Csdf.expand t with
   | Error e -> Alcotest.fail e
-  | Ok { copy; repetitions; srdf } ->
+  | Ok { firing; repetitions; srdf } ->
     Alcotest.(check int) "q(b)" 3 (repetitions b);
-    Alcotest.(check string) "copy name" "b#2" (Srdf.actor_name srdf (copy b 2));
+    Alcotest.(check string) "copy name" "b#2.1"
+      (Srdf.actor_name srdf (firing b 2));
     Alcotest.(check bool) "range checked" true
-      (match copy b 4 with
+      (match firing b 4 with
       | exception Invalid_argument _ -> true
       | _ -> false)
 
@@ -557,17 +583,20 @@ let prop_sdf_expansion_period_matches_self_timed =
       tup4 (int_range 1 3) (int_range 1 3) (float_range 0.5 4.0)
         (float_range 0.5 4.0))
     (fun (p, c, da, db) ->
-      let t = Sdf.create () in
-      let a = Sdf.add_actor t ~name:"a" ~duration:da in
-      let b = Sdf.add_actor t ~name:"b" ~duration:db in
-      ignore (Sdf.add_channel t ~src:a ~production:p ~dst:b ~consumption:c ());
+      let t = Csdf.create () in
+      let a = Csdf.add_actor t ~name:"a" ~durations:[| da |] in
+      let b = Csdf.add_actor t ~name:"b" ~durations:[| db |] in
+      ignore
+        (Csdf.add_channel t ~src:a ~production:[| p |] ~dst:b
+           ~consumption:[| c |] ());
       (* Feedback sized to one full iteration's tokens: always live. *)
       let g = gcd p c in
       let qa = c / g and _qb = p / g in
       ignore
-        (Sdf.add_channel t ~src:b ~production:c ~dst:a ~consumption:p
+        (Csdf.add_channel t ~src:b ~production:[| c |] ~dst:a
+           ~consumption:[| p |]
            ~initial_tokens:(p * qa) ());
-      match Sdf.expand t with
+      match Csdf.expand t with
       | Error _ -> false
       | Ok { srdf; _ } -> begin
         match
@@ -583,8 +612,6 @@ let prop_sdf_expansion_period_matches_self_timed =
 (* ------------------------------------------------------------------ *)
 (* Cyclo-static dataflow                                               *)
 (* ------------------------------------------------------------------ *)
-
-module Csdf = Dataflow.Csdf
 
 let test_csdf_phases_and_vector () =
   let t = Csdf.create () in
@@ -662,41 +689,6 @@ let test_csdf_validation () =
     | exception Invalid_argument _ -> true
     | _ -> false)
 
-let prop_csdf_single_phase_matches_sdf =
-  (* A one-phase CSDF graph is an SDF graph; both expansions must give
-     the same iteration period. *)
-  QCheck2.Test.make ~name:"single-phase CSDF agrees with SDF" ~count:60
-    QCheck2.Gen.(
-      tup4 (int_range 1 3) (int_range 1 3) (float_range 0.5 4.0)
-        (float_range 0.5 4.0))
-    (fun (p, c, da, db) ->
-      let g = gcd p c in
-      let qa = c / g in
-      let feedback_tokens = p * qa in
-      let sdf = Dataflow.Sdf.create () in
-      let sa = Dataflow.Sdf.add_actor sdf ~name:"a" ~duration:da in
-      let sb = Dataflow.Sdf.add_actor sdf ~name:"b" ~duration:db in
-      ignore
-        (Dataflow.Sdf.add_channel sdf ~src:sa ~production:p ~dst:sb
-           ~consumption:c ());
-      ignore
-        (Dataflow.Sdf.add_channel sdf ~src:sb ~production:c ~dst:sa
-           ~consumption:p ~initial_tokens:feedback_tokens ());
-      let csdf = Csdf.create () in
-      let ca = Csdf.add_actor csdf ~name:"a" ~durations:[| da |] in
-      let cb = Csdf.add_actor csdf ~name:"b" ~durations:[| db |] in
-      ignore
-        (Csdf.add_channel csdf ~src:ca ~production:[| p |] ~dst:cb
-           ~consumption:[| c |] ());
-      ignore
-        (Csdf.add_channel csdf ~src:cb ~production:[| c |] ~dst:ca
-           ~consumption:[| p |] ~initial_tokens:feedback_tokens ());
-      match
-        (Dataflow.Sdf.iteration_period sdf, Csdf.iteration_period csdf)
-      with
-      | Ok r1, Ok r2 -> Float.abs (r1 -. r2) <= 1e-9 *. Float.max 1.0 r1
-      | _ -> false)
-
 let prop_csdf_period_matches_self_timed =
   QCheck2.Test.make
     ~name:"CSDF expansion period matches self-timed execution" ~count:40
@@ -714,7 +706,9 @@ let prop_csdf_period_matches_self_timed =
       let g = gcd total_p c1 in
       let qa = c1 / g in
       let feedback = total_p * qa in
-      ignore (Csdf.add_channel t ~src:a ~production:prod ~dst:b ~consumption:[| c1 |] ());
+      ignore
+        (Csdf.add_channel t ~src:a ~production:prod ~dst:b
+           ~consumption:[| c1 |] ());
       ignore
         (Csdf.add_channel t ~src:b ~production:[| c1 |] ~dst:a
            ~consumption:prod ~initial_tokens:feedback ());
@@ -1116,7 +1110,6 @@ let () =
             prop_howard_matches_binary_search;
             prop_howard_is_feasibility_boundary;
             prop_sdf_expansion_period_matches_self_timed;
-            prop_csdf_single_phase_matches_sdf;
             prop_csdf_period_matches_self_timed;
             prop_karp_matches_howard_and_bisect;
             prop_critical_cycle_ratio_consistent;

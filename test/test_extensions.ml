@@ -6,7 +6,7 @@ module Config = Taskgraph.Config
 module Mapping = Budgetbuf.Mapping
 module Binding = Budgetbuf.Binding
 module Pareto = Budgetbuf.Pareto
-module Latency = Budgetbuf.Latency
+module Dataflow_model = Budgetbuf.Dataflow_model
 
 let check_float eps = Alcotest.(check (float eps))
 
@@ -189,7 +189,7 @@ let test_latency_t1 () =
   let mapped =
     { Config.budget = (fun _ -> 4.0); Config.capacity = (fun _ -> 10) }
   in
-  match Latency.chain_bound cfg g mapped with
+  match Dataflow_model.chain_latency cfg g mapped with
   | Some l -> check_float 1e-6 "latency" 92.0 l
   | None -> Alcotest.fail "expected a schedule"
 
@@ -200,14 +200,14 @@ let test_latency_none_when_infeasible () =
     { Config.budget = (fun _ -> 4.0); Config.capacity = (fun _ -> 2) }
   in
   Alcotest.(check bool) "no PAS, no latency" true
-    (Latency.chain_bound cfg g mapped = None)
+    (Dataflow_model.chain_latency cfg g mapped = None)
 
 let test_latency_bigger_budget_shrinks () =
   let cfg = Workloads.Gen.paper_t1 () in
   let g = Config.find_graph cfg "t1" in
   let latency beta =
     match
-      Latency.chain_bound cfg g
+      Dataflow_model.chain_latency cfg g
         { Config.budget = (fun _ -> beta); Config.capacity = (fun _ -> 10) }
     with
     | Some l -> l
@@ -223,12 +223,12 @@ let test_latency_chain_requires_unique_endpoints () =
   in
   (* Split-join: single source and single sink exist — must work. *)
   Alcotest.(check bool) "split-join has endpoints" true
-    (Latency.chain_bound cfg g mapped <> None);
+    (Dataflow_model.chain_latency cfg g mapped <> None);
   (* A two-task graph with a reverse buffer has no source. *)
   let cfg2 = Workloads.Gen.ring ~n:2 ~initial:2 () in
   let g2 = Config.find_graph cfg2 "t0" in
   Alcotest.(check bool) "ring rejected" true
-    (match Latency.chain_bound cfg2 g2 mapped with
+    (match Dataflow_model.chain_latency cfg2 g2 mapped with
     | exception Invalid_argument _ -> true
     | _ -> false)
 
@@ -238,7 +238,7 @@ let test_latency_solver_mapping () =
   let cfg = Workloads.Gen.chain ~n:4 () in
   let g = Config.find_graph cfg "t0" in
   let r = solve_exn cfg in
-  match Latency.chain_bound cfg g r.Mapping.mapped with
+  match Dataflow_model.chain_latency cfg g r.Mapping.mapped with
   | None -> Alcotest.fail "expected a schedule"
   | Some l ->
     let min_work =
@@ -596,6 +596,68 @@ let test_multirate_compile_shape () =
     Alcotest.(check int) "total buffers" 4
       (List.length (Config.all_buffers cfg))
 
+(* Everything [compile] decides, printed: the compiled configuration,
+   the copies of each task and the FIFOs of the channel (name and
+   initial tokens) in list order. *)
+let compile_listing ~serialize =
+  let t, src, sink, ch = downsampler () in
+  match Multirate.compile ~serialize t with
+  | Error msg -> msg
+  | Ok prov ->
+    let cfg = prov.Multirate.config in
+    let names w =
+      String.concat " "
+        (List.map (Config.task_name cfg) (prov.Multirate.copies w))
+    in
+    Format.asprintf "%a@.copies src: %s@.copies sink: %s@.fifos ch: %s@."
+      Config.pp cfg (names src) (names sink)
+      (String.concat " "
+         (List.map
+            (fun b ->
+              Printf.sprintf "%s/%d" (Config.buffer_name cfg b)
+                (Config.initial_tokens cfg b))
+            (prov.Multirate.fifos ch)))
+
+let test_multirate_compile_golden () =
+  Alcotest.(check string) "independent firings" "granularity 1\n\
+     processor p0 replenishment 40 overhead 0\n\
+     processor p1 replenishment 40 overhead 0\n\
+     memory m0 capacity 10000\n\
+     taskgraph ds period 20\n\
+    \  task src#1 proc p0 wcet 1 weight 1\n\
+    \  task sink#1 proc p1 wcet 0.7 weight 1\n\
+    \  task sink#2 proc p1 wcet 0.7 weight 1\n\
+    \  buffer ch#1-1 from src#1 to sink#1 memory m0 container 1 initial 0 \
+     weight 0.001\n\
+    \  buffer ch#1-2 from src#1 to sink#2 memory m0 container 1 initial 0 \
+     weight 0.001\n\
+     \n\
+     copies src: src#1\n\
+     copies sink: sink#1 sink#2\n\
+     fifos ch: ch#1-2/0 ch#1-1/0\n"
+    (compile_listing ~serialize:false);
+  Alcotest.(check string) "serialized" "granularity 1\n\
+     processor p0 replenishment 40 overhead 0\n\
+     processor p1 replenishment 40 overhead 0\n\
+     memory m0 capacity 10000\n\
+     taskgraph ds period 20\n\
+    \  task src#1 proc p0 wcet 1 weight 1\n\
+    \  task sink#1 proc p1 wcet 0.7 weight 1\n\
+    \  task sink#2 proc p1 wcet 0.7 weight 1\n\
+    \  buffer sink.ser1 from sink#1 to sink#2 memory m0 container 1 initial 0 \
+     weight 0 max 1\n\
+    \  buffer sink.ser2 from sink#2 to sink#1 memory m0 container 1 initial 1 \
+     weight 0 max 1\n\
+    \  buffer ch#1-1 from src#1 to sink#1 memory m0 container 1 initial 0 \
+     weight 0.001\n\
+    \  buffer ch#1-2 from src#1 to sink#2 memory m0 container 1 initial 0 \
+     weight 0.001\n\
+     \n\
+     copies src: src#1\n\
+     copies sink: sink#1 sink#2\n\
+     fifos ch: ch#1-2/0 ch#1-1/0\n"
+    (compile_listing ~serialize:true)
+
 let test_multirate_solves_and_simulates () =
   let t, src, sink, ch = downsampler () in
   match Multirate.compile t with
@@ -875,6 +937,8 @@ let () =
         [
           Alcotest.test_case "compile shape" `Quick
             test_multirate_compile_shape;
+          Alcotest.test_case "compile golden" `Quick
+            test_multirate_compile_golden;
           Alcotest.test_case "solve and simulate" `Quick
             test_multirate_solves_and_simulates;
           Alcotest.test_case "serialization order" `Quick

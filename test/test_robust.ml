@@ -327,7 +327,7 @@ let plan spec =
   | Ok p -> p
   | Error e -> Alcotest.failf "%S: %s" spec e
 
-let policy spec = { Recovery.fault = Some (plan spec); max_rungs = 4 }
+let policy spec = { Recovery.fault = Some (plan spec) }
 
 let stage_names r =
   List.map (fun a -> Recovery.stage_name a.Recovery.stage) r.Mapping.recovery
@@ -408,8 +408,10 @@ let test_permanent_fault_fails_cleanly () =
       (contains "fallback LP disabled" msg)
 
 let test_no_recovery_policy () =
+  (* The full default ladder with no fault injected (not even one
+     from BUDGETBUF_FAULT): a clean solve stops at its first rung. *)
   let cfg = Workloads.Gen.paper_t1 () in
-  match Mapping.solve ~policy:Recovery.no_recovery cfg with
+  match Mapping.solve ~policy:{ Recovery.fault = None } cfg with
   | Error e -> Alcotest.failf "clean solve failed: %a" Mapping.pp_error e
   | Ok r ->
     Alcotest.(check (list string)) "single base attempt" [ "base" ]

@@ -1817,6 +1817,69 @@ let test_in_process_matches_isolated () =
   check_int "no worker lost" 0 (Supervisor.counters sup).Supervisor.crashed;
   Supervisor.shutdown sup
 
+(* A fault spec the grammar refuses is answered with the message of
+   [Fault.of_string] unchanged, whichever path parses it: a task piped
+   into a worker process, and an admit to an in-process server.  The
+   kind error carries no prefix, an option error exactly one. *)
+let fault_spec_errors =
+  [
+    ("stall,bogus=1", "fault spec: unknown option \"bogus\"");
+    ( "bogus",
+      "unknown fault kind \"bogus\" (expected stall, nan, slow, dense_kkt, \
+       bad_round, crash, hang or oom)" );
+  ]
+
+let test_fault_spec_errors_pass_through () =
+  let t1 = t1_text () in
+  let from_worker, to_worker =
+    Unix.open_process_args cli_exe [| cli_exe; "worker" |]
+  in
+  List.iter
+    (fun (spec, _) ->
+      output_string to_worker
+        (Worker.task_line
+           {
+             Worker.task_id = spec;
+             task_config = t1;
+             task_fault = Some spec;
+             task_deadline_s = None;
+           }
+        ^ "\n"))
+    fault_spec_errors;
+  close_out to_worker;
+  ignore (input_line from_worker);
+  let replies = List.map (fun _ -> input_line from_worker) fault_spec_errors in
+  ignore (Unix.close_process (from_worker, to_worker));
+  List.iter2
+    (fun (spec, reason) reply ->
+      check_string ("worker " ^ spec)
+        (Worker.reply_line ~id:spec (Worker.R_failed reason))
+        reply)
+    fault_spec_errors replies;
+  let sock = tmp_path "faultspec.sock" in
+  let th, res = start_server (Server.default_config ~socket_path:sock) in
+  (match
+     Client.with_connection sock (fun c ->
+         List.iter
+           (fun (spec, reason) ->
+             match admit c ~id:spec ~fault:spec t1 with
+             | Protocol.Refused { reason = got } ->
+               check_string ("admit " ^ spec) reason got
+             | r ->
+               Alcotest.failf "admit %s: expected refused, got %s" spec
+                 (Protocol.status_of_response r))
+           fault_spec_errors;
+         shutdown c;
+         Ok ())
+   with
+  | Ok () -> ()
+  | Error e -> Alcotest.failf "client: %s" e);
+  Thread.join th;
+  match !res with
+  | Ok (Server.Shutdown_request, _) -> ()
+  | Ok (r, _) -> Alcotest.failf "stop reason: %s" (Server.describe r)
+  | Error e -> Alcotest.failf "server: %s" e
+
 let spawn_serve args =
   let devnull = Unix.openfile "/dev/null" [ Unix.O_RDWR ] 0 in
   (* The drill measures crash recovery, not chaos: don't let a
@@ -2013,5 +2076,7 @@ let () =
         [
           Alcotest.test_case "in-process and isolated replies agree" `Quick
             test_in_process_matches_isolated;
+          Alcotest.test_case "fault spec errors pass through" `Quick
+            test_fault_spec_errors_pass_through;
         ] );
     ]

@@ -320,7 +320,7 @@ let prop_sim_latency_below_analytic_bound =
     (fun (beta, cap) ->
       let cfg, mapped = t1_mapped beta cap in
       let g = Config.find_graph cfg "t1" in
-      match Budgetbuf.Latency.chain_bound cfg g mapped with
+      match Budgetbuf.Dataflow_model.chain_latency cfg g mapped with
       | None -> QCheck2.assume_fail () (* mapping infeasible: skip *)
       | Some bound -> begin
         match Sim.run cfg mapped ~iterations:200 () with

@@ -97,17 +97,6 @@ let fault_arg =
            $(b,stall), $(b,nan), $(b,slow), $(b,dense_kkt) or \
            $(b,bad_round) (see docs/robustness.md).")
 
-let no_warm_arg =
-  Arg.(
-    value & flag
-    & info [ "no-warm-start" ]
-        ~doc:
-          "Disable warm starts in sweeps (tradeoff, dse, pareto).  By \
-           default each sweep runs one cold anchor solve whose solution \
-           seeds every candidate; results are bit-identical with or \
-           without $(b,--jobs) and across $(b,--resume), but cold starts \
-           burn more interior-point iterations per candidate.")
-
 (* ------------------------------------------------------------------ *)
 (* --trace / --metrics: observability (docs/observability.md)          *)
 (* ------------------------------------------------------------------ *)
@@ -218,11 +207,10 @@ let candidate_deadline_arg =
            a candidate that exceeds it is skipped as timed out while the \
            sweep continues (and is retried on a $(b,--resume)).")
 
-(* --jobs --no-warm-start --certify --resume --deadline
-   --per-candidate-deadline: the flags shared by the sweep commands. *)
+(* --jobs --certify --resume --deadline --per-candidate-deadline: the
+   flags shared by the sweep commands. *)
 type sweep_flags = {
   jobs : int option;
-  no_warm : bool;
   certify : bool;
   resume : string option;
   deadline : float option;
@@ -231,9 +219,9 @@ type sweep_flags = {
 
 let sweep_flags =
   Term.(
-    const (fun jobs no_warm certify resume deadline candidate_deadline ->
-        { jobs; no_warm; certify; resume; deadline; candidate_deadline })
-    $ jobs_arg $ no_warm_arg $ certify_arg $ resume_arg $ deadline_arg
+    const (fun jobs certify resume deadline candidate_deadline ->
+        { jobs; certify; resume; deadline; candidate_deadline })
+    $ jobs_arg $ certify_arg $ resume_arg $ deadline_arg
     $ candidate_deadline_arg)
 
 (* The one check behind every --deadline-style flag (the sweeps',
@@ -347,9 +335,10 @@ let sweep_fingerprint ~command ~cfg ~grid ~fault =
       (match fault with None -> "" | Some p -> Fault.to_string p);
     ]
 
-(* The optional arguments of every [Budgetbuf] sweep driver
-   ([Tradeoff.capacity_sweep], [Pareto.frontier], [Dse.throughput_curve])
-   in their shared order, ahead of the configuration. *)
+(* The optional arguments of every sweep driver
+   ([Tradeoff.capacity_sweep], [Pareto.frontier], [Dse.throughput_curve],
+   and tighten's solve-then-[Tighten.run]) in their shared order, ahead
+   of the configuration. *)
 type 'a sweep =
   ?params:Conic.Socp.params ->
   ?policy:Recovery.policy ->
@@ -360,7 +349,6 @@ type 'a sweep =
   ?cancel:(unit -> bool) ->
   ?obs:Obs.Ctx.t ->
   ?on_progress:(Durable.Sweep.progress -> unit) ->
-  ?warm_start:bool ->
   Config.t ->
   'a
 
@@ -388,7 +376,7 @@ let run_sweep ~command path solver flags
     report
       (sweep ~policy:(Recovery.with_fault solver.fault)
          ?pool ?journal ?deadline ?candidate_deadline ~cancel ?obs
-         ~on_progress ~warm_start:(not flags.no_warm) cfg)
+         ~on_progress cfg)
 
 (* The summary lines under every sweep table: the candidates skipped
    (solver failures and timeouts, not infeasibility verdicts) and, under
@@ -921,61 +909,46 @@ let sim_iterations_arg =
 
 let do_tighten () path banks iterations jobs output resume deadline
     candidate_deadline trace metrics =
-  with_config path @@ fun cfg ->
-  if banks < 1 then begin
-    Format.eprintf "error: --banks must be >= 1@.";
-    2
-  end
-  else if iterations < 4 then begin
-    Format.eprintf "error: --iterations must be >= 4@.";
-    2
-  end
-  else begin
-    with_jobs jobs @@ fun pool ->
-    let fingerprint =
-      sweep_fingerprint ~command:"tighten" ~cfg
-        ~grid:(Printf.sprintf "bank=%d iterations=%d" banks iterations)
-        ~fault:None
+  run_sweep ~command:"tighten" path
+    { fault = None; trace; metrics }
+    { jobs; certify = false; resume; deadline; candidate_deadline }
+  @@ fun cfg ->
+  if banks < 1 then Error "--banks must be >= 1"
+  else if iterations < 4 then Error "--iterations must be >= 4"
+  else
+    (* The analytic mapping and its exact certificate stay with the
+       result: the tightened capacities are simulation-backed, the
+       analytic ones machine-checked (docs/tightening.md). *)
+    let sweep ?params ?policy ?pool ?deadline ?candidate_deadline ?journal
+        ?cancel ?obs ?on_progress cfg =
+      match Mapping.solve ?params ?policy ?obs cfg with
+      | Error e -> Error (Format.asprintf "%a" Mapping.pp_error e)
+      | Ok r ->
+        Format.printf "certificate: %s@."
+          (Budgetbuf.Certify.summary r.Mapping.certificate);
+        Tighten.run ?pool ?journal ?deadline ?candidate_deadline ?cancel ?obs
+          ?on_progress ~iterations ~bank:banks cfg r.Mapping.mapped
     in
-    with_obs ~trace ~metrics @@ fun obs ->
-    with_durability ~fingerprint ~resume ~deadline ~candidate_deadline
-    @@ fun ~journal ~deadline ~candidate_deadline ~cancel ~on_progress ->
-    match Mapping.solve ?obs cfg with
-    | Error e ->
-      Format.eprintf "error: %a@." Mapping.pp_error e;
-      1
-    | Ok r -> begin
-      (* The analytic mapping and its exact certificate stay with the
-         result: the tightened capacities are simulation-backed, the
-         analytic ones machine-checked (docs/tightening.md). *)
-      Format.printf "certificate: %s@."
-        (Budgetbuf.Certify.summary r.Mapping.certificate);
-      match
-        Tighten.run ?pool ?journal ?deadline ?candidate_deadline ~cancel
-          ?obs ~on_progress ~iterations ~bank:banks cfg r.Mapping.mapped
-      with
+    let report = function
       | Error msg ->
         Format.eprintf "error: %s@." msg;
         1
       | Ok t ->
         List.iter
           (fun (o : Tighten.outcome) ->
-            let b =
-              List.find
-                (fun b -> Config.buffer_id b = o.Tighten.buffer_id)
-                (Config.all_buffers cfg)
+            let name =
+              Config.buffer_name cfg
+                (Config.buffer_of_id cfg o.Tighten.buffer_id)
             in
             match o.Tighten.skipped with
             | Some reason ->
-              Format.printf "buffer %-8s analytic %d, kept (%s)@."
-                (Config.buffer_name cfg b)
+              Format.printf "buffer %-8s analytic %d, kept (%s)@." name
                 o.Tighten.analytic reason
             | None ->
               Format.printf
                 "buffer %-8s analytic %d, simulated %d (floor %d, %d \
                  probes)@."
-                (Config.buffer_name cfg b)
-                o.Tighten.analytic o.Tighten.tightened o.Tighten.floor
+                name o.Tighten.analytic o.Tighten.tightened o.Tighten.floor
                 o.Tighten.probes)
           t.Tighten.outcomes;
         let a = t.Tighten.analytic_containers in
@@ -1002,8 +975,8 @@ let do_tighten () path banks iterations jobs output resume deadline
           close_out oc;
           Format.printf "mapping written to %s@." file);
         0
-    end
-  end
+    in
+    Ok (Printf.sprintf "bank=%d iterations=%d" banks iterations, sweep, report)
 
 let tighten_cmd =
   let doc =
@@ -1156,13 +1129,7 @@ let do_dse () path (lo, hi) solver flags =
           | Ok None -> Format.printf "%-6d %-12s@." p.Budgetbuf.Dse.cap "infeasible"
           | Error _ -> ())
         points;
-      print_skipped
-        (List.filter_map
-           (fun (p : Budgetbuf.Dse.curve_point) ->
-             match p.Budgetbuf.Dse.outcome with
-             | Error reason -> Some (p.Budgetbuf.Dse.cap, reason)
-             | Ok _ -> None)
-           points);
+      print_skipped (Budgetbuf.Dse.curve_skipped points);
       print_certified ~certify:flags.certify
         (List.filter_map
            (fun (p : Budgetbuf.Dse.curve_point) ->
@@ -1242,18 +1209,21 @@ let do_latency () path =
     let failures = ref 0 in
     List.iter
       (fun g ->
-        match
-          Budgetbuf.Dataflow_model.chain_latency cfg g r.Mapping.mapped
-        with
-        | Some l ->
-          Format.printf "graph %s: end-to-end latency %.3f (period %.3f)@."
-            (Config.graph_name cfg g) l (Config.period cfg g)
+        let name = Config.graph_name cfg g in
+        match Budgetbuf.Dataflow_model.chain_ends cfg g with
         | None ->
           incr failures;
-          Format.printf "graph %s: no periodic schedule@."
-            (Config.graph_name cfg g)
-        | exception Invalid_argument msg ->
-          Format.printf "graph %s: %s@." (Config.graph_name cfg g) msg)
+          Format.printf "graph %s: no unique source/sink pair@." name
+        | Some _ -> (
+          match
+            Budgetbuf.Dataflow_model.chain_latency cfg g r.Mapping.mapped
+          with
+          | Some l ->
+            Format.printf "graph %s: end-to-end latency %.3f (period %.3f)@."
+              name l (Config.period cfg g)
+          | None ->
+            incr failures;
+            Format.printf "graph %s: no periodic schedule@." name))
       (Config.graphs cfg);
     if !failures = 0 then 0 else 1
 

@@ -1,22 +1,18 @@
 module Config = Taskgraph.Config
-module Recovery = Robust.Recovery
-module Fault = Robust.Fault
-
-let with_periods cfg ~scale =
-  if scale <= 0.0 || not (Float.is_finite scale) then
-    invalid_arg "Dse.with_periods: scale must be > 0";
-  Config.copy ~period_scale:scale cfg
 
 (* Raised inside a bisection when a probe times out: once the deadline
    is blown, further probes could only time out too, so the search is
    abandoned wholesale instead of bisecting on garbage. *)
 exception Probe_expired
 
-let min_period_scale ?(tolerance = 1e-4) ?params ?policy ?obs ?on_probe
-    ?on_failure ?on_feasible cfg =
+(* The bisection stops at this relative width. *)
+let tolerance = 1e-4
+
+let min_period_scale ?params ?policy ?obs ?on_probe ?on_failure ?on_feasible
+    cfg =
   (* The context rides inside the params so every probe's [Mapping.solve]
      sees it without further plumbing. *)
-  let params = Durability.params_with_obs params obs in
+  let params = Durability.params ?obs params in
   (* One mutable clone serves every probe: only the periods change
      between probes, so rescaling them in place beats rebuilding the
      whole configuration each time. *)
@@ -133,94 +129,64 @@ let decode_point cap payload =
     | exception (Scanf.Scan_failure _ | Failure _ | End_of_file) -> None
 
 let throughput_curve ?params ?policy ?pool ?deadline ?candidate_deadline
-    ?journal ?cancel ?obs ?on_progress ?(warm_start = true) cfg ~caps =
-  let policy =
-    match policy with Some p -> p | None -> Recovery.default_policy ()
-  in
-  let deadline = Option.value deadline ~default:Durable.Deadline.none in
+    ?journal ?cancel ?obs ?on_progress cfg ~caps =
+  let policy = Durability.candidate_policy policy in
   let caps = Array.of_list caps in
-  (* Each candidate gets its own clone, its own slice of the fault plan
-     and — crucially — its own exception barrier: a crash in one cap's
-     bisection becomes that point's outcome instead of killing the
-     sweep at the pool join. *)
-  let solve_cap index =
+  (* Each candidate bisects on its own clone with its own slice of the
+     fault plan. *)
+  let solve_cap ~deadline index =
     let cap = caps.(index) in
-    let candidate_policy =
-      { Recovery.fault = Fault.for_candidate policy.Recovery.fault ~index }
-    in
-    let params =
-      Durability.params_with_obs
-        (Durability.params_with_deadline params ~deadline ~candidate_deadline)
-        obs
-    in
     let failed = ref None in
     let on_failure e =
       if !failed = None then failed := Some (Mapping.short_reason e)
     in
-    let point =
-      match
-        let capped = Config.copy cfg in
-        List.iter
-          (fun b -> Config.set_max_capacity capped b (Some cap))
-          (Config.all_buffers capped);
-        (* One cold anchor per candidate (this cap, unscaled period)
-           seeds every probe of the bisection.  Anchoring on the
-           candidate's own data keeps the seed a pure function of the
-           candidate, so the point is bit-identical however the sweep
-           is scheduled or resumed; see [Durability.warm_anchor]. *)
-        let params =
-          if not warm_start then params
-          else
-            Durability.params_with_warm params
-              (Durability.warm_anchor ?params capped)
-        in
-        match
-          min_period_scale ?params ~policy:candidate_policy ~on_failure
-            capped
-        with
-        | None -> None
-        | Some scale -> begin
-          match Config.graphs capped with
-          | g :: _ -> Some (Config.period capped g *. scale)
-          | [] -> None
-        end
-      with
-      | Some period ->
-        (* [min_period_scale] accepts only certified probes, and the
-           bisection only ever narrows onto accepted ones. *)
-        { cap; outcome = Ok (Some period); certified = true }
-      | None -> begin
-        (* No feasible scale: an infeasibility verdict everywhere is the
-           honest [Ok None]; a failing solver is a skip with a reason. *)
-        match !failed with
-        | Some reason -> { cap; outcome = Error reason; certified = false }
-        | None -> { cap; outcome = Ok None; certified = false }
-      end
-      | exception e ->
-        {
-          cap;
-          outcome = Error ("uncaught exception: " ^ Printexc.to_string e);
-          certified = false;
-        }
+    let capped = Config.copy cfg in
+    List.iter
+      (fun b -> Config.set_max_capacity capped b (Some cap))
+      (Config.all_buffers capped);
+    (* One cold anchor per candidate (this cap, unscaled period) seeds
+       every probe of the bisection: the seed is a pure function of the
+       candidate, so the point is bit-identical however the sweep is
+       scheduled or resumed; see [Durability.warm_anchor]. *)
+    let params = Durability.params ~deadline ?obs params in
+    let params =
+      Durability.params ?warm:(Durability.warm_anchor ?params capped) params
     in
-    (match obs with
-    | None -> ()
-    | Some o ->
-      let verdict =
-        match point.outcome with
+    match
+      ( min_period_scale ?params ~policy:(policy index) ~on_failure capped,
+        Config.graphs capped )
+    with
+    | Some scale, g :: _ ->
+      (* [min_period_scale] accepts only certified probes, and the
+         bisection only ever narrows onto accepted ones. *)
+      {
+        cap;
+        outcome = Ok (Some (Config.period capped g *. scale));
+        certified = true;
+      }
+    | _ -> (
+      (* No feasible scale: an infeasibility verdict everywhere is the
+         honest [Ok None]; a failing solver is a skip with a reason. *)
+      match !failed with
+      | Some reason -> { cap; outcome = Error reason; certified = false }
+      | None -> { cap; outcome = Ok None; certified = false })
+  in
+  let results, _ =
+    Durable.Sweep.run ?pool ?journal ?obs ?deadline ?candidate_deadline ?cancel
+      ?on_progress ~encode:encode_point
+      ~decode:(fun i payload -> decode_point caps.(i) payload)
+      ~verdict:(fun p ->
+        match p.outcome with
         | Ok (Some _) -> "feasible"
         | Ok None -> "infeasible"
-        | Error reason ->
-          if String.equal reason "timed out" then "timed out" else "skipped"
-      in
-      Obs.Ctx.emit o (Obs.Trace.Candidate { index; verdict }));
-    point
-  in
-  let results, progress =
-    Durable.Sweep.run ?pool ?journal ?obs ~deadline ?cancel
-      ~encode:encode_point
-      ~decode:(fun i payload -> decode_point caps.(i) payload)
+        | Error "timed out" -> "timed out"
+        | Error _ -> "skipped")
+      ~failed:(fun i e ->
+        {
+          cap = caps.(i);
+          outcome = Error ("uncaught exception: " ^ Printexc.to_string e);
+          certified = false;
+        })
       ~n:(Array.length caps) solve_cap
   in
-  (match on_progress with None -> () | Some f -> f progress);
   List.filter_map Fun.id (Array.to_list results)

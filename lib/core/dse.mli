@@ -9,19 +9,14 @@
     throughput/buffer trade-off curve (Stuijk et al., DAC 2007, the
     two-phase flow the paper's Section I contrasts against). *)
 
-(** [with_periods cfg ~scale] clones [cfg] with every task graph's
-    period multiplied by [scale].
-    @raise Invalid_argument if [scale <= 0]. *)
-val with_periods : Taskgraph.Config.t -> scale:float -> Taskgraph.Config.t
-
-(** [min_period_scale ?tolerance ?params ?policy ?on_probe cfg] is the
-    smallest factor [s] such that the configuration with all periods
-    scaled by [s] is feasible, found by bisection to relative
-    [tolerance] (default 1e-4).  [s ≤ 1] means the stated requirements
-    hold with margin; [s > 1] means they must be relaxed by that
-    factor.  [None] when even a 1000× relaxation is infeasible (a
-    structural dead end such as an over-full memory — or a solver
-    failure that survived the whole recovery ladder on every probe).
+(** [min_period_scale ?params ?policy ?on_probe cfg] is the smallest
+    factor [s] such that the configuration with all periods scaled by
+    [s] is feasible, found by bisection to a relative width of 1e-4.
+    [s ≤ 1] means the stated requirements hold with margin; [s > 1]
+    means they must be relaxed by that factor.  [None] when even a
+    1000× relaxation is infeasible (a structural dead end such as an
+    over-full memory — or a solver failure that survived the whole
+    recovery ladder on every probe).
 
     All probes share one internal clone of [cfg] whose periods are
     rescaled in place — [cfg] itself is never mutated.  [policy] is
@@ -43,7 +38,6 @@ val with_periods : Taskgraph.Config.t -> scale:float -> Taskgraph.Config.t
     the timeout through [on_failure] — past the deadline, bisecting on
     further timed-out probes could only manufacture garbage bounds. *)
 val min_period_scale :
-  ?tolerance:float ->
   ?params:Conic.Socp.params ->
   ?policy:Robust.Recovery.policy ->
   ?obs:Obs.Ctx.t ->
@@ -82,40 +76,19 @@ val curve_skipped : curve_point list -> (int * string) list
 (** [throughput_curve ?params ?policy ?pool cfg ~caps] sweeps a shared
     buffer capacity cap and reports, per cap, the minimal feasible
     period of the {e first} task graph (single-graph configurations
-    being the common case).  Every cap is an independent bisection over
-    independent solves; with [?pool] they are evaluated concurrently,
-    with output bit-identical to the sequential sweep.  A failing
-    candidate is reported in its own {!curve_point.outcome} instead of
-    aborting the sweep.  A fault plan restricted with [only=I] applies
-    to the 0-based [I]-th cap of the sweep.
+    being the common case).  Every cap is an independent bisection
+    over independent solves; points come back in cap order, minus any
+    abandoned to the deadline or cancellation.  The sweep harness —
+    pool, journal, deadlines, cancellation, exception barrier, trace
+    events and warm starts — is {!Durable.Sweep}'s; the per-candidate
+    deadline bounds a cap's whole bisection, a fault plan restricted
+    with [only=I] applies to the 0-based [I]-th cap, and each cap runs
+    its own warm anchor (its caps, unscaled period), which seeds every
+    probe of its bisection.
 
-    Durability (docs/robustness.md): [?journal] records every completed
-    cap and restores the ones already present, so a killed sweep
-    resumed against the same journal re-solves only the missing caps —
-    with bit-identical points, because journal payloads round-trip
-    floats exactly.  [?deadline] bounds the whole sweep and
-    [?candidate_deadline] (seconds) each cap's bisection; both are also
-    polled inside the interior-point iteration loop, so even a single
-    slow solve stops promptly with a ["timed out"] outcome (which is
-    {e not} journaled — a resume retries it).  [?cancel] is polled
-    between candidates (cooperative cancellation — Ctrl-C handling in
-    the CLI); candidates in flight are drained, not aborted.  A sweep
-    cut short returns the points actually evaluated, in cap order;
-    [?on_progress] reports the restored/solved/abandoned split.
-
-    Observability (docs/observability.md): [?obs] rides into every
-    probe's solver and emits one {!Obs.Trace.Candidate} event per
-    newly-evaluated cap (verdict ["feasible"], ["infeasible"],
-    ["skipped"] or ["timed out"]), one {!Obs.Trace.Restore} event per
-    slot when a journal is consulted, and the pool's dispatch/join
-    events.
-
-    Warm starts: unless [~warm_start:false], each candidate runs one
-    cold anchor solve (its own caps, unscaled period) whose solution
-    seeds every probe of the bisection (see
-    {!Budgetbuf.Durability.warm_anchor}); the seed is a pure function
-    of the candidate, so points are bit-identical across pool sizes
-    and journal resumes. *)
+    Candidate verdicts: ["feasible"], ["infeasible"], ["skipped"] or
+    ["timed out"].  The journal records each point's outcome and
+    [certified] flag, floats bit-exact. *)
 val throughput_curve :
   ?params:Conic.Socp.params ->
   ?policy:Robust.Recovery.policy ->
@@ -126,7 +99,6 @@ val throughput_curve :
   ?cancel:(unit -> bool) ->
   ?obs:Obs.Ctx.t ->
   ?on_progress:(Durable.Sweep.progress -> unit) ->
-  ?warm_start:bool ->
   Taskgraph.Config.t ->
   caps:int list ->
   curve_point list

@@ -1,43 +1,31 @@
 module Socp = Conic.Socp
 module Deadline = Durable.Deadline
+module Recovery = Robust.Recovery
 
-(* Per-candidate solver parameters: the whole-sweep deadline combined
-   with a fresh per-candidate budget (started now, i.e. when the
-   candidate starts), installed as the Socp iteration-loop hook.  When
-   neither limit is set the caller's params pass through untouched, so
-   an unlimited sweep keeps a hook-free iteration loop. *)
-let params_with_deadline params ~deadline ~candidate_deadline =
-  let dl =
-    match candidate_deadline with
-    | None -> deadline
-    | Some s -> Deadline.combine deadline (Deadline.after s)
+(* Install the per-call hooks.  Each absent hook keeps the caller's
+   own, and with none of them the caller's params pass through
+   untouched — so an unlimited, unobserved, cold sweep keeps a
+   hook-free iteration loop (and bit-identical behaviour with the
+   params it was given). *)
+let params ?deadline ?obs ?warm p =
+  let deadline = Option.bind deadline Deadline.check in
+  if Option.is_none deadline && Option.is_none obs && Option.is_none warm then p
+  else
+    let base = Option.value p ~default:Socp.default_params in
+    let keep hook own = if Option.is_some hook then hook else own in
+    Some
+      {
+        base with
+        Socp.deadline = keep deadline base.Socp.deadline;
+        obs = keep obs base.Socp.obs;
+        warm = keep warm base.Socp.warm;
+      }
+
+let candidate_policy policy =
+  let { Recovery.fault } =
+    match policy with Some p -> p | None -> Recovery.default_policy ()
   in
-  match Deadline.check dl with
-  | None -> params
-  | Some expired ->
-    let base = Option.value params ~default:Socp.default_params in
-    Some { base with Socp.deadline = Some expired }
-
-(* Install an observability context as the [Socp.params.obs] hook so
-   the solver, the recovery ladder and [Mapping] all see it without
-   per-call plumbing.  [None] passes the params through untouched —
-   the uninstrumented path stays hook-free. *)
-let params_with_obs params obs =
-  match obs with
-  | None -> params
-  | Some _ ->
-    let base = Option.value params ~default:Socp.default_params in
-    Some { base with Socp.obs }
-
-(* Install a warm-start point.  [None] passes through untouched, so
-   cold sweeps keep the caller's exact params (and bit-identical
-   behaviour with pre-warm-start releases). *)
-let params_with_warm params warm =
-  match warm with
-  | None -> params
-  | Some _ ->
-    let base = Option.value params ~default:Socp.default_params in
-    Some { base with Socp.warm }
+  fun index -> { Recovery.fault = Robust.Fault.for_candidate fault ~index }
 
 (* One cold "anchor" solve whose solution seeds every candidate of a
    sweep.  Anchoring (rather than chaining each candidate to its

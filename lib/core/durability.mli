@@ -7,32 +7,28 @@
     C99 hex literals ([%h], bit-exact round-trip), free-form strings as
     OCaml-quoted literals ([%S], whitespace-safe). *)
 
-(** [params_with_deadline params ~deadline ~candidate_deadline] is
-    [params] with {!Conic.Socp.params.deadline} polling the earlier of
-    the whole-sweep [deadline] and a fresh per-candidate budget of
-    [candidate_deadline] seconds starting now.  [params] is returned
-    untouched when neither limit is set.
-    @raise Invalid_argument if [candidate_deadline <= 0]. *)
-val params_with_deadline :
+(** [params ?deadline ?obs ?warm p] is [p] (default
+    {!Conic.Socp.default_params}) with each given hook installed:
+    [deadline] polled inside the interior-point loop (see
+    {!Durable.Deadline.check}; {!Durable.Deadline.none} installs
+    nothing), [obs] as the context the solver, the recovery ladder and
+    {!Mapping} emit into, and [warm] as the warm-start point.  Absent
+    hooks keep [p]'s own; with none of the three, [p] passes through
+    untouched, so an unlimited, unobserved, cold solve keeps a
+    hook-free iteration loop. *)
+val params :
+  ?deadline:Durable.Deadline.t ->
+  ?obs:Obs.Ctx.t ->
+  ?warm:Conic.Socp.warm ->
   Conic.Socp.params option ->
-  deadline:Durable.Deadline.t ->
-  candidate_deadline:float option ->
   Conic.Socp.params option
 
-(** [params_with_obs params obs] installs [obs] as
-    {!Conic.Socp.params.obs} so the solver and the recovery ladder
-    emit into it; [params] is returned untouched when [obs] is
-    [None]. *)
-val params_with_obs :
-  Conic.Socp.params option -> Obs.Ctx.t option -> Conic.Socp.params option
-
-(** [params_with_warm params warm] installs [warm] as
-    {!Conic.Socp.params.warm}; [params] is returned untouched when
-    [warm] is [None]. *)
-val params_with_warm :
-  Conic.Socp.params option ->
-  Conic.Socp.warm option ->
-  Conic.Socp.params option
+(** [candidate_policy policy] is the policy of sweep candidate [index]:
+    [policy] (default {!Robust.Recovery.default_policy}) with its fault
+    plan restricted by {!Robust.Fault.for_candidate}, so a plan with
+    [only=I] applies to the 0-based [I]-th candidate only. *)
+val candidate_policy :
+  Robust.Recovery.policy option -> int -> Robust.Recovery.policy
 
 (** [warm_anchor ?params cfg] runs one cold solve of [cfg]'s SOCP and
     returns its primal/dual point as a warm-start seed, or [None] if

@@ -261,7 +261,7 @@ let solve ?params ?policy ?obs cfg =
   (* An explicit [?obs] wins; otherwise keep whatever already rides in
      the params (threaded there by an enclosing sweep). *)
   let obs = Durability.obs_of params obs in
-  let params = Durability.params_with_obs params obs in
+  let params = Durability.params ?obs params in
   let builder = Socp_builder.build cfg in
   let t0 = Unix.gettimeofday () in
   let result, trace =

@@ -24,13 +24,17 @@ type channel_info = {
   cweight : float;
 }
 
+(* Tasks and channels live in id-indexed growable arrays (slots
+   [0 .. n-1] are live), their names in one table each. *)
 type t = {
   config_seed : Config.t; (* holds processors and memories *)
   mutable graph_periods : (string * float) list; (* reversed *)
-  mutable task_infos : task_info list; (* reversed *)
+  mutable task_infos : task_info array;
   mutable ntasks : int;
-  mutable channel_infos : channel_info list; (* reversed *)
+  mutable channel_infos : channel_info array;
   mutable nchannels : int;
+  task_names : (string, unit) Hashtbl.t;
+  channel_names : (string, unit) Hashtbl.t;
   mutable default_memory : Config.memory option;
 }
 
@@ -38,12 +42,32 @@ let create ~granularity () =
   {
     config_seed = Config.create ~granularity ();
     graph_periods = [];
-    task_infos = [];
+    task_infos = [||];
     ntasks = 0;
-    channel_infos = [];
+    channel_infos = [||];
     nchannels = 0;
+    task_names = Hashtbl.create 16;
+    channel_names = Hashtbl.create 16;
     default_memory = None;
   }
+
+(* [push a n x] stores [x] at slot [n] of [a], doubling [a] when full. *)
+let push a n x =
+  let a =
+    if n < Array.length a then a
+    else begin
+      let fresh = Array.make (Int.max 8 (2 * n)) x in
+      Array.blit a 0 fresh 0 n;
+      fresh
+    end
+  in
+  a.(n) <- x;
+  a
+
+(* Claims [name] in [names], or fails with [msg]. *)
+let claim_name names name msg =
+  if Hashtbl.mem names name then invalid_arg msg;
+  Hashtbl.add names name ()
 
 let add_processor t ~name ~replenishment ?overhead () =
   Config.add_processor t.config_seed ~name ~replenishment ?overhead ()
@@ -59,18 +83,19 @@ let add_graph t ~name ~period =
   if period <= 0.0 then invalid_arg "Multirate.add_graph: period must be > 0";
   t.graph_periods <- (name, period) :: t.graph_periods
 
-let task_info t w = List.nth t.task_infos (t.ntasks - 1 - w)
+let task_info t w =
+  if w < 0 || w >= t.ntasks then invalid_arg "Multirate: unknown task";
+  t.task_infos.(w)
 
 let add_task t ~graph ~name ~proc ~wcet ?(weight = 1.0) () =
   if not (List.mem_assoc graph t.graph_periods) then
     invalid_arg "Multirate.add_task: unknown graph";
   if wcet <= 0.0 then invalid_arg "Multirate.add_task: wcet must be > 0";
-  if List.exists (fun i -> i.tname = name) t.task_infos then
-    invalid_arg "Multirate.add_task: duplicate task name";
+  claim_name t.task_names name "Multirate.add_task: duplicate task name";
   let w = t.ntasks in
   t.task_infos <-
-    { tname = name; tgraph = graph; tproc = proc; wcet; tweight = weight }
-    :: t.task_infos;
+    push t.task_infos w
+      { tname = name; tgraph = graph; tproc = proc; wcet; tweight = weight };
   t.ntasks <- w + 1;
   w
 
@@ -83,22 +108,22 @@ let add_channel t ~name ~src ~production ~dst ~consumption
   let si = task_info t src and di = task_info t dst in
   if si.tgraph <> di.tgraph then
     invalid_arg "Multirate.add_channel: tasks of different graphs";
-  if List.exists (fun i -> i.cname = name) t.channel_infos then
-    invalid_arg "Multirate.add_channel: duplicate channel name";
+  claim_name t.channel_names name
+    "Multirate.add_channel: duplicate channel name";
   let c = t.nchannels in
   t.channel_infos <-
-    {
-      cname = name;
-      cgraph = si.tgraph;
-      csrc = src;
-      production;
-      cdst = dst;
-      consumption;
-      initial = initial_tokens;
-      container_size;
-      cweight = weight;
-    }
-    :: t.channel_infos;
+    push t.channel_infos c
+      {
+        cname = name;
+        cgraph = si.tgraph;
+        csrc = src;
+        production;
+        cdst = dst;
+        consumption;
+        initial = initial_tokens;
+        container_size;
+        cweight = weight;
+      };
   t.nchannels <- c + 1;
   c
 
@@ -134,8 +159,10 @@ let compile ?(serialize = false) t =
     in
     let mem_of m = List.assoc (Config.memory_id m) mems in
     let proc_of p = List.assoc (Config.proc_id p) procs in
-    let task_list = List.rev t.task_infos in
-    let channel_list = List.rev t.channel_infos in
+    let task_list = Array.to_list (Array.sub t.task_infos 0 t.ntasks) in
+    let channel_list =
+      Array.to_list (Array.sub t.channel_infos 0 t.nchannels)
+    in
     (* Each graph is a one-phase CSDF graph: its repetition vector and
        the dependency queues of its channels come from the expansion. *)
     let rec per_graph acc = function
@@ -184,7 +211,7 @@ let compile ?(serialize = false) t =
             (fun w info ->
               if info.tgraph = gname then begin
                 let copies =
-                  List.init (rep w) (fun k ->
+                  Array.init (rep w) (fun k ->
                       Config.add_task cfg g
                         ~name:(Printf.sprintf "%s#%d" info.tname (k + 1))
                         ~proc:(proc_of info.tproc) ~wcet:info.wcet
@@ -193,7 +220,7 @@ let compile ?(serialize = false) t =
                 Hashtbl.replace copy_table w copies
               end)
             task_list;
-          let copy w k = List.nth (Hashtbl.find copy_table w) (k - 1) in
+          let copy w k = (Hashtbl.find copy_table w).(k - 1) in
           (* Serialisation FIFOs: a one-token ring through the copies of
              each task enforces in-order, one-in-flight execution. *)
           List.iteri
@@ -233,7 +260,7 @@ let compile ?(serialize = false) t =
         graph_data;
       let copies w =
         match Hashtbl.find_opt copy_table w with
-        | Some c -> c
+        | Some c -> Array.to_list c
         | None -> invalid_arg "Multirate.copies: unknown task"
       in
       let fifos c =

@@ -1,6 +1,4 @@
 module Config = Taskgraph.Config
-module Recovery = Robust.Recovery
-module Fault = Robust.Fault
 
 type point = {
   weight_ratio : float;
@@ -74,104 +72,80 @@ let decode_outcome payload =
     | exception (Scanf.Scan_failure _ | Failure _ | End_of_file) -> None
 
 let frontier ?(steps = 9) ?params ?policy ?pool ?deadline ?candidate_deadline
-    ?journal ?cancel ?obs ?on_progress ?(warm_start = true) cfg =
+    ?journal ?cancel ?obs ?on_progress cfg =
   if steps < 1 then invalid_arg "Pareto.frontier: steps must be >= 1";
-  let policy =
-    match policy with Some p -> p | None -> Recovery.default_policy ()
-  in
-  let deadline = Option.value deadline ~default:Durable.Deadline.none in
+  let policy = Durability.candidate_policy policy in
   let tasks = Config.all_tasks cfg and buffers = Config.all_buffers cfg in
   (* Geometric sweep of the budget-to-buffer weight ratio; every ratio
      reweights its own clone so the candidate solves are independent
      (and [cfg] keeps its weights without any restore dance). *)
   let lo = 1e-3 and hi = 1e3 in
   let ratios =
-    if steps = 1 then [ 1.0 ]
+    if steps = 1 then [| 1.0 |]
     else
-      List.init steps (fun i ->
+      Array.init steps (fun i ->
           lo *. ((hi /. lo) ** (float_of_int i /. float_of_int (steps - 1))))
+  in
+  let candidate i =
+    let c = Config.copy cfg in
+    List.iter (fun w -> Config.set_task_weight c w ratios.(i)) tasks;
+    List.iter (fun b -> Config.set_buffer_weight c b 1.0) buffers;
+    c
+  in
+  (* One cold anchor (the first candidate) seeds every candidate —
+     order-independent, hence pool- and resume-safe; see
+     [Durability.warm_anchor]. *)
+  let warm =
+    Durability.warm_anchor
+      ?params:
+        (Durability.params
+           ~deadline:
+             (Durable.Sweep.candidate_deadline deadline candidate_deadline)
+           params)
+      (candidate 0)
   in
   (* Per-candidate outcome: a solver failure (or a crash) is reported
      in [skipped] while the rest of the frontier survives; a plain
-     infeasibility verdict is silently dropped as before (an infeasible
-     instance has no frontier points at any ratio). *)
-  let ratios = Array.of_list ratios in
-  (* One cold anchor (at the first ratio's weights) seeds every
-     candidate — order-independent, hence pool- and resume-safe; see
-     [Durability.warm_anchor]. *)
-  let warm =
-    if (not warm_start) || Array.length ratios = 0 then None
-    else begin
-      let anchor = Config.copy cfg in
-      List.iter (fun w -> Config.set_task_weight anchor w ratios.(0)) tasks;
-      List.iter (fun b -> Config.set_buffer_weight anchor b 1.0) buffers;
-      Durability.warm_anchor
-        ?params:(Durability.params_with_deadline params ~deadline ~candidate_deadline)
-        anchor
-    end
-  in
-  let solve_ratio index =
+     infeasibility verdict is silently dropped (an infeasible instance
+     has no frontier points at any ratio). *)
+  let solve_ratio ~deadline index =
     let ratio = ratios.(index) in
-    let candidate_policy =
-      { Recovery.fault = Fault.for_candidate policy.Recovery.fault ~index }
-    in
-    let params =
-      Durability.params_with_warm
-        (Durability.params_with_obs
-           (Durability.params_with_deadline params ~deadline ~candidate_deadline)
-           obs)
-        warm
-    in
-    let outcome =
-      match
-        let candidate = Config.copy cfg in
-        List.iter (fun w -> Config.set_task_weight candidate w ratio) tasks;
-        List.iter (fun b -> Config.set_buffer_weight candidate b 1.0) buffers;
-        Mapping.solve ?params ~policy:candidate_policy candidate
-      with
-      | Ok r ->
-        let budget_sum =
-          List.fold_left
-            (fun acc w -> acc +. r.Mapping.continuous.Socp_builder.budget w)
-            0.0 tasks
-        in
-        let buffer_containers =
-          List.fold_left
-            (fun acc b -> acc + r.Mapping.mapped.Config.capacity b)
-            0 buffers
-        in
-        `Point
-          {
-            weight_ratio = ratio;
-            budget_sum;
-            buffer_containers;
-            rounded_objective = r.Mapping.rounded_objective;
-            certified = Certify.certified r.Mapping.certificate;
-          }
-      | Error (Mapping.Infeasible _) -> `Infeasible
-      | Error ((Mapping.Solver_failure _ | Mapping.Timed_out _) as e) ->
-        `Skipped (ratio, Mapping.short_reason e)
-      | exception _ -> `Skipped (ratio, "exception")
-    in
-    (match obs with
-    | None -> ()
-    | Some o ->
-      let verdict =
-        match outcome with
+    let params = Durability.params ~deadline ?obs ?warm params in
+    match Mapping.solve ?params ~policy:(policy index) (candidate index) with
+    | Ok r ->
+      let budget_sum =
+        List.fold_left
+          (fun acc w -> acc +. r.Mapping.continuous.Socp_builder.budget w)
+          0.0 tasks
+      in
+      let buffer_containers =
+        List.fold_left
+          (fun acc b -> acc + r.Mapping.mapped.Config.capacity b)
+          0 buffers
+      in
+      `Point
+        {
+          weight_ratio = ratio;
+          budget_sum;
+          buffer_containers;
+          rounded_objective = r.Mapping.rounded_objective;
+          certified = Certify.certified r.Mapping.certificate;
+        }
+    | Error (Mapping.Infeasible _) -> `Infeasible
+    | Error ((Mapping.Solver_failure _ | Mapping.Timed_out _) as e) ->
+      `Skipped (ratio, Mapping.short_reason e)
+  in
+  let results, _ =
+    Durable.Sweep.run ?pool ?journal ?obs ?deadline ?candidate_deadline ?cancel
+      ?on_progress ~encode:encode_outcome
+      ~decode:(fun _ payload -> decode_outcome payload)
+      ~verdict:(function
         | `Point _ -> "ok"
         | `Infeasible -> "infeasible"
-        | `Skipped _ -> "skipped"
-      in
-      Obs.Ctx.emit o (Obs.Trace.Candidate { index; verdict }));
-    outcome
+        | `Skipped _ -> "skipped")
+      ~failed:(fun i _ -> `Skipped (ratios.(i), "exception"))
+      ~n:steps solve_ratio
   in
-  let results, progress =
-    Durable.Sweep.run ?pool ?journal ?obs ~deadline ?cancel
-      ~encode:encode_outcome
-      ~decode:(fun _ payload -> decode_outcome payload)
-      ~n:(Array.length ratios) solve_ratio
-  in
-  (match on_progress with None -> () | Some f -> f progress);
   let outcomes = List.filter_map Fun.id (Array.to_list results) in
   let raw =
     List.filter_map (function `Point p -> Some p | _ -> None) outcomes

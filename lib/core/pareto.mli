@@ -34,32 +34,18 @@ type sweep = { points : point list; skipped : (float * string) list }
     Budget sums compare rounded to whole granules; among ratios that
     tie on containers and granules the smallest ratio represents the
     point, so the frontier does not depend on which recovery rung
-    answered a candidate.  Each ratio reweights a private clone of [cfg], so the configuration
-    is never mutated and the candidate solves are independent; with
-    [?pool] they run concurrently, with results bit-identical to the
-    sequential sweep (see {!Parallel.Pool.map_result}).  Infeasible
-    instances yield an empty [points] list; failing candidates land in
-    [skipped].  A fault plan restricted with [only=I] applies to the
-    0-based [I]-th ratio of the sweep.
+    answered a candidate.  Each ratio reweights a private clone of
+    [cfg], so the configuration is never mutated.  Infeasible
+    instances yield an empty [points] list; failing, crashing and
+    timed-out candidates land in [skipped].  The sweep harness — pool,
+    journal, deadlines, cancellation, exception barrier, trace events
+    and warm starts — is {!Durable.Sweep}'s; a fault plan restricted
+    with [only=I] applies to the 0-based [I]-th ratio, and the warm
+    anchor solves the first ratio.
 
-    Durability (docs/robustness.md): [?journal] records each ratio's
-    raw outcome (frontier pruning always re-runs over the union of
-    restored and fresh outcomes); [?deadline] /
-    [?candidate_deadline] / [?cancel] stop the sweep cooperatively, and
-    a timed-out ratio lands in [skipped] with reason ["timed out"]
-    without being journaled, so a resume retries it.  [?on_progress]
-    reports the restored/solved/abandoned split.
-
-    Observability (docs/observability.md): [?obs] rides into every
-    candidate's solver and emits one {!Obs.Trace.Candidate} event per
-    newly-solved ratio (verdict ["ok"], ["infeasible"] or
-    ["skipped"]), one {!Obs.Trace.Restore} event per slot when a
-    journal is consulted, and the pool's dispatch/join events.
-
-    Warm starts: unless [~warm_start:false], one cold anchor solve at
-    the first ratio's weights seeds every candidate (see
-    {!Budgetbuf.Durability.warm_anchor}) — order-independent, hence
-    bit-identical across pool sizes and journal resumes.
+    Candidate verdicts: ["ok"], ["infeasible"] or ["skipped"].  The
+    journal records each ratio's raw outcome; frontier pruning always
+    re-runs over the union of restored and fresh outcomes.
     @raise Invalid_argument if [steps < 1]. *)
 val frontier :
   ?steps:int ->
@@ -72,7 +58,6 @@ val frontier :
   ?cancel:(unit -> bool) ->
   ?obs:Obs.Ctx.t ->
   ?on_progress:(Durable.Sweep.progress -> unit) ->
-  ?warm_start:bool ->
   Taskgraph.Config.t ->
   sweep
 

@@ -1,6 +1,4 @@
 module Config = Taskgraph.Config
-module Recovery = Robust.Recovery
-module Fault = Robust.Fault
 
 type point = {
   cap : int;
@@ -143,85 +141,60 @@ let decode_point cfg ~candidate cap payload =
     None
 
 let capacity_sweep ?params ?policy ?pool ?deadline ?candidate_deadline ?journal
-    ?cancel ?obs ?on_progress ?(warm_start = true) cfg ~buffers ~caps =
-  let policy =
-    match policy with Some p -> p | None -> Recovery.default_policy ()
-  in
-  let deadline = Option.value deadline ~default:Durable.Deadline.none in
+    ?cancel ?obs ?on_progress cfg ~buffers ~caps =
   let caps = Array.of_list caps in
-  (* One cold anchor solve (on the first candidate's bounds) seeds every
-     candidate; see [Durability.warm_anchor] for why anchoring — not
-     neighbour-chaining — is what keeps warm starts pool- and
-     resume-deterministic. *)
-  let warm =
-    if (not warm_start) || Array.length caps = 0 then None
-    else begin
-      let anchor = Config.copy cfg in
-      List.iter
-        (fun b -> Config.set_max_capacity anchor b (Some caps.(0)))
-        buffers;
-      Durability.warm_anchor
-        ?params:(Durability.params_with_deadline params ~deadline ~candidate_deadline)
-        anchor
-    end
-  in
+  let policy = Durability.candidate_policy policy in
   (* Each cap solves its own clone (handles are dense ids, valid across
      copies), so candidate solves are independent and can be batched on
-     a pool; [cfg] is never touched.  Exceptions become that point's
-     [Solver_failure] so one bad candidate cannot abort the sweep. *)
-  let solve_cap index =
-    let cap = caps.(index) in
-    let candidate_policy =
-      { Recovery.fault = Fault.for_candidate policy.Recovery.fault ~index }
-    in
-    let params =
-      Durability.params_with_warm
-        (Durability.params_with_obs
-           (Durability.params_with_deadline params ~deadline ~candidate_deadline)
-           obs)
-        warm
-    in
-    let result =
-      match
-        let candidate = Config.copy cfg in
-        List.iter
-          (fun b -> Config.set_max_capacity candidate b (Some cap))
-          buffers;
-        Mapping.solve ?params ~policy:candidate_policy candidate
-      with
-      | r -> r
-      | exception e ->
-        Error
-          (Mapping.Solver_failure
-             ("uncaught exception: " ^ Printexc.to_string e))
-    in
-    (match obs with
-    | None -> ()
-    | Some o ->
-      let verdict =
-        match result with
+     a pool; [cfg] is never touched.  A restored point is re-certified
+     against the same clone. *)
+  let candidate i =
+    let capped = Config.copy cfg in
+    List.iter
+      (fun b -> Config.set_max_capacity capped b (Some caps.(i)))
+      buffers;
+    capped
+  in
+  (* One cold anchor solve on the first candidate seeds every candidate;
+     see [Durability.warm_anchor] for why anchoring — not
+     neighbour-chaining — keeps warm starts pool- and resume-safe. *)
+  let warm =
+    if Array.length caps = 0 then None
+    else
+      Durability.warm_anchor
+        ?params:
+          (Durability.params
+             ~deadline:
+               (Durable.Sweep.candidate_deadline deadline candidate_deadline)
+             params)
+        (candidate 0)
+  in
+  let results, _ =
+    Durable.Sweep.run ?pool ?journal ?obs ?deadline ?candidate_deadline ?cancel
+      ?on_progress ~encode:(encode_point cfg)
+      ~decode:(fun i -> decode_point cfg ~candidate:(candidate i) caps.(i))
+      ~verdict:(fun p ->
+        match p.result with
         | Ok _ -> "ok"
         | Error (Mapping.Infeasible _) -> "infeasible"
         | Error (Mapping.Timed_out _) -> "timed out"
-        | Error (Mapping.Solver_failure _) -> "skipped"
-      in
-      Obs.Ctx.emit o (Obs.Trace.Candidate { index; verdict }));
-    { cap; result }
+        | Error (Mapping.Solver_failure _) -> "skipped")
+      ~failed:(fun i e ->
+        {
+          cap = caps.(i);
+          result =
+            Error
+              (Mapping.Solver_failure
+                 ("uncaught exception: " ^ Printexc.to_string e));
+        })
+      ~n:(Array.length caps)
+      (fun ~deadline i ->
+        let params = Durability.params ~deadline ?obs ?warm params in
+        {
+          cap = caps.(i);
+          result = Mapping.solve ?params ~policy:(policy i) (candidate i);
+        })
   in
-  let results, progress =
-    Durable.Sweep.run ?pool ?journal ?obs ~deadline ?cancel
-      ~encode:(encode_point cfg)
-      ~decode:(fun i payload ->
-        (* Rebuild the capped candidate the point was solved on, so the
-           restored mapping is re-certified against the right bounds. *)
-        let candidate = Config.copy cfg in
-        List.iter
-          (fun b -> Config.set_max_capacity candidate b (Some caps.(i)))
-          buffers;
-        decode_point cfg ~candidate caps.(i) payload)
-      ~n:(Array.length caps) solve_cap
-  in
-  (match on_progress with None -> () | Some f -> f progress);
   List.filter_map Fun.id (Array.to_list results)
 
 let skipped points =

@@ -15,42 +15,23 @@ type point = {
     {!Mapping.solve} once per cap, setting [max_capacity] of every
     buffer in [buffers] to the cap on a private clone of [cfg] ([cfg]
     itself is left untouched).  Points come back in the order of
-    [caps]; with [?pool] the candidate solves run concurrently, with
-    results bit-identical to the sequential sweep (see
-    {!Parallel.Pool.map_result}).  A candidate that raises is recorded
-    as that point's [Solver_failure] instead of aborting the sweep;
-    a fault plan restricted with [only=I] applies to the 0-based
-    [I]-th cap.
+    [caps], minus any abandoned to the deadline or cancellation; the
+    sweep harness — pool, journal, deadlines, cancellation, exception
+    barrier, trace events and warm starts — is {!Durable.Sweep}'s.  A
+    candidate that raises becomes that point's [Solver_failure]; a
+    fault plan restricted with [only=I] applies to the 0-based [I]-th
+    cap.  The warm anchor solves the first cap.
 
-    Durability (docs/robustness.md): [?journal] records every completed
-    cap (including infeasible and failed verdicts — they are verdicts)
-    and restores recorded caps instead of re-solving them.  A restored
-    point carries the exact objectives, continuous values and rounded
-    mapping of the original solve, plus a
+    Candidate verdicts: ["ok"], ["infeasible"], ["skipped"] or
+    ["timed out"] (an expired candidate's [Timed_out] error).
+
+    Journal payload: the objectives, continuous values and rounded
+    mapping of the solve.  A restored point carries those bits plus a
     {e freshly recomputed} exact certificate — the decoder re-certifies
-    the restored mapping against the capped candidate configuration
-    (the CRC guards the bits, the certifier guards the meaning) — but
-    an empty [recovery] trace and zeroed [stats]: the solve did not run
-    again.
-    [?deadline] bounds the whole sweep, [?candidate_deadline] (seconds)
-    each solve; both are polled inside the interior-point loop, and an
-    expired candidate gets the [Timed_out] error — never journaled, so
-    a resume retries it.  [?cancel] stops the sweep between candidates;
-    abandoned caps are simply absent from the returned list
-    ([?on_progress] reports the split).
-
-    Observability (docs/observability.md): [?obs] rides into every
-    candidate's solver and emits one {!Obs.Trace.Candidate} event per
-    newly-solved cap (verdict ["ok"], ["infeasible"], ["skipped"] or
-    ["timed out"]), one {!Obs.Trace.Restore} event per slot when a
-    journal is consulted, and the pool's dispatch/join events.
-
-    Warm starts: unless [~warm_start:false], one cold anchor solve on
-    the first cap's bounds seeds every candidate's interior-point run
-    (see {!Budgetbuf.Durability.warm_anchor}); because every candidate
-    shares the same anchor, results are bit-identical across pool
-    sizes and journal resumes.  Rungs past [Base] of the recovery
-    ladder always run cold. *)
+    the restored mapping against the capped candidate (the CRC guards
+    the bits, the certifier guards the meaning) — but an empty
+    [recovery] trace and zeroed [stats]: the solve did not run
+    again. *)
 val capacity_sweep :
   ?params:Conic.Socp.params ->
   ?policy:Robust.Recovery.policy ->
@@ -61,7 +42,6 @@ val capacity_sweep :
   ?cancel:(unit -> bool) ->
   ?obs:Obs.Ctx.t ->
   ?on_progress:(Durable.Sweep.progress -> unit) ->
-  ?warm_start:bool ->
   Taskgraph.Config.t ->
   buffers:Taskgraph.Config.buffer list ->
   caps:int list ->

@@ -11,15 +11,29 @@ type channel_info = {
   initial : int;
 }
 
+(* Id-indexed growable arrays: slots [0 .. n-1] are live. *)
 type t = {
-  mutable actor_infos : actor_info list; (* reversed *)
+  mutable actor_infos : actor_info array;
   mutable nactors : int;
-  mutable channel_infos : channel_info list; (* reversed *)
+  mutable channel_infos : channel_info array;
   mutable nchannels : int;
 }
 
 let create () =
-  { actor_infos = []; nactors = 0; channel_infos = []; nchannels = 0 }
+  { actor_infos = [||]; nactors = 0; channel_infos = [||]; nchannels = 0 }
+
+(* [push a n x] stores [x] at slot [n] of [a], doubling [a] when full. *)
+let push a n x =
+  let a =
+    if n < Array.length a then a
+    else begin
+      let fresh = Array.make (Int.max 8 (2 * n)) x in
+      Array.blit a 0 fresh 0 n;
+      fresh
+    end
+  in
+  a.(n) <- x;
+  a
 
 let add_actor t ~name ~durations =
   if Array.length durations = 0 then
@@ -30,14 +44,16 @@ let add_actor t ~name ~durations =
         invalid_arg "Csdf.add_actor: durations must be finite and >= 0")
     durations;
   let a = t.nactors in
-  t.actor_infos <- { name; durations = Array.copy durations } :: t.actor_infos;
+  t.actor_infos <-
+    push t.actor_infos a { name; durations = Array.copy durations };
   t.nactors <- a + 1;
   a
 
 let check_actor t a =
   if a < 0 || a >= t.nactors then invalid_arg "Csdf: unknown actor"
 
-let actor_infos t = Array.of_list (List.rev t.actor_infos)
+let actor_infos t = Array.sub t.actor_infos 0 t.nactors
+let channel_infos t = Array.sub t.channel_infos 0 t.nchannels
 
 let phases_of info = Array.length info.durations
 
@@ -45,10 +61,9 @@ let add_channel t ~src ~production ~dst ~consumption ?(initial_tokens = 0) ()
     =
   check_actor t src;
   check_actor t dst;
-  let infos = actor_infos t in
-  if Array.length production <> phases_of infos.(src) then
+  if Array.length production <> phases_of t.actor_infos.(src) then
     invalid_arg "Csdf.add_channel: production length <> phases of src";
-  if Array.length consumption <> phases_of infos.(dst) then
+  if Array.length consumption <> phases_of t.actor_infos.(dst) then
     invalid_arg "Csdf.add_channel: consumption length <> phases of dst";
   let check_rates name rates =
     let sum = ref 0 in
@@ -67,14 +82,14 @@ let add_channel t ~src ~production ~dst ~consumption ?(initial_tokens = 0) ()
     invalid_arg "Csdf.add_channel: initial tokens must be >= 0";
   let c = t.nchannels in
   t.channel_infos <-
-    {
-      src;
-      production = Array.copy production;
-      dst;
-      consumption = Array.copy consumption;
-      initial = initial_tokens;
-    }
-    :: t.channel_infos;
+    push t.channel_infos c
+      {
+        src;
+        production = Array.copy production;
+        dst;
+        consumption = Array.copy consumption;
+        initial = initial_tokens;
+      };
   t.nchannels <- c + 1;
   c
 
@@ -84,11 +99,11 @@ let num_channels t = t.nchannels
 
 let actor_name t a =
   check_actor t a;
-  (actor_infos t).(a).name
+  t.actor_infos.(a).name
 
 let phases t a =
   check_actor t a;
-  phases_of (actor_infos t).(a)
+  phases_of t.actor_infos.(a)
 
 let rec gcd a b = if b = 0 then a else gcd b (a mod b)
 
@@ -102,12 +117,12 @@ let repetition_vector t =
   let n = t.nactors in
   let sum = Array.fold_left ( + ) 0 in
   let adj = Array.make n [] in
-  List.iter
+  Array.iter
     (fun ch ->
       let p = sum ch.production and c = sum ch.consumption in
       adj.(ch.src) <- (ch.dst, p, c) :: adj.(ch.src);
       adj.(ch.dst) <- (ch.src, c, p) :: adj.(ch.dst))
-    (List.rev t.channel_infos);
+    (channel_infos t);
   (* q(a) as the reduced fraction num/den; den = 0 while unvisited. *)
   let num = Array.make n 0 and den = Array.make n 0 in
   let components = ref [] and consistent = ref true in
@@ -213,8 +228,7 @@ let channel_dependencies infos q ch =
 
 let dependencies t q c =
   if c < 0 || c >= t.nchannels then invalid_arg "Csdf: unknown channel";
-  channel_dependencies (actor_infos t) q
-    (List.nth t.channel_infos (t.nchannels - 1 - c))
+  channel_dependencies t.actor_infos q t.channel_infos.(c)
 
 let expand ?(serialize = false) t =
   match repetition_vector t with
@@ -247,7 +261,7 @@ let expand ?(serialize = false) t =
                    ~tokens:(if k = qn - 1 then 1 else 0))
             done)
         copies;
-    List.iter
+    Array.iter
       (fun ch ->
         List.iter
           (fun (s, l, tokens) ->
@@ -257,7 +271,7 @@ let expand ?(serialize = false) t =
                  ~dst:copies.(ch.dst).(l - 1)
                  ~tokens))
           (channel_dependencies infos q ch))
-      (List.rev t.channel_infos);
+      (channel_infos t);
     Ok
       {
         srdf;

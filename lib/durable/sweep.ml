@@ -1,8 +1,10 @@
 (* The shared durable fan-out: restore journal hits, run the missing
-   candidates (on a pool when given), journal each completion, and stop
-   cleanly — never mid-candidate — when the deadline expires or the
-   caller cancels.  Slots that were neither restored nor run come back
-   [None]; the caller decides how to present a partial sweep. *)
+   candidates (on a pool when given) behind one per-candidate deadline
+   and exception barrier, emit each verdict, journal each completion,
+   and stop cleanly — never mid-candidate — when the deadline expires
+   or the caller cancels.  Slots that were neither restored nor run
+   come back [None]; the caller decides how to present a partial
+   sweep. *)
 
 type progress = { total : int; resumed : int; solved : int; not_run : int }
 
@@ -10,8 +12,14 @@ let pp_progress ppf p =
   Format.fprintf ppf "%d/%d resumed, %d solved, %d not run" p.resumed p.total
     p.solved p.not_run
 
-let run ?pool ?journal ?obs ?(deadline = Deadline.none) ?cancel ~encode ~decode
-    ~n f =
+let candidate_deadline deadline budget =
+  let deadline = Option.value deadline ~default:Deadline.none in
+  match budget with
+  | None -> deadline
+  | Some s -> Deadline.combine deadline (Deadline.after s)
+
+let run ?pool ?journal ?obs ?deadline ?candidate_deadline:budget ?cancel
+    ?on_progress ~encode ~decode ~verdict ~failed ~n f =
   if n < 0 then invalid_arg "Durable.Sweep.run: n must be >= 0";
   let results = Array.make (Int.max n 1) None in
   let resumed = ref 0 in
@@ -43,12 +51,20 @@ let run ?pool ?journal ?obs ?(deadline = Deadline.none) ?cancel ~encode ~decode
     let cancelled =
       match cancel with None -> fun () -> false | Some c -> c
     in
-    fun () -> cancelled () || Deadline.expired deadline
+    let sweep = Option.value deadline ~default:Deadline.none in
+    fun () -> cancelled () || Deadline.expired sweep
   in
   let counter = Mutex.create () in
   let solved = ref 0 in
   let solve_one i =
-    let v = f i in
+    (* The budget starts with the candidate; an invalid one raises here,
+       outside the barrier, and reaches the caller at the join. *)
+    let deadline = candidate_deadline deadline budget in
+    let v = match f ~deadline i with v -> v | exception e -> failed i e in
+    (match obs with
+    | None -> ()
+    | Some o ->
+      Obs.Ctx.emit o (Obs.Trace.Candidate { index = i; verdict = verdict v }));
     (* Journal before counting: if the fsync raises, the candidate is
        not reported as saved. *)
     (match journal with
@@ -81,7 +97,8 @@ let run ?pool ?journal ?obs ?(deadline = Deadline.none) ?cancel ~encode ~decode
         | Error e -> raise e)
       todo
       (Parallel.Pool.map_result ~cancel:stop ?obs pool solve_one todo));
-  let results = if n = 0 then [||] else results in
-  ( results,
+  let progress =
     { total = n; resumed = !resumed; solved = !solved; not_run = n - !resumed - !solved }
-  )
+  in
+  Option.iter (fun report -> report progress) on_progress;
+  ((if n = 0 then [||] else results), progress)

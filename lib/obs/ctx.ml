@@ -3,26 +3,24 @@
    [emit] does two things: it folds the event into the aggregate
    metrics (the [--metrics] table), and — unless the sink is null — it
    stamps the event with a sequence number and a clock reading and
-   hands it to the sink.  The metrics side uses the lock-free
-   per-domain cells of [Metrics] for the counters every solve touches;
-   the low-rate keyed tallies (rung histogram, candidate verdicts,
-   span totals — a handful of events per solve, not per iteration) go
-   through one small mutex-guarded table. *)
+   hands it to the sink.  Every metric arrives at most once per solve,
+   pool task or request (never per iteration), so one mutex guards
+   them all. *)
 
 type t = {
   sink : Sink.t;
   seq : int Atomic.t;
-  solves : Metrics.Counter.t;
-  iterations : Metrics.Counter.t;
-  restore_hits : Metrics.Counter.t;
-  restore_misses : Metrics.Counter.t;
-  dispatched : Metrics.Counter.t;
-  joined : Metrics.Counter.t;
-  cache_hits : Metrics.Counter.t;
-  cache_misses : Metrics.Counter.t;
-  sheds : Metrics.Counter.t;
-  solve_time : Metrics.Histogram.t;
-  keyed_mutex : Mutex.t;
+  mutex : Mutex.t;
+  mutable solves : int;
+  mutable iterations : int;
+  mutable solve_time_s : float;
+  mutable restore_hits : int;
+  mutable restore_misses : int;
+  mutable dispatched : int;
+  mutable joined : int;
+  mutable cache_hits : int;
+  mutable cache_misses : int;
+  mutable sheds : int;
   rungs : (string, int ref) Hashtbl.t;
   certificates : (string, int ref) Hashtbl.t;
   candidates : (string, int ref) Hashtbl.t;
@@ -37,17 +35,17 @@ let make ?(sink = Sink.null) () =
   {
     sink;
     seq = Atomic.make 0;
-    solves = Metrics.Counter.make ();
-    iterations = Metrics.Counter.make ();
-    restore_hits = Metrics.Counter.make ();
-    restore_misses = Metrics.Counter.make ();
-    dispatched = Metrics.Counter.make ();
-    joined = Metrics.Counter.make ();
-    cache_hits = Metrics.Counter.make ();
-    cache_misses = Metrics.Counter.make ();
-    sheds = Metrics.Counter.make ();
-    solve_time = Metrics.Histogram.make ();
-    keyed_mutex = Mutex.create ();
+    mutex = Mutex.create ();
+    solves = 0;
+    iterations = 0;
+    solve_time_s = 0.0;
+    restore_hits = 0;
+    restore_misses = 0;
+    dispatched = 0;
+    joined = 0;
+    cache_hits = 0;
+    cache_misses = 0;
+    sheds = 0;
     rungs = Hashtbl.create 8;
     certificates = Hashtbl.create 4;
     candidates = Hashtbl.create 8;
@@ -60,51 +58,50 @@ let make ?(sink = Sink.null) () =
 
 let sink t = t.sink
 
-let bump_keyed t table key =
-  Mutex.lock t.keyed_mutex;
-  (match Hashtbl.find_opt table key with
+let bump table key =
+  match Hashtbl.find_opt table key with
   | Some r -> incr r
-  | None -> Hashtbl.add table key (ref 1));
-  Mutex.unlock t.keyed_mutex
+  | None -> Hashtbl.add table key (ref 1)
 
-let add_phase t name elapsed =
-  Mutex.lock t.keyed_mutex;
-  (match Hashtbl.find_opt t.phases name with
-  | Some r -> r := !r +. elapsed
-  | None -> Hashtbl.add t.phases name (ref elapsed));
-  Mutex.unlock t.keyed_mutex
+let tally t = function
+  | Trace.Solve_end { iterations; time_s; _ } ->
+    t.solves <- t.solves + 1;
+    t.iterations <- t.iterations + iterations;
+    t.solve_time_s <- t.solve_time_s +. time_s
+  | Trace.Rung_enter { stage; _ } -> bump t.rungs stage
+  | Trace.Fault_injected { kind; _ } -> bump t.faults kind
+  | Trace.Certificate { verdict } -> bump t.certificates verdict
+  | Trace.Candidate { verdict; _ } -> bump t.candidates verdict
+  | Trace.Tighten_probe _ -> bump t.tighten "probe"
+  | Trace.Tighten_accept _ -> bump t.tighten "accept"
+  | Trace.Tighten_reject _ -> bump t.tighten "reject"
+  | Trace.Restore { hit = true; _ } -> t.restore_hits <- t.restore_hits + 1
+  | Trace.Restore { hit = false; _ } ->
+    t.restore_misses <- t.restore_misses + 1
+  | Trace.Task_dispatch _ -> t.dispatched <- t.dispatched + 1
+  | Trace.Task_join _ -> t.joined <- t.joined + 1
+  | Trace.Request_done { status; _ } -> bump t.requests status
+  | Trace.Cache_hit _ -> t.cache_hits <- t.cache_hits + 1
+  | Trace.Cache_miss _ -> t.cache_misses <- t.cache_misses + 1
+  | Trace.Shed _ -> t.sheds <- t.sheds + 1
+  | Trace.Chaos_injected { kind; _ } -> bump t.faults ("chaos:" ^ kind)
+  | Trace.Worker_spawn _ -> bump t.workers "spawned"
+  | Trace.Worker_exit _ -> bump t.workers "exited"
+  | Trace.Worker_reaped _ -> bump t.workers "reaped"
+  | Trace.Quarantined _ -> bump t.workers "quarantined"
+  | Trace.Span_close { name; elapsed_s } -> (
+    match Hashtbl.find_opt t.phases name with
+    | Some r -> r := !r +. elapsed_s
+    | None -> Hashtbl.add t.phases name (ref elapsed_s))
+  | _ -> ()
 
 let emit t event =
   (match event with
-  | Trace.Solve_end { iterations; time_s; _ } ->
-    Metrics.Counter.incr t.solves;
-    Metrics.Counter.incr ~by:iterations t.iterations;
-    Metrics.Histogram.observe t.solve_time time_s
-  | Trace.Rung_enter { stage; _ } -> bump_keyed t t.rungs stage
-  | Trace.Fault_injected { kind; _ } -> bump_keyed t t.faults kind
-  | Trace.Certificate { verdict } -> bump_keyed t t.certificates verdict
-  | Trace.Candidate { verdict; _ } -> bump_keyed t t.candidates verdict
-  | Trace.Tighten_probe _ -> bump_keyed t t.tighten "probe"
-  | Trace.Tighten_accept _ -> bump_keyed t t.tighten "accept"
-  | Trace.Tighten_reject _ -> bump_keyed t t.tighten "reject"
-  | Trace.Restore { hit; _ } ->
-    Metrics.Counter.incr (if hit then t.restore_hits else t.restore_misses)
-  | Trace.Task_dispatch _ -> Metrics.Counter.incr t.dispatched
-  | Trace.Task_join _ -> Metrics.Counter.incr t.joined
-  | Trace.Request_done { status; _ } -> bump_keyed t t.requests status
-  | Trace.Cache_hit _ -> Metrics.Counter.incr t.cache_hits
-  | Trace.Cache_miss _ -> Metrics.Counter.incr t.cache_misses
-  | Trace.Shed _ -> Metrics.Counter.incr t.sheds
-  | Trace.Chaos_injected { kind; _ } -> bump_keyed t t.faults ("chaos:" ^ kind)
-  | Trace.Worker_spawn _ -> bump_keyed t t.workers "spawned"
-  | Trace.Worker_exit _ -> bump_keyed t t.workers "exited"
-  | Trace.Worker_reaped _ -> bump_keyed t t.workers "reaped"
-  | Trace.Quarantined _ -> bump_keyed t t.workers "quarantined"
-  | Trace.Span_close { name; elapsed_s } -> add_phase t name elapsed_s
   | Trace.Solve_start _ | Trace.Socp_iter _ | Trace.Presolve _
   | Trace.Rung_exit _ | Trace.Span_open _ | Trace.Kkt_factor _
   | Trace.Warm_start _ | Trace.Request_start _ ->
-    ());
+    () (* not tallied, so never locked: some arrive per iteration *)
+  | _ -> Mutex.protect t.mutex (fun () -> tally t event));
   match t.sink with
   | s when s == Sink.null -> ()
   | s ->
@@ -145,52 +142,35 @@ let keyed_line table label =
             (List.map (fun (k, n) -> Printf.sprintf "%s=%d" k n) entries)))
 
 let report t =
-  Mutex.lock t.keyed_mutex;
-  let phase_entries =
-    Hashtbl.fold (fun k r acc -> (k, !r) :: acc) t.phases []
-    |> List.sort (fun (a, _) (b, _) -> String.compare a b)
-  in
-  let rung_line = keyed_line t.rungs "rungs" in
-  let cert_line = keyed_line t.certificates "certificates" in
-  let cand_line = keyed_line t.candidates "candidates" in
-  let tighten_line = keyed_line t.tighten "tighten" in
-  let fault_line = keyed_line t.faults "faults" in
-  let request_line = keyed_line t.requests "requests" in
-  let worker_line = keyed_line t.workers "workers" in
-  Mutex.unlock t.keyed_mutex;
-  let solves = Metrics.Counter.value t.solves in
+  Mutex.protect t.mutex @@ fun () ->
   let lines = ref [] in
   let add l = lines := l :: !lines in
-  add
-    (Printf.sprintf "solves: %d (%d iterations)" solves
-       (Metrics.Counter.value t.iterations));
-  (match rung_line with Some l -> add l | None -> ());
-  (match fault_line with Some l -> add l | None -> ());
-  (match cert_line with Some l -> add l | None -> ());
-  (match cand_line with Some l -> add l | None -> ());
-  (match tighten_line with Some l -> add l | None -> ());
-  (match request_line with Some l -> add l | None -> ());
-  (match worker_line with Some l -> add l | None -> ());
-  let hits = Metrics.Counter.value t.restore_hits
-  and misses = Metrics.Counter.value t.restore_misses in
-  if hits + misses > 0 then
-    add (Printf.sprintf "restores: %d hit, %d missed" hits misses);
-  let chits = Metrics.Counter.value t.cache_hits
-  and cmisses = Metrics.Counter.value t.cache_misses in
-  if chits + cmisses > 0 then
-    add (Printf.sprintf "memo cache: %d hit, %d missed" chits cmisses);
-  let sheds = Metrics.Counter.value t.sheds in
-  if sheds > 0 then add (Printf.sprintf "shed: %d" sheds);
-  let dispatched = Metrics.Counter.value t.dispatched
-  and joined = Metrics.Counter.value t.joined in
-  if dispatched + joined > 0 then
-    add (Printf.sprintf "pool: %d dispatched, %d joined" dispatched joined);
-  if solves > 0 then
+  let add_keyed table label = Option.iter add (keyed_line table label) in
+  add (Printf.sprintf "solves: %d (%d iterations)" t.solves t.iterations);
+  add_keyed t.rungs "rungs";
+  add_keyed t.faults "faults";
+  add_keyed t.certificates "certificates";
+  add_keyed t.candidates "candidates";
+  add_keyed t.tighten "tighten";
+  add_keyed t.requests "requests";
+  add_keyed t.workers "workers";
+  if t.restore_hits + t.restore_misses > 0 then
     add
-      (Printf.sprintf "solve time: %.3f s total, %.4f s mean"
-         (Metrics.Histogram.sum t.solve_time)
-         (Metrics.Histogram.sum t.solve_time /. float_of_int solves));
-  List.iter
-    (fun (name, s) -> add (Printf.sprintf "phase %s: %.3f s" name s))
-    phase_entries;
+      (Printf.sprintf "restores: %d hit, %d missed" t.restore_hits
+         t.restore_misses);
+  if t.cache_hits + t.cache_misses > 0 then
+    add
+      (Printf.sprintf "memo cache: %d hit, %d missed" t.cache_hits
+         t.cache_misses);
+  if t.sheds > 0 then add (Printf.sprintf "shed: %d" t.sheds);
+  if t.dispatched + t.joined > 0 then
+    add (Printf.sprintf "pool: %d dispatched, %d joined" t.dispatched t.joined);
+  if t.solves > 0 then
+    add
+      (Printf.sprintf "solve time: %.3f s total, %.4f s mean" t.solve_time_s
+         (t.solve_time_s /. float_of_int t.solves));
+  Hashtbl.fold (fun k r acc -> (k, !r) :: acc) t.phases []
+  |> List.sort (fun (a, _) (b, _) -> String.compare a b)
+  |> List.iter (fun (name, s) ->
+         add (Printf.sprintf "phase %s: %.3f s" name s));
   List.rev !lines

@@ -193,10 +193,7 @@ let parse ~config ~fault =
       | Error _ as e -> e))
 
 let solve ?obs ~deadline cfg plan =
-  let params =
-    Durability.params_with_deadline None ~deadline ~candidate_deadline:None
-  in
-  let params = Durability.params_with_obs params obs in
+  let params = Durability.params ~deadline ?obs None in
   let policy = Robust.Recovery.with_fault plan in
   match Mapping.solve ?params ~policy ?obs cfg with
   | Ok r ->

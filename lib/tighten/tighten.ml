@@ -129,7 +129,6 @@ let run ?pool ?journal ?deadline ?candidate_deadline ?cancel ?obs ?on_progress
     ?(iterations = 64) ?(bank = 1) cfg (mapped : Config.mapped) =
   if bank < 1 then invalid_arg "Tighten.run: bank granule must be >= 1";
   if iterations < 4 then invalid_arg "Tighten.run: iterations must be >= 4";
-  let deadline = Option.value deadline ~default:Durable.Deadline.none in
   let buffers = Config.all_buffers cfg in
   let n = List.length buffers in
   let analytic_caps = Array.make (Int.max n 1) 1 in
@@ -164,10 +163,16 @@ let run ?pool ?journal ?deadline ?candidate_deadline ?cancel ?obs ?on_progress
       let meets ws caps = Sim.meets ws ~capacity:caps ~threshold in
       let probes_extra = ref 1 (* the baseline run *) in
       let floor_of b = Int.max 1 (Config.initial_tokens cfg b) in
-      let per_candidate () =
-        match candidate_deadline with
-        | None -> deadline
-        | Some s -> Durable.Deadline.combine deadline (Durable.Deadline.after s)
+      (* Buffer [i] at its analytic capacity, its search cut short. *)
+      let kept i reason =
+        {
+          buffer_id = i;
+          analytic = analytic_caps.(i);
+          floor = floor_of (Config.buffer_of_id cfg i);
+          tightened = analytic_caps.(i);
+          probes = 0;
+          skipped = Some reason;
+        }
       in
       (* Search one buffer: dichotomy over bank levels k with candidate
          capacity min(hi, k·bank).  [hi] is accepted without a probe,
@@ -212,25 +217,14 @@ let run ?pool ?journal ?deadline ?candidate_deadline ?cancel ?obs ?on_progress
           let mid = (!lo_k + !hi_k) / 2 in
           if try_cap (cap_of mid) then hi_k := mid else lo_k := mid + 1
         done;
-        match !skipped with
-        | Some reason ->
-          {
-            buffer_id;
-            analytic;
-            floor;
-            tightened = analytic;
-            probes = !probes;
-            skipped = Some reason;
-          }
-        | None ->
-          {
-            buffer_id;
-            analytic;
-            floor;
-            tightened = cap_of !hi_k;
-            probes = !probes;
-            skipped = None;
-          }
+        {
+          buffer_id;
+          analytic;
+          floor;
+          tightened = (if !skipped = None then cap_of !hi_k else analytic);
+          probes = !probes;
+          skipped = !skipped;
+        }
       in
       let emit_probe b cap ok =
         match obs with
@@ -240,101 +234,63 @@ let run ?pool ?journal ?deadline ?candidate_deadline ?cancel ?obs ?on_progress
             (Obs.Trace.Tighten_probe
                { buffer = Config.buffer_name cfg b; capacity = cap; feasible = ok })
       in
-      let emit_verdict o_ =
-        match obs with
-        | None -> ()
-        | Some o -> (
+      let emit_decision (r : outcome) =
+        match (obs, r.skipped) with
+        | None, _ | _, Some _ -> ()
+        | Some o, None ->
+          let buffer =
+            Config.buffer_name cfg (Config.buffer_of_id cfg r.buffer_id)
+          in
           Obs.Ctx.emit o
-            (Obs.Trace.Candidate
-               {
-                 index = o_.buffer_id;
-                 verdict =
-                   (match o_.skipped with None -> "ok" | Some r -> r);
-               });
-          match o_.skipped with
-          | Some _ -> ()
-          | None ->
-            let b = Config.buffer_of_id cfg o_.buffer_id in
-            if o_.tightened < o_.analytic then
-              Obs.Ctx.emit o
-                (Obs.Trace.Tighten_accept
-                   {
-                     buffer = Config.buffer_name cfg b;
-                     capacity = o_.tightened;
-                     saved = o_.analytic - o_.tightened;
-                   })
-            else
-              Obs.Ctx.emit o
-                (Obs.Trace.Tighten_reject
-                   { buffer = Config.buffer_name cfg b; capacity = o_.analytic }))
+            (if r.tightened < r.analytic then
+               Obs.Trace.Tighten_accept
+                 {
+                   buffer;
+                   capacity = r.tightened;
+                   saved = r.analytic - r.tightened;
+                 }
+             else Obs.Trace.Tighten_reject { buffer; capacity = r.analytic })
       in
       (* Phase 1: independent per-buffer searches, fanned out on the
          pool, journaled per buffer.  Each search owns its workspace and
          capacity vector, so concurrent searches share only the
          immutable plan. *)
-      let solve_buffer index =
-        match
-          let ws = Sim.workspace plan in
-          let caps = Array.copy analytic_caps in
-          let probe b cap =
-            caps.(Config.buffer_id b) <- cap;
-            meets ws caps
-          in
-          let b = Config.buffer_of_id cfg index in
-          let hw =
-            Int.min analytic_caps.(index)
-              (Int.max (floor_of b) (Sim.(baseline.buffer_high_water) b))
-          in
-          search_buffer ~probe ~deadline:(per_candidate ())
-            ~on_probe:emit_probe ~hi:hw
+      let solve_buffer ~deadline index =
+        let ws = Sim.workspace plan in
+        let caps = Array.copy analytic_caps in
+        let probe b cap =
+          caps.(Config.buffer_id b) <- cap;
+          meets ws caps
+        in
+        let b = Config.buffer_of_id cfg index in
+        let hw =
+          Int.min analytic_caps.(index)
+            (Int.max (floor_of b) (Sim.(baseline.buffer_high_water) b))
+        in
+        let o =
+          search_buffer ~probe ~deadline ~on_probe:emit_probe ~hi:hw
             ~seeds:[ Sim.(baseline.buffer_high_water_steady) b ]
             index
-        with
-        | o ->
-          emit_verdict o;
-          o
-        | exception e ->
-          let b = Config.buffer_of_id cfg index in
-          let o =
-            {
-              buffer_id = index;
-              analytic = analytic_caps.(index);
-              floor = floor_of b;
-              tightened = analytic_caps.(index);
-              probes = 0;
-              skipped = Some ("error: " ^ Printexc.to_string e);
-            }
-          in
-          emit_verdict o;
-          o
+        in
+        emit_decision o;
+        o
       in
       let results, progress =
-        Durable.Sweep.run ?pool ?journal ?obs ~deadline ?cancel
-          ~encode:encode_outcome
+        Durable.Sweep.run ?pool ?journal ?obs ?deadline ?candidate_deadline
+          ?cancel ?on_progress ~encode:encode_outcome
           ~decode:(fun i payload ->
             decode_outcome ~buffer_id:i ~analytic:analytic_caps.(i)
               ~floor:(floor_of (Config.buffer_of_id cfg i))
               payload)
+          ~verdict:(fun o -> Option.value o.skipped ~default:"ok")
+          ~failed:(fun i e -> kept i ("error: " ^ Printexc.to_string e))
           ~n solve_buffer
       in
-      (match on_progress with None -> () | Some f -> f progress);
       let outcomes =
-        Array.to_list
-          (Array.mapi
-             (fun i slot ->
-               match slot with
-               | Some o -> o
-               | None ->
-                 (* abandoned to the global deadline or cancellation *)
-                 {
-                   buffer_id = i;
-                   analytic = analytic_caps.(i);
-                   floor = floor_of (Config.buffer_of_id cfg i);
-                   tightened = analytic_caps.(i);
-                   probes = 0;
-                   skipped = Some "not run";
-                 })
-             results)
+        (* an empty slot was abandoned to the global deadline or
+           cancellation *)
+        List.init n (fun i ->
+            match results.(i) with Some o -> o | None -> kept i "not run")
       in
       (* Phase 2: per-buffer minima need not compose — verify the
          combination once, and on a miss fall back to a sequential
@@ -377,7 +333,10 @@ let run ?pool ?journal ?deadline ?candidate_deadline ?cancel ?obs ?on_progress
                      high waters are still probed as seeds. *)
                   let b = Config.buffer_of_id cfg o.buffer_id in
                   let o' =
-                    search_buffer ~probe ~deadline:(per_candidate ())
+                    search_buffer ~probe
+                      ~deadline:
+                        (Durable.Sweep.candidate_deadline deadline
+                           candidate_deadline)
                       ~on_probe:emit_probe ~hi:o.analytic
                       ~seeds:
                         [

@@ -47,13 +47,14 @@ type t = {
 (** [run cfg mapped] tightens the buffer capacities of [mapped]
     (budgets are never touched).
 
-    The harness is the usual one: [pool] fans the per-buffer searches
-    out across domains, [journal] makes them resumable (one record per
-    finished buffer; see docs/formats.md), [deadline] /
-    [candidate_deadline] bound the whole run and each buffer's search,
-    [cancel] stops between probes, [obs] receives
-    [tighten_probe]/[tighten_accept]/[tighten_reject] plus the
-    standard sweep events.  [iterations] (default 64) is the
+    The per-buffer searches (phase 1) run on the {!Durable.Sweep}
+    harness: [pool] fans them out, [journal] makes them resumable (one
+    record per finished buffer; see docs/formats.md), [deadline] /
+    [candidate_deadline] bound the whole run and each buffer's search
+    (polled between probes), [cancel] stops between buffers, and [obs]
+    receives [tighten_probe]/[tighten_accept]/[tighten_reject] plus the
+    sweep's events; a buffer's candidate verdict is ["ok"] or its
+    [skipped] reason.  [iterations] (default 64) is the
     simulation length of every probe; [bank] (default 1) is the
     banked-memory granule: the search only explores capacities that
     cross a bank boundary, i.e. multiples of [bank] clamped to the

@@ -214,6 +214,15 @@ let int_codec =
   ( (fun v -> Some (string_of_int v)),
     fun _index payload -> int_of_string_opt payload )
 
+(* The harness over plain ints: a raising candidate becomes -1. *)
+let run_ints ?pool ?journal ?obs ?deadline ?candidate_deadline ?cancel
+    ~encode ~decode ~n f =
+  Sweep.run ?pool ?journal ?obs ?deadline ?candidate_deadline ?cancel ~encode
+    ~decode ~verdict:string_of_int
+    ~failed:(fun _ _ -> -1)
+    ~n
+    (fun ~deadline:_ i -> f i)
+
 let test_sweep_restores_and_solves () =
   let path = temp_journal () in
   let fp = Journal.fingerprint [ "sweep-unit" ] in
@@ -224,7 +233,7 @@ let test_sweep_restores_and_solves () =
     i * i
   in
   with_journal ~fingerprint:fp path (fun j ->
-      let results, p = Sweep.run ~journal:j ~encode ~decode ~n:5 f in
+      let results, p = run_ints ~journal:j ~encode ~decode ~n:5 f in
       Alcotest.(check int) "all solved" 5 p.Sweep.solved;
       Alcotest.(check int) "none restored" 0 p.Sweep.resumed;
       Alcotest.(check int) "none abandoned" 0 p.Sweep.not_run;
@@ -233,7 +242,7 @@ let test_sweep_restores_and_solves () =
         results);
   Alcotest.(check int) "five solves" 5 !solves;
   with_journal ~fingerprint:fp path (fun j ->
-      let results, p = Sweep.run ~journal:j ~encode ~decode ~n:5 f in
+      let results, p = run_ints ~journal:j ~encode ~decode ~n:5 f in
       Alcotest.(check int) "all restored" 5 p.Sweep.resumed;
       Alcotest.(check int) "nothing re-solved" 0 p.Sweep.solved;
       Alcotest.(check (array (option int))) "restored values"
@@ -250,11 +259,11 @@ let test_sweep_encode_none_not_journaled () =
   let encode v = if v mod 2 = 0 then Some (string_of_int v) else None in
   let decode _ payload = int_of_string_opt payload in
   with_journal ~fingerprint:fp path (fun j ->
-      ignore (Sweep.run ~journal:j ~encode ~decode ~n:6 (fun i -> i)));
+      ignore (run_ints ~journal:j ~encode ~decode ~n:6 (fun i -> i)));
   with_journal ~fingerprint:fp path (fun j ->
       Alcotest.(check int) "only evens journaled" 3
         (List.length (Journal.entries j));
-      let _, p = Sweep.run ~journal:j ~encode ~decode ~n:6 (fun i -> i) in
+      let _, p = run_ints ~journal:j ~encode ~decode ~n:6 (fun i -> i) in
       Alcotest.(check int) "evens restored" 3 p.Sweep.resumed;
       Alcotest.(check int) "odds retried" 3 p.Sweep.solved);
   Sys.remove path
@@ -262,7 +271,7 @@ let test_sweep_encode_none_not_journaled () =
 let test_sweep_cancelled_before_start () =
   let encode, decode = int_codec in
   let results, p =
-    Sweep.run ~cancel:(fun () -> true) ~encode ~decode ~n:4 (fun i -> i)
+    run_ints ~cancel:(fun () -> true) ~encode ~decode ~n:4 (fun i -> i)
   in
   Alcotest.(check int) "nothing ran" 4 p.Sweep.not_run;
   Alcotest.(check bool) "all slots empty" true
@@ -274,17 +283,110 @@ let test_sweep_expired_deadline () =
   let d = Deadline.after 1.0 in
   now := 2.0;
   let encode, decode = int_codec in
-  let _, p = Sweep.run ~deadline:d ~encode ~decode ~n:3 (fun i -> i) in
+  let _, p = run_ints ~deadline:d ~encode ~decode ~n:3 (fun i -> i) in
   Alcotest.(check int) "abandoned to the deadline" 3 p.Sweep.not_run
 
 let test_sweep_pool_matches_sequential () =
   let encode, decode = int_codec in
   let f i = (i * 7) + 1 in
-  let seq, _ = Sweep.run ~encode ~decode ~n:8 f in
+  let seq, _ = run_ints ~encode ~decode ~n:8 f in
   Pool.with_pool ~domains:2 (fun pool ->
-      let par, p = Sweep.run ~pool ~encode ~decode ~n:8 f in
+      let par, p = run_ints ~pool ~encode ~decode ~n:8 f in
       Alcotest.(check int) "all solved" 8 p.Sweep.solved;
       Alcotest.(check (array (option int))) "bit-identical" seq par)
+
+(* The [Candidate] events of a traced sweep, as (index, verdict). *)
+let candidate_events sink =
+  List.filter_map
+    (fun (e : Obs.Trace.t) ->
+      match e.Obs.Trace.event with
+      | Obs.Trace.Candidate { index; verdict } -> Some (index, verdict)
+      | _ -> None)
+    (Obs.Sink.events sink)
+
+let test_sweep_barrier () =
+  let path = temp_journal () in
+  let fp = Journal.fingerprint [ "sweep-barrier" ] in
+  let encode, decode = int_codec in
+  let sink = Obs.Sink.ring ~capacity:64 in
+  let obs = Obs.Ctx.make ~sink () in
+  with_journal ~fingerprint:fp path (fun j ->
+      let results, p =
+        Sweep.run ~journal:j ~obs ~encode ~decode ~verdict:string_of_int
+          ~failed:(fun i e ->
+            Alcotest.(check string)
+              "the candidate's exception" "Failure(\"boom\")"
+              (Printexc.to_string e);
+            100 + i)
+          ~n:3
+          (fun ~deadline:_ i -> if i = 1 then failwith "boom" else i)
+      in
+      Alcotest.(check int) "all solved" 3 p.Sweep.solved;
+      Alcotest.(check (array (option int))) "failed i e fills the slot"
+        [| Some 0; Some 101; Some 2 |] results);
+  Alcotest.(check (list (pair int string))) "one verdict per candidate"
+    [ (0, "0"); (1, "101"); (2, "2") ]
+    (List.sort compare (candidate_events sink));
+  with_journal ~fingerprint:fp path (fun j ->
+      Alcotest.(check (list string)) "journaled through encode"
+        [ "0"; "101"; "2" ]
+        (List.map
+           (fun (e : Journal.entry) -> e.Journal.payload)
+           (List.sort
+              (fun (a : Journal.entry) b ->
+                compare a.Journal.index b.Journal.index)
+              (Journal.entries j))));
+  Sys.remove path
+
+let test_sweep_restored_no_candidate () =
+  let path = temp_journal () in
+  let fp = Journal.fingerprint [ "sweep-restored" ] in
+  let encode, decode = int_codec in
+  with_journal ~fingerprint:fp path (fun j ->
+      ignore (run_ints ~journal:j ~encode ~decode ~n:2 Fun.id));
+  let sink = Obs.Sink.ring ~capacity:64 in
+  let obs = Obs.Ctx.make ~sink () in
+  with_journal ~fingerprint:fp path (fun j ->
+      let _, p = run_ints ~journal:j ~obs ~encode ~decode ~n:4 Fun.id in
+      Alcotest.(check int) "two restored" 2 p.Sweep.resumed);
+  Alcotest.(check (list (pair int string))) "only the new slots"
+    [ (2, "2"); (3, "3") ]
+    (List.sort compare (candidate_events sink));
+  Sys.remove path
+
+let test_sweep_candidate_deadline () =
+  let now = ref 0.0 in
+  with_clock now @@ fun () ->
+  let encode, decode = int_codec in
+  let remaining ?deadline ?candidate_deadline () =
+    let seen = ref [] in
+    ignore
+      (Sweep.run ?deadline ?candidate_deadline ~encode ~decode
+         ~verdict:string_of_int
+         ~failed:(fun _ e -> raise e)
+         ~n:2
+         (fun ~deadline i ->
+           seen :=
+             (if Deadline.is_none deadline then -1.0
+              else Deadline.remaining_s deadline)
+             :: !seen;
+           (* the next candidate's budget starts when it does *)
+           now := !now +. 0.25;
+           i));
+    List.rev !seen
+  in
+  Alcotest.(check (list (float 1e-9))) "no limit" [ -1.0; -1.0 ]
+    (remaining ());
+  now := 0.0;
+  Alcotest.(check (list (float 1e-9))) "the sweep deadline" [ 10.0; 9.75 ]
+    (remaining ~deadline:(Deadline.after 10.0) ());
+  now := 0.0;
+  Alcotest.(check (list (float 1e-9))) "a fresh budget per candidate"
+    [ 1.0; 1.0 ]
+    (remaining ~deadline:(Deadline.after 10.0) ~candidate_deadline:1.0 ());
+  now := 0.0;
+  Alcotest.(check (list (float 1e-9))) "the earlier of the two" [ 1.0; 0.75 ]
+    (remaining ~deadline:(Deadline.after 1.0) ~candidate_deadline:2.0 ())
 
 (* ------------------------------------------------------------------ *)
 (* Pool cancellation                                                   *)
@@ -509,18 +611,20 @@ let test_warm_sweep_jobs_determinism () =
   let cfg = Workloads.Gen.paper_t1 () in
   let buffers = Config.all_buffers cfg in
   let caps = [ 1; 2; 3; 4 ] in
-  let seq = Tradeoff.capacity_sweep ~warm_start:true cfg ~buffers ~caps in
+  let seq = Tradeoff.capacity_sweep cfg ~buffers ~caps in
   Pool.with_pool ~domains:4 (fun pool ->
-      let par =
-        Tradeoff.capacity_sweep ~warm_start:true ~pool cfg ~buffers ~caps
-      in
+      let par = Tradeoff.capacity_sweep ~pool cfg ~buffers ~caps in
       check_tradeoff_points_identical seq par);
-  (* The warm path changes the trajectory, never the answer: the cold
-     sweep reaches the same optima within solver tolerance. *)
-  let cold = Tradeoff.capacity_sweep ~warm_start:false cfg ~buffers ~caps in
-  List.iter2
-    (fun (a : Tradeoff.point) (b : Tradeoff.point) ->
-      match (a.Tradeoff.result, b.Tradeoff.result) with
+  (* The warm path changes the trajectory, never the answer: a cold
+     solve of each capped clone reaches the same optima within solver
+     tolerance. *)
+  List.iter
+    (fun (a : Tradeoff.point) ->
+      let capped = Config.copy cfg in
+      List.iter
+        (fun b -> Config.set_max_capacity capped b (Some a.Tradeoff.cap))
+        buffers;
+      match (a.Tradeoff.result, Mapping.solve capped) with
       | Ok ra, Ok rb ->
         Alcotest.(check bool)
           "warm and cold optima agree" true
@@ -530,13 +634,13 @@ let test_warm_sweep_jobs_determinism () =
         Alcotest.(check string) "same verdict" (Mapping.short_reason ea)
           (Mapping.short_reason eb)
       | _ -> Alcotest.fail "warm start changed a verdict")
-    seq cold
+    seq
 
 let test_warm_dse_resume_bit_identical () =
   let cfg = Workloads.Gen.paper_t1 () in
   let caps = [ 1; 2; 3; 4 ] in
   let full =
-    Dse.curve_points (Dse.throughput_curve ~warm_start:true cfg ~caps)
+    Dse.curve_points (Dse.throughput_curve cfg ~caps)
   in
   let path = temp_journal () in
   let fp = Journal.fingerprint [ "warm-dse-resume" ] in
@@ -549,12 +653,12 @@ let test_warm_dse_resume_bit_identical () =
         incr calls;
         !calls > 1
       in
-      ignore (Dse.throughput_curve ~warm_start:true ~journal:j ~cancel cfg ~caps));
+      ignore (Dse.throughput_curve ~journal:j ~cancel cfg ~caps));
   let prog = ref None in
   with_journal ~fingerprint:fp path (fun j ->
       Pool.with_pool ~domains:4 (fun pool ->
           let points =
-            Dse.throughput_curve ~warm_start:true ~journal:j ~pool
+            Dse.throughput_curve ~journal:j ~pool
               ~on_progress:(fun p -> prog := Some p)
               cfg ~caps
           in
@@ -688,6 +792,11 @@ let () =
           Alcotest.test_case "cancelled" `Quick test_sweep_cancelled_before_start;
           Alcotest.test_case "expired deadline" `Quick
             test_sweep_expired_deadline;
+          Alcotest.test_case "failed candidate" `Quick test_sweep_barrier;
+          Alcotest.test_case "restored slots emit no verdict" `Quick
+            test_sweep_restored_no_candidate;
+          Alcotest.test_case "candidate deadline" `Quick
+            test_sweep_candidate_deadline;
           Alcotest.test_case "pool determinism" `Quick
             test_sweep_pool_matches_sequential;
         ] );

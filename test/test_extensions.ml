@@ -473,9 +473,9 @@ let prop_budget_slack_consistent =
 
 module Dse = Budgetbuf.Dse
 
-let test_dse_with_periods () =
+let test_copy_period_scale () =
   let cfg = Workloads.Gen.paper_t1 () in
-  let scaled = Dse.with_periods cfg ~scale:2.0 in
+  let scaled = Config.copy ~period_scale:2.0 cfg in
   check_float 1e-12 "scaled period" 20.0
     (Config.period scaled (Config.find_graph scaled "t1"));
   check_float 1e-12 "original untouched" 10.0
@@ -520,8 +520,9 @@ let test_dse_accepts_only_certified () =
       (fun b -> Config.set_max_capacity capped b (Some cap))
       (Config.all_buffers capped);
     let params =
-      Budgetbuf.Durability.params_with_warm None
-        (Budgetbuf.Durability.warm_anchor capped)
+      Budgetbuf.Durability.params
+        ?warm:(Budgetbuf.Durability.warm_anchor capped)
+        None
     in
     let on_feasible r =
       Alcotest.(check bool)
@@ -819,9 +820,9 @@ let test_report_flags_violations () =
 
 let test_error_paths () =
   let cfg = Workloads.Gen.paper_t1 () in
-  (* Dse: invalid scale. *)
+  (* Config.copy: invalid period scale. *)
   Alcotest.(check bool) "scale 0 rejected" true
-    (match Dse.with_periods cfg ~scale:0.0 with
+    (match Config.copy ~period_scale:0.0 cfg with
     | exception Invalid_argument _ -> true
     | _ -> false);
   (* Pareto: invalid steps. *)
@@ -949,7 +950,8 @@ let () =
         ] );
       ( "dse",
         [
-          Alcotest.test_case "with_periods" `Quick test_dse_with_periods;
+          Alcotest.test_case "copy scales periods" `Quick
+            test_copy_period_scale;
           Alcotest.test_case "min period t1" `Quick test_dse_min_period_t1;
           Alcotest.test_case "structural dead end" `Quick
             test_dse_min_period_infeasible_structure;

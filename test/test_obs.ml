@@ -12,7 +12,6 @@ module Mapping = Budgetbuf.Mapping
 module Trace = Obs.Trace
 module Sink = Obs.Sink
 module Ctx = Obs.Ctx
-module Metrics = Obs.Metrics
 module Json = Obs.Json
 
 (* A deterministic clock: every reading is the previous one plus 1. *)
@@ -74,38 +73,30 @@ let test_span_edges () =
     Alcotest.failf "expected open+close around a raise, got %d events"
       (List.length evs)
 
-(* ---- metric cells under a real domain pool ----------------------- *)
+(* ---- metrics under a real domain pool --------------------------- *)
 
-(* Counters and histograms written from every pool lane must fold to
-   exact totals at join time — that is the whole point of the
-   per-domain cells. *)
+(* Events emitted from every pool lane must fold to exact totals. *)
 let test_metrics_across_domains () =
   Parallel.Pool.with_pool ~domains:4 @@ fun pool ->
-  let c = Metrics.Counter.make () in
-  let h = Metrics.Histogram.make ~bounds:[| 1.0; 10.0; 100.0 |] () in
+  let obs = Ctx.make () in
   let n = 100 in
   ignore
     (Parallel.Pool.map pool
        (fun i ->
-         Metrics.Counter.incr c;
-         Metrics.Counter.incr ~by:2 c;
-         Metrics.Histogram.observe h (float_of_int i))
+         Ctx.emit obs
+           (Trace.Solve_end
+              { status = "optimal"; iterations = 3; time_s = float_of_int i });
+         Ctx.emit obs (Trace.Candidate { index = i; verdict = "ok" }))
        (List.init n Fun.id));
-  Alcotest.(check int) "counter folds exactly" (3 * n) (Metrics.Counter.value c);
-  Alcotest.(check int) "histogram count" n (Metrics.Histogram.count h);
-  Alcotest.(check (float 1e-9)) "histogram sum" 4950.0 (Metrics.Histogram.sum h);
-  let buckets = Metrics.Histogram.buckets h in
-  Alcotest.(check int) "bucket <=1" 2 (snd buckets.(0));
-  Alcotest.(check int) "bucket <=10" 9 (snd buckets.(1));
-  Alcotest.(check int) "bucket <=100" 89 (snd buckets.(2));
-  Alcotest.(check int) "overflow bucket" 0 (snd buckets.(3));
-  Alcotest.(check bool) "overflow bound is infinity" true
-    (fst buckets.(3) = Float.infinity)
-
-let test_histogram_bounds_checked () =
-  Alcotest.check_raises "non-increasing bounds rejected"
-    (Invalid_argument "Obs.Metrics.Histogram.make: bounds must be increasing")
-    (fun () -> ignore (Metrics.Histogram.make ~bounds:[| 1.0; 1.0 |] ()))
+  match Ctx.report obs with
+  | solves :: candidates :: time :: _ ->
+    Alcotest.(check string) "solves fold exactly" "solves: 100 (300 iterations)"
+      solves;
+    Alcotest.(check string) "keyed tallies fold exactly" "candidates: ok=100"
+      candidates;
+    Alcotest.(check string) "times sum exactly"
+      "solve time: 4950.000 s total, 49.5000 s mean" time
+  | lines -> Alcotest.failf "unexpected report: %s" (String.concat "; " lines)
 
 (* ---- ring sink --------------------------------------------------- *)
 
@@ -576,8 +567,6 @@ let () =
         [
           Alcotest.test_case "cells fold across pool domains" `Quick
             test_metrics_across_domains;
-          Alcotest.test_case "histogram bounds checked" `Quick
-            test_histogram_bounds_checked;
           Alcotest.test_case "report table" `Quick test_report_lines;
           Alcotest.test_case "null sink skips stamping" `Quick
             test_null_sink_skips_stamping;

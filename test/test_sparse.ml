@@ -814,7 +814,7 @@ let prop_warm_start_preserves_oracle =
       let rng = Workloads.Rng.create (Int64.of_int seed) in
       let cfg = Workloads.Gen.random_chain rng ~n () in
       let anchor = Budgetbuf.Durability.warm_anchor cfg in
-      let params = Budgetbuf.Durability.params_with_warm None anchor in
+      let params = Budgetbuf.Durability.params ?warm:anchor None in
       match
         (Mapping.solve ~params:dense_reference cfg, Mapping.solve ?params cfg)
       with

@@ -468,15 +468,9 @@ let do_solve () path simulate continuous output { fault; trace; metrics } =
     (match r.Mapping.certificate with
     | Budgetbuf.Certify.Certified _ -> Format.printf "verification: ok@."
     | Budgetbuf.Certify.Refuted refutation ->
-      let v =
-        match refutation with
-        | Budgetbuf.Certify.Violated v -> v
-        | Budgetbuf.Certify.Positive_cycle { graph; _ } ->
-          Budgetbuf.Violation.Throughput
-            { graph; period = Config.period cfg (Config.find_graph cfg graph) }
-      in
       Format.printf "verification problem: %s@."
-        (Budgetbuf.Violation.to_string v));
+        (Budgetbuf.Violation.to_string
+           (Budgetbuf.Certify.violation cfg refutation)));
     Format.printf "certificate: %s@."
       (Budgetbuf.Certify.summary r.Mapping.certificate);
     (match output with
@@ -758,24 +752,28 @@ let do_check () path mapped_path =
     Format.eprintf "error: %s@." msg;
     1
   | Ok mapped -> begin
-    match Budgetbuf.Dataflow_model.verify cfg mapped with
-    | [] ->
+    (* The certificate's verdict, and per graph the exact MCR rounded
+       up: a printed minimal period is never below the true one. *)
+    match Budgetbuf.Certify.check cfg mapped with
+    | Budgetbuf.Certify.Certified _ ->
       List.iter
         (fun g ->
-          match Budgetbuf.Dataflow_model.min_feasible_period cfg g mapped with
-          | Some r ->
+          match Budgetbuf.Certify.max_cycle_ratio cfg g mapped with
+          | Some c ->
             Format.printf
-              "graph %s: feasible, minimal period %.4f (required %.4f)@."
-              (Config.graph_name cfg g) r (Config.period cfg g)
+              "graph %s: feasible, minimal period %s (required %.4f)@."
+              (Config.graph_name cfg g)
+              (Exact.Rat.to_decimal ~round:`Up ~digits:4
+                 c.Budgetbuf.Certify.ratio)
+              (Config.period cfg g)
           | None ->
             Format.printf "graph %s: deadlocked@." (Config.graph_name cfg g))
         (Config.graphs cfg);
       0
-    | problems ->
-      List.iter
-        (fun v ->
-          Format.printf "violation: %s@." (Budgetbuf.Violation.to_string v))
-        problems;
+    | Budgetbuf.Certify.Refuted r as cert ->
+      Format.printf "violation: %s@."
+        (Budgetbuf.Violation.to_string (Budgetbuf.Certify.violation cfg r));
+      Format.printf "certificate: %s@." (Budgetbuf.Certify.summary cert);
       1
   end
 
@@ -1205,27 +1203,29 @@ let do_latency () path =
   | Error e ->
     Format.eprintf "error: %a@." Mapping.pp_error e;
     1
-  | Ok r ->
-    let failures = ref 0 in
-    List.iter
-      (fun g ->
-        let name = Config.graph_name cfg g in
-        match Budgetbuf.Dataflow_model.chain_ends cfg g with
-        | None ->
-          incr failures;
-          Format.printf "graph %s: no unique source/sink pair@." name
-        | Some _ -> (
-          match
-            Budgetbuf.Dataflow_model.chain_latency cfg g r.Mapping.mapped
-          with
+  | Ok r -> begin
+    (* The latency of the certificate's earliest PAS, rounded up. *)
+    match r.Mapping.certificate with
+    | Budgetbuf.Certify.Refuted _ as cert ->
+      Format.printf "certificate: %s@." (Budgetbuf.Certify.summary cert);
+      1
+    | Budgetbuf.Certify.Certified _ as cert ->
+      let failures = ref 0 in
+      List.iter
+        (fun g ->
+          let name = Config.graph_name cfg g in
+          match Budgetbuf.Certify.latency cfg r.Mapping.mapped cert g with
           | Some l ->
-            Format.printf "graph %s: end-to-end latency %.3f (period %.3f)@."
-              name l (Config.period cfg g)
+            Format.printf "graph %s: end-to-end latency %s (period %.3f)@."
+              name
+              (Exact.Rat.to_decimal ~round:`Up ~digits:3 l)
+              (Config.period cfg g)
           | None ->
             incr failures;
-            Format.printf "graph %s: no periodic schedule@." name))
-      (Config.graphs cfg);
-    if !failures = 0 then 0 else 1
+            Format.printf "graph %s: no unique source/sink pair@." name)
+        (Config.graphs cfg);
+      if !failures = 0 then 0 else 1
+  end
 
 let latency_cmd =
   let doc = "solve, then report end-to-end latency per task graph" in
@@ -1256,17 +1256,16 @@ let do_dot () path srdf =
       Format.eprintf "error: %a@." Mapping.pp_error e;
       1
     | Ok r ->
-      List.iter
-        (fun g ->
-          let model =
-            Budgetbuf.Dataflow_model.build cfg g
-              ~budget:r.Mapping.mapped.Config.budget
-              ~capacity:r.Mapping.mapped.Config.capacity
-          in
-          Format.printf "%a" Dataflow.Srdf.pp_dot
-            model.Budgetbuf.Dataflow_model.srdf)
-        (Config.graphs cfg);
-      0
+      List.fold_left
+        (fun code g ->
+          match Budgetbuf.Certify.srdf cfg g r.Mapping.mapped with
+          | Ok srdf ->
+            Format.printf "%a" Dataflow.Srdf.pp_dot srdf;
+            code
+          | Error v ->
+            Format.eprintf "error: %s@." (Budgetbuf.Violation.to_string v);
+            1)
+        0 (Config.graphs cfg)
   end
 
 let dot_cmd =
@@ -1305,17 +1304,15 @@ let do_analyze () path mapped_path =
     List.iter
       (fun g ->
         Format.printf "graph %s:@." (Config.graph_name cfg g);
-        (match Budgetbuf.Sensitivity.throughput_slack cfg g mapped with
-        | Some slack ->
-          Format.printf "  throughput slack: %.4f (period %.4f)@." slack
-            (Config.period cfg g)
-        | None -> Format.printf "  deadlocked or invalid mapping@.");
-        (match Budgetbuf.Sensitivity.critical_cycle cfg g mapped with
+        (* Exact MCR: the slack rounded down, the ratio up. *)
+        (match Budgetbuf.Certify.max_cycle_ratio cfg g mapped with
         | Some c ->
-          Format.printf "  %a@."
-            (Budgetbuf.Sensitivity.pp_critical cfg)
-            c
-        | None -> ());
+          Format.printf "  throughput slack: %s (period %.4f)@."
+            (Exact.Rat.to_decimal ~round:`Down ~digits:4
+               c.Budgetbuf.Certify.slack)
+            (Config.period cfg g);
+          Format.printf "  %a@." (Budgetbuf.Certify.pp_critical cfg) c
+        | None -> Format.printf "  deadlocked or invalid mapping@.");
         List.iter
           (fun w ->
             Format.printf "  budget slack %s: %.4f of %.4f@."
@@ -1355,7 +1352,8 @@ let do_report () path mapped_path =
   | Ok mapped ->
     let report = Budgetbuf.Report.build cfg mapped in
     Format.printf "%a@." (Budgetbuf.Report.pp cfg) report;
-    if report.Budgetbuf.Report.violations = [] then 0 else 1
+    if Budgetbuf.Certify.certified report.Budgetbuf.Report.certificate then 0
+    else 1
 
 let report_cmd =
   let doc = "summarise a mapping: loads, slack, latency, critical cycles" in

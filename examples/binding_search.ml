@@ -10,7 +10,6 @@
 module Config = Taskgraph.Config
 module Mapping = Budgetbuf.Mapping
 module Binding = Budgetbuf.Binding
-module Dataflow_model = Budgetbuf.Dataflow_model
 module Pareto = Budgetbuf.Pareto
 
 let make_config () =
@@ -69,12 +68,13 @@ let () =
     let cfg = o.Binding.config in
     let g = Config.find_graph cfg "pipe" in
     (match
-       Dataflow_model.chain_latency cfg g o.Binding.result.Mapping.mapped
+       Budgetbuf.Certify.latency cfg o.Binding.result.Mapping.mapped
+         o.Binding.result.Mapping.certificate g
      with
     | Some l ->
       Format.printf
-        "@.end-to-end latency of the best mapping: %.1f Mcycles (period 12)@."
-        l
+        "@.end-to-end latency of the best mapping: %s Mcycles (period 12)@."
+        (Exact.Rat.to_decimal ~round:`Up ~digits:1 l)
     | None -> ());
     Format.printf "@.Pareto frontier for the best binding:@.";
     List.iter

@@ -1,6 +1,5 @@
 module Config = Taskgraph.Config
 module Rat = Exact.Rat
-module Bigint = Exact.Bigint
 
 type witness = { starts : (string * Rat.t) list }
 
@@ -18,65 +17,83 @@ exception Refute of refutation
 
 let refute r = raise (Refute r)
 
-(* ρ(v1) = ̺ − β and ρ(v2) = ̺·χ/β for one graph, every edge weight
-   w(e) = ρ(src) − δ(e)·µ — the longest-path formulation of the PAS
-   existence condition, mirrored from the float analysis but on exact
-   rationals.  Returns the actor start times when a PAS exists.
-   [beta] and [repl] are the exact budgets (by task id) and
-   replenishment intervals; [node] receives each task's first node. *)
-let certify_graph cfg (mapped : Config.mapped) ~beta ~repl ~node g =
+(* One graph's SRDF constraint system on exact rationals.  The k-th
+   task of the graph owns nodes 2k ("task.1", ρ = ̺ − β) and 2k + 1
+   ("task.2", ρ = ̺·χ/β) and edges 2k (the zero-token transition) and
+   2k + 1 (the one-token self-loop); with T tasks, the j-th buffer owns
+   edges 2T + 2j (data, ι tokens) and 2T + 2j + 1 (space, γ − ι).  An
+   edge is (src, dst, δ); its weight at period µ is ρ(src) − δ·µ, the
+   longest-path form of the PAS existence condition.  [beta] and
+   [repl] are the exact budgets (by task id) and replenishment
+   intervals; [node] receives each task's first node. *)
+type model = {
+  graph : string;
+  mu : Rat.t;
+  tasks : Config.task array;
+  buffers : Config.buffer array;
+  names : string array;
+  rho : Rat.t array;
+  edges : (int * int * int) array;
+}
+
+let model cfg (mapped : Config.mapped) ~beta ~repl ~node g =
   let graph = Config.graph_name cfg g in
-  let tasks = Config.tasks cfg g and buffers = Config.buffers cfg g in
+  let tasks = Array.of_list (Config.tasks cfg g) in
+  let buffers = Array.of_list (Config.buffers cfg g) in
   let mu = Rat.of_float (Config.period cfg g) in
-  let n = ref 0 in
-  let names = Array.make (2 * List.length tasks) "" in
-  let rho = Array.make (2 * List.length tasks) Rat.zero in
-  List.iter
-    (fun w ->
+  let nt = Array.length tasks in
+  let names = Array.make (2 * nt) "" in
+  let rho = Array.make (2 * nt) Rat.zero in
+  let edges = Array.make ((2 * nt) + (2 * Array.length buffers)) (0, 0, 0) in
+  Array.iteri
+    (fun k w ->
       let name = Config.task_name cfg w in
       let repl = repl (Config.task_proc cfg w) in
       let beta = beta.(Config.task_id w) in
       let chi = Rat.of_float (Config.wcet cfg w) in
-      node.(Config.task_id w) <- !n;
-      names.(!n) <- name ^ ".1";
-      rho.(!n) <- Rat.sub repl beta;
-      names.(!n + 1) <- name ^ ".2";
-      rho.(!n + 1) <- Rat.div (Rat.mul repl chi) beta;
-      n := !n + 2)
+      let v1 = 2 * k in
+      node.(Config.task_id w) <- v1;
+      names.(v1) <- name ^ ".1";
+      rho.(v1) <- Rat.sub repl beta;
+      names.(v1 + 1) <- name ^ ".2";
+      rho.(v1 + 1) <- Rat.div (Rat.mul repl chi) beta;
+      edges.(v1) <- (v1, v1 + 1, 0);
+      edges.(v1 + 1) <- (v1 + 1, v1 + 1, 1))
     tasks;
-  let edges = ref [] in
-  let add_edge src dst tokens =
-    edges := (src, dst, Rat.sub rho.(src) (Rat.mul (Rat.of_int tokens) mu)) :: !edges
-  in
-  List.iter
-    (fun w ->
-      let v1 = node.(Config.task_id w) in
-      add_edge v1 (v1 + 1) 0;
-      add_edge (v1 + 1) (v1 + 1) 1)
-    tasks;
-  List.iter
-    (fun b ->
+  Array.iteri
+    (fun j b ->
       let iota = Config.initial_tokens cfg b in
       let gamma = mapped.Config.capacity b in
       if gamma < iota then
-        (* the SRDF model is undefined; the float checker reports this
-           as a throughput failure, and so do we *)
+        (* the SRDF model is undefined: no schedule at any period *)
         refute
           (Violated
              (Violation.Throughput { graph; period = Config.period cfg g }));
       let src = node.(Config.task_id (Config.buffer_src cfg b)) in
       let dst = node.(Config.task_id (Config.buffer_dst cfg b)) in
-      add_edge (src + 1) dst iota;
-      add_edge (dst + 1) src (gamma - iota))
+      edges.((2 * nt) + (2 * j)) <- (src + 1, dst, iota);
+      edges.((2 * nt) + (2 * j) + 1) <- (dst + 1, src, gamma - iota))
     buffers;
-  let edges = Array.of_list (List.rev !edges) in
-  match Exact.Bf.longest_path ~nodes:!n edges with
+  { graph; mu; tasks; buffers; names; rho; edges }
+
+let weights m period =
+  Array.map
+    (fun (src, dst, tokens) ->
+      (src, dst, Rat.sub m.rho.(src) (Rat.mul (Rat.of_int tokens) period)))
+    m.edges
+
+(* Exact Bellman–Ford at the graph's period: the earliest PAS as the
+   node potentials, or the refuting cycle with its exact excess. *)
+let schedule m =
+  let edges = weights m m.mu in
+  match Exact.Bf.longest_path ~nodes:(Array.length m.rho) edges with
+  | Exact.Bf.Feasible d -> d
   | Exact.Bf.Positive_cycle cycle ->
       let actors =
         List.map
           (fun e ->
             let s, _, _ = edges.(e) in
-            names.(s))
+            m.names.(s))
           cycle
       in
       let excess =
@@ -86,45 +103,23 @@ let certify_graph cfg (mapped : Config.mapped) ~beta ~repl ~node g =
             Rat.add acc w)
           Rat.zero cycle
       in
-      refute (Positive_cycle { graph; actors; excess })
-  | Exact.Bf.Feasible d ->
-      (* Latency of the earliest PAS against the graph's bound, for
-         graphs with a unique source/sink pair (same convention as the
-         float checker). *)
-      (match Config.latency_bound cfg g with
-      | None -> ()
-      | Some bound ->
-          (match Dataflow_model.chain_ends cfg g with
-          | Some (src, snk) ->
-              let v_src = node.(Config.task_id src) in
-              let v_snk = node.(Config.task_id snk) + 1 in
-              let latency =
-                Rat.sub (Rat.add d.(v_snk) rho.(v_snk)) d.(v_src)
-              in
-              if Rat.compare latency (Rat.of_float bound) > 0 then
-                refute
-                  (Violated
-                     (Violation.Latency
-                        { graph; latency = Rat.to_float latency; bound }))
-          | None -> ()));
-      List.mapi (fun i di -> (names.(i), di)) (Array.to_list d)
+      refute (Positive_cycle { graph = m.graph; actors; excess })
 
-let check_exn cfg (mapped : Config.mapped) =
-  let tasks = Config.all_tasks cfg in
-  let beta = Array.make (List.length tasks) Rat.zero in
-  (* Converted on first use, so a non-finite interval fails at the same
-     point, with the same message, as a conversion per use would. *)
-  let repl =
-    let procs = Config.processors cfg in
-    let exact = Array.make (List.length procs) (lazy Rat.zero) in
-    List.iter
-      (fun p ->
-        exact.(Config.proc_id p) <-
-          lazy (Rat.of_float (Config.replenishment cfg p)))
-      procs;
-    fun p -> Lazy.force exact.(Config.proc_id p)
-  in
-  (* Budgets first: everything downstream divides by them. *)
+(* Converted on first use, so a non-finite interval fails at the same
+   point, with the same message, as a conversion per use would. *)
+let exact_replenishment cfg =
+  let procs = Config.processors cfg in
+  let exact = Array.make (List.length procs) (lazy Rat.zero) in
+  List.iter
+    (fun p ->
+      exact.(Config.proc_id p) <-
+        lazy (Rat.of_float (Config.replenishment cfg p)))
+    procs;
+  fun p -> Lazy.force exact.(Config.proc_id p)
+
+(* The exact budgets of [tasks] into [beta], by task id; everything
+   downstream divides by them. *)
+let exact_budgets cfg (mapped : Config.mapped) ~repl ~beta tasks =
   List.iter
     (fun w ->
       let b = mapped.Config.budget w in
@@ -146,7 +141,43 @@ let check_exn cfg (mapped : Config.mapped) =
                   replenishment = Config.replenishment cfg p;
                 }));
       beta.(Config.task_id w) <- exact)
-    tasks;
+    tasks
+
+(* The end-to-end latency under start times [s]: from the activation
+   of the source's waiting actor to the completion of the sink's
+   processing actor. *)
+let end_to_end ~s_source ~s_sink ~rho_sink =
+  Rat.sub (Rat.add s_sink rho_sink) s_source
+
+(* Throughput of one graph, then the latency of its earliest PAS (for
+   graphs with a unique source/sink pair) against its bound. *)
+let certify_graph cfg mapped ~beta ~repl ~node g =
+  let m = model cfg mapped ~beta ~repl ~node g in
+  let d = schedule m in
+  (match Config.latency_bound cfg g with
+  | None -> ()
+  | Some bound -> (
+      match Config.chain_ends cfg g with
+      | Some (src, snk) ->
+          let v_src = node.(Config.task_id src) in
+          let v_snk = node.(Config.task_id snk) + 1 in
+          let latency =
+            end_to_end ~s_source:d.(v_src) ~s_sink:d.(v_snk)
+              ~rho_sink:m.rho.(v_snk)
+          in
+          if Rat.compare latency (Rat.of_float bound) > 0 then
+            refute
+              (Violated
+                 (Violation.Latency
+                    { graph = m.graph; latency = Rat.to_float latency; bound }))
+      | None -> ()));
+  List.mapi (fun i di -> (m.names.(i), di)) (Array.to_list d)
+
+let check_exn cfg (mapped : Config.mapped) =
+  let tasks = Config.all_tasks cfg in
+  let repl = exact_replenishment cfg in
+  let beta = Array.make (List.length tasks) Rat.zero in
+  exact_budgets cfg mapped ~repl ~beta tasks;
   (* Throughput (and latency) of every graph, via exact Bellman-Ford. *)
   let node = Array.make (List.length tasks) 0 in
   let starts =
@@ -209,16 +240,129 @@ let check_exn cfg (mapped : Config.mapped) =
     (Config.all_buffers cfg);
   Certified { starts }
 
-let check cfg mapped =
-  match check_exn cfg mapped with
-  | verdict -> verdict
-  | exception Refute r -> Refuted r
+(* A non-finite configuration constant that slipped past the explicit
+   guards refutes rather than crashes. *)
+let guard f =
+  match f () with
+  | v -> Ok v
+  | exception Refute r -> Error r
   | exception Invalid_argument msg ->
-      (* a non-finite configuration constant slipped past the explicit
-         guards; refuse to certify rather than crash *)
-      Refuted (Violated (Violation.Non_finite { what = msg; value = Float.nan }))
+      Error (Violated (Violation.Non_finite { what = msg; value = Float.nan }))
+
+let check cfg mapped =
+  match guard (fun () -> check_exn cfg mapped) with
+  | Ok verdict -> verdict
+  | Error r -> Refuted r
 
 let certified = function Certified _ -> true | Refuted _ -> false
+
+let latency cfg (mapped : Config.mapped) t g =
+  match (t, Config.chain_ends cfg g) with
+  | Certified { starts }, Some (src, snk) ->
+      let start w k = List.assoc (Config.task_name cfg w ^ k) starts in
+      let repl =
+        Rat.of_float (Config.replenishment cfg (Config.task_proc cfg snk))
+      in
+      Some
+        (end_to_end ~s_source:(start src ".1") ~s_sink:(start snk ".2")
+           ~rho_sink:
+             (Rat.div
+                (Rat.mul repl (Rat.of_float (Config.wcet cfg snk)))
+                (Rat.of_float (mapped.Config.budget snk))))
+  | Certified _, None | Refuted _, _ -> None
+
+let violation cfg = function
+  | Violated v -> v
+  | Positive_cycle { graph; _ } ->
+      Violation.Throughput
+        { graph; period = Config.period cfg (Config.find_graph cfg graph) }
+
+(* One graph's model on its own: budgets of its tasks only. *)
+let graph_model cfg (mapped : Config.mapped) g =
+  let repl = exact_replenishment cfg in
+  let n = List.length (Config.all_tasks cfg) in
+  let beta = Array.make n Rat.zero in
+  exact_budgets cfg mapped ~repl ~beta (Config.tasks cfg g);
+  let node = Array.make n 0 in
+  model cfg mapped ~beta ~repl ~node g
+
+type critical = {
+  ratio : Rat.t;
+  slack : Rat.t;
+  tasks : Config.task list;
+  buffers : Config.buffer list;
+}
+
+(* The float rendering of a model: actor i and queue k are the model's
+   node i and edge k. *)
+let float_graph m =
+  let srdf = Dataflow.Srdf.create () in
+  let actors =
+    Array.mapi
+      (fun i name ->
+        Dataflow.Srdf.add_actor srdf ~name ~duration:(Rat.to_float m.rho.(i)))
+      m.names
+  in
+  Array.iter
+    (fun (s, d, tokens) ->
+      ignore
+        (Dataflow.Srdf.add_edge srdf ~src:actors.(s) ~dst:actors.(d) ~tokens))
+    m.edges;
+  srdf
+
+let srdf cfg g mapped =
+  match guard (fun () -> graph_model cfg mapped g) with
+  | Ok m -> Ok (float_graph m)
+  | Error r -> Error (violation cfg r)
+
+let schedulable cfg g mapped =
+  match guard (fun () -> graph_model cfg mapped g) with
+  | Error _ -> false
+  | Ok m -> (
+      (* Howard's cycle, when its exact ratio exceeds µ, is a positive
+         cycle at µ already: the Bellman–Ford would refute too, only
+         after all its rounds. *)
+      match Dataflow.Howard.proposal ~rho:m.rho (float_graph m) with
+      | Some (r, _) when Rat.compare r m.mu > 0 -> false
+      | Some _ | None -> Result.is_ok (guard (fun () -> schedule m)))
+
+let max_cycle_ratio cfg g mapped =
+  match guard (fun () -> graph_model cfg mapped g) with
+  | Error _ -> None
+  | Ok m -> (
+      (* The float graph only steers Howard's proposal; the ratio comes
+         from the exact durations. *)
+      match Dataflow.Howard.exact ~rho:m.rho (float_graph m) with
+      | `Deadlocked -> None
+      | `Acyclic ->
+          Some { ratio = Rat.zero; slack = m.mu; tasks = []; buffers = [] }
+      | `Mcr (ratio, cycle) ->
+          let nt = Array.length m.tasks in
+          let on_task = Array.make nt false in
+          let on_buffer = Array.make (Array.length m.buffers) false in
+          List.iter
+            (fun e ->
+              let k = Dataflow.Srdf.edge_id e in
+              let s, _, _ = m.edges.(k) in
+              on_task.(s / 2) <- true;
+              if k >= 2 * nt then on_buffer.((k - (2 * nt)) / 2) <- true)
+            cycle;
+          let pick on all =
+            List.filteri (fun i _ -> on.(i)) (Array.to_list all)
+          in
+          Some
+            {
+              ratio;
+              slack = Rat.sub m.mu ratio;
+              tasks = pick on_task m.tasks;
+              buffers = pick on_buffer m.buffers;
+            })
+
+let pp_critical cfg ppf c =
+  Format.fprintf ppf "critical cycle at ratio %s: tasks {%s}, buffers {%s}"
+    (Rat.to_decimal ~round:`Up ~digits:4 c.ratio)
+    (String.concat ", " (List.map (Config.task_name cfg) c.tasks))
+    (String.concat ", " (List.map (Config.buffer_name cfg) c.buffers))
 
 let summary = function
   | Certified w -> Printf.sprintf "ok (exact, %d start times)" (List.length w.starts)

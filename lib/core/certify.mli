@@ -15,12 +15,19 @@
     the exact start-time potentials (substituting them into every
     constraint verifies the certificate by rational evaluation alone),
     [Refuted] carries the violated constraint or a positive-weight
-    cycle with its exact excess. *)
+    cycle with its exact excess.
+
+    The same exact constraint graph answers the diagnostic questions
+    every command prints: the minimal period a mapped graph sustains
+    ({!max_cycle_ratio}, an exact maximum cycle ratio with its critical
+    cycle) and whether it admits a schedule at its period on its own
+    ({!schedulable}).  There is no float verdict on a mapping besides
+    these. *)
 
 type witness = {
   starts : (string * Exact.Rat.t) list;
-      (** Exact start time per SRDF actor ("task.1"/"task.2"),
-          concatenated over all task graphs. *)
+      (** Exact start time per SRDF actor ("task.1"/"task.2") of the
+          earliest PAS, concatenated over all task graphs. *)
 }
 
 type refutation =
@@ -41,6 +48,83 @@ type t = Certified of witness | Refuted of refutation
 val check : Taskgraph.Config.t -> Taskgraph.Config.mapped -> t
 
 val certified : t -> bool
+
+(** [latency cfg mapped t g] is the end-to-end latency of graph [g]
+    under the witness of a [Certified] verdict [t] on [mapped]: from the
+    activation of the source's waiting actor to the completion of the
+    sink's processing actor ({!Taskgraph.Config.chain_ends}),
+    [s(sink.2) + ρ(sink.2) − s(source.1)] in the earliest PAS.  [None]
+    when [t] is refuted or [g] has no unique source/sink pair. *)
+val latency :
+  Taskgraph.Config.t -> Taskgraph.Config.mapped -> t ->
+  Taskgraph.Config.graph -> Exact.Rat.t option
+
+(** [violation cfg r] is the constraint [r] violates: a positive cycle
+    is a missed throughput requirement ({!Violation.Throughput}). *)
+val violation : Taskgraph.Config.t -> refutation -> Violation.t
+
+(** [srdf cfg g mapped] is the SRDF model of the mapped graph [g]
+    (Section II-C of the paper) that {!check} decides, with its exact
+    durations rounded to floats.  Each task [w] becomes two actors and
+    two queues:
+
+    {v
+        w.1: ρ = ̺(π(w)) − β(w)          (waiting for the TDM window)
+        w.2: ρ = ̺(π(w))·χ(w) / β(w)     (processing under the budget)
+        w.1 → w.2 with 0 tokens, w.2 → w.2 self-loop with 1 token
+    v}
+
+    and each buffer [b] from [wa] to [wb] a pair of opposite queues: the
+    data queue [wa.2 → wb.1] carrying [ι(b)] initial tokens and the
+    space queue [wb.2 → wa.1] carrying [γ(b) − ι(b)] initially empty
+    containers.  Actors and queues are numbered in that order, task by
+    task, then buffer by buffer.  Wiggers et al. (EMSOFT 2009) prove
+    this model conservative for budget schedulers, so a PAS of the SRDF
+    graph with period [µ(T)] certifies the task graph's throughput.
+    [Error] names the violation when a budget lies outside (0, ̺] or a
+    capacity below the initial tokens. *)
+val srdf :
+  Taskgraph.Config.t -> Taskgraph.Config.graph -> Taskgraph.Config.mapped ->
+  (Dataflow.Srdf.t, Violation.t) result
+
+(** [schedulable cfg g mapped] holds when the mapped graph [g] on its
+    own admits a PAS with period µ(g): Constraint (1) decided as
+    {!check} decides it, with budgets outside (0, ̺] or capacities
+    below the initial tokens refused. *)
+val schedulable :
+  Taskgraph.Config.t -> Taskgraph.Config.graph -> Taskgraph.Config.mapped ->
+  bool
+
+(** The cycle that bounds a mapped graph's throughput. *)
+type critical = {
+  ratio : Exact.Rat.t;
+      (** the exact maximum cycle ratio: the smallest period admitting a
+          PAS *)
+  slack : Exact.Rat.t;
+      (** µ(g) − [ratio]: how much the period could tighten; negative
+          when the mapping misses it *)
+  tasks : Taskgraph.Config.task list;
+      (** tasks with an actor on the critical cycle, in graph order *)
+  buffers : Taskgraph.Config.buffer list;
+      (** buffers with a queue on the critical cycle, in graph order *)
+}
+
+(** [max_cycle_ratio cfg g mapped] is the exact maximum cycle ratio of
+    the mapped graph [g] and a cycle attaining it
+    ({!Dataflow.Howard.exact} on the exact constraint graph of
+    {!check}): float Howard proposes a cycle, the exact Bellman–Ford
+    at its ratio confirms it or returns a heavier one.  So [g] is
+    schedulable exactly when [ratio] is at most the exact µ(g).  [None]
+    when the mapped graph deadlocks (a cycle without tokens) or its
+    budgets or capacities are invalid. *)
+val max_cycle_ratio :
+  Taskgraph.Config.t -> Taskgraph.Config.graph -> Taskgraph.Config.mapped ->
+  critical option
+
+(** [pp_critical cfg ppf c] prints
+    ["critical cycle at ratio R: tasks {..}, buffers {..}"], the ratio
+    rounded up to four decimals. *)
+val pp_critical : Taskgraph.Config.t -> Format.formatter -> critical -> unit
 
 (** One-line rendering: ["ok (exact, N start times)"] or
     ["refuted: ..."]. *)

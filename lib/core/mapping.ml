@@ -191,7 +191,7 @@ let finish_optimal cfg ~policy ~obs builder result trace stats =
         }
 
 (* Last rung of the ladder: when every cone-solver attempt stalled,
-   restate the problem on the exact-simplex path — Fair_share budgets
+   restate the problem on the simplex path — Fair_share budgets
    plus the phase-2 buffer LP of the two-phase baseline.  The result is
    not the joint optimum, but {!Two_phase.budget_first} returns only a
    certified mapping, which beats returning nothing.  The synthesized
@@ -291,14 +291,14 @@ let solve ?params ?policy ?obs cfg =
     Error (Solver_failure "unbounded cone program (dual infeasible)")
   | Socp.Timed_out ->
     (* The deadline that stopped the cone solve is already blown; the
-       exact-simplex fallback would only blow it further.  No retry, no
+       simplex fallback would only blow it further.  No retry, no
        fallback — the sweep layer decides whether a resume re-solves. *)
     Error
       (Timed_out
          (Format.asprintf "deadline expired after %d attempt(s) (%a)"
             (Recovery.attempts trace) Recovery.pp_trace trace))
   | Socp.Iteration_limit | Socp.Stalled ->
-    (* The whole cone ladder failed; try the exact-simplex restatement
+    (* The whole cone ladder failed; try the simplex restatement
        unless the fault plan covers that attempt too. *)
     let fallback_attempt = Recovery.attempts trace + 1 in
     if Fault.covers policy.Recovery.fault ~attempt:fallback_attempt then

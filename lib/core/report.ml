@@ -15,17 +15,15 @@ type memory_load = {
 type graph_report = {
   graph : Config.graph;
   period_required : float;
-  period_min : float option;
-  slack : float option;
-  latency : float option;
-  critical : Sensitivity.critical option;
+  critical : Certify.critical option;
+  latency : Exact.Rat.t option;
 }
 
 type t = {
   processors : processor_load list;
   memories : memory_load list;
   graphs : graph_report list;
-  violations : string list;
+  certificate : Certify.t;
 }
 
 let build cfg (mapped : Config.mapped) =
@@ -65,28 +63,19 @@ let build cfg (mapped : Config.mapped) =
         })
       (Config.memories cfg)
   in
+  let certificate = Certify.check cfg mapped in
   let graphs =
     List.map
       (fun graph ->
-        let period_min = Dataflow_model.min_feasible_period cfg graph mapped in
         {
           graph;
           period_required = Config.period cfg graph;
-          period_min;
-          slack = Sensitivity.throughput_slack cfg graph mapped;
-          latency =
-            (try Dataflow_model.chain_latency cfg graph mapped
-             with Invalid_argument _ -> None);
-          critical = Sensitivity.critical_cycle cfg graph mapped;
+          critical = Certify.max_cycle_ratio cfg graph mapped;
+          latency = Certify.latency cfg mapped certificate graph;
         })
       (Config.graphs cfg)
   in
-  {
-    processors;
-    memories;
-    graphs;
-    violations = List.map Violation.to_string (Dataflow_model.verify cfg mapped);
-  }
+  { processors; memories; graphs; certificate }
 
 let pp cfg ppf t =
   Format.fprintf ppf "@[<v>";
@@ -113,24 +102,26 @@ let pp cfg ppf t =
     (fun g ->
       Format.fprintf ppf "  %-10s period %.3f required"
         (Config.graph_name cfg g.graph) g.period_required;
-      (match g.period_min with
-      | Some p -> Format.fprintf ppf ", %.3f achievable" p
+      (* Bounds, not roundings: the period is never printed below the
+         exact one, the slack never above it. *)
+      let decimal round = Exact.Rat.to_decimal ~round ~digits:3 in
+      (match g.critical with
+      | Some c ->
+        Format.fprintf ppf ", %s achievable, slack %s"
+          (decimal `Up c.Certify.ratio)
+          (decimal `Down c.Certify.slack)
       | None -> Format.fprintf ppf ", deadlocked");
-      (match g.slack with
-      | Some s -> Format.fprintf ppf ", slack %.3f" s
-      | None -> ());
       (match g.latency with
-      | Some l -> Format.fprintf ppf ", latency %.3f" l
+      | Some l -> Format.fprintf ppf ", latency %s" (decimal `Up l)
       | None -> ());
       Format.fprintf ppf "@,";
       match g.critical with
-      | Some c ->
-        Format.fprintf ppf "    %a@," (Sensitivity.pp_critical cfg) c
+      | Some c -> Format.fprintf ppf "    %a@," (Certify.pp_critical cfg) c
       | None -> ())
     t.graphs;
-  (match t.violations with
-  | [] -> Format.fprintf ppf "verification: ok@,"
-  | vs ->
-    Format.fprintf ppf "violations:@,";
-    List.iter (fun v -> Format.fprintf ppf "  %s@," v) vs);
+  (match t.certificate with
+  | Certify.Certified _ -> Format.fprintf ppf "verification: ok@,"
+  | Certify.Refuted r ->
+    Format.fprintf ppf "violations:@,  %s@,"
+      (Violation.to_string (Certify.violation cfg r)));
   Format.fprintf ppf "@]"

@@ -4,7 +4,14 @@
     the budgets and capacities themselves, per-processor TDM
     utilisation, per-memory occupancy, end-to-end latency per chain
     graph, throughput slack and the critical cycle.  Rendered as plain
-    text by the CLI's [report] subcommand. *)
+    text by the CLI's [report] subcommand.
+
+    Every verdict and figure in it is exact: the verification line is
+    {!Certify.check}'s, the achievable period and critical cycle are
+    {!Certify.max_cycle_ratio}'s, and the latency is the one of the
+    certificate's earliest PAS.  Printed periods and latencies are
+    rounded up and slacks down, so a printed [0.000] slack is never a
+    negative one. *)
 
 type processor_load = {
   proc : Taskgraph.Config.proc;
@@ -21,17 +28,19 @@ type memory_load = {
 type graph_report = {
   graph : Taskgraph.Config.graph;
   period_required : float;
-  period_min : float option;  (** the mapped graph's MCR *)
-  slack : float option;
-  latency : float option;  (** for graphs with a unique source/sink *)
-  critical : Sensitivity.critical option;
+  critical : Certify.critical option;
+      (** the mapped graph's exact MCR and critical cycle; [None] when
+          it deadlocks or the mapping is invalid *)
+  latency : Exact.Rat.t option;
+      (** {!Certify.latency}: graphs with a unique source/sink pair,
+          certified mappings only *)
 }
 
 type t = {
   processors : processor_load list;
   memories : memory_load list;
   graphs : graph_report list;
-  violations : string list;  (** from {!Dataflow_model.verify} *)
+  certificate : Certify.t;  (** the one verdict on the mapping *)
 }
 
 (** [build cfg mapped] assembles the report. *)

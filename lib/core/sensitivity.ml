@@ -1,62 +1,4 @@
 module Config = Taskgraph.Config
-module Srdf = Dataflow.Srdf
-module Analysis = Dataflow.Analysis
-
-type critical = {
-  ratio : float;
-  tasks : Config.task list;
-  buffers : Config.buffer list;
-}
-
-let build_model cfg g (mapped : Config.mapped) =
-  match
-    Dataflow_model.build cfg g ~budget:mapped.Config.budget
-      ~capacity:mapped.Config.capacity
-  with
-  | model -> Some model
-  | exception Invalid_argument _ -> None
-
-let throughput_slack cfg g mapped =
-  match Dataflow_model.min_feasible_period cfg g mapped with
-  | None -> None
-  | Some mcr -> Some (Config.period cfg g -. mcr)
-
-let critical_cycle cfg g mapped =
-  match build_model cfg g mapped with
-  | None -> None
-  | Some model -> begin
-    let srdf = model.Dataflow_model.srdf in
-    match Dataflow.Howard.critical_cycle srdf with
-    | None -> None
-    | Some (ratio, actors) ->
-      let on_cycle = Hashtbl.create 16 in
-      List.iter
-        (fun v -> Hashtbl.replace on_cycle (Srdf.actor_id v) ())
-        actors;
-      let mem v = Hashtbl.mem on_cycle (Srdf.actor_id v) in
-      let tasks =
-        List.filter
-          (fun w ->
-            mem (model.Dataflow_model.actor1 w)
-            || mem (model.Dataflow_model.actor2 w))
-          (Config.tasks cfg g)
-      in
-      (* A buffer is critical when the cycle runs through one of its
-         queues, i.e. through both endpoints of the data or space
-         queue. *)
-      let buffers =
-        List.filter
-          (fun b ->
-            let src = Config.buffer_src cfg b
-            and dst = Config.buffer_dst cfg b in
-            (mem (model.Dataflow_model.actor2 src)
-            && mem (model.Dataflow_model.actor1 dst))
-            || (mem (model.Dataflow_model.actor2 dst)
-               && mem (model.Dataflow_model.actor1 src)))
-          (Config.buffers cfg g)
-      in
-      Some { ratio; tasks; buffers }
-  end
 
 let budget_slack ?(tolerance = 1e-6) cfg g (mapped : Config.mapped) w =
   if Config.task_graph cfg w <> g then
@@ -64,7 +6,7 @@ let budget_slack ?(tolerance = 1e-6) cfg g (mapped : Config.mapped) w =
   let current = mapped.Config.budget w in
   let feasible beta =
     beta > 0.0
-    && Dataflow_model.throughput_ok cfg g
+    && Certify.schedulable cfg g
          {
            mapped with
            Config.budget =
@@ -87,9 +29,3 @@ let budget_slack ?(tolerance = 1e-6) cfg g (mapped : Config.mapped) w =
     in
     current -. bisect 0.0 current 100
   end
-
-let pp_critical cfg ppf c =
-  Format.fprintf ppf "critical cycle at ratio %.4f: tasks {%s}, buffers {%s}"
-    c.ratio
-    (String.concat ", " (List.map (Config.task_name cfg) c.tasks))
-    (String.concat ", " (List.map (Config.buffer_name cfg) c.buffers))

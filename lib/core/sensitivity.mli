@@ -3,39 +3,19 @@
     Once budgets and capacities are fixed, the SRDF model tells not
     just {e whether} the throughput requirement holds but also {e how
     tightly}: the throughput slack is the distance between the required
-    period and the maximum cycle ratio, the critical cycle names the
-    tasks and buffers that bound the throughput, and per-task budget
-    slack quantifies how much each budget could shrink before the
-    requirement breaks — the diagnostics a designer needs to act on the
-    paper's trade-off. *)
-
-type critical = {
-  ratio : float;  (** the MCR: the smallest sustainable period *)
-  tasks : Taskgraph.Config.task list;
-      (** tasks with an actor on the critical cycle *)
-  buffers : Taskgraph.Config.buffer list;
-      (** buffers with a queue on the critical cycle *)
-}
-
-(** [throughput_slack cfg g mapped] is [µ(g) − MCR] of the mapped
-    graph: how much the period could tighten before infeasibility.
-    [None] when the mapped graph is deadlocked or the mapping is
-    invalid. *)
-val throughput_slack :
-  Taskgraph.Config.t -> Taskgraph.Config.graph -> Taskgraph.Config.mapped ->
-  float option
-
-(** [critical_cycle cfg g mapped] identifies the throughput-limiting
-    cycle and maps it back to tasks and buffers.  [None] when the
-    mapped graph is deadlocked, invalid, or acyclic. *)
-val critical_cycle :
-  Taskgraph.Config.t -> Taskgraph.Config.graph -> Taskgraph.Config.mapped ->
-  critical option
+    period and the maximum cycle ratio, the critical cycle
+    ({!Certify.max_cycle_ratio}) names the tasks and buffers that bound
+    the throughput, and per-task budget slack, computed here,
+    quantifies how much each budget could shrink before the requirement
+    breaks — the diagnostics a designer needs to act on the paper's
+    trade-off.  Every answer rests on the exact constraint graph of
+    {!Certify}. *)
 
 (** [budget_slack cfg g mapped w] is the largest reduction of [β(w)]
     (keeping every other budget and capacity fixed) that still admits a
-    PAS with period [µ(g)], computed by bisection to [tolerance]
-    (default 1e-6); [0.] when the budget is already critical.
+    PAS with period [µ(g)] ({!Certify.schedulable}), computed by
+    bisection to [tolerance] (default 1e-6); [0.] when the budget is
+    already critical or the mapping misses its period.
     @raise Invalid_argument if [w] is not a task of [g]. *)
 val budget_slack :
   ?tolerance:float ->
@@ -44,7 +24,3 @@ val budget_slack :
   Taskgraph.Config.mapped ->
   Taskgraph.Config.task ->
   float
-
-(** [pp_critical cfg ppf c] prints a critical-cycle summary. *)
-val pp_critical :
-  Taskgraph.Config.t -> Format.formatter -> critical -> unit

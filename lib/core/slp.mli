@@ -6,7 +6,7 @@
     This module implements the natural linearisation a practitioner
     would try — freeze [λ = 1/β] at the current budget estimate, solve
     the resulting {e linear} program for budgets, tokens and start
-    times with the exact simplex, recompute [λ], repeat — so the claim
+    times with the simplex, recompute [λ], repeat — so the claim
     can be tested instead of taken on faith.
 
     The iteration is a fixed-point heuristic, not a descent method: at

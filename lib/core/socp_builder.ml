@@ -136,7 +136,7 @@ let build cfg =
       match Config.latency_bound cfg gr with
       | None -> ()
       | Some bound -> (
-        match Dataflow_model.chain_ends cfg gr with
+        match Config.chain_ends cfg gr with
         | Some (src, snk) ->
           Model.add_le m
             (Model.add

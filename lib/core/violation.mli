@@ -1,5 +1,6 @@
-(** Structured constraint violations, shared by the float checker
-    ({!Dataflow_model.verify}) and the exact certifier ({!Certify}).
+(** Structured constraint violations: what a refuted certificate
+    ({!Certify}) violates, as {!Certify.violation} names it for the CLI,
+    {!Report} and {!Dataflow_model.verify}.
 
     Each variant names the violated constraint, the system objects
     involved and the two sides of the inequality, so callers can

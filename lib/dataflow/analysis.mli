@@ -1,4 +1,4 @@
-(** Temporal analysis of SRDF graphs.
+(** Throughput classification shared by the MCR methods.
 
     The key fact (Reiter 1968, recalled as Constraint (1) of the paper)
     is that a periodic admissible schedule (PAS) with period [µ] exists
@@ -10,6 +10,8 @@
     weight.  Equivalently, a PAS with period [µ] exists iff [µ] is at
     least the maximum cycle ratio (MCR)
     [max over cycles C of (Σ_{v∈C} ρ(v)) / (Σ_{e∈C} δ(e))].
+    {!Howard} computes the MCR, in floats or exactly; this module holds
+    the result type and the structural test both start from.
 
     Token counts may be overridden with real values — the paper's
     continuous relaxation [δ′] — via the [tokens] argument. *)
@@ -33,49 +35,3 @@ val token_fun : Srdf.t -> Srdf.edge -> float
 val classify :
   ?tokens:(Srdf.edge -> float) -> Srdf.t ->
   [ `Deadlocked | `Acyclic | `Cyclic ]
-
-(** [pas_exists ?tokens g ~period] checks whether a PAS with the given
-    period exists (Bellman–Ford positive-cycle detection).
-    @raise Invalid_argument if [period <= 0]. *)
-val pas_exists : ?tokens:(Srdf.edge -> float) -> Srdf.t -> period:float -> bool
-
-(** [pas_start_times ?tokens g ~period] returns start times [s] (indexed
-    by {!Srdf.actor_id}) realising a PAS with the given period, or
-    [None] if none exists.  The returned schedule satisfies
-    [s.(j) ≥ s.(i) + ρ(i) − δ(eij)·period] for every queue. *)
-val pas_start_times :
-  ?tokens:(Srdf.edge -> float) -> Srdf.t -> period:float -> float array option
-
-(** [max_cycle_ratio ?tokens ?eps g] computes the MCR by binary search
-    over Bellman–Ford feasibility checks; [eps] is the relative
-    precision of the search (default 1e-12). *)
-val max_cycle_ratio :
-  ?tokens:(Srdf.edge -> float) -> ?eps:float -> Srdf.t -> mcr_result
-
-(** Self-timed (as-soon-as-possible) execution of the graph. *)
-type self_timed = {
-  starts : float array array;
-      (** [starts.(k).(v)] is the start time of firing [k+1] of actor
-          [v] under ASAP execution *)
-  measured_period : float;
-      (** average per-iteration advance of the slowest actor over the
-          second half of the run — converges to the MCR for live
-          strongly-connected graphs *)
-}
-
-(** [self_timed ?iterations g] simulates [iterations] firings of every
-    actor (default 100).
-    @return [Error reason] when the graph deadlocks (a zero-token cycle
-    is hit). *)
-val self_timed : ?iterations:int -> Srdf.t -> (self_timed, string) result
-
-(** [check_schedule ?tokens g ~period s] verifies that start times [s]
-    satisfy Constraint (1) for every queue, within tolerance [1e-9];
-    returns the list of violated queues (empty when the schedule is
-    admissible).  Useful as an independent certificate check. *)
-val check_schedule :
-  ?tokens:(Srdf.edge -> float) ->
-  Srdf.t ->
-  period:float ->
-  float array ->
-  Srdf.edge list

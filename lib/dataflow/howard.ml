@@ -196,3 +196,85 @@ let critical_cycle ?tokens ?eps g =
   match run ?tokens ?eps g with
   | `Acyclic | `Deadlocked -> None
   | `Mcr (r, cycle) -> Some (r, cycle)
+
+module Rat = Exact.Rat
+
+let exact_durations ?rho g =
+  let n = Srdf.num_actors g in
+  match rho with
+  | Some rho ->
+    if Array.length rho <> n then
+      invalid_arg "Howard.exact: one duration per actor expected";
+    rho
+  | None ->
+    Array.init n (fun i ->
+        Rat.of_float (Srdf.duration g (Srdf.actor_of_id g i)))
+
+let cycle_ratio g rho cycle =
+  let sum f = List.fold_left (fun acc e -> Rat.add acc (f e)) Rat.zero cycle in
+  Rat.div
+    (sum (fun e -> rho.(Srdf.actor_id (Srdf.edge_src g e))))
+    (sum (fun e -> Rat.of_int (Srdf.tokens g e)))
+
+(* Howard names the critical cycle by its actors; between two
+   consecutive ones take the queue with the fewest tokens, the
+   heaviest.  Empty when Howard finds no cycle of positive ratio. *)
+let proposed_cycle g =
+  match critical_cycle g with
+  | None | Some (_, []) -> []
+  | Some (_, (first :: _ as actors)) ->
+    let rec link = function
+      | [] -> []
+      | u :: rest ->
+        let v = match rest with v :: _ -> v | [] -> first in
+        let heavier best e =
+          match best with
+          | Some b when Srdf.tokens g b <= Srdf.tokens g e -> best
+          | Some _ | None -> if Srdf.edge_dst g e = v then Some e else best
+        in
+        Option.get (List.fold_left heavier None (Srdf.out_edges g u))
+        :: link rest
+    in
+    link actors
+
+let proposal ?rho g =
+  let rho = exact_durations ?rho g in
+  match Analysis.classify g with
+  | `Acyclic | `Deadlocked -> None
+  | `Cyclic -> (
+    match proposed_cycle g with
+    | [] -> None
+    | cycle -> Some (cycle_ratio g rho cycle, cycle))
+
+(* The exact MCR: Howard's critical cycle is only a proposal.  Its
+   exact ratio r is a lower bound on the MCR (it is a real cycle), and
+   the exact Bellman–Ford at period r either finds no positive cycle,
+   which proves r is the maximum, or returns a cycle C of positive
+   weight Σρ − r·Σδ > 0, whose ratio is therefore strictly larger than
+   r.  Ratios strictly increase over finitely many cycles, so the loop
+   ends; no cycle carries zero tokens once [classify] says [`Cyclic]. *)
+let exact ?rho g =
+  let rho = exact_durations ?rho g in
+  match Analysis.classify g with
+  | `Acyclic -> `Acyclic
+  | `Deadlocked -> `Deadlocked
+  | `Cyclic ->
+    let edges = Array.of_list (Srdf.edges g) in
+    let weights r =
+      Array.map
+        (fun e ->
+          let s = Srdf.actor_id (Srdf.edge_src g e) in
+          ( s,
+            Srdf.actor_id (Srdf.edge_dst g e),
+            Rat.sub rho.(s) (Rat.mul (Rat.of_int (Srdf.tokens g e)) r) ))
+        edges
+    in
+    let rec confirm cycle =
+      let r = if cycle = [] then Rat.zero else cycle_ratio g rho cycle in
+      match Exact.Bf.longest_path ~nodes:(Array.length rho) (weights r) with
+      | Exact.Bf.Feasible _ -> `Mcr (r, cycle)
+      | Exact.Bf.Positive_cycle [] ->
+        failwith "Howard.exact: positive cycle without a witness"
+      | Exact.Bf.Positive_cycle ks -> confirm (List.map (fun k -> edges.(k)) ks)
+    in
+    confirm (proposed_cycle g)

@@ -1,11 +1,15 @@
-(** Exact longest-path Bellman–Ford over rational edge weights.
+(** Exact longest-path Bellman–Ford over rational edge weights: the
+    one test of Reiter's PAS condition (the paper's Constraint (1)).
 
-    Mirrors the float analysis in [lib/dataflow/analysis.ml]: every
-    node is seeded from a virtual source with potential 0, and edges
-    relax upwards ([d(src) + w > d(dst)]) — but in exact rational
+    Every node is seeded from a virtual source with potential 0, and
+    edges relax upwards ([d(src) + w > d(dst)]) in exact rational
     arithmetic, with no epsilon.  A fixpoint is a periodic admissible
-    schedule witness; divergence proves a positive-weight cycle, which
-    is extracted from the predecessor graph. *)
+    schedule witness (the earliest one); divergence proves a
+    positive-weight cycle, which is extracted from the predecessor
+    graph.  [Budgetbuf.Certify] runs it at a graph's period, and
+    [Dataflow.Howard.exact] at the ratio of a proposed critical cycle
+    to confirm an exact maximum cycle ratio.  The float Bellman–Ford it
+    replaced survives only as a test oracle. *)
 
 type verdict =
   | Feasible of Rat.t array

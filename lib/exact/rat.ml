@@ -121,4 +121,26 @@ let to_string t =
   if is_integer t then Bigint.to_string t.num
   else Bigint.to_string t.num ^ "/" ^ Bigint.to_string t.den
 
+let to_decimal ~round ~digits t =
+  if digits < 0 then invalid_arg "Rat.to_decimal: negative digits";
+  let scale = ref Bigint.one in
+  for _ = 1 to digits do
+    scale := Bigint.mul !scale (Bigint.of_int 10)
+  done;
+  (* Truncated division of a positive denominator: the remainder has
+     the numerator's sign, so one step fixes the direction. *)
+  let q, r = Bigint.divmod (Bigint.mul t.num !scale) t.den in
+  let q =
+    match round with
+    | `Up when Bigint.sign r > 0 -> Bigint.add q Bigint.one
+    | `Down when Bigint.sign r < 0 -> Bigint.sub q Bigint.one
+    | `Up | `Down -> q
+  in
+  let s = Bigint.to_string (Bigint.abs q) in
+  let s = String.make (Int.max 0 (digits + 1 - String.length s)) '0' ^ s in
+  let k = String.length s - digits in
+  (if Bigint.sign q < 0 then "-" else "")
+  ^ String.sub s 0 k
+  ^ if digits > 0 then "." ^ String.sub s k digits else ""
+
 let pp fmt t = Format.pp_print_string fmt (to_string t)

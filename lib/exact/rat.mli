@@ -45,4 +45,12 @@ val is_integer : t -> bool
 (** ["n"] when the denominator is 1, ["n/d"] otherwise. *)
 val to_string : t -> string
 
+(** [to_decimal ~round ~digits t] renders [t] with [digits] decimals,
+    rounded towards +∞ ([`Up]) or −∞ ([`Down]): the printed number
+    bounds [t] from that side, so a period rounded up is never below
+    the true one and a slack rounded down never above it.  A zero
+    result prints without a sign.
+    @raise Invalid_argument when [digits] is negative. *)
+val to_decimal : round:[ `Up | `Down ] -> digits:int -> t -> string
+
 val pp : Format.formatter -> t -> unit

@@ -165,7 +165,7 @@ let lp_cross_check ppf =
     (fun n ->
       let cfg = Workloads.Gen.chain ~n () in
       (* Budgets pinned to the same mid-range value for both solvers:
-         buffer sizing is then a pure LP, solved once by exact simplex
+         buffer sizing is then a pure LP, solved once by the simplex
          and once by the interior-point method. *)
       let budget _ = 12.0 in
       let show cap =
@@ -262,9 +262,9 @@ let random_srdf rng ~n =
   g
 
 let mcr_ablation ppf =
-  header ppf "Ablation: Howard vs binary-search MCR";
+  header ppf "Ablation: float Howard vs exact MCR";
   Format.fprintf ppf "  %-8s %-14s %-11s %-11s %-8s@." "actors" "MCR"
-    "Howard[ms]" "bisect[ms]" "agree";
+    "Howard[ms]" "exact[ms]" "agree";
   let rng = Workloads.Rng.create 1234L in
   List.iter
     (fun n ->
@@ -275,11 +275,12 @@ let mcr_ablation ppf =
         (r, 1000.0 *. (Unix.gettimeofday () -. t0))
       in
       let h, th = time (fun () -> Dataflow.Howard.max_cycle_ratio g) in
-      let b, tb = time (fun () -> Dataflow.Analysis.max_cycle_ratio g) in
-      match (h, b) with
-      | Dataflow.Analysis.Mcr rh, Dataflow.Analysis.Mcr rb ->
-        let agree = Float.abs (rh -. rb) <= 1e-6 *. Float.max 1.0 rb in
-        Format.fprintf ppf "  %-8d %-14.6f %-11.3f %-11.3f %-8s@." n rb th tb
+      let x, tx = time (fun () -> Dataflow.Howard.exact g) in
+      match (h, x) with
+      | Dataflow.Analysis.Mcr rh, `Mcr (rx, _) ->
+        let rx = Exact.Rat.to_float rx in
+        let agree = Float.abs (rh -. rx) <= 1e-9 *. Float.max 1.0 rx in
+        Format.fprintf ppf "  %-8d %-14.6f %-11.3f %-11.3f %-8s@." n rx th tx
           (if agree then "yes" else "NO")
       | _ -> Format.fprintf ppf "  %-8d unexpected classification@." n)
     [ 10; 50; 100; 200 ]
@@ -425,24 +426,20 @@ let critical ppf =
       | Error e -> Format.fprintf ppf "  %-9d %a@." cap Mapping.pp_error e
       | Ok r ->
         let g = Config.find_graph cfg "t1" in
-        let slack =
-          match
-            Budgetbuf.Sensitivity.throughput_slack cfg g r.Mapping.mapped
-          with
-          | Some s -> Printf.sprintf "%.4f" s
-          | None -> "-"
-        in
-        (match
-           Budgetbuf.Sensitivity.critical_cycle cfg g r.Mapping.mapped
-         with
-        | None -> Format.fprintf ppf "  %-9d %-12s (acyclic?)@." cap slack
+        (match Budgetbuf.Certify.max_cycle_ratio cfg g r.Mapping.mapped with
+        | None -> Format.fprintf ppf "  %-9d %-12s (deadlocked)@." cap "-"
         | Some c ->
+          (* the slack rounded down, never above the exact one *)
+          let slack =
+            Exact.Rat.to_decimal ~round:`Down ~digits:4
+              c.Budgetbuf.Certify.slack
+          in
           Format.fprintf ppf "  %-9d %-12s %-22s %-18s@." cap slack
             (String.concat ","
-               (List.map (Config.task_name cfg) c.Budgetbuf.Sensitivity.tasks))
+               (List.map (Config.task_name cfg) c.Budgetbuf.Certify.tasks))
             (String.concat ","
                (List.map (Config.buffer_name cfg)
-                  c.Budgetbuf.Sensitivity.buffers))))
+                  c.Budgetbuf.Certify.buffers))))
     [ 1; 3; 5; 7; 9; 10 ];
   Format.fprintf ppf
     "@.  for caps below 10 the buffer ring through both tasks binds;@.\
@@ -500,9 +497,10 @@ let latency ppf =
       | Ok r ->
         let achieved =
           match
-            Budgetbuf.Dataflow_model.chain_latency cfg g r.Mapping.mapped
+            Budgetbuf.Certify.latency cfg r.Mapping.mapped
+              r.Mapping.certificate g
           with
-          | Some l -> Printf.sprintf "%.2f" l
+          | Some l -> Exact.Rat.to_decimal ~round:`Up ~digits:2 l
           | None -> "-"
         in
         Format.fprintf ppf "  %-14s %-18.4f %-14s %-12d@." label

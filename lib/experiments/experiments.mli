@@ -32,16 +32,17 @@ val baselines : Format.formatter -> unit
 val rounding : Format.formatter -> unit
 
 (** [lp_cross_check ppf] — ablation: the phase-2 buffer LP solved by
-    exact simplex and by the interior-point method must agree. *)
+    simplex and by the interior-point method must agree. *)
 val lp_cross_check : Format.formatter -> unit
 
 (** [simulation ppf] — validation: TDM-simulated steady-state periods
     against the required periods for solver-produced mappings. *)
 val simulation : Format.formatter -> unit
 
-(** [mcr_ablation ppf] — ablation: Howard's policy iteration against
-    the binary-search MCR on growing random strongly connected
-    graphs. *)
+(** [mcr_ablation ppf] — ablation: float Howard policy iteration
+    against the exact MCR ({!Dataflow.Howard.exact}) on growing random
+    strongly connected graphs; "agree" means Howard lies within 1e-9
+    (relative) of the exact value. *)
 val mcr_ablation : Format.formatter -> unit
 
 (** [pareto ?pool ppf] — extension: the Pareto frontier of total budget
@@ -69,8 +70,10 @@ val campaign : Format.formatter -> unit
     under a buffer capacity of [d] containers (DESIGN.md §5). *)
 val t1_analytic : int -> float
 
-(** [critical ppf] — extension: the critical cycle of the rounded T1
-    mapping per capacity cap (buffer ring vs self-loop crossover). *)
+(** [critical ppf] — extension: the exact critical cycle
+    ({!Budgetbuf.Certify.max_cycle_ratio}) of the rounded T1 mapping
+    per capacity cap (buffer ring vs self-loop crossover), with the
+    throughput slack rounded down. *)
 val critical : Format.formatter -> unit
 
 (** [latency ppf] — extension: the latency/budget/buffer three-way

@@ -122,10 +122,12 @@ let solve_model ?policy ?(params = Socp.default_params) m =
       let trace = att :: trace in
       let final = List.rev trace in
       (match r.Model.status with
-      (* Certificates are exact verdicts of the homogeneous embedding;
-         retrying could only burn time to reach the same answer.  A
-         timed-out attempt is final too: the deadline that expired on
-         this rung can only be more expired on the next. *)
+      (* An infeasibility certificate is a float ray of the
+         homogeneous embedding, accepted within the rung's tolerances;
+         a later rung would run the same embedding, so retrying could
+         only burn time to reach the same answer.  A timed-out attempt
+         is final too: the deadline that expired on this rung can only
+         be more expired on the next. *)
       | Socp.Optimal | Socp.Primal_infeasible | Socp.Dual_infeasible
       | Socp.Timed_out ->
         (r, final)

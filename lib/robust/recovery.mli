@@ -18,10 +18,11 @@
     just failed.
 
     The ladder stops at the first attempt that returns [Optimal] or an
-    infeasibility certificate (certificates are exact verdicts; there
-    is nothing to retry).  Every attempt is recorded in a {!trace} that
+    infeasibility certificate (a float ray of the homogeneous embedding,
+    accepted within the rung's tolerances, not an exact proof; a retry
+    would find the same ray).  Every attempt is recorded in a {!trace} that
     callers surface in stats and reports.  A fifth, problem-specific
-    rung — falling back to the exact-simplex buffer LP — lives in
+    rung — falling back to the simplex buffer LP — lives in
     [Budgetbuf.Mapping], which alone knows how to restate the problem;
     it reuses {!Fault.covers} and the [Fallback_lp] stage label here.
 

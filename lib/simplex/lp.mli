@@ -2,10 +2,13 @@
 
     Supports named variables with optional bounds (including free
     variables, which are split internally), [≤]/[≥]/[=] rows, and a
-    minimisation or maximisation objective.  Verdicts are exact:
-    [Infeasible] and [Unbounded] come from the two-phase simplex, which
-    makes this solver the reference the interior-point code is tested
-    against, and the engine of the paper's two-phase baseline flow. *)
+    minimisation or maximisation objective.  [Infeasible] and
+    [Unbounded] come from the two-phase simplex, which makes this
+    solver the reference the interior-point code is tested against,
+    and the engine of the paper's two-phase baseline flow.  Its
+    verdicts are float verdicts, not exact ones: {!Tableau} pivots
+    over floats with fixed tolerances (1e-9 on pivots and reduced
+    costs, 1e-7 on phase-one feasibility). *)
 
 type problem
 type var

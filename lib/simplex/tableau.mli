@@ -4,8 +4,10 @@
 
     with [b ≥ 0] required (negate rows beforehand).  Pivoting uses
     Dantzig's rule with a fallback to Bland's rule after a stall budget,
-    which guarantees termination.  This is the exact-verdict workhorse
-    behind {!Lp}; callers normally use that higher-level interface. *)
+    which guarantees termination.  It runs in floats with fixed
+    tolerances, so its verdicts are float verdicts.  This is the
+    workhorse behind {!Lp}; callers normally use that higher-level
+    interface. *)
 
 type verdict =
   | Optimal of {

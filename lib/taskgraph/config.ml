@@ -224,6 +224,23 @@ let tasks t g = Vec.indices (fun (wi : task_info) -> wi.tgraph = g) t.task_infos
 let buffers t g = Vec.indices (fun bi -> bi.bgraph = g) t.buffer_infos
 let all_tasks t = ids t.task_infos
 let all_buffers t = ids t.buffer_infos
+
+let chain_ends t g =
+  let tasks = tasks t g in
+  let inputs = Array.make (Vec.length t.task_infos) 0 in
+  let outputs = Array.make (Vec.length t.task_infos) 0 in
+  List.iter
+    (fun b ->
+      let bi = Vec.get t.buffer_infos b in
+      outputs.(bi.bsrc) <- outputs.(bi.bsrc) + 1;
+      inputs.(bi.bdst) <- inputs.(bi.bdst) + 1)
+    (buffers t g);
+  match
+    ( List.filter (fun w -> inputs.(w) = 0) tasks,
+      List.filter (fun w -> outputs.(w) = 0) tasks )
+  with
+  | [ src ], [ snk ] -> Some (src, snk)
+  | _ -> None
 let granularity t = t.granularity
 let proc_name t p = (proc_info t p).pname
 let replenishment t p = (proc_info t p).replenishment

@@ -113,6 +113,12 @@ val all_tasks : t -> task list
 (** [all_buffers t] is the paper's [B_Q]. *)
 val all_buffers : t -> buffer list
 
+(** [chain_ends t g] is the unique task of [g] with no incoming
+    buffer and the unique task with no outgoing buffer, as
+    [Some (source, sink)]; [None] when either is not unique.  The
+    end-to-end latency of a graph runs between the two. *)
+val chain_ends : t -> graph -> (task * task) option
+
 (** Attribute accessors. *)
 val granularity : t -> float
 

@@ -4,10 +4,8 @@
 
 module Config = Taskgraph.Config
 module Srdf = Dataflow.Srdf
-module Analysis = Dataflow.Analysis
 module Mapping = Budgetbuf.Mapping
 module Socp_builder = Budgetbuf.Socp_builder
-module Dataflow_model = Budgetbuf.Dataflow_model
 module Tradeoff = Budgetbuf.Tradeoff
 module Two_phase = Budgetbuf.Two_phase
 
@@ -39,70 +37,68 @@ let solve_exn cfg =
 (* SRDF construction (§II-C)                                           *)
 (* ------------------------------------------------------------------ *)
 
+let srdf_of cfg g ~budget ~capacity =
+  Budgetbuf.Certify.srdf cfg g
+    { Config.budget = (fun _ -> budget); Config.capacity = (fun _ -> capacity) }
+
 let test_model_structure () =
   let cfg = Workloads.Gen.paper_t1 () in
   let g = Config.find_graph cfg "t1" in
-  let wa = Config.find_task cfg "wa" and wb = Config.find_task cfg "wb" in
-  let bab = Config.find_buffer cfg "bab" in
-  let model =
-    Dataflow_model.build cfg g ~budget:(fun _ -> 10.0) ~capacity:(fun _ -> 3)
+  let srdf =
+    match srdf_of cfg g ~budget:10.0 ~capacity:3 with
+    | Ok srdf -> srdf
+    | Error v -> Alcotest.fail (Budgetbuf.Violation.to_string v)
   in
   (* 2 actors per task; 2 queues per task + 2 per buffer. *)
-  Alcotest.(check int) "actors" 4 (Srdf.num_actors model.Dataflow_model.srdf);
-  Alcotest.(check int) "queues" 6 (Srdf.num_edges model.Dataflow_model.srdf);
-  let srdf = model.Dataflow_model.srdf in
+  Alcotest.(check int) "actors" 4 (Srdf.num_actors srdf);
+  Alcotest.(check int) "queues" 6 (Srdf.num_edges srdf);
+  let actor = Srdf.find_actor srdf in
   (* ρ(v1) = ̺ − β = 30, ρ(v2) = ̺χ/β = 4. *)
-  check_float 1e-12 "rho1" 30.0
-    (Srdf.duration srdf (model.Dataflow_model.actor1 wa));
-  check_float 1e-12 "rho2" 4.0
-    (Srdf.duration srdf (model.Dataflow_model.actor2 wa));
+  check_float 1e-12 "rho1" 30.0 (Srdf.duration srdf (actor "wa.1"));
+  check_float 1e-12 "rho2" 4.0 (Srdf.duration srdf (actor "wa.2"));
+  (* The queue between two actors and its tokens. *)
+  let tokens src dst =
+    match
+      List.filter
+        (fun e -> Srdf.edge_dst srdf e = actor dst)
+        (Srdf.out_edges srdf (actor src))
+    with
+    | [ e ] -> Srdf.tokens srdf e
+    | _ -> Alcotest.failf "expected one queue %s -> %s" src dst
+  in
   (* Self-loop has one token, transition zero. *)
-  Alcotest.(check int) "self tokens" 1
-    (Srdf.tokens srdf (model.Dataflow_model.self_edge wa));
-  Alcotest.(check int) "transition tokens" 0
-    (Srdf.tokens srdf (model.Dataflow_model.transition_edge wa));
-  (* Data queue carries ι = 0, space queue γ − ι = 3. *)
-  Alcotest.(check int) "data tokens" 0
-    (Srdf.tokens srdf (model.Dataflow_model.data_edge bab));
-  Alcotest.(check int) "space tokens" 3
-    (Srdf.tokens srdf (model.Dataflow_model.space_edge bab));
-  (* Data queue runs a2 → b1, space queue b2 → a1. *)
-  let data = model.Dataflow_model.data_edge bab in
-  Alcotest.(check bool) "data src" true
-    (Srdf.edge_src srdf data = model.Dataflow_model.actor2 wa);
-  Alcotest.(check bool) "data dst" true
-    (Srdf.edge_dst srdf data = model.Dataflow_model.actor1 wb);
-  let space = model.Dataflow_model.space_edge bab in
-  Alcotest.(check bool) "space src" true
-    (Srdf.edge_src srdf space = model.Dataflow_model.actor2 wb);
-  Alcotest.(check bool) "space dst" true
-    (Srdf.edge_dst srdf space = model.Dataflow_model.actor1 wa)
+  Alcotest.(check int) "self tokens" 1 (tokens "wa.2" "wa.2");
+  Alcotest.(check int) "transition tokens" 0 (tokens "wa.1" "wa.2");
+  (* Data queue a2 → b1 carries ι = 0, space queue b2 → a1 γ − ι = 3. *)
+  Alcotest.(check int) "data tokens" 0 (tokens "wa.2" "wb.1");
+  Alcotest.(check int) "space tokens" 3 (tokens "wb.2" "wa.1")
 
 let test_model_rejects_bad_budget () =
   let cfg = Workloads.Gen.paper_t1 () in
   let g = Config.find_graph cfg "t1" in
   Alcotest.(check bool) "budget over interval" true
-    (match
-       Dataflow_model.build cfg g
-         ~budget:(fun _ -> 41.0)
-         ~capacity:(fun _ -> 2)
-     with
-    | exception Invalid_argument _ -> true
-    | _ -> false)
+    (Result.is_error (srdf_of cfg g ~budget:41.0 ~capacity:2));
+  Alcotest.(check bool) "non-positive budget" true
+    (Result.is_error (srdf_of cfg g ~budget:0.0 ~capacity:2))
 
 let test_throughput_ok_known_point () =
-  (* d = 10, β = 4 is exactly feasible (MCR = 10). *)
+  (* d = 10, β = 4 is exactly feasible (MCR = 10): the exact predicate
+     and the float oracle agree on both sides of it. *)
   let cfg = Workloads.Gen.paper_t1 () in
   let g = Config.find_graph cfg "t1" in
   let mapped budget capacity =
     { Config.budget = (fun _ -> budget); Config.capacity = (fun _ -> capacity) }
   in
-  Alcotest.(check bool) "β=4, γ=10 feasible" true
-    (Dataflow_model.throughput_ok cfg g (mapped 4.0 10));
-  Alcotest.(check bool) "β=4, γ=9 infeasible" false
-    (Dataflow_model.throughput_ok cfg g (mapped 4.0 9));
-  Alcotest.(check bool) "β=3.9, γ=10 infeasible" false
-    (Dataflow_model.throughput_ok cfg g (mapped 3.9 10))
+  List.iter
+    (fun (msg, want, m) ->
+      Alcotest.(check bool) msg want (Budgetbuf.Certify.schedulable cfg g m);
+      Alcotest.(check bool) (msg ^ " (float oracle)") want
+        (Float_verify.throughput_ok cfg g m))
+    [
+      ("β=4, γ=10 feasible", true, mapped 4.0 10);
+      ("β=4, γ=9 infeasible", false, mapped 4.0 9);
+      ("β=3.9, γ=10 infeasible", false, mapped 3.9 10);
+    ]
 
 let test_min_feasible_period () =
   let cfg = Workloads.Gen.paper_t1 () in
@@ -110,8 +106,10 @@ let test_min_feasible_period () =
   let mapped =
     { Config.budget = (fun _ -> 4.0); Config.capacity = (fun _ -> 10) }
   in
-  match Dataflow_model.min_feasible_period cfg g mapped with
-  | Some r -> check_float 1e-6 "MCR at the paper's optimum" 10.0 r
+  match Budgetbuf.Certify.max_cycle_ratio cfg g mapped with
+  | Some c ->
+    Alcotest.(check string) "MCR at the paper's optimum, exactly" "10"
+      (Exact.Rat.to_string c.Budgetbuf.Certify.ratio)
   | None -> Alcotest.fail "expected a period"
 
 (* ------------------------------------------------------------------ *)
@@ -162,7 +160,7 @@ let test_t1_rounding_verifies () =
       let r = solve_exn cfg in
       Alcotest.(check (list string))
         (Printf.sprintf "d=%d verification" d)
-        [] (vnotes (Dataflow_model.verify cfg r.Mapping.mapped)))
+        [] (vnotes (Float_verify.verify cfg r.Mapping.mapped)))
     [ 1; 4; 7; 10 ]
 
 let test_t1_relaxation_tight () =
@@ -342,7 +340,7 @@ let test_budget_first_fair_share_works_unbounded () =
   | Ok r ->
     Alcotest.(check (list string))
       "verifies" []
-      (vnotes (Dataflow_model.verify cfg r.Two_phase.mapped))
+      (vnotes (Float_verify.verify cfg r.Two_phase.mapped))
 
 let test_budget_first_min_budget_false_negative () =
   (* With capacity capped at 6, the joint flow succeeds but the
@@ -350,7 +348,7 @@ let test_budget_first_min_budget_false_negative () =
      Section I. *)
   let cfg = t1_with_cap 6 in
   (match Mapping.solve cfg with
-  | Ok r -> Alcotest.(check (list string)) "joint ok" [] (vnotes (Dataflow_model.verify cfg r.Mapping.mapped))
+  | Ok r -> Alcotest.(check (list string)) "joint ok" [] (vnotes (Float_verify.verify cfg r.Mapping.mapped))
   | Error e -> Alcotest.failf "joint flow failed: %a" Mapping.pp_error e);
   match Two_phase.budget_first ~policy:Two_phase.Min_budget cfg with
   | Error (Two_phase.Infeasible _) -> ()
@@ -396,7 +394,7 @@ let test_buffer_first_uniform_double_buffering () =
       (r.Two_phase.mapped.Config.capacity (Config.find_buffer cfg "bab"));
     Alcotest.(check (list string))
       "verifies" []
-      (vnotes (Dataflow_model.verify cfg r.Two_phase.mapped))
+      (vnotes (Float_verify.verify cfg r.Two_phase.mapped))
 
 let test_joint_no_worse_than_two_phase () =
   (* On the weighted objective the joint optimum is never worse than
@@ -422,7 +420,7 @@ let test_alternating_converges () =
     Alcotest.(check bool) "ran at least one round" true (r.Two_phase.rounds >= 2);
     Alcotest.(check (list string))
       "verifies" []
-      (vnotes (Dataflow_model.verify cfg r.Two_phase.mapped));
+      (vnotes (Float_verify.verify cfg r.Two_phase.mapped));
     let joint = solve_exn cfg in
     Alcotest.(check bool) "joint ≤ alternating" true
       (joint.Mapping.rounded_objective <= r.Two_phase.objective +. 1e-6)
@@ -435,7 +433,7 @@ let test_multi_job_budget_constraint () =
   let rng = Workloads.Rng.create 11L in
   let cfg = Workloads.Gen.multi_job rng ~jobs:3 ~tasks_per_job:3 ~procs:3 () in
   let r = solve_exn cfg in
-  Alcotest.(check (list string)) "verifies" [] (vnotes (Dataflow_model.verify cfg r.Mapping.mapped));
+  Alcotest.(check (list string)) "verifies" [] (vnotes (Float_verify.verify cfg r.Mapping.mapped));
   (* Constraint (4): Σ budgets ≤ ̺ on every processor. *)
   List.iter
     (fun p ->
@@ -463,7 +461,7 @@ let prop_random_chains_verify =
       let cfg = Workloads.Gen.random_chain rng ~n () in
       match Mapping.solve cfg with
       | Error _ -> false
-      | Ok r -> Dataflow_model.verify cfg r.Mapping.mapped = [])
+      | Ok r -> Float_verify.verify cfg r.Mapping.mapped = [])
 
 let prop_rounded_dominates_continuous =
   QCheck2.Test.make
@@ -570,7 +568,7 @@ let test_initial_tokens_respected () =
   let r = solve_exn cfg in
   let b = Config.find_buffer cfg "bab" in
   Alcotest.(check bool) "γ ≥ ι" true (r.Mapping.mapped.Config.capacity b >= 3);
-  Alcotest.(check (list string)) "verifies" [] (vnotes (Dataflow_model.verify cfg r.Mapping.mapped))
+  Alcotest.(check (list string)) "verifies" [] (vnotes (Float_verify.verify cfg r.Mapping.mapped))
 
 let test_memory_capacity_binds () =
   (* Memory for at most 6 unit containers (constraint (10) reserves one
@@ -592,7 +590,7 @@ let test_container_size_scales_memory () =
   let r = solve_exn cfg in
   let b = Config.find_buffer cfg "bab" in
   Alcotest.(check bool) "γ ≤ 5" true (r.Mapping.mapped.Config.capacity b <= 5);
-  Alcotest.(check (list string)) "verifies" [] (vnotes (Dataflow_model.verify cfg r.Mapping.mapped))
+  Alcotest.(check (list string)) "verifies" [] (vnotes (Float_verify.verify cfg r.Mapping.mapped))
 
 let test_shared_memory_couples_buffers () =
   (* Two graphs share one small memory: the sum of their capacities is
@@ -622,7 +620,7 @@ let test_shared_memory_couples_buffers () =
       0 (Config.all_buffers cfg)
   in
   Alcotest.(check bool) "Σγ ≤ 10" true (total <= 10);
-  Alcotest.(check (list string)) "verifies" [] (vnotes (Dataflow_model.verify cfg r.Mapping.mapped))
+  Alcotest.(check (list string)) "verifies" [] (vnotes (Float_verify.verify cfg r.Mapping.mapped))
 
 let test_overhead_reduces_available_budget () =
   (* With o(p) = 30 of 40 Mcycles, budgets are capped at 9 (granule
@@ -641,7 +639,7 @@ let test_overhead_reduces_available_budget () =
     (fun w ->
       Alcotest.(check bool) "β ≤ 9" true (r.Mapping.mapped.Config.budget w <= 9.0 +. 1e-9))
     (Config.all_tasks cfg);
-  Alcotest.(check (list string)) "verifies" [] (vnotes (Dataflow_model.verify cfg r.Mapping.mapped))
+  Alcotest.(check (list string)) "verifies" [] (vnotes (Float_verify.verify cfg r.Mapping.mapped))
 
 
 
@@ -696,7 +694,7 @@ let test_verify_reports_specific_violations () =
   let mapped =
     { Config.budget = (fun _ -> 10.0); Config.capacity = (fun _ -> 7) }
   in
-  let problems = vnotes (Dataflow_model.verify cfg mapped) in
+  let problems = vnotes (Float_verify.verify cfg mapped) in
   let contains hay needle =
     let ln = String.length needle and lh = String.length hay in
     let rec at i = i + ln <= lh && (String.sub hay i ln = needle || at (i + 1)) in
@@ -735,10 +733,14 @@ let test_latency_bound_tightens_budgets () =
   let cfg = t1_with_latency (Some 60.0) in
   let r = solve_exn cfg in
   Alcotest.(check (list string)) "verified incl. latency" []
-    (vnotes (Dataflow_model.verify cfg r.Mapping.mapped));
-  let g = Config.find_graph cfg "t1" in
-  match Dataflow_model.chain_latency cfg g r.Mapping.mapped with
-  | Some l -> Alcotest.(check bool) "latency ≤ 60" true (l <= 60.0 +. 1e-6)
+    (vnotes (Float_verify.verify cfg r.Mapping.mapped));
+  match
+    Budgetbuf.Certify.latency cfg r.Mapping.mapped r.Mapping.certificate
+      (Config.find_graph cfg "t1")
+  with
+  | Some l ->
+    Alcotest.(check bool) "latency ≤ 60, exactly" true
+      (Exact.Rat.compare l (Exact.Rat.of_int 60) <= 0)
   | None -> Alcotest.fail "expected a schedule"
 
 let test_latency_bound_infeasible () =
@@ -810,7 +812,7 @@ let test_slp_mapping_verified_when_claimed () =
           Alcotest.(check (list string))
             (Printf.sprintf "cap %d verifies" cap)
             []
-            (vnotes (Dataflow_model.verify cfg o.Slp.mapped)))
+            (vnotes (Float_verify.verify cfg o.Slp.mapped)))
     [ 2; 5; 8 ]
 
 let test_slp_never_beats_socp_continuous () =

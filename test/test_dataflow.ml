@@ -1,5 +1,7 @@
 (* Tests for SRDF graphs and their temporal analysis: PAS existence,
-   maximum cycle ratio, self-timed execution, monotonicity. *)
+   maximum cycle ratio (float Howard and the exact MCR, against the
+   float oracles of pas_oracle.ml and karp.ml), self-timed execution,
+   monotonicity. *)
 
 module Srdf = Dataflow.Srdf
 module Analysis = Dataflow.Analysis
@@ -61,33 +63,33 @@ let test_srdf_not_strongly_connected () =
 let test_pas_ring () =
   (* Ring with total duration 5, total tokens 2: MCR = 2.5. *)
   let g = ring2 ~rho_a:2.0 ~rho_b:3.0 ~da:1 ~db:1 in
-  Alcotest.(check bool) "period 2.5" true (Analysis.pas_exists g ~period:2.5);
-  Alcotest.(check bool) "period 3" true (Analysis.pas_exists g ~period:3.0);
+  Alcotest.(check bool) "period 2.5" true (Pas_oracle.pas_exists g ~period:2.5);
+  Alcotest.(check bool) "period 3" true (Pas_oracle.pas_exists g ~period:3.0);
   Alcotest.(check bool) "period 2.49" false
-    (Analysis.pas_exists g ~period:2.49)
+    (Pas_oracle.pas_exists g ~period:2.49)
 
 let test_pas_start_times_valid () =
   let g = ring2 ~rho_a:2.0 ~rho_b:3.0 ~da:1 ~db:1 in
-  (match Analysis.pas_start_times g ~period:2.5 with
+  (match Pas_oracle.pas_start_times g ~period:2.5 with
   | None -> Alcotest.fail "expected a schedule"
   | Some s ->
     Alcotest.(check (list int))
       "no violated queues" []
-      (List.map Srdf.edge_id (Analysis.check_schedule g ~period:2.5 s)));
-  match Analysis.pas_start_times g ~period:2.0 with
+      (List.map Srdf.edge_id (Pas_oracle.check_schedule g ~period:2.5 s)));
+  match Pas_oracle.pas_start_times g ~period:2.0 with
   | None -> ()
   | Some _ -> Alcotest.fail "period below MCR must be rejected"
 
 let test_pas_zero_token_cycle () =
   let g = ring2 ~rho_a:1.0 ~rho_b:1.0 ~da:0 ~db:0 in
   Alcotest.(check bool) "never schedulable" false
-    (Analysis.pas_exists g ~period:1000.0)
+    (Pas_oracle.pas_exists g ~period:1000.0)
 
 let test_pas_invalid_period () =
   let g = ring2 ~rho_a:1.0 ~rho_b:1.0 ~da:1 ~db:1 in
   Alcotest.check_raises "period 0"
-    (Invalid_argument "Analysis: period must be > 0") (fun () ->
-      ignore (Analysis.pas_exists g ~period:0.0))
+    (Invalid_argument "Pas_oracle: period must be > 0") (fun () ->
+      ignore (Pas_oracle.pas_exists g ~period:0.0))
 
 let test_pas_token_override () =
   (* Continuous tokens: with δ = 0.8 on each edge the ring carries 1.6
@@ -95,9 +97,9 @@ let test_pas_token_override () =
   let g = ring2 ~rho_a:2.0 ~rho_b:3.0 ~da:1 ~db:1 in
   let tokens _ = 0.8 in
   Alcotest.(check bool) "feasible" true
-    (Analysis.pas_exists ~tokens g ~period:3.2);
+    (Pas_oracle.pas_exists ~tokens g ~period:3.2);
   Alcotest.(check bool) "infeasible" false
-    (Analysis.pas_exists ~tokens g ~period:3.0)
+    (Pas_oracle.pas_exists ~tokens g ~period:3.0)
 
 (* ------------------------------------------------------------------ *)
 (* Maximum cycle ratio                                                 *)
@@ -105,7 +107,7 @@ let test_pas_token_override () =
 
 let test_mcr_ring () =
   let g = ring2 ~rho_a:2.0 ~rho_b:3.0 ~da:1 ~db:1 in
-  match Analysis.max_cycle_ratio g with
+  match Pas_oracle.max_cycle_ratio g with
   | Analysis.Mcr r -> check_float 1e-8 "mcr" 2.5 r
   | _ -> Alcotest.fail "expected Mcr"
 
@@ -113,7 +115,7 @@ let test_mcr_self_loop () =
   let g = Srdf.create () in
   let a = Srdf.add_actor g ~name:"a" ~duration:7.0 in
   ignore (Srdf.add_edge g ~src:a ~dst:a ~tokens:2);
-  match Analysis.max_cycle_ratio g with
+  match Pas_oracle.max_cycle_ratio g with
   | Analysis.Mcr r -> check_float 1e-8 "mcr" 3.5 r
   | _ -> Alcotest.fail "expected Mcr"
 
@@ -129,7 +131,7 @@ let test_mcr_two_cycles () =
   ignore (Srdf.add_edge g ~src:b ~dst:a ~tokens:1);
   ignore (Srdf.add_edge g ~src:a ~dst:c ~tokens:1);
   ignore (Srdf.add_edge g ~src:c ~dst:a ~tokens:2);
-  match Analysis.max_cycle_ratio g with
+  match Pas_oracle.max_cycle_ratio g with
   | Analysis.Mcr r -> check_float 1e-8 "mcr" 4.0 r
   | _ -> Alcotest.fail "expected Mcr"
 
@@ -139,22 +141,22 @@ let test_mcr_acyclic () =
   let b = Srdf.add_actor g ~name:"b" ~duration:5.0 in
   ignore (Srdf.add_edge g ~src:a ~dst:b ~tokens:0);
   Alcotest.(check bool) "acyclic" true
-    (Analysis.max_cycle_ratio g = Analysis.Acyclic)
+    (Pas_oracle.max_cycle_ratio g = Analysis.Acyclic)
 
 let test_mcr_deadlock () =
   let g = ring2 ~rho_a:1.0 ~rho_b:1.0 ~da:0 ~db:0 in
   Alcotest.(check bool) "deadlocked" true
-    (Analysis.max_cycle_ratio g = Analysis.Deadlocked)
+    (Pas_oracle.max_cycle_ratio g = Analysis.Deadlocked)
 
 let test_mcr_matches_pas_boundary () =
   (* pas_exists flips exactly at the MCR. *)
   let g = ring2 ~rho_a:1.7 ~rho_b:2.9 ~da:2 ~db:1 in
-  match Analysis.max_cycle_ratio g with
+  match Pas_oracle.max_cycle_ratio g with
   | Analysis.Mcr r ->
     Alcotest.(check bool) "at mcr (+eps)" true
-      (Analysis.pas_exists g ~period:(r *. (1.0 +. 1e-9)));
+      (Pas_oracle.pas_exists g ~period:(r *. (1.0 +. 1e-9)));
     Alcotest.(check bool) "below mcr" false
-      (Analysis.pas_exists g ~period:(r *. 0.999))
+      (Pas_oracle.pas_exists g ~period:(r *. 0.999))
   | _ -> Alcotest.fail "expected Mcr"
 
 (* ------------------------------------------------------------------ *)
@@ -163,7 +165,7 @@ let test_mcr_matches_pas_boundary () =
 
 let test_self_timed_period () =
   let g = ring2 ~rho_a:2.0 ~rho_b:3.0 ~da:1 ~db:1 in
-  match Analysis.self_timed ~iterations:200 g with
+  match Pas_oracle.self_timed ~iterations:200 g with
   | Error e -> Alcotest.fail e
   | Ok { measured_period; _ } ->
     (* The windowed estimate carries a sampling bias of at most one
@@ -172,7 +174,7 @@ let test_self_timed_period () =
 
 let test_self_timed_monotone_starts () =
   let g = ring2 ~rho_a:2.0 ~rho_b:3.0 ~da:1 ~db:2 in
-  match Analysis.self_timed ~iterations:50 g with
+  match Pas_oracle.self_timed ~iterations:50 g with
   | Error e -> Alcotest.fail e
   | Ok { starts; _ } ->
     let ok = ref true in
@@ -185,7 +187,7 @@ let test_self_timed_monotone_starts () =
 
 let test_self_timed_deadlock () =
   let g = ring2 ~rho_a:1.0 ~rho_b:1.0 ~da:0 ~db:0 in
-  match Analysis.self_timed g with
+  match Pas_oracle.self_timed g with
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "expected deadlock"
 
@@ -193,7 +195,7 @@ let test_self_timed_faster_than_pas () =
   (* ASAP execution is at least as fast as any PAS period. *)
   let g = ring2 ~rho_a:1.3 ~rho_b:0.7 ~da:3 ~db:1 in
   match
-    (Analysis.self_timed ~iterations:300 g, Analysis.max_cycle_ratio g)
+    (Pas_oracle.self_timed ~iterations:300 g, Pas_oracle.max_cycle_ratio g)
   with
   | Ok { measured_period; _ }, Analysis.Mcr r ->
     Alcotest.(check bool) "measured <= MCR + eps" true
@@ -215,7 +217,7 @@ let prop_monotone_duration =
       let g1 = ring2 ~rho_a ~rho_b ~da:tokens ~db:1 in
       let g2 = ring2 ~rho_a:(rho_a *. shrink) ~rho_b ~da:tokens ~db:1 in
       match
-        (Analysis.max_cycle_ratio g1, Analysis.max_cycle_ratio g2)
+        (Pas_oracle.max_cycle_ratio g1, Pas_oracle.max_cycle_ratio g2)
       with
       | Analysis.Mcr r1, Analysis.Mcr r2 -> r2 <= r1 +. 1e-9
       | _ -> false)
@@ -228,7 +230,7 @@ let prop_monotone_tokens =
       let g1 = ring2 ~rho_a:rho ~rho_b:rho ~da:tokens ~db:1 in
       let g2 = ring2 ~rho_a:rho ~rho_b:rho ~da:(tokens + extra) ~db:1 in
       match
-        (Analysis.max_cycle_ratio g1, Analysis.max_cycle_ratio g2)
+        (Pas_oracle.max_cycle_ratio g1, Pas_oracle.max_cycle_ratio g2)
       with
       | Analysis.Mcr r1, Analysis.Mcr r2 -> r2 <= r1 +. 1e-9
       | _ -> false)
@@ -241,7 +243,7 @@ let prop_self_timed_matches_mcr =
         (int_range 1 3))
     (fun (rho_a, rho_b, da, db) ->
       let g = ring2 ~rho_a ~rho_b ~da ~db in
-      match (Analysis.self_timed ~iterations:400 g, Analysis.max_cycle_ratio g) with
+      match (Pas_oracle.self_timed ~iterations:400 g, Pas_oracle.max_cycle_ratio g) with
       | Ok { measured_period; _ }, Analysis.Mcr r ->
         (* bias ≤ (ρa+ρb)/window = 8/199 *)
         Float.abs (measured_period -. r) <= 0.05 *. Float.max 1.0 r
@@ -400,7 +402,7 @@ let prop_howard_matches_binary_search =
     gen_random_cyclic
     (fun spec ->
       let g = build_random_cyclic spec in
-      match (Howard.max_cycle_ratio g, Analysis.max_cycle_ratio g) with
+      match (Howard.max_cycle_ratio g, Pas_oracle.max_cycle_ratio g) with
       | Analysis.Mcr h, Analysis.Mcr b ->
         Float.abs (h -. b) <= 1e-6 *. Float.max 1.0 b
       | Analysis.Deadlocked, Analysis.Deadlocked -> true
@@ -414,9 +416,107 @@ let prop_howard_is_feasibility_boundary =
       let g = build_random_cyclic spec in
       match Howard.max_cycle_ratio g with
       | Analysis.Mcr r when r > 0.0 ->
-        Analysis.pas_exists g ~period:(r *. (1.0 +. 1e-6))
-        && not (Analysis.pas_exists g ~period:(r *. (1.0 -. 1e-4)))
+        Pas_oracle.pas_exists g ~period:(r *. (1.0 +. 1e-6))
+        && not (Pas_oracle.pas_exists g ~period:(r *. (1.0 -. 1e-4)))
       | Analysis.Mcr _ | Analysis.Deadlocked | Analysis.Acyclic -> true)
+
+
+(* ------------------------------------------------------------------ *)
+(* Exact MCR: Howard's cycle confirmed by the exact Bellman–Ford       *)
+(* ------------------------------------------------------------------ *)
+
+module Rat = Exact.Rat
+
+(* The exact ratio of a cycle given as queues, after checking that
+   they close up. *)
+let cycle_ratio ?rho g cycle =
+  let rho v =
+    match rho with
+    | Some rho -> rho.(Srdf.actor_id v)
+    | None -> Rat.of_float (Srdf.duration g v)
+  in
+  let queues = Array.of_list cycle in
+  let n = Array.length queues in
+  Array.iteri
+    (fun i e ->
+      if Srdf.edge_dst g e <> Srdf.edge_src g queues.((i + 1) mod n) then
+        Alcotest.fail "cycle does not close")
+    queues;
+  Rat.div
+    (List.fold_left (fun acc e -> Rat.add acc (rho (Srdf.edge_src g e))) Rat.zero cycle)
+    (Rat.of_int (List.fold_left (fun acc e -> acc + Srdf.tokens g e) 0 cycle))
+
+let check_rat msg want got =
+  Alcotest.(check string) msg (Rat.to_string want) (Rat.to_string got)
+
+let test_exact_mcr_not_a_float () =
+  (* Duration 7 over 3 tokens: 7/3, which no float equals. *)
+  let g = Srdf.create () in
+  let a = Srdf.add_actor g ~name:"a" ~duration:7.0 in
+  ignore (Srdf.add_edge g ~src:a ~dst:a ~tokens:3);
+  match Howard.exact g with
+  | `Mcr (r, cycle) ->
+    check_rat "ratio" (Rat.of_ints 7 3) r;
+    Alcotest.(check int) "the self-loop" 1 (List.length cycle)
+  | _ -> Alcotest.fail "expected Mcr"
+
+let test_exact_mcr_critical_cycle () =
+  (* The a–c cycle (12/3 = 4) beats the a–b ring (5/2). *)
+  let g = Srdf.create () in
+  let a = Srdf.add_actor g ~name:"a" ~duration:2.0 in
+  let b = Srdf.add_actor g ~name:"b" ~duration:3.0 in
+  let c = Srdf.add_actor g ~name:"c" ~duration:10.0 in
+  ignore (Srdf.add_edge g ~src:a ~dst:b ~tokens:1);
+  ignore (Srdf.add_edge g ~src:b ~dst:a ~tokens:1);
+  ignore (Srdf.add_edge g ~src:a ~dst:c ~tokens:1);
+  ignore (Srdf.add_edge g ~src:c ~dst:a ~tokens:2);
+  (match Howard.exact g with
+  | `Mcr (r, cycle) ->
+    check_rat "ratio" (Rat.of_int 4) r;
+    check_rat "the cycle attains it" r (cycle_ratio g cycle);
+    Alcotest.(check (list string)) "through a and c" [ "a"; "c" ]
+      (List.sort compare
+         (List.map (fun e -> Srdf.actor_name g (Srdf.edge_src g e)) cycle))
+  | _ -> Alcotest.fail "expected Mcr");
+  (* Exact durations that disagree with the float ones: Howard, steered
+     by the floats, proposes a–c; the exact Bellman–Ford at 4 finds
+     the a–b ring at (2 + 30)/2 = 16 and confirms that instead. *)
+  let rho = [| Rat.of_int 2; Rat.of_int 30; Rat.of_int 10 |] in
+  match Howard.exact ~rho g with
+  | `Mcr (r, cycle) ->
+    check_rat "heavier cycle found" (Rat.of_int 16) r;
+    check_rat "and returned" r (cycle_ratio ~rho g cycle)
+  | _ -> Alcotest.fail "expected Mcr"
+
+let test_exact_mcr_classification () =
+  Alcotest.(check bool) "deadlock" true
+    (Howard.exact (ring2 ~rho_a:1.0 ~rho_b:1.0 ~da:0 ~db:0) = `Deadlocked);
+  let g = Srdf.create () in
+  let a = Srdf.add_actor g ~name:"a" ~duration:1.0 in
+  let b = Srdf.add_actor g ~name:"b" ~duration:1.0 in
+  ignore (Srdf.add_edge g ~src:a ~dst:b ~tokens:3);
+  Alcotest.(check bool) "acyclic" true (Howard.exact g = `Acyclic);
+  Alcotest.check_raises "one duration per actor"
+    (Invalid_argument "Howard.exact: one duration per actor expected")
+    (fun () -> ignore (Howard.exact ~rho:[| Rat.one |] g))
+
+let prop_exact_mcr_matches_howard_and_karp =
+  QCheck2.Test.make
+    ~name:"exact MCR matches Howard and Karp on random graphs" ~count:200
+    gen_random_cyclic
+    (fun spec ->
+      let g = build_random_cyclic spec in
+      match (Howard.exact g, Howard.max_cycle_ratio g, Karp.max_cycle_ratio g) with
+      | `Mcr (r, cycle), Analysis.Mcr h, Analysis.Mcr k ->
+        let x = Rat.to_float r in
+        let close y = Float.abs (y -. x) <= 1e-9 *. Float.max 1.0 x in
+        close h && close k && Rat.equal r (cycle_ratio g cycle)
+        (* and the float oracle flips around it *)
+        && Pas_oracle.pas_exists g ~period:(x *. (1.0 +. 1e-6))
+        && not (Pas_oracle.pas_exists g ~period:(x *. (1.0 -. 1e-4)))
+      | `Deadlocked, Analysis.Deadlocked, Analysis.Deadlocked -> true
+      | `Acyclic, Analysis.Acyclic, Analysis.Acyclic -> true
+      | _ -> false)
 
 
 (* ------------------------------------------------------------------ *)
@@ -493,7 +593,7 @@ let test_sdf_single_rate_expansion_identity () =
     Alcotest.(check int) "q(a)" 1 (repetitions a);
     Alcotest.(check int) "actors" 2 (Srdf.num_actors srdf);
     Alcotest.(check int) "edges" 2 (Srdf.num_edges srdf);
-    (match Analysis.max_cycle_ratio srdf with
+    (match Pas_oracle.max_cycle_ratio srdf with
     | Analysis.Mcr r -> check_float 1e-6 "period" 5.0 r
     | _ -> Alcotest.fail "expected Mcr")
 
@@ -600,7 +700,7 @@ let prop_sdf_expansion_period_matches_self_timed =
       | Error _ -> false
       | Ok { srdf; _ } -> begin
         match
-          (Analysis.self_timed ~iterations:400 srdf, Howard.max_cycle_ratio srdf)
+          (Pas_oracle.self_timed ~iterations:400 srdf, Howard.max_cycle_ratio srdf)
         with
         | Ok { measured_period; _ }, Analysis.Mcr r ->
           Float.abs (measured_period -. r) <= 0.08 *. Float.max 1.0 r
@@ -716,7 +816,7 @@ let prop_csdf_period_matches_self_timed =
       | Error _ -> false
       | Ok { srdf; _ } -> begin
         match
-          ( Analysis.self_timed ~iterations:400 srdf,
+          ( Pas_oracle.self_timed ~iterations:400 srdf,
             Dataflow.Howard.max_cycle_ratio srdf )
         with
         | Ok { measured_period; _ }, Analysis.Mcr r ->
@@ -799,7 +899,7 @@ let prop_karp_matches_howard_and_bisect =
       match
         ( Karp.max_cycle_ratio g,
           Howard.max_cycle_ratio g,
-          Analysis.max_cycle_ratio g )
+          Pas_oracle.max_cycle_ratio g )
       with
       | Analysis.Mcr k, Analysis.Mcr h, Analysis.Mcr b ->
         Float.abs (k -. h) <= 1e-6 *. Float.max 1.0 b
@@ -978,16 +1078,16 @@ let test_check_schedule_reports_violations () =
   let g = ring2 ~rho_a:2.0 ~rho_b:3.0 ~da:1 ~db:1 in
   (* All-zero start times violate the queues whose slack is negative. *)
   let bad = [| 0.0; 0.0 |] in
-  let violated = Analysis.check_schedule g ~period:2.5 bad in
+  let violated = Pas_oracle.check_schedule g ~period:2.5 bad in
   Alcotest.(check bool) "some queue violated" true (violated <> []);
   (* The earliest PAS has no violations (already covered), and a
      shifted copy of it also passes (start times are relative). *)
-  match Analysis.pas_start_times g ~period:2.5 with
+  match Pas_oracle.pas_start_times g ~period:2.5 with
   | None -> Alcotest.fail "expected schedule"
   | Some s ->
     let shifted = Array.map (fun x -> x +. 17.0) s in
     Alcotest.(check (list int)) "shift invariant" []
-      (List.map Srdf.edge_id (Analysis.check_schedule g ~period:2.5 shifted))
+      (List.map Srdf.edge_id (Pas_oracle.check_schedule g ~period:2.5 shifted))
 
 
 let () =
@@ -1068,6 +1168,15 @@ let () =
           Alcotest.test_case "classification" `Quick
             test_howard_classification;
           Alcotest.test_case "multiple sccs" `Quick test_howard_multiple_sccs;
+        ] );
+      ( "exact-mcr",
+        [
+          Alcotest.test_case "not a float" `Quick test_exact_mcr_not_a_float;
+          Alcotest.test_case "critical cycle" `Quick
+            test_exact_mcr_critical_cycle;
+          Alcotest.test_case "classification" `Quick
+            test_exact_mcr_classification;
+          QCheck_alcotest.to_alcotest prop_exact_mcr_matches_howard_and_karp;
         ] );
       ( "sdf-parse",
         [

@@ -390,6 +390,26 @@ let test_rat_denormal () =
     (R.of_float tiny);
   check (Alcotest.float 0.0) "back" tiny (R.to_float (R.of_float tiny))
 
+let test_rat_to_decimal () =
+  let dec round digits r = R.to_decimal ~round ~digits r in
+  check Alcotest.string "integer up" "10.0000" (dec `Up 4 (R.of_int 10));
+  check Alcotest.string "integer down" "10.0000" (dec `Down 4 (R.of_int 10));
+  check Alcotest.string "7/3 up" "2.3334" (dec `Up 4 (R.of_ints 7 3));
+  check Alcotest.string "7/3 down" "2.3333" (dec `Down 4 (R.of_ints 7 3));
+  check Alcotest.string "-7/3 up" "-2.3333" (dec `Up 4 (R.of_ints (-7) 3));
+  check Alcotest.string "-7/3 down" "-2.3334" (dec `Down 4 (R.of_ints (-7) 3));
+  check Alcotest.string "no digits" "3" (dec `Up 0 (R.of_ints 5 2));
+  check Alcotest.string "leading zeros" "0.01" (dec `Up 2 (R.of_ints 1 1000));
+  (* The repro's slack: 9.99999999999 − 10 rounds down to −0.001 and
+     up to an unsigned zero, never "-0.000". *)
+  let slack = R.sub (R.of_float 9.99999999999) (R.of_int 10) in
+  check Alcotest.string "tiny negative down" "-0.001" (dec `Down 3 slack);
+  check Alcotest.string "tiny negative up" "0.000" (dec `Up 3 slack);
+  check Alcotest.bool "negative digits rejected" true
+    (match dec `Up (-1) R.one with
+    | exception Invalid_argument _ -> true
+    | _ -> false)
+
 (* ------------------------------------------------------------------ *)
 (* Exact Bellman-Ford                                                 *)
 (* ------------------------------------------------------------------ *)
@@ -563,7 +583,7 @@ module Mapping = Budgetbuf.Mapping
 module Certify = Budgetbuf.Certify
 
 (* Property (a): every mapping the solver accepts (Ok verdict) that
-   passes the float dataflow test ({!Dataflow_model.verify}) also
+   passes the float dataflow test ({!Float_verify.verify}) also
    carries an exact certificate.  200 random
    instances spanning single chains and processor-coupled multi-job
    sets; infeasible draws prove nothing and pass vacuously. *)
@@ -586,7 +606,7 @@ let test_certify_accepts_qcheck () =
       match Mapping.solve cfg with
       | Error _ -> true
       | Ok r ->
-        Budgetbuf.Dataflow_model.verify cfg r.Mapping.mapped <> []
+        Float_verify.verify cfg r.Mapping.mapped <> []
         || Certify.certified r.Mapping.certificate)
 
 (* The witness of a Certified mapping is the earliest periodic
@@ -701,6 +721,133 @@ let test_certify_mutations () =
           (Certify.certified (Certify.check cfg capacities_down)))
     (mutation_corpus ())
 
+(* The repro of a stored mapping the float checker accepts and the
+   certificate refutes: T1 solved at µ = 10 (β = 4, γ = 10, MCR exactly
+   10), replayed at µ = 9.99999999999.  The float Bellman–Ford's
+   relative tolerance lets it pass; the certificate, and the
+   [Dataflow_model.verify] shim that follows it, refuse it. *)
+let test_certify_below_mcr () =
+  let cfg = Workloads.Gen.paper_t1 () in
+  let g = Config.find_graph cfg "t1" in
+  Config.set_period cfg g 9.99999999999;
+  let mapped =
+    { Config.budget = (fun _ -> 4.0); Config.capacity = (fun _ -> 10) }
+  in
+  let cert = Certify.check cfg mapped in
+  (match cert with
+  | Certify.Refuted (Certify.Positive_cycle _ as r) ->
+    check Alcotest.(list string) "shim is the refutation"
+      [ Budgetbuf.Violation.to_string (Certify.violation cfg r) ]
+      (List.map Budgetbuf.Violation.to_string
+         (Budgetbuf.Dataflow_model.verify cfg mapped))
+  | _ -> Alcotest.fail "expected a positive cycle");
+  check Alcotest.bool "float oracle is fooled" true
+    (Float_verify.verify cfg mapped = []);
+  match Certify.max_cycle_ratio cfg g mapped with
+  | Some c ->
+    check Alcotest.string "exact MCR" "10" (R.to_string c.Certify.ratio);
+    check Alcotest.bool "above the period" true
+      (R.compare c.Certify.ratio (R.of_float 9.99999999999) > 0)
+  | None -> Alcotest.fail "expected an MCR"
+
+(* Random mappings of 2–8 tasks, each on its own processor so that
+   throughput is the only constraint that can fail: a chain, sometimes
+   closed into a ring by a back buffer with initial tokens, random
+   budgets in (0, ̺] and capacities above the initial tokens. *)
+let random_mapping seed =
+  let rng = Random.State.make [| seed |] in
+  let int lo hi = lo + Random.State.int rng (hi - lo + 1) in
+  let float lo hi = lo +. Random.State.float rng (hi -. lo) in
+  let n = int 2 8 in
+  let cfg = Config.create ~granularity:0.01 () in
+  let mem = Config.add_memory cfg ~name:"m" ~capacity:1_000_000 in
+  let g = Config.add_graph cfg ~name:"g" ~period:1.0 () in
+  let budget = Hashtbl.create n and capacity = Hashtbl.create n in
+  let tasks =
+    Array.init n (fun i ->
+        let repl = float 5.0 50.0 in
+        let proc =
+          Config.add_processor cfg ~name:(Printf.sprintf "p%d" i)
+            ~replenishment:repl ()
+        in
+        let w =
+          Config.add_task cfg g ~name:(Printf.sprintf "w%d" i) ~proc
+            ~wcet:(float 0.1 5.0) ()
+        in
+        Hashtbl.replace budget (Config.task_id w) (repl *. float 0.05 1.0);
+        w)
+  in
+  let buffer i src dst initial_tokens =
+    let b =
+      Config.add_buffer cfg g ~name:(Printf.sprintf "b%d" i) ~src ~dst
+        ~memory:mem ~initial_tokens ()
+    in
+    Hashtbl.replace capacity (Config.buffer_id b) (initial_tokens + int 1 4)
+  in
+  for i = 0 to n - 2 do
+    buffer i tasks.(i) tasks.(i + 1) (int 0 1)
+  done;
+  if int 0 1 = 1 then buffer (n - 1) tasks.(n - 1) tasks.(0) (int 1 3);
+  let mapped =
+    {
+      Config.budget = (fun w -> Hashtbl.find budget (Config.task_id w));
+      Config.capacity = (fun b -> Hashtbl.find capacity (Config.buffer_id b));
+    }
+  in
+  (cfg, g, mapped)
+
+(* The smallest float at or above an exact rational. *)
+let float_up r =
+  let f = R.to_float r in
+  if R.compare (R.of_float f) r < 0 then Float.succ f else f
+
+(* [check] prints the exact MCR and the certificate's verdict: the two
+   must agree that µ is feasible exactly when it is at least the MCR,
+   one ulp either side of it, and the shim must follow. *)
+let test_check_certify_ulp_qcheck () =
+  QCheck.Test.make ~count:300
+    ~name:"check and certify agree one ulp around the exact MCR"
+    QCheck.(int_range 1 1_000_000)
+    (fun seed ->
+      let cfg, g, mapped = random_mapping seed in
+      match Certify.max_cycle_ratio cfg g mapped with
+      | None -> false (* every cycle carries a token or a container *)
+      | Some c ->
+        let up = float_up c.Certify.ratio in
+        List.for_all
+          (fun (mu, want) ->
+            Config.set_period cfg g mu;
+            let cert = Certify.check cfg mapped in
+            Certify.certified cert = want
+            && R.compare c.Certify.ratio (R.of_float mu) <= 0 = want
+            && Certify.schedulable cfg g mapped = want
+            && (Budgetbuf.Dataflow_model.verify cfg mapped = []) = want
+            && match cert with
+               | Certify.Refuted (Certify.Positive_cycle _) -> not want
+               | Certify.Certified _ -> want
+               | Certify.Refuted (Certify.Violated _) -> false)
+          [ (Float.pred up, false); (up, true); (Float.succ up, true) ])
+
+let test_exact_mcr_matches_float_qcheck () =
+  QCheck.Test.make ~count:300
+    ~name:"exact MCR matches Howard and Karp on random mappings"
+    QCheck.(int_range 1 1_000_000)
+    (fun seed ->
+      let cfg, g, mapped = random_mapping seed in
+      match Float_verify.model cfg g mapped with
+      | None -> false
+      | Some { Float_verify.srdf; _ } -> (
+      match
+        ( Certify.max_cycle_ratio cfg g mapped,
+          Dataflow.Howard.max_cycle_ratio srdf,
+          Karp.max_cycle_ratio srdf )
+      with
+      | Some c, Dataflow.Analysis.Mcr h, Dataflow.Analysis.Mcr k ->
+        let x = R.to_float c.Certify.ratio in
+        let close y = Float.abs (y -. x) <= 1e-9 *. Float.max 1.0 x in
+        close h && close k && c.Certify.tasks <> []
+      | _ -> false))
+
 let () =
   let qsuite = List.map QCheck_alcotest.to_alcotest [ test_rat_of_float_roundtrip_qcheck () ] in
   let bigint_qsuite =
@@ -717,7 +864,12 @@ let () =
   in
   let cert_qsuite =
     List.map QCheck_alcotest.to_alcotest
-      [ test_certify_accepts_qcheck (); test_certify_witness_qcheck () ]
+      [
+        test_certify_accepts_qcheck ();
+        test_certify_witness_qcheck ();
+        test_check_certify_ulp_qcheck ();
+        test_exact_mcr_matches_float_qcheck ();
+      ]
   in
   Alcotest.run "exact"
     [
@@ -738,6 +890,7 @@ let () =
           Alcotest.test_case "normalization" `Quick test_rat_normalization;
           Alcotest.test_case "of_float exact" `Quick test_rat_of_float_exact;
           Alcotest.test_case "denormal" `Quick test_rat_denormal;
+          Alcotest.test_case "to_decimal" `Quick test_rat_to_decimal;
         ]
         @ qsuite );
       ( "bf",
@@ -751,5 +904,7 @@ let () =
         @ bf_qsuite );
       ( "certify",
         Alcotest.test_case "mutations refuted" `Quick test_certify_mutations
+        :: Alcotest.test_case "one ulp below the MCR" `Quick
+             test_certify_below_mcr
         :: cert_qsuite );
     ]

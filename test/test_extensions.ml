@@ -6,7 +6,6 @@ module Config = Taskgraph.Config
 module Mapping = Budgetbuf.Mapping
 module Binding = Budgetbuf.Binding
 module Pareto = Budgetbuf.Pareto
-module Dataflow_model = Budgetbuf.Dataflow_model
 
 let check_float eps = Alcotest.(check (float eps))
 
@@ -58,7 +57,7 @@ let test_binding_greedy_feasible () =
     Alcotest.(check int) "single solve" 1 o.Binding.explored;
     Alcotest.(check (list string)) "verified" []
       (List.map Budgetbuf.Violation.to_string
-         (Budgetbuf.Dataflow_model.verify o.Binding.config
+         (Float_verify.verify o.Binding.config
             o.Binding.result.Mapping.mapped));
     Alcotest.(check int) "every task assigned"
       (List.length (Config.all_tasks cfg))
@@ -71,7 +70,7 @@ let test_binding_first_fit_feasible () =
   | Ok o ->
     Alcotest.(check (list string)) "verified" []
       (List.map Budgetbuf.Violation.to_string
-         (Budgetbuf.Dataflow_model.verify o.Binding.config
+         (Float_verify.verify o.Binding.config
             o.Binding.result.Mapping.mapped))
 
 let test_binding_exhaustive_beats_or_ties_greedy () =
@@ -180,18 +179,25 @@ let test_pareto_infeasible_empty () =
 (* Latency                                                             *)
 (* ------------------------------------------------------------------ *)
 
+(* The latency of the certificate's earliest PAS. *)
+let certified_latency cfg g mapped =
+  Budgetbuf.Certify.latency cfg mapped (Budgetbuf.Certify.check cfg mapped) g
+
 let test_latency_t1 () =
   (* β = 4 everywhere, γ = 10: ρ(v1) = 36, ρ(v2) = 10.  The earliest
      PAS has s(a1) = 0, s(a2) = 36, s(b1) = 46, s(b2) = 82; latency =
-     82 + 10 − 0 = 92. *)
+     82 + 10 − 0 = 92, exactly and in the float oracle. *)
   let cfg = Workloads.Gen.paper_t1 () in
   let g = Config.find_graph cfg "t1" in
   let mapped =
     { Config.budget = (fun _ -> 4.0); Config.capacity = (fun _ -> 10) }
   in
-  match Dataflow_model.chain_latency cfg g mapped with
-  | Some l -> check_float 1e-6 "latency" 92.0 l
-  | None -> Alcotest.fail "expected a schedule"
+  (match certified_latency cfg g mapped with
+  | Some l -> Alcotest.(check string) "latency" "92" (Exact.Rat.to_string l)
+  | None -> Alcotest.fail "expected a schedule");
+  match Float_verify.chain_latency cfg g mapped with
+  | Some l -> check_float 1e-6 "float oracle" 92.0 l
+  | None -> Alcotest.fail "expected a float schedule"
 
 let test_latency_none_when_infeasible () =
   let cfg = Workloads.Gen.paper_t1 () in
@@ -200,20 +206,23 @@ let test_latency_none_when_infeasible () =
     { Config.budget = (fun _ -> 4.0); Config.capacity = (fun _ -> 2) }
   in
   Alcotest.(check bool) "no PAS, no latency" true
-    (Dataflow_model.chain_latency cfg g mapped = None)
+    (certified_latency cfg g mapped = None);
+  Alcotest.(check bool) "float oracle agrees" true
+    (Float_verify.chain_latency cfg g mapped = None)
 
 let test_latency_bigger_budget_shrinks () =
   let cfg = Workloads.Gen.paper_t1 () in
   let g = Config.find_graph cfg "t1" in
   let latency beta =
     match
-      Dataflow_model.chain_latency cfg g
+      certified_latency cfg g
         { Config.budget = (fun _ -> beta); Config.capacity = (fun _ -> 10) }
     with
     | Some l -> l
     | None -> Alcotest.fail "expected a schedule"
   in
-  Alcotest.(check bool) "monotone" true (latency 20.0 < latency 4.0)
+  Alcotest.(check bool) "monotone" true
+    (Exact.Rat.compare (latency 20.0) (latency 4.0) < 0)
 
 let test_latency_chain_requires_unique_endpoints () =
   let cfg = Workloads.Gen.split_join ~branches:2 () in
@@ -223,22 +232,27 @@ let test_latency_chain_requires_unique_endpoints () =
   in
   (* Split-join: single source and single sink exist — must work. *)
   Alcotest.(check bool) "split-join has endpoints" true
-    (Dataflow_model.chain_latency cfg g mapped <> None);
-  (* A two-task graph with a reverse buffer has no source. *)
+    (Config.chain_ends cfg g <> None && certified_latency cfg g mapped <> None);
+  (* A two-task graph with a reverse buffer has no source: its
+     certified mapping has no latency. *)
   let cfg2 = Workloads.Gen.ring ~n:2 ~initial:2 () in
   let g2 = Config.find_graph cfg2 "t0" in
+  let r2 = solve_exn cfg2 in
   Alcotest.(check bool) "ring rejected" true
-    (match Dataflow_model.chain_latency cfg2 g2 mapped with
-    | exception Invalid_argument _ -> true
-    | _ -> false)
+    (Config.chain_ends cfg2 g2 = None
+    && Budgetbuf.Certify.certified r2.Mapping.certificate
+    && Budgetbuf.Certify.latency cfg2 r2.Mapping.mapped r2.Mapping.certificate g2
+       = None)
 
 let test_latency_solver_mapping () =
   (* End-to-end: latency of the solver's own mapping on a chain is
      finite and at least the sum of the processing durations. *)
   let cfg = Workloads.Gen.chain ~n:4 () in
-  let g = Config.find_graph cfg "t0" in
   let r = solve_exn cfg in
-  match Dataflow_model.chain_latency cfg g r.Mapping.mapped with
+  match
+    Budgetbuf.Certify.latency cfg r.Mapping.mapped r.Mapping.certificate
+      (Config.find_graph cfg "t0")
+  with
   | None -> Alcotest.fail "expected a schedule"
   | Some l ->
     let min_work =
@@ -250,7 +264,8 @@ let test_latency_solver_mapping () =
              /. r.Mapping.mapped.Config.budget w)
         0.0 (Config.all_tasks cfg)
     in
-    Alcotest.(check bool) "at least the processing time" true (l >= min_work -. 1e-6)
+    Alcotest.(check bool) "at least the processing time" true
+      (Exact.Rat.to_float l >= min_work -. 1e-6)
 
 (* ------------------------------------------------------------------ *)
 (* Properties                                                          *)
@@ -333,7 +348,7 @@ let test_memory_greedy_spreads () =
     Alcotest.(check int) "uses both memories" 2 (List.length mems);
     Alcotest.(check (list string)) "verified" []
       (List.map Budgetbuf.Violation.to_string
-         (Budgetbuf.Dataflow_model.verify o.Binding.config
+         (Float_verify.verify o.Binding.config
             o.Binding.result.Mapping.mapped))
 
 let test_memory_exhaustive_finds_best () =
@@ -344,7 +359,7 @@ let test_memory_exhaustive_finds_best () =
     Alcotest.(check int) "explored all 4" 4 o.Binding.explored;
     Alcotest.(check (list string)) "verified" []
       (List.map Budgetbuf.Violation.to_string
-         (Budgetbuf.Dataflow_model.verify o.Binding.config
+         (Float_verify.verify o.Binding.config
             o.Binding.result.Mapping.mapped))
 
 let test_memory_infeasible () =
@@ -367,18 +382,24 @@ let t1_cfg_mapped budget capacity =
     { Config.budget = (fun _ -> budget); Config.capacity = (fun _ -> capacity) }
   )
 
+(* µ − MCR, exactly. *)
+let exact_slack cfg g mapped =
+  Option.map
+    (fun c -> c.Budgetbuf.Certify.slack)
+    (Budgetbuf.Certify.max_cycle_ratio cfg g mapped)
+
 let test_sensitivity_slack_t1 () =
   (* β = 4, γ = 10 is exactly critical: MCR = µ = 10, slack 0. *)
   let cfg, mapped = t1_cfg_mapped 4.0 10 in
   let g = Config.find_graph cfg "t1" in
-  (match Sensitivity.throughput_slack cfg g mapped with
-  | Some s -> check_float 1e-6 "tight mapping" 0.0 s
+  (match exact_slack cfg g mapped with
+  | Some s -> Alcotest.(check int) "tight mapping" 0 (Exact.Rat.sign s)
   | None -> Alcotest.fail "expected slack");
   (* Generous budgets leave positive slack. *)
   let cfg, mapped = t1_cfg_mapped 20.0 10 in
   let g = Config.find_graph cfg "t1" in
-  match Sensitivity.throughput_slack cfg g mapped with
-  | Some s -> Alcotest.(check bool) "positive slack" true (s > 0.0)
+  match exact_slack cfg g mapped with
+  | Some s -> Alcotest.(check int) "positive slack" 1 (Exact.Rat.sign s)
   | None -> Alcotest.fail "expected slack"
 
 let test_sensitivity_critical_cycle_t1 () =
@@ -388,20 +409,23 @@ let test_sensitivity_critical_cycle_t1 () =
      both tasks and the buffer appear. *)
   let cfg, mapped = t1_cfg_mapped 4.0 10 in
   let g = Config.find_graph cfg "t1" in
-  (match Sensitivity.critical_cycle cfg g mapped with
+  (match Budgetbuf.Certify.max_cycle_ratio cfg g mapped with
   | None -> Alcotest.fail "expected a critical cycle"
   | Some c ->
-    check_float 1e-6 "ratio" 10.0 c.Sensitivity.ratio;
+    Alcotest.(check string) "ratio" "10"
+      (Exact.Rat.to_string c.Budgetbuf.Certify.ratio);
     Alcotest.(check int) "self-loop: one task" 1
-      (List.length c.Sensitivity.tasks);
-    Alcotest.(check int) "no buffer" 0 (List.length c.Sensitivity.buffers));
+      (List.length c.Budgetbuf.Certify.tasks);
+    Alcotest.(check int) "no buffer" 0
+      (List.length c.Budgetbuf.Certify.buffers));
   let cfg, mapped = t1_cfg_mapped 17.3107 5 in
   let g = Config.find_graph cfg "t1" in
-  match Sensitivity.critical_cycle cfg g mapped with
+  match Budgetbuf.Certify.max_cycle_ratio cfg g mapped with
   | None -> Alcotest.fail "expected a critical cycle"
   | Some c ->
-    Alcotest.(check int) "both tasks" 2 (List.length c.Sensitivity.tasks);
-    Alcotest.(check int) "the buffer" 1 (List.length c.Sensitivity.buffers)
+    Alcotest.(check int) "both tasks" 2 (List.length c.Budgetbuf.Certify.tasks);
+    Alcotest.(check int) "the buffer" 1
+      (List.length c.Budgetbuf.Certify.buffers)
 
 let test_sensitivity_budget_slack () =
   (* With γ = 10 and β = 20, each budget can fall to 4 keeping µ = 10
@@ -423,8 +447,8 @@ let test_sensitivity_infeasible_mapping () =
   let cfg, mapped = t1_cfg_mapped 4.0 2 in
   let g = Config.find_graph cfg "t1" in
   (* The mapping misses µ; slack is negative but well-defined. *)
-  (match Sensitivity.throughput_slack cfg g mapped with
-  | Some s -> Alcotest.(check bool) "negative slack" true (s < 0.0)
+  (match exact_slack cfg g mapped with
+  | Some s -> Alcotest.(check int) "negative slack" (-1) (Exact.Rat.sign s)
   | None -> Alcotest.fail "expected a slack value");
   check_float 1e-9 "no budget slack" 0.0
     (Sensitivity.budget_slack cfg g mapped (Config.find_task cfg "wa"))
@@ -438,7 +462,7 @@ let prop_budget_slack_consistent =
     (fun (beta, cap) ->
       let cfg, mapped = t1_cfg_mapped beta cap in
       let g = Config.find_graph cfg "t1" in
-      if not (Budgetbuf.Dataflow_model.throughput_ok cfg g mapped) then true
+      if not (Float_verify.throughput_ok cfg g mapped) then true
       else begin
         let wa = Config.find_task cfg "wa" in
         let slack = Sensitivity.budget_slack cfg g mapped wa in
@@ -453,13 +477,13 @@ let prop_budget_slack_consistent =
         in
         let ok_below =
           slack < 1e-6
-          || Budgetbuf.Dataflow_model.throughput_ok cfg g
+          || Float_verify.throughput_ok cfg g
                (with_beta (beta -. slack +. 1e-4))
         in
         let bad_above =
           beta -. slack -. 1e-3 <= 0.0
           || not
-               (Budgetbuf.Dataflow_model.throughput_ok cfg g
+               (Float_verify.throughput_ok cfg g
                   (with_beta (beta -. slack -. 1e-3)))
         in
         ok_below && bad_above
@@ -670,7 +694,7 @@ let test_multirate_solves_and_simulates () =
     | Ok r ->
       Alcotest.(check (list string)) "verified" []
         (List.map Budgetbuf.Violation.to_string
-           (Budgetbuf.Dataflow_model.verify cfg r.Mapping.mapped));
+           (Float_verify.verify cfg r.Mapping.mapped));
       (* Aggregates are consistent with the per-copy values. *)
       let total_src = prov.Multirate.task_budget r.Mapping.mapped src in
       Alcotest.(check bool) "src budget positive" true (total_src > 0.0);
@@ -788,8 +812,8 @@ let test_report_contents () =
   Alcotest.(check int) "two processors" 2
     (List.length report.Report.processors);
   Alcotest.(check int) "one memory" 1 (List.length report.Report.memories);
-  Alcotest.(check (list string)) "no violations" []
-    report.Report.violations;
+  Alcotest.(check bool) "certified" true
+    (Budgetbuf.Certify.certified report.Report.certificate);
   List.iter
     (fun p ->
       Alcotest.(check bool) "utilisation in (0, 1]" true
@@ -797,7 +821,8 @@ let test_report_contents () =
     report.Report.processors;
   let g = List.hd report.Report.graphs in
   Alcotest.(check bool) "latency present" true (g.Report.latency <> None);
-  Alcotest.(check bool) "slack present" true (g.Report.slack <> None)
+  Alcotest.(check bool) "critical cycle present" true
+    (g.Report.critical <> None)
 
 let test_report_flags_violations () =
   let cfg = Workloads.Gen.paper_t1 () in
@@ -805,12 +830,19 @@ let test_report_flags_violations () =
     { Config.budget = (fun _ -> 4.0); Config.capacity = (fun _ -> 2) }
   in
   let report = Report.build cfg mapped in
-  Alcotest.(check bool) "violations reported" true
-    (report.Report.violations <> []);
-  (* The renderer must not raise and must mention them. *)
+  Alcotest.(check bool) "refuted" false
+    (Budgetbuf.Certify.certified report.Report.certificate);
+  (* The renderer must not raise and must list the violation instead
+     of the verification line. *)
   let text = Format.asprintf "%a" (Report.pp cfg) report in
-  Alcotest.(check bool) "rendered" true
-    (String.length text > 0)
+  let contains needle =
+    let ln = String.length needle and lh = String.length text in
+    let rec at i = i + ln <= lh && (String.sub text i ln = needle || at (i + 1)) in
+    at 0
+  in
+  Alcotest.(check bool) "violation rendered" true
+    (contains "violations:\n  task graph t1: no periodic schedule");
+  Alcotest.(check bool) "no ok line" false (contains "verification: ok")
 
 
 

@@ -42,7 +42,7 @@ let full_pipeline name build () =
   | Ok r ->
     Alcotest.(check (list string)) (name ^ ": verified") []
       (List.map Budgetbuf.Violation.to_string
-         (Budgetbuf.Dataflow_model.verify cfg r.Mapping.mapped));
+         (Float_verify.verify cfg r.Mapping.mapped));
     let mapped = r.Mapping.mapped in
     (* 3. The mapping serialises and parses back identically. *)
     let mtext = Format.asprintf "%a" (Taskgraph.Mapped_io.print cfg) mapped in
@@ -55,17 +55,19 @@ let full_pipeline name build () =
       (Config.all_tasks cfg);
     (* 4. The report is consistent. *)
     let report = Report.build cfg mapped in
-    Alcotest.(check (list string)) (name ^ ": report clean") []
-      report.Report.violations;
+    Alcotest.(check bool) (name ^ ": report certified") true
+      (Budgetbuf.Certify.certified report.Report.certificate);
     List.iter
       (fun (g : Report.graph_report) ->
-        match (g.Report.period_min, g.Report.slack) with
-        | Some pmin, Some slack ->
-          Alcotest.(check (float 1e-6))
-            (name ^ ": slack = mu - mcr")
-            (g.Report.period_required -. pmin)
-            slack
-        | _ -> Alcotest.fail (name ^ ": missing report fields"))
+        match g.Report.critical with
+        | Some c ->
+          Alcotest.(check bool)
+            (name ^ ": mcr within mu")
+            true
+            (Exact.Rat.compare c.Budgetbuf.Certify.ratio
+               (Exact.Rat.of_float g.Report.period_required)
+            <= 0)
+        | None -> Alcotest.fail (name ^ ": missing report fields"))
       report.Report.graphs;
     (* 5. Simulation meets every period (with sampling-bias slack) and
        stays within capacities. *)

@@ -316,7 +316,7 @@ let test_presolve_force_matches_default () =
       r.Mapping.rounded_objective;
     Alcotest.(check (list string)) "verified" []
         (List.map Budgetbuf.Violation.to_string
-           (Budgetbuf.Dataflow_model.verify cfg r.Mapping.mapped))
+           (Float_verify.verify cfg r.Mapping.mapped))
 
 (* ------------------------------------------------------------------ *)
 (* Recovery ladder, rung by rung                                       *)
@@ -351,7 +351,7 @@ let check_recovered_matches ?(compare_budgets = true) spec expected_stages =
       r.Mapping.stats.Mapping.attempts;
     Alcotest.(check (list string)) (spec ^ " verified") []
       (List.map Budgetbuf.Violation.to_string
-         (Budgetbuf.Dataflow_model.verify (Workloads.Gen.paper_t1 ())
+         (Float_verify.verify (Workloads.Gen.paper_t1 ())
             r.Mapping.mapped));
     if compare_budgets then begin
       let reference = reference_mapping () in
@@ -389,7 +389,7 @@ let test_nan_fault_recovers () =
     Alcotest.(check bool) "recovered" true (Recovery.recovered r.Mapping.recovery);
     Alcotest.(check (list string)) "verified" []
         (List.map Budgetbuf.Violation.to_string
-           (Budgetbuf.Dataflow_model.verify (Workloads.Gen.paper_t1 ())
+           (Float_verify.verify (Workloads.Gen.paper_t1 ())
               r.Mapping.mapped))
 
 let test_permanent_fault_fails_cleanly () =

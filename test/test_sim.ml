@@ -218,7 +218,7 @@ let test_sim_deadlock_on_zero_capacity_ring () =
     (* Liveness depends on the layout; the real assertion: a graph
        whose SRDF model deadlocks must not simulate to completion. *)
     let g = Config.find_graph cfg "t0" in
-    let model_ok = Budgetbuf.Dataflow_model.throughput_ok cfg g mapped in
+    let model_ok = Float_verify.throughput_ok cfg g mapped in
     let sim = Sim.run cfg mapped ~iterations:10 () in
     Alcotest.(check bool) "model infeasible implies sim can't beat it" true
       ((not model_ok) || Result.is_ok sim)
@@ -320,9 +320,14 @@ let prop_sim_latency_below_analytic_bound =
     (fun (beta, cap) ->
       let cfg, mapped = t1_mapped beta cap in
       let g = Config.find_graph cfg "t1" in
-      match Budgetbuf.Dataflow_model.chain_latency cfg g mapped with
+      match
+        Budgetbuf.Certify.latency cfg mapped
+          (Budgetbuf.Certify.check cfg mapped)
+          g
+      with
       | None -> QCheck2.assume_fail () (* mapping infeasible: skip *)
       | Some bound -> begin
+        let bound = Exact.Rat.to_float bound in
         match Sim.run cfg mapped ~iterations:200 () with
         | Error _ -> false
         | Ok report ->

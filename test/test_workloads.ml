@@ -168,7 +168,7 @@ let test_multi_job_invalid () =
 
 let solvable cfg =
   match Budgetbuf.Mapping.solve cfg with
-  | Ok r -> Budgetbuf.Dataflow_model.verify cfg r.Budgetbuf.Mapping.mapped = []
+  | Ok r -> Float_verify.verify cfg r.Budgetbuf.Mapping.mapped = []
   | Error _ -> false
 
 let test_generators_solvable () =
@@ -284,7 +284,7 @@ let test_apps_solvable_and_simulate () =
       | Ok r ->
         Alcotest.(check (list string)) (name ^ " verifies") []
           (List.map Budgetbuf.Violation.to_string
-             (Budgetbuf.Dataflow_model.verify cfg r.Budgetbuf.Mapping.mapped)))
+             (Float_verify.verify cfg r.Budgetbuf.Mapping.mapped)))
     Apps.all
 
 let test_apps_registry () =

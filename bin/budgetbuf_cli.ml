@@ -745,6 +745,11 @@ let load_mapped cfg path =
     Error (Printf.sprintf "%s:%d: %s" path line msg)
   | exception Sys_error msg -> Error msg
 
+(* A required period rounded up, like the exact periods printed next
+   to it. *)
+let period_up ~digits p =
+  Exact.Rat.to_decimal ~round:`Up ~digits (Exact.Rat.of_float p)
+
 let do_check () path mapped_path =
   with_config path @@ fun cfg ->
   match load_mapped cfg mapped_path with
@@ -752,8 +757,10 @@ let do_check () path mapped_path =
     Format.eprintf "error: %s@." msg;
     1
   | Ok mapped -> begin
-    (* The certificate's verdict, and per graph the exact MCR rounded
-       up: a printed minimal period is never below the true one. *)
+    (* The certificate's verdict, and per graph the exact MCR and the
+       required period, both rounded up: a printed minimal period is
+       never below the true one, nor above the printed requirement
+       when the mapping is certified. *)
     match Budgetbuf.Certify.check cfg mapped with
     | Budgetbuf.Certify.Certified _ ->
       List.iter
@@ -761,18 +768,20 @@ let do_check () path mapped_path =
           match Budgetbuf.Certify.max_cycle_ratio cfg g mapped with
           | Some c ->
             Format.printf
-              "graph %s: feasible, minimal period %s (required %.4f)@."
+              "graph %s: feasible, minimal period %s (required %s)@."
               (Config.graph_name cfg g)
               (Exact.Rat.to_decimal ~round:`Up ~digits:4
                  c.Budgetbuf.Certify.ratio)
-              (Config.period cfg g)
+              (period_up ~digits:4 (Config.period cfg g))
           | None ->
             Format.printf "graph %s: deadlocked@." (Config.graph_name cfg g))
         (Config.graphs cfg);
       0
-    | Budgetbuf.Certify.Refuted r as cert ->
-      Format.printf "violation: %s@."
-        (Budgetbuf.Violation.to_string (Budgetbuf.Certify.violation cfg r));
+    | Budgetbuf.Certify.Refuted _ as cert ->
+      List.iter
+        (fun v ->
+          Format.printf "violation: %s@." (Budgetbuf.Violation.to_string v))
+        (Budgetbuf.Certify.violations cfg mapped);
       Format.printf "certificate: %s@." (Budgetbuf.Certify.summary cert);
       1
   end
@@ -1203,29 +1212,35 @@ let do_latency () path =
   | Error e ->
     Format.eprintf "error: %a@." Mapping.pp_error e;
     1
-  | Ok r -> begin
-    (* The latency of the certificate's earliest PAS, rounded up. *)
-    match r.Mapping.certificate with
+  | Ok r ->
+    (* The latency of each graph's earliest PAS, rounded up; a refuted
+       mapping fails with its certificate after them. *)
+    let failures = ref 0 in
+    List.iter
+      (fun g ->
+        let name = Config.graph_name cfg g in
+        match
+          ( Config.chain_ends cfg g,
+            Budgetbuf.Certify.latency cfg r.Mapping.mapped g )
+        with
+        | None, _ ->
+          incr failures;
+          Format.printf "graph %s: no unique source/sink pair@." name
+        | Some _, None ->
+          incr failures;
+          Format.printf "graph %s: no periodic schedule@." name
+        | Some _, Some l ->
+          Format.printf "graph %s: end-to-end latency %s (period %.3f)@."
+            name
+            (Exact.Rat.to_decimal ~round:`Up ~digits:3 l)
+            (Config.period cfg g))
+      (Config.graphs cfg);
+    (match r.Mapping.certificate with
+    | Budgetbuf.Certify.Certified _ -> ()
     | Budgetbuf.Certify.Refuted _ as cert ->
-      Format.printf "certificate: %s@." (Budgetbuf.Certify.summary cert);
-      1
-    | Budgetbuf.Certify.Certified _ as cert ->
-      let failures = ref 0 in
-      List.iter
-        (fun g ->
-          let name = Config.graph_name cfg g in
-          match Budgetbuf.Certify.latency cfg r.Mapping.mapped cert g with
-          | Some l ->
-            Format.printf "graph %s: end-to-end latency %s (period %.3f)@."
-              name
-              (Exact.Rat.to_decimal ~round:`Up ~digits:3 l)
-              (Config.period cfg g)
-          | None ->
-            incr failures;
-            Format.printf "graph %s: no unique source/sink pair@." name)
-        (Config.graphs cfg);
-      if !failures = 0 then 0 else 1
-  end
+      incr failures;
+      Format.printf "certificate: %s@." (Budgetbuf.Certify.summary cert));
+    if !failures = 0 then 0 else 1
 
 let latency_cmd =
   let doc = "solve, then report end-to-end latency per task graph" in
@@ -1307,10 +1322,10 @@ let do_analyze () path mapped_path =
         (* Exact MCR: the slack rounded down, the ratio up. *)
         (match Budgetbuf.Certify.max_cycle_ratio cfg g mapped with
         | Some c ->
-          Format.printf "  throughput slack: %s (period %.4f)@."
+          Format.printf "  throughput slack: %s (period %s)@."
             (Exact.Rat.to_decimal ~round:`Down ~digits:4
                c.Budgetbuf.Certify.slack)
-            (Config.period cfg g);
+            (period_up ~digits:4 (Config.period cfg g));
           Format.printf "  %a@." (Budgetbuf.Certify.pp_critical cfg) c
         | None -> Format.printf "  deadlocked or invalid mapping@.");
         List.iter

@@ -68,8 +68,7 @@ let () =
     let cfg = o.Binding.config in
     let g = Config.find_graph cfg "pipe" in
     (match
-       Budgetbuf.Certify.latency cfg o.Binding.result.Mapping.mapped
-         o.Binding.result.Mapping.certificate g
+       Budgetbuf.Certify.latency cfg o.Binding.result.Mapping.mapped g
      with
     | Some l ->
       Format.printf

@@ -25,16 +25,24 @@ let refute r = raise (Refute r)
    edge is (src, dst, δ); its weight at period µ is ρ(src) − δ·µ, the
    longest-path form of the PAS existence condition.  [beta] and
    [repl] are the exact budgets (by task id) and replenishment
-   intervals; [node] receives each task's first node. *)
+   intervals; [node] receives each task's first node, by task id. *)
 type model = {
   graph : string;
   mu : Rat.t;
   tasks : Config.task array;
   buffers : Config.buffer array;
+  node : int array;
   names : string array;
   rho : Rat.t array;
   edges : (int * int * int) array;
 }
+
+(* The durations of task [w]'s actors [v1] and [v1 + 1] under the exact
+   budget [beta]. *)
+let set_budget cfg rho ~v1 ~repl w beta =
+  rho.(v1) <- Rat.sub repl beta;
+  rho.(v1 + 1) <-
+    Rat.div (Rat.mul repl (Rat.of_float (Config.wcet cfg w))) beta
 
 let model cfg (mapped : Config.mapped) ~beta ~repl ~node g =
   let graph = Config.graph_name cfg g in
@@ -48,15 +56,12 @@ let model cfg (mapped : Config.mapped) ~beta ~repl ~node g =
   Array.iteri
     (fun k w ->
       let name = Config.task_name cfg w in
-      let repl = repl (Config.task_proc cfg w) in
-      let beta = beta.(Config.task_id w) in
-      let chi = Rat.of_float (Config.wcet cfg w) in
       let v1 = 2 * k in
       node.(Config.task_id w) <- v1;
       names.(v1) <- name ^ ".1";
-      rho.(v1) <- Rat.sub repl beta;
       names.(v1 + 1) <- name ^ ".2";
-      rho.(v1 + 1) <- Rat.div (Rat.mul repl chi) beta;
+      set_budget cfg rho ~v1 ~repl:(repl (Config.task_proc cfg w)) w
+        beta.(Config.task_id w);
       edges.(v1) <- (v1, v1 + 1, 0);
       edges.(v1 + 1) <- (v1 + 1, v1 + 1, 1))
     tasks;
@@ -74,7 +79,7 @@ let model cfg (mapped : Config.mapped) ~beta ~repl ~node g =
       edges.((2 * nt) + (2 * j)) <- (src + 1, dst, iota);
       edges.((2 * nt) + (2 * j) + 1) <- (dst + 1, src, gamma - iota))
     buffers;
-  { graph; mu; tasks; buffers; names; rho; edges }
+  { graph; mu; tasks; buffers; node; names; rho; edges }
 
 let weights m period =
   Array.map
@@ -82,28 +87,29 @@ let weights m period =
       (src, dst, Rat.sub m.rho.(src) (Rat.mul (Rat.of_int tokens) period)))
     m.edges
 
+(* The exact weight at period µ of [cycle] (edge indices). *)
+let excess m cycle =
+  List.fold_left
+    (fun acc k ->
+      let s, _, tokens = m.edges.(k) in
+      Rat.add acc (Rat.sub m.rho.(s) (Rat.mul (Rat.of_int tokens) m.mu)))
+    Rat.zero cycle
+
 (* Exact Bellman–Ford at the graph's period: the earliest PAS as the
    node potentials, or the refuting cycle with its exact excess. *)
 let schedule m =
-  let edges = weights m m.mu in
-  match Exact.Bf.longest_path ~nodes:(Array.length m.rho) edges with
+  match Exact.Bf.longest_path ~nodes:(Array.length m.rho) (weights m m.mu) with
   | Exact.Bf.Feasible d -> d
   | Exact.Bf.Positive_cycle cycle ->
       let actors =
         List.map
-          (fun e ->
-            let s, _, _ = edges.(e) in
+          (fun k ->
+            let s, _, _ = m.edges.(k) in
             m.names.(s))
           cycle
       in
-      let excess =
-        List.fold_left
-          (fun acc e ->
-            let _, _, w = edges.(e) in
-            Rat.add acc w)
-          Rat.zero cycle
-      in
-      refute (Positive_cycle { graph = m.graph; actors; excess })
+      refute
+        (Positive_cycle { graph = m.graph; actors; excess = excess m cycle })
 
 (* Converted on first use, so a non-finite interval fails at the same
    point, with the same message, as a conversion per use would. *)
@@ -143,37 +149,56 @@ let exact_budgets cfg (mapped : Config.mapped) ~repl ~beta tasks =
       beta.(Config.task_id w) <- exact)
     tasks
 
-(* The end-to-end latency under start times [s]: from the activation
-   of the source's waiting actor to the completion of the sink's
-   processing actor. *)
-let end_to_end ~s_source ~s_sink ~rho_sink =
-  Rat.sub (Rat.add s_sink rho_sink) s_source
+(* The end-to-end latency of graph [g]'s schedule with start times
+   [d]: from the activation of the source's waiting actor to the
+   completion of the sink's processing actor.  [None] without a unique
+   source/sink pair. *)
+let end_to_end cfg m d g =
+  Option.map
+    (fun (src, snk) ->
+      let v_snk = m.node.(Config.task_id snk) + 1 in
+      Rat.sub (Rat.add d.(v_snk) m.rho.(v_snk)) d.(m.node.(Config.task_id src)))
+    (Config.chain_ends cfg g)
 
-(* Throughput of one graph, then the latency of its earliest PAS (for
-   graphs with a unique source/sink pair) against its bound. *)
+(* Throughput of one graph, then the latency of its earliest PAS
+   against its bound. *)
 let certify_graph cfg mapped ~beta ~repl ~node g =
   let m = model cfg mapped ~beta ~repl ~node g in
   let d = schedule m in
   (match Config.latency_bound cfg g with
   | None -> ()
   | Some bound -> (
-      match Config.chain_ends cfg g with
-      | Some (src, snk) ->
-          let v_src = node.(Config.task_id src) in
-          let v_snk = node.(Config.task_id snk) + 1 in
-          let latency =
-            end_to_end ~s_source:d.(v_src) ~s_sink:d.(v_snk)
-              ~rho_sink:m.rho.(v_snk)
-          in
-          if Rat.compare latency (Rat.of_float bound) > 0 then
-            refute
-              (Violated
-                 (Violation.Latency
-                    { graph = m.graph; latency = Rat.to_float latency; bound }))
-      | None -> ()));
+      match end_to_end cfg m d g with
+      | Some latency when Rat.compare latency (Rat.of_float bound) > 0 ->
+          refute
+            (Violated
+               (Violation.Latency
+                  { graph = m.graph; latency = Rat.to_float latency; bound }))
+      | Some _ | None -> ()));
   List.mapi (fun i di -> (m.names.(i), di)) (Array.to_list d)
 
-let check_exn cfg (mapped : Config.mapped) =
+(* A non-finite configuration constant that slipped past the explicit
+   guards refutes rather than crashes. *)
+let guard f =
+  match f () with
+  | v -> Ok v
+  | exception Refute r -> Error r
+  | exception Invalid_argument msg ->
+      Error (Violated (Violation.Non_finite { what = msg; value = Float.nan }))
+
+(* Every violated constraint, in the order {!check} reports them, and
+   the earliest PAS of the graphs that have one.  Each constraint is
+   decided on its own; a budget outside (0, ̺] ends the survey, since
+   every later constraint divides by the budgets. *)
+let survey cfg (mapped : Config.mapped) =
+  let found = ref [] in
+  let attempt f =
+    match guard f with
+    | Ok v -> Some v
+    | Error r ->
+        found := r :: !found;
+        None
+  in
   let tasks = Config.all_tasks cfg in
   let repl = exact_replenishment cfg in
   let beta = Array.make (List.length tasks) Rat.zero in
@@ -182,13 +207,17 @@ let check_exn cfg (mapped : Config.mapped) =
   let node = Array.make (List.length tasks) 0 in
   let starts =
     List.concat_map
-      (certify_graph cfg mapped ~beta ~repl ~node)
+      (fun g ->
+        Option.value ~default:[]
+          (attempt (fun () -> certify_graph cfg mapped ~beta ~repl ~node g)))
       (Config.graphs cfg)
   in
   (* Processor capacity, constraint (4) plus overhead — exact, with no
      epsilon indulgence. *)
   List.iter
     (fun p ->
+      ignore @@ attempt
+      @@ fun () ->
       let used =
         List.fold_left
           (fun acc w -> Rat.add acc beta.(Config.task_id w))
@@ -215,67 +244,52 @@ let check_exn cfg (mapped : Config.mapped) =
           0 (Config.buffers_in cfg m)
       in
       if used > Config.memory_capacity cfg m then
-        refute
-          (Violated
-             (Violation.Memory_capacity
-                {
-                  memory = Config.memory_name cfg m;
-                  used;
-                  capacity = Config.memory_capacity cfg m;
-                })))
+        found :=
+          Violated
+            (Violation.Memory_capacity
+               {
+                 memory = Config.memory_name cfg m;
+                 used;
+                 capacity = Config.memory_capacity cfg m;
+               })
+          :: !found)
     (Config.memories cfg);
   List.iter
     (fun b ->
       match Config.max_capacity cfg b with
       | Some cap when mapped.Config.capacity b > cap ->
-          refute
-            (Violated
-               (Violation.Buffer_bound
-                  {
-                    buffer = Config.buffer_name cfg b;
-                    capacity = mapped.Config.capacity b;
-                    bound = cap;
-                  }))
+          found :=
+            Violated
+              (Violation.Buffer_bound
+                 {
+                   buffer = Config.buffer_name cfg b;
+                   capacity = mapped.Config.capacity b;
+                   bound = cap;
+                 })
+            :: !found
       | Some _ | None -> ())
     (Config.all_buffers cfg);
-  Certified { starts }
+  (starts, List.rev !found)
 
-(* A non-finite configuration constant that slipped past the explicit
-   guards refutes rather than crashes. *)
-let guard f =
-  match f () with
-  | v -> Ok v
-  | exception Refute r -> Error r
-  | exception Invalid_argument msg ->
-      Error (Violated (Violation.Non_finite { what = msg; value = Float.nan }))
+let refutations cfg mapped =
+  match guard (fun () -> survey cfg mapped) with
+  | Ok (_, found) -> found
+  | Error r -> [ r ]
 
 let check cfg mapped =
-  match guard (fun () -> check_exn cfg mapped) with
-  | Ok verdict -> verdict
-  | Error r -> Refuted r
+  match guard (fun () -> survey cfg mapped) with
+  | Ok (starts, []) -> Certified { starts }
+  | Ok (_, r :: _) | Error r -> Refuted r
 
 let certified = function Certified _ -> true | Refuted _ -> false
-
-let latency cfg (mapped : Config.mapped) t g =
-  match (t, Config.chain_ends cfg g) with
-  | Certified { starts }, Some (src, snk) ->
-      let start w k = List.assoc (Config.task_name cfg w ^ k) starts in
-      let repl =
-        Rat.of_float (Config.replenishment cfg (Config.task_proc cfg snk))
-      in
-      Some
-        (end_to_end ~s_source:(start src ".1") ~s_sink:(start snk ".2")
-           ~rho_sink:
-             (Rat.div
-                (Rat.mul repl (Rat.of_float (Config.wcet cfg snk)))
-                (Rat.of_float (mapped.Config.budget snk))))
-  | Certified _, None | Refuted _, _ -> None
 
 let violation cfg = function
   | Violated v -> v
   | Positive_cycle { graph; _ } ->
       Violation.Throughput
         { graph; period = Config.period cfg (Config.find_graph cfg graph) }
+
+let violations cfg mapped = List.map (violation cfg) (refutations cfg mapped)
 
 (* One graph's model on its own: budgets of its tasks only. *)
 let graph_model cfg (mapped : Config.mapped) g =
@@ -285,6 +299,15 @@ let graph_model cfg (mapped : Config.mapped) g =
   exact_budgets cfg mapped ~repl ~beta (Config.tasks cfg g);
   let node = Array.make n 0 in
   model cfg mapped ~beta ~repl ~node g
+
+let latency cfg mapped g =
+  match
+    guard (fun () ->
+        let m = graph_model cfg mapped g in
+        end_to_end cfg m (schedule m) g)
+  with
+  | Ok l -> l
+  | Error _ -> None
 
 type critical = {
   ratio : Rat.t;
@@ -315,16 +338,73 @@ let srdf cfg g mapped =
   | Ok m -> Ok (float_graph m)
   | Error r -> Error (violation cfg r)
 
+(* Constraint (1) on model [m] and its float rendering [srdf]: [None]
+   when a PAS with period µ exists, else a positive cycle (edge indices
+   of [m]).  Howard's cycle, when its exact ratio exceeds µ, is a
+   positive cycle at µ already: the Bellman–Ford would refute too, only
+   after all its rounds. *)
+let positive_cycle m srdf =
+  match Dataflow.Howard.proposal ~rho:m.rho srdf with
+  | Some (r, cycle) when Rat.compare r m.mu > 0 ->
+      Some (List.map Dataflow.Srdf.edge_id cycle)
+  | Some _ | None -> (
+      match
+        Exact.Bf.longest_path ~nodes:(Array.length m.rho) (weights m m.mu)
+      with
+      | Exact.Bf.Feasible _ -> None
+      | Exact.Bf.Positive_cycle cycle -> Some cycle)
+
 let schedulable cfg g mapped =
   match guard (fun () -> graph_model cfg mapped g) with
   | Error _ -> false
-  | Ok m -> (
-      (* Howard's cycle, when its exact ratio exceeds µ, is a positive
-         cycle at µ already: the Bellman–Ford would refute too, only
-         after all its rounds. *)
-      match Dataflow.Howard.proposal ~rho:m.rho (float_graph m) with
-      | Some (r, _) when Rat.compare r m.mu > 0 -> false
-      | Some _ | None -> Result.is_ok (guard (fun () -> schedule m)))
+  | Ok m -> positive_cycle m (float_graph m) = None
+
+let schedulable_budget cfg g mapped w =
+  if Config.task_graph cfg w <> g then
+    invalid_arg "Certify.schedulable_budget: task of another graph";
+  (* The model is built with the full budget ̺ for [w], valid whatever
+     [mapped] gives it. *)
+  let full = Config.replenishment cfg (Config.task_proc cfg w) in
+  let mapped =
+    {
+      mapped with
+      Config.budget =
+        (fun w' ->
+          if Config.task_id w' = Config.task_id w then full
+          else mapped.Config.budget w');
+    }
+  in
+  match guard (fun () -> graph_model cfg mapped g) with
+  | Error _ -> fun _ -> false
+  | Ok m ->
+      (* One model, its two durations of [w] rewritten per probe.  The
+         cycle that refuted the last probe is tried first: bisecting
+         the budget, it usually refutes the next one too. *)
+      let srdf = float_graph m in
+      let last = ref [] in
+      let v1 = m.node.(Config.task_id w) in
+      let repl = Rat.of_float full in
+      fun budget ->
+        Float.is_finite budget
+        &&
+        let beta = Rat.of_float budget in
+        Rat.sign beta > 0
+        && Rat.compare beta repl <= 0
+        &&
+        (set_budget cfg m.rho ~v1 ~repl w beta;
+         List.iter
+           (fun v ->
+             Dataflow.Srdf.set_duration srdf
+               (Dataflow.Srdf.actor_of_id srdf v)
+               (Rat.to_float m.rho.(v)))
+           [ v1; v1 + 1 ];
+         Rat.sign (excess m !last) <= 0
+         &&
+         match positive_cycle m srdf with
+         | None -> true
+         | Some cycle ->
+             last := cycle;
+             false)
 
 let max_cycle_ratio cfg g mapped =
   match guard (fun () -> graph_model cfg mapped g) with

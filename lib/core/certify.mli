@@ -43,25 +43,37 @@ type refutation =
 type t = Certified of witness | Refuted of refutation
 
 (** [check cfg mapped] certifies or refutes the mapped configuration.
+    A refuted mapping carries the first violated constraint, checking
+    the throughput and latency of each graph in order, then processor
+    capacity, memory and buffer bounds; {!violations} lists them all.
     Never raises: non-finite budgets refute with
     {!Violation.Non_finite}. *)
 val check : Taskgraph.Config.t -> Taskgraph.Config.mapped -> t
 
 val certified : t -> bool
 
-(** [latency cfg mapped t g] is the end-to-end latency of graph [g]
-    under the witness of a [Certified] verdict [t] on [mapped]: from the
-    activation of the source's waiting actor to the completion of the
-    sink's processing actor ({!Taskgraph.Config.chain_ends}),
-    [s(sink.2) + ρ(sink.2) − s(source.1)] in the earliest PAS.  [None]
-    when [t] is refuted or [g] has no unique source/sink pair. *)
-val latency :
-  Taskgraph.Config.t -> Taskgraph.Config.mapped -> t ->
-  Taskgraph.Config.graph -> Exact.Rat.t option
-
 (** [violation cfg r] is the constraint [r] violates: a positive cycle
     is a missed throughput requirement ({!Violation.Throughput}). *)
 val violation : Taskgraph.Config.t -> refutation -> Violation.t
+
+(** [violations cfg mapped] is every constraint the mapping violates,
+    decided as {!check} decides them and in the same order, so it is
+    [[]] exactly when {!check} certifies and otherwise starts with
+    {!check}'s refutation.  A budget outside (0, ̺] or a non-finite one
+    is listed alone: every other constraint divides by the budgets. *)
+val violations :
+  Taskgraph.Config.t -> Taskgraph.Config.mapped -> Violation.t list
+
+(** [latency cfg mapped g] is the end-to-end latency of graph [g]'s
+    earliest PAS with period µ(g), the schedule {!check}'s witness holds
+    for [g]: from the activation of the source's waiting actor to the
+    completion of the sink's processing actor
+    ({!Taskgraph.Config.chain_ends}), [s(sink.2) + ρ(sink.2) − s(source.1)].
+    [None] when [g] has no PAS with its period, invalid budgets or
+    capacities, or no unique source/sink pair. *)
+val latency :
+  Taskgraph.Config.t -> Taskgraph.Config.mapped -> Taskgraph.Config.graph ->
+  Exact.Rat.t option
 
 (** [srdf cfg g mapped] is the SRDF model of the mapped graph [g]
     (Section II-C of the paper) that {!check} decides, with its exact
@@ -94,6 +106,16 @@ val srdf :
 val schedulable :
   Taskgraph.Config.t -> Taskgraph.Config.graph -> Taskgraph.Config.mapped ->
   bool
+
+(** [schedulable_budget cfg g mapped w] is the test
+    [fun beta -> schedulable cfg g mapped'] where [mapped'] is [mapped]
+    with [β(w) = beta]: the exact model is built once and only [w]'s two
+    durations change per call.  A non-finite budget, or one outside
+    (0, ̺], is refused.
+    @raise Invalid_argument if [w] is not a task of [g]. *)
+val schedulable_budget :
+  Taskgraph.Config.t -> Taskgraph.Config.graph -> Taskgraph.Config.mapped ->
+  Taskgraph.Config.task -> float -> bool
 
 (** The cycle that bounds a mapped graph's throughput. *)
 type critical = {

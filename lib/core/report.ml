@@ -24,6 +24,7 @@ type t = {
   memories : memory_load list;
   graphs : graph_report list;
   certificate : Certify.t;
+  violations : Violation.t list;
 }
 
 let build cfg (mapped : Config.mapped) =
@@ -63,7 +64,6 @@ let build cfg (mapped : Config.mapped) =
         })
       (Config.memories cfg)
   in
-  let certificate = Certify.check cfg mapped in
   let graphs =
     List.map
       (fun graph ->
@@ -71,11 +71,17 @@ let build cfg (mapped : Config.mapped) =
           graph;
           period_required = Config.period cfg graph;
           critical = Certify.max_cycle_ratio cfg graph mapped;
-          latency = Certify.latency cfg mapped certificate graph;
+          latency = Certify.latency cfg mapped graph;
         })
       (Config.graphs cfg)
   in
-  { processors; memories; graphs; certificate }
+  {
+    processors;
+    memories;
+    graphs;
+    certificate = Certify.check cfg mapped;
+    violations = Certify.violations cfg mapped;
+  }
 
 let pp cfg ppf t =
   Format.fprintf ppf "@[<v>";
@@ -100,11 +106,12 @@ let pp cfg ppf t =
   Format.fprintf ppf "graphs:@,";
   List.iter
     (fun g ->
-      Format.fprintf ppf "  %-10s period %.3f required"
-        (Config.graph_name cfg g.graph) g.period_required;
-      (* Bounds, not roundings: the period is never printed below the
-         exact one, the slack never above it. *)
+      (* Bounds, not roundings: periods are never printed below the
+         exact ones, the slack never above it. *)
       let decimal round = Exact.Rat.to_decimal ~round ~digits:3 in
+      Format.fprintf ppf "  %-10s period %s required"
+        (Config.graph_name cfg g.graph)
+        (decimal `Up (Exact.Rat.of_float g.period_required));
       (match g.critical with
       | Some c ->
         Format.fprintf ppf ", %s achievable, slack %s"
@@ -119,9 +126,9 @@ let pp cfg ppf t =
       | Some c -> Format.fprintf ppf "    %a@," (Certify.pp_critical cfg) c
       | None -> ())
     t.graphs;
-  (match t.certificate with
-  | Certify.Certified _ -> Format.fprintf ppf "verification: ok@,"
-  | Certify.Refuted r ->
-    Format.fprintf ppf "violations:@,  %s@,"
-      (Violation.to_string (Certify.violation cfg r)));
+  (match t.violations with
+  | [] -> Format.fprintf ppf "verification: ok@,"
+  | vs ->
+    Format.fprintf ppf "violations:@,";
+    List.iter (fun v -> Format.fprintf ppf "  %s@," (Violation.to_string v)) vs);
   Format.fprintf ppf "@]"

@@ -7,11 +7,12 @@
     text by the CLI's [report] subcommand.
 
     Every verdict and figure in it is exact: the verification line is
-    {!Certify.check}'s, the achievable period and critical cycle are
-    {!Certify.max_cycle_ratio}'s, and the latency is the one of the
-    certificate's earliest PAS.  Printed periods and latencies are
-    rounded up and slacks down, so a printed [0.000] slack is never a
-    negative one. *)
+    {!Certify.check}'s, listing every violated constraint
+    ({!Certify.violations}), the achievable period and critical cycle
+    are {!Certify.max_cycle_ratio}'s, and the latency is the one of the
+    graph's earliest PAS ({!Certify.latency}).  Printed periods (the
+    required one too) and latencies are rounded up and slacks down, so
+    a printed [0.000] slack is never a negative one. *)
 
 type processor_load = {
   proc : Taskgraph.Config.proc;
@@ -32,8 +33,8 @@ type graph_report = {
       (** the mapped graph's exact MCR and critical cycle; [None] when
           it deadlocks or the mapping is invalid *)
   latency : Exact.Rat.t option;
-      (** {!Certify.latency}: graphs with a unique source/sink pair,
-          certified mappings only *)
+      (** {!Certify.latency}: graphs with a unique source/sink pair and
+          a PAS with their period *)
 }
 
 type t = {
@@ -41,6 +42,9 @@ type t = {
   memories : memory_load list;
   graphs : graph_report list;
   certificate : Certify.t;  (** the one verdict on the mapping *)
+  violations : Violation.t list;
+      (** {!Certify.violations}: every violated constraint, [[]]
+          exactly when [certificate] is certified *)
 }
 
 (** [build cfg mapped] assembles the report. *)

@@ -1,20 +1,7 @@
-module Config = Taskgraph.Config
-
-let budget_slack ?(tolerance = 1e-6) cfg g (mapped : Config.mapped) w =
-  if Config.task_graph cfg w <> g then
-    invalid_arg "Sensitivity.budget_slack: task of another graph";
-  let current = mapped.Config.budget w in
-  let feasible beta =
-    beta > 0.0
-    && Certify.schedulable cfg g
-         {
-           mapped with
-           Config.budget =
-             (fun w' ->
-               if Config.task_id w' = Config.task_id w then beta
-               else mapped.Config.budget w');
-         }
-  in
+let budget_slack ?(tolerance = 1e-6) cfg g (mapped : Taskgraph.Config.mapped) w
+    =
+  let feasible = Certify.schedulable_budget cfg g mapped w in
+  let current = mapped.Taskgraph.Config.budget w in
   if not (feasible current) then 0.0
   else begin
     (* Bisect the smallest feasible budget in (0, current]. *)

@@ -1,6 +1,7 @@
 (** Structured constraint violations: what a refuted certificate
-    ({!Certify}) violates, as {!Certify.violation} names it for the CLI,
-    {!Report} and {!Dataflow_model.verify}.
+    ({!Certify}) violates, as {!Certify.violation} and
+    {!Certify.violations} name it for the CLI, {!Report} and
+    {!Dataflow_model.verify}.
 
     Each variant names the violated constraint, the system objects
     involved and the two sides of the inequality, so callers can

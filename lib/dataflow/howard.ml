@@ -218,11 +218,13 @@ let cycle_ratio g rho cycle =
 
 (* Howard names the critical cycle by its actors; between two
    consecutive ones take the queue with the fewest tokens, the
-   heaviest.  Empty when Howard finds no cycle of positive ratio. *)
+   heaviest.  Empty when Howard finds no cycle of positive ratio.
+   [run] classifies the graph once for both callers. *)
 let proposed_cycle g =
-  match critical_cycle g with
-  | None | Some (_, []) -> []
-  | Some (_, (first :: _ as actors)) ->
+  match run g with
+  | (`Acyclic | `Deadlocked) as c -> c
+  | `Mcr (_, []) -> `Cycle []
+  | `Mcr (_, (first :: _ as actors)) ->
     let rec link = function
       | [] -> []
       | u :: rest ->
@@ -235,16 +237,13 @@ let proposed_cycle g =
         Option.get (List.fold_left heavier None (Srdf.out_edges g u))
         :: link rest
     in
-    link actors
+    `Cycle (link actors)
 
 let proposal ?rho g =
   let rho = exact_durations ?rho g in
-  match Analysis.classify g with
-  | `Acyclic | `Deadlocked -> None
-  | `Cyclic -> (
-    match proposed_cycle g with
-    | [] -> None
-    | cycle -> Some (cycle_ratio g rho cycle, cycle))
+  match proposed_cycle g with
+  | `Acyclic | `Deadlocked | `Cycle [] -> None
+  | `Cycle cycle -> Some (cycle_ratio g rho cycle, cycle)
 
 (* The exact MCR: Howard's critical cycle is only a proposal.  Its
    exact ratio r is a lower bound on the MCR (it is a real cycle), and
@@ -255,10 +254,9 @@ let proposal ?rho g =
    ends; no cycle carries zero tokens once [classify] says [`Cyclic]. *)
 let exact ?rho g =
   let rho = exact_durations ?rho g in
-  match Analysis.classify g with
-  | `Acyclic -> `Acyclic
-  | `Deadlocked -> `Deadlocked
-  | `Cyclic ->
+  match proposed_cycle g with
+  | (`Acyclic | `Deadlocked) as c -> c
+  | `Cycle proposed ->
     let edges = Array.of_list (Srdf.edges g) in
     let weights r =
       Array.map
@@ -277,4 +275,4 @@ let exact ?rho g =
         failwith "Howard.exact: positive cycle without a witness"
       | Exact.Bf.Positive_cycle ks -> confirm (List.map (fun k -> edges.(k)) ks)
     in
-    confirm (proposed_cycle g)
+    confirm proposed

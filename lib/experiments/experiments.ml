@@ -497,8 +497,7 @@ let latency ppf =
       | Ok r ->
         let achieved =
           match
-            Budgetbuf.Certify.latency cfg r.Mapping.mapped
-              r.Mapping.certificate g
+            Budgetbuf.Certify.latency cfg r.Mapping.mapped g
           with
           | Some l -> Exact.Rat.to_decimal ~round:`Up ~digits:2 l
           | None -> "-"

@@ -687,21 +687,75 @@ let test_constraints_hold_at_optimum () =
         (lam *. beta >= 1.0 -. 1e-6))
     (Config.all_tasks cfg)
 
+let contains hay needle =
+  let ln = String.length needle and lh = String.length hay in
+  let rec at i = i + ln <= lh && (String.sub hay i ln = needle || at (i + 1)) in
+  at 0
+
 let test_verify_reports_specific_violations () =
   let cfg = Workloads.Gen.paper_t1 () in
-  (* Budgets fine, but a capacity bound is violated on purpose. *)
+  (* Budgets fine (MCR ≈ 9.71 ≤ 10), but a capacity bound is violated
+     on purpose. *)
   Config.set_max_capacity cfg (Config.find_buffer cfg "bab") (Some 5);
   let mapped =
     { Config.budget = (fun _ -> 10.0); Config.capacity = (fun _ -> 7) }
   in
-  let problems = vnotes (Float_verify.verify cfg mapped) in
-  let contains hay needle =
-    let ln = String.length needle and lh = String.length hay in
-    let rec at i = i + ln <= lh && (String.sub hay i ln = needle || at (i + 1)) in
-    at 0
+  (match Budgetbuf.Certify.check cfg mapped with
+  | Budgetbuf.Certify.Refuted
+      (Budgetbuf.Certify.Violated (Budgetbuf.Violation.Buffer_bound _)) ->
+    ()
+  | c -> Alcotest.failf "expected a buffer-bound refutation, got %s"
+           (Budgetbuf.Certify.summary c));
+  Alcotest.(check bool) "library mentions the bound" true
+    (List.exists
+       (fun m -> contains m "bound")
+       (vnotes (Budgetbuf.Certify.violations cfg mapped)));
+  (* The float oracle sees the same violation. *)
+  Alcotest.(check bool) "float oracle mentions the bound" true
+    (List.exists
+       (fun m -> contains m "bound")
+       (vnotes (Float_verify.verify cfg mapped)))
+
+(* One mapping missing its period, its processor capacity (through the
+   scheduler overhead), its memory and a buffer bound: the certificate
+   refutes with the first, and [violations] lists all four in order. *)
+let test_violations_lists_every_constraint () =
+  let cfg = Config.create ~granularity:1.0 () in
+  let p1 = Config.add_processor cfg ~name:"p1" ~replenishment:40.0 ~overhead:35.0 () in
+  let p2 = Config.add_processor cfg ~name:"p2" ~replenishment:40.0 () in
+  let m = Config.add_memory cfg ~name:"m0" ~capacity:6 in
+  let g = Config.add_graph cfg ~name:"t1" ~period:1.0 () in
+  let wa = Config.add_task cfg g ~name:"wa" ~proc:p1 ~wcet:1.0 () in
+  let wb = Config.add_task cfg g ~name:"wb" ~proc:p2 ~wcet:1.0 () in
+  ignore
+    (Config.add_buffer cfg g ~name:"bab" ~src:wa ~dst:wb ~memory:m
+       ~max_capacity:5 ());
+  let mapped =
+    { Config.budget = (fun _ -> 10.0); Config.capacity = (fun _ -> 7) }
   in
-  Alcotest.(check bool) "mentions the bound" true
-    (List.exists (fun m -> contains m "bound") problems)
+  (match Budgetbuf.Certify.check cfg mapped with
+  | Budgetbuf.Certify.Refuted (Budgetbuf.Certify.Positive_cycle _) -> ()
+  | c -> Alcotest.failf "expected a positive cycle, got %s"
+           (Budgetbuf.Certify.summary c));
+  let kind = function
+    | Budgetbuf.Violation.Throughput _ -> "throughput"
+    | Budgetbuf.Violation.Processor_capacity _ -> "processor"
+    | Budgetbuf.Violation.Memory_capacity _ -> "memory"
+    | Budgetbuf.Violation.Buffer_bound _ -> "bound"
+    | _ -> "other"
+  in
+  Alcotest.(check (list string)) "every violation, in order"
+    [ "throughput"; "processor"; "memory"; "bound" ]
+    (List.map kind (Budgetbuf.Certify.violations cfg mapped));
+  (* A certified mapping has none. *)
+  let ok =
+    { Config.budget = (fun _ -> 4.0); Config.capacity = (fun _ -> 5) }
+  in
+  Config.set_period cfg g 40.0;
+  Alcotest.(check bool) "certified" true
+    (Budgetbuf.Certify.certified (Budgetbuf.Certify.check cfg ok));
+  Alcotest.(check (list string)) "no violations" []
+    (vnotes (Budgetbuf.Certify.violations cfg ok))
 
 
 
@@ -735,8 +789,7 @@ let test_latency_bound_tightens_budgets () =
   Alcotest.(check (list string)) "verified incl. latency" []
     (vnotes (Float_verify.verify cfg r.Mapping.mapped));
   match
-    Budgetbuf.Certify.latency cfg r.Mapping.mapped r.Mapping.certificate
-      (Config.find_graph cfg "t1")
+    Budgetbuf.Certify.latency cfg r.Mapping.mapped (Config.find_graph cfg "t1")
   with
   | Some l ->
     Alcotest.(check bool) "latency ≤ 60, exactly" true
@@ -906,6 +959,8 @@ let () =
             test_constraints_hold_at_optimum;
           Alcotest.test_case "verify messages" `Quick
             test_verify_reports_specific_violations;
+          Alcotest.test_case "violations lists every constraint" `Quick
+            test_violations_lists_every_constraint;
         ] );
       ( "resources",
         [

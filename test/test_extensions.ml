@@ -179,9 +179,8 @@ let test_pareto_infeasible_empty () =
 (* Latency                                                             *)
 (* ------------------------------------------------------------------ *)
 
-(* The latency of the certificate's earliest PAS. *)
-let certified_latency cfg g mapped =
-  Budgetbuf.Certify.latency cfg mapped (Budgetbuf.Certify.check cfg mapped) g
+(* The latency of the graph's earliest PAS. *)
+let certified_latency cfg g mapped = Budgetbuf.Certify.latency cfg mapped g
 
 let test_latency_t1 () =
   (* β = 4 everywhere, γ = 10: ρ(v1) = 36, ρ(v2) = 10.  The earliest
@@ -195,6 +194,13 @@ let test_latency_t1 () =
   (match certified_latency cfg g mapped with
   | Some l -> Alcotest.(check string) "latency" "92" (Exact.Rat.to_string l)
   | None -> Alcotest.fail "expected a schedule");
+  (* The same schedule as the certificate's witness. *)
+  (match Budgetbuf.Certify.check cfg mapped with
+  | Budgetbuf.Certify.Certified { starts } ->
+    let s a = Exact.Rat.to_string (List.assoc a starts) in
+    Alcotest.(check (list string)) "witness starts" [ "0"; "82" ]
+      [ s "wa.1"; s "wb.2" ]
+  | Budgetbuf.Certify.Refuted _ -> Alcotest.fail "expected a certificate");
   match Float_verify.chain_latency cfg g mapped with
   | Some l -> check_float 1e-6 "float oracle" 92.0 l
   | None -> Alcotest.fail "expected a float schedule"
@@ -241,8 +247,7 @@ let test_latency_chain_requires_unique_endpoints () =
   Alcotest.(check bool) "ring rejected" true
     (Config.chain_ends cfg2 g2 = None
     && Budgetbuf.Certify.certified r2.Mapping.certificate
-    && Budgetbuf.Certify.latency cfg2 r2.Mapping.mapped r2.Mapping.certificate g2
-       = None)
+    && Budgetbuf.Certify.latency cfg2 r2.Mapping.mapped g2 = None)
 
 let test_latency_solver_mapping () =
   (* End-to-end: latency of the solver's own mapping on a chain is
@@ -250,8 +255,7 @@ let test_latency_solver_mapping () =
   let cfg = Workloads.Gen.chain ~n:4 () in
   let r = solve_exn cfg in
   match
-    Budgetbuf.Certify.latency cfg r.Mapping.mapped r.Mapping.certificate
-      (Config.find_graph cfg "t0")
+    Budgetbuf.Certify.latency cfg r.Mapping.mapped (Config.find_graph cfg "t0")
   with
   | None -> Alcotest.fail "expected a schedule"
   | Some l ->
@@ -488,6 +492,41 @@ let prop_budget_slack_consistent =
         in
         ok_below && bad_above
       end)
+
+let prop_budget_probe_matches_schedulable =
+  (* The bisection's probe keeps one model and the last refuting cycle
+     across calls; in any order of budgets, including invalid ones (as
+     the mapped budget of [w] too), it answers as a fresh
+     [schedulable] does. *)
+  QCheck2.Test.make ~name:"budget probe matches schedulable" ~count:50
+    QCheck2.Gen.(
+      quad (int_range 2 5) (float_range 4.0 30.0) (int_range 2 10)
+        (list_size (int_range 2 12) (float_range (-1.0) 45.0)))
+    (fun (n, beta, cap, probes) ->
+      let cfg = Workloads.Gen.chain ~n () in
+      let g = Config.find_graph cfg "t0" in
+      let w = List.nth (Config.tasks cfg g) (n / 2) in
+      let mapped =
+        {
+          Config.budget =
+            (fun w' ->
+              if Config.task_id w' = Config.task_id w then List.hd probes
+              else beta);
+          Config.capacity = (fun _ -> cap);
+        }
+      in
+      let probe = Budgetbuf.Certify.schedulable_budget cfg g mapped w in
+      List.for_all
+        (fun b ->
+          probe b
+          = Budgetbuf.Certify.schedulable cfg g
+              {
+                mapped with
+                Config.budget =
+                  (fun w' ->
+                    if Config.task_id w' = Config.task_id w then b else beta);
+              })
+        probes)
 
 
 
@@ -1006,5 +1045,6 @@ let () =
             prop_rebind_preserves_solution;
             prop_pareto_points_feasible;
             prop_budget_slack_consistent;
+            prop_budget_probe_matches_schedulable;
           ] );
     ]

@@ -320,11 +320,7 @@ let prop_sim_latency_below_analytic_bound =
     (fun (beta, cap) ->
       let cfg, mapped = t1_mapped beta cap in
       let g = Config.find_graph cfg "t1" in
-      match
-        Budgetbuf.Certify.latency cfg mapped
-          (Budgetbuf.Certify.check cfg mapped)
-          g
-      with
+      match Budgetbuf.Certify.latency cfg mapped g with
       | None -> QCheck2.assume_fail () (* mapping infeasible: skip *)
       | Some bound -> begin
         let bound = Exact.Rat.to_float bound in

@@ -18,11 +18,20 @@ let min_period_scale ?params ?policy ?obs ?on_probe ?on_failure ?on_feasible
      whole configuration each time. *)
   let probe_cfg = Config.copy cfg in
   let base = List.map (fun g -> (g, Config.period cfg g)) (Config.graphs cfg) in
+  (* The warm chain: each probe starts from the optimum of the latest
+     earlier probe that reached one (only the periods differ between
+     probes, so that point is the closest seed there is), and the first
+     from whatever warm point [params] carries — none in a sweep.  The
+     chain lives and dies with this one search, so the probes' seeds
+     are a pure function of [cfg] and the probe sequence. *)
+  let seed = ref None in
   let feasible scale =
     (match on_probe with None -> () | Some f -> f scale);
     List.iter (fun (g, mu) -> Config.set_period probe_cfg g (mu *. scale)) base;
+    let params = Durability.params ?warm:!seed params in
     match Mapping.solve ?params ?policy probe_cfg with
     | Ok r ->
+      if Option.is_some r.Mapping.warm then seed := r.Mapping.warm;
       let ok = Certify.certified r.Mapping.certificate in
       if ok then (match on_feasible with None -> () | Some f -> f r);
       ok
@@ -144,14 +153,11 @@ let throughput_curve ?params ?policy ?pool ?deadline ?candidate_deadline
     List.iter
       (fun b -> Config.set_max_capacity capped b (Some cap))
       (Config.all_buffers capped);
-    (* One cold anchor per candidate (this cap, unscaled period) seeds
-       every probe of the bisection: the seed is a pure function of the
-       candidate, so the point is bit-identical however the sweep is
-       scheduled or resumed; see [Durability.warm_anchor]. *)
+    (* The bisection's first probe (this cap, unscaled period) runs
+       cold and seeds the next one, and so on down the candidate's own
+       probe sequence: no seed crosses candidates, so the point is
+       bit-identical however the sweep is scheduled or resumed. *)
     let params = Durability.params ~deadline ?obs params in
-    let params =
-      Durability.params ?warm:(Durability.warm_anchor ?params capped) params
-    in
     match
       ( min_period_scale ?params ~policy:(policy index) ~on_failure capped,
         Config.graphs capped )

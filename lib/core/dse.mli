@@ -19,8 +19,13 @@
     recovery ladder on every probe).
 
     All probes share one internal clone of [cfg] whose periods are
-    rescaled in place — [cfg] itself is never mutated.  [policy] is
-    forwarded to every probe's {!Mapping.solve}.  [on_probe] is called
+    rescaled in place — [cfg] itself is never mutated.  They also
+    share one warm chain: each probe's cone solve starts from the
+    optimum ({!Mapping.result.warm}) of the latest earlier probe that
+    reached one, and the first from [params]' own warm point (none:
+    cold).  The seeds are therefore a pure function of [cfg], [params]
+    and the probe sequence.  [policy] is forwarded to every probe's
+    {!Mapping.solve}.  [on_probe] is called
     with the scale of every feasibility probe (solve); the regression
     tests use it to pin the probe count so the fast path cannot
     silently regress.  [on_failure] is called with every probe error
@@ -82,9 +87,11 @@ val curve_skipped : curve_point list -> (int * string) list
     pool, journal, deadlines, cancellation, exception barrier, trace
     events and warm starts — is {!Durable.Sweep}'s; the per-candidate
     deadline bounds a cap's whole bisection, a fault plan restricted
-    with [only=I] applies to the 0-based [I]-th cap, and each cap runs
-    its own warm anchor (its caps, unscaled period), which seeds every
-    probe of its bisection.
+    with [only=I] applies to the 0-based [I]-th cap, and each cap's
+    bisection starts cold at the unscaled period and chains its warm
+    starts through its own probes ({!min_period_scale}) — no seed
+    crosses caps, so every point and every cap's cone iterations are
+    bit-identical across pool sizes and resumes.
 
     Candidate verdicts: ["feasible"], ["infeasible"], ["skipped"] or
     ["timed out"].  The journal records each point's outcome and

@@ -28,10 +28,12 @@ let candidate_policy policy =
   fun index -> { Recovery.fault = Robust.Fault.for_candidate fault ~index }
 
 (* One cold "anchor" solve whose solution seeds every candidate of a
-   sweep.  Anchoring (rather than chaining each candidate to its
-   neighbour) keeps the sweep order-independent: candidates solved in
-   parallel lanes, in journal-restored order, or alone all see the
-   same seed, which is what makes warm starts pool- and resume-safe.
+   [tradeoff] or [pareto] sweep.  Anchoring (rather than chaining each
+   candidate to its neighbour) keeps the sweep order-independent:
+   candidates solved in parallel lanes, in journal-restored order, or
+   alone all see the same seed, which is what makes warm starts pool-
+   and resume-safe.  [dse] needs no anchor: its candidates chain the
+   seed through their own probes ([Dse.min_period_scale]).
    The anchor strips observability (its iterations must not pollute
    the sweep's trace or metrics), fault injection (it is not a
    candidate; plans count attempts of candidates only) and any stale

@@ -34,11 +34,13 @@ val candidate_policy :
     returns its primal/dual point as a warm-start seed, or [None] if
     the solve did not reach [Optimal] (or raised).  Observability,
     fault injection and any warm point are stripped from [params]
-    first: the anchor is bookkeeping, not a sweep candidate.  Sweeps
-    seed {e every} candidate from this one anchor rather than chaining
-    neighbours, so the seed — and therefore every candidate's iteration
-    trajectory — is independent of solve order: bit-identical across
-    [--jobs] levels and across journal-restored resumes. *)
+    first: the anchor is bookkeeping, not a sweep candidate.
+    {!Tradeoff} and {!Pareto} seed {e every} candidate from this one
+    anchor rather than chaining neighbours, so the seed — and
+    therefore every candidate's iteration trajectory — is independent
+    of solve order: bit-identical across [--jobs] levels and across
+    journal-restored resumes.  {!Dse} chains seeds inside each
+    candidate instead ({!Dse.min_period_scale}). *)
 val warm_anchor :
   ?params:Conic.Socp.params -> Taskgraph.Config.t -> Conic.Socp.warm option
 

@@ -21,6 +21,7 @@ type result = {
   certificate : Certify.t;
   recovery : Recovery.trace;
   stats : stats;
+  warm : Socp.warm option;
 }
 
 type error =
@@ -188,6 +189,9 @@ let finish_optimal cfg ~policy ~obs builder result trace stats =
           certificate;
           recovery = trace;
           stats;
+          warm =
+            (let raw = result.Model.raw in
+             Some { Socp.wx = raw.Socp.x; ws = raw.Socp.s; wz = raw.Socp.z });
         }
 
 (* Last rung of the ladder: when every cone-solver attempt stalled,
@@ -221,12 +225,12 @@ let fallback_lp cfg ~obs trace stats final_status =
             Socp.pp_status final_status (Recovery.attempts trace)
             Recovery.pp_trace trace Two_phase.pp_error e))
   | Ok tp ->
-    exit_rung "recovered (exact simplex)";
+    exit_rung "recovered (simplex)";
     let mapped = tp.Two_phase.mapped in
     let attempt =
       {
         Recovery.stage = Recovery.Fallback_lp;
-        status = "recovered (exact simplex)";
+        status = "recovered (simplex)";
         iterations = 0;
         time_s = 0.0;
       }
@@ -252,6 +256,7 @@ let fallback_lp cfg ~obs trace stats final_status =
         certificate = tp.Two_phase.certificate;
         recovery = trace @ [ attempt ];
         stats = { stats with attempts = stats.attempts + 1 };
+        warm = None;
       }
 
 let solve ?params ?policy ?obs cfg =

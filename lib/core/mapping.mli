@@ -51,6 +51,11 @@ type result = {
       (** one attempt per solver run; more than one means the solve was
           recovered *)
   stats : stats;
+  warm : Conic.Socp.warm option;
+      (** the optimal primal/dual point of the cone rung that answered,
+          in the original coordinates — a warm-start seed for a nearby
+          instance ({!Dse.min_period_scale} chains its probes on it);
+          [None] on the LP-fallback path *)
 }
 
 type error =

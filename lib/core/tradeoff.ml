@@ -118,6 +118,7 @@ let decode_result cfg ~candidate ib =
         solve_time_s = 0.0;
         kkt_fallbacks = 0;
       };
+    warm = None;
   }
 
 let decode_point cfg ~candidate cap payload =

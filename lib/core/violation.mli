@@ -29,8 +29,10 @@ type t =
     ["throughput"] or ["proc-capacity"]. *)
 val constraint_id : t -> string
 
-(** The human-readable diagnostic line (byte-compatible with the
-    historical string-list diagnostics). *)
+(** The human-readable diagnostic line.  Periods, latencies and
+    budgets print with the fewest significant digits (six at least)
+    that read back as the same float, so the two sides of a violated
+    inequality never print alike. *)
 val to_string : t -> string
 
 val pp : Format.formatter -> t -> unit

@@ -23,12 +23,15 @@
     [Candidate] event.
 
     Warm starts (docs/solver.md): the solver drivers seed their
-    interior-point runs from a cold {e anchor} solve that is a pure
-    function of the candidate grid — never of a neighbour's result —
-    so every candidate's trajectory, and hence every result, is
-    bit-identical across pool sizes and journal resumes.  Rungs past
-    the first of the recovery ladder, and every candidate whose anchor
-    failed, run cold. *)
+    interior-point runs from a point that is a pure function of the
+    candidate grid or of the candidate itself — never of a
+    neighbour's result: [tradeoff] and [pareto] from one cold
+    {e anchor} solve, each [dse] candidate from the previous probe of
+    its own bisection.  So every candidate's trajectory, and hence
+    every result, is bit-identical across pool sizes and journal
+    resumes.  Rungs past the first of the recovery ladder, every
+    candidate whose anchor failed and every first dse probe run
+    cold. *)
 
 (** How a sweep ended: of [total] candidates, [resumed] were restored
     from the journal, [solved] were newly evaluated, and [not_run] were

@@ -166,6 +166,12 @@ type state = {
 let emit state ev =
   match state.scfg.obs with Some ctx -> Obs.Ctx.emit ctx ev | None -> ()
 
+(* [emit] for an event that costs something to build (a cache event's
+   key digest is a CRC over the whole instance text): built only when a
+   trace is attached. *)
+let emit_with state make =
+  match state.scfg.obs with Some ctx -> Obs.Ctx.emit ctx (make ()) | None -> ()
+
 let log state fmt =
   Printf.ksprintf
     (fun s -> match state.scfg.log with Some f -> f s | None -> ())
@@ -537,11 +543,13 @@ let dispatch_batch state first =
       | Some cache -> (
         match Cache.find cache ~key:job.key with
         | Some outcome ->
-          emit state (Obs.Trace.Cache_hit { key = Cache.digest job.key });
+          emit_with state (fun () ->
+              Obs.Trace.Cache_hit { key = Cache.digest job.key });
           bump state (fun s -> { s with cache_hits = s.cache_hits + 1 });
           `Settled (job, Hit outcome)
         | None ->
-          emit state (Obs.Trace.Cache_miss { key = Cache.digest job.key });
+          emit_with state (fun () ->
+              Obs.Trace.Cache_miss { key = Cache.digest job.key });
           bump state (fun s -> { s with cache_misses = s.cache_misses + 1 });
           `Solve job))
   in

@@ -585,12 +585,13 @@ let test_tradeoff_resume_old_payload () =
 (* Warm starts: determinism across pool sizes and resumes              *)
 (* ------------------------------------------------------------------ *)
 
-(* The sweeps seed every candidate from one cold anchor solve (see
-   Durability.warm_anchor), so the seed — and every candidate's
-   iteration trajectory — must be independent of solve order.  These
-   pins hold the warm path to the same bit-identical standard as the
-   cold one: --jobs 1 vs --jobs 4, and killed-and-resumed vs
-   uninterrupted. *)
+(* [tradeoff] and [pareto] seed every candidate from one cold anchor
+   solve (see Durability.warm_anchor); each [dse] candidate chains its
+   probes' seeds through its own bisection.  Either way the seed — and
+   every candidate's iteration trajectory — must be independent of
+   solve order.  These pins hold the warm path to the same
+   bit-identical standard as the cold one: --jobs 1 vs --jobs 4, and
+   killed-and-resumed vs uninterrupted. *)
 
 let check_tradeoff_points_identical expected actual =
   List.iter2
@@ -639,32 +640,43 @@ let test_warm_sweep_jobs_determinism () =
 let test_warm_dse_resume_bit_identical () =
   let cfg = Workloads.Gen.paper_t1 () in
   let caps = [ 1; 2; 3; 4 ] in
-  let full =
-    Dse.curve_points (Dse.throughput_curve cfg ~caps)
+  let full, full_iterations =
+    let obs, sink = Sweep_iterations.context () in
+    let points = Dse.curve_points (Dse.throughput_curve ~obs cfg ~caps) in
+    (points, Sweep_iterations.per_candidate sink)
   in
   let path = temp_journal () in
   let fp = Journal.fingerprint [ "warm-dse-resume" ] in
   (* Kill after the first candidate, then resume under a 4-domain pool:
-     the curve must still be bit-identical to the uninterrupted
-     sequential sweep. *)
+     the curve, and the cone iterations of each candidate, must still
+     be bit-identical to the uninterrupted sequential sweep. *)
   with_journal ~fingerprint:fp path (fun j ->
       let calls = ref 0 in
       let cancel () =
         incr calls;
         !calls > 1
       in
-      ignore (Dse.throughput_curve ~journal:j ~cancel cfg ~caps));
+      let obs, sink = Sweep_iterations.context () in
+      ignore (Dse.throughput_curve ~journal:j ~cancel ~obs cfg ~caps);
+      Alcotest.(check (list (pair int int)))
+        "killed sweep: candidate 0 iterations" [ List.hd full_iterations ]
+        (Sweep_iterations.per_candidate sink));
   let prog = ref None in
   with_journal ~fingerprint:fp path (fun j ->
       Pool.with_pool ~domains:4 (fun pool ->
+          let obs, sink = Sweep_iterations.context () in
           let points =
-            Dse.throughput_curve ~journal:j ~pool
+            Dse.throughput_curve ~journal:j ~pool ~obs
               ~on_progress:(fun p -> prog := Some p)
               cfg ~caps
           in
           Alcotest.(check (list (pair int (float 0.0))))
             "identical to the uninterrupted sweep" full
-            (Dse.curve_points points)));
+            (Dse.curve_points points);
+          Alcotest.(check int) "resumed candidates' iterations"
+            (List.fold_left (fun acc (_, n) -> acc + n) 0
+               (List.tl full_iterations))
+            (Sweep_iterations.total sink)));
   (match !prog with
   | Some p ->
     Alcotest.(check int) "restored 1" 1 p.Sweep.resumed;

@@ -570,11 +570,12 @@ let test_dse_min_period_infeasible_structure () =
     (Dse.min_period_scale cfg = None)
 
 (* The bisection accepts a probe on its exact certificate alone.  On
-   car-radio at caps 7-10 (each cap seeded from its own warm anchor,
-   as [Dse.throughput_curve] does), a float dataflow check accepted
-   probes the certificate refutes, which left cap 10 at a period twice
-   that of cap 9.  Every accepted probe must be certified, and more
-   buffering can only help. *)
+   car-radio at caps 7-10 (then each cap seeded from its own warm
+   anchor), a float dataflow check accepted probes the certificate
+   refutes, which left cap 10 at a period twice that of cap 9.  Every
+   accepted probe must be certified, and more buffering can only
+   help.  Each cap bisects as [Dse.throughput_curve] does: cold first
+   probe, then its own warm chain. *)
 let test_dse_accepts_only_certified () =
   let cfg = List.assoc "car-radio" Workloads.Apps.all () in
   let min_period cap =
@@ -582,11 +583,6 @@ let test_dse_accepts_only_certified () =
     List.iter
       (fun b -> Config.set_max_capacity capped b (Some cap))
       (Config.all_buffers capped);
-    let params =
-      Budgetbuf.Durability.params
-        ?warm:(Budgetbuf.Durability.warm_anchor capped)
-        None
-    in
     let on_feasible r =
       Alcotest.(check bool)
         (Printf.sprintf "cap %d: accepted probe certified" cap)
@@ -594,7 +590,7 @@ let test_dse_accepts_only_certified () =
         (Budgetbuf.Certify.certified r.Mapping.certificate)
     in
     match
-      Dse.min_period_scale ?params ~policy:(Robust.Recovery.with_fault None)
+      Dse.min_period_scale ~policy:(Robust.Recovery.with_fault None)
         ~on_feasible capped
     with
     | None -> Alcotest.failf "cap %d: no feasible period" cap

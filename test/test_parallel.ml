@@ -106,7 +106,14 @@ let prop_pool_map_matches_sequential =
       true)
 
 (* The journal-less pooled curve against the sequential one, point by
-   point: period bits, certification and failure reasons alike. *)
+   point: period bits, certification and failure reasons alike.  Each
+   dse candidate chains warm starts through its own probes only, so
+   its cone iterations are a pure function of the candidate too:
+   - the sequential sweep's per-candidate totals equal those of each
+     cap swept alone (the single-cap sweeps run side by side on the
+     pool), so a seed that leaks from one candidate into the next
+     fails even where the points agree;
+   - the pooled sweep makes exactly as many iterations in all. *)
 let test_throughput_curve_matches_sequential () =
   let caps = List.init 10 (fun i -> i + 1) in
   let show (p : Budgetbuf.Dse.curve_point) =
@@ -117,19 +124,61 @@ let test_throughput_curve_matches_sequential () =
        | Error reason -> "error " ^ reason)
       p.certified
   in
+  let traced ?pool cfg caps =
+    let obs, sink = Sweep_iterations.context () in
+    let curve = Budgetbuf.Dse.throughput_curve ?pool ~obs cfg ~caps in
+    (List.map show curve, sink)
+  in
   List.iter
     (fun (name, cfg) ->
-      let curve ?pool () =
-        List.map show (Budgetbuf.Dse.throughput_curve ?pool cfg ~caps)
-      in
-      let seq = curve () in
-      let par = Pool.with_pool ~domains:4 @@ fun pool -> curve ~pool () in
+      let seq, seq_sink = traced cfg caps in
+      let seq_iterations = Sweep_iterations.per_candidate seq_sink in
+      Pool.with_pool ~domains:4 @@ fun pool ->
+      let par, par_sink = traced ~pool cfg caps in
       Alcotest.(check (list string))
-        (name ^ ": curve identical across job counts") seq par)
+        (name ^ ": curve identical across job counts") seq par;
+      Alcotest.(check int)
+        (name ^ ": iterations identical across job counts")
+        (Sweep_iterations.total seq_sink)
+        (Sweep_iterations.total par_sink);
+      let alone =
+        Pool.map pool
+          (fun cap ->
+            let points, sink = traced cfg [ cap ] in
+            (points, Sweep_iterations.total sink))
+          caps
+      in
+      Alcotest.(check (list string))
+        (name ^ ": curve identical cap by cap") seq
+        (List.concat_map fst alone);
+      Alcotest.(check (list (pair int int)))
+        (name ^ ": per-candidate iterations identical cap by cap")
+        seq_iterations
+        (List.mapi (fun i (_, n) -> (i, n)) alone))
     [
       ("paper T1", Workloads.Gen.paper_t1 ());
       ("chain n=6", Workloads.Gen.chain ~n:6 ());
     ]
+
+(* The cone iterations of a T1 throughput curve over caps 1:4, from the
+   solve counters of its context: 69 probes in 713 iterations, each
+   probe seeded from the previous probe's optimum.  Seeding every probe
+   from a separate solve of the cap at its unscaled period took 911
+   (71 probes, the four seed solves not counted), and cold probes 1095.
+   A change to the seeds or to the solver's trajectory moves this
+   pin.  No fault plan applies, whatever [BUDGETBUF_FAULT] says: a
+   stalled first rung reruns cold. *)
+let test_throughput_curve_iterations_pinned () =
+  let obs = Obs.Ctx.make () in
+  ignore
+    (Budgetbuf.Dse.throughput_curve ~obs
+       ~policy:{ Robust.Recovery.fault = None }
+       (Workloads.Gen.paper_t1 ()) ~caps:[ 1; 2; 3; 4 ]);
+  let solves =
+    List.find (String.starts_with ~prefix:"solves: ") (Obs.Ctx.report obs)
+  in
+  let iterations = Scanf.sscanf solves "solves: %_d (%d iterations)" Fun.id in
+  Alcotest.(check int) "cone iterations pinned" 713 iterations
 
 (* ------------------------------------------------------------------ *)
 (* Failure semantics: earliest exception at the join, pool survives    *)
@@ -345,6 +394,8 @@ let () =
         [
           Alcotest.test_case "throughput curve identical" `Quick
             test_throughput_curve_matches_sequential;
+          Alcotest.test_case "throughput curve iterations pinned" `Quick
+            test_throughput_curve_iterations_pinned;
           QCheck_alcotest.to_alcotest prop_pool_map_matches_sequential;
         ] );
       ( "failure",

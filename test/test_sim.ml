@@ -727,7 +727,7 @@ let prop_model_conservative =
 (* The same oracle down every rung of the recovery ladder:
    [stall,attempts=k] stalls the first [k] cone attempts, so the answer
    comes from the relaxed, deep or jittered rung, or (k = 4) from the
-   exact-simplex fallback.  Every [Ok] must come from that rung, carry
+   simplex fallback.  Every [Ok] must come from that rung, carry
    a certified certificate and simulate within µ.  A failed solve
    proves nothing here; the ladder's reach is pinned in test_robust. *)
 let prop_recovered_conservative k =

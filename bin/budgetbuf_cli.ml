@@ -1132,7 +1132,9 @@ let do_dse () path (lo, hi) solver flags =
         (fun (p : Budgetbuf.Dse.curve_point) ->
           match p.Budgetbuf.Dse.outcome with
           | Ok (Some period) ->
-            Format.printf "%-6d %-12.4f@." p.Budgetbuf.Dse.cap period
+            (* The exact period of the certified mapping, rounded up. *)
+            Format.printf "%-6d %-12s@." p.Budgetbuf.Dse.cap
+              (period_up ~digits:4 period)
           | Ok None -> Format.printf "%-6d %-12s@." p.Budgetbuf.Dse.cap "infeasible"
           | Error _ -> ())
         points;

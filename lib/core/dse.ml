@@ -1,6 +1,7 @@
 module Config = Taskgraph.Config
+module Rat = Exact.Rat
 
-(* Raised inside a bisection when a probe times out: once the deadline
+(* Raised inside a search when a probe times out: once the deadline
    is blown, further probes could only time out too, so the search is
    abandoned wholesale instead of bisecting on garbage. *)
 exception Probe_expired
@@ -8,8 +9,44 @@ exception Probe_expired
 (* The bisection stops at this relative width. *)
 let tolerance = 1e-4
 
-let min_period_scale ?params ?policy ?obs ?on_probe ?on_failure ?on_feasible
-    cfg =
+(* The first probe sits this far above the min-period bound, half the
+   tolerance: a certified probe there ends the search. *)
+let first_step = 5e-5
+
+(* Probes beyond this scale are not tried: the search gives up. *)
+let max_scale = 1000.0
+
+(* The smallest float at or above [q]. *)
+let float_up q =
+  let rec up f =
+    if Rat.compare (Rat.of_float f) q < 0 then up (Float.succ f) else f
+  in
+  up (Rat.to_float q)
+
+(* The optimum of the min-period form of Algorithm 1
+   ({!Socp_builder.build_min_period}), solved once and cold: no scale
+   below it admits a cone-program mapping.  [None] unless the solve is
+   optimal.  It runs in a ["socp"] span with [params]' context, so a
+   trace counts it with the probes' solves. *)
+let period_bound ?params cfg =
+  let b = Socp_builder.build_min_period cfg in
+  let params =
+    Option.map (fun p -> { p with Conic.Socp.warm = None }) params
+  in
+  let obs = Durability.obs_of params None in
+  let r =
+    Obs.Ctx.with_span obs "socp" (fun () ->
+        Conic.Model.solve ?params b.Socp_builder.bound_model)
+  in
+  let s = r.Conic.Model.value b.Socp_builder.scale_var in
+  if r.Conic.Model.status = Conic.Socp.Optimal && Float.is_finite s && s > 0.0
+  then Some s
+  else None
+
+(* The search behind [min_period_scale]: the accepted scale and the
+   periods, one per graph in [Config.graphs] order, at which the
+   mapping behind it is certified. *)
+let search ?params ?policy ?obs ?on_probe ?on_failure ?on_feasible cfg =
   (* The context rides inside the params so every probe's [Mapping.solve]
      sees it without further plumbing. *)
   let params = Durability.params ?obs params in
@@ -17,7 +54,41 @@ let min_period_scale ?params ?policy ?obs ?on_probe ?on_failure ?on_feasible
      between probes, so rescaling them in place beats rebuilding the
      whole configuration each time. *)
   let probe_cfg = Config.copy cfg in
-  let base = List.map (fun g -> (g, Config.period cfg g)) (Config.graphs cfg) in
+  let base =
+    List.map (fun g -> (g, Config.period cfg g)) (Config.graphs cfg)
+  in
+  let set_periods periods =
+    List.iter2 (fun (g, _) mu -> Config.set_period probe_cfg g mu) base periods
+  in
+  (* A certified mapping sustains every scale from its exact one,
+     max over graphs of MCR(g)/µ(g), up: the periods at that scale,
+     rounded up, are re-certified (a latency bound need not hold at a
+     shorter period) and replace the probe's own.  Exact certification
+     work, so it is traced as a ["finish"] span. *)
+  let exact_point (r : Mapping.result) scale =
+    Obs.Ctx.with_span (Durability.obs_of params None) "finish" @@ fun () ->
+    let probed = List.map (fun (g, _) -> Config.period probe_cfg g) base in
+    let ratio (g, mu) =
+      Option.map
+        (fun c -> Rat.div c.Certify.ratio (Rat.of_float mu))
+        (Certify.max_cycle_ratio probe_cfg g r.Mapping.mapped)
+    in
+    match
+      List.fold_left
+        (fun acc gm ->
+          Option.bind acc (fun q -> Option.map (Rat.max q) (ratio gm)))
+        (Some Rat.zero) base
+    with
+    | Some q when Rat.sign q > 0 ->
+      let periods =
+        List.map (fun (_, mu) -> float_up (Rat.mul (Rat.of_float mu) q)) base
+      in
+      set_periods periods;
+      if Certify.certified (Certify.check probe_cfg r.Mapping.mapped) then
+        (float_up q, periods)
+      else (scale, probed)
+    | _ -> (scale, probed)
+  in
   (* The warm chain: each probe starts from the optimum of the latest
      earlier probe that reached one (only the periods differ between
      probes, so that point is the closest seed there is), and the first
@@ -25,58 +96,84 @@ let min_period_scale ?params ?policy ?obs ?on_probe ?on_failure ?on_feasible
      chain lives and dies with this one search, so the probes' seeds
      are a pure function of [cfg] and the probe sequence. *)
   let seed = ref None in
+  (* [Some point] for a probe whose mapping is certified. *)
   let feasible scale =
     (match on_probe with None -> () | Some f -> f scale);
-    List.iter (fun (g, mu) -> Config.set_period probe_cfg g (mu *. scale)) base;
+    set_periods (List.map (fun (_, mu) -> mu *. scale) base);
     let params = Durability.params ?warm:!seed params in
     match Mapping.solve ?params ?policy probe_cfg with
     | Ok r ->
       if Option.is_some r.Mapping.warm then seed := r.Mapping.warm;
-      let ok = Certify.certified r.Mapping.certificate in
-      if ok then (match on_feasible with None -> () | Some f -> f r);
-      ok
+      if Certify.certified r.Mapping.certificate then begin
+        (match on_feasible with None -> () | Some f -> f r);
+        Some (exact_point r scale)
+      end
+      else None
     | Error (Mapping.Solver_failure _ as e) ->
       (* A solver failure is not an infeasibility verdict: let callers
          (the sweep drivers) distinguish a broken probe from a genuine
          dead end before treating the whole search as infeasible. *)
       (match on_failure with None -> () | Some f -> f e);
-      false
+      None
     | Error (Mapping.Timed_out _ as e) ->
       (match on_failure with None -> () | Some f -> f e);
       raise Probe_expired
-    | Error _ -> false
+    | Error _ -> None
   in
-  (* Grow until feasible, then bisect. *)
-  let rec find_hi scale =
-    if scale > 1000.0 then None
-    else if feasible scale then Some scale
-    else find_hi (2.0 *. scale)
+  (* Bisect between a failed probe (or the bound) [lo] and the
+     certified point [hi]; every certified probe moves [hi] down to its
+     mapping's exact scale. *)
+  let rec bisect lo ((h, _) as hi) iters =
+    if iters = 0 || h -. lo <= tolerance *. h then Some hi
+    else
+      let mid = 0.5 *. (lo +. h) in
+      match feasible mid with
+      | Some hi -> bisect lo hi (iters - 1)
+      | None -> bisect mid hi (iters - 1)
   in
-  let search () =
-    match find_hi 1.0 with
-    | None -> None
-    | Some hi0 ->
-      let rec bisect lo hi iters =
-        if iters = 0 || hi -. lo <= tolerance *. hi then hi
-        else begin
-          let mid = 0.5 *. (lo +. hi) in
-          if mid <= 0.0 then hi
-          else if feasible mid then bisect lo mid (iters - 1)
-          else bisect mid hi (iters - 1)
-        end
-      in
-      (* The period can never drop below the largest WCET; anchor the
-         lower end there instead of zero to save probes. *)
-      let lo0 =
-        List.fold_left
-          (fun acc w ->
-            let mu = Config.period cfg (Config.task_graph cfg w) in
-            Float.max acc (Config.wcet cfg w /. mu))
-          1e-9 (Config.all_tasks cfg)
-      in
-      Some (bisect (Float.min lo0 hi0) hi0 60)
+  (* Gallop up from [bound]: probe bound·(1 + ε), ε doubling from
+     [first_step], until a probe is certified or would reach [hi];
+     probes at or below a failed one ([lo]) are skipped. *)
+  let rec gallop bound lo step hi =
+    let scale = bound *. (1.0 +. step) in
+    if scale <= lo then gallop bound lo (2.0 *. step) hi
+    else
+      match hi with
+      | Some ((h, _) as hi) when scale >= h -> bisect lo hi 60
+      | None when scale > max_scale -> None
+      | _ -> (
+        match feasible scale with
+        | Some hi -> bisect lo hi 60
+        | None -> gallop bound scale (2.0 *. step) hi)
   in
-  match search () with v -> v | exception Probe_expired -> None
+  (* With no bound, the period can never drop below the largest WCET. *)
+  let wcet_bound () =
+    List.fold_left
+      (fun acc w ->
+        let mu = Config.period cfg (Config.task_graph cfg w) in
+        Float.max acc (Config.wcet cfg w /. mu))
+      1e-9 (Config.all_tasks cfg)
+  in
+  let run () =
+    let bound = period_bound ?params probe_cfg in
+    let lo = match bound with Some s -> s | None -> wcet_bound () in
+    (* The cold probe at the unscaled period, unless the bound rules it
+       out: a certified answer caps the gallop, and its optimum seeds
+       the probes near the bound, which stall more often cold. *)
+    if Option.is_some bound && lo >= 1.0 then gallop lo lo first_step None
+    else
+      match feasible 1.0 with
+      | Some _ as hi -> gallop lo lo first_step hi
+      | None -> gallop lo (Float.max lo 1.0) first_step None
+  in
+  (* No mapping at any period, and none to probe for. *)
+  if Option.is_some (Mapping.capped_below_tokens cfg) then None
+  else match run () with v -> v | exception Probe_expired -> None
+
+let min_period_scale ?params ?policy ?obs ?on_probe ?on_failure ?on_feasible
+    cfg =
+  Option.map fst
+    (search ?params ?policy ?obs ?on_probe ?on_failure ?on_feasible cfg)
 
 type curve_point = {
   cap : int;
@@ -141,7 +238,7 @@ let throughput_curve ?params ?policy ?pool ?deadline ?candidate_deadline
     ?journal ?cancel ?obs ?on_progress cfg ~caps =
   let policy = Durability.candidate_policy policy in
   let caps = Array.of_list caps in
-  (* Each candidate bisects on its own clone with its own slice of the
+  (* Each candidate searches on its own clone with its own slice of the
      fault plan. *)
   let solve_cap ~deadline index =
     let cap = caps.(index) in
@@ -153,23 +250,16 @@ let throughput_curve ?params ?policy ?pool ?deadline ?candidate_deadline
     List.iter
       (fun b -> Config.set_max_capacity capped b (Some cap))
       (Config.all_buffers capped);
-    (* The bisection's first probe (this cap, unscaled period) runs
+    (* The search solves this cap's bound cold; its first probe runs
        cold and seeds the next one, and so on down the candidate's own
        probe sequence: no seed crosses candidates, so the point is
        bit-identical however the sweep is scheduled or resumed. *)
     let params = Durability.params ~deadline ?obs params in
-    match
-      ( min_period_scale ?params ~policy:(policy index) ~on_failure capped,
-        Config.graphs capped )
-    with
-    | Some scale, g :: _ ->
-      (* [min_period_scale] accepts only certified probes, and the
-         bisection only ever narrows onto accepted ones. *)
-      {
-        cap;
-        outcome = Ok (Some (Config.period capped g *. scale));
-        certified = true;
-      }
+    match search ?params ~policy:(policy index) ~on_failure capped with
+    | Some (_, period :: _) ->
+      (* [search] accepts only certified probes, and the period is the
+         one the accepted mapping is certified at. *)
+      { cap; outcome = Ok (Some period); certified = true }
     | _ -> (
       (* No feasible scale: an infeasibility verdict everywhere is the
          honest [Ok None]; a failing solver is a skip with a reason. *)

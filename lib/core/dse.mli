@@ -2,19 +2,42 @@
 
     The paper takes the throughput requirement [µ] as an input; the
     dual question a designer asks is "what is the best throughput these
-    resources can sustain?".  This module answers it by bisecting over
-    a common scale factor on all graph periods and re-running the joint
-    budget/buffer program at each probe — yielding the minimum feasible
+    resources can sustain?".  This module answers it over a common
+    scale factor on all graph periods: one solve of the min-period form
+    of Algorithm 1 ({!Socp_builder.build_min_period}) bounds the scale
+    from below, and probes of the joint budget/buffer program just above
+    that bound find a certified mapping — yielding the minimum feasible
     period and, swept against a buffer-capacity cap, the classic
     throughput/buffer trade-off curve (Stuijk et al., DAC 2007, the
     two-phase flow the paper's Section I contrasts against). *)
 
 (** [min_period_scale ?params ?policy ?on_probe cfg] is the smallest
-    factor [s] such that the configuration with all periods scaled by
-    [s] is feasible, found by bisection to a relative width of 1e-4.
-    [s ≤ 1] means the stated requirements hold with margin; [s > 1]
-    means they must be relaxed by that factor.  [None] when even a
-    1000× relaxation is infeasible (a structural dead end such as an
+    factor [s] found such that the configuration with all periods
+    scaled by [s] has a certified mapping.  [s ≤ 1] means the stated
+    requirements hold with margin; [s > 1] means they must be relaxed
+    by that factor.
+
+    The search:
+    - solves the min-period form once, cold, with [params]' deadline
+      and context (in a ["socp"] span, so a trace counts it): its
+      optimum [s_c] lower-bounds every scale at which the cone program
+      is feasible.  If that solve is not optimal, the bound falls back
+      to the largest [χ/µ];
+    - probes scale 1 when [s_c < 1] (or without a bound);
+    - probes [s_c·(1 + 5e-5)], and while a probe is not certified,
+      gallops up, doubling the step [ε] of [s_c·(1 + ε)] and skipping
+      scales at or below a failed probe, until a probe is certified or
+      reaches the scale-1 answer;
+    - bisects between the last failed probe (or [s_c]) and the
+      certified one to a relative width of 1e-4.
+    Every certified probe lowers the answer to its mapping's exact
+    scale, the maximum over graphs of [MCR(g)/µ(g)]
+    ({!Certify.max_cycle_ratio}), rounded up — provided the mapping is
+    certified again at those periods (a latency bound may fail at a
+    shorter period; the probe's own scale is kept then).  [None] when
+    a buffer's cap is below its initial tokens (without any solve,
+    see {!Mapping.capped_below_tokens}) or when no probe up to a 1000×
+    relaxation is certified (a structural dead end such as an
     over-full memory — or a solver failure that survived the whole
     recovery ladder on every probe).
 
@@ -23,24 +46,24 @@
     share one warm chain: each probe's cone solve starts from the
     optimum ({!Mapping.result.warm}) of the latest earlier probe that
     reached one, and the first from [params]' own warm point (none:
-    cold).  The seeds are therefore a pure function of [cfg], [params]
-    and the probe sequence.  [policy] is forwarded to every probe's
-    {!Mapping.solve}.  [on_probe] is called
-    with the scale of every feasibility probe (solve); the regression
-    tests use it to pin the probe count so the fast path cannot
-    silently regress.  [on_failure] is called with every probe error
-    that is a solver failure (not an infeasibility verdict): the sweep
-    drivers use it to tell a broken candidate from a genuine dead end
-    and report it as skipped instead of infeasible.  A probe is
-    feasible iff its mapping's exact certificate ({!Certify}) is
-    [Certified]; [on_feasible] is called with the full
-    {!Mapping.result} of every such probe.  Because the bisection only
-    ever narrows onto feasible probes, the last such call describes
-    the mapping behind the accepted scale.
+    cold); the bound solve always runs cold.  The probe sequence and
+    its seeds are therefore a pure function of [cfg] and [params].
+    [policy] is forwarded to every probe's {!Mapping.solve} (not to the
+    bound solve).  [on_probe] is called with the scale of every
+    feasibility probe (solve); the regression tests use it to pin the
+    probe count so the fast path cannot silently regress.
+    [on_failure] is called with every probe error that is a solver
+    failure (not an infeasibility verdict): the sweep drivers use it to
+    tell a broken candidate from a genuine dead end and report it as
+    skipped instead of infeasible.  A probe is feasible iff its
+    mapping's exact certificate ({!Certify}) is [Certified];
+    [on_feasible] is called with the full {!Mapping.result} of every
+    such probe.  Each certified probe becomes the answer, so the last
+    such call describes the mapping behind the accepted scale.
 
     When [params] carries a {!Conic.Socp.params.deadline} and a probe
     times out, the whole search is abandoned ([None]) after reporting
-    the timeout through [on_failure] — past the deadline, bisecting on
+    the timeout through [on_failure] — past the deadline, searching on
     further timed-out probes could only manufacture garbage bounds. *)
 val min_period_scale :
   ?params:Conic.Socp.params ->
@@ -58,10 +81,12 @@ val min_period_scale :
     [Error reason] when the candidate failed rather than proved
     infeasible — its solver failed past the whole recovery ladder, or
     its evaluation crashed (the sweep carries on — see
-    {!Parallel.Pool.map_result}).  [certified] reports whether the
-    mapping behind the accepted period carries an exact rational
-    certificate ({!Certify}): always [true] for a freshly solved
-    [Ok (Some _)], since only certified probes are accepted, and
+    {!Parallel.Pool.map_result}).  The period is the exact period of
+    the mapping behind it, rounded up to a float, at which that
+    mapping is certified ({!min_period_scale}).  [certified] reports
+    whether the mapping behind the accepted period carries an exact
+    rational certificate ({!Certify}): always [true] for a freshly
+    solved [Ok (Some _)], since only certified probes are accepted, and
     [false] for every other outcome.  The flag is journaled, so a
     point restored from a journal keeps its recorded verdict. *)
 type curve_point = {
@@ -81,17 +106,19 @@ val curve_skipped : curve_point list -> (int * string) list
 (** [throughput_curve ?params ?policy ?pool cfg ~caps] sweeps a shared
     buffer capacity cap and reports, per cap, the minimal feasible
     period of the {e first} task graph (single-graph configurations
-    being the common case).  Every cap is an independent bisection
-    over independent solves; points come back in cap order, minus any
+    being the common case).  Every cap is an independent search
+    ({!min_period_scale}) over independent solves; points come back in
+    cap order, minus any
     abandoned to the deadline or cancellation.  The sweep harness —
     pool, journal, deadlines, cancellation, exception barrier, trace
     events and warm starts — is {!Durable.Sweep}'s; the per-candidate
-    deadline bounds a cap's whole bisection, a fault plan restricted
-    with [only=I] applies to the 0-based [I]-th cap, and each cap's
-    bisection starts cold at the unscaled period and chains its warm
-    starts through its own probes ({!min_period_scale}) — no seed
-    crosses caps, so every point and every cap's cone iterations are
-    bit-identical across pool sizes and resumes.
+    deadline bounds a cap's whole search, a fault plan restricted
+    with [only=I] applies to the probes of the 0-based [I]-th cap, and
+    each cap's search solves its bound cold, probes cold first and
+    chains its warm starts through its own probes
+    ({!min_period_scale}) — no seed crosses caps, so every point and
+    every cap's cone iterations are bit-identical across pool sizes and
+    resumes.
 
     Candidate verdicts: ["feasible"], ["infeasible"], ["skipped"] or
     ["timed out"].  The journal records each point's outcome and

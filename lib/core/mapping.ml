@@ -259,7 +259,15 @@ let fallback_lp cfg ~obs trace stats final_status =
         warm = None;
       }
 
-let solve ?params ?policy ?obs cfg =
+let capped_below_tokens cfg =
+  List.find_opt
+    (fun b ->
+      match Config.max_capacity cfg b with
+      | Some cap -> cap < Config.initial_tokens cfg b
+      | None -> false)
+    (Config.all_buffers cfg)
+
+let solve_program ?params ?policy ?obs cfg =
   let policy =
     match policy with Some p -> p | None -> Recovery.default_policy ()
   in
@@ -318,3 +326,16 @@ let solve ?params ?policy ?obs cfg =
   | Socp.Optimal ->
     Obs.Ctx.with_span obs "finish" (fun () ->
         finish_optimal cfg ~policy ~obs builder result trace stats)
+
+let solve ?params ?policy ?obs cfg =
+  match capped_below_tokens cfg with
+  | Some b ->
+    (* No capacity can hold the initial tokens: infeasible at every
+       period, which the cone solver could only stall on. *)
+    Error
+      (Infeasible
+         (Printf.sprintf "buffer %s holds %d initial tokens, above its cap %d"
+            (Config.buffer_name cfg b)
+            (Config.initial_tokens cfg b)
+            (Option.get (Config.max_capacity cfg b))))
+  | None -> solve_program ?params ?policy ?obs cfg

@@ -91,6 +91,12 @@ val solve :
   Taskgraph.Config.t ->
   (result, error) Stdlib.result
 
+(** [capped_below_tokens cfg] is a buffer whose capacity cap is below
+    its initial tokens, if any: no mapping of [cfg] exists then, at any
+    period, and {!solve} returns [Infeasible] naming it without
+    building the cone program. *)
+val capped_below_tokens : Taskgraph.Config.t -> Taskgraph.Config.buffer option
+
 (** [round_budget ~granularity beta'] is [g·⌈β′/g⌉] with a small
     tolerance so values within 1e-9 of a grid point do not round up an
     extra granule.  (= {!Rounding.round_budget}.) *)

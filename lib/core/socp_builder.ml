@@ -9,7 +9,16 @@ type t = {
   start_var : Config.task -> [ `A1 | `A2 ] -> Model.var;
 }
 
-let build cfg =
+type min_period = { bound_model : Model.model; scale_var : Model.var }
+
+(* The one constraint writer of Algorithm 1.  [`Cost] is the paper's
+   program.  [`Min_period] is its min-period form: every period µ
+   becomes s·µ for one variable s, minimised, each capped buffer's δ′ is fixed at
+   cap − ι (more space only helps throughput), and the rows that would
+   then be bilinear or that only limit δ′ (the space queue of an
+   uncapped buffer, the memory rows (10)) are left out, so every
+   period scale at which [`Cost] is feasible is feasible here too. *)
+let write cfg form =
   let m = Model.create () in
   let budget = Hashtbl.create 16
   and lambda = Hashtbl.create 16
@@ -27,11 +36,17 @@ let build cfg =
       Hashtbl.replace start1 id (Model.variable m ("s." ^ n ^ ".1"));
       Hashtbl.replace start2 id (Model.variable m ("s." ^ n ^ ".2")))
     (Config.all_tasks cfg);
-  List.iter
-    (fun b ->
-      Hashtbl.replace space (Config.buffer_id b)
-        (Model.variable m ("delta'." ^ Config.buffer_name cfg b)))
-    (Config.all_buffers cfg);
+  let scale =
+    match form with
+    | `Cost ->
+      List.iter
+        (fun b ->
+          Hashtbl.replace space (Config.buffer_id b)
+            (Model.variable m ("delta'." ^ Config.buffer_name cfg b)))
+        (Config.all_buffers cfg);
+      None
+    | `Min_period -> Some (Model.variable m "scale")
+  in
   let bvar w = Hashtbl.find budget (Config.task_id w) in
   let lvar w = Hashtbl.find lambda (Config.task_id w) in
   let dvar b = Hashtbl.find space (Config.buffer_id b) in
@@ -43,11 +58,22 @@ let build cfg =
     let p = Config.task_proc cfg w in
     Model.term (Config.replenishment cfg p *. Config.wcet cfg w) (lvar w)
   in
+  (* Task [w]'s period µ, and s(v) less k tokens' worth of it: µ is a
+     constant in the paper's program and a multiple of s in the
+     min-period form. *)
+  let mu w = Config.period cfg (Config.task_graph cfg w) in
+  let period w =
+    match scale with None -> Model.const (mu w) | Some s -> Model.term (mu w) s
+  in
+  let less_tokens w v k =
+    match scale with
+    | None -> Model.affine ~const:(-.k *. mu w) [ (1.0, v) ]
+    | Some s -> Model.affine [ (1.0, v); (-.k *. mu w, s) ]
+  in
   List.iter
     (fun w ->
       let p = Config.task_proc cfg w in
       let repl = Config.replenishment cfg p in
-      let mu = Config.period cfg (Config.task_graph cfg w) in
       (* Positivity of the surrogates. *)
       Model.add_ge0 m (Model.var (bvar w));
       Model.add_ge0 m (Model.var (lvar w));
@@ -57,7 +83,7 @@ let build cfg =
         (Model.var (svar2 w))
         (Model.affine ~const:repl [ (1.0, svar1 w); (-1.0, bvar w) ]);
       (* (7) on the self-loop v2 → v2 (one token): ̺·χ·λ ≤ µ. *)
-      Model.add_le m (rho2 w) (Model.const mu);
+      Model.add_le m (rho2 w) (period w);
       (* (8): λ·β′ ≥ 1 as a second-order cone. *)
       Model.add_hyperbolic m ~a:(Model.var (lvar w)) ~b:(Model.var (bvar w))
         ~bound:1.0)
@@ -65,34 +91,39 @@ let build cfg =
   List.iter
     (fun b ->
       let wa = Config.buffer_src cfg b and wb = Config.buffer_dst cfg b in
-      let mu = Config.period cfg (Config.task_graph cfg wa) in
       let iota = float_of_int (Config.initial_tokens cfg b) in
-      Model.add_ge0 m (Model.var (dvar b));
+      if form = `Cost then Model.add_ge0 m (Model.var (dvar b));
       (* (7) on the data queue a2 → b1 (ι tokens):
          s(b1) ≥ s(a2) + ̺·χ·λ(a) − ι·µ. *)
       Model.add_ge m
         (Model.var (svar1 wb))
-        (Model.add
-           (Model.affine ~const:(-.iota *. mu) [ (1.0, svar2 wa) ])
-           (rho2 wa));
+        (Model.add (less_tokens wa (svar2 wa) iota) (rho2 wa));
       (* (7) on the space queue b2 → a1 (δ′ tokens):
          s(a1) ≥ s(b2) + ̺·χ·λ(b) − δ′·µ. *)
-      Model.add_ge m
-        (Model.var (svar1 wa))
-        (Model.add
-           (Model.affine [ (1.0, svar2 wb); (-.mu, dvar b) ])
-           (rho2 wb));
-      (* Optional capacity bound: ι + δ′ ≤ cap.  A bound equal to the
-         initial tokens pins δ′ = 0 exactly; expressing that by
-         substitution keeps the cone program's interior non-empty. *)
-      match Config.max_capacity cfg b with
-      | None -> ()
-      | Some cap when cap = Config.initial_tokens cfg b ->
-        Model.fix m (dvar b) 0.0
-      | Some cap ->
-        Model.add_le m
-          (Model.var (dvar b))
-          (Model.const (float_of_int cap -. iota)))
+      let space_queue rhs = Model.add_ge m (Model.var (svar1 wa)) rhs in
+      match (form, Config.max_capacity cfg b) with
+      | `Cost, cap -> (
+        space_queue
+          (Model.add
+             (Model.affine [ (1.0, svar2 wb); (-.mu wa, dvar b) ])
+             (rho2 wb));
+        (* Optional capacity bound: ι + δ′ ≤ cap.  A bound equal to the
+           initial tokens pins δ′ = 0 exactly; expressing that by
+           substitution keeps the cone program's interior non-empty. *)
+        match cap with
+        | None -> ()
+        | Some cap when cap = Config.initial_tokens cfg b ->
+          Model.fix m (dvar b) 0.0
+        | Some cap ->
+          Model.add_le m
+            (Model.var (dvar b))
+            (Model.const (float_of_int cap -. iota)))
+      | `Min_period, Some cap ->
+        space_queue
+          (Model.add
+             (less_tokens wb (svar2 wb) (float_of_int cap -. iota))
+             (rho2 wb))
+      | `Min_period, None -> ())
     (Config.all_buffers cfg);
   (* (9): per-processor budget capacity with rounding reserve. *)
   List.iter
@@ -112,7 +143,7 @@ let build cfg =
   List.iter
     (fun mem ->
       let bufs = Config.buffers_in cfg mem in
-      if bufs <> [] then begin
+      if form = `Cost && bufs <> [] then begin
         let lhs =
           Model.sum
             (List.map
@@ -150,28 +181,36 @@ let build cfg =
                 source/sink pair"
                (Config.graph_name cfg gr))))
     (Config.graphs cfg);
-  (* Objective (5). *)
-  let objective =
-    Model.sum
-      (List.map
-         (fun w -> Model.term (Config.task_weight cfg w) (bvar w))
-         (Config.all_tasks cfg)
-      @ List.map
-          (fun b ->
-            Model.term
-              (Config.buffer_weight cfg b
-              *. float_of_int (Config.container_size cfg b))
-              (dvar b))
-          (Config.all_buffers cfg))
-  in
-  Model.minimize m objective;
-  {
-    model = m;
-    budget_var = bvar;
-    lambda_var = lvar;
-    space_var = dvar;
-    start_var = (fun w -> function `A1 -> svar1 w | `A2 -> svar2 w);
-  }
+  (* Objective (5), or the period scale. *)
+  (match scale with
+  | Some s -> Model.minimize m (Model.var s)
+  | None ->
+    Model.minimize m
+      (Model.sum
+         (List.map
+            (fun w -> Model.term (Config.task_weight cfg w) (bvar w))
+            (Config.all_tasks cfg)
+         @ List.map
+             (fun b ->
+               Model.term
+                 (Config.buffer_weight cfg b
+                 *. float_of_int (Config.container_size cfg b))
+                 (dvar b))
+             (Config.all_buffers cfg))));
+  ( {
+      model = m;
+      budget_var = bvar;
+      lambda_var = lvar;
+      space_var = dvar;
+      start_var = (fun w -> function `A1 -> svar1 w | `A2 -> svar2 w);
+    },
+    scale )
+
+let build cfg = fst (write cfg `Cost)
+
+let build_min_period cfg =
+  let t, scale = write cfg `Min_period in
+  { bound_model = t.model; scale_var = Option.get scale }
 
 type continuous = {
   budget : Config.task -> float;

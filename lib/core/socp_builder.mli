@@ -43,6 +43,26 @@ type t = {
     memories). *)
 val build : Taskgraph.Config.t -> t
 
+(** The min-period form of Algorithm 1, written by the same constraint
+    writer as {!build}: every period [µ] becomes [s·µ] for one common
+    scale [s], which is minimised.  With [s] a variable, the space-queue
+    term [δ′·s·µ] of (7) is bilinear, so each capped buffer's [δ′] is
+    fixed at [cap − ι] (more space only helps throughput) and an
+    uncapped buffer's space-queue row is left out, as are the memory
+    rows (10); (6), the self-loop and data-queue rows of (7), (8), (9)
+    and the latency rows stay.  Every scale at which {!build}'s program
+    (periods scaled by [s]) is feasible is feasible here, so the optimum
+    lower-bounds the scale of every mapping the cone program can
+    return. *)
+type min_period = {
+  bound_model : Conic.Model.model;
+  scale_var : Conic.Model.var;  (** s *)
+}
+
+(** [build_min_period cfg] assembles the min-period form.  Every
+    capped buffer's cap must be at least its initial tokens. *)
+val build_min_period : Taskgraph.Config.t -> min_period
+
 (** Continuous solution extracted from a solved model. *)
 type continuous = {
   budget : Taskgraph.Config.task -> float;

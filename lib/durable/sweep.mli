@@ -27,11 +27,11 @@
     candidate grid or of the candidate itself — never of a
     neighbour's result: [tradeoff] and [pareto] from one cold
     {e anchor} solve, each [dse] candidate from the previous probe of
-    its own bisection.  So every candidate's trajectory, and hence
+    its own search.  So every candidate's trajectory, and hence
     every result, is bit-identical across pool sizes and journal
     resumes.  Rungs past the first of the recovery ladder, every
-    candidate whose anchor failed and every first dse probe run
-    cold. *)
+    candidate whose anchor failed, every dse bound solve and every
+    first dse probe run cold. *)
 
 (** How a sweep ended: of [total] candidates, [resumed] were restored
     from the journal, [solved] were newly evaluated, and [not_run] were

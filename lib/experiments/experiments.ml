@@ -451,9 +451,12 @@ let dse ?pool ppf =
   Format.fprintf ppf "  %-9s %-24s@." "capacity" "min period [Mcycles]";
   let cfg = Workloads.Gen.paper_t1 () in
   let curve = Budgetbuf.Dse.throughput_curve ?pool cfg ~caps:caps_1_10 in
+  (* Each point is the exact period of a certified mapping, printed
+     rounded up. *)
   List.iter
     (fun (cap, period) ->
-      Format.fprintf ppf "  %-9d %-24.4f@." cap period)
+      Format.fprintf ppf "  %-9d %-24s@." cap
+        (Exact.Rat.to_decimal ~round:`Up ~digits:4 (Exact.Rat.of_float period)))
     (Budgetbuf.Dse.curve_points curve);
   (match Budgetbuf.Dse.curve_skipped curve with
   | [] -> ()

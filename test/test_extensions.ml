@@ -603,6 +603,143 @@ let test_dse_accepts_only_certified () =
       true (p10 <= p9)
   | _ -> assert false
 
+let no_fault = { Robust.Recovery.fault = None }
+
+let cap_all cfg cap =
+  let capped = Config.copy cfg in
+  List.iter
+    (fun b -> Config.set_max_capacity capped b (Some cap))
+    (Config.all_buffers capped);
+  capped
+
+(* A cap below a buffer's initial tokens admits no mapping at any
+   period.  [Mapping.solve] says so, naming the buffer, and the search
+   gives up, both without a cone solve; the curve prints the cap as
+   infeasible instead of skipping it as stalled. *)
+let test_dse_cap_below_tokens () =
+  let ring = Workloads.Gen.ring ~n:6 ~initial:2 () in
+  let capped = cap_all ring 1 in
+  let obs = Obs.Ctx.make () in
+  (match Mapping.solve ~obs capped with
+  | Error (Mapping.Infeasible msg) ->
+    Alcotest.(check string) "names the buffer"
+      "buffer b5 holds 2 initial tokens, above its cap 1" msg
+  | Ok _ | Error _ -> Alcotest.fail "expected an infeasibility verdict");
+  let probes = ref 0 in
+  Alcotest.(check bool) "no scale" true
+    (Dse.min_period_scale ~obs ~on_probe:(fun _ -> incr probes) capped = None);
+  Alcotest.(check int) "no probe" 0 !probes;
+  Alcotest.(check bool) "no cone solve" true
+    (List.mem "solves: 0 (0 iterations)" (Obs.Ctx.report obs));
+  match Dse.throughput_curve ~policy:no_fault ring ~caps:[ 1; 2 ] with
+  | [ p1; p2 ] ->
+    Alcotest.(check bool) "cap 1 infeasible" true (p1.Dse.outcome = Ok None);
+    Alcotest.(check bool) "cap 2 certified" true p2.Dse.certified
+  | _ -> Alcotest.fail "expected two points"
+
+(* Every mapping valid at cap 1 is valid at cap 2.  The blind bisection
+   printed 5.5005 at cap 2 of split-join 4 against 4.0515 at cap 1: a
+   probe whose cone solve was optimal but whose rounded mapping was
+   refuted moved its lower end past feasible scales. *)
+let test_dse_splitjoin_cap2_no_worse () =
+  let cfg = Workloads.Gen.split_join ~branches:4 () in
+  match
+    Dse.curve_points (Dse.throughput_curve ~policy:no_fault cfg ~caps:[ 1; 2 ])
+  with
+  | [ (1, p1); (2, p2) ] ->
+    Alcotest.(check bool)
+      (Printf.sprintf "cap 2 (%.4f) no worse than cap 1 (%.4f)" p2 p1)
+      true (p2 <= p1)
+  | _ -> Alcotest.fail "expected both caps feasible"
+
+(* The nine dse instances of the benchmark's sweep-small workload. *)
+let sweep_small_dse () =
+  let app name = (name, List.assoc name Workloads.Apps.all ()) in
+  [
+    ("t1", Workloads.Gen.paper_t1 ());
+    ("t2", Workloads.Gen.paper_t2 ());
+    ("chain8", Workloads.Gen.chain ~n:8 ());
+    ("splitjoin4", Workloads.Gen.split_join ~branches:4 ());
+    ( "multijob3",
+      Workloads.Gen.multi_job (Workloads.Rng.create 1L) ~jobs:3
+        ~tasks_per_job:3 ~procs:3 () );
+    app "h263-decoder";
+    app "mp3-playback";
+    app "modem";
+    app "car-radio";
+  ]
+
+(* Searching up from the min-period bound never does worse than the
+   blind bisection it replaced ({!Dse_bisection}), within that
+   bisection's own width, and finds a point wherever it did. *)
+let test_dse_no_worse_than_bisection () =
+  let caps = List.init 10 succ in
+  List.iter
+    (fun (name, cfg) ->
+      List.iter
+        (fun (p : Dse.curve_point) ->
+          match (p.outcome, Dse_bisection.min_period cfg ~cap:p.cap) with
+          | Ok (Some period), Some old ->
+            Alcotest.(check bool)
+              (Printf.sprintf "%s cap %d: %.6f within 1e-4 of %.6f" name p.cap
+                 period old)
+              true
+              (period <= old *. (1.0 +. 1e-4))
+          | _, Some old ->
+            Alcotest.failf "%s cap %d: bisection found %.6f, search nothing"
+              name p.cap old
+          | _, None -> ())
+        (Dse.throughput_curve ~policy:no_fault cfg ~caps))
+    (sweep_small_dse ())
+
+(* Every printed point is the exact period of the certified mapping
+   behind it, rounded up: the mapping of the search's last certified
+   probe re-certifies with the graph's period set to the point, and
+   its exact maximum cycle ratio lies within the float below it. *)
+let prop_dse_points_recertify =
+  QCheck2.Test.make ~name:"dse points re-certify at their period" ~count:25
+    ~print:(fun (seed, split) ->
+      Printf.sprintf "seed %d, split-join %b" seed split)
+    QCheck2.Gen.(pair (int_range 0 10_000) bool)
+    (fun (seed, split) ->
+      let module Certify = Budgetbuf.Certify in
+      let module Rng = Workloads.Rng in
+      let rng = Rng.create (Int64.of_int seed) in
+      let cfg =
+        if split then
+          Workloads.Gen.split_join
+            ~branches:(1 + Rng.int rng ~bound:6)
+            ~wcet:(Rng.float rng ~lo:0.5 ~hi:2.0)
+            ~replenishment:(Rng.float rng ~lo:20.0 ~hi:60.0)
+            ~period:(Rng.float rng ~lo:5.0 ~hi:20.0)
+            ()
+        else Workloads.Gen.random_chain rng ~n:(2 + Rng.int rng ~bound:7) ()
+      in
+      let recertifies (p : Dse.curve_point) =
+        match p.outcome with
+        | Ok None | Error _ -> true
+        | Ok (Some period) ->
+          let capped = cap_all cfg p.cap in
+          let last = ref None in
+          ignore
+            (Dse.min_period_scale ~policy:no_fault
+               ~on_feasible:(fun r -> last := Some r.Mapping.mapped)
+               capped);
+          let mapped = Option.get !last in
+          let graphs = Config.graphs capped in
+          List.iter (fun g -> Config.set_period capped g period) graphs;
+          if not (Certify.certified (Certify.check capped mapped)) then
+            QCheck2.Test.fail_reportf "cap %d: refuted at %h" p.cap period;
+          let ratio =
+            (Option.get (Certify.max_cycle_ratio capped (List.hd graphs) mapped))
+              .Certify.ratio
+          in
+          let at f = Exact.Rat.compare ratio (Exact.Rat.of_float f) in
+          at period <= 0 && at (Float.pred period) > 0
+      in
+      List.for_all recertifies
+        (Dse.throughput_curve ~policy:no_fault cfg ~caps:[ 1; 2; 3; 4 ]))
+
 let test_dse_throughput_curve_monotone () =
   (* More buffering can only improve the best period (Fig 2a dualised). *)
   let cfg = Workloads.Gen.paper_t1 () in
@@ -1026,6 +1163,12 @@ let () =
             test_dse_throughput_curve_monotone;
           Alcotest.test_case "accepts only certified probes" `Quick
             test_dse_accepts_only_certified;
+          Alcotest.test_case "cap below initial tokens" `Quick
+            test_dse_cap_below_tokens;
+          Alcotest.test_case "split-join cap 2 no worse than cap 1" `Quick
+            test_dse_splitjoin_cap2_no_worse;
+          Alcotest.test_case "no worse than the bisection" `Quick
+            test_dse_no_worse_than_bisection;
         ] );
       ( "report",
         [
@@ -1042,5 +1185,6 @@ let () =
             prop_pareto_points_feasible;
             prop_budget_slack_consistent;
             prop_budget_probe_matches_schedulable;
+            prop_dse_points_recertify;
           ] );
     ]

@@ -161,13 +161,15 @@ let test_throughput_curve_matches_sequential () =
     ]
 
 (* The cone iterations of a T1 throughput curve over caps 1:4, from the
-   solve counters of its context: 69 probes in 713 iterations, each
-   probe seeded from the previous probe's optimum.  Seeding every probe
-   from a separate solve of the cap at its unscaled period took 911
-   (71 probes, the four seed solves not counted), and cold probes 1095.
-   A change to the seeds or to the solver's trajectory moves this
-   pin.  No fault plan applies, whatever [BUDGETBUF_FAULT] says: a
-   stalled first rung reruns cold. *)
+   solve counters of its context: per cap one cold solve of the
+   min-period bound, a cold probe at the unscaled period and one warm
+   probe just above the bound, 12 solves in 188 iterations.  The blind
+   bisection this search replaced took 69 probes in 713 iterations
+   with the same warm chain, 911 with every probe seeded from a
+   separate solve of the cap at its unscaled period, and 1095 cold.  A
+   change to the search, the seeds or the solver's trajectory moves
+   this pin.  No fault plan applies, whatever [BUDGETBUF_FAULT] says:
+   a stalled first rung reruns cold. *)
 let test_throughput_curve_iterations_pinned () =
   let obs = Obs.Ctx.make () in
   ignore
@@ -178,7 +180,7 @@ let test_throughput_curve_iterations_pinned () =
     List.find (String.starts_with ~prefix:"solves: ") (Obs.Ctx.report obs)
   in
   let iterations = Scanf.sscanf solves "solves: %_d (%d iterations)" Fun.id in
-  Alcotest.(check int) "cone iterations pinned" 713 iterations
+  Alcotest.(check int) "cone iterations pinned" 188 iterations
 
 (* ------------------------------------------------------------------ *)
 (* Failure semantics: earliest exception at the join, pool survives    *)
@@ -357,12 +359,15 @@ let test_default_domains_env () =
 (* Dse.min_period_scale probe budget (satellite of the pool rework)    *)
 (* ------------------------------------------------------------------ *)
 
-(* One shared clone is rescaled in place across all bisection probes;
-   on T1 the search costs exactly 18 solves (1 find_hi probe at scale
-   1, then bisection from the utilisation anchor 0.1 to relative 1e-4).
-   A regression that rebuilds the config per probe keeps this count —
-   the pin is on the solve count, which is the dominant cost and must
-   not creep. *)
+(* One shared clone is rescaled in place across all probes; on T1 the
+   search costs exactly 2 probes besides the cold solve of its
+   min-period bound (0.10256, the self-loop floor 40/39 over µ = 10):
+   the cold probe at scale 1 and a certified one at the bound
+   ·(1 + 5e-5), which ends the search.  The blind bisection before it
+   took 18 (the probe at scale 1, then halving from the utilisation
+   anchor 0.1 to relative 1e-4).  A regression that rebuilds the config
+   per probe keeps this count — the pin is on the solve count, which is
+   the dominant cost and must not creep. *)
 let test_min_period_scale_probe_count () =
   let cfg = Workloads.Gen.paper_t1 () in
   let probes = ref 0 in
@@ -371,12 +376,12 @@ let test_min_period_scale_probe_count () =
   in
   (match scale with
   | Some s ->
-    (* T1 sustains ~10x its stated rate: the anchor is the bottleneck
-       utilisation wcet/µ = 0.1. *)
+    (* T1 sustains ~10x its stated rate: the self-loop floor ̺χ/β′
+       with β′ ≤ 39, over µ = 10. *)
     check_float 1e-3 "min feasible scale" 0.1026 s;
     Alcotest.(check bool) "requirement holds with margin" true (s <= 1.0)
   | None -> Alcotest.fail "T1 must have a feasible scale");
-  Alcotest.(check int) "probe count pinned" 18 !probes
+  Alcotest.(check int) "probe count pinned" 2 !probes
 
 let test_min_period_scale_leaves_input_untouched () =
   let cfg = Workloads.Gen.paper_t1 () in

@@ -29,8 +29,6 @@ type solution = {
 
 type fault = Stall | Nan | Slow | Dense_kkt
 
-type presolve = Presolve_off | Presolve_auto | Presolve_force
-
 type warm = { wx : Vec.t; ws : Vec.t; wz : Vec.t }
 
 type params = {
@@ -38,8 +36,6 @@ type params = {
   feastol : float;
   abstol : float;
   reltol : float;
-  step_fraction : float;
-  presolve : presolve;
   inject : (int -> fault option) option;
   deadline : (unit -> bool) option;
   obs : Obs.Ctx.t option;
@@ -50,8 +46,7 @@ type params = {
    reliably deliver; the relaxed exits accept down to 1e3× of these. *)
 let default_params =
   { max_iter = 100; feastol = 1e-7; abstol = 1e-7; reltol = 1e-7;
-    step_fraction = 0.99; presolve = Presolve_auto; inject = None;
-    deadline = None; obs = None; warm = None }
+    inject = None; deadline = None; obs = None; warm = None }
 
 let pp_status ppf = function
   | Optimal -> Format.pp_print_string ppf "optimal"
@@ -465,7 +460,8 @@ let solve_direct ~params ~c ~g:gsp ~h cone =
                   ~dz:dz_c
               in
               let alpha = max_step_all ~ds:ds_c ~dz:dz_c dir in
-              let step = Float.min 1.0 (params.step_fraction *. alpha) in
+              (* Fraction-to-boundary: stop 1% short of the cone edge. *)
+              let step = Float.min 1.0 (0.99 *. alpha) in
               if step <= 1e-12 || Float.is_nan step then finish_or Stalled
               else begin
                 last_step := step;
@@ -539,15 +535,9 @@ let solve ?(params = default_params) ~c ~g ~h cone =
   let t0 =
     match params.obs with None -> 0.0 | Some _ -> Obs.Clock.now ()
   in
-  let equilibrate =
-    match params.presolve with
-    | Presolve_off -> false
-    | Presolve_force -> m > 0
-    (* Auto: only pay for scaling (and give up the bit-identical
-       iteration path) when the data actually spans many orders of
-       magnitude. *)
-    | Presolve_auto -> m > 0 && Presolve.badly_scaled g
-  in
+  (* Only pay for scaling (and give up the bit-identical iteration
+     path) when the data actually spans many orders of magnitude. *)
+  let equilibrate = m > 0 && Presolve.badly_scaled g in
   let sol =
     if not equilibrate then solve_direct ~params ~c ~g ~h cone
     else begin

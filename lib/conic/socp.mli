@@ -66,13 +66,6 @@ type solution = {
     docs/robustness.md. *)
 type fault = Stall | Nan | Slow | Dense_kkt
 
-(** Presolve policy.  [Presolve_auto] (the default) applies Ruiz
-    equilibration ({!Presolve}) only when {!Presolve.badly_scaled}
-    holds, so well-scaled problems keep a bit-identical iteration path;
-    [Presolve_force] always equilibrates (used by the recovery ladder's
-    re-scaled retry); [Presolve_off] never does. *)
-type presolve = Presolve_off | Presolve_auto | Presolve_force
-
 (** A warm-start point in the {e original} problem coordinates —
     typically the [x], [s], [z] of a neighbouring instance's solution.
     The solver pushes [ws]/[wz] strictly inside the cone and restarts
@@ -87,8 +80,6 @@ type params = {
   feastol : float;     (** residual tolerance, default 1e-8 *)
   abstol : float;      (** absolute gap tolerance, default 1e-8 *)
   reltol : float;      (** relative gap tolerance, default 1e-8 *)
-  step_fraction : float;  (** fraction-to-boundary, default 0.99 *)
-  presolve : presolve;    (** default [Presolve_auto] *)
   inject : (int -> fault option) option;
       (** fault-injection hook, called with the iteration number before
           each pass; [None] (the default) injects nothing *)
@@ -112,7 +103,14 @@ type params = {
 
 val default_params : params
 
-(** [solve ?params ~c ~g ~h cone] solves the cone program.
+(** [solve ?params ~c ~g ~h cone] solves the cone program.  When
+    {!Presolve.badly_scaled} holds for [g], the program is first Ruiz
+    equilibrated ({!Presolve.equilibrate}, a [Presolve] trace event)
+    and the answer mapped back, with objectives and residuals
+    recomputed on the original data; a well-scaled program keeps a
+    bit-identical iteration path.  Every step goes
+    [min(1, 0.99·α)] of the way, where [α] is the longest step that
+    stays inside the cone.
     @raise Invalid_argument on dimension mismatch between [c], [g], [h]
     and [cone]. *)
 val solve :

@@ -13,9 +13,8 @@
     nevertheless computed and returned with every result.
 
     Resilience (docs/robustness.md): when the cone solve stalls, the
-    recovery ladder retries with relaxed tolerances, a deeper iteration
-    budget and a re-equilibrated problem, and finally restates the
-    problem on the simplex buffer LP of {!Two_phase}.  A
+    recovery ladder retries once with relaxed tolerances, and then
+    restates the problem on the simplex buffer LP of {!Two_phase}.  A
     recovered (degraded) solve must be certified, or [solve] returns
     an error rather than silently handing back an unverified mapping.
     Simulating the mapping ({!Tdm_sim.Sim}) is left to the caller. *)

@@ -51,8 +51,8 @@ type plan = {
 val stall_first : plan
 
 (** [kind_name kind] is the spec keyword of [kind] (["stall"], ["nan"],
-    ["slow"], ["bad_round"], ["crash"], ["hang"], ["oom"]) — also the
-    label trace events carry. *)
+    ["slow"], ["dense_kkt"], ["bad_round"], ["crash"], ["hang"],
+    ["oom"]) — also the label trace events carry. *)
 val kind_name : kind -> string
 
 (** [of_string spec] parses the spec grammar above; errors as in

@@ -1,7 +1,7 @@
 module Socp = Conic.Socp
 module Model = Conic.Model
 
-type stage = Base | Relaxed | Deep | Jittered | Fallback_lp
+type stage = Base | Relaxed | Fallback_lp
 
 type attempt = {
   stage : stage;
@@ -15,8 +15,6 @@ type trace = attempt list
 let stage_name = function
   | Base -> "base"
   | Relaxed -> "relaxed"
-  | Deep -> "deep"
-  | Jittered -> "jittered"
   | Fallback_lp -> "fallback-lp"
 
 let attempts = List.length
@@ -38,9 +36,9 @@ let with_fault = function
 
 let rung_params (base : Socp.params) = function
   | Base | Fallback_lp -> base
-  (* Every rung past [Base] drops the warm-start point: a seed that
-     steered the base attempt into a stall must not steer the retry
-     too (the cold start is the known-good trajectory). *)
+  (* The relaxed rung drops the warm-start point: a seed that steered
+     the base attempt into a stall must not steer the retry too (the
+     cold start is the known-good trajectory). *)
   | Relaxed ->
     {
       base with
@@ -49,22 +47,8 @@ let rung_params (base : Socp.params) = function
       reltol = base.Socp.reltol *. 10.0;
       warm = None;
     }
-  | Deep -> { base with Socp.max_iter = base.Socp.max_iter * 4; warm = None }
-  | Jittered ->
-    {
-      base with
-      Socp.max_iter = base.Socp.max_iter * 4;
-      feastol = base.Socp.feastol *. 10.0;
-      abstol = base.Socp.abstol *. 10.0;
-      reltol = base.Socp.reltol *. 10.0;
-      (* A shorter fraction-to-boundary step and forced re-equilibration
-         push the iteration onto a different trajectory entirely. *)
-      step_fraction = 0.9;
-      presolve = Socp.Presolve_force;
-      warm = None;
-    }
 
-let cone_stages = [ Base; Relaxed; Deep; Jittered ]
+let cone_stages = [ Base; Relaxed ]
 
 let solve_model ?policy ?(params = Socp.default_params) m =
   let policy = match policy with Some p -> p | None -> default_policy () in

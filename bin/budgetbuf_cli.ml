@@ -13,7 +13,6 @@ module Parse = Taskgraph.Parse
 module Mapping = Budgetbuf.Mapping
 module Tradeoff = Budgetbuf.Tradeoff
 module Socp_builder = Budgetbuf.Socp_builder
-module Recovery = Robust.Recovery
 module Fault = Robust.Fault
 
 open Cmdliner
@@ -335,13 +334,17 @@ let sweep_fingerprint ~command ~cfg ~grid ~fault =
       (match fault with None -> "" | Some p -> Fault.to_string p);
     ]
 
+(* A --fault flag replaces BUDGETBUF_FAULT; without one the solve
+   reads the environment ([Mapping.solve]'s absent [?fault]). *)
+let override_fault = Option.map Option.some
+
 (* The optional arguments of every sweep driver
    ([Tradeoff.capacity_sweep], [Pareto.frontier], [Dse.throughput_curve],
    and tighten's solve-then-[Tighten.run]) in their shared order, ahead
    of the configuration. *)
 type 'a sweep =
   ?params:Conic.Socp.params ->
-  ?policy:Recovery.policy ->
+  ?fault:Fault.plan option ->
   ?pool:Parallel.Pool.t ->
   ?deadline:Deadline.t ->
   ?candidate_deadline:float ->
@@ -374,7 +377,7 @@ let run_sweep ~command path solver flags
       ~candidate_deadline:flags.candidate_deadline
     @@ fun ~journal ~deadline ~candidate_deadline ~cancel ~on_progress ->
     report
-      (sweep ~policy:(Recovery.with_fault solver.fault)
+      (sweep ?fault:(override_fault solver.fault)
          ?pool ?journal ?deadline ?candidate_deadline ~cancel ?obs
          ~on_progress cfg)
 
@@ -435,7 +438,7 @@ let do_solve () path simulate continuous output { fault; trace; metrics } =
     List.iter (Format.eprintf "warning: %s@.") problems);
   with_obs ~trace ~metrics @@ fun obs ->
   match
-    Mapping.solve ?obs ~policy:(Recovery.with_fault fault) cfg
+    Mapping.solve ?obs ?fault:(override_fault fault) cfg
   with
   | Error e ->
     Format.eprintf "error: %a@." Mapping.pp_error e;
@@ -451,7 +454,7 @@ let do_solve () path simulate continuous output { fault; trace; metrics } =
       (1000.0 *. r.Mapping.stats.Mapping.solve_time_s);
     if r.Mapping.stats.Mapping.attempts > 1 then
       Format.printf "recovery: %d attempts (%a)@."
-        r.Mapping.stats.Mapping.attempts Recovery.pp_trace
+        r.Mapping.stats.Mapping.attempts Mapping.pp_recovery
         r.Mapping.recovery;
     if r.Mapping.stats.Mapping.kkt_fallbacks > 0 then
       Format.printf "kkt fallbacks: %d (sparse factorisation reran dense)@."
@@ -926,9 +929,9 @@ let do_tighten () path banks iterations jobs output resume deadline
     (* The analytic mapping and its exact certificate stay with the
        result: the tightened capacities are simulation-backed, the
        analytic ones machine-checked (docs/tightening.md). *)
-    let sweep ?params ?policy ?pool ?deadline ?candidate_deadline ?journal
+    let sweep ?params ?fault ?pool ?deadline ?candidate_deadline ?journal
         ?cancel ?obs ?on_progress cfg =
-      match Mapping.solve ?params ?policy ?obs cfg with
+      match Mapping.solve ?params ?fault ?obs cfg with
       | Error e -> Error (Format.asprintf "%a" Mapping.pp_error e)
       | Ok r ->
         Format.printf "certificate: %s@."

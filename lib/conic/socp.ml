@@ -33,20 +33,18 @@ type warm = { wx : Vec.t; ws : Vec.t; wz : Vec.t }
 
 type params = {
   max_iter : int;
-  feastol : float;
-  abstol : float;
-  reltol : float;
+  tolerance : float;
   inject : (int -> fault option) option;
   deadline : (unit -> bool) option;
   obs : Obs.Ctx.t option;
   warm : warm option;
 }
 
-(* feastol 1e-7 reflects what dense normal-equation KKT solves can
-   reliably deliver; the relaxed exits accept down to 1e3× of these. *)
+(* A tolerance of 1e-7 reflects what dense normal-equation KKT solves
+   can reliably deliver; the relaxed exits accept down to 1e3× of it. *)
 let default_params =
-  { max_iter = 100; feastol = 1e-7; abstol = 1e-7; reltol = 1e-7;
-    inject = None; deadline = None; obs = None; warm = None }
+  { max_iter = 100; tolerance = 1e-7; inject = None; deadline = None;
+    obs = None; warm = None }
 
 let pp_status ppf = function
   | Optimal -> Format.pp_print_string ppf "optimal"
@@ -83,7 +81,7 @@ let solve_direct ~params ~c ~g:gsp ~h cone =
   if m = 0 then begin
     (* No constraints: optimum 0 iff c = 0, otherwise unbounded below. *)
     let status =
-      if Vec.nrm2 c <= params.feastol then Optimal else Dual_infeasible
+      if Vec.nrm2 c <= params.tolerance then Optimal else Dual_infeasible
     in
     {
       status;
@@ -302,8 +300,8 @@ let solve_direct ~params ~c ~g:gsp ~h cone =
           (Obs.Trace.Socp_iter
              { iter; pres; dres; gap; step = !last_step }));
       (* Relaxed acceptance used when progress dries up: the iterate is
-         still returned as Optimal if it is accurate to ~1e3× the target
-         tolerances (mirrors the "close to optimal" exit of ECOS). *)
+         still returned as Optimal if it is accurate to ~1e3× the
+         tolerance (mirrors the "close to optimal" exit of ECOS). *)
       let score_of pres dres gap relgap =
         Float.max (Float.max pres dres)
           (Float.min (Float.max 0.0 gap) (Float.max 0.0 relgap))
@@ -327,9 +325,8 @@ let solve_direct ~params ~c ~g:gsp ~h cone =
         end
       in
       let accept_at scale =
-        pres <= params.feastol *. scale
-        && dres <= params.feastol *. scale
-        && (gap <= params.abstol *. scale || relgap <= params.reltol *. scale)
+        let tol = params.tolerance *. scale in
+        pres <= tol && dres <= tol && (gap <= tol || relgap <= tol)
       in
       let finish_or status =
         (* τ collapsing while κ stays bounded is the homogeneous
@@ -343,7 +340,7 @@ let solve_direct ~params ~c ~g:gsp ~h cone =
         end
         else begin
           restore_best ();
-          let scale = !best_score /. params.feastol in
+          let scale = !best_score /. params.tolerance in
           if scale <= 1e3 then result Optimal iter else result status iter
         end
       in
@@ -352,7 +349,7 @@ let solve_direct ~params ~c ~g:gsp ~h cone =
       else begin
         (* Certificate checks: κ dominating τ signals infeasibility. *)
         let hz = Vec.dot h z and cx = Vec.dot c x in
-        let cert_threshold = params.feastol in
+        let cert_threshold = params.tolerance in
         let primal_cert =
           hz < 0.0
           && Vec.nrm2 (Sparse_rows.mul_tvec ~into:tmp_n gsp z) /. (-.hz)

@@ -77,9 +77,12 @@ type warm = { wx : Linalg.Vec.t; ws : Linalg.Vec.t; wz : Linalg.Vec.t }
 
 type params = {
   max_iter : int;      (** default 100 *)
-  feastol : float;     (** residual tolerance, default 1e-8 *)
-  abstol : float;      (** absolute gap tolerance, default 1e-8 *)
-  reltol : float;      (** relative gap tolerance, default 1e-8 *)
+  tolerance : float;
+      (** default 1e-7: the bound on the primal and dual residuals and
+          on the absolute or relative gap at which an iterate is
+          accepted as optimal, and on the residual of an infeasibility
+          certificate.  The relaxed rung of {!Budgetbuf.Mapping}'s
+          recovery ladder runs at 10× the caller's value. *)
   inject : (int -> fault option) option;
       (** fault-injection hook, called with the iteration number before
           each pass; [None] (the default) injects nothing *)

@@ -76,7 +76,7 @@ let assignment_of cfg assign =
 let reservation cfg w p =
   let mu = Config.period cfg (Config.task_graph cfg w) in
   let need = Config.replenishment cfg p *. Config.wcet cfg w /. mu in
-  Mapping.round_budget ~granularity:(Config.granularity cfg) need
+  Rounding.round_budget ~granularity:(Config.granularity cfg) need
   +. Config.granularity cfg
 
 (* Greedy placements return an assignment table keyed by task id, or

@@ -46,7 +46,7 @@ let period_bound ?params cfg =
 (* The search behind [min_period_scale]: the accepted scale and the
    periods, one per graph in [Config.graphs] order, at which the
    mapping behind it is certified. *)
-let search ?params ?policy ?obs ?on_probe ?on_failure ?on_feasible cfg =
+let search ?params ?fault ?obs ?on_probe ?on_failure ?on_feasible cfg =
   (* The context rides inside the params so every probe's [Mapping.solve]
      sees it without further plumbing. *)
   let params = Durability.params ?obs params in
@@ -101,7 +101,7 @@ let search ?params ?policy ?obs ?on_probe ?on_failure ?on_feasible cfg =
     (match on_probe with None -> () | Some f -> f scale);
     set_periods (List.map (fun (_, mu) -> mu *. scale) base);
     let params = Durability.params ?warm:!seed params in
-    match Mapping.solve ?params ?policy probe_cfg with
+    match Mapping.solve ?params ?fault probe_cfg with
     | Ok r ->
       if Option.is_some r.Mapping.warm then seed := r.Mapping.warm;
       if Certify.certified r.Mapping.certificate then begin
@@ -170,10 +170,10 @@ let search ?params ?policy ?obs ?on_probe ?on_failure ?on_feasible cfg =
   if Option.is_some (Mapping.capped_below_tokens cfg) then None
   else match run () with v -> v | exception Probe_expired -> None
 
-let min_period_scale ?params ?policy ?obs ?on_probe ?on_failure ?on_feasible
+let min_period_scale ?params ?fault ?obs ?on_probe ?on_failure ?on_feasible
     cfg =
   Option.map fst
-    (search ?params ?policy ?obs ?on_probe ?on_failure ?on_feasible cfg)
+    (search ?params ?fault ?obs ?on_probe ?on_failure ?on_feasible cfg)
 
 type curve_point = {
   cap : int;
@@ -234,9 +234,9 @@ let decode_point cap payload =
     | v -> v
     | exception (Scanf.Scan_failure _ | Failure _ | End_of_file) -> None
 
-let throughput_curve ?params ?policy ?pool ?deadline ?candidate_deadline
+let throughput_curve ?params ?fault ?pool ?deadline ?candidate_deadline
     ?journal ?cancel ?obs ?on_progress cfg ~caps =
-  let policy = Durability.candidate_policy policy in
+  let fault = match fault with Some f -> f | None -> Robust.Fault.of_env () in
   let caps = Array.of_list caps in
   (* Each candidate searches on its own clone with its own slice of the
      fault plan. *)
@@ -255,7 +255,11 @@ let throughput_curve ?params ?policy ?pool ?deadline ?candidate_deadline
        probe sequence: no seed crosses candidates, so the point is
        bit-identical however the sweep is scheduled or resumed. *)
     let params = Durability.params ~deadline ?obs params in
-    match search ?params ~policy:(policy index) ~on_failure capped with
+    match
+      search ?params
+        ~fault:(Robust.Fault.for_candidate fault ~index)
+        ~on_failure capped
+    with
     | Some (_, period :: _) ->
       (* [search] accepts only certified probes, and the period is the
          one the accepted mapping is certified at. *)

@@ -11,7 +11,7 @@
     throughput/buffer trade-off curve (Stuijk et al., DAC 2007, the
     two-phase flow the paper's Section I contrasts against). *)
 
-(** [min_period_scale ?params ?policy ?on_probe cfg] is the smallest
+(** [min_period_scale ?params ?fault ?on_probe cfg] is the smallest
     factor [s] found such that the configuration with all periods
     scaled by [s] has a certified mapping.  [s ≤ 1] means the stated
     requirements hold with margin; [s > 1] means they must be relaxed
@@ -48,7 +48,7 @@
     reached one, and the first from [params]' own warm point (none:
     cold); the bound solve always runs cold.  The probe sequence and
     its seeds are therefore a pure function of [cfg] and [params].
-    [policy] is forwarded to every probe's {!Mapping.solve} (not to the
+    [fault] is forwarded to every probe's {!Mapping.solve} (not to the
     bound solve).  [on_probe] is called with the scale of every
     feasibility probe (solve); the regression tests use it to pin the
     probe count so the fast path cannot silently regress.
@@ -67,7 +67,7 @@
     further timed-out probes could only manufacture garbage bounds. *)
 val min_period_scale :
   ?params:Conic.Socp.params ->
-  ?policy:Robust.Recovery.policy ->
+  ?fault:Robust.Fault.plan option ->
   ?obs:Obs.Ctx.t ->
   ?on_probe:(float -> unit) ->
   ?on_failure:(Mapping.error -> unit) ->
@@ -103,7 +103,7 @@ val curve_points : curve_point list -> (int * float) list
     failed outright (not the merely infeasible ones). *)
 val curve_skipped : curve_point list -> (int * string) list
 
-(** [throughput_curve ?params ?policy ?pool cfg ~caps] sweeps a shared
+(** [throughput_curve ?params ?fault ?pool cfg ~caps] sweeps a shared
     buffer capacity cap and reports, per cap, the minimal feasible
     period of the {e first} task graph (single-graph configurations
     being the common case).  Every cap is an independent search
@@ -112,8 +112,10 @@ val curve_skipped : curve_point list -> (int * string) list
     abandoned to the deadline or cancellation.  The sweep harness —
     pool, journal, deadlines, cancellation, exception barrier, trace
     events and warm starts — is {!Durable.Sweep}'s; the per-candidate
-    deadline bounds a cap's whole search, a fault plan restricted
-    with [only=I] applies to the probes of the 0-based [I]-th cap, and
+    deadline bounds a cap's whole search; [fault] is read as by
+    {!Mapping.solve}, once per sweep, and each cap's probes get
+    {!Robust.Fault.for_candidate} of it, so a plan restricted with
+    [only=I] applies to the probes of the 0-based [I]-th cap; and
     each cap's search solves its bound cold, probes cold first and
     chains its warm starts through its own probes
     ({!min_period_scale}) — no seed crosses caps, so every point and
@@ -125,7 +127,7 @@ val curve_skipped : curve_point list -> (int * string) list
     [certified] flag, floats bit-exact. *)
 val throughput_curve :
   ?params:Conic.Socp.params ->
-  ?policy:Robust.Recovery.policy ->
+  ?fault:Robust.Fault.plan option ->
   ?pool:Parallel.Pool.t ->
   ?deadline:Durable.Deadline.t ->
   ?candidate_deadline:float ->

@@ -1,6 +1,5 @@
 module Socp = Conic.Socp
 module Deadline = Durable.Deadline
-module Recovery = Robust.Recovery
 
 (* Install the per-call hooks.  Each absent hook keeps the caller's
    own, and with none of them the caller's params pass through
@@ -20,12 +19,6 @@ let params ?deadline ?obs ?warm p =
         obs = keep obs base.Socp.obs;
         warm = keep warm base.Socp.warm;
       }
-
-let candidate_policy policy =
-  let { Recovery.fault } =
-    match policy with Some p -> p | None -> Recovery.default_policy ()
-  in
-  fun index -> { Recovery.fault = Robust.Fault.for_candidate fault ~index }
 
 (* One cold "anchor" solve whose solution seeds every candidate of a
    [tradeoff] or [pareto] sweep.  Anchoring (rather than chaining each

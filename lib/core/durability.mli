@@ -23,13 +23,6 @@ val params :
   Conic.Socp.params option ->
   Conic.Socp.params option
 
-(** [candidate_policy policy] is the policy of sweep candidate [index]:
-    [policy] (default {!Robust.Recovery.default_policy}) with its fault
-    plan restricted by {!Robust.Fault.for_candidate}, so a plan with
-    [only=I] applies to the 0-based [I]-th candidate only. *)
-val candidate_policy :
-  Robust.Recovery.policy option -> int -> Robust.Recovery.policy
-
 (** [warm_anchor ?params cfg] runs one cold solve of [cfg]'s SOCP and
     returns its primal/dual point as a warm-start seed, or [None] if
     the solve did not reach [Optimal] (or raised).  Observability,

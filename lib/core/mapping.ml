@@ -1,8 +1,23 @@
 module Config = Taskgraph.Config
 module Socp = Conic.Socp
 module Model = Conic.Model
-module Recovery = Robust.Recovery
 module Fault = Robust.Fault
+
+type stage = Base | Relaxed | Fallback_lp
+type attempt = { stage : stage; status : string }
+
+let stage_name = function
+  | Base -> "base"
+  | Relaxed -> "relaxed"
+  | Fallback_lp -> "fallback-lp"
+
+let recovered = function [] | [ { stage = Base; _ } ] -> false | _ -> true
+
+let pp_recovery ppf trace =
+  Format.pp_print_list
+    ~pp_sep:(fun ppf () -> Format.pp_print_string ppf "; ")
+    (fun ppf a -> Format.fprintf ppf "%s: %s" (stage_name a.stage) a.status)
+    ppf trace
 
 type stats = {
   variables : int;
@@ -19,7 +34,7 @@ type result = {
   objective : float;
   rounded_objective : float;
   certificate : Certify.t;
-  recovery : Recovery.trace;
+  recovery : attempt list;
   stats : stats;
   warm : Socp.warm option;
 }
@@ -49,22 +64,6 @@ let short_reason = function
     else if String.length msg >= 8 && String.sub msg 0 8 = "uncaught" then
       "exception"
     else "failure"
-
-let round_budget = Rounding.round_budget
-let round_capacity = Rounding.round_capacity
-
-let rounded_objective_of cfg (mapped : Config.mapped) =
-  List.fold_left
-    (fun acc w -> acc +. (Config.task_weight cfg w *. mapped.Config.budget w))
-    0.0 (Config.all_tasks cfg)
-  +. List.fold_left
-       (fun acc b ->
-         acc
-         +. Config.buffer_weight cfg b
-            *. float_of_int
-                 (Config.container_size cfg b
-                 * (mapped.Config.capacity b - Config.initial_tokens cfg b)))
-       0.0 (Config.all_buffers cfg)
 
 (* The [bad_round] fault: corrupt the rounded solution — one budget
    down a granule (or, lacking tasks, one capacity down a container) —
@@ -100,7 +99,7 @@ let corrupt_rounding cfg (mapped : Config.mapped) =
    certificate is the one verdict: it is always computed and returned,
    and a *recovered* solve whose mapping it refutes is turned into an
    error rather than silently returned. *)
-let finish_optimal cfg ~policy ~obs builder result trace stats =
+let finish_optimal cfg ~fault ~obs builder result trace stats =
   let continuous = Socp_builder.extract cfg builder result in
   let granularity = Config.granularity cfg in
   (* [all_tasks]/[all_buffers] list the dense ids in ascending order, so
@@ -131,7 +130,7 @@ let finish_optimal cfg ~policy ~obs builder result trace stats =
       Config.capacity = (fun b -> capacities.(Config.buffer_id b));
     }
   in
-  match
+  let round_and_certify () =
     (* Snap near-grid values first and keep them iff they certify;
        otherwise (the optimum genuinely sits past a grid point) fall
        back to the strictly conservative rounding. *)
@@ -143,7 +142,7 @@ let finish_optimal cfg ~policy ~obs builder result trace stats =
         let strict = mapped_with 0.0 in
         (strict, certify strict)
     in
-    if Fault.corrupts_rounding policy.Recovery.fault then begin
+    if Fault.corrupts_rounding fault then begin
       (match obs with
       | None -> ()
       | Some o ->
@@ -153,39 +152,25 @@ let finish_optimal cfg ~policy ~obs builder result trace stats =
       (bad, certify bad)
     end
     else (mapped, certificate)
-  with
-  | exception Rounding.Non_finite { what; value } ->
-    Error
-      (Solver_failure
-         (Printf.sprintf
-            "non-finite %s %h emitted by the solver; rounding refused" what
-            value))
-  | mapped, certificate ->
-    (match obs with
-    | None -> ()
-    | Some o ->
-      Obs.Ctx.emit o
-        (Obs.Trace.Certificate
-           {
-             verdict =
-               (if Certify.certified certificate then "certified"
-                else "refuted");
-           }));
-    if Recovery.recovered trace && not (Certify.certified certificate) then
+  in
+  match Two_phase.settle ?obs round_and_certify with
+  | Error msg -> Error (Solver_failure msg)
+  | Ok (mapped, certificate) ->
+    if recovered trace && not (Certify.certified certificate) then
       Error
         (Solver_failure
            (Format.asprintf
               "stalled recovery produced an uncertifiable mapping (%s) after \
                %d attempt(s) (%a)"
               (Certify.summary certificate)
-              (Recovery.attempts trace) Recovery.pp_trace trace))
+              (List.length trace) pp_recovery trace))
     else
       Ok
         {
           mapped;
           continuous;
           objective = continuous.Socp_builder.objective;
-          rounded_objective = rounded_objective_of cfg mapped;
+          rounded_objective = Two_phase.objective_of cfg mapped;
           certificate;
           recovery = trace;
           stats;
@@ -194,70 +179,131 @@ let finish_optimal cfg ~policy ~obs builder result trace stats =
              Some { Socp.wx = raw.Socp.x; ws = raw.Socp.s; wz = raw.Socp.z });
         }
 
-(* Last rung of the ladder: when every cone-solver attempt stalled,
-   restate the problem on the simplex path — Fair_share budgets
-   plus the phase-2 buffer LP of the two-phase baseline.  The result is
-   not the joint optimum, but {!Two_phase.budget_first} returns only a
-   certified mapping, which beats returning nothing.  The synthesized
-   [continuous] point reports the fallback's own (rounded) values. *)
-let fallback_lp cfg ~obs trace stats final_status =
-  let attempt_no = Recovery.attempts trace + 1 in
-  (match obs with
-  | None -> ()
-  | Some o ->
-    Obs.Ctx.emit o
-      (Obs.Trace.Rung_enter { attempt = attempt_no; stage = "fallback-lp" }));
-  let exit_rung status =
-    match obs with
-    | None -> ()
-    | Some o ->
-      Obs.Ctx.emit o
-        (Obs.Trace.Rung_exit
-           { attempt = attempt_no; stage = "fallback-lp"; status; fault = None })
+(* The simplex rung's answer as a result.  It is not the joint optimum,
+   but {!Two_phase.budget_first} returns only a certified mapping, which
+   beats returning nothing.  The synthesized [continuous] point reports
+   the fallback's own (rounded) values. *)
+let of_fallback cfg (tp : Two_phase.result) trace stats =
+  let mapped = tp.Two_phase.mapped in
+  let continuous =
+    {
+      Socp_builder.budget = (fun w -> mapped.Config.budget w);
+      (* λ is the reciprocal surrogate of Constraint (8), λ·β′ ≥ 1. *)
+      lambda = (fun w -> 1.0 /. mapped.Config.budget w);
+      space =
+        (fun b ->
+          float_of_int
+            (mapped.Config.capacity b - Config.initial_tokens cfg b));
+      capacity = (fun b -> float_of_int (mapped.Config.capacity b));
+      objective = tp.Two_phase.objective;
+    }
   in
-  match Two_phase.budget_first ~policy:Two_phase.Fair_share ?obs cfg with
-  | Error e ->
-    exit_rung "failed";
-    Error
-      (Solver_failure
-         (Format.asprintf
-            "%a after %d attempt(s) (%a); fallback LP also failed: %a"
-            Socp.pp_status final_status (Recovery.attempts trace)
-            Recovery.pp_trace trace Two_phase.pp_error e))
-  | Ok tp ->
-    exit_rung "recovered (simplex)";
-    let mapped = tp.Two_phase.mapped in
-    let attempt =
-      {
-        Recovery.stage = Recovery.Fallback_lp;
-        status = "recovered (simplex)";
-        iterations = 0;
-        time_s = 0.0;
-      }
+  {
+    mapped;
+    continuous;
+    objective = tp.Two_phase.objective;
+    rounded_objective = tp.Two_phase.objective;
+    certificate = tp.Two_phase.certificate;
+    recovery = trace;
+    stats;
+    warm = None;
+  }
+
+(* What a rung answers: a cone solve's result, or the simplex
+   restatement's. *)
+type answer =
+  | Cone of Model.result
+  | Simplex of (Two_phase.result, Two_phase.error) Stdlib.result
+
+(* The recovery ladder, climbed in this order until a rung answers:
+   the caller's parameters; 10× the tolerance and a cold start (a seed
+   that steered the base attempt into a stall must not steer the retry
+   too); then the problem restated as Fair_share budgets plus the
+   phase-2 buffer LP of the two-phase baseline, solved by simplex. *)
+let ladder = [ Base; Relaxed; Fallback_lp ]
+
+(* A cone rung that stalls or hits the iteration limit climbs.  Every
+   other verdict answers: an infeasibility certificate is a float ray
+   of the homogeneous embedding, which a later rung would find again,
+   and a deadline that expired on one rung can only be more expired on
+   the next. *)
+let climbs = function
+  | Cone r -> (
+    match r.Model.status with
+    | Socp.Iteration_limit | Socp.Stalled -> true
+    | Socp.Optimal | Socp.Primal_infeasible | Socp.Dual_infeasible
+    | Socp.Timed_out ->
+      false)
+  | Simplex _ -> false
+
+(* Climb [ladder]: each rung emits [Rung_enter], a [Fault_injected]
+   marker when the plan covers its attempt, runs, is recorded and emits
+   [Rung_exit] — one fired fault, one faulted exit.  A plan that covers
+   the simplex rung's attempt disables it, and the last cone answer
+   stands.  The cone rungs lead the ladder and share one ["socp"] span,
+   which closes before the simplex rung runs.  Returns the final
+   answer, the attempts in order and the last cone result. *)
+let climb cfg ~fault ~obs ~params model =
+  let emit ev = Option.iter (fun o -> Obs.Ctx.emit o ev) obs in
+  let close_socp = ref (Obs.Ctx.open_span obs "socp") in
+  let leave_socp () =
+    let close = !close_socp in
+    close_socp := ignore;
+    close ()
+  in
+  let last_cone = ref None in
+  let cone attempt (p : Socp.params) =
+    let p =
+      match Fault.inject fault ~attempt with
+      | None -> p
+      | inject -> { p with Socp.inject }
     in
-    let continuous =
-      {
-        Socp_builder.budget = (fun w -> mapped.Config.budget w);
-        (* λ is the reciprocal surrogate of Constraint (8), λ·β′ ≥ 1. *)
-        lambda = (fun w -> 1.0 /. mapped.Config.budget w);
-        space =
-          (fun b ->
-            float_of_int (mapped.Config.capacity b - Config.initial_tokens cfg b));
-        capacity = (fun b -> float_of_int (mapped.Config.capacity b));
-        objective = tp.Two_phase.objective;
-      }
+    let r = Model.solve ~params:p model in
+    last_cone := Some r;
+    (Cone r, Format.asprintf "%a" Socp.pp_status r.Model.status)
+  in
+  let run attempt = function
+    | Base -> cone attempt params
+    | Relaxed ->
+      let tolerance = params.Socp.tolerance *. 10.0 in
+      cone attempt { params with Socp.tolerance; warm = None }
+    | Fallback_lp -> (
+      match Two_phase.budget_first ~policy:Two_phase.Fair_share ?obs cfg with
+      | Ok _ as tp -> (Simplex tp, "recovered (simplex)")
+      | Error _ as e -> (Simplex e, "failed"))
+  in
+  let rung attempt stage =
+    let fault =
+      if Fault.covers fault ~attempt then
+        Option.map (fun p -> Fault.kind_name p.Fault.kind) fault
+      else None
     in
-    Ok
-      {
-        mapped;
-        continuous;
-        objective = tp.Two_phase.objective;
-        rounded_objective = tp.Two_phase.objective;
-        certificate = tp.Two_phase.certificate;
-        recovery = trace @ [ attempt ];
-        stats = { stats with attempts = stats.attempts + 1 };
-        warm = None;
-      }
+    if stage = Fallback_lp then leave_socp ();
+    let stage_label = stage_name stage in
+    emit (Obs.Trace.Rung_enter { attempt; stage = stage_label });
+    Option.iter
+      (fun kind -> emit (Obs.Trace.Fault_injected { kind; attempt }))
+      fault;
+    let answer, status = run attempt stage in
+    emit (Obs.Trace.Rung_exit { attempt; stage = stage_label; status; fault });
+    (answer, { stage; status })
+  in
+  let rec go attempt trace = function
+    | [] -> assert false
+    | stage :: rest -> (
+      let answer, att = rung attempt stage in
+      let trace = att :: trace in
+      let next = attempt + 1 in
+      match rest with
+      | Fallback_lp :: _ when Fault.covers fault ~attempt:next ->
+        (answer, List.rev trace)
+      | _ :: _ when climbs answer -> go next trace rest
+      | _ -> (answer, List.rev trace))
+  in
+  let answer, trace =
+    Fun.protect ~finally:leave_socp (fun () -> go 1 [] ladder)
+  in
+  (answer, trace, Option.get !last_cone)
 
 let capped_below_tokens cfg =
   List.find_opt
@@ -267,67 +313,68 @@ let capped_below_tokens cfg =
       | None -> false)
     (Config.all_buffers cfg)
 
-let solve_program ?params ?policy ?obs cfg =
-  let policy =
-    match policy with Some p -> p | None -> Recovery.default_policy ()
-  in
+let solve_program ?params ?fault ?obs cfg =
+  let fault = match fault with Some f -> f | None -> Fault.of_env () in
   (* An explicit [?obs] wins; otherwise keep whatever already rides in
      the params (threaded there by an enclosing sweep). *)
   let obs = Durability.obs_of params obs in
-  let params = Durability.params ?obs params in
-  let builder = Socp_builder.build cfg in
-  let t0 = Unix.gettimeofday () in
-  let result, trace =
-    Obs.Ctx.with_span obs "socp" (fun () ->
-        Recovery.solve_model ~policy ?params builder.Socp_builder.model)
+  let params =
+    Option.value (Durability.params ?obs params) ~default:Socp.default_params
   in
-  let elapsed = Unix.gettimeofday () -. t0 in
+  let builder = Socp_builder.build cfg in
+  let model = builder.Socp_builder.model in
+  let t0 = Unix.gettimeofday () in
+  let answer, trace, last = climb cfg ~fault ~obs ~params model in
   let stats =
     {
-      variables = Model.num_variables builder.Socp_builder.model;
-      rows = Model.num_rows builder.Socp_builder.model;
-      iterations = result.Model.raw.Socp.iterations;
-      attempts = Recovery.attempts trace;
-      solve_time_s = elapsed;
-      kkt_fallbacks = result.Model.raw.Socp.kkt_fallbacks;
+      variables = Model.num_variables model;
+      rows = Model.num_rows model;
+      iterations = last.Model.raw.Socp.iterations;
+      attempts = List.length trace;
+      solve_time_s = Unix.gettimeofday () -. t0;
+      kkt_fallbacks = last.Model.raw.Socp.kkt_fallbacks;
     }
   in
-  match result.Model.status with
-  | Socp.Primal_infeasible ->
-    Error
-      (Infeasible
-         "no budget and buffer assignment satisfies the throughput \
-          requirement under the given processor, memory and capacity bounds")
-  | Socp.Dual_infeasible ->
-    (* Objective (5) has non-negative weights over non-negative
-       variables, so unboundedness indicates a modelling error. *)
-    Error (Solver_failure "unbounded cone program (dual infeasible)")
-  | Socp.Timed_out ->
-    (* The deadline that stopped the cone solve is already blown; the
-       simplex fallback would only blow it further.  No retry, no
-       fallback — the sweep layer decides whether a resume re-solves. *)
-    Error
-      (Timed_out
-         (Format.asprintf "deadline expired after %d attempt(s) (%a)"
-            (Recovery.attempts trace) Recovery.pp_trace trace))
-  | Socp.Iteration_limit | Socp.Stalled ->
-    (* The whole cone ladder failed; try the simplex restatement
-       unless the fault plan covers that attempt too. *)
-    let fallback_attempt = Recovery.attempts trace + 1 in
-    if Fault.covers policy.Recovery.fault ~attempt:fallback_attempt then
+  (* Failure messages name the cone attempts only. *)
+  let failure detail =
+    let cone = List.filter (fun a -> a.stage <> Fallback_lp) trace in
+    Format.asprintf "%a after %d attempt(s) (%a); %s" Socp.pp_status
+      last.Model.status (List.length cone) pp_recovery cone detail
+  in
+  match answer with
+  | Cone r -> (
+    match r.Model.status with
+    | Socp.Optimal ->
+      Obs.Ctx.with_span obs "finish" (fun () ->
+          finish_optimal cfg ~fault ~obs builder r trace stats)
+    | Socp.Primal_infeasible ->
       Error
-        (Solver_failure
-           (Format.asprintf
-              "%a after %d attempt(s) (%a); fallback LP disabled by fault \
-               plan"
-              Socp.pp_status result.Model.status (Recovery.attempts trace)
-              Recovery.pp_trace trace))
-    else fallback_lp cfg ~obs trace stats result.Model.status
-  | Socp.Optimal ->
-    Obs.Ctx.with_span obs "finish" (fun () ->
-        finish_optimal cfg ~policy ~obs builder result trace stats)
+        (Infeasible
+           "no budget and buffer assignment satisfies the throughput \
+            requirement under the given processor, memory and capacity \
+            bounds")
+    | Socp.Dual_infeasible ->
+      (* Objective (5) has non-negative weights over non-negative
+         variables, so unboundedness indicates a modelling error. *)
+      Error (Solver_failure "unbounded cone program (dual infeasible)")
+    | Socp.Timed_out ->
+      (* The deadline that stopped the cone solve is already blown; the
+         sweep layer decides whether a resume re-solves. *)
+      Error
+        (Timed_out
+           (Format.asprintf "deadline expired after %d attempt(s) (%a)"
+              (List.length trace) pp_recovery trace))
+    | Socp.Iteration_limit | Socp.Stalled ->
+      Error (Solver_failure (failure "fallback LP disabled by fault plan")))
+  | Simplex (Error e) ->
+    Error
+      (Solver_failure
+         (failure
+            (Format.asprintf "fallback LP also failed: %a" Two_phase.pp_error
+               e)))
+  | Simplex (Ok tp) -> Ok (of_fallback cfg tp trace stats)
 
-let solve ?params ?policy ?obs cfg =
+let solve ?params ?fault ?obs cfg =
   match capped_below_tokens cfg with
   | Some b ->
     (* No capacity can hold the initial tokens: infeasible at every
@@ -338,4 +385,4 @@ let solve ?params ?policy ?obs cfg =
             (Config.buffer_name cfg b)
             (Config.initial_tokens cfg b)
             (Option.get (Config.max_capacity cfg b))))
-  | None -> solve_program ?params ?policy ?obs cfg
+  | None -> solve_program ?params ?fault ?obs cfg

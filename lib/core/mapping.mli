@@ -2,7 +2,7 @@
     headline contribution.
 
     [solve] builds Algorithm 1 for the whole configuration, runs the
-    interior-point solver under the {!Robust.Recovery} ladder, applies
+    interior-point solver under the recovery ladder below, applies
     the conservative roundings [β = g·⌈β′/g⌉] and [γ = ι + ⌈δ′⌉], and
     certifies the rounded mapping exactly ({!Certify}): Constraint (1)
     (a periodic admissible schedule with the required period), the
@@ -12,21 +12,61 @@
     whenever the solver returned an optimal continuous point; it is
     nevertheless computed and returned with every result.
 
-    Resilience (docs/robustness.md): when the cone solve stalls, the
-    recovery ladder retries once with relaxed tolerances, and then
-    restates the problem on the simplex buffer LP of {!Two_phase}.  A
-    recovered (degraded) solve must be certified, or [solve] returns
-    an error rather than silently handing back an unverified mapping.
-    Simulating the mapping ({!Tdm_sim.Sim}) is left to the caller. *)
+    Resilience (docs/robustness.md): a single interior-point run can
+    stop with [Stalled] or [Iteration_limit] on a badly conditioned
+    instance.  Instead of surfacing that status, [solve] climbs a
+    recovery ladder, one attempt per rung, until a rung answers:
+
+    + [Base] — the caller's parameters, unchanged;
+    + [Relaxed] — the tolerance loosened 10× (accepting the "close to
+      optimal" iterate the strict run rejected) and a cold start: the
+      retry must not repeat the seeded trajectory that just failed;
+    + [Fallback_lp] — the problem restated as [Fair_share] budgets plus
+      the simplex buffer LP of {!Two_phase}: not the joint optimum, but
+      a certified mapping.
+
+    A cone rung that returns [Optimal], an infeasibility certificate (a
+    float ray of the homogeneous embedding, accepted within the rung's
+    tolerance, not an exact proof; a retry would find the same ray) or
+    [Timed_out] answers; [Stalled] and [Iteration_limit] climb.  Every
+    attempt is recorded in {!result.recovery} and traced as a
+    [Rung_enter] / [Rung_exit] pair.  A recovered (degraded) solve must
+    be certified, or [solve] returns an error rather than silently
+    handing back an unverified mapping.  Simulating the mapping
+    ({!Tdm_sim.Sim}) is left to the caller.
+
+    Fault injection: a {!Robust.Fault.plan} decides which attempts run
+    with a sabotaged solver ({!Conic.Socp.params.inject}), letting tests
+    pin every rung deterministically; an attempt the plan does not
+    cover keeps the caller's own [inject] hook.  A plan that covers the
+    simplex rung's attempt disables it. *)
+
+type stage = Base | Relaxed | Fallback_lp
+
+(** One ladder attempt: its rung and the status it returned, as
+    printed by {!Conic.Socp.pp_status} for a cone rung, and
+    ["recovered (simplex)"] or ["failed"] for the simplex rung. *)
+type attempt = { stage : stage; status : string }
+
+(** [stage_name s] is ["base"], ["relaxed"] or ["fallback-lp"], the
+    label trace events carry. *)
+val stage_name : stage -> string
+
+(** [recovered attempts] is true when the solve needed more than the
+    [Base] attempt. *)
+val recovered : attempt list -> bool
+
+(** [pp_recovery ppf attempts] prints ["base: stalled; relaxed: optimal"]. *)
+val pp_recovery : Format.formatter -> attempt list -> unit
 
 type stats = {
   variables : int;
   rows : int;
-  iterations : int;  (** interior-point iterations of the final attempt *)
+  iterations : int;  (** interior-point iterations of the last cone attempt *)
   attempts : int;  (** recovery-ladder attempts, 1 in normal operation *)
   solve_time_s : float;  (** wall-clock time of the whole solve ladder *)
   kkt_fallbacks : int;
-      (** iterations of the final attempt where the sparse KKT
+      (** iterations of the last cone attempt where the sparse KKT
           factorisation fell back to the dense Cholesky *)
 }
 
@@ -46,9 +86,9 @@ type result = {
           a first-attempt result carries its certificate whatever it
           says, so callers that need a feasible mapping test
           {!Certify.certified} *)
-  recovery : Robust.Recovery.trace;
-      (** one attempt per solver run; more than one means the solve was
-          recovered *)
+  recovery : attempt list;
+      (** one attempt per rung run, in order; more than one means the
+          solve was recovered *)
   stats : stats;
   warm : Conic.Socp.warm option;
       (** the optimal primal/dual point of the cone rung that answered,
@@ -69,15 +109,16 @@ type error =
       (** the solve's cooperative deadline
           ({!Conic.Socp.params.deadline}) expired mid-solve.  Unlike a
           [Solver_failure] this is not a verdict about the instance at
-          all: neither the recovery ladder nor the LP fallback is tried
-          (the deadline is already blown), and the durable sweep layer
+          all: no later rung of the recovery ladder is tried (the
+          deadline is already blown), and the durable sweep layer
           deliberately does {e not} journal it, so a resume retries the
           candidate. *)
 
-(** [solve ?params ?policy ?obs cfg] runs the full flow.  [params]
-    tunes the interior-point solver; [policy] (default
-    {!Robust.Recovery.default_policy}, which honours [BUDGETBUF_FAULT])
-    controls the recovery ladder and fault injection.  [obs] (or a
+(** [solve ?params ?fault ?obs cfg] runs the full flow.  [params]
+    tunes the interior-point solver.  [fault] is the fault plan: absent,
+    the one {!Robust.Fault.of_env} reads from [BUDGETBUF_FAULT];
+    [~fault:None], no fault whatever the environment says;
+    [~fault:(Some p)], the plan [p].  [obs] (or a
     context already installed in [params]) receives the solve's trace
     events — solver iterations, recovery rungs, the certificate
     verdict — and the ["socp"] / ["finish"] phase spans; observation
@@ -85,7 +126,7 @@ type error =
     test_obs.ml). *)
 val solve :
   ?params:Conic.Socp.params ->
-  ?policy:Robust.Recovery.policy ->
+  ?fault:Robust.Fault.plan option ->
   ?obs:Obs.Ctx.t ->
   Taskgraph.Config.t ->
   (result, error) Stdlib.result
@@ -95,16 +136,6 @@ val solve :
     period, and {!solve} returns [Infeasible] naming it without
     building the cone program. *)
 val capped_below_tokens : Taskgraph.Config.t -> Taskgraph.Config.buffer option
-
-(** [round_budget ~granularity beta'] is [g·⌈β′/g⌉] with a small
-    tolerance so values within 1e-9 of a grid point do not round up an
-    extra granule.  (= {!Rounding.round_budget}.) *)
-val round_budget : granularity:float -> float -> float
-
-(** [round_capacity ~initial_tokens delta'] is
-    [max 1 (ι + ⌈δ′⌉)] with the same tolerance.
-    (= {!Rounding.round_capacity}.) *)
-val round_capacity : initial_tokens:int -> float -> int
 
 (** [short_reason e] is a short stable label for sweep skip summaries:
     ["infeasible"], ["timed out"], ["stalled"], ["iteration limit"],

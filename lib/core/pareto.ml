@@ -71,10 +71,10 @@ let decode_outcome payload =
     | v -> v
     | exception (Scanf.Scan_failure _ | Failure _ | End_of_file) -> None
 
-let frontier ?(steps = 9) ?params ?policy ?pool ?deadline ?candidate_deadline
+let frontier ?(steps = 9) ?params ?fault ?pool ?deadline ?candidate_deadline
     ?journal ?cancel ?obs ?on_progress cfg =
   if steps < 1 then invalid_arg "Pareto.frontier: steps must be >= 1";
-  let policy = Durability.candidate_policy policy in
+  let fault = match fault with Some f -> f | None -> Robust.Fault.of_env () in
   let tasks = Config.all_tasks cfg and buffers = Config.all_buffers cfg in
   (* Geometric sweep of the budget-to-buffer weight ratio; every ratio
      reweights its own clone so the candidate solves are independent
@@ -111,7 +111,11 @@ let frontier ?(steps = 9) ?params ?policy ?pool ?deadline ?candidate_deadline
   let solve_ratio ~deadline index =
     let ratio = ratios.(index) in
     let params = Durability.params ~deadline ?obs ?warm params in
-    match Mapping.solve ?params ~policy:(policy index) (candidate index) with
+    match
+      Mapping.solve ?params
+        ~fault:(Robust.Fault.for_candidate fault ~index)
+        (candidate index)
+    with
     | Ok r ->
       let budget_sum =
         List.fold_left

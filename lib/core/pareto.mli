@@ -27,7 +27,7 @@ type point = {
     candidate costs one point, not the sweep). *)
 type sweep = { points : point list; skipped : (float * string) list }
 
-(** [frontier ?steps ?params ?policy ?pool cfg] solves the joint
+(** [frontier ?steps ?params ?fault ?pool cfg] solves the joint
     program for [steps] (default 9) weight ratios spread geometrically
     between heavily budget-dominant and heavily buffer-dominant and
     returns the non-dominated points sorted by increasing buffer use.
@@ -39,9 +39,11 @@ type sweep = { points : point list; skipped : (float * string) list }
     instances yield an empty [points] list; failing, crashing and
     timed-out candidates land in [skipped].  The sweep harness — pool,
     journal, deadlines, cancellation, exception barrier, trace events
-    and warm starts — is {!Durable.Sweep}'s; a fault plan restricted
-    with [only=I] applies to the 0-based [I]-th ratio, and the warm
-    anchor solves the first ratio.
+    and warm starts — is {!Durable.Sweep}'s.  [fault] is read as by
+    {!Mapping.solve}, once per sweep, and each ratio gets
+    {!Robust.Fault.for_candidate} of it: a plan restricted with
+    [only=I] applies to the 0-based [I]-th ratio.  The warm anchor
+    solves the first ratio.
 
     Candidate verdicts: ["ok"], ["infeasible"] or ["skipped"].  The
     journal records each ratio's raw outcome; frontier pruning always
@@ -50,7 +52,7 @@ type sweep = { points : point list; skipped : (float * string) list }
 val frontier :
   ?steps:int ->
   ?params:Conic.Socp.params ->
-  ?policy:Robust.Recovery.policy ->
+  ?fault:Robust.Fault.plan option ->
   ?pool:Parallel.Pool.t ->
   ?deadline:Durable.Deadline.t ->
   ?candidate_deadline:float ->

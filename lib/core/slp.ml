@@ -173,11 +173,11 @@ let solve ?(max_iterations = 25) ?(tolerance = 1e-6) ?(initial = 1.0) cfg =
       {
         Config.budget =
           (fun w ->
-            Mapping.round_budget ~granularity:g
+            Rounding.round_budget ~granularity:g
               (Hashtbl.find budgets (Config.task_id w)));
         Config.capacity =
           (fun b ->
-            Mapping.round_capacity
+            Rounding.round_capacity
               ~initial_tokens:(Config.initial_tokens cfg b)
               (space b));
       }

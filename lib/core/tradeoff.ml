@@ -141,10 +141,10 @@ let decode_point cfg ~candidate cap payload =
   | exception (Scanf.Scan_failure _ | Failure _ | End_of_file | Not_found) ->
     None
 
-let capacity_sweep ?params ?policy ?pool ?deadline ?candidate_deadline ?journal
+let capacity_sweep ?params ?fault ?pool ?deadline ?candidate_deadline ?journal
     ?cancel ?obs ?on_progress cfg ~buffers ~caps =
   let caps = Array.of_list caps in
-  let policy = Durability.candidate_policy policy in
+  let fault = match fault with Some f -> f | None -> Robust.Fault.of_env () in
   (* Each cap solves its own clone (handles are dense ids, valid across
      copies), so candidate solves are independent and can be batched on
      a pool; [cfg] is never touched.  A restored point is re-certified
@@ -193,7 +193,10 @@ let capacity_sweep ?params ?policy ?pool ?deadline ?candidate_deadline ?journal
         let params = Durability.params ~deadline ?obs ?warm params in
         {
           cap = caps.(i);
-          result = Mapping.solve ?params ~policy:(policy i) (candidate i);
+          result =
+            Mapping.solve ?params
+              ~fault:(Robust.Fault.for_candidate fault ~index:i)
+              (candidate i);
         })
   in
   List.filter_map Fun.id (Array.to_list results)

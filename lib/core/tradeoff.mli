@@ -11,16 +11,18 @@ type point = {
   result : (Mapping.result, Mapping.error) Stdlib.result;
 }
 
-(** [capacity_sweep ?params ?policy ?pool cfg ~buffers ~caps] runs
+(** [capacity_sweep ?params ?fault ?pool cfg ~buffers ~caps] runs
     {!Mapping.solve} once per cap, setting [max_capacity] of every
     buffer in [buffers] to the cap on a private clone of [cfg] ([cfg]
     itself is left untouched).  Points come back in the order of
     [caps], minus any abandoned to the deadline or cancellation; the
     sweep harness — pool, journal, deadlines, cancellation, exception
     barrier, trace events and warm starts — is {!Durable.Sweep}'s.  A
-    candidate that raises becomes that point's [Solver_failure]; a
-    fault plan restricted with [only=I] applies to the 0-based [I]-th
-    cap.  The warm anchor solves the first cap.
+    candidate that raises becomes that point's [Solver_failure].
+    [fault] is read as by {!Mapping.solve}, once per sweep, and each
+    cap gets {!Robust.Fault.for_candidate} of it: a plan restricted
+    with [only=I] applies to the 0-based [I]-th cap.  The warm anchor
+    solves the first cap.
 
     Candidate verdicts: ["ok"], ["infeasible"], ["skipped"] or
     ["timed out"] (an expired candidate's [Timed_out] error).
@@ -34,7 +36,7 @@ type point = {
     again. *)
 val capacity_sweep :
   ?params:Conic.Socp.params ->
-  ?policy:Robust.Recovery.policy ->
+  ?fault:Robust.Fault.plan option ->
   ?pool:Parallel.Pool.t ->
   ?deadline:Durable.Deadline.t ->
   ?candidate_deadline:float ->

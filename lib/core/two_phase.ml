@@ -21,9 +21,6 @@ let pp_error ppf = function
 
 let ( let* ) = Result.bind
 
-(* Objective (5) evaluated on a rounded mapping: weighted budgets plus
-   weighted container counts beyond the initially-filled ones (matching
-   what the joint flow reports). *)
 let objective_of cfg (mapped : Config.mapped) =
   List.fold_left
     (fun acc w -> acc +. (Config.task_weight cfg w *. mapped.Config.budget w))
@@ -210,16 +207,13 @@ let certified_or_error what mapped certificate ~objective ~rounds =
          (Printf.sprintf "%s failed certification: %s" what
             (Certify.summary certificate)))
 
-let finish ?obs cfg ~budget ~capacity ~rounds =
-  let mapped = { Config.budget; Config.capacity } in
-  match Certify.check cfg mapped with
+let settle ?obs f =
+  match f () with
   | exception Rounding.Non_finite { what; value } ->
     Error
-      (Solver_failure
-         (Printf.sprintf
-            "non-finite %s %h emitted by the solver; rounding refused" what
-            value))
-  | certificate ->
+      (Printf.sprintf
+         "non-finite %s %h emitted by the solver; rounding refused" what value)
+  | (_, certificate) as settled ->
     (match obs with
     | None -> ()
     | Some o ->
@@ -230,6 +224,13 @@ let finish ?obs cfg ~budget ~capacity ~rounds =
                (if Certify.certified certificate then "certified"
                 else "refuted");
            }));
+    Ok settled
+
+let finish ?obs cfg ~budget ~capacity ~rounds =
+  let mapped = { Config.budget; Config.capacity } in
+  match settle ?obs (fun () -> (mapped, Certify.check cfg mapped)) with
+  | Error msg -> Error (Solver_failure msg)
+  | Ok (mapped, certificate) ->
     certified_or_error "two-phase result" mapped certificate
       ~objective:(fun () -> objective_of cfg mapped)
       ~rounds

@@ -53,6 +53,22 @@ type error =
 
 val pp_error : Format.formatter -> error -> unit
 
+(** [objective_of cfg mapped] is Objective (5) on a rounded mapping:
+    weighted budgets plus weighted containers beyond the initially
+    filled ones.  Both flows report it ({!result.objective},
+    {!Mapping.result.rounded_objective}). *)
+val objective_of : Taskgraph.Config.t -> Taskgraph.Config.mapped -> float
+
+(** [settle ?obs f] is the finish step both flows share: [f ()] rounds
+    a mapping and certifies it.  A non-finite solver output reaching
+    the grid ({!Rounding.Non_finite}) becomes [Error] with a one-line
+    message; otherwise [obs] receives the certificate's verdict as a
+    {!Obs.Trace.Certificate} event and the pair is returned. *)
+val settle :
+  ?obs:Obs.Ctx.t ->
+  (unit -> Taskgraph.Config.mapped * Certify.t) ->
+  (Taskgraph.Config.mapped * Certify.t, string) Stdlib.result
+
 (** [budget_first ?policy ?obs cfg] runs phase 1 (budgets) then phase 2
     (buffer LP via simplex).  [obs] receives a {!Obs.Trace.Certificate}
     verdict event when the flow reaches certification. *)

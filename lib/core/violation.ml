@@ -7,15 +7,6 @@ type t =
   | Budget_range of { task : string; budget : float; replenishment : float }
   | Non_finite of { what : string; value : float }
 
-let constraint_id = function
-  | Throughput _ -> "throughput"
-  | Processor_capacity _ -> "proc-capacity"
-  | Memory_capacity _ -> "mem-capacity"
-  | Latency _ -> "latency"
-  | Buffer_bound _ -> "buffer-bound"
-  | Budget_range _ -> "budget-range"
-  | Non_finite _ -> "non-finite"
-
 (* The shortest [%g] rendering, from six significant digits up, that
    reads back as the same float: two different values never print
    alike, so a period requirement of 9.99999999999 does not read 10 and

@@ -25,10 +25,6 @@ type t =
   | Non_finite of { what : string; value : float }
       (** A NaN or infinite number where a finite one was required. *)
 
-(** Short stable identifier of the violated constraint, e.g.
-    ["throughput"] or ["proc-capacity"]. *)
-val constraint_id : t -> string
-
 (** The human-readable diagnostic line.  Periods, latencies and
     budgets print with the fewest significant digits (six at least)
     that read back as the same float, so the two sides of a violated

@@ -71,11 +71,6 @@ let set_duration g v d =
     invalid_arg "Srdf.set_duration: duration must be finite and >= 0";
   g.actor_infos.(v).duration <- d
 
-let set_tokens g e n =
-  check_edge g e;
-  if n < 0 then invalid_arg "Srdf.set_tokens: tokens must be >= 0";
-  g.edge_infos.(e).tokens <- n
-
 let num_actors g = g.nactors
 let num_edges g = g.nedges
 let actors g = List.init g.nactors Fun.id

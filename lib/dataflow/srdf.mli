@@ -37,9 +37,6 @@ val add_edge : t -> src:actor -> dst:actor -> tokens:int -> edge
     a graph for new budget values). *)
 val set_duration : t -> actor -> float -> unit
 
-(** [set_tokens g e n] updates the initial tokens of a queue. *)
-val set_tokens : t -> edge -> int -> unit
-
 (** Accessors. *)
 val num_actors : t -> int
 

@@ -8,10 +8,6 @@
 
 type progress = { total : int; resumed : int; solved : int; not_run : int }
 
-let pp_progress ppf p =
-  Format.fprintf ppf "%d/%d resumed, %d solved, %d not run" p.resumed p.total
-    p.solved p.not_run
-
 let candidate_deadline deadline budget =
   let deadline = Option.value deadline ~default:Deadline.none in
   match budget with

@@ -39,8 +39,6 @@
     ([total = resumed + solved + not_run]). *)
 type progress = { total : int; resumed : int; solved : int; not_run : int }
 
-val pp_progress : Format.formatter -> progress -> unit
-
 (** [candidate_deadline deadline budget] is the sweep [deadline]
     (default {!Deadline.none}) combined with a fresh budget of [budget]
     seconds starting now — what {!run} hands each candidate, and what a

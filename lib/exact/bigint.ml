@@ -46,7 +46,6 @@ let of_int64 v =
 
 let of_int n = of_int64 (Int64.of_int n)
 let one = of_int 1
-let minus_one = of_int (-1)
 
 let bit_length_mag m =
   let l = Array.length m in

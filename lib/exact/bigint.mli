@@ -13,7 +13,6 @@ type t
 
 val zero : t
 val one : t
-val minus_one : t
 
 val of_int : int -> t
 val of_int64 : int64 -> t

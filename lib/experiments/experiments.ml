@@ -195,7 +195,7 @@ let lp_cross_check ppf =
         | Conic.Socp.Optimal ->
           let c = Socp_builder.extract cfg builder result in
           show (fun b ->
-              Mapping.round_capacity
+              Budgetbuf.Rounding.round_capacity
                 ~initial_tokens:(Config.initial_tokens cfg b)
                 (c.Socp_builder.space b))
         | st -> Format.asprintf "%a" Conic.Socp.pp_status st

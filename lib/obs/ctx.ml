@@ -112,16 +112,18 @@ let emit t event =
         event;
       }
 
-let with_span obs name f =
+let open_span obs name =
   match obs with
-  | None -> f ()
+  | None -> ignore
   | Some t ->
     emit t (Trace.Span_open { name });
     let t0 = Clock.now () in
-    Fun.protect
-      ~finally:(fun () ->
-        emit t (Trace.Span_close { name; elapsed_s = Clock.now () -. t0 }))
-      f
+    fun () -> emit t (Trace.Span_close { name; elapsed_s = Clock.now () -. t0 })
+
+let with_span obs name f =
+  match obs with
+  | None -> f ()
+  | Some _ -> Fun.protect ~finally:(open_span obs name) f
 
 (* The end-of-run metrics table.  Keyed lines render their entries in
    sorted key order, and empty sections are omitted entirely, so the

@@ -30,6 +30,12 @@ val emit : t -> Trace.event -> unit
     is exactly [f ()]. *)
 val with_span : t option -> string -> (unit -> 'a) -> 'a
 
+(** [open_span obs name] emits the [Span_open] of [with_span] and
+    returns the function that emits its [Span_close], for a span that
+    does not wrap one call.  The caller closes it exactly once, on every
+    exit path.  [open_span None name] is [ignore]. *)
+val open_span : t option -> string -> unit -> unit
+
 (** [report t] renders the metrics table, one line per populated
     section: solves and iterations, the recovery-rung histogram,
     injected faults, certificate verdicts, candidate verdicts, journal

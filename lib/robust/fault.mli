@@ -1,6 +1,7 @@
 (** Deterministic fault-injection plans.
 
-    A plan describes which solver attempts of a {!Recovery} ladder are
+    A plan describes which solver attempts of the recovery ladder
+    ([Budgetbuf.Mapping]) are
     sabotaged and how, so tests (and the [@runtest-fault] suite) can
     exercise every recovery rung without fishing for pathological
     instances.  Plans are plain data parsed from a spec string in the

@@ -194,8 +194,10 @@ let parse ~config ~fault =
 
 let solve ?obs ~deadline cfg plan =
   let params = Durability.params ~deadline ?obs None in
-  let policy = Robust.Recovery.with_fault plan in
-  match Mapping.solve ?params ~policy ?obs cfg with
+  (* An admit's fault spec replaces BUDGETBUF_FAULT; without one the
+     solve reads the environment. *)
+  let fault = Option.map Option.some plan in
+  match Mapping.solve ?params ?fault ?obs cfg with
   | Ok r ->
     R_solved
       {

@@ -78,8 +78,8 @@ val parse :
   (Taskgraph.Config.t * Robust.Fault.plan option, string) Stdlib.result
 
 (** [solve ?obs ~deadline cfg plan] runs {!Budgetbuf.Mapping.solve}
-    under the deadline and the recovery policy of [plan]
-    ({!Robust.Recovery.with_fault}), and classifies the result: an
+    under the deadline with the fault plan [plan] ([None]: the one
+    [BUDGETBUF_FAULT] names), and classifies the result: an
     infeasibility verdict is [R_unsat], a lapsed deadline [R_late], a
     solver failure or an exception [R_failed]. *)
 val solve :

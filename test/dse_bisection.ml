@@ -12,7 +12,7 @@ let min_period_scale ?on_probe cfg =
     List.iter (fun (g, mu) -> Config.set_period probe_cfg g (mu *. scale)) base;
     let params = Budgetbuf.Durability.params ?warm:!seed None in
     match
-      Mapping.solve ?params ~policy:{ Robust.Recovery.fault = None } probe_cfg
+      Mapping.solve ?params ~fault:None probe_cfg
     with
     | Ok r ->
       if Option.is_some r.Mapping.warm then seed := r.Mapping.warm;

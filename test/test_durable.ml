@@ -15,7 +15,6 @@ module Config = Taskgraph.Config
 module Mapping = Budgetbuf.Mapping
 module Tradeoff = Budgetbuf.Tradeoff
 module Dse = Budgetbuf.Dse
-module Recovery = Robust.Recovery
 module Fault = Robust.Fault
 
 let check_float eps = Alcotest.(check (float eps))
@@ -411,9 +410,9 @@ let test_pool_cancel_wellformed () =
 (* Drivers: resume re-solves exactly the missing candidates            *)
 (* ------------------------------------------------------------------ *)
 
-let fault_policy spec =
+let fault_plan spec =
   match Fault.of_string spec with
-  | Ok plan -> Recovery.with_fault (Some plan)
+  | Ok plan -> Some plan
   | Error e -> Alcotest.failf "fault spec %S: %s" spec e
 
 let test_dse_resume_exact_solves () =
@@ -701,7 +700,7 @@ let test_tradeoff_candidate_deadline () =
   with_journal ~fingerprint:fp path (fun j ->
       let points =
         Tradeoff.capacity_sweep
-          ~policy:(fault_policy "slow,only=1")
+          ~fault:(fault_plan "slow,only=1")
           ~candidate_deadline:0.2 ~journal:j cfg ~buffers ~caps
       in
       Alcotest.(check int) "every cap reported" 3 (List.length points);
@@ -743,7 +742,7 @@ let test_tradeoff_sweep_deadline () =
   let prog = ref None in
   let points =
     Tradeoff.capacity_sweep
-      ~policy:(fault_policy "slow")
+      ~fault:(fault_plan "slow")
       ~deadline:(Deadline.after 0.2)
       ~on_progress:(fun p -> prog := Some p)
       cfg ~buffers ~caps:[ 1; 2; 3 ]

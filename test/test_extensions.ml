@@ -589,10 +589,7 @@ let test_dse_accepts_only_certified () =
         true
         (Budgetbuf.Certify.certified r.Mapping.certificate)
     in
-    match
-      Dse.min_period_scale ~policy:(Robust.Recovery.with_fault None)
-        ~on_feasible capped
-    with
+    match Dse.min_period_scale ~on_feasible capped with
     | None -> Alcotest.failf "cap %d: no feasible period" cap
     | Some scale -> Config.period capped (List.hd (Config.graphs capped)) *. scale
   in
@@ -602,8 +599,6 @@ let test_dse_accepts_only_certified () =
       (Printf.sprintf "cap 10 (%.4f) no worse than cap 9 (%.4f)" p10 p9)
       true (p10 <= p9)
   | _ -> assert false
-
-let no_fault = { Robust.Recovery.fault = None }
 
 let cap_all cfg cap =
   let capped = Config.copy cfg in
@@ -631,7 +626,7 @@ let test_dse_cap_below_tokens () =
   Alcotest.(check int) "no probe" 0 !probes;
   Alcotest.(check bool) "no cone solve" true
     (List.mem "solves: 0 (0 iterations)" (Obs.Ctx.report obs));
-  match Dse.throughput_curve ~policy:no_fault ring ~caps:[ 1; 2 ] with
+  match Dse.throughput_curve ~fault:None ring ~caps:[ 1; 2 ] with
   | [ p1; p2 ] ->
     Alcotest.(check bool) "cap 1 infeasible" true (p1.Dse.outcome = Ok None);
     Alcotest.(check bool) "cap 2 certified" true p2.Dse.certified
@@ -644,7 +639,7 @@ let test_dse_cap_below_tokens () =
 let test_dse_splitjoin_cap2_no_worse () =
   let cfg = Workloads.Gen.split_join ~branches:4 () in
   match
-    Dse.curve_points (Dse.throughput_curve ~policy:no_fault cfg ~caps:[ 1; 2 ])
+    Dse.curve_points (Dse.throughput_curve ~fault:None cfg ~caps:[ 1; 2 ])
   with
   | [ (1, p1); (2, p2) ] ->
     Alcotest.(check bool)
@@ -689,7 +684,7 @@ let test_dse_no_worse_than_bisection () =
             Alcotest.failf "%s cap %d: bisection found %.6f, search nothing"
               name p.cap old
           | _, None -> ())
-        (Dse.throughput_curve ~policy:no_fault cfg ~caps))
+        (Dse.throughput_curve ~fault:None cfg ~caps))
     (sweep_small_dse ())
 
 (* Every printed point is the exact period of the certified mapping
@@ -722,7 +717,7 @@ let prop_dse_points_recertify =
           let capped = cap_all cfg p.cap in
           let last = ref None in
           ignore
-            (Dse.min_period_scale ~policy:no_fault
+            (Dse.min_period_scale ~fault:None
                ~on_feasible:(fun r -> last := Some r.Mapping.mapped)
                capped);
           let mapped = Option.get !last in
@@ -738,7 +733,7 @@ let prop_dse_points_recertify =
           at period <= 0 && at (Float.pred period) > 0
       in
       List.for_all recertifies
-        (Dse.throughput_curve ~policy:no_fault cfg ~caps:[ 1; 2; 3; 4 ]))
+        (Dse.throughput_curve ~fault:None cfg ~caps:[ 1; 2; 3; 4 ]))
 
 let test_dse_throughput_curve_monotone () =
   (* More buffering can only improve the best period (Fig 2a dualised). *)

@@ -174,7 +174,7 @@ let test_throughput_curve_iterations_pinned () =
   let obs = Obs.Ctx.make () in
   ignore
     (Budgetbuf.Dse.throughput_curve ~obs
-       ~policy:{ Robust.Recovery.fault = None }
+       ~fault:None
        (Workloads.Gen.paper_t1 ()) ~caps:[ 1; 2; 3; 4 ]);
   let solves =
     List.find (String.starts_with ~prefix:"solves: ") (Obs.Ctx.report obs)

@@ -10,7 +10,6 @@ module Socp = Conic.Socp
 module Presolve = Conic.Presolve
 module Sparse_rows = Conic.Sparse_rows
 module Fault = Robust.Fault
-module Recovery = Robust.Recovery
 module Config = Taskgraph.Config
 module Mapping = Budgetbuf.Mapping
 module Pool = Parallel.Pool
@@ -383,13 +382,13 @@ let plan spec =
   | Ok p -> p
   | Error e -> Alcotest.failf "%S: %s" spec e
 
-let policy spec = { Recovery.fault = Some (plan spec) }
+let fault spec = Some (plan spec)
 
 let stage_names r =
-  List.map (fun a -> Recovery.stage_name a.Recovery.stage) r.Mapping.recovery
+  List.map (fun a -> Mapping.stage_name a.Mapping.stage) r.Mapping.recovery
 
 let solve_with spec =
-  Mapping.solve ~policy:(policy spec) (Workloads.Gen.paper_t1 ())
+  Mapping.solve ~fault:(fault spec) (Workloads.Gen.paper_t1 ())
 
 let reference_mapping () =
   match Mapping.solve (Workloads.Gen.paper_t1 ()) with
@@ -435,7 +434,8 @@ let test_nan_fault_recovers () =
   match solve_with "nan,iter=1" with
   | Error e -> Alcotest.failf "nan fault not recovered: %a" Mapping.pp_error e
   | Ok r ->
-    Alcotest.(check bool) "recovered" true (Recovery.recovered r.Mapping.recovery);
+    Alcotest.(check bool) "recovered" true
+      (Mapping.recovered r.Mapping.recovery);
     Alcotest.(check (list string)) "verified" []
         (List.map Budgetbuf.Violation.to_string
            (Float_verify.verify (Workloads.Gen.paper_t1 ())
@@ -460,40 +460,45 @@ let test_no_recovery_policy () =
   (* The full default ladder with no fault injected (not even one
      from BUDGETBUF_FAULT): a clean solve stops at its first rung. *)
   let cfg = Workloads.Gen.paper_t1 () in
-  match Mapping.solve ~policy:{ Recovery.fault = None } cfg with
+  match Mapping.solve ~fault:None cfg with
   | Error e -> Alcotest.failf "clean solve failed: %a" Mapping.pp_error e
   | Ok r ->
     Alcotest.(check (list string)) "single base attempt" [ "base" ]
       (stage_names r);
     Alcotest.(check bool) "not recovered" false
-      (Recovery.recovered r.Mapping.recovery)
+      (Mapping.recovered r.Mapping.recovery)
 
 (* ------------------------------------------------------------------ *)
 (* Fault observability                                                 *)
 (* ------------------------------------------------------------------ *)
 
 (* Every fired fault leaves exactly one matching trace
-   (docs/observability.md): the solver kinds produce one
+   (docs/observability.md): each faulted solver attempt produces one
    [Fault_injected] and one faulted [Rung_exit] carrying the same
    label, while [bad_round] — which sabotages the rounding step, not
    the solver — produces one [Fault_injected] and no faulted rung at
    all (and none when the instance is infeasible, because rounding
-   never runs).  Checked on random instances across all four kinds;
-   the [slow] kind costs a real 0.5 s sleep per case, so the seed
-   split keeps it rare. *)
+   never runs).  The trace also agrees with the record: the
+   [Rung_exit] events of an [Ok] solve carry, in order, the stages and
+   statuses of its [Mapping.recovery].  Checked on random instances
+   across all four kinds and [stall,attempts=2], which climbs to the
+   simplex rung; the [slow] kind costs a real 0.5 s sleep per case, so
+   the seed split keeps it rare. *)
 let prop_fault_trace_matches_plan =
   QCheck.Test.make ~count:24
     ~name:"each fired fault emits exactly one matching trace event"
     QCheck.(int_range 1 1_000_000)
     (fun seed ->
-      let kind =
+      let spec =
         match seed mod 8 with
         | 0 | 1 -> "stall"
         | 2 | 3 -> "nan"
         | 4 | 5 -> "bad_round"
-        | 6 -> "bad_round"
+        | 6 -> "stall,attempts=2"
         | _ -> "slow"
       in
+      let fault = plan spec in
+      let kind = Fault.kind_name fault.Fault.kind in
       let rng = Workloads.Rng.create (Int64.of_int seed) in
       let cfg =
         if seed mod 2 = 0 then
@@ -507,7 +512,17 @@ let prop_fault_trace_matches_plan =
       in
       let sink = Obs.Sink.ring ~capacity:4096 in
       let obs = Obs.Ctx.make ~sink () in
-      let result = Mapping.solve ~policy:(policy kind) ~obs cfg in
+      let result = Mapping.solve ~fault:(Some fault) ~obs cfg in
+      let events = Obs.Sink.events sink in
+      let exits =
+        List.filter_map
+          (fun e ->
+            match e.Obs.Trace.event with
+            | Obs.Trace.Rung_exit { attempt; stage; status; _ } ->
+              Some (attempt, (stage, status))
+            | _ -> None)
+          events
+      in
       let injected, faulted_exits =
         List.fold_left
           (fun (inj, exits) e ->
@@ -519,12 +534,31 @@ let prop_fault_trace_matches_plan =
               ->
               (inj, exits + 1)
             | _ -> (inj, exits))
-          (0, 0) (Obs.Sink.events sink)
+          (0, 0) events
       in
-      if String.equal kind "bad_round" then
-        let expected = match result with Ok _ -> 1 | Error _ -> 0 in
-        injected = expected && faulted_exits = 0
-      else injected = 1 && faulted_exits = 1)
+      let faults_match =
+        if String.equal kind "bad_round" then
+          let expected = match result with Ok _ -> 1 | Error _ -> 0 in
+          injected = expected && faulted_exits = 0
+        else
+          let covered =
+            List.length
+              (List.filter
+                 (fun (attempt, _) -> Fault.covers (Some fault) ~attempt)
+                 exits)
+          in
+          covered >= 1 && injected = covered && faulted_exits = covered
+      in
+      let record_matches =
+        match result with
+        | Error _ -> true
+        | Ok r ->
+          List.map snd exits
+          = List.map
+              (fun a -> (Mapping.stage_name a.Mapping.stage, a.Mapping.status))
+              r.Mapping.recovery
+      in
+      faults_match && record_matches)
 
 (* ------------------------------------------------------------------ *)
 (* Failure-tolerant sweeps                                             *)
@@ -540,7 +574,7 @@ let test_pareto_survives_failing_candidate () =
   let faulty =
     Pool.with_pool ~domains:4 @@ fun pool ->
     Pareto.frontier ~steps:5
-      ~policy:(policy "stall,attempts=all,only=1")
+      ~fault:(fault "stall,attempts=all,only=1")
       ~pool cfg
   in
   Alcotest.(check (list (pair (float 0.0) string))) "clean sweep skips none"
@@ -568,7 +602,7 @@ let test_pareto_survives_failing_candidate () =
 let test_throughput_curve_reports_skips () =
   let cfg = Workloads.Gen.paper_t1 () in
   let curve =
-    Dse.throughput_curve ~policy:(policy "stall,attempts=all,only=2") cfg
+    Dse.throughput_curve ~fault:(fault "stall,attempts=all,only=2") cfg
       ~caps:[ 1; 2; 4; 8 ]
   in
   Alcotest.(check int) "three candidates survive" 3
@@ -583,7 +617,7 @@ let test_capacity_sweep_reports_skips () =
   let cfg = Workloads.Gen.paper_t1 () in
   let buffers = Config.all_buffers cfg in
   let points =
-    Tradeoff.capacity_sweep ~policy:(policy "stall,attempts=all,only=0") cfg
+    Tradeoff.capacity_sweep ~fault:(fault "stall,attempts=all,only=0") cfg
       ~buffers ~caps:[ 1; 2; 3 ]
   in
   Alcotest.(check int) "all caps reported" 3 (List.length points);

@@ -732,9 +732,9 @@ let prop_model_conservative =
    here; the ladder's reach is pinned in test_robust. *)
 let prop_recovered_conservative k =
   let spec = Printf.sprintf "stall,attempts=%d" k in
-  let policy =
+  let fault =
     match Robust.Fault.of_string spec with
-    | Ok plan -> Robust.Recovery.with_fault (Some plan)
+    | Ok plan -> Some plan
     | Error e -> failwith e
   in
   QCheck2.Test.make
@@ -742,10 +742,10 @@ let prop_recovered_conservative k =
     ~count:10 random_chain_gen
     (fun input ->
       let cfg = random_chain_of input in
-      match Mapping.solve ~policy cfg with
+      match Mapping.solve ~fault cfg with
       | Error _ -> true
       | Ok r ->
-        Robust.Recovery.attempts r.Mapping.recovery > k
+        List.length r.Mapping.recovery > k
         && Budgetbuf.Certify.certified r.Mapping.certificate
         && simulates_within cfg r.Mapping.mapped)
 

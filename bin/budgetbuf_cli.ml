@@ -1,12 +1,6 @@
 (* budgetbuf — command-line front end for the joint budget and
-   buffer-size computation flow.
-
-   Subcommands:
-     solve       run Algorithm 1 on a configuration file
-     validate    parse and sanity-check a configuration file
-     tradeoff    sweep a capacity cap and report the budget curve
-     experiment  regenerate a table/figure of the paper
-     generate    emit a generated workload in the config syntax *)
+   buffer-size computation flow.  [budgetbuf --help] lists the
+   subcommands. *)
 
 module Config = Taskgraph.Config
 module Parse = Taskgraph.Parse
@@ -343,7 +337,6 @@ let override_fault = Option.map Option.some
    and tighten's solve-then-[Tighten.run]) in their shared order, ahead
    of the configuration. *)
 type 'a sweep =
-  ?params:Conic.Socp.params ->
   ?fault:Fault.plan option ->
   ?pool:Parallel.Pool.t ->
   ?deadline:Deadline.t ->
@@ -929,9 +922,9 @@ let do_tighten () path banks iterations jobs output resume deadline
     (* The analytic mapping and its exact certificate stay with the
        result: the tightened capacities are simulation-backed, the
        analytic ones machine-checked (docs/tightening.md). *)
-    let sweep ?params ?fault ?pool ?deadline ?candidate_deadline ?journal
-        ?cancel ?obs ?on_progress cfg =
-      match Mapping.solve ?params ?fault ?obs cfg with
+    let sweep ?fault ?pool ?deadline ?candidate_deadline ?journal ?cancel ?obs
+        ?on_progress cfg =
+      match Mapping.solve ?fault ?obs cfg with
       | Error e -> Error (Format.asprintf "%a" Mapping.pp_error e)
       | Ok r ->
         Format.printf "certificate: %s@."

@@ -30,9 +30,6 @@ let float_up q =
    trace counts it with the probes' solves. *)
 let period_bound ?params cfg =
   let b = Socp_builder.build_min_period cfg in
-  let params =
-    Option.map (fun p -> { p with Conic.Socp.warm = None }) params
-  in
   let obs = Durability.obs_of params None in
   let r =
     Obs.Ctx.with_span obs "socp" (fun () ->
@@ -46,10 +43,10 @@ let period_bound ?params cfg =
 (* The search behind [min_period_scale]: the accepted scale and the
    periods, one per graph in [Config.graphs] order, at which the
    mapping behind it is certified. *)
-let search ?params ?fault ?obs ?on_probe ?on_failure ?on_feasible cfg =
-  (* The context rides inside the params so every probe's [Mapping.solve]
-     sees it without further plumbing. *)
-  let params = Durability.params ?obs params in
+let search ?deadline ?fault ?obs ?on_probe ?on_failure ?on_feasible cfg =
+  (* The deadline and context ride inside the params so every probe's
+     [Mapping.solve] sees them without further plumbing. *)
+  let params = Durability.params ?deadline ?obs None in
   (* One mutable clone serves every probe: only the periods change
      between probes, so rescaling them in place beats rebuilding the
      whole configuration each time. *)
@@ -92,8 +89,7 @@ let search ?params ?fault ?obs ?on_probe ?on_failure ?on_feasible cfg =
   (* The warm chain: each probe starts from the optimum of the latest
      earlier probe that reached one (only the periods differ between
      probes, so that point is the closest seed there is), and the first
-     from whatever warm point [params] carries — none in a sweep.  The
-     chain lives and dies with this one search, so the probes' seeds
+     runs cold.  The chain lives and dies with this one search, so the probes' seeds
      are a pure function of [cfg] and the probe sequence. *)
   let seed = ref None in
   (* [Some point] for a probe whose mapping is certified. *)
@@ -170,10 +166,8 @@ let search ?params ?fault ?obs ?on_probe ?on_failure ?on_feasible cfg =
   if Option.is_some (Mapping.capped_below_tokens cfg) then None
   else match run () with v -> v | exception Probe_expired -> None
 
-let min_period_scale ?params ?fault ?obs ?on_probe ?on_failure ?on_feasible
-    cfg =
-  Option.map fst
-    (search ?params ?fault ?obs ?on_probe ?on_failure ?on_feasible cfg)
+let min_period_scale ?fault ?obs ?on_probe ?on_failure ?on_feasible cfg =
+  Option.map fst (search ?fault ?obs ?on_probe ?on_failure ?on_feasible cfg)
 
 type curve_point = {
   cap : int;
@@ -234,7 +228,7 @@ let decode_point cap payload =
     | v -> v
     | exception (Scanf.Scan_failure _ | Failure _ | End_of_file) -> None
 
-let throughput_curve ?params ?fault ?pool ?deadline ?candidate_deadline
+let throughput_curve ?fault ?pool ?deadline ?candidate_deadline
     ?journal ?cancel ?obs ?on_progress cfg ~caps =
   let fault = match fault with Some f -> f | None -> Robust.Fault.of_env () in
   let caps = Array.of_list caps in
@@ -254,9 +248,8 @@ let throughput_curve ?params ?fault ?pool ?deadline ?candidate_deadline
        cold and seeds the next one, and so on down the candidate's own
        probe sequence: no seed crosses candidates, so the point is
        bit-identical however the sweep is scheduled or resumed. *)
-    let params = Durability.params ~deadline ?obs params in
     match
-      search ?params
+      search ~deadline ?obs
         ~fault:(Robust.Fault.for_candidate fault ~index)
         ~on_failure capped
     with

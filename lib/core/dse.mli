@@ -11,15 +11,15 @@
     throughput/buffer trade-off curve (Stuijk et al., DAC 2007, the
     two-phase flow the paper's Section I contrasts against). *)
 
-(** [min_period_scale ?params ?fault ?on_probe cfg] is the smallest
+(** [min_period_scale ?fault ?on_probe cfg] is the smallest
     factor [s] found such that the configuration with all periods
     scaled by [s] has a certified mapping.  [s ≤ 1] means the stated
     requirements hold with margin; [s > 1] means they must be relaxed
     by that factor.
 
     The search:
-    - solves the min-period form once, cold, with [params]' deadline
-      and context (in a ["socp"] span, so a trace counts it): its
+    - solves the min-period form once, cold, with the search's
+      deadline and context (in a ["socp"] span, so a trace counts it): its
       optimum [s_c] lower-bounds every scale at which the cone program
       is feasible.  If that solve is not optimal, the bound falls back
       to the largest [χ/µ];
@@ -45,9 +45,9 @@
     rescaled in place — [cfg] itself is never mutated.  They also
     share one warm chain: each probe's cone solve starts from the
     optimum ({!Mapping.result.warm}) of the latest earlier probe that
-    reached one, and the first from [params]' own warm point (none:
-    cold); the bound solve always runs cold.  The probe sequence and
-    its seeds are therefore a pure function of [cfg] and [params].
+    reached one, and the first cold; the bound solve always runs cold.
+    The probe sequence and its seeds are therefore a pure function of
+    [cfg].
     [fault] is forwarded to every probe's {!Mapping.solve} (not to the
     bound solve).  [on_probe] is called with the scale of every
     feasibility probe (solve); the regression tests use it to pin the
@@ -61,12 +61,12 @@
     such probe.  Each certified probe becomes the answer, so the last
     such call describes the mapping behind the accepted scale.
 
-    When [params] carries a {!Conic.Socp.params.deadline} and a probe
-    times out, the whole search is abandoned ([None]) after reporting
-    the timeout through [on_failure] — past the deadline, searching on
-    further timed-out probes could only manufacture garbage bounds. *)
+    Inside {!throughput_curve}, whose per-candidate deadline rides into
+    every probe, a probe that times out abandons the whole search
+    ([None]) after reporting the timeout through [on_failure] — past
+    the deadline, searching on further timed-out probes could only
+    manufacture garbage bounds. *)
 val min_period_scale :
-  ?params:Conic.Socp.params ->
   ?fault:Robust.Fault.plan option ->
   ?obs:Obs.Ctx.t ->
   ?on_probe:(float -> unit) ->
@@ -103,7 +103,7 @@ val curve_points : curve_point list -> (int * float) list
     failed outright (not the merely infeasible ones). *)
 val curve_skipped : curve_point list -> (int * string) list
 
-(** [throughput_curve ?params ?fault ?pool cfg ~caps] sweeps a shared
+(** [throughput_curve ?fault ?pool cfg ~caps] sweeps a shared
     buffer capacity cap and reports, per cap, the minimal feasible
     period of the {e first} task graph (single-graph configurations
     being the common case).  Every cap is an independent search
@@ -126,7 +126,6 @@ val curve_skipped : curve_point list -> (int * string) list
     ["timed out"].  The journal records each point's outcome and
     [certified] flag, floats bit-exact. *)
 val throughput_curve :
-  ?params:Conic.Socp.params ->
   ?fault:Robust.Fault.plan option ->
   ?pool:Parallel.Pool.t ->
   ?deadline:Durable.Deadline.t ->

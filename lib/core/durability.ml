@@ -33,9 +33,11 @@ let params ?deadline ?obs ?warm p =
    warm point.  Any outcome other than [Optimal] — including an
    exception — yields [None]: the sweep silently falls back to cold
    starts. *)
-let warm_anchor ?params cfg =
+let warm_anchor ?deadline cfg =
   let params =
-    let base = Option.value params ~default:Socp.default_params in
+    let base =
+      Option.value (params ?deadline None) ~default:Socp.default_params
+    in
     { base with Socp.obs = None; inject = None; warm = None }
   in
   match

@@ -23,11 +23,12 @@ val params :
   Conic.Socp.params option ->
   Conic.Socp.params option
 
-(** [warm_anchor ?params cfg] runs one cold solve of [cfg]'s SOCP and
-    returns its primal/dual point as a warm-start seed, or [None] if
-    the solve did not reach [Optimal] (or raised).  Observability,
-    fault injection and any warm point are stripped from [params]
-    first: the anchor is bookkeeping, not a sweep candidate.
+(** [warm_anchor ?deadline cfg] runs one cold solve of [cfg]'s SOCP,
+    polling [deadline] as {!params} installs it, and returns its
+    primal/dual point as a warm-start seed, or [None] if the solve did
+    not reach [Optimal] (or raised).  It runs without observability,
+    fault injection or a warm point: the anchor is bookkeeping, not a
+    sweep candidate.
     {!Tradeoff} and {!Pareto} seed {e every} candidate from this one
     anchor rather than chaining neighbours, so the seed — and
     therefore every candidate's iteration trajectory — is independent
@@ -35,7 +36,7 @@ val params :
     journal-restored resumes.  {!Dse} chains seeds inside each
     candidate instead ({!Dse.min_period_scale}). *)
 val warm_anchor :
-  ?params:Conic.Socp.params -> Taskgraph.Config.t -> Conic.Socp.warm option
+  ?deadline:Durable.Deadline.t -> Taskgraph.Config.t -> Conic.Socp.warm option
 
 (** [obs_of params obs] is the effective context of a call taking both
     [?obs] and [?params]: an explicit [obs] wins, else the one already

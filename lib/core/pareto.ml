@@ -71,7 +71,7 @@ let decode_outcome payload =
     | v -> v
     | exception (Scanf.Scan_failure _ | Failure _ | End_of_file) -> None
 
-let frontier ?(steps = 9) ?params ?fault ?pool ?deadline ?candidate_deadline
+let frontier ?(steps = 9) ?fault ?pool ?deadline ?candidate_deadline
     ?journal ?cancel ?obs ?on_progress cfg =
   if steps < 1 then invalid_arg "Pareto.frontier: steps must be >= 1";
   let fault = match fault with Some f -> f | None -> Robust.Fault.of_env () in
@@ -97,11 +97,7 @@ let frontier ?(steps = 9) ?params ?fault ?pool ?deadline ?candidate_deadline
      [Durability.warm_anchor]. *)
   let warm =
     Durability.warm_anchor
-      ?params:
-        (Durability.params
-           ~deadline:
-             (Durable.Sweep.candidate_deadline deadline candidate_deadline)
-           params)
+      ~deadline:(Durable.Sweep.candidate_deadline deadline candidate_deadline)
       (candidate 0)
   in
   (* Per-candidate outcome: a solver failure (or a crash) is reported
@@ -110,7 +106,7 @@ let frontier ?(steps = 9) ?params ?fault ?pool ?deadline ?candidate_deadline
      has no frontier points at any ratio). *)
   let solve_ratio ~deadline index =
     let ratio = ratios.(index) in
-    let params = Durability.params ~deadline ?obs ?warm params in
+    let params = Durability.params ~deadline ?obs ?warm None in
     match
       Mapping.solve ?params
         ~fault:(Robust.Fault.for_candidate fault ~index)

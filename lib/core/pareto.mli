@@ -27,7 +27,7 @@ type point = {
     candidate costs one point, not the sweep). *)
 type sweep = { points : point list; skipped : (float * string) list }
 
-(** [frontier ?steps ?params ?fault ?pool cfg] solves the joint
+(** [frontier ?steps ?fault ?pool cfg] solves the joint
     program for [steps] (default 9) weight ratios spread geometrically
     between heavily budget-dominant and heavily buffer-dominant and
     returns the non-dominated points sorted by increasing buffer use.
@@ -51,7 +51,6 @@ type sweep = { points : point list; skipped : (float * string) list }
     @raise Invalid_argument if [steps < 1]. *)
 val frontier :
   ?steps:int ->
-  ?params:Conic.Socp.params ->
   ?fault:Robust.Fault.plan option ->
   ?pool:Parallel.Pool.t ->
   ?deadline:Durable.Deadline.t ->

@@ -141,7 +141,7 @@ let decode_point cfg ~candidate cap payload =
   | exception (Scanf.Scan_failure _ | Failure _ | End_of_file | Not_found) ->
     None
 
-let capacity_sweep ?params ?fault ?pool ?deadline ?candidate_deadline ?journal
+let capacity_sweep ?fault ?pool ?deadline ?candidate_deadline ?journal
     ?cancel ?obs ?on_progress cfg ~buffers ~caps =
   let caps = Array.of_list caps in
   let fault = match fault with Some f -> f | None -> Robust.Fault.of_env () in
@@ -163,11 +163,7 @@ let capacity_sweep ?params ?fault ?pool ?deadline ?candidate_deadline ?journal
     if Array.length caps = 0 then None
     else
       Durability.warm_anchor
-        ?params:
-          (Durability.params
-             ~deadline:
-               (Durable.Sweep.candidate_deadline deadline candidate_deadline)
-             params)
+        ~deadline:(Durable.Sweep.candidate_deadline deadline candidate_deadline)
         (candidate 0)
   in
   let results, _ =
@@ -190,7 +186,7 @@ let capacity_sweep ?params ?fault ?pool ?deadline ?candidate_deadline ?journal
         })
       ~n:(Array.length caps)
       (fun ~deadline i ->
-        let params = Durability.params ~deadline ?obs ?warm params in
+        let params = Durability.params ~deadline ?obs ?warm None in
         {
           cap = caps.(i);
           result =

@@ -11,7 +11,7 @@ type point = {
   result : (Mapping.result, Mapping.error) Stdlib.result;
 }
 
-(** [capacity_sweep ?params ?fault ?pool cfg ~buffers ~caps] runs
+(** [capacity_sweep ?fault ?pool cfg ~buffers ~caps] runs
     {!Mapping.solve} once per cap, setting [max_capacity] of every
     buffer in [buffers] to the cap on a private clone of [cfg] ([cfg]
     itself is left untouched).  Points come back in the order of
@@ -35,7 +35,6 @@ type point = {
     [recovery] trace and zeroed [stats]: the solve did not run
     again. *)
 val capacity_sweep :
-  ?params:Conic.Socp.params ->
   ?fault:Robust.Fault.plan option ->
   ?pool:Parallel.Pool.t ->
   ?deadline:Durable.Deadline.t ->

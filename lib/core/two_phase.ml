@@ -98,8 +98,9 @@ let check_budgets cfg budget =
 
 (* With β fixed, the actor durations ρ(v1) = ̺ − β and ρ(v2) = ̺·χ/β are
    constants, so Constraints (6), (7) and (10) over the start times and
-   the continuous space tokens δ′ form a linear program.  Solved with
-   the exact two-phase simplex so infeasibility verdicts are crisp. *)
+   the continuous space tokens δ′ form a linear program, solved with
+   the two-phase simplex (float pivots with fixed tolerances, see
+   [Simplex.Tableau]). *)
 let buffer_lp cfg ~budget =
   let p = Lp.create () in
   let s1 = Hashtbl.create 16 and s2 = Hashtbl.create 16 in
@@ -246,7 +247,7 @@ let budget_first ?(policy = Min_budget) ?obs cfg =
 (* pinned                                                              *)
 (* ------------------------------------------------------------------ *)
 
-let budgets_at_fixed_capacity ?params cfg ~capacity =
+let budgets_at_fixed_capacity cfg ~capacity =
   let builder = Socp_builder.build cfg in
   let m = builder.Socp_builder.model in
   List.iter
@@ -256,7 +257,7 @@ let budgets_at_fixed_capacity ?params cfg ~capacity =
       in
       Model.fix m (builder.Socp_builder.space_var b) fixed)
     (Config.all_buffers cfg);
-  let result = Model.solve ?params m in
+  let result = Model.solve m in
   match result.Model.status with
   | Socp.Primal_infeasible ->
     Error
@@ -290,7 +291,7 @@ let budgets_at_fixed_capacity ?params cfg ~capacity =
               value))
     | budgets -> Ok (fun w -> budgets.(Config.task_id w)))
 
-let buffer_first ?(policy = At_bound) ?(fallback = 2) ?params cfg =
+let buffer_first ?(policy = At_bound) ?(fallback = 2) cfg =
   if fallback < 1 then invalid_arg "Two_phase.buffer_first: fallback < 1";
   let capacity b =
     match policy with
@@ -301,14 +302,14 @@ let buffer_first ?(policy = At_bound) ?(fallback = 2) ?params cfg =
       | None -> Int.max 1 (Config.initial_tokens cfg b + fallback)
     end
   in
-  let* budget = budgets_at_fixed_capacity ?params cfg ~capacity in
+  let* budget = budgets_at_fixed_capacity cfg ~capacity in
   finish cfg ~budget ~capacity ~rounds:2
 
 (* ------------------------------------------------------------------ *)
 (* Alternating coordinate descent                                      *)
 (* ------------------------------------------------------------------ *)
 
-let alternating ?(max_rounds = 10) ?params cfg =
+let alternating ?(max_rounds = 10) cfg =
   let budget0 = budgets_of_policy cfg Fair_share in
   let* () = check_budgets cfg budget0 in
   let rec loop budget best rounds =
@@ -317,7 +318,7 @@ let alternating ?(max_rounds = 10) ?params cfg =
       match buffer_lp cfg ~budget with
       | Error e -> if rounds = 0 then Error e else Ok best
       | Ok capacity -> begin
-        match budgets_at_fixed_capacity ?params cfg ~capacity with
+        match budgets_at_fixed_capacity cfg ~capacity with
         | Error e -> if rounds = 0 then Error e else Ok best
         | Ok budget' ->
           let mapped = { Config.budget = budget'; Config.capacity = capacity } in

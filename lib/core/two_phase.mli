@@ -9,8 +9,8 @@
     comparison measurable:
 
     - {!budget_first}: pick budgets by a buffer-blind policy, then
-      compute minimal buffer capacities by linear programming (exact
-      simplex verdicts);
+      compute minimal buffer capacities by linear programming (the
+      simplex, pivoting in floats with fixed tolerances);
     - {!buffer_first}: pick buffer capacities by a budget-blind policy,
       then compute minimal budgets with the capacities pinned;
     - {!alternating}: coordinate descent alternating the two phases
@@ -80,18 +80,17 @@ val budget_first :
 
 (** [buffer_sizing_lp cfg ~budget] is the phase-2 linear program alone:
     minimal (rounded) buffer capacities for the given fixed budgets, by
-    exact two-phase simplex.  Exposed so the benches can cross-check the
+    the two-phase simplex (float pivots).  Exposed so the benches can cross-check the
     simplex and interior-point solvers on the very same LP. *)
 val buffer_sizing_lp :
   Taskgraph.Config.t ->
   budget:(Taskgraph.Config.task -> float) ->
   (Taskgraph.Config.buffer -> int, error) Stdlib.result
 
-(** [budgets_at_fixed_capacity ?params cfg ~capacity] is the dual
+(** [budgets_at_fixed_capacity cfg ~capacity] is the dual
     phase-2: minimal (rounded) budgets for fixed buffer capacities, via
     the cone program with the δ′ variables pinned. *)
 val budgets_at_fixed_capacity :
-  ?params:Conic.Socp.params ->
   Taskgraph.Config.t ->
   capacity:(Taskgraph.Config.buffer -> int) ->
   (Taskgraph.Config.task -> float, error) Stdlib.result
@@ -103,7 +102,6 @@ val budgets_at_fixed_capacity :
 val buffer_first :
   ?policy:buffer_policy ->
   ?fallback:int ->
-  ?params:Conic.Socp.params ->
   Taskgraph.Config.t ->
   (result, error) Stdlib.result
 
@@ -114,6 +112,5 @@ val buffer_first :
     can settle above the joint optimum. *)
 val alternating :
   ?max_rounds:int ->
-  ?params:Conic.Socp.params ->
   Taskgraph.Config.t ->
   (result, error) Stdlib.result

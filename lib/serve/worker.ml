@@ -198,6 +198,9 @@ let solve ?obs ~deadline cfg plan =
      solve reads the environment. *)
   let fault = Option.map Option.some plan in
   match Mapping.solve ?params ?fault ?obs cfg with
+  | Ok r when not (Budgetbuf.Certify.certified r.certificate) ->
+    (* A refuted mapping is never admitted, and so never memoised. *)
+    R_failed (Budgetbuf.Certify.summary r.certificate)
   | Ok r ->
     R_solved
       {

@@ -81,7 +81,10 @@ val parse :
     under the deadline with the fault plan [plan] ([None]: the one
     [BUDGETBUF_FAULT] names), and classifies the result: an
     infeasibility verdict is [R_unsat], a lapsed deadline [R_late], a
-    solver failure or an exception [R_failed]. *)
+    solver failure, an exception or a mapping whose exact certificate
+    is refuted [R_failed] (the reason is {!Budgetbuf.Certify.summary}
+    of the refutation).  Only a certified mapping is [R_solved], so
+    only a certified mapping is ever admitted or cached. *)
 val solve :
   ?obs:Obs.Ctx.t ->
   deadline:Durable.Deadline.t ->

@@ -17,7 +17,7 @@ type graph_info = {
 type task_info = {
   tname : string;
   tgraph : graph;
-  tproc : proc;
+  mutable tproc : proc;
   wcet : float;
   mutable tweight : float;
 }
@@ -27,7 +27,7 @@ type buffer_info = {
   bgraph : graph;
   bsrc : task;
   bdst : task;
-  bmemory : memory;
+  mutable bmemory : memory;
   container_size : int;
   initial_tokens : int;
   mutable bweight : float;
@@ -213,6 +213,14 @@ let set_max_capacity t b cap =
     invalid_arg "Config.set_max_capacity: capacity must be >= 1"
   | Some _ | None -> ());
   (buffer_info t b).max_capacity <- cap
+
+let set_task_proc t w p =
+  ignore (proc_info t p);
+  (task_info t w).tproc <- p
+
+let set_buffer_memory t b m =
+  ignore (memory_info t m);
+  (buffer_info t b).bmemory <- m
 
 let set_task_weight t w a = (task_info t w).tweight <- a
 let set_buffer_weight t b v = (buffer_info t b).bweight <- v

@@ -93,6 +93,14 @@ val set_period : t -> graph -> float -> unit
     ([None] removes it). *)
 val set_max_capacity : t -> buffer -> int option -> unit
 
+(** [set_task_proc t w p] binds task [w] to processor [p] and
+    [set_buffer_memory t b m] places buffer [b] in memory [m] (used by
+    the binding search to rebind one {!copy} per candidate).
+    @raise Invalid_argument on an unknown handle. *)
+val set_task_proc : t -> task -> proc -> unit
+
+val set_buffer_memory : t -> buffer -> memory -> unit
+
 (** [set_task_weight t w a] and [set_buffer_weight t b v] update the
     objective weights. *)
 val set_task_weight : t -> task -> float -> unit

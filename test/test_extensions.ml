@@ -289,6 +289,44 @@ let prop_rebind_preserves_solution =
         <= 1e-6 *. Float.max 1.0 (Float.abs r1.Mapping.objective)
       | _ -> false)
 
+(* Task binding and memory placement share one search.  On instances
+   small enough to enumerate — two bins and two or three items, so
+   kⁿ ≤ 8 — exhaustive search solves every candidate, and no heuristic
+   that succeeds beats it.  The memory instance gets a second, smaller
+   memory next to the generator's roomy [m0]. *)
+let prop_exhaustive_bounds_heuristics =
+  QCheck2.Test.make
+    ~name:"exhaustive binding explores k^n and bounds every heuristic"
+    ~count:8
+    QCheck2.Gen.(pair (int_range 0 10_000) (int_range 2 3))
+    (fun (seed, n) ->
+      let instance tasks_per_job =
+        let rng = Workloads.Rng.create (Int64.of_int seed) in
+        Workloads.Gen.multi_job rng ~jobs:1 ~tasks_per_job ~procs:2 ()
+      in
+      let with_second_memory cfg =
+        ignore (Config.add_memory cfg ~name:"m1" ~capacity:(2 + (seed mod 9)));
+        cfg
+      in
+      let holds optimize cfg =
+        match optimize ~strategy:(Binding.Exhaustive 16) cfg with
+        | Error _ -> false
+        | Ok best ->
+          best.Binding.explored = 1 lsl n
+          && List.for_all
+               (fun strategy ->
+                 match optimize ~strategy cfg with
+                 | Error _ -> true
+                 | Ok o ->
+                   best.Binding.result.Mapping.rounded_objective
+                   <= o.Binding.result.Mapping.rounded_objective +. 1e-9)
+               [ Binding.Greedy_utilization; Binding.First_fit ]
+      in
+      holds (fun ~strategy -> Binding.optimize ~strategy) (instance n)
+      && holds
+           (fun ~strategy -> Binding.optimize_memories ~strategy)
+           (with_second_memory (instance (n + 1))))
+
 let prop_pareto_points_feasible =
   QCheck2.Test.make ~name:"Pareto points come from verified mappings"
     ~count:8
@@ -1177,6 +1215,7 @@ let () =
         List.map QCheck_alcotest.to_alcotest
           [
             prop_rebind_preserves_solution;
+            prop_exhaustive_bounds_heuristics;
             prop_pareto_points_feasible;
             prop_budget_slack_consistent;
             prop_budget_probe_matches_schedulable;

@@ -1817,6 +1817,53 @@ let test_in_process_matches_isolated () =
   check_int "no worker lost" 0 (Supervisor.counters sup).Supervisor.crashed;
   Supervisor.shutdown sup
 
+(* A mapping whose exact certificate is refuted is never admitted nor
+   memoised, in process or isolated: the admit that corrupts its
+   rounding fails with the refutation, and a clean admit of the same
+   instance that follows is a cache miss with a certified mapping. *)
+let refuted_never_admitted ~isolate () =
+  let sock = tmp_path "refuted.sock" and cache = tmp_path "refuted.cachej" in
+  rm cache;
+  let th, res =
+    start_server
+      {
+        (Server.default_config ~socket_path:sock) with
+        Server.cache_path = Some cache;
+        isolate;
+        worker_exe = Some cli_exe;
+      }
+  in
+  (match
+     Client.with_connection sock (fun c ->
+         (match admit c ~id:"a" ~fault:"bad_round" (t1_text ()) with
+         | Protocol.Failed { reason; _ } ->
+           check_string "refutation is the reason"
+             "refuted: task graph t1: positive cycle wa.2 (excess 10/3)" reason
+         | r -> Alcotest.failf "a: %s" (Protocol.status_of_response r));
+         (match Client.roundtrip c (Protocol.Release { id = "a" }) with
+         | Ok (Protocol.Released { found = false; _ }) -> ()
+         | _ -> Alcotest.fail "a was never admitted");
+         (match Client.roundtrip c Protocol.Stats with
+         | Ok (Protocol.Stats_reply s) ->
+           check_int "nothing admitted" 0 s.Protocol.admitted
+         | _ -> Alcotest.fail "stats");
+         let b = expect_admitted (admit c ~id:"b" (t1_text ())) in
+         check_bool "clean admit is a miss" true (b.cache = `Miss);
+         check_string "certified" "ok (exact, 4 start times)" b.certificate;
+         shutdown c;
+         Ok ())
+   with
+  | Ok () -> ()
+  | Error e -> Alcotest.failf "client: %s" e);
+  Thread.join th;
+  (match !res with
+  | Ok (Server.Shutdown_request, s) ->
+    check_int "one admitted" 1 s.Protocol.admitted;
+    check_int "one failed" 1 s.Protocol.failed
+  | Ok (r, _) -> Alcotest.failf "stop reason: %s" (Server.describe r)
+  | Error e -> Alcotest.failf "server: %s" e);
+  rm cache
+
 (* A fault spec the grammar refuses is answered with the message of
    [Fault.of_string] unchanged, whichever path parses it: a task piped
    into a worker process, and an admit to an in-process server.  The
@@ -2078,5 +2125,9 @@ let () =
             test_in_process_matches_isolated;
           Alcotest.test_case "fault spec errors pass through" `Quick
             test_fault_spec_errors_pass_through;
+          Alcotest.test_case "refuted mapping never admitted" `Quick
+            (refuted_never_admitted ~isolate:None);
+          Alcotest.test_case "refuted mapping never admitted, isolated" `Quick
+            (refuted_never_admitted ~isolate:(Some 1));
         ] );
     ]

@@ -55,6 +55,9 @@ let merge_quad terms =
     tbl []
   |> List.sort (fun (_, a, b) (_, c, d) -> compare (a, b) (c, d))
 
+(* [t] with merged, index-sorted terms, zero coefficients and empty rows
+   dropped, and the name trimmed: the form every writer and [equal]
+   work on. *)
 let canon t =
   let name =
     let s =

@@ -55,12 +55,8 @@ type t = {
   rows : row list;
 }
 
-(** [canon t] is [t] with merged, index-sorted terms, zero
-    coefficients and empty rows dropped, and the name trimmed.  The
-    writers canonicalise internally; [canon] is exposed for tests. *)
-val canon : t -> t
-
-(** [equal a b] compares canonical forms. *)
+(** [equal a b] compares canonical forms: merged, index-sorted terms,
+    zero coefficients and empty rows dropped, and the name trimmed. *)
 val equal : t -> t -> bool
 
 (** [of_model ?name m] expands a model into the exchange form:

@@ -224,7 +224,7 @@ let lower m =
       }
   end
 
-let solve ?params m =
+let solve ?params ?deadline ?obs ?warm m =
   let fixed_or v f =
     match Hashtbl.find_opt m.fixed v with Some x -> x | None -> f v
   in
@@ -253,7 +253,7 @@ let solve ?params m =
       raw;
     }
   | Some { c; g; h; cone; offset } ->
-    let sol = Socp.solve ?params ~c ~g ~h cone in
+    let sol = Socp.solve ?params ?deadline ?obs ?warm ~c ~g ~h cone in
     {
       status = sol.Socp.status;
       objective = sol.Socp.primal_objective +. offset;

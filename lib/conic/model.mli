@@ -124,5 +124,12 @@ type program = {
     outright). *)
 val lower : model -> program option
 
-(** [solve ?params m] lowers [m] and runs {!Socp.solve}. *)
-val solve : ?params:Socp.params -> model -> result
+(** [solve ?params ?deadline ?obs ?warm m] lowers [m] and runs
+    {!Socp.solve} with the same arguments. *)
+val solve :
+  ?params:Socp.params ->
+  ?deadline:(unit -> bool) ->
+  ?obs:Obs.Ctx.t ->
+  ?warm:Socp.warm ->
+  model ->
+  result

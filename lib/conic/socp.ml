@@ -35,16 +35,12 @@ type params = {
   max_iter : int;
   tolerance : float;
   inject : (int -> fault option) option;
-  deadline : (unit -> bool) option;
-  obs : Obs.Ctx.t option;
-  warm : warm option;
 }
 
 (* A tolerance of 1e-7 reflects what dense normal-equation KKT solves
    can reliably deliver; the relaxed exits accept down to 1e3× of it. *)
 let default_params =
-  { max_iter = 100; tolerance = 1e-7; inject = None; deadline = None;
-    obs = None; warm = None }
+  { max_iter = 100; tolerance = 1e-7; inject = None }
 
 let pp_status ppf = function
   | Optimal -> Format.pp_print_string ppf "optimal"
@@ -54,8 +50,8 @@ let pp_status ppf = function
   | Stalled -> Format.pp_print_string ppf "stalled"
   | Timed_out -> Format.pp_print_string ppf "timed out"
 
-let emit_obs params ev =
-  match params.obs with None -> () | Some o -> Obs.Ctx.emit o ev
+let emit_obs obs ev =
+  match obs with None -> () | Some o -> Obs.Ctx.emit o ev
 
 let kkt_solve ~g cone ~s ~z ~bx ~bz =
   let ws = Kkt.create ~g cone in
@@ -76,7 +72,7 @@ let kkt_solve ~g cone ~s ~z ~bx ~bz =
    infeasibility certificate (κ > 0, τ = 0).  This avoids the classic
    failure of plain infeasible-start methods where the complementarity
    gap collapses before the residuals do. *)
-let solve_direct ~params ~c ~g:gsp ~h cone =
+let solve_direct ~params ~deadline ~obs ~warm ~c ~g:gsp ~h cone =
   let n = Vec.dim c and m = Vec.dim h in
   if m = 0 then begin
     (* No constraints: optimum 0 iff c = 0, otherwise unbounded below. *)
@@ -102,7 +98,7 @@ let solve_direct ~params ~c ~g:gsp ~h cone =
     (* Per-solve mutable state only (no globals): safe across domains.
        The KKT workspace and every vector the iteration writes are
        allocated here, once; the loop below refills them in place. *)
-    let ws = Kkt.create ?obs:params.obs ~g:gsp cone in
+    let ws = Kkt.create ?obs ~g:gsp cone in
     let norm_h = Float.max 1.0 (Vec.nrm2 h)
     and norm_c = Float.max 1.0 (Vec.nrm2 c) in
     let neg_c = Vec.neg c in
@@ -131,12 +127,12 @@ let solve_direct ~params ~c ~g:gsp ~h cone =
        with the wrong dimensions or non-finite entries falls back to
        the cold start silently (the sweep must never fail because its
        neighbour did). *)
-    (match params.warm with
+    (match warm with
     | None -> ()
     | Some { wx; ws = wsv; wz } ->
       let finite v = Array.for_all Float.is_finite v in
       let reject reason =
-        emit_obs params (Obs.Trace.Warm_start { accepted = false; reason })
+        emit_obs obs (Obs.Trace.Warm_start { accepted = false; reason })
       in
       if Vec.dim wx <> n || Vec.dim wsv <> m || Vec.dim wz <> m then
         reject "dimension mismatch"
@@ -155,7 +151,7 @@ let solve_direct ~params ~c ~g:gsp ~h cone =
         Vec.blit wx x;
         Vec.blit (interior wsv) s;
         Vec.blit (interior wz) z;
-        emit_obs params (Obs.Trace.Warm_start { accepted = true; reason = "ok" })
+        emit_obs obs (Obs.Trace.Warm_start { accepted = true; reason = "ok" })
       end);
     (* Best iterate seen so far: near the numerical floor later
        iterations can degrade, so Stalled/Iteration_limit exits restore
@@ -235,7 +231,7 @@ let solve_direct ~params ~c ~g:gsp ~h cone =
          iterate with status [Timed_out]; there is no signal and no
          asynchronous interruption, so the iterate is always
          consistent. *)
-      if (match params.deadline with None -> false | Some expired -> expired ())
+      if (match deadline with None -> false | Some expired -> expired ())
       then result Timed_out iter
       else
         (* Deterministic fault injection (tests only): a [Stall] returns
@@ -293,7 +289,7 @@ let solve_direct ~params ~c ~g:gsp ~h cone =
             "iter %2d  pcost % .6e  dcost % .6e  gap %.2e  pres %.2e  dres \
              %.2e  tau %.2e  kappa %.2e"
             iter pcost dcost gap pres dres !tau !kappa);
-      (match params.obs with
+      (match obs with
       | None -> ()
       | Some o ->
         Obs.Ctx.emit o
@@ -521,22 +517,21 @@ let unscale_solution sc ~c ~g:gsp ~h sol =
       kkt_fallbacks = sol.kkt_fallbacks;
     }
 
-let solve ?(params = default_params) ~c ~g ~h cone =
+let solve ?(params = default_params) ?deadline ?obs ?warm ~c ~g ~h cone =
   let n = Vec.dim c and m = Vec.dim h in
   if Sparse_rows.rows g <> m || Sparse_rows.cols g <> n then
     invalid_arg "Socp.solve: G dimensions do not match c and h";
   if Cone.dim cone <> m then invalid_arg "Socp.solve: cone dimension";
-  (match params.obs with
+  (match obs with
   | None -> ()
   | Some o -> Obs.Ctx.emit o (Obs.Trace.Solve_start { rows = m; cols = n }));
-  let t0 =
-    match params.obs with None -> 0.0 | Some _ -> Obs.Clock.now ()
-  in
+  let t0 = match obs with None -> 0.0 | Some _ -> Obs.Clock.now () in
   (* Only pay for scaling (and give up the bit-identical iteration
      path) when the data actually spans many orders of magnitude. *)
   let equilibrate = m > 0 && Presolve.badly_scaled g in
   let sol =
-    if not equilibrate then solve_direct ~params ~c ~g ~h cone
+    if not equilibrate then
+      solve_direct ~params ~deadline ~obs ~warm ~c ~g ~h cone
     else begin
       let sc, c', g', h' = Presolve.equilibrate ~c ~g ~h cone in
       let range_before = Presolve.dynamic_range g
@@ -544,36 +539,35 @@ let solve ?(params = default_params) ~c ~g ~h cone =
       Log.debug (fun f ->
           f "presolve: Ruiz equilibration, dynamic range %.2e -> %.2e"
             range_before range_after);
-      (match params.obs with
+      (match obs with
       | None -> ()
       | Some o ->
         Obs.Ctx.emit o (Obs.Trace.Presolve { range_before; range_after }));
       (* A warm point lives in the original coordinates; map it forward
          through the equilibration (the inverse of
          [Presolve.unscale_point]) so it seeds the scaled solve. *)
-      let params =
-        match params.warm with
+      let warm =
+        match warm with
         | Some { wx; ws; wz }
           when Vec.dim wx = n && Vec.dim ws = m && Vec.dim wz = m ->
-          let warm =
-            Some
-              {
-                wx = Array.mapi (fun i v -> v /. sc.Presolve.col.(i)) wx;
-                ws = Array.mapi (fun i v -> v *. sc.Presolve.row.(i)) ws;
-                wz =
-                  Array.mapi
-                    (fun i v -> v *. sc.Presolve.obj /. sc.Presolve.row.(i))
-                    wz;
-              }
-          in
-          { params with warm }
-        | Some _ | None -> params
+          Some
+            {
+              wx = Array.mapi (fun i v -> v /. sc.Presolve.col.(i)) wx;
+              ws = Array.mapi (fun i v -> v *. sc.Presolve.row.(i)) ws;
+              wz =
+                Array.mapi
+                  (fun i v -> v *. sc.Presolve.obj /. sc.Presolve.row.(i))
+                  wz;
+            }
+        | Some _ | None -> warm
       in
-      let sol = solve_direct ~params ~c:c' ~g:g' ~h:h' cone in
+      let sol =
+        solve_direct ~params ~deadline ~obs ~warm ~c:c' ~g:g' ~h:h' cone
+      in
       unscale_solution sc ~c ~g ~h sol
     end
   in
-  (match params.obs with
+  (match obs with
   | None -> ()
   | Some o ->
     Obs.Ctx.emit o

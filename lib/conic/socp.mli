@@ -33,8 +33,8 @@ type status =
   | Iteration_limit
   | Stalled  (** step sizes collapsed before reaching the tolerance *)
   | Timed_out
-      (** the {!params.deadline} hook reported expiry; the solution
-          carries the best iterate reached so far *)
+      (** the [?deadline] hook of {!solve} reported expiry; the
+          solution carries the best iterate reached so far *)
 
 type solution = {
   status : status;
@@ -75,6 +75,9 @@ type fault = Stall | Nan | Slow | Dense_kkt
     silently. *)
 type warm = { wx : Linalg.Vec.t; ws : Linalg.Vec.t; wz : Linalg.Vec.t }
 
+(** How the solver iterates.  The per-call hooks — a deadline, a trace
+    context and a warm point — are arguments of {!solve}, not fields:
+    a caller that sets none of them keeps a hook-free iteration loop. *)
 type params = {
   max_iter : int;      (** default 100 *)
   tolerance : float;
@@ -84,40 +87,40 @@ type params = {
           certificate.  The relaxed rung of {!Budgetbuf.Mapping}'s
           recovery ladder runs at 10× the caller's value. *)
   inject : (int -> fault option) option;
-      (** fault-injection hook, called with the iteration number before
-          each pass; [None] (the default) injects nothing *)
-  deadline : (unit -> bool) option;
-      (** cooperative deadline: polled at the head of every iteration
-          (cheap next to the Cholesky work); once it returns true the
-          solve stops with {!status.Timed_out} and the best iterate so
-          far.  [None] (the default) keeps the loop hook-free. *)
-  obs : Obs.Ctx.t option;
-      (** observability context: when set, the solve emits
-          [Solve_start]/[Solve_end], one [Socp_iter] event per
-          interior-point iteration (residuals, gap, step length) and a
-          [Presolve] event when equilibration runs.  [None] (the
-          default) keeps the loop entirely instrumentation-free; the
-          hook travels inside [params] so the recovery ladder and the
-          sweep engines forward it without extra plumbing.  See
-          docs/observability.md. *)
-  warm : warm option;
-      (** optional warm-start point (default [None] — cold start). *)
+      (** fault-injection hook (tests only), called with the iteration
+          number before each pass; [None] (the default) injects
+          nothing *)
 }
 
 val default_params : params
 
-(** [solve ?params ~c ~g ~h cone] solves the cone program.  When
-    {!Presolve.badly_scaled} holds for [g], the program is first Ruiz
-    equilibrated ({!Presolve.equilibrate}, a [Presolve] trace event)
-    and the answer mapped back, with objectives and residuals
-    recomputed on the original data; a well-scaled program keeps a
-    bit-identical iteration path.  Every step goes
+(** [solve ?params ?deadline ?obs ?warm ~c ~g ~h cone] solves the cone
+    program.  When {!Presolve.badly_scaled} holds for [g], the program
+    is first Ruiz equilibrated ({!Presolve.equilibrate}, a [Presolve]
+    trace event) and the answer mapped back, with objectives and
+    residuals recomputed on the original data; a well-scaled program
+    keeps a bit-identical iteration path.  Every step goes
     [min(1, 0.99·α)] of the way, where [α] is the longest step that
     stays inside the cone.
+
+    - [deadline] is polled at the head of every iteration (cheap next
+      to the Cholesky work); once it returns true the solve stops with
+      {!status.Timed_out} and the best iterate so far.
+    - [obs] receives [Solve_start]/[Solve_end], one [Socp_iter] event
+      per interior-point iteration (residuals, gap, step length) and a
+      [Presolve] event when equilibration runs.  See
+      docs/observability.md.
+    - [warm] is the warm-start point (absent: cold start).
+
+    Absent hooks cost nothing: the loop tests each one against [None]
+    and observation never changes the iterates.
     @raise Invalid_argument on dimension mismatch between [c], [g], [h]
     and [cone]. *)
 val solve :
   ?params:params ->
+  ?deadline:(unit -> bool) ->
+  ?obs:Obs.Ctx.t ->
+  ?warm:warm ->
   c:Linalg.Vec.t ->
   g:Sparse_rows.t ->
   h:Linalg.Vec.t ->

@@ -26,14 +26,15 @@ let float_up q =
 (* The optimum of the min-period form of Algorithm 1
    ({!Socp_builder.build_min_period}), solved once and cold: no scale
    below it admits a cone-program mapping.  [None] unless the solve is
-   optimal.  It runs in a ["socp"] span with [params]' context, so a
-   trace counts it with the probes' solves. *)
-let period_bound ?params cfg =
+   optimal.  It runs in a ["socp"] span of [obs], so a trace counts it
+   with the probes' solves. *)
+let period_bound ?deadline ?obs cfg =
   let b = Socp_builder.build_min_period cfg in
-  let obs = Durability.obs_of params None in
   let r =
     Obs.Ctx.with_span obs "socp" (fun () ->
-        Conic.Model.solve ?params b.Socp_builder.bound_model)
+        Conic.Model.solve
+          ?deadline:(Option.bind deadline Durable.Deadline.check)
+          ?obs b.Socp_builder.bound_model)
   in
   let s = r.Conic.Model.value b.Socp_builder.scale_var in
   if r.Conic.Model.status = Conic.Socp.Optimal && Float.is_finite s && s > 0.0
@@ -44,9 +45,6 @@ let period_bound ?params cfg =
    periods, one per graph in [Config.graphs] order, at which the
    mapping behind it is certified. *)
 let search ?deadline ?fault ?obs ?on_probe ?on_failure ?on_feasible cfg =
-  (* The deadline and context ride inside the params so every probe's
-     [Mapping.solve] sees them without further plumbing. *)
-  let params = Durability.params ?deadline ?obs None in
   (* One mutable clone serves every probe: only the periods change
      between probes, so rescaling them in place beats rebuilding the
      whole configuration each time. *)
@@ -63,7 +61,7 @@ let search ?deadline ?fault ?obs ?on_probe ?on_failure ?on_feasible cfg =
      shorter period) and replace the probe's own.  Exact certification
      work, so it is traced as a ["finish"] span. *)
   let exact_point (r : Mapping.result) scale =
-    Obs.Ctx.with_span (Durability.obs_of params None) "finish" @@ fun () ->
+    Obs.Ctx.with_span obs "finish" @@ fun () ->
     let probed = List.map (fun (g, _) -> Config.period probe_cfg g) base in
     let ratio (g, mu) =
       Option.map
@@ -96,8 +94,7 @@ let search ?deadline ?fault ?obs ?on_probe ?on_failure ?on_feasible cfg =
   let feasible scale =
     (match on_probe with None -> () | Some f -> f scale);
     set_periods (List.map (fun (_, mu) -> mu *. scale) base);
-    let params = Durability.params ?warm:!seed params in
-    match Mapping.solve ?params ?fault probe_cfg with
+    match Mapping.solve ?deadline ?warm:!seed ?fault ?obs probe_cfg with
     | Ok r ->
       if Option.is_some r.Mapping.warm then seed := r.Mapping.warm;
       if Certify.certified r.Mapping.certificate then begin
@@ -151,7 +148,7 @@ let search ?deadline ?fault ?obs ?on_probe ?on_failure ?on_feasible cfg =
       1e-9 (Config.all_tasks cfg)
   in
   let run () =
-    let bound = period_bound ?params probe_cfg in
+    let bound = period_bound ?deadline ?obs probe_cfg in
     let lo = match bound with Some s -> s | None -> wcet_bound () in
     (* The cold probe at the unscaled period, unless the bound rules it
        out: a certified answer caps the gallop, and its optimum seeds
@@ -169,11 +166,7 @@ let search ?deadline ?fault ?obs ?on_probe ?on_failure ?on_feasible cfg =
 let min_period_scale ?fault ?obs ?on_probe ?on_failure ?on_feasible cfg =
   Option.map fst (search ?fault ?obs ?on_probe ?on_failure ?on_feasible cfg)
 
-type curve_point = {
-  cap : int;
-  outcome : (float option, string) Stdlib.result;
-  certified : bool;
-}
+type curve_point = { cap : int; outcome : (float option, string) Stdlib.result }
 
 let curve_points points =
   List.filter_map
@@ -192,14 +185,7 @@ let curve_skipped points =
    this run's deadline, not of the instance, so a resume retries it. *)
 let encode_point p =
   match p.outcome with
-  | Ok (Some period) ->
-    Some
-      (String.concat " "
-         [
-           "period";
-           Durability.float_to_token period;
-           (if p.certified then "cert" else "uncert");
-         ])
+  | Ok (Some period) -> Some ("period " ^ Durability.float_to_token period)
   | Ok None -> Some "infeasible"
   | Error reason ->
     if String.equal reason "timed out" then None
@@ -207,22 +193,19 @@ let encode_point p =
 
 let decode_point cap payload =
   if String.equal payload "infeasible" then
-    Some { cap; outcome = Ok None; certified = false }
+    Some { cap; outcome = Ok None }
   else
     match
       let ib = Scanf.Scanning.from_string payload in
       match Durability.scan_token ib with
       | "period" ->
         let period = Durability.scan_float ib in
-        let certified =
-          match Durability.scan_token ib with
-          | "cert" -> true
-          | "uncert" -> false
-          | _ -> raise (Scanf.Scan_failure "malformed certification token")
-        in
-        Some { cap; outcome = Ok (Some period); certified }
-      | "skip" ->
-        Some { cap; outcome = Error (Durability.scan_quoted ib); certified = false }
+        (* Older journals end a point with a [cert] token. *)
+        (match Durability.scan_token ib with
+        | "" | "cert" -> ()
+        | _ -> raise (Scanf.Scan_failure "malformed period record"));
+        Some { cap; outcome = Ok (Some period) }
+      | "skip" -> Some { cap; outcome = Error (Durability.scan_quoted ib) }
       | _ -> None
     with
     | v -> v
@@ -256,13 +239,13 @@ let throughput_curve ?fault ?pool ?deadline ?candidate_deadline
     | Some (_, period :: _) ->
       (* [search] accepts only certified probes, and the period is the
          one the accepted mapping is certified at. *)
-      { cap; outcome = Ok (Some period); certified = true }
+      { cap; outcome = Ok (Some period) }
     | _ -> (
       (* No feasible scale: an infeasibility verdict everywhere is the
          honest [Ok None]; a failing solver is a skip with a reason. *)
       match !failed with
-      | Some reason -> { cap; outcome = Error reason; certified = false }
-      | None -> { cap; outcome = Ok None; certified = false })
+      | Some reason -> { cap; outcome = Error reason }
+      | None -> { cap; outcome = Ok None })
   in
   let results, _ =
     Durable.Sweep.run ?pool ?journal ?obs ?deadline ?candidate_deadline ?cancel
@@ -278,7 +261,6 @@ let throughput_curve ?fault ?pool ?deadline ?candidate_deadline
         {
           cap = caps.(i);
           outcome = Error ("uncaught exception: " ^ Printexc.to_string e);
-          certified = false;
         })
       ~n:(Array.length caps) solve_cap
   in

@@ -83,17 +83,10 @@ val min_period_scale :
     its evaluation crashed (the sweep carries on — see
     {!Parallel.Pool.map_result}).  The period is the exact period of
     the mapping behind it, rounded up to a float, at which that
-    mapping is certified ({!min_period_scale}).  [certified] reports
-    whether the mapping behind the accepted period carries an exact
-    rational certificate ({!Certify}): always [true] for a freshly
-    solved [Ok (Some _)], since only certified probes are accepted, and
-    [false] for every other outcome.  The flag is journaled, so a
-    point restored from a journal keeps its recorded verdict. *)
-type curve_point = {
-  cap : int;
-  outcome : (float option, string) Stdlib.result;
-  certified : bool;
-}
+    mapping is certified ({!min_period_scale}).  The search accepts
+    only probes whose mapping carries an exact rational certificate
+    ({!Certify}), so every [Ok (Some _)] point is certified. *)
+type curve_point = { cap : int; outcome : (float option, string) Stdlib.result }
 
 (** [curve_points points] keeps the feasible [(cap, period)] pairs, in
     sweep order — the historical shape of the curve. *)
@@ -123,8 +116,8 @@ val curve_skipped : curve_point list -> (int * string) list
     resumes.
 
     Candidate verdicts: ["feasible"], ["infeasible"], ["skipped"] or
-    ["timed out"].  The journal records each point's outcome and
-    [certified] flag, floats bit-exact. *)
+    ["timed out"].  The journal records each point's outcome, floats
+    bit-exact. *)
 val throughput_curve :
   ?fault:Robust.Fault.plan option ->
   ?pool:Parallel.Pool.t ->

@@ -1,47 +1,67 @@
-(** Glue between the sweep drivers and {!Durable}: deadline-aware
-    solver parameters and the token codec conventions shared by the
-    journal payload encoders of {!Dse}, {!Tradeoff} and {!Pareto}.
+(** Glue between the sweep drivers and {!Durable}: the one
+    clone-and-solve driver behind {!Tradeoff} and {!Pareto}, its
+    journal codec, the warm anchor that seeds it, and the token codec
+    conventions every journal payload shares ({!Dse}, [Tighten], the
+    serve cache).
 
     Payload grammar convention (see docs/formats.md): payloads are
     single lines of whitespace-separated tokens; floats are rendered as
     C99 hex literals ([%h], bit-exact round-trip), free-form strings as
     OCaml-quoted literals ([%S], whitespace-safe). *)
 
-(** [params ?deadline ?obs ?warm p] is [p] (default
-    {!Conic.Socp.default_params}) with each given hook installed:
-    [deadline] polled inside the interior-point loop (see
-    {!Durable.Deadline.check}; {!Durable.Deadline.none} installs
-    nothing), [obs] as the context the solver, the recovery ladder and
-    {!Mapping} emit into, and [warm] as the warm-start point.  Absent
-    hooks keep [p]'s own; with none of the three, [p] passes through
-    untouched, so an unlimited, unobserved, cold solve keeps a
-    hook-free iteration loop. *)
-val params :
-  ?deadline:Durable.Deadline.t ->
-  ?obs:Obs.Ctx.t ->
-  ?warm:Conic.Socp.warm ->
-  Conic.Socp.params option ->
-  Conic.Socp.params option
-
 (** [warm_anchor ?deadline cfg] runs one cold solve of [cfg]'s SOCP,
-    polling [deadline] as {!params} installs it, and returns its
-    primal/dual point as a warm-start seed, or [None] if the solve did
-    not reach [Optimal] (or raised).  It runs without observability,
-    fault injection or a warm point: the anchor is bookkeeping, not a
-    sweep candidate.
-    {!Tradeoff} and {!Pareto} seed {e every} candidate from this one
-    anchor rather than chaining neighbours, so the seed — and
-    therefore every candidate's iteration trajectory — is independent
-    of solve order: bit-identical across [--jobs] levels and across
-    journal-restored resumes.  {!Dse} chains seeds inside each
-    candidate instead ({!Dse.min_period_scale}). *)
+    polling [deadline], and returns its primal/dual point as a
+    warm-start seed, or [None] if the solve did not reach [Optimal] (or
+    raised).  It runs without observability, fault injection or a warm
+    point: the anchor is bookkeeping, not a sweep candidate.
+    {!solve_candidates} seeds {e every} candidate from this one anchor
+    rather than chaining neighbours, so the seed — and therefore every
+    candidate's iteration trajectory — is independent of solve order:
+    bit-identical across [--jobs] levels and across journal-restored
+    resumes.  {!Dse} chains seeds inside each candidate instead
+    ({!Dse.min_period_scale}). *)
 val warm_anchor :
   ?deadline:Durable.Deadline.t -> Taskgraph.Config.t -> Conic.Socp.warm option
 
-(** [obs_of params obs] is the effective context of a call taking both
-    [?obs] and [?params]: an explicit [obs] wins, else the one already
-    riding in [params]. *)
-val obs_of : Conic.Socp.params option -> Obs.Ctx.t option -> Obs.Ctx.t option
+(** [solve_candidates ?fault ?pool ?deadline ?candidate_deadline
+    ?journal ?cancel ?obs ?on_progress cfg ~n ~candidate] runs
+    {!Mapping.solve} once on each configuration [candidate i],
+    [0 <= i < n] — a private clone of [cfg] that differs from it in
+    bounds or weights only, so [cfg]'s tasks and buffers address it —
+    under {!Durable.Sweep.run}, and returns slot [i]'s result ([None]
+    when the candidate was abandoned to the deadline or cancellation).
+
+    - Warm starts: one {!warm_anchor} solve of [candidate 0] seeds every
+      candidate.
+    - [fault] is read as by {!Mapping.solve}, once per sweep, and
+      candidate [i] gets {!Robust.Fault.for_candidate} of it: a plan
+      restricted with [only=I] applies to the 0-based [I]-th candidate.
+    - A candidate that raises becomes a [Solver_failure] whose message
+      starts ["uncaught exception: "].
+    - Candidate verdicts: ["ok"], ["infeasible"], ["skipped"] (a
+      solver failure) or ["timed out"].
+    - Journal payload: the objectives, continuous values and rounded
+      mapping of a solved candidate, or the message of an infeasibility
+      or solver-failure verdict; a timed-out candidate is not
+      journaled.  A restored result carries those bits plus a
+      {e freshly recomputed} exact certificate — the decoder
+      re-certifies the restored mapping against [candidate i] (the CRC
+      guards the bits, the certifier guards the meaning) — but an
+      empty [recovery] trace, zeroed [stats] and no warm point: the
+      solve did not run again. *)
+val solve_candidates :
+  ?fault:Robust.Fault.plan option ->
+  ?pool:Parallel.Pool.t ->
+  ?deadline:Durable.Deadline.t ->
+  ?candidate_deadline:float ->
+  ?journal:Durable.Journal.t ->
+  ?cancel:(unit -> bool) ->
+  ?obs:Obs.Ctx.t ->
+  ?on_progress:(Durable.Sweep.progress -> unit) ->
+  Taskgraph.Config.t ->
+  n:int ->
+  candidate:(int -> Taskgraph.Config.t) ->
+  (Mapping.result, Mapping.error) Stdlib.result option array
 
 (** [float_to_token f] renders [f] as a hex float literal. *)
 val float_to_token : float -> string

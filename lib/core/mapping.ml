@@ -243,7 +243,7 @@ let climbs = function
    stands.  The cone rungs lead the ladder and share one ["socp"] span,
    which closes before the simplex rung runs.  Returns the final
    answer, the attempts in order and the last cone result. *)
-let climb cfg ~fault ~obs ~params model =
+let climb cfg ~fault ~obs ~params ~deadline ~warm model =
   let emit ev = Option.iter (fun o -> Obs.Ctx.emit o ev) obs in
   let close_socp = ref (Obs.Ctx.open_span obs "socp") in
   let leave_socp () =
@@ -252,21 +252,20 @@ let climb cfg ~fault ~obs ~params model =
     close ()
   in
   let last_cone = ref None in
-  let cone attempt (p : Socp.params) =
-    let p =
+  let cone attempt ~tolerance ~warm =
+    let params =
       match Fault.inject fault ~attempt with
-      | None -> p
-      | inject -> { p with Socp.inject }
+      | None -> { params with Socp.tolerance }
+      | inject -> { params with Socp.tolerance; inject }
     in
-    let r = Model.solve ~params:p model in
+    let r = Model.solve ~params ?deadline ?obs ?warm model in
     last_cone := Some r;
     (Cone r, Format.asprintf "%a" Socp.pp_status r.Model.status)
   in
   let run attempt = function
-    | Base -> cone attempt params
+    | Base -> cone attempt ~tolerance:params.Socp.tolerance ~warm
     | Relaxed ->
-      let tolerance = params.Socp.tolerance *. 10.0 in
-      cone attempt { params with Socp.tolerance; warm = None }
+      cone attempt ~tolerance:(params.Socp.tolerance *. 10.0) ~warm:None
     | Fallback_lp -> (
       match Two_phase.budget_first ~policy:Two_phase.Fair_share ?obs cfg with
       | Ok _ as tp -> (Simplex tp, "recovered (simplex)")
@@ -313,18 +312,18 @@ let capped_below_tokens cfg =
       | None -> false)
     (Config.all_buffers cfg)
 
-let solve_program ?params ?fault ?obs cfg =
+let solve_program ?(params = Socp.default_params) ?deadline ?warm ?fault ?obs
+    cfg =
   let fault = match fault with Some f -> f | None -> Fault.of_env () in
-  (* An explicit [?obs] wins; otherwise keep whatever already rides in
-     the params (threaded there by an enclosing sweep). *)
-  let obs = Durability.obs_of params obs in
-  let params =
-    Option.value (Durability.params ?obs params) ~default:Socp.default_params
-  in
+  (* [Deadline.none] installs no poll: an unlimited solve keeps a
+     hook-free iteration loop. *)
+  let deadline = Option.bind deadline Durable.Deadline.check in
   let builder = Socp_builder.build cfg in
   let model = builder.Socp_builder.model in
   let t0 = Unix.gettimeofday () in
-  let answer, trace, last = climb cfg ~fault ~obs ~params model in
+  let answer, trace, last =
+    climb cfg ~fault ~obs ~params ~deadline ~warm model
+  in
   let stats =
     {
       variables = Model.num_variables model;
@@ -374,7 +373,7 @@ let solve_program ?params ?fault ?obs cfg =
                e)))
   | Simplex (Ok tp) -> Ok (of_fallback cfg tp trace stats)
 
-let solve ?params ?fault ?obs cfg =
+let solve ?params ?deadline ?warm ?fault ?obs cfg =
   match capped_below_tokens cfg with
   | Some b ->
     (* No capacity can hold the initial tokens: infeasible at every
@@ -385,4 +384,4 @@ let solve ?params ?fault ?obs cfg =
             (Config.buffer_name cfg b)
             (Config.initial_tokens cfg b)
             (Option.get (Config.max_capacity cfg b))))
-  | None -> solve_program ?params ?fault ?obs cfg
+  | None -> solve_program ?params ?deadline ?warm ?fault ?obs cfg

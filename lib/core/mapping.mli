@@ -17,7 +17,7 @@
     instance.  Instead of surfacing that status, [solve] climbs a
     recovery ladder, one attempt per rung, until a rung answers:
 
-    + [Base] — the caller's parameters, unchanged;
+    + [Base] — the caller's parameters and warm point, unchanged;
     + [Relaxed] — the tolerance loosened 10× (accepting the "close to
       optimal" iterate the strict run rejected) and a cold start: the
       retry must not repeat the seeded trajectory that just failed;
@@ -106,26 +106,31 @@ type error =
       (** every rung of the recovery ladder returned an unusable status
           (or a recovered mapping was refuted by its certificate) *)
   | Timed_out of string
-      (** the solve's cooperative deadline
-          ({!Conic.Socp.params.deadline}) expired mid-solve.  Unlike a
+      (** the solve's cooperative deadline ([?deadline] of {!solve})
+          expired mid-solve.  Unlike a
           [Solver_failure] this is not a verdict about the instance at
           all: no later rung of the recovery ladder is tried (the
           deadline is already blown), and the durable sweep layer
           deliberately does {e not} journal it, so a resume retries the
           candidate. *)
 
-(** [solve ?params ?fault ?obs cfg] runs the full flow.  [params]
-    tunes the interior-point solver.  [fault] is the fault plan: absent,
-    the one {!Robust.Fault.of_env} reads from [BUDGETBUF_FAULT];
-    [~fault:None], no fault whatever the environment says;
-    [~fault:(Some p)], the plan [p].  [obs] (or a
-    context already installed in [params]) receives the solve's trace
-    events — solver iterations, recovery rungs, the certificate
+(** [solve ?params ?deadline ?warm ?fault ?obs cfg] runs the full flow.
+    [params] tunes the interior-point solver (default
+    {!Conic.Socp.default_params}; tests use it to inject a solver
+    fault into every rung).  [deadline] is polled inside every cone
+    rung ({!Durable.Deadline.none} installs no poll).  [warm] seeds the
+    base rung only: the relaxed rung runs cold.  [fault] is the fault
+    plan: absent, the one {!Robust.Fault.of_env} reads from
+    [BUDGETBUF_FAULT]; [~fault:None], no fault whatever the environment
+    says; [~fault:(Some p)], the plan [p].  [obs] receives the solve's
+    trace events — solver iterations, recovery rungs, the certificate
     verdict — and the ["socp"] / ["finish"] phase spans; observation
     never changes the result (the trace-transparency property of
     test_obs.ml). *)
 val solve :
   ?params:Conic.Socp.params ->
+  ?deadline:Durable.Deadline.t ->
+  ?warm:Conic.Socp.warm ->
   ?fault:Robust.Fault.plan option ->
   ?obs:Obs.Ctx.t ->
   Taskgraph.Config.t ->

@@ -17,8 +17,8 @@ type point = {
   rounded_objective : float;
   certified : bool;
       (** whether the rounded mapping behind this point carries an
-          exact rational certificate (see {!Certify}); journaled, so a
-          restored point keeps the original verdict *)
+          exact rational certificate (see {!Certify}); a point restored
+          from a journal is re-certified *)
 }
 
 (** A frontier sweep: the surviving non-dominated points plus the
@@ -37,17 +37,14 @@ type sweep = { points : point list; skipped : (float * string) list }
     answered a candidate.  Each ratio reweights a private clone of
     [cfg], so the configuration is never mutated.  Infeasible
     instances yield an empty [points] list; failing, crashing and
-    timed-out candidates land in [skipped].  The sweep harness — pool,
-    journal, deadlines, cancellation, exception barrier, trace events
-    and warm starts — is {!Durable.Sweep}'s.  [fault] is read as by
-    {!Mapping.solve}, once per sweep, and each ratio gets
-    {!Robust.Fault.for_candidate} of it: a plan restricted with
-    [only=I] applies to the 0-based [I]-th ratio.  The warm anchor
-    solves the first ratio.
-
-    Candidate verdicts: ["ok"], ["infeasible"] or ["skipped"].  The
-    journal records each ratio's raw outcome; frontier pruning always
-    re-runs over the union of restored and fresh outcomes.
+    timed-out candidates land in [skipped].  The ratios are solved by
+    {!Durability.solve_candidates} — pool, journal, deadlines,
+    cancellation, exception barrier, trace events, warm starts and
+    fault plans alike: a plan restricted with [only=I] applies to the
+    0-based [I]-th ratio, and the warm anchor solves the first ratio.
+    Its journal holds each ratio's [Mapping] result, from which a
+    restored point is derived exactly as a fresh one; frontier pruning
+    always re-runs over the union of restored and fresh results.
     @raise Invalid_argument if [steps < 1]. *)
 val frontier :
   ?steps:int ->

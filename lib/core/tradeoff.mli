@@ -15,25 +15,13 @@ type point = {
     {!Mapping.solve} once per cap, setting [max_capacity] of every
     buffer in [buffers] to the cap on a private clone of [cfg] ([cfg]
     itself is left untouched).  Points come back in the order of
-    [caps], minus any abandoned to the deadline or cancellation; the
-    sweep harness — pool, journal, deadlines, cancellation, exception
-    barrier, trace events and warm starts — is {!Durable.Sweep}'s.  A
-    candidate that raises becomes that point's [Solver_failure].
-    [fault] is read as by {!Mapping.solve}, once per sweep, and each
-    cap gets {!Robust.Fault.for_candidate} of it: a plan restricted
-    with [only=I] applies to the 0-based [I]-th cap.  The warm anchor
-    solves the first cap.
-
-    Candidate verdicts: ["ok"], ["infeasible"], ["skipped"] or
-    ["timed out"] (an expired candidate's [Timed_out] error).
-
-    Journal payload: the objectives, continuous values and rounded
-    mapping of the solve.  A restored point carries those bits plus a
-    {e freshly recomputed} exact certificate — the decoder re-certifies
-    the restored mapping against the capped candidate (the CRC guards
-    the bits, the certifier guards the meaning) — but an empty
-    [recovery] trace and zeroed [stats]: the solve did not run
-    again. *)
+    [caps], minus any abandoned to the deadline or cancellation.  The
+    caps are solved by {!Durability.solve_candidates} — pool, journal
+    and its payload, deadlines, cancellation, exception barrier
+    (a candidate that raises becomes that point's [Solver_failure]),
+    trace events and verdicts, warm starts and fault plans alike: a
+    plan restricted with [only=I] applies to the 0-based [I]-th cap,
+    and the warm anchor solves the first cap. *)
 val capacity_sweep :
   ?fault:Robust.Fault.plan option ->
   ?pool:Parallel.Pool.t ->

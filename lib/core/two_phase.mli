@@ -87,14 +87,6 @@ val buffer_sizing_lp :
   budget:(Taskgraph.Config.task -> float) ->
   (Taskgraph.Config.buffer -> int, error) Stdlib.result
 
-(** [budgets_at_fixed_capacity cfg ~capacity] is the dual
-    phase-2: minimal (rounded) budgets for fixed buffer capacities, via
-    the cone program with the δ′ variables pinned. *)
-val budgets_at_fixed_capacity :
-  Taskgraph.Config.t ->
-  capacity:(Taskgraph.Config.buffer -> int) ->
-  (Taskgraph.Config.task -> float, error) Stdlib.result
-
 (** [buffer_first ?policy ?fallback cfg] fixes capacities (phase 1)
     then minimises budgets with the capacities pinned in the cone
     program (phase 2).  [fallback] (default 2: double buffering) is

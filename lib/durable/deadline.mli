@@ -37,8 +37,8 @@ val expired : t -> bool
     {!none}). *)
 val remaining_s : t -> float
 
-(** [check t] is the polling closure handed to
-    {!Conic.Socp.params.deadline}: [None] for {!none} — so an unlimited
+(** [check t] is the polling closure handed to {!Conic.Socp.solve}'s
+    [?deadline]: [None] for {!none} — so an unlimited
     solve keeps a hook-free iteration loop — otherwise
     [Some (fun () -> expired t)]. *)
 val check : t -> (unit -> bool) option

@@ -1,8 +1,10 @@
 (** Durable candidate fan-out — the one harness behind every sweep:
-    [Tradeoff.capacity_sweep], [Pareto.frontier],
-    [Dse.throughput_curve] and phase 1 of [Tighten.run].  Each driver
-    keeps only its candidate grid, its solve, its journal codec and its
-    verdict labels; everything below is shared.
+    [Tradeoff.capacity_sweep] and [Pareto.frontier] (through their
+    shared clone-and-solve driver, [Durability.solve_candidates]),
+    [Dse.throughput_curve] and phase 1 of [Tighten.run].  A driver
+    keeps only a candidate grid, a solve and a payload codec with its
+    verdict labels — [Tradeoff] and [Pareto] only the grid; everything
+    below is shared.
 
     Durability (docs/robustness.md): [run] evaluates candidates
     [0 .. n-1], restoring any found in the journal and journaling each

@@ -40,8 +40,6 @@ val sign : t -> int
 val min : t -> t -> t
 val max : t -> t -> t
 
-val is_integer : t -> bool
-
 (** ["n"] when the denominator is 1, ["n/d"] otherwise. *)
 val to_string : t -> string
 

@@ -591,12 +591,29 @@ let apps ppf =
           sim)
     Workloads.Apps.all
 
-let series ?pool () =
+(* Every table, by id, in report order. *)
+let tables ?pool () =
   [
-    fig2a; fig2b; fig3; runtime; baselines; rounding; lp_cross_check;
-    simulation; mcr_ablation; pareto ?pool; binding; campaign; dse ?pool;
-    critical; latency; slp; apps;
+    ("fig2a", fig2a);
+    ("fig2b", fig2b);
+    ("fig3", fig3);
+    ("rt", runtime);
+    ("baselines", baselines);
+    ("rounding", rounding);
+    ("lp", lp_cross_check);
+    ("sim", simulation);
+    ("mcr", mcr_ablation);
+    ("pareto", pareto ?pool);
+    ("binding", binding);
+    ("campaign", campaign);
+    ("dse", dse ?pool);
+    ("critical", critical);
+    ("latency", latency);
+    ("slp", slp);
+    ("apps", apps);
   ]
+
+let series ?pool () = List.map snd (tables ?pool ())
 
 let all ?pool ppf =
   match pool with
@@ -626,27 +643,7 @@ let all ?pool ppf =
             (Printexc.to_string e))
       rendered
 
-let registry ?pool () =
-  [
-    ("fig2a", fig2a);
-    ("fig2b", fig2b);
-    ("fig3", fig3);
-    ("rt", runtime);
-    ("baselines", baselines);
-    ("rounding", rounding);
-    ("lp", lp_cross_check);
-    ("sim", simulation);
-    ("mcr", mcr_ablation);
-    ("pareto", pareto ?pool);
-    ("binding", binding);
-    ("campaign", campaign);
-    ("dse", dse ?pool);
-    ("critical", critical);
-    ("latency", latency);
-    ("slp", slp);
-    ("apps", apps);
-    ("all", all ?pool);
-  ]
+let registry ?pool () = tables ?pool () @ [ ("all", all ?pool) ]
 
 let by_name ?pool name = List.assoc_opt name (registry ?pool ())
 let names = List.map fst (registry ())

@@ -44,7 +44,7 @@ type event =
       (** a warm-start point was offered to the solver: accepted (and
           pushed strictly inside the cone) or rejected for [reason]
           (dimension mismatch, non-finite entries) with a silent cold
-          start.  Emitted only when [params.warm] is present. *)
+          start.  Emitted only when a solve is given a warm point. *)
   | Certificate of { verdict : string }
       (** exact certification verdict: ["certified"] or ["refuted"] *)
   | Restore of { index : int; hit : bool }

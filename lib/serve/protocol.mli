@@ -58,7 +58,6 @@ type request =
 type readiness = Starting | Serving | Draining
 
 val readiness_name : readiness -> string
-val readiness_of_name : string -> readiness option
 
 (** Server-lifetime counters, returned by [Stats] and summarised on
     exit.  [live] and [queue] are instantaneous, the rest monotone. *)

@@ -18,7 +18,6 @@
 
 module Json = Obs.Json
 module Mapping = Budgetbuf.Mapping
-module Durability = Budgetbuf.Durability
 
 (* ---- pipe protocol ----------------------------------------------- *)
 
@@ -193,11 +192,10 @@ let parse ~config ~fault =
       | Error _ as e -> e))
 
 let solve ?obs ~deadline cfg plan =
-  let params = Durability.params ~deadline ?obs None in
   (* An admit's fault spec replaces BUDGETBUF_FAULT; without one the
      solve reads the environment. *)
   let fault = Option.map Option.some plan in
-  match Mapping.solve ?params ?fault ?obs cfg with
+  match Mapping.solve ~deadline ?fault ?obs cfg with
   | Ok r when not (Budgetbuf.Certify.certified r.certificate) ->
     (* A refuted mapping is never admitted, and so never memoised. *)
     R_failed (Budgetbuf.Certify.summary r.certificate)

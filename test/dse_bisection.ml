@@ -10,10 +10,7 @@ let min_period_scale ?on_probe cfg =
   let feasible scale =
     (match on_probe with None -> () | Some f -> f scale);
     List.iter (fun (g, mu) -> Config.set_period probe_cfg g (mu *. scale)) base;
-    let params = Budgetbuf.Durability.params ?warm:!seed None in
-    match
-      Mapping.solve ?params ~fault:None probe_cfg
-    with
+    match Mapping.solve ?warm:!seed ~fault:None probe_cfg with
     | Ok r ->
       if Option.is_some r.Mapping.warm then seed := r.Mapping.warm;
       Budgetbuf.Certify.certified r.Mapping.certificate

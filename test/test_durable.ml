@@ -15,6 +15,7 @@ module Config = Taskgraph.Config
 module Mapping = Budgetbuf.Mapping
 module Tradeoff = Budgetbuf.Tradeoff
 module Dse = Budgetbuf.Dse
+module Pareto = Budgetbuf.Pareto
 module Fault = Robust.Fault
 
 let check_float eps = Alcotest.(check (float eps))
@@ -580,6 +581,117 @@ let test_tradeoff_resume_old_payload () =
     (List.map signature fresh) (List.map signature restored);
   Sys.remove path
 
+(* Pareto journals the tradeoff payload: every frontier point is derived
+   from a restored [Mapping.result], so a sweep killed after its first k
+   records and resumed, sequentially or on a pool, must give the same
+   points to the last bit — the continuous budget sum included. *)
+let show_frontier (s : Pareto.sweep) =
+  List.map
+    (fun (p : Pareto.point) ->
+      Printf.sprintf "%h %h %d %h %b" p.Pareto.weight_ratio p.Pareto.budget_sum
+        p.Pareto.buffer_containers p.Pareto.rounded_objective
+        p.Pareto.certified)
+    s.Pareto.points
+  @ List.map
+      (fun (ratio, reason) -> Printf.sprintf "skip %h %s" ratio reason)
+      s.Pareto.skipped
+
+let test_pareto_resume_truncated () =
+  let cfg = Workloads.Gen.paper_t1 () in
+  let steps = 9 and k = 4 in
+  let full = show_frontier (Pareto.frontier ~steps cfg) in
+  let path = temp_journal () in
+  let fp = Journal.fingerprint [ "pareto-resume" ] in
+  with_journal ~fingerprint:fp path (fun j ->
+      ignore (Pareto.frontier ~steps ~journal:j cfg));
+  let records = with_journal ~fingerprint:fp path Journal.entries in
+  Alcotest.(check int) "every ratio journaled" steps (List.length records);
+  List.iter
+    (fun domains ->
+      with_journal ~fingerprint:fp path (fun j ->
+          Journal.replace j ~entries:(List.filteri (fun i _ -> i < k) records));
+      let prog = ref None in
+      let resumed =
+        with_journal ~fingerprint:fp path (fun j ->
+            let run ?pool () =
+              Pareto.frontier ~steps ?pool ~journal:j
+                ~on_progress:(fun p -> prog := Some p)
+                cfg
+            in
+            match domains with
+            | 1 -> run ()
+            | d -> Pool.with_pool ~domains:d (fun pool -> run ~pool ()))
+      in
+      let label = Printf.sprintf "jobs %d: " domains in
+      Alcotest.(check (list string))
+        (label ^ "identical to the uninterrupted sweep")
+        full (show_frontier resumed);
+      match !prog with
+      | Some p ->
+        Alcotest.(check int) (label ^ "restored k") k p.Sweep.resumed;
+        Alcotest.(check int) (label ^ "re-solved n - k") (steps - k)
+          p.Sweep.solved
+      | None -> Alcotest.fail "no progress report")
+    [ 1; 4 ];
+  Sys.remove path
+
+(* Before Pareto shared the tradeoff payload it journaled its own
+   [point ...] / [skip ...] / bare [infeasible] records.  None of them
+   decodes now: each candidate is re-solved, never misread. *)
+let test_pareto_old_journal_resolved () =
+  let cfg = Workloads.Gen.paper_t1 () in
+  let steps = 3 in
+  let full = show_frontier (Pareto.frontier ~steps cfg) in
+  let path = temp_journal () in
+  let fp = Journal.fingerprint [ "pareto-old-journal" ] in
+  with_journal ~fingerprint:fp path (fun j ->
+      Journal.record j ~index:0
+        ~payload:"point 0x1.0624dd2f1a9fcp-10 0x1.38p+6 1 0x1p+0 cert";
+      Journal.record j ~index:1 ~payload:{|skip 0x1p+0 "stalled"|};
+      Journal.record j ~index:2 ~payload:"infeasible");
+  let prog = ref None in
+  let resumed =
+    with_journal ~fingerprint:fp path (fun j ->
+        Pareto.frontier ~steps ~journal:j
+          ~on_progress:(fun p -> prog := Some p)
+          cfg)
+  in
+  Alcotest.(check (list string)) "same frontier" full (show_frontier resumed);
+  (match !prog with
+  | Some p ->
+    Alcotest.(check int) "nothing restored" 0 p.Sweep.resumed;
+    Alcotest.(check int) "every ratio re-solved" steps p.Sweep.solved
+  | None -> Alcotest.fail "no progress report");
+  Sys.remove path
+
+(* A dse point is journaled as [period <hex>]; journals that end it with
+   the [cert] token of the dropped certification flag still restore. *)
+let test_dse_cert_payload_restores () =
+  let cfg = Workloads.Gen.paper_t1 () in
+  let caps = [ 1; 2 ] in
+  let full = Dse.curve_points (Dse.throughput_curve cfg ~caps) in
+  let path = temp_journal () in
+  let fp = Journal.fingerprint [ "dse-cert-payload" ] in
+  with_journal ~fingerprint:fp path (fun j ->
+      List.iteri
+        (fun index (_, period) ->
+          Journal.record j ~index
+            ~payload:(Printf.sprintf "period %h cert" period))
+        full);
+  let prog = ref None in
+  let restored =
+    with_journal ~fingerprint:fp path (fun j ->
+        Dse.throughput_curve ~journal:j
+          ~on_progress:(fun p -> prog := Some p)
+          cfg ~caps)
+  in
+  Alcotest.(check (list (pair int (float 0.0))))
+    "same curve" full (Dse.curve_points restored);
+  (match !prog with
+  | Some p -> Alcotest.(check int) "all restored" 2 p.Sweep.resumed
+  | None -> Alcotest.fail "no progress report");
+  Sys.remove path
+
 (* ------------------------------------------------------------------ *)
 (* Warm starts: determinism across pool sizes and resumes              *)
 (* ------------------------------------------------------------------ *)
@@ -821,6 +933,12 @@ let () =
             test_tradeoff_resume_restores_results;
           Alcotest.test_case "tradeoff resume from old payloads" `Quick
             test_tradeoff_resume_old_payload;
+          Alcotest.test_case "pareto resume from k records" `Quick
+            test_pareto_resume_truncated;
+          Alcotest.test_case "pareto journal from old payloads" `Quick
+            test_pareto_old_journal_resolved;
+          Alcotest.test_case "dse resume from cert payloads" `Quick
+            test_dse_cert_payload_restores;
           Alcotest.test_case "warm sweep jobs determinism" `Quick
             test_warm_sweep_jobs_determinism;
           Alcotest.test_case "warm dse resume bit-identical" `Quick

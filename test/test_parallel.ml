@@ -106,7 +106,7 @@ let prop_pool_map_matches_sequential =
       true)
 
 (* The journal-less pooled curve against the sequential one, point by
-   point: period bits, certification and failure reasons alike.  Each
+   point: period bits and failure reasons alike.  Each
    dse candidate chains warm starts through its own probes only, so
    its cone iterations are a pure function of the candidate too:
    - the sequential sweep's per-candidate totals equal those of each
@@ -117,12 +117,11 @@ let prop_pool_map_matches_sequential =
 let test_throughput_curve_matches_sequential () =
   let caps = List.init 10 (fun i -> i + 1) in
   let show (p : Budgetbuf.Dse.curve_point) =
-    Printf.sprintf "%d %s %b" p.cap
+    Printf.sprintf "%d %s" p.cap
       (match p.outcome with
        | Ok None -> "none"
        | Ok (Some period) -> Printf.sprintf "%h" period
        | Error reason -> "error " ^ reason)
-      p.certified
   in
   let traced ?pool cfg caps =
     let obs, sink = Sweep_iterations.context () in

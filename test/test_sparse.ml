@@ -770,8 +770,7 @@ let test_warm_start_reaches_same_optimum () =
       wz = cold.Model.raw.Socp.z;
     }
   in
-  let params = { Socp.default_params with Socp.warm = Some warm } in
-  let warmed = Model.solve ~params b.Socp_builder.model in
+  let warmed = Model.solve ~warm b.Socp_builder.model in
   Alcotest.(check bool) "warm optimal" true (warmed.Model.status = Socp.Optimal);
   Alcotest.(check bool)
     "same objective" true
@@ -788,8 +787,7 @@ let test_warm_start_dimension_mismatch_is_cold () =
   let cfg = Workloads.Gen.paper_t1 () in
   let b = Socp_builder.build cfg in
   let warm = { Socp.wx = [| 1.0 |]; ws = [| 1.0 |]; wz = [| 1.0 |] } in
-  let params = { Socp.default_params with Socp.warm = Some warm } in
-  let r = Model.solve ~params b.Socp_builder.model in
+  let r = Model.solve ~warm b.Socp_builder.model in
   Alcotest.(check bool) "still optimal" true (r.Model.status = Socp.Optimal)
 
 let test_warm_start_non_finite_is_cold () =
@@ -801,8 +799,7 @@ let test_warm_start_non_finite_is_cold () =
   let warm =
     { Socp.wx; ws = cold.Model.raw.Socp.s; wz = cold.Model.raw.Socp.z }
   in
-  let params = { Socp.default_params with Socp.warm = Some warm } in
-  let r = Model.solve ~params b.Socp_builder.model in
+  let r = Model.solve ~warm b.Socp_builder.model in
   Alcotest.(check bool) "still optimal" true (r.Model.status = Socp.Optimal)
 
 let prop_warm_start_preserves_oracle =
@@ -814,9 +811,9 @@ let prop_warm_start_preserves_oracle =
       let rng = Workloads.Rng.create (Int64.of_int seed) in
       let cfg = Workloads.Gen.random_chain rng ~n () in
       let anchor = Budgetbuf.Durability.warm_anchor cfg in
-      let params = Budgetbuf.Durability.params ?warm:anchor None in
       match
-        (Mapping.solve ~params:dense_reference cfg, Mapping.solve ?params cfg)
+        ( Mapping.solve ~params:dense_reference cfg,
+          Mapping.solve ?warm:anchor cfg )
       with
       | Ok d, Ok s ->
         rel_close d.Mapping.objective s.Mapping.objective

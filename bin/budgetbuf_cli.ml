@@ -263,6 +263,7 @@ let restore_drain_signals saved =
 (* Validates the durability flags, opens the journal, installs the
    SIGINT/SIGTERM drain and hands the sweep everything it needs.
    Prints "resumed: N/M from journal" before the sweep's own report
+   (with "(D discarded)" when the decoder refused D records)
    and "deadline|interrupted: stopped after N/M candidates" after it;
    a deadline stop exits 0 (the partial result is well-formed), an
    interrupt exits 128+signal (130 on INT, 143 on TERM). *)
@@ -294,9 +295,11 @@ let with_durability ~fingerprint ~resume ~deadline ~candidate_deadline run =
         ~cancel:(fun () -> Atomic.get cancelled <> 0)
         ~on_progress:(fun p ->
           progress := Some p;
-          if p.Durable.Sweep.resumed > 0 then
-            Format.printf "resumed: %d/%d from journal@."
-              p.Durable.Sweep.resumed p.Durable.Sweep.total)
+          let { Durable.Sweep.resumed; discarded; total; _ } = p in
+          if resumed > 0 || discarded > 0 then
+            Format.printf "resumed: %d/%d from journal%s@." resumed total
+              (if discarded > 0 then Printf.sprintf " (%d discarded)" discarded
+               else ""))
     in
     match !progress with
     | Some p when p.Durable.Sweep.not_run > 0 ->

@@ -25,9 +25,10 @@ let float_up q =
 
 (* The optimum of the min-period form of Algorithm 1
    ({!Socp_builder.build_min_period}), solved once and cold: no scale
-   below it admits a cone-program mapping.  [None] unless the solve is
-   optimal.  It runs in a ["socp"] span of [obs], so a trace counts it
-   with the probes' solves. *)
+   below it admits a cone-program mapping.  [Some (s, β′)] with the
+   scale and the optimum's budgets, [None] unless the solve is optimal.
+   It runs in a ["socp"] span of [obs], so a trace counts it with the
+   probes' solves. *)
 let period_bound ?deadline ?obs cfg =
   let b = Socp_builder.build_min_period cfg in
   let r =
@@ -38,13 +39,15 @@ let period_bound ?deadline ?obs cfg =
   in
   let s = r.Conic.Model.value b.Socp_builder.scale_var in
   if r.Conic.Model.status = Conic.Socp.Optimal && Float.is_finite s && s > 0.0
-  then Some s
+  then
+    Some (s, fun w -> r.Conic.Model.value (b.Socp_builder.bound_budget_var w))
   else None
 
 (* The search behind [min_period_scale]: the accepted scale and the
    periods, one per graph in [Config.graphs] order, at which the
    mapping behind it is certified. *)
 let search ?deadline ?fault ?obs ?on_probe ?on_failure ?on_feasible cfg =
+  let fault = match fault with Some f -> f | None -> Robust.Fault.of_env () in
   (* One mutable clone serves every probe: only the periods change
      between probes, so rescaling them in place beats rebuilding the
      whole configuration each time. *)
@@ -55,18 +58,21 @@ let search ?deadline ?fault ?obs ?on_probe ?on_failure ?on_feasible cfg =
   let set_periods periods =
     List.iter2 (fun (g, _) mu -> Config.set_period probe_cfg g mu) base periods
   in
+  let set_scale scale =
+    set_periods (List.map (fun (_, mu) -> mu *. scale) base)
+  in
   (* A certified mapping sustains every scale from its exact one,
      max over graphs of MCR(g)/µ(g), up: the periods at that scale,
      rounded up, are re-certified (a latency bound need not hold at a
      shorter period) and replace the probe's own.  Exact certification
-     work, so it is traced as a ["finish"] span. *)
-  let exact_point (r : Mapping.result) scale =
-    Obs.Ctx.with_span obs "finish" @@ fun () ->
+     work: callers run it in a ["finish"] span. *)
+  let exact_point mapped scale =
+    (match on_feasible with None -> () | Some f -> f mapped);
     let probed = List.map (fun (g, _) -> Config.period probe_cfg g) base in
     let ratio (g, mu) =
       Option.map
         (fun c -> Rat.div c.Certify.ratio (Rat.of_float mu))
-        (Certify.max_cycle_ratio probe_cfg g r.Mapping.mapped)
+        (Certify.max_cycle_ratio probe_cfg g mapped)
     in
     match
       List.fold_left
@@ -79,10 +85,30 @@ let search ?deadline ?fault ?obs ?on_probe ?on_failure ?on_feasible cfg =
         List.map (fun (_, mu) -> float_up (Rat.mul (Rat.of_float mu) q)) base
       in
       set_periods periods;
-      if Certify.certified (Certify.check probe_cfg r.Mapping.mapped) then
+      if Certify.certified (Certify.check probe_cfg mapped) then
         (float_up q, periods)
       else (scale, probed)
     | _ -> (scale, probed)
+  in
+  (* The min-period optimum is a mapping at the bound [s] already:
+     its budgets rounded up (which never slows an SRDF, and (9)
+     reserves the granule) with every buffer at its cap (the form fixes
+     δ′ = cap − ι).  Certified at s·(1 + [first_step]), whose margin
+     absorbs the solver's accuracy, it is the answer without a probe.
+     A row the form leaves out (memory) or one the rounding breaks
+     (latency) refutes it, and the probes take over. *)
+  let bound_point s budget =
+    let scale = s *. (1.0 +. first_step) in
+    set_scale scale;
+    let space b =
+      float_of_int
+        (Option.get (Config.max_capacity probe_cfg b)
+        - Config.initial_tokens probe_cfg b)
+    in
+    Obs.Ctx.with_span obs "finish" @@ fun () ->
+    match Mapping.round_and_certify ~fault ?obs probe_cfg ~budget ~space with
+    | Ok (mapped, c) when Certify.certified c -> Some (exact_point mapped scale)
+    | Ok _ | Error _ -> None
   in
   (* The warm chain: each probe starts from the optimum of the latest
      earlier probe that reached one (only the periods differ between
@@ -93,14 +119,14 @@ let search ?deadline ?fault ?obs ?on_probe ?on_failure ?on_feasible cfg =
   (* [Some point] for a probe whose mapping is certified. *)
   let feasible scale =
     (match on_probe with None -> () | Some f -> f scale);
-    set_periods (List.map (fun (_, mu) -> mu *. scale) base);
-    match Mapping.solve ?deadline ?warm:!seed ?fault ?obs probe_cfg with
+    set_scale scale;
+    match Mapping.solve ?deadline ?warm:!seed ~fault ?obs probe_cfg with
     | Ok r ->
       if Option.is_some r.Mapping.warm then seed := r.Mapping.warm;
-      if Certify.certified r.Mapping.certificate then begin
-        (match on_feasible with None -> () | Some f -> f r);
-        Some (exact_point r scale)
-      end
+      if Certify.certified r.Mapping.certificate then
+        Some
+          (Obs.Ctx.with_span obs "finish" (fun () ->
+               exact_point r.Mapping.mapped scale))
       else None
     | Error (Mapping.Solver_failure _ as e) ->
       (* A solver failure is not an infeasibility verdict: let callers
@@ -149,11 +175,29 @@ let search ?deadline ?fault ?obs ?on_probe ?on_failure ?on_feasible cfg =
   in
   let run () =
     let bound = period_bound ?deadline ?obs probe_cfg in
-    let lo = match bound with Some s -> s | None -> wcet_bound () in
-    (* The cold probe at the unscaled period, unless the bound rules it
-       out: a certified answer caps the gallop, and its optimum seeds
-       the probes near the bound, which stall more often cold. *)
-    if Option.is_some bound && lo >= 1.0 then gallop lo lo first_step None
+    let lo = match bound with Some (s, _) -> s | None -> wcet_bound () in
+    (* The bound's optimum answers unless a buffer is uncapped (its
+       space is no variable of the form) or the plan faults the first
+       ladder attempt, which the probes exist to exercise. *)
+    let hi =
+      match bound with
+      | Some (s, budget)
+        when (not (Robust.Fault.covers fault ~attempt:1))
+             && List.for_all
+                  (fun b -> Option.is_some (Config.max_capacity cfg b))
+                  (Config.all_buffers cfg) ->
+        bound_point s budget
+      | _ -> None
+    in
+    (* A certified bound point lies at or below s·(1 + [first_step]),
+       within the bisection's width of the bound: it is the answer. *)
+    if Option.is_some hi then hi
+    else if Option.is_some bound && lo >= 1.0 then
+      (* The cold probe at the unscaled period, unless the bound rules
+         it out: a certified answer caps the gallop, and its optimum
+         seeds the probes near the bound, which stall more often
+         cold. *)
+      gallop lo lo first_step None
     else
       match feasible 1.0 with
       | Some _ as hi -> gallop lo lo first_step hi
@@ -178,6 +222,28 @@ let curve_skipped points =
   List.filter_map
     (fun p ->
       match p.outcome with Error reason -> Some (p.cap, reason) | Ok _ -> None)
+    points
+
+(* A mapping certified under cap j keeps every buffer within any larger
+   cap, so each feasible cap reports the best period of the swept caps
+   at or below it.  A pure pass over the search results: the journal
+   keeps each cap's own point, so pool sizes and resumes see the same
+   curve. *)
+let envelope points =
+  List.map
+    (fun p ->
+      match p.outcome with
+      | Ok (Some period) ->
+        let best =
+          List.fold_left
+            (fun acc q ->
+              match q.outcome with
+              | Ok (Some period) when q.cap <= p.cap -> Float.min acc period
+              | _ -> acc)
+            period points
+        in
+        { p with outcome = Ok (Some best) }
+      | Ok None | Error _ -> p)
     points
 
 (* Journal payload of one curve point (docs/formats.md).  A timed-out
@@ -227,10 +293,11 @@ let throughput_curve ?fault ?pool ?deadline ?candidate_deadline
     List.iter
       (fun b -> Config.set_max_capacity capped b (Some cap))
       (Config.all_buffers capped);
-    (* The search solves this cap's bound cold; its first probe runs
-       cold and seeds the next one, and so on down the candidate's own
-       probe sequence: no seed crosses candidates, so the point is
-       bit-identical however the sweep is scheduled or resumed. *)
+    (* The search solves this cap's bound cold; its first probe, if
+       any, runs cold and seeds the next one, and so on down the
+       candidate's own probe sequence: no seed crosses candidates, so
+       the point is bit-identical however the sweep is scheduled or
+       resumed. *)
     match
       search ~deadline ?obs
         ~fault:(Robust.Fault.for_candidate fault ~index)
@@ -264,4 +331,4 @@ let throughput_curve ?fault ?pool ?deadline ?candidate_deadline
         })
       ~n:(Array.length caps) solve_cap
   in
-  List.filter_map Fun.id (Array.to_list results)
+  envelope (List.filter_map Fun.id (Array.to_list results))

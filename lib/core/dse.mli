@@ -5,8 +5,9 @@
     resources can sustain?".  This module answers it over a common
     scale factor on all graph periods: one solve of the min-period form
     of Algorithm 1 ({!Socp_builder.build_min_period}) bounds the scale
-    from below, and probes of the joint budget/buffer program just above
-    that bound find a certified mapping — yielding the minimum feasible
+    from below, and its rounded optimum — or, when that is refuted,
+    probes of the joint budget/buffer program just above the bound —
+    gives a certified mapping, yielding the minimum feasible
     period and, swept against a buffer-capacity cap, the classic
     throughput/buffer trade-off curve (Stuijk et al., DAC 2007, the
     two-phase flow the paper's Section I contrasts against). *)
@@ -23,14 +24,21 @@
       optimum [s_c] lower-bounds every scale at which the cone program
       is feasible.  If that solve is not optimal, the bound falls back
       to the largest [χ/µ];
-    - probes scale 1 when [s_c < 1] (or without a bound);
+    - when every buffer is capped, rounds that optimum
+      ({!Mapping.round_and_certify}: its budgets, every capacity at its
+      cap) and certifies it at [s_c·(1 + 5e-5)], in a ["finish"] span.
+      A certified bound mapping is the answer: the search ends on the
+      one cone solve.  A binding memory row (the form leaves the memory
+      rows out) or latency row refutes it, and the search probes;
+    - otherwise probes scale 1 when [s_c < 1] (or without a bound);
     - probes [s_c·(1 + 5e-5)], and while a probe is not certified,
       gallops up, doubling the step [ε] of [s_c·(1 + ε)] and skipping
       scales at or below a failed probe, until a probe is certified or
       reaches the scale-1 answer;
     - bisects between the last failed probe (or [s_c]) and the
       certified one to a relative width of 1e-4.
-    Every certified probe lowers the answer to its mapping's exact
+    Every certified mapping (the bound's or a probe's) lowers the
+    answer to its exact
     scale, the maximum over graphs of [MCR(g)/µ(g)]
     ({!Certify.max_cycle_ratio}), rounded up — provided the mapping is
     certified again at those periods (a latency bound may fail at a
@@ -48,18 +56,22 @@
     reached one, and the first cold; the bound solve always runs cold.
     The probe sequence and its seeds are therefore a pure function of
     [cfg].
-    [fault] is forwarded to every probe's {!Mapping.solve} (not to the
-    bound solve).  [on_probe] is called with the scale of every
+    [fault] (absent: {!Robust.Fault.of_env}) reaches every probe's
+    {!Mapping.solve} and the bound mapping's rounding (a [bad_round]
+    plan corrupts it), never the bound solve.  A plan that faults the
+    first ladder attempt ({!Robust.Fault.covers}[ ~attempt:1]) skips
+    the bound mapping, so its probes still climb the ladder.
+    [on_probe] is called with the scale of every
     feasibility probe (solve); the regression tests use it to pin the
     probe count so the fast path cannot silently regress.
     [on_failure] is called with every probe error that is a solver
     failure (not an infeasibility verdict): the sweep drivers use it to
     tell a broken candidate from a genuine dead end and report it as
-    skipped instead of infeasible.  A probe is feasible iff its
-    mapping's exact certificate ({!Certify}) is [Certified];
-    [on_feasible] is called with the full {!Mapping.result} of every
-    such probe.  Each certified probe becomes the answer, so the last
-    such call describes the mapping behind the accepted scale.
+    skipped instead of infeasible.  A mapping is feasible iff its
+    exact certificate ({!Certify}) is [Certified]; [on_feasible] is
+    called with every such mapping, the bound's or a probe's.  Each
+    becomes the answer, so the last call describes the mapping behind
+    the accepted scale.
 
     Inside {!throughput_curve}, whose per-candidate deadline rides into
     every probe, a probe that times out abandons the whole search
@@ -71,7 +83,7 @@ val min_period_scale :
   ?obs:Obs.Ctx.t ->
   ?on_probe:(float -> unit) ->
   ?on_failure:(Mapping.error -> unit) ->
-  ?on_feasible:(Mapping.result -> unit) ->
+  ?on_feasible:(Taskgraph.Config.mapped -> unit) ->
   Taskgraph.Config.t ->
   float option
 
@@ -83,7 +95,9 @@ val min_period_scale :
     its evaluation crashed (the sweep carries on — see
     {!Parallel.Pool.map_result}).  The period is the exact period of
     the mapping behind it, rounded up to a float, at which that
-    mapping is certified ({!min_period_scale}).  The search accepts
+    mapping is certified ({!min_period_scale}); that mapping is the
+    best one found at this cap or a smaller swept one
+    ({!throughput_curve}).  The search accepts
     only probes whose mapping carries an exact rational certificate
     ({!Certify}), so every [Ok (Some _)] point is certified. *)
 type curve_point = { cap : int; outcome : (float option, string) Stdlib.result }
@@ -109,15 +123,20 @@ val curve_skipped : curve_point list -> (int * string) list
     {!Mapping.solve}, once per sweep, and each cap's probes get
     {!Robust.Fault.for_candidate} of it, so a plan restricted with
     [only=I] applies to the probes of the 0-based [I]-th cap; and
-    each cap's search solves its bound cold, probes cold first and
-    chains its warm starts through its own probes
-    ({!min_period_scale}) — no seed crosses caps, so every point and
+    each cap's search solves its bound cold, which usually answers it,
+    and otherwise probes cold first and chains its warm starts through
+    its own probes ({!min_period_scale}) — no seed crosses caps, so every point and
     every cap's cone iterations are bit-identical across pool sizes and
     resumes.
 
+    A mapping certified under a cap fits every larger one, so each
+    feasible cap reports the smallest period found at that cap or any
+    smaller swept cap: a monotone envelope, taken over the finished
+    points once the sweep ends.
+
     Candidate verdicts: ["feasible"], ["infeasible"], ["skipped"] or
-    ["timed out"].  The journal records each point's outcome, floats
-    bit-exact. *)
+    ["timed out"].  The journal records each cap's own search outcome,
+    floats bit-exact, and a resume takes the envelope again. *)
 val throughput_curve :
   ?fault:Robust.Fault.plan option ->
   ?pool:Parallel.Pool.t ->

@@ -95,12 +95,11 @@ let corrupt_rounding cfg (mapped : Config.mapped) =
     | [] -> mapped
   end
 
-(* Round and certify an Optimal continuous point.  The exact
-   certificate is the one verdict: it is always computed and returned,
-   and a *recovered* solve whose mapping it refutes is turned into an
-   error rather than silently returned. *)
-let finish_optimal cfg ~fault ~obs builder result trace stats =
-  let continuous = Socp_builder.extract cfg builder result in
+(* The one rounding step of the flow: snap near-grid values first and
+   keep them iff they certify; otherwise (the point genuinely sits past
+   a grid point) fall back to the strictly conservative rounding.  The
+   [bad_round] fault corrupts whichever mapping that picks. *)
+let round_and_certify ~fault ?obs cfg ~budget ~space =
   let granularity = Config.granularity cfg in
   (* [all_tasks]/[all_buffers] list the dense ids in ascending order, so
      slot [i] of each array belongs to id [i]. *)
@@ -112,9 +111,7 @@ let finish_optimal cfg ~fault ~obs builder result trace stats =
   let mapped_with eps =
     let budgets =
       Array.map
-        (fun w ->
-          Rounding.round_budget_eps ~eps ~granularity
-            (continuous.Socp_builder.budget w))
+        (fun w -> Rounding.round_budget_eps ~eps ~granularity (budget w))
         tasks
     in
     let capacities =
@@ -122,7 +119,7 @@ let finish_optimal cfg ~fault ~obs builder result trace stats =
         (fun b ->
           Rounding.round_capacity_eps ~eps
             ~initial_tokens:(Config.initial_tokens cfg b)
-            (continuous.Socp_builder.space b))
+            (space b))
         buffers
     in
     {
@@ -130,30 +127,36 @@ let finish_optimal cfg ~fault ~obs builder result trace stats =
       Config.capacity = (fun b -> capacities.(Config.buffer_id b));
     }
   in
-  let round_and_certify () =
-    (* Snap near-grid values first and keep them iff they certify;
-       otherwise (the optimum genuinely sits past a grid point) fall
-       back to the strictly conservative rounding. *)
-    let mapped, certificate =
-      let snapped = mapped_with Rounding.round_eps in
-      let c = certify snapped in
-      if Certify.certified c then (snapped, c)
-      else
-        let strict = mapped_with 0.0 in
-        (strict, certify strict)
-    in
-    if Fault.corrupts_rounding fault then begin
-      (match obs with
-      | None -> ()
-      | Some o ->
-        Obs.Ctx.emit o
-          (Obs.Trace.Fault_injected { kind = "bad_round"; attempt = 1 }));
-      let bad = corrupt_rounding cfg mapped in
-      (bad, certify bad)
-    end
-    else (mapped, certificate)
+  Two_phase.settle ?obs @@ fun () ->
+  let mapped, certificate =
+    let snapped = mapped_with Rounding.round_eps in
+    let c = certify snapped in
+    if Certify.certified c then (snapped, c)
+    else
+      let strict = mapped_with 0.0 in
+      (strict, certify strict)
   in
-  match Two_phase.settle ?obs round_and_certify with
+  if Fault.corrupts_rounding fault then begin
+    (match obs with
+    | None -> ()
+    | Some o ->
+      Obs.Ctx.emit o
+        (Obs.Trace.Fault_injected { kind = "bad_round"; attempt = 1 }));
+    let bad = corrupt_rounding cfg mapped in
+    (bad, certify bad)
+  end
+  else (mapped, certificate)
+
+(* Round and certify an Optimal continuous point.  The exact
+   certificate is the one verdict: it is always computed and returned,
+   and a *recovered* solve whose mapping it refutes is turned into an
+   error rather than silently returned. *)
+let finish_optimal cfg ~fault ~obs builder result trace stats =
+  let continuous = Socp_builder.extract cfg builder result in
+  match
+    round_and_certify ~fault ?obs cfg ~budget:continuous.Socp_builder.budget
+      ~space:continuous.Socp_builder.space
+  with
   | Error msg -> Error (Solver_failure msg)
   | Ok (mapped, certificate) ->
     if recovered trace && not (Certify.certified certificate) then

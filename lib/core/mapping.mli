@@ -136,6 +136,23 @@ val solve :
   Taskgraph.Config.t ->
   (result, error) Stdlib.result
 
+(** [round_and_certify ~fault ?obs cfg ~budget ~space] is the rounding
+    step of {!solve}, applied to a continuous point given as its
+    budgets [β′] and initially-empty containers [δ′]: the budgets
+    rounded to [g·⌈β′/g⌉] and the capacities to [ι + ⌈δ′⌉], first with
+    the {!Rounding.round_eps} snap, kept iff {!Certify.check} certifies
+    them, else strictly; a [bad_round] plan then corrupts the mapping
+    (as in {!solve}).  Returns the mapping with its certificate, which
+    [obs] receives as a [Certificate] event (each check in a
+    ["certify"] span); [Error reason] when a value is not finite. *)
+val round_and_certify :
+  fault:Robust.Fault.plan option ->
+  ?obs:Obs.Ctx.t ->
+  Taskgraph.Config.t ->
+  budget:(Taskgraph.Config.task -> float) ->
+  space:(Taskgraph.Config.buffer -> float) ->
+  (Taskgraph.Config.mapped * Certify.t, string) Stdlib.result
+
 (** [capped_below_tokens cfg] is a buffer whose capacity cap is below
     its initial tokens, if any: no mapping of [cfg] exists then, at any
     period, and {!solve} returns [Infeasible] naming it without

@@ -9,7 +9,11 @@ type t = {
   start_var : Config.task -> [ `A1 | `A2 ] -> Model.var;
 }
 
-type min_period = { bound_model : Model.model; scale_var : Model.var }
+type min_period = {
+  bound_model : Model.model;
+  scale_var : Model.var;
+  bound_budget_var : Config.task -> Model.var;
+}
 
 (* The one constraint writer of Algorithm 1.  [`Cost] is the paper's
    program.  [`Min_period] is its min-period form: every period µ
@@ -210,7 +214,11 @@ let build cfg = fst (write cfg `Cost)
 
 let build_min_period cfg =
   let t, scale = write cfg `Min_period in
-  { bound_model = t.model; scale_var = Option.get scale }
+  {
+    bound_model = t.model;
+    scale_var = Option.get scale;
+    bound_budget_var = t.budget_var;
+  }
 
 type continuous = {
   budget : Config.task -> float;

@@ -53,10 +53,13 @@ val build : Taskgraph.Config.t -> t
     and the latency rows stay.  Every scale at which {!build}'s program
     (periods scaled by [s]) is feasible is feasible here, so the optimum
     lower-bounds the scale of every mapping the cone program can
-    return. *)
+    return.  Its optimum is also a mapping at that scale: every capped
+    buffer sits at its cap, and (9) reserves the granule that rounding
+    the budgets up needs. *)
 type min_period = {
   bound_model : Conic.Model.model;
   scale_var : Conic.Model.var;  (** s *)
+  bound_budget_var : Taskgraph.Config.task -> Conic.Model.var;  (** β′(w) *)
 }
 
 (** [build_min_period cfg] assembles the min-period form.  Every

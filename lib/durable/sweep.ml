@@ -6,7 +6,13 @@
    come back [None]; the caller decides how to present a partial
    sweep. *)
 
-type progress = { total : int; resumed : int; solved : int; not_run : int }
+type progress = {
+  total : int;
+  resumed : int;
+  discarded : int;
+  solved : int;
+  not_run : int;
+}
 
 let candidate_deadline deadline budget =
   let deadline = Option.value deadline ~default:Deadline.none in
@@ -18,7 +24,7 @@ let run ?pool ?journal ?obs ?deadline ?candidate_deadline:budget ?cancel
     ?on_progress ~encode ~decode ~verdict ~failed ~n f =
   if n < 0 then invalid_arg "Durable.Sweep.run: n must be >= 0";
   let results = Array.make (Int.max n 1) None in
-  let resumed = ref 0 in
+  let resumed = ref 0 and discarded = ref 0 in
   (match journal with
   | None -> ()
   | Some j ->
@@ -32,7 +38,7 @@ let run ?pool ?journal ?obs ?deadline ?candidate_deadline:budget ?cancel
             | Some v ->
               results.(index) <- Some v;
               incr resumed
-            | None -> ()))
+            | None -> incr discarded))
       (Journal.entries j);
     (* One restore verdict per slot, hit or miss — only meaningful (and
        only emitted) when a journal was consulted at all. *)
@@ -94,7 +100,13 @@ let run ?pool ?journal ?obs ?deadline ?candidate_deadline:budget ?cancel
       todo
       (Parallel.Pool.map_result ~cancel:stop ?obs pool solve_one todo));
   let progress =
-    { total = n; resumed = !resumed; solved = !solved; not_run = n - !resumed - !solved }
+    {
+      total = n;
+      resumed = !resumed;
+      discarded = !discarded;
+      solved = !solved;
+      not_run = n - !resumed - !solved;
+    }
   in
   Option.iter (fun report -> report progress) on_progress;
   ((if n = 0 then [||] else results), progress)

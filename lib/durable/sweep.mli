@@ -38,8 +38,17 @@
 (** How a sweep ended: of [total] candidates, [resumed] were restored
     from the journal, [solved] were newly evaluated, and [not_run] were
     abandoned to the deadline or cancellation
-    ([total = resumed + solved + not_run]). *)
-type progress = { total : int; resumed : int; solved : int; not_run : int }
+    ([total = resumed + solved + not_run]).  [discarded] counts the
+    journal records of candidates in range that the decoder refused
+    (a payload of an older grammar, say); their candidates are
+    evaluated again. *)
+type progress = {
+  total : int;
+  resumed : int;
+  discarded : int;
+  solved : int;
+  not_run : int;
+}
 
 (** [candidate_deadline deadline budget] is the sweep [deadline]
     (default {!Deadline.none}) combined with a fresh budget of [budget]

@@ -660,6 +660,7 @@ let test_pareto_old_journal_resolved () =
   (match !prog with
   | Some p ->
     Alcotest.(check int) "nothing restored" 0 p.Sweep.resumed;
+    Alcotest.(check int) "every old record discarded" 3 p.Sweep.discarded;
     Alcotest.(check int) "every ratio re-solved" steps p.Sweep.solved
   | None -> Alcotest.fail "no progress report");
   Sys.remove path

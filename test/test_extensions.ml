@@ -610,10 +610,10 @@ let test_dse_min_period_infeasible_structure () =
 (* The bisection accepts a probe on its exact certificate alone.  On
    car-radio at caps 7-10 (then each cap seeded from its own warm
    anchor), a float dataflow check accepted probes the certificate
-   refutes, which left cap 10 at a period twice that of cap 9.  Every
-   accepted probe must be certified, and more buffering can only
-   help.  Each cap bisects as [Dse.throughput_curve] does: cold first
-   probe, then its own warm chain. *)
+   refutes, which left cap 10 at a period twice that of cap 9.  The
+   mapping behind every accepted scale must be certified there, and
+   more buffering can only help.  Each cap searches as
+   [Dse.throughput_curve] does. *)
 let test_dse_accepts_only_certified () =
   let cfg = List.assoc "car-radio" Workloads.Apps.all () in
   let min_period cap =
@@ -621,15 +621,25 @@ let test_dse_accepts_only_certified () =
     List.iter
       (fun b -> Config.set_max_capacity capped b (Some cap))
       (Config.all_buffers capped);
-    let on_feasible r =
-      Alcotest.(check bool)
-        (Printf.sprintf "cap %d: accepted probe certified" cap)
-        true
-        (Budgetbuf.Certify.certified r.Mapping.certificate)
-    in
-    match Dse.min_period_scale ~on_feasible capped with
+    let last = ref None in
+    match
+      Dse.min_period_scale ~on_feasible:(fun m -> last := Some m) capped
+    with
     | None -> Alcotest.failf "cap %d: no feasible period" cap
-    | Some scale -> Config.period capped (List.hd (Config.graphs capped)) *. scale
+    | Some scale ->
+      let graphs = Config.graphs capped in
+      let periods = List.map (fun g -> Config.period capped g) graphs in
+      (* The accepted scale is rounded up; one ulp more keeps each
+         period at or above the mapping's exact one. *)
+      List.iter2
+        (fun g mu -> Config.set_period capped g (Float.succ (mu *. scale)))
+        graphs periods;
+      Alcotest.(check bool)
+        (Printf.sprintf "cap %d: accepted mapping certified" cap)
+        true
+        (Budgetbuf.Certify.certified
+           (Budgetbuf.Certify.check capped (Option.get !last)));
+      List.hd periods *. scale
   in
   match List.map min_period [ 7; 8; 9; 10 ] with
   | [ _; _; p9; p10 ] ->
@@ -726,53 +736,205 @@ let test_dse_no_worse_than_bisection () =
         (Dse.throughput_curve ~fault:None cfg ~caps))
     (sweep_small_dse ())
 
-(* Every printed point is the exact period of the certified mapping
-   behind it, rounded up: the mapping of the search's last certified
-   probe re-certifies with the graph's period set to the point, and
-   its exact maximum cycle ratio lies within the float below it. *)
+(* A random capped-sweep instance: a chain of 2-8 tasks or a
+   split-join, all in a memory far larger than any cap needs. *)
+let random_dse_instance (seed, split) =
+  let module Rng = Workloads.Rng in
+  let rng = Rng.create (Int64.of_int seed) in
+  if split then
+    Workloads.Gen.split_join
+      ~branches:(1 + Rng.int rng ~bound:6)
+      ~wcet:(Rng.float rng ~lo:0.5 ~hi:2.0)
+      ~replenishment:(Rng.float rng ~lo:20.0 ~hi:60.0)
+      ~period:(Rng.float rng ~lo:5.0 ~hi:20.0)
+      ()
+  else Workloads.Gen.random_chain rng ~n:(2 + Rng.int rng ~bound:7) ()
+
+let print_dse_instance (seed, split) =
+  Printf.sprintf "seed %d, split-join %b" seed split
+
+(* The mapping behind a cap's own search: the last one it accepted. *)
+let dse_mapping cfg cap =
+  let last = ref None in
+  ignore
+    (Dse.min_period_scale ~fault:None
+       ~on_feasible:(fun m -> last := Some m)
+       (cap_all cfg cap));
+  !last
+
+(* [mapped] backs [period] under [cap]: it re-certifies with the
+   graphs' periods set to [period], and its exact maximum cycle ratio
+   lies within the float below it. *)
+let backs cfg ~cap ~period mapped =
+  let module Certify = Budgetbuf.Certify in
+  let capped = cap_all cfg cap in
+  let graphs = Config.graphs capped in
+  List.iter (fun g -> Config.set_period capped g period) graphs;
+  Certify.certified (Certify.check capped mapped)
+  &&
+  let ratio =
+    (Option.get (Certify.max_cycle_ratio capped (List.hd graphs) mapped))
+      .Certify.ratio
+  in
+  let at f = Exact.Rat.compare ratio (Exact.Rat.of_float f) in
+  at period <= 0 && at (Float.pred period) > 0
+
+(* Every printed point is the exact period of a certified mapping
+   behind it, rounded up: the mapping of the last certified answer of
+   the search at that cap, or at a smaller swept cap when the curve's
+   envelope took that one's point. *)
 let prop_dse_points_recertify =
   QCheck2.Test.make ~name:"dse points re-certify at their period" ~count:25
-    ~print:(fun (seed, split) ->
-      Printf.sprintf "seed %d, split-join %b" seed split)
+    ~print:print_dse_instance
     QCheck2.Gen.(pair (int_range 0 10_000) bool)
-    (fun (seed, split) ->
-      let module Certify = Budgetbuf.Certify in
-      let module Rng = Workloads.Rng in
-      let rng = Rng.create (Int64.of_int seed) in
-      let cfg =
-        if split then
-          Workloads.Gen.split_join
-            ~branches:(1 + Rng.int rng ~bound:6)
-            ~wcet:(Rng.float rng ~lo:0.5 ~hi:2.0)
-            ~replenishment:(Rng.float rng ~lo:20.0 ~hi:60.0)
-            ~period:(Rng.float rng ~lo:5.0 ~hi:20.0)
-            ()
-        else Workloads.Gen.random_chain rng ~n:(2 + Rng.int rng ~bound:7) ()
+    (fun instance ->
+      let cfg = random_dse_instance instance in
+      let curve = Dse.throughput_curve ~fault:None cfg ~caps:[ 1; 2; 3; 4 ] in
+      let mappings =
+        List.map (fun (p : Dse.curve_point) -> (p.cap, dse_mapping cfg p.cap))
+          curve
       in
       let recertifies (p : Dse.curve_point) =
         match p.outcome with
         | Ok None | Error _ -> true
         | Ok (Some period) ->
-          let capped = cap_all cfg p.cap in
-          let last = ref None in
-          ignore
-            (Dse.min_period_scale ~fault:None
-               ~on_feasible:(fun r -> last := Some r.Mapping.mapped)
-               capped);
-          let mapped = Option.get !last in
-          let graphs = Config.graphs capped in
-          List.iter (fun g -> Config.set_period capped g period) graphs;
-          if not (Certify.certified (Certify.check capped mapped)) then
-            QCheck2.Test.fail_reportf "cap %d: refuted at %h" p.cap period;
-          let ratio =
-            (Option.get (Certify.max_cycle_ratio capped (List.hd graphs) mapped))
-              .Certify.ratio
-          in
-          let at f = Exact.Rat.compare ratio (Exact.Rat.of_float f) in
-          at period <= 0 && at (Float.pred period) > 0
+          List.exists
+            (fun (cap, mapped) ->
+              cap <= p.cap
+              && Option.fold ~none:false
+                   ~some:(backs cfg ~cap:p.cap ~period)
+                   mapped)
+            mappings
+          || QCheck2.Test.fail_reportf "cap %d: no mapping backs %h" p.cap
+               period
       in
-      List.for_all recertifies
-        (Dse.throughput_curve ~fault:None cfg ~caps:[ 1; 2; 3; 4 ]))
+      List.for_all recertifies curve)
+
+(* On capped instances whose memory never binds, the rounded optimum
+   of the min-period bound is certified: each cap costs exactly its one
+   cone solve, and its point lies at or below the bound's period
+   ·(1 + 5e-5), the scale the bound mapping is certified at. *)
+let prop_dse_one_solve_per_cap =
+  QCheck2.Test.make ~name:"dse ends each capped search on its bound"
+    ~count:40 ~print:print_dse_instance
+    QCheck2.Gen.(pair (int_range 0 10_000) bool)
+    (fun instance ->
+      let cfg = random_dse_instance instance in
+      let caps = [ 1; 2; 3; 4 ] in
+      let sink = Obs.Sink.ring ~capacity:100_000 in
+      let curve =
+        Dse.throughput_curve ~fault:None ~obs:(Obs.Ctx.make ~sink ()) cfg ~caps
+      in
+      (* Cone solves per candidate: a sequential sweep traces each
+         candidate's solves before its [Candidate] event. *)
+      let _, per_cap =
+        List.fold_left
+          (fun (n, acc) { Obs.Trace.event; _ } ->
+            match event with
+            | Obs.Trace.Solve_end _ -> (n + 1, acc)
+            | Obs.Trace.Candidate { index; _ } -> (0, (index, n) :: acc)
+            | _ -> (n, acc))
+          (0, []) (Obs.Sink.events sink)
+      in
+      List.iter
+        (fun (index, n) ->
+          if n <> 1 then
+            QCheck2.Test.fail_reportf "cap %d: %d cone solves"
+              (List.nth caps index) n)
+        per_cap;
+      let bound_period cap =
+        let capped = cap_all cfg cap in
+        let b = Budgetbuf.Socp_builder.build_min_period capped in
+        let r = Conic.Model.solve b.Budgetbuf.Socp_builder.bound_model in
+        let s = r.Conic.Model.value b.Budgetbuf.Socp_builder.scale_var in
+        Config.period capped (List.hd (Config.graphs capped))
+        *. (s *. (1.0 +. 5e-5))
+      in
+      List.length per_cap = List.length caps
+      && List.for_all
+           (fun (p : Dse.curve_point) ->
+             match p.outcome with
+             | Ok (Some period) ->
+               period <= bound_period p.cap
+               || QCheck2.Test.fail_reportf "cap %d: %h above the bound %h"
+                    p.cap period (bound_period p.cap)
+             | Ok None | Error _ ->
+               QCheck2.Test.fail_reportf "cap %d: no point" p.cap)
+           curve)
+
+(* T1 with room for 3 containers: the bound mapping of caps 4-6 puts 4
+   or more in the memory, which refutes it, and the probes take over;
+   their cone program reserves a container per buffer in the memory
+   row (10), so their best point is cap 2's.  Those points still
+   certify, and the curve reports caps 4-6 at cap 3's point, which
+   their mappings' bound also allows. *)
+let memory_tight_t1 () =
+  Taskgraph.Parse.config_of_string
+    (String.concat "\n"
+       [
+         "granularity 1";
+         "processor p1 replenishment 40 overhead 0";
+         "processor p2 replenishment 40 overhead 0";
+         "memory m0 capacity 3";
+         "taskgraph t1 period 10";
+         "  task wa proc p1 wcet 1 weight 1";
+         "  task wb proc p2 wcet 1 weight 1";
+         "  buffer bab from wa to wb memory m0 container 1 initial 0 weight \
+          0.001";
+       ])
+
+let test_dse_memory_forces_probes () =
+  let cfg = memory_tight_t1 () in
+  let obs = Obs.Ctx.make () in
+  let last = ref None in
+  match
+    Dse.min_period_scale ~fault:None ~obs
+      ~on_feasible:(fun m -> last := Some m)
+      (cap_all cfg 4)
+  with
+  | None -> Alcotest.fail "cap 4: expected a feasible scale"
+  | Some scale ->
+    let solves =
+      List.find (String.starts_with ~prefix:"solves: ") (Obs.Ctx.report obs)
+    in
+    Alcotest.(check bool)
+      (Printf.sprintf "probes ran (%s)" solves)
+      true
+      (Scanf.sscanf solves "solves: %d" Fun.id > 1);
+    (* The accepted scale is rounded up; one ulp more keeps the period
+       at or above the mapping's exact one. *)
+    let capped = cap_all cfg 4 in
+    List.iter
+      (fun g -> Config.set_period capped g (Float.succ (10.0 *. scale)))
+      (Config.graphs capped);
+    Alcotest.(check bool) "probe point certifies" true
+      (Budgetbuf.Certify.certified
+         (Budgetbuf.Certify.check capped (Option.get !last)))
+
+let test_dse_envelope_memory_tight () =
+  let cfg = memory_tight_t1 () in
+  let points =
+    Dse.curve_points (Dse.throughput_curve ~fault:None cfg ~caps:[ 1; 2; 3; 4; 5; 6 ])
+  in
+  let at cap = List.assoc cap points in
+  Alcotest.(check int) "every cap feasible" 6 (List.length points);
+  List.iter
+    (fun cap ->
+      check_float 0.0 (Printf.sprintf "cap %d at cap 3's point" cap) (at 3)
+        (at cap))
+    [ 4; 5; 6 ];
+  (* Cap 4 alone does worse: the envelope, not the search, lowers it. *)
+  (match Dse.curve_points (Dse.throughput_curve ~fault:None cfg ~caps:[ 4 ]) with
+  | [ (4, alone) ] ->
+    Alcotest.(check bool)
+      (Printf.sprintf "cap 4 alone (%.4f) above cap 3 (%.4f)" alone (at 3))
+      true (alone > at 3)
+  | _ -> Alcotest.fail "cap 4 alone: expected a point");
+  let rec monotone = function
+    | (_, p1) :: ((_, p2) :: _ as rest) -> p1 >= p2 && monotone rest
+    | [ _ ] | [] -> true
+  in
+  Alcotest.(check bool) "periods non-increasing in cap" true (monotone points)
 
 let test_dse_throughput_curve_monotone () =
   (* More buffering can only improve the best period (Fig 2a dualised). *)
@@ -1203,6 +1365,10 @@ let () =
             test_dse_splitjoin_cap2_no_worse;
           Alcotest.test_case "no worse than the bisection" `Quick
             test_dse_no_worse_than_bisection;
+          Alcotest.test_case "binding memory forces the probes" `Quick
+            test_dse_memory_forces_probes;
+          Alcotest.test_case "monotone envelope, memory-tight T1" `Quick
+            test_dse_envelope_memory_tight;
         ] );
       ( "report",
         [
@@ -1221,5 +1387,6 @@ let () =
             prop_budget_slack_consistent;
             prop_budget_probe_matches_schedulable;
             prop_dse_points_recertify;
+            prop_dse_one_solve_per_cap;
           ] );
     ]

@@ -161,14 +161,15 @@ let test_throughput_curve_matches_sequential () =
 
 (* The cone iterations of a T1 throughput curve over caps 1:4, from the
    solve counters of its context: per cap one cold solve of the
-   min-period bound, a cold probe at the unscaled period and one warm
-   probe just above the bound, 12 solves in 188 iterations.  The blind
-   bisection this search replaced took 69 probes in 713 iterations
-   with the same warm chain, 911 with every probe seeded from a
-   separate solve of the cap at its unscaled period, and 1095 cold.  A
-   change to the search, the seeds or the solver's trajectory moves
-   this pin.  No fault plan applies, whatever [BUDGETBUF_FAULT] says:
-   a stalled first rung reruns cold. *)
+   min-period bound, whose rounded optimum (every buffer at its cap) is
+   certified at once and ends the search, 4 solves in 65 iterations.
+   The search that probed from that bound instead (a cold probe at the
+   unscaled period and a warm one just above the bound) took 12 solves
+   in 188 iterations; the blind bisection before it, 69 probes in 713
+   iterations with the same warm chain and 1095 cold.  A change to the
+   search, the bound program or the solver's trajectory moves this
+   pin.  No fault plan applies, whatever [BUDGETBUF_FAULT] says: a plan
+   that faults the first rung sends every cap to the probes. *)
 let test_throughput_curve_iterations_pinned () =
   let obs = Obs.Ctx.make () in
   ignore
@@ -179,7 +180,7 @@ let test_throughput_curve_iterations_pinned () =
     List.find (String.starts_with ~prefix:"solves: ") (Obs.Ctx.report obs)
   in
   let iterations = Scanf.sscanf solves "solves: %_d (%d iterations)" Fun.id in
-  Alcotest.(check int) "cone iterations pinned" 188 iterations
+  Alcotest.(check int) "cone iterations pinned" 65 iterations
 
 (* ------------------------------------------------------------------ *)
 (* Failure semantics: earliest exception at the join, pool survives    *)
@@ -358,12 +359,14 @@ let test_default_domains_env () =
 (* Dse.min_period_scale probe budget (satellite of the pool rework)    *)
 (* ------------------------------------------------------------------ *)
 
-(* One shared clone is rescaled in place across all probes; on T1 the
-   search costs exactly 2 probes besides the cold solve of its
-   min-period bound (0.10256, the self-loop floor 40/39 over µ = 10):
-   the cold probe at scale 1 and a certified one at the bound
-   ·(1 + 5e-5), which ends the search.  The blind bisection before it
-   took 18 (the probe at scale 1, then halving from the utilisation
+(* One shared clone is rescaled in place across all probes.  T1's
+   buffer has no cap, so its min-period bound (0.10256, the self-loop
+   floor 40/39 over µ = 10) is no mapping and the search probes: it
+   costs exactly 2 probes besides the cold bound solve, the cold probe
+   at scale 1 and a certified one at the bound ·(1 + 5e-5), which ends
+   the search.  (A capped config ends on the bound's own mapping with
+   no probe: see the iterations pin above.)  The blind bisection before
+   it took 18 (the probe at scale 1, then halving from the utilisation
    anchor 0.1 to relative 1e-4).  A regression that rebuilds the config
    per probe keeps this count — the pin is on the solve count, which is
    the dominant cost and must not creep. *)

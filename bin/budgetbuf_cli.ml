@@ -965,7 +965,12 @@ let do_tighten () path banks iterations jobs output resume deadline
         Format.printf
           "analytic: %d containers, simulated: %d containers (-%.0f%%)@." a
           m saved_pct;
-        Format.printf "probes: %d simulations@." t.Tighten.probes;
+        if t.Tighten.refuted = 0 then
+          Format.printf "probes: %d simulations@." t.Tighten.probes
+        else
+          Format.printf
+            "probes: %d simulations, %d refuted by the cycle bound@."
+            t.Tighten.probes t.Tighten.refuted;
         if t.Tighten.repaired then
           Format.printf
             "repaired: per-buffer minima missed the joint target; \

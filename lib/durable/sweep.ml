@@ -28,18 +28,27 @@ let run ?pool ?journal ?obs ?deadline ?candidate_deadline:budget ?cancel
   (match journal with
   | None -> ()
   | Some j ->
-    List.iter
-      (fun { Journal.index; payload } ->
-        if index >= 0 && index < n then
+    let accepted =
+      List.filter
+        (fun { Journal.index; payload } ->
+          index >= 0 && index < n
+          &&
           match results.(index) with
-          | Some _ -> () (* duplicate record: first one wins *)
+          | Some _ -> false (* duplicate record: first one wins *)
           | None -> (
             match decode index payload with
             | Some v ->
               results.(index) <- Some v;
-              incr resumed
-            | None -> incr discarded))
-      (Journal.entries j);
+              incr resumed;
+              true
+            | None ->
+              incr discarded;
+              false))
+        (Journal.entries j)
+    in
+    (* Drop the refused records from the file, so the next resume
+       neither decodes nor counts them again. *)
+    if !discarded > 0 then Journal.replace j ~entries:accepted;
     (* One restore verdict per slot, hit or miss — only meaningful (and
        only emitted) when a journal was consulted at all. *)
     match obs with

@@ -77,9 +77,11 @@ val candidate_deadline : Deadline.t option -> float option -> Deadline.t
     [None] withholds the record (outcomes that are not final verdicts,
     such as a per-candidate timeout).  [decode i payload] restores
     candidate [i] from a journal record; [None] discards the record and
-    re-evaluates.  Payloads must not contain newlines.  An exception
-    from the journal's own I/O, [encode], [verdict] or the deadline
-    computation is re-raised at the join.
+    re-evaluates.  When it discards any, the journal is rewritten
+    ({!Journal.replace}) to the records it restored, so the next
+    resume sees only live records.  Payloads must not contain
+    newlines.  An exception from the journal's own I/O, [encode],
+    [verdict] or the deadline computation is re-raised at the join.
 
     @raise Invalid_argument if [n < 0]. *)
 val run :

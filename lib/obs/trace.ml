@@ -45,7 +45,12 @@ type event =
   | Worker_exit of { pid : int; reason : string; solves : int }
   | Worker_reaped of { pid : int; after_s : float }
   | Quarantined of { key : string; crashes : int }
-  | Tighten_probe of { buffer : string; capacity : int; feasible : bool }
+  | Tighten_probe of {
+      buffer : string;
+      capacity : int;
+      feasible : bool;
+      layer : string;
+    }
   | Tighten_accept of { buffer : string; capacity : int; saved : int }
   | Tighten_reject of { buffer : string; capacity : int }
   | Span_open of { name : string }
@@ -156,11 +161,12 @@ let fields_of_event event : Json.obj =
       [ ("pid", Int pid); ("after_s", Number after_s) ]
     | Quarantined { key; crashes } ->
       [ ("key", String key); ("crashes", Int crashes) ]
-    | Tighten_probe { buffer; capacity; feasible } ->
+    | Tighten_probe { buffer; capacity; feasible; layer } ->
       [
         ("buffer", String buffer);
         ("capacity", Int capacity);
         ("feasible", Bool feasible);
+        ("layer", String layer);
       ]
     | Tighten_accept { buffer; capacity; saved } ->
       [
@@ -317,6 +323,13 @@ let of_json_line line =
             buffer = str "buffer";
             capacity = int "capacity";
             feasible = boolean "feasible";
+            layer =
+              (* traces written before the cycle bound simulated every
+                 probe *)
+              (match List.assoc_opt "layer" obj with
+              | Some (Json.String s) -> s
+              | None -> "sim"
+              | Some _ -> raise Bad);
           }
       | "tighten_accept" ->
         Tighten_accept

@@ -88,11 +88,21 @@ type event =
   | Quarantined of { key : string; crashes : int }
       (** an instance's canonical-key digest crossed the poison
           threshold after [crashes] worker crashes *)
-  | Tighten_probe of { buffer : string; capacity : int; feasible : bool }
-      (** the tightening dichotomy ran the simulator once with
-          [buffer] at [capacity] (all other buffers analytic);
-          [feasible] means the run completed with every graph's
-          steady-state period ≤ µ *)
+  | Tighten_probe of {
+      buffer : string;
+      capacity : int;
+      feasible : bool;
+      layer : string;
+    }
+      (** the tightening dichotomy tested [buffer] at [capacity];
+          [layer] names what decided it: ["cycle"] when the buffer's
+          token-cycle bound ([Tdm_sim.Sim.cycle_refutes]) refuted
+          the capacity without a simulation ([feasible] is then
+          [false]), ["sim"] when the simulator ran once with the
+          buffer overridden and [feasible] means the run completed
+          with every graph's steady-state period within its
+          threshold.  A trace line without [layer] decodes as
+          ["sim"]. *)
   | Tighten_accept of { buffer : string; capacity : int; saved : int }
       (** the dichotomy settled on [capacity] for [buffer], [saved]
           containers below the analytic bound *)

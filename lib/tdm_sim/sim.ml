@@ -70,6 +70,11 @@ type plan = {
   proc_errors : string list;
       (** budget-layout errors, latest first; a run reports the task
           errors, then the capacity errors, then these *)
+  exact : bool;
+      (** the layout is valid, every window offset, budget, interval
+          and WCET is an integer, and no run can reach an instant of
+          2^52: every event time of a run is then an integer the
+          float arithmetic computes exactly *)
 }
 
 (* [ptr, idx] lists, for every task, the buffers [owner] maps to it,
@@ -153,13 +158,34 @@ let plan cfg ~budget ~iterations =
   in
   let out_ptr, out_buf = csr ntasks producer in
   let in_ptr, in_buf = csr ntasks consumer in
+  let wcets = Array.map (Config.wcet cfg) tasks in
+  (* Some task is processing at every instant of a run before its
+     makespan, so the makespan is at most the number of executions
+     times the longest one: a wait for the window, then ⌈χ/β⌉
+     windows. *)
+  let exact =
+    !task_errors = [] && !proc_errors = []
+    && Array.for_all Float.is_integer offsets
+    && Array.for_all Float.is_integer budgets
+    && Array.for_all Float.is_integer intervals
+    && Array.for_all Float.is_integer wcets
+    &&
+    let longest = ref 0.0 in
+    Array.iteri
+      (fun i beta ->
+        longest :=
+          Float.max !longest
+            ((Float.ceil (wcets.(i) /. beta) +. 1.0) *. intervals.(i)))
+      budgets;
+    float_of_int iterations *. float_of_int ntasks *. !longest < 0x1p52
+  in
   {
     cfg;
     iterations;
     offsets;
     budgets;
     intervals;
-    wcets = Array.map (Config.wcet cfg) tasks;
+    wcets;
     in_ptr;
     in_buf;
     out_ptr;
@@ -169,6 +195,7 @@ let plan cfg ~budget ~iterations =
     initial = Array.map (Config.initial_tokens cfg) buffers;
     task_errors = !task_errors;
     proc_errors = !proc_errors;
+    exact;
   }
 
 let ntasks p = Array.length p.offsets
@@ -409,6 +436,33 @@ let meets ws ~capacity ~threshold =
     if not (period ws w <= threshold.(w)) then ok := false
   done;
   !ok
+
+(* The token cycle of buffer [b] (docs/tightening.md, "Cycle bound"):
+   with F_T(t) the completion of χ_T started at [t] in T's window and
+   G = F_P ∘ F_C, every run has c_P[k+c] ≥ G(c_P[k]).  G is
+   non-decreasing and commutes with a shift by the shared interval ̺,
+   so c_P[k1 + M·c] − c_P[k1] > G^M(0) − ̺, and the producer's
+   measured period exceeds (G^M(0) − ̺)/span.  Exact event times make
+   every step of that chain hold in floats too. *)
+let cycle_refutes p ~buffer:b ~capacity:c ~threshold =
+  let pr = p.producer.(b) and co = p.consumer.(b) in
+  let n = p.iterations in
+  let span = n - 1 - (n / 2) in
+  p.exact && pr <> co
+  && p.intervals.(pr) = p.intervals.(co)
+  && c >= Int.max 1 p.initial.(b)
+  && span / c >= 1
+  &&
+  let complete id start =
+    processing_completion ~window_offset:p.offsets.(id)
+      ~budget:p.budgets.(id) ~interval:p.intervals.(id) ~start
+      ~work:p.wcets.(id)
+  in
+  let t = ref 0.0 in
+  for _ = 1 to span / c do
+    t := complete pr (complete co !t)
+  done;
+  (!t -. p.intervals.(pr)) /. float_of_int span > threshold.(pr)
 
 let report ws =
   let p = ws.plan in

@@ -134,6 +134,29 @@ val workspace : plan -> workspace
     than the number of buffers or tasks. *)
 val meets : workspace -> capacity:int array -> threshold:float array -> bool
 
+(** [cycle_refutes plan ~buffer ~capacity ~threshold] is [true] only
+    when {!meets} is [false] for every capacity vector that gives
+    buffer [buffer] (a dense buffer id) [capacity], whatever the other
+    buffers hold; it runs no simulation.
+
+    It bounds the token cycle of the buffer: with producer P,
+    consumer C, initial tokens ι and F_T(t) the completion of χ_T
+    started at [t] in T's window, P's (k+capacity)-th start needs C's
+    (k+ι)-th completion, which needs P's k-th, so c_P[k+capacity] ≥
+    G(c_P[k]) with G = F_P ∘ F_C.  G is non-decreasing and, when P and
+    C share the replenishment interval ̺, G(t+̺) = G(t)+̺, so over
+    the measured half (k1 = n/2, span = n−1−k1, M = ⌊span/capacity⌋)
+    P's period exceeds (G^M(0) − ̺)/span; the buffer is refuted when
+    that exceeds [threshold.(P)].
+
+    The bound answers [false] (no verdict) unless the plan is valid,
+    every window offset, budget, interval and WCET is an integer (so
+    the simulator's event times are exact), P ≠ C, P and C share one
+    interval, [capacity ≥ max(1, ι)] and M ≥ 1.  See
+    docs/tightening.md, "Cycle bound". *)
+val cycle_refutes :
+  plan -> buffer:int -> capacity:int -> threshold:float array -> bool
+
 (** [processing_completion ~window_offset ~budget ~interval ~start
     ~work] is the instant at which [work] cycles of processing finish
     when started at [start] and served only inside the TDM window

@@ -11,7 +11,10 @@ module Durability = Budgetbuf.Durability
    analytic capacity.  The feasibility oracle is a fixed-horizon
    simulation compared against a threshold period: [Sim.meets] on one
    plan of the analytic budgets, which stops a run as soon as its
-   verdict is known to be a miss.  Feasibility is monotone in capacity
+   verdict is known to be a miss.  Each probe first asks
+   [Sim.cycle_refutes] whether the probed buffer's own token cycle
+   already forces a miss; a refuted capacity is infeasible without a
+   simulation.  Feasibility is monotone in capacity
    (budget schedulers are temporally monotone: more empty space can
    only let the producer start earlier), so binary search is sound.
 
@@ -36,7 +39,10 @@ type outcome = {
   analytic : int;  (** capacity in the certified analytic mapping *)
   floor : int;  (** exact SRDF lower bound max(1, ι) *)
   tightened : int;  (** accepted capacity, [floor ≤ tightened ≤ analytic] *)
-  probes : int;  (** simulator runs this buffer's search spent *)
+  probes : int;  (** capacities this buffer's search tested *)
+  refuted : int;
+      (** of [probes], the capacities the cycle bound refuted without
+          a simulation *)
   skipped : string option;
       (** [Some reason] when the search did not finish (per-candidate
           deadline, global deadline, cancellation, crash) and the
@@ -49,6 +55,7 @@ type t = {
   analytic_containers : int;
   tightened_containers : int;
   probes : int;  (** total simulator runs, joint checks included *)
+  refuted : int;  (** probes the cycle bound decided, repair included *)
   repaired : bool;
       (** the independent minima missed the target jointly and the
           sequential repair pass produced the final capacities *)
@@ -94,7 +101,12 @@ let encode_outcome o =
     Some
       (Printf.sprintf "ok %d %d %d %d" o.analytic o.floor o.tightened o.probes)
 
-let decode_outcome ~buffer_id ~analytic ~floor payload =
+(* A record keeps the capacities tested, not which of them the cycle
+   bound decided: [replay] reruns the search with the recorded answer
+   as its oracle, which retraces the recorded probes exactly (every
+   failed probe lies below the answer, every accepted one at or above
+   it), and the record is kept only when it agrees. *)
+let decode_outcome ~analytic ~floor ~replay payload =
   match
     let ib = Scanf.Scanning.from_string payload in
     if Durability.scan_token ib <> "ok" then None
@@ -108,15 +120,9 @@ let decode_outcome ~buffer_id ~analytic ~floor payload =
       if a <> analytic || f <> floor || t < floor || t > analytic || p < 0 then
         None
       else
-        Some
-          {
-            buffer_id;
-            analytic;
-            floor;
-            tightened = t;
-            probes = p;
-            skipped = None;
-          }
+        let r = replay ~answer:t in
+        if r.tightened = t && r.probes = p && r.skipped = None then Some r
+        else None
     end
   with
   | v -> v
@@ -162,6 +168,7 @@ let run ?pool ?journal ?deadline ?candidate_deadline ?cancel ?obs ?on_progress
       let threshold = thresholds cfg baseline in
       let meets ws caps = Sim.meets ws ~capacity:caps ~threshold in
       let probes_extra = ref 1 (* the baseline run *) in
+      let refuted_extra = ref 0 in
       let floor_of b = Int.max 1 (Config.initial_tokens cfg b) in
       (* Buffer [i] at its analytic capacity, its search cut short. *)
       let kept i reason =
@@ -171,6 +178,7 @@ let run ?pool ?journal ?deadline ?candidate_deadline ?cancel ?obs ?on_progress
           floor = floor_of (Config.buffer_of_id cfg i);
           tightened = analytic_caps.(i);
           probes = 0;
+          refuted = 0;
           skipped = Some reason;
         }
       in
@@ -183,14 +191,16 @@ let run ?pool ?journal ?deadline ?candidate_deadline ?cancel ?obs ?on_progress
          verbatim — while the repair pass passes the analytic capacity
          itself, feasible by the joint invariant.  [seeds] are probed
          before bisecting, in order: a hit halves the interval
-         immediately. *)
+         immediately.  Every probe overrides this one buffer, so the
+         cycle bound, which holds whatever the other buffers hold,
+         decides first; [probe] simulates only what it leaves open. *)
       let search_buffer ~probe ~deadline ~on_probe ~hi ~seeds buffer_id =
         let b = Config.buffer_of_id cfg buffer_id in
         let analytic = analytic_caps.(buffer_id) in
         let floor = floor_of b in
         let level c = (c + bank - 1) / bank in
         let cap_of k = Int.min hi (k * bank) in
-        let probes = ref 0 in
+        let probes = ref 0 and refuted = ref 0 in
         let skipped = ref None in
         let try_cap cap =
           if Durable.Deadline.expired deadline then begin
@@ -199,9 +209,17 @@ let run ?pool ?journal ?deadline ?candidate_deadline ?cancel ?obs ?on_progress
           end
           else begin
             incr probes;
-            let ok = probe b cap in
-            on_probe b cap ok;
-            ok
+            if Sim.cycle_refutes plan ~buffer:buffer_id ~capacity:cap ~threshold
+            then begin
+              incr refuted;
+              on_probe b cap false "cycle";
+              false
+            end
+            else begin
+              let ok = probe b cap in
+              on_probe b cap ok "sim";
+              ok
+            end
           end
         in
         let lo_k = ref (level floor) and hi_k = ref (level hi) in
@@ -223,16 +241,22 @@ let run ?pool ?journal ?deadline ?candidate_deadline ?cancel ?obs ?on_progress
           floor;
           tightened = (if !skipped = None then cap_of !hi_k else analytic);
           probes = !probes;
+          refuted = !refuted;
           skipped = !skipped;
         }
       in
-      let emit_probe b cap ok =
+      let emit_probe b cap ok layer =
         match obs with
         | None -> ()
         | Some o ->
           Obs.Ctx.emit o
             (Obs.Trace.Tighten_probe
-               { buffer = Config.buffer_name cfg b; capacity = cap; feasible = ok })
+               {
+                 buffer = Config.buffer_name cfg b;
+                 capacity = cap;
+                 feasible = ok;
+                 layer;
+               })
       in
       let emit_decision (r : outcome) =
         match (obs, r.skipped) with
@@ -255,33 +279,42 @@ let run ?pool ?journal ?deadline ?candidate_deadline ?cancel ?obs ?on_progress
          pool, journaled per buffer.  Each search owns its workspace and
          capacity vector, so concurrent searches share only the
          immutable plan. *)
-      let solve_buffer ~deadline index =
-        let ws = Sim.workspace plan in
-        let caps = Array.copy analytic_caps in
-        let probe b cap =
-          caps.(Config.buffer_id b) <- cap;
-          meets ws caps
-        in
+      let search_phase1 ~probe ~deadline ~on_probe index =
         let b = Config.buffer_of_id cfg index in
         let hw =
           Int.min analytic_caps.(index)
             (Int.max (floor_of b) (Sim.(baseline.buffer_high_water) b))
         in
-        let o =
-          search_buffer ~probe ~deadline ~on_probe:emit_probe ~hi:hw
-            ~seeds:[ Sim.(baseline.buffer_high_water_steady) b ]
-            index
+        search_buffer ~probe ~deadline ~on_probe ~hi:hw
+          ~seeds:[ Sim.(baseline.buffer_high_water_steady) b ]
+          index
+      in
+      let solve_buffer ~deadline index =
+        (* allocated by the first probe the cycle bound leaves open *)
+        let state = lazy (Sim.workspace plan, Array.copy analytic_caps) in
+        let probe b cap =
+          let ws, caps = Lazy.force state in
+          caps.(Config.buffer_id b) <- cap;
+          meets ws caps
         in
+        let o = search_phase1 ~probe ~deadline ~on_probe:emit_probe index in
         emit_decision o;
         o
+      in
+      let replay i ~answer =
+        search_phase1
+          ~probe:(fun _ cap -> cap >= answer)
+          ~deadline:Durable.Deadline.none
+          ~on_probe:(fun _ _ _ _ -> ())
+          i
       in
       let results, progress =
         Durable.Sweep.run ?pool ?journal ?obs ?deadline ?candidate_deadline
           ?cancel ?on_progress ~encode:encode_outcome
           ~decode:(fun i payload ->
-            decode_outcome ~buffer_id:i ~analytic:analytic_caps.(i)
+            decode_outcome ~analytic:analytic_caps.(i)
               ~floor:(floor_of (Config.buffer_of_id cfg i))
-              payload)
+              ~replay:(replay i) payload)
           ~verdict:(fun o -> Option.value o.skipped ~default:"ok")
           ~failed:(fun i e -> kept i ("error: " ^ Printexc.to_string e))
           ~n solve_buffer
@@ -346,7 +379,8 @@ let run ?pool ?journal ?deadline ?candidate_deadline ?cancel ?obs ?on_progress
                       o.buffer_id
                   in
                   (* count repair probes globally, not per buffer *)
-                  let o' = { o' with probes = o.probes } in
+                  refuted_extra := !refuted_extra + o'.refuted;
+                  let o' = { o' with probes = o.probes; refuted = o.refuted } in
                   current.(o.buffer_id) <- o'.tightened;
                   o'
                 end)
@@ -387,8 +421,12 @@ let run ?pool ?journal ?deadline ?candidate_deadline ?cancel ?obs ?on_progress
           tightened_containers = total final_caps;
           probes =
             List.fold_left
-              (fun acc (o : outcome) -> acc + o.probes)
+              (fun acc (o : outcome) -> acc + o.probes - o.refuted)
               !probes_extra outcomes;
+          refuted =
+            List.fold_left
+              (fun acc (o : outcome) -> acc + o.refuted)
+              !refuted_extra outcomes;
           repaired;
           progress;
         }

@@ -9,7 +9,10 @@
     ({!Tdm_sim.Sim}) still accepts — a dichotomy between the exact
     SRDF lower bound max(1, ι) and the analytic capacity, sound
     because feasibility is monotone in capacity (budget schedulers are
-    temporally monotone).
+    temporally monotone).  Every probe overrides one buffer, and the
+    token-cycle bound of that buffer ({!Tdm_sim.Sim.cycle_refutes})
+    decides it first: a capacity the bound refutes is infeasible
+    without a simulation.
 
     The caller keeps the analytic mapping and its exact certificate:
     the tightened capacities are simulation-backed, the analytic ones
@@ -21,7 +24,13 @@ type outcome = {
   analytic : int;  (** capacity in the certified analytic mapping *)
   floor : int;  (** exact SRDF lower bound max(1, ι) *)
   tightened : int;  (** accepted capacity, [floor ≤ tightened ≤ analytic] *)
-  probes : int;  (** simulator runs this buffer's search spent *)
+  probes : int;
+      (** capacities this buffer's search tested, by the cycle bound
+          or by a simulation (the journal's [p]) *)
+  refuted : int;
+      (** of [probes], the capacities the cycle bound refuted without
+          a simulation; a resumed buffer recovers it by replaying its
+          recorded search *)
   skipped : string option;
       (** [Some reason] ("timed out", "not run", "error: ...") when
           the search did not finish and the buffer kept its analytic
@@ -35,8 +44,11 @@ type t = {
   outcomes : outcome list;  (** dense buffer-id order *)
   analytic_containers : int;  (** Σ analytic capacities *)
   tightened_containers : int;  (** Σ tightened capacities *)
-  probes : int;  (** total simulator runs, baseline and joint checks
-                     included *)
+  probes : int;
+      (** total simulator runs, baseline, joint checks and repair
+          included; probes the cycle bound refuted are not runs *)
+  refuted : int;
+      (** probes the cycle bound refuted, repair pass included *)
   repaired : bool;
       (** the independent per-buffer minima missed the target when
           combined, and the (equally deterministic) sequential repair
@@ -52,8 +64,9 @@ type t = {
     record per finished buffer; see docs/formats.md), [deadline] /
     [candidate_deadline] bound the whole run and each buffer's search
     (polled between probes), [cancel] stops between buffers, and [obs]
-    receives [tighten_probe]/[tighten_accept]/[tighten_reject] plus the
-    sweep's events; a buffer's candidate verdict is ["ok"] or its
+    receives [tighten_probe] (its [layer] names what decided the
+    probe: ["cycle"] or ["sim"]), [tighten_accept]/[tighten_reject]
+    plus the sweep's events; a buffer's candidate verdict is ["ok"] or its
     [skipped] reason.  [iterations] (default 64) is the
     simulation length of every probe; [bank] (default 1) is the
     banked-memory granule: the search only explores capacities that

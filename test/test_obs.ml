@@ -246,6 +246,8 @@ let test_json_round_trip_qcheck () =
           Trace.Span_close { name = s; elapsed_s = f };
           Trace.Kkt_factor { backend = s; phase = s; n = i; nnz = i + 2 };
           Trace.Warm_start { accepted = i mod 2 = 0; reason = s };
+          Trace.Tighten_probe
+            { buffer = s; capacity = i; feasible = i mod 2 = 0; layer = s };
         ])
   in
   QCheck.Test.make ~count:500 ~name:"trace JSONL round-trips every event"
@@ -278,7 +280,19 @@ let test_json_rejects_damage () =
       {|{"seq":0.5,"t":0,"ev":"span_open","name":"x"}|};
       {|{"seq":0,"t":0,"ev":"span_open","name":"x"} trailing|};
       {|{"seq":0,"t":0,"ev":"restore","index":1,"hit":"yes"}|};
-    ]
+      {|{"seq":0,"t":0,"ev":"tighten_probe","buffer":"b","capacity":1,|}
+      ^ {|"feasible":false,"layer":1}|};
+    ];
+  (* a probe traced before the cycle bound carries no layer: it was a
+     simulation *)
+  match
+    Trace.of_json_line
+      ({|{"seq":0,"t":0,"ev":"tighten_probe","buffer":"b","capacity":1,|}
+      ^ {|"feasible":true}|})
+  with
+  | Some { Trace.event = Trace.Tighten_probe { layer; _ }; _ } ->
+    Alcotest.(check string) "layer of an older probe" "sim" layer
+  | _ -> Alcotest.fail "older tighten_probe line refused"
 
 (* ---- the flat-JSON codec ----------------------------------------- *)
 

@@ -1238,6 +1238,211 @@ let test_verdict_allocation () =
     (Printf.sprintf "minor words %.0f <= 1000" minor)
     true (minor <= 1_000.0)
 
+(* ------------------------------------------------------------------ *)
+(* The cycle bound                                                     *)
+(* ------------------------------------------------------------------ *)
+
+(* One integral case per seed: a chain, a chain of 2–4 tasks on fewer
+   processors (down to two tasks sharing one), a split-join, a mesh, a
+   tree or a ring with initial tokens, with integral WCETs, intervals
+   and periods, and its analytic mapping (granularity 1, so the
+   budgets are integral too).  [None] when the solve fails. *)
+let integral_case seed =
+  let rng = Random.State.make [| seed |] in
+  let int lo hi = lo + Random.State.int rng (hi - lo + 1) in
+  let wcet = float_of_int (int 1 3) in
+  let replenishment = float_of_int (10 * int 2 6) in
+  let period = wcet *. float_of_int (int 8 14) in
+  let module Gen = Workloads.Gen in
+  let label, cfg =
+    match int 0 5 with
+    | 0 ->
+      let n = int 2 6 in
+      ( Printf.sprintf "chain %d" n,
+        Gen.chain ~n ~replenishment ~wcet ~period () )
+    | 1 ->
+      let n = int 2 4 in
+      let procs = int 1 (n - 1) in
+      ( Printf.sprintf "chain %d on %d processors" n procs,
+        Gen.chain ~n ~replenishment ~wcet ~period ~shared_procs:procs () )
+    | 2 ->
+      let branches = int 1 4 in
+      ( Printf.sprintf "split-join %d" branches,
+        Gen.split_join ~branches ~replenishment ~wcet ~period () )
+    | 3 ->
+      let rows = int 1 3 and cols = int 2 3 in
+      ( Printf.sprintf "mesh %dx%d" rows cols,
+        Gen.mesh ~rows ~cols ~replenishment ~wcet ~period () )
+    | 4 ->
+      let depth = int 1 2 in
+      ( Printf.sprintf "tree %d" depth,
+        Gen.binary_tree ~depth ~replenishment ~wcet ~period () )
+    | _ ->
+      let n = int 2 4 and initial = int 1 3 in
+      ( Printf.sprintf "ring %d initial %d" n initial,
+        Gen.ring ~n ~initial ~replenishment ~wcet ~period () )
+  in
+  let iterations = [| 8; 17; 64 |].(int 0 2) in
+  match Mapping.solve cfg with
+  | Error _ -> None
+  | Ok r -> Some (label, cfg, r.Mapping.mapped, iterations)
+
+(* Every buffer of the case at every capacity from max(1, ι) to its
+   analytic one (the others analytic), against per-graph thresholds
+   around the analytic run's measured period: whenever the bound
+   refutes, the reference simulator's full run must miss.  Returns the
+   case's label and number of refutations. *)
+let check_cycle_bound seed =
+  match integral_case seed with
+  | None -> None
+  | Some (label, cfg, mapped, iterations) ->
+    let analytic =
+      Array.of_list (List.map mapped.Config.capacity (Config.all_buffers cfg))
+    in
+    let baseline =
+      match Sim_reference.run cfg mapped ~iterations () with
+      | Ok r -> r
+      | Error e -> Alcotest.failf "%s: analytic run: %s" label e
+    in
+    let plan = Sim.plan cfg ~budget:mapped.Config.budget ~iterations in
+    let choices =
+      [
+        (fun mu p -> (Float.max mu p *. (1.0 +. 1e-9)) +. 1e-12);
+        (fun _ p -> p);
+        (fun _ p -> Float.pred p);
+        (fun _ p -> 0.9 *. p);
+        (fun _ p -> 0.5 *. p);
+        (fun _ p -> 2.0 *. p);
+      ]
+    in
+    let refuted = ref 0 in
+    List.iter
+      (fun b ->
+        let id = Config.buffer_id b in
+        for c = Int.max 1 (Config.initial_tokens cfg b) to analytic.(id) do
+          let full =
+            lazy
+              (let caps = Array.copy analytic in
+               caps.(id) <- c;
+               Sim_reference.run cfg
+                 {
+                   mapped with
+                   Config.capacity = (fun b -> caps.(Config.buffer_id b));
+                 }
+                 ~iterations ())
+          in
+          List.iter
+            (fun choice ->
+              let thr g =
+                choice (Config.period cfg g) (baseline.Sim.graph_period g)
+              in
+              let threshold =
+                Array.of_list
+                  (List.map
+                     (fun w -> thr (Config.task_graph cfg w))
+                     (Config.all_tasks cfg))
+              in
+              if Sim.cycle_refutes plan ~buffer:id ~capacity:c ~threshold
+              then begin
+                incr refuted;
+                if full_verdict cfg (Lazy.force full) thr then
+                  Alcotest.failf
+                    "%s, %d iterations: buffer %s refuted at capacity %d, \
+                     but the full run meets its thresholds"
+                    label iterations (Config.buffer_name cfg b) c
+              end)
+            choices
+        done)
+      (Config.all_buffers cfg);
+    Some (label, !refuted)
+
+let prop_cycle_bound_sound =
+  QCheck2.Test.make ~name:"cycle bound refutes only missed capacities"
+    ~count:60 ~print:string_of_int
+    QCheck2.Gen.(int_range 0 1_000_000)
+    (fun seed ->
+      ignore (check_cycle_bound seed);
+      true)
+
+(* The property above would hold vacuously if the bound never fired:
+   on 40 seeded cases it must refute on every acyclic topology. *)
+let test_cycle_bound_refutes () =
+  let cases = List.filter_map check_cycle_bound (List.init 40 Fun.id) in
+  let kind label = List.hd (String.split_on_char ' ' label) in
+  let refuting =
+    List.sort_uniq compare
+      (List.filter_map
+         (fun (label, n) -> if n > 0 then Some (kind label) else None)
+         cases)
+  in
+  Alcotest.(check bool)
+    (Printf.sprintf "%d of 40 cases solved" (List.length cases))
+    true
+    (List.length cases >= 30);
+  Alcotest.(check (list string))
+    "topologies with a refutation"
+    [ "chain"; "mesh"; "split-join"; "tree" ]
+    (List.filter (fun k -> k <> "ring") refuting)
+
+(* Two tasks on their own processors, one buffer between them at
+   capacity 1: integral, the bound refutes even a generous threshold;
+   a non-integral budget, WCET or overhead, differing intervals or an
+   invalid layout leave every capacity to the simulator. *)
+let test_cycle_bound_scope () =
+  let cfg ~r1 ~r2 ~wcet ~overhead =
+    Taskgraph.Parse.config_of_string
+      (Printf.sprintf
+         "granularity 1\n\
+          processor p1 replenishment %g overhead %g\n\
+          processor p2 replenishment %g overhead 0\n\
+          memory m0 capacity 1000\n\
+          taskgraph g period 10\n\
+         \  task wa proc p1 wcet %g weight 1\n\
+         \  task wb proc p2 wcet 1 weight 1\n\
+         \  buffer bab from wa to wb memory m0 container 1 initial 0 weight 1\n"
+         r1 overhead r2 wcet)
+  in
+  let refutes ?(budget = 4.0) cfg capacity =
+    let plan = Sim.plan cfg ~budget:(fun _ -> budget) ~iterations:64 in
+    Sim.cycle_refutes plan ~buffer:0 ~capacity ~threshold:[| 10.0; 10.0 |]
+  in
+  let t1 = cfg ~r1:40.0 ~r2:40.0 ~wcet:1.0 ~overhead:0.0 in
+  Alcotest.(check bool) "integral, capacity 1" true (refutes t1 1);
+  Alcotest.(check bool) "integral, capacity 10" false (refutes t1 10);
+  Alcotest.(check bool) "capacity 0" false (refutes t1 0);
+  Alcotest.(check bool) "budget 4.5" false (refutes ~budget:4.5 t1 1);
+  Alcotest.(check bool) "budget above the interval" false
+    (refutes ~budget:41.0 t1 1);
+  Alcotest.(check bool) "wcet 1.5" false
+    (refutes (cfg ~r1:40.0 ~r2:40.0 ~wcet:1.5 ~overhead:0.0) 1);
+  Alcotest.(check bool) "overhead 0.5" false
+    (refutes (cfg ~r1:40.0 ~r2:40.0 ~wcet:1.0 ~overhead:0.5) 1);
+  Alcotest.(check bool) "intervals 40 and 20" false
+    (refutes (cfg ~r1:40.0 ~r2:20.0 ~wcet:1.0 ~overhead:0.0) 1);
+  (* the same holds on random integral cases made non-integral or
+     given differing intervals *)
+  for seed = 0 to 19 do
+    match integral_case seed with
+    | None -> ()
+    | Some (label, cfg, mapped, iterations) ->
+      let zero = Array.make (List.length (Config.all_tasks cfg)) 0.0 in
+      let never what budget =
+        let plan = Sim.plan cfg ~budget ~iterations in
+        List.iter
+          (fun b ->
+            for c = Int.max 1 (Config.initial_tokens cfg b) to 4 do
+              if
+                Sim.cycle_refutes plan ~buffer:(Config.buffer_id b)
+                  ~capacity:c ~threshold:zero
+              then
+                Alcotest.failf "%s, %s: buffer %s refuted at %d" label what
+                  (Config.buffer_name cfg b) c
+            done)
+          (Config.all_buffers cfg)
+      in
+      never "budgets + 0.25" (fun w -> mapped.Config.budget w +. 0.25)
+  done
+
 let () =
   Alcotest.run "tdm_sim"
     [
@@ -1309,6 +1514,10 @@ let () =
              test_verdict_allocation
         :: List.map QCheck_alcotest.to_alcotest
              [ prop_engine_matches_reference; prop_early_stop_verdict ] );
+      ( "cycle bound",
+        Alcotest.test_case "refutes" `Quick test_cycle_bound_refutes
+        :: Alcotest.test_case "scope" `Quick test_cycle_bound_scope
+        :: List.map QCheck_alcotest.to_alcotest [ prop_cycle_bound_sound ] );
       ( "vcd",
         [
           Alcotest.test_case "structure" `Quick test_vcd_structure;

@@ -26,9 +26,34 @@ module Journal = Durable.Journal
    bias, so µ alone is not the right yardstick at finite horizons). *)
 let threshold mu = (mu *. (1.0 +. 1e-9)) +. 1e-12
 
+(* Seeds 1–150 are random chains, whose non-integral WCETs leave every
+   probe to the simulator; seeds 151–190 are integral chains (some on
+   shared processors), split-joins, meshes, trees and rings, where the
+   cycle bound decides most capacity-1 probes. *)
 let workload seed =
-  let rng = Workloads.Rng.create (Int64.of_int seed) in
-  Workloads.Gen.random_chain rng ~n:(2 + (seed mod 4)) ()
+  if seed <= 150 then
+    let rng = Workloads.Rng.create (Int64.of_int seed) in
+    Workloads.Gen.random_chain rng ~n:(2 + (seed mod 4)) ()
+  else
+    let k = seed - 151 in
+    let wcet = float_of_int (1 + (k mod 3)) in
+    let replenishment = float_of_int (20 + (10 * (k mod 4))) in
+    let period = 10.0 *. wcet in
+    let module Gen = Workloads.Gen in
+    match k mod 6 with
+    | 0 -> Gen.chain ~n:(2 + (k mod 5)) ~replenishment ~wcet ~period ()
+    | 1 ->
+      Gen.chain ~n:(2 + (k mod 3)) ~shared_procs:1 ~replenishment ~wcet
+        ~period ()
+    | 2 ->
+      Gen.split_join ~branches:(1 + (k mod 4)) ~replenishment ~wcet ~period ()
+    | 3 ->
+      Gen.mesh ~rows:2 ~cols:(1 + (k mod 3)) ~replenishment ~wcet ~period ()
+    | 4 ->
+      Gen.binary_tree ~depth:(1 + (k mod 2)) ~replenishment ~wcet ~period ()
+    | _ ->
+      Gen.ring ~n:(2 + (k mod 3)) ~initial:(1 + (k mod 2)) ~replenishment ~wcet
+        ~period ()
 
 let solve_exn cfg =
   match Mapping.solve cfg with
@@ -53,8 +78,9 @@ let temp_journal () =
   Sys.remove path;
   path
 
-(* One workload through the full oracle: periods, floors, determinism
-   across a 4-domain pool, and (on journalled seeds) kill+resume. *)
+(* One workload through the full oracle: periods, floors, probe
+   accounting, determinism across a 4-domain pool, and (on journalled
+   seeds) kill+resume.  Returns the probes the cycle bound refuted. *)
 let check_workload ~pool ~with_resume seed =
   let cfg = workload seed in
   let r = solve_exn cfg in
@@ -94,8 +120,29 @@ let check_workload ~pool ~with_resume seed =
         Alcotest.failf "seed %d: tightened %d outside [%d, %d]" seed
           o.Tighten.tightened floor o.Tighten.analytic;
       Alcotest.(check int) "mapping agrees with outcome" o.Tighten.tightened
-        (t.Tighten.mapped.Config.capacity b))
+        (t.Tighten.mapped.Config.capacity b);
+      if o.Tighten.refuted > o.Tighten.probes then
+        Alcotest.failf "seed %d: %d of %d probes refuted" seed o.Tighten.refuted
+          o.Tighten.probes)
     (Config.all_buffers cfg);
+  (* without a repair pass, the probes are the baseline, the joint
+     check and every per-buffer probe, each decided by exactly one
+     layer *)
+  if not t.Tighten.repaired then begin
+    let sum f = List.fold_left (fun acc o -> acc + f o) 0 t.Tighten.outcomes in
+    let joint =
+      if t.Tighten.tightened_containers < t.Tighten.analytic_containers then 1
+      else 0
+    in
+    Alcotest.(check int)
+      (Printf.sprintf "seed %d: simulations" seed)
+      (1 + joint + sum (fun o -> o.Tighten.probes - o.Tighten.refuted))
+      t.Tighten.probes;
+    Alcotest.(check int)
+      (Printf.sprintf "seed %d: refuted" seed)
+      (sum (fun o -> o.Tighten.refuted))
+      t.Tighten.refuted
+  end;
   (* (c) bit-identical across pool sizes... *)
   let par = run_exn ~pool cfg analytic in
   Alcotest.(check (list int))
@@ -141,14 +188,33 @@ let check_workload ~pool ~with_resume seed =
       "capacities identical across kill+resume" (caps_of cfg t.Tighten.mapped)
       (caps_of cfg resumed.Tighten.mapped);
     Alcotest.(check bool) "outcomes identical across kill+resume" true
-      (t.Tighten.outcomes = resumed.Tighten.outcomes)
-  end
+      (t.Tighten.outcomes = resumed.Tighten.outcomes);
+    Alcotest.(check (pair int int))
+      "probe counts identical across kill+resume"
+      (t.Tighten.probes, t.Tighten.refuted)
+      (resumed.Tighten.probes, resumed.Tighten.refuted)
+  end;
+  t.Tighten.refuted
+
+(* The oracle over seeds [first, last]; the probes the cycle bound
+   refuted. *)
+let battery first last =
+  Parallel.Pool.with_pool ~domains:4 @@ fun pool ->
+  List.fold_left
+    (fun acc seed ->
+      acc + check_workload ~pool ~with_resume:(seed mod 5 = 0) seed)
+    0
+    (List.init (last - first + 1) (( + ) first))
 
 let test_battery () =
-  Parallel.Pool.with_pool ~domains:4 @@ fun pool ->
-  for seed = 1 to 150 do
-    check_workload ~pool ~with_resume:(seed mod 5 = 0) seed
-  done
+  Alcotest.(check int) "no probe refuted" 0 (battery 1 150)
+
+(* The same oracle over searches the cycle bound decides. *)
+let test_integral_battery () =
+  let refuted = battery 151 190 in
+  Alcotest.(check bool)
+    (Printf.sprintf "%d probes refuted" refuted)
+    true (refuted > 0)
 
 (* ------------------------------------------------------------------ *)
 (* Tightening: engine unit cases                                       *)
@@ -267,7 +333,28 @@ let test_obs_events () =
   Alcotest.(check bool) "report has a tighten line" true
     (List.exists
        (fun l -> String.length l >= 7 && String.sub l 0 7 = "tighten")
-       lines)
+       lines);
+  (* Each probe names the layer that decided it: T1's buffer is tested
+     once, at capacity 1, and its token cycle refutes that. *)
+  let sink = Obs.Sink.ring ~capacity:1024 in
+  let t =
+    match Tighten.run ~obs:(Obs.Ctx.make ~sink ()) cfg r.Mapping.mapped with
+    | Ok t -> t
+    | Error msg -> Alcotest.failf "tighten failed: %s" msg
+  in
+  let probes =
+    List.filter_map
+      (fun (e : Obs.Trace.t) ->
+        match e.Obs.Trace.event with
+        | Obs.Trace.Tighten_probe { capacity; feasible; layer; _ } ->
+          Some (capacity, feasible, layer)
+        | _ -> None)
+      (Obs.Sink.events sink)
+  in
+  Alcotest.(check (list (triple int bool string)))
+    "probe events" [ (1, false, "cycle") ] probes;
+  Alcotest.(check (pair int int)) "simulations, refuted" (2, 1)
+    (t.Tighten.probes, t.Tighten.refuted)
 
 (* ------------------------------------------------------------------ *)
 (* Codec: random IR round trips                                        *)
@@ -492,6 +579,7 @@ let () =
       ( "oracle",
         [
           Alcotest.test_case "150-workload battery" `Quick test_battery;
+          Alcotest.test_case "integral battery" `Quick test_integral_battery;
           Alcotest.test_case "paper t1" `Quick test_tighten_t1;
           Alcotest.test_case "invalid arguments" `Quick test_invalid_arguments;
           Alcotest.test_case "infeasible baseline" `Quick

@@ -236,11 +236,6 @@ let check_deadline name = function
    process the ordinary way. *)
 let drain_signals = [ Sys.sigint; Sys.sigterm ]
 
-(* OCaml signal numbers are negative encodings; the shell convention
-   (exit 128+n) wants the OS numbers. *)
-let os_signal_number s =
-  if s = Sys.sigint then 2 else if s = Sys.sigterm then 15 else abs s
-
 let install_drain_signals flag =
   List.filter_map
     (fun signum ->
@@ -308,7 +303,7 @@ let with_durability ~fingerprint ~resume ~deadline ~candidate_deadline run =
       if signalled <> 0 then begin
         Format.printf "interrupted: stopped after %d/%d candidates@." finished
           p.Durable.Sweep.total;
-        128 + os_signal_number signalled
+        128 + Durable.Os_signal.number signalled
       end
       else begin
         Format.printf "deadline: stopped after %d/%d candidates@." finished

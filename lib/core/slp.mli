@@ -7,7 +7,9 @@
     would try — freeze [λ = 1/β] at the current budget estimate, solve
     the resulting {e linear} program for budgets, tokens and start
     times with the simplex, recompute [λ], repeat — so the claim
-    can be tested instead of taken on faith.
+    can be tested instead of taken on faith.  The LP step is
+    {!Two_phase.linear_program} with free budgets and ρ(v2) = ̺·χ·λ,
+    the same writer as the two-phase buffer LP.
 
     The iteration is a fixed-point heuristic, not a descent method: at
     the LP step the frozen [λ] makes the processing durations
@@ -28,7 +30,7 @@ type outcome = {
           {!Certify.check} — linearisation gives no guarantee *)
 }
 
-type error =
+type error = Two_phase.error =
   | Infeasible of string
       (** some LP step was infeasible for the frozen λ — the false
           negative inherent to linearisation *)

@@ -93,109 +93,136 @@ let check_budgets cfg budget =
   if problems = [] then Ok () else Error (Infeasible (String.concat "; " problems))
 
 (* ------------------------------------------------------------------ *)
-(* Phase 2: buffer sizing at fixed budgets — a pure LP                 *)
+(* The simplex LP of Algorithm 1                                       *)
 (* ------------------------------------------------------------------ *)
 
-(* With β fixed, the actor durations ρ(v1) = ̺ − β and ρ(v2) = ̺·χ/β are
-   constants, so Constraints (6), (7) and (10) over the start times and
-   the continuous space tokens δ′ form a linear program, solved with
-   the two-phase simplex (float pivots with fixed tolerances, see
-   [Simplex.Tableau]). *)
-let buffer_lp cfg ~budget =
+(* Variables: per task s(v1), s(v2) and, when free, β; then δ′ per
+   buffer.  Rows: (6) per task, the data and space queues per buffer,
+   (9), (10).  Both orders are part of the simplex's float result. *)
+let linear_program cfg ~duration ~budget =
   let p = Lp.create () in
-  let s1 = Hashtbl.create 16 and s2 = Hashtbl.create 16 in
-  let dvar = Hashtbl.create 16 in
+  let var ?(lb = Some 0.0) ?(ub = None) name =
+    Lp.add_variable p ~name ~lb ~ub ()
+  in
+  let row terms rel rhs = ignore (Lp.add_constraint p terms rel rhs) in
+  let tasks = Config.all_tasks cfg and buffers = Config.all_buffers cfg in
+  (* Slot [i] holds task (buffer) id [i]: both lists are in id order. *)
+  let tvar =
+    Array.of_list
+      (List.map
+         (fun w ->
+           let n = Config.task_name cfg w in
+           let s1 = var ~lb:None ("s." ^ n ^ ".1") in
+           let s2 = var ~lb:None ("s." ^ n ^ ".2") in
+           match budget with
+           | `Fixed _ -> (s1, s2, None)
+           | `Free -> (s1, s2, Some (var ("beta." ^ n))))
+         tasks)
+  and dvar =
+    Array.of_list
+      (List.map
+         (fun b ->
+           let room cap = float_of_int (cap - Config.initial_tokens cfg b) in
+           var ~ub:(Option.map room (Config.max_capacity cfg b))
+             ("delta'." ^ Config.buffer_name cfg b))
+         buffers)
+  in
+  let sv1 w = let v, _, _ = tvar.(Config.task_id w) in v
+  and sv2 w = let _, v, _ = tvar.(Config.task_id w) in v
+  and bv w = let _, _, v = tvar.(Config.task_id w) in Option.get v
+  and dv b = dvar.(Config.buffer_id b) in
   List.iter
     (fun w ->
-      let n = Config.task_name cfg w in
-      Hashtbl.replace s1 (Config.task_id w)
-        (Lp.add_variable p ~name:("s." ^ n ^ ".1") ~lb:None ());
-      Hashtbl.replace s2 (Config.task_id w)
-        (Lp.add_variable p ~name:("s." ^ n ^ ".2") ~lb:None ()))
-    (Config.all_tasks cfg);
-  List.iter
-    (fun b ->
-      let iota = Config.initial_tokens cfg b in
-      let ub =
-        match Config.max_capacity cfg b with
-        | None -> None
-        | Some cap -> Some (float_of_int (cap - iota))
-      in
-      Hashtbl.replace dvar (Config.buffer_id b)
-        (Lp.add_variable p
-           ~name:("delta'." ^ Config.buffer_name cfg b)
-           ~lb:(Some 0.0) ~ub ()))
-    (Config.all_buffers cfg);
-  let sv1 w = Hashtbl.find s1 (Config.task_id w)
-  and sv2 w = Hashtbl.find s2 (Config.task_id w)
-  and dv b = Hashtbl.find dvar (Config.buffer_id b) in
-  let rho1 w =
-    let proc = Config.task_proc cfg w in
-    Config.replenishment cfg proc -. budget w
-  in
-  let rho2 w =
-    let proc = Config.task_proc cfg w in
-    Config.replenishment cfg proc *. Config.wcet cfg w /. budget w
-  in
-  List.iter
-    (fun w ->
-      let mu = Config.period cfg (Config.task_graph cfg w) in
-      (* (6): s(v2) − s(v1) ≥ ρ(v1). *)
-      ignore (Lp.add_constraint p [ (1.0, sv2 w); (-1.0, sv1 w) ] Lp.Ge (rho1 w));
-      (* Self-loop: ρ(v2) ≤ µ — no variables, fail fast. *)
-      if rho2 w > mu +. 1e-9 then
-        ignore (Lp.add_constraint p [] Lp.Ge 1.0 (* constant infeasible row *)))
-    (Config.all_tasks cfg);
+      let repl = Config.replenishment cfg (Config.task_proc cfg w) in
+      match budget with
+      | `Fixed beta ->
+        (* (6): s(v2) − s(v1) ≥ ρ(v1) = ̺ − β. *)
+        row [ (1.0, sv2 w); (-1.0, sv1 w) ] Lp.Ge (repl -. beta w);
+        (* Self-loop: ρ(v2) ≤ µ — no variables, a constant infeasible row. *)
+        if duration w > Config.period cfg (Config.task_graph cfg w) +. 1e-9
+        then row [] Lp.Ge 1.0
+      | `Free ->
+        (* (6) with β as a variable: s(v2) − s(v1) + β ≥ ̺. *)
+        row [ (1.0, sv2 w); (-1.0, sv1 w); (1.0, bv w) ] Lp.Ge repl)
+    tasks;
   List.iter
     (fun b ->
       let wa = Config.buffer_src cfg b and wb = Config.buffer_dst cfg b in
       let mu = Config.period cfg (Config.task_graph cfg wa) in
       let iota = float_of_int (Config.initial_tokens cfg b) in
       (* Data queue: s(b1) − s(a2) ≥ ρ(a2) − ι·µ. *)
-      ignore (Lp.add_constraint p [ (1.0, sv1 wb); (-1.0, sv2 wa) ] Lp.Ge (rho2 wa -. (iota *. mu)));
+      row [ (1.0, sv1 wb); (-1.0, sv2 wa) ] Lp.Ge (duration wa -. (iota *. mu));
       (* Space queue: s(a1) − s(b2) + µ·δ′ ≥ ρ(b2). *)
-      ignore (Lp.add_constraint p [ (1.0, sv1 wa); (-1.0, sv2 wb); (mu, dv b) ] Lp.Ge (rho2 wb)))
-    (Config.all_buffers cfg);
+      row [ (1.0, sv1 wa); (-1.0, sv2 wb); (mu, dv b) ] Lp.Ge (duration wb))
+    buffers;
+  let weighed_budgets weight ws =
+    match budget with
+    | `Fixed _ -> []
+    | `Free -> List.map (fun w -> (weight w, bv w)) ws
+  in
+  (* (9), one granule per task held back for rounding; no row at fixed β. *)
+  List.iter
+    (fun proc ->
+      match weighed_budgets (fun _ -> 1.0) (Config.tasks_on cfg proc) with
+      | [] -> ()
+      | terms ->
+        row terms Lp.Le
+          (Config.replenishment cfg proc -. Config.overhead cfg proc
+          -. (float_of_int (List.length terms) *. Config.granularity cfg)))
+    (Config.processors cfg);
   List.iter
     (fun mem ->
       let bufs = Config.buffers_in cfg mem in
-      if bufs <> [] then begin
-        let terms =
-          List.map
-            (fun b -> (float_of_int (Config.container_size cfg b), dv b))
-            bufs
-        in
-        let consumed =
-          List.fold_left
-            (fun acc b ->
-              acc
-              + (Config.container_size cfg b
-                * (Config.initial_tokens cfg b + 1)))
-            0 bufs
-        in
-        ignore (Lp.add_constraint p terms Lp.Le (float_of_int (Config.memory_capacity cfg mem - consumed)))
-      end)
+      let size b = Config.container_size cfg b in
+      let consumed =
+        List.fold_left
+          (fun acc b -> acc + (size b * (Config.initial_tokens cfg b + 1)))
+          0 bufs
+      in
+      if bufs <> [] then
+        row
+          (List.map (fun b -> (float_of_int (size b), dv b)) bufs)
+          Lp.Le
+          (float_of_int (Config.memory_capacity cfg mem - consumed)))
     (Config.memories cfg);
   Lp.set_objective p
-    (List.map
-       (fun b ->
-         ( Config.buffer_weight cfg b
-           *. float_of_int (Config.container_size cfg b),
-           dv b ))
-       (Config.all_buffers cfg));
-  match Lp.solve p with
-  | Lp.Infeasible ->
+    (weighed_budgets (Config.task_weight cfg) tasks
+    @ List.map
+        (fun b ->
+          ( Config.buffer_weight cfg b
+            *. float_of_int (Config.container_size cfg b),
+            dv b ))
+        buffers);
+  match (Lp.solve p, budget) with
+  | Lp.Infeasible, _ -> Error `Infeasible
+  | Lp.Unbounded, _ -> Error `Unbounded
+  | Lp.Optimal { value; _ }, `Fixed beta -> Ok (beta, fun b -> value (dv b))
+  | Lp.Optimal { value; _ }, `Free ->
+    Ok ((fun w -> value (bv w)), fun b -> value (dv b))
+
+(* ------------------------------------------------------------------ *)
+(* Phase 2: buffer sizing at fixed budgets — a pure LP                 *)
+(* ------------------------------------------------------------------ *)
+
+(* With β fixed, ρ(v1) = ̺ − β and ρ(v2) = ̺·χ/β are constants. *)
+let buffer_lp cfg ~budget =
+  let duration w =
+    Config.replenishment cfg (Config.task_proc cfg w)
+    *. Config.wcet cfg w /. budget w
+  in
+  match linear_program cfg ~duration ~budget:(`Fixed budget) with
+  | Error `Infeasible ->
     Error
       (Infeasible
          "buffer-sizing LP infeasible for the phase-1 budgets (a joint \
           assignment may still exist)")
-  | Lp.Unbounded -> Error (Solver_failure "buffer-sizing LP unbounded")
-  | Lp.Optimal { value; _ } ->
+  | Error `Unbounded -> Error (Solver_failure "buffer-sizing LP unbounded")
+  | Ok (_, space) ->
     Ok
       (fun b ->
         Rounding.round_capacity
           ~initial_tokens:(Config.initial_tokens cfg b)
-          (value (dv b)))
+          (space b))
 
 (* The exact certificate is the verdict: a refuted mapping is an error,
    so an [Ok] result is always certified. *)
@@ -208,12 +235,14 @@ let certified_or_error what mapped certificate ~objective ~rounds =
          (Printf.sprintf "%s failed certification: %s" what
             (Certify.summary certificate)))
 
+let non_finite what value =
+  Printf.sprintf "non-finite %s %h emitted by the solver; rounding refused"
+    what value
+
 let settle ?obs f =
   match f () with
   | exception Rounding.Non_finite { what; value } ->
-    Error
-      (Printf.sprintf
-         "non-finite %s %h emitted by the solver; rounding refused" what value)
+    Error (non_finite what value)
   | (_, certificate) as settled ->
     (match obs with
     | None -> ()
@@ -284,11 +313,7 @@ let budgets_at_fixed_capacity cfg ~capacity =
          (Array.of_list (Config.all_tasks cfg))
      with
     | exception Rounding.Non_finite { what; value } ->
-      Error
-        (Solver_failure
-           (Printf.sprintf
-              "non-finite %s %h emitted by the solver; rounding refused" what
-              value))
+      Error (Solver_failure (non_finite what value))
     | budgets -> Ok (fun w -> budgets.(Config.task_id w)))
 
 let buffer_first ?(policy = At_bound) ?(fallback = 2) cfg =
@@ -310,37 +335,31 @@ let buffer_first ?(policy = At_bound) ?(fallback = 2) cfg =
 (* ------------------------------------------------------------------ *)
 
 let alternating ?(max_rounds = 10) cfg =
+  if max_rounds < 1 then invalid_arg "Two_phase.alternating: max_rounds < 1";
   let budget0 = budgets_of_policy cfg Fair_share in
   let* () = check_budgets cfg budget0 in
-  let rec loop budget best rounds =
-    if rounds >= max_rounds then Ok best
-    else begin
-      match buffer_lp cfg ~budget with
-      | Error e -> if rounds = 0 then Error e else Ok best
-      | Ok capacity -> begin
-        match budgets_at_fixed_capacity cfg ~capacity with
-        | Error e -> if rounds = 0 then Error e else Ok best
-        | Ok budget' ->
-          let mapped = { Config.budget = budget'; Config.capacity = capacity } in
-          let obj = objective_of cfg mapped in
-          let improved =
-            match best with
-            | None -> true
-            | Some (_, prev_obj, _) -> obj < prev_obj -. 1e-6
-          in
-          let best' =
-            if improved then Some (mapped, obj, (2 * rounds) + 2) else best
-          in
-          if improved then loop budget' best' (rounds + 1)
-          else Ok best'
-      end
-    end
+  (* One phase pair: the buffer LP at [budget], then the budgets at the
+     capacities it chose. *)
+  let pair budget =
+    let* capacity = buffer_lp cfg ~budget in
+    let* budget = budgets_at_fixed_capacity cfg ~capacity in
+    let mapped = { Config.budget; Config.capacity } in
+    Ok (mapped, objective_of cfg mapped)
   in
-  let* best = loop budget0 None 0 in
-  match best with
-  | None -> Error (Infeasible "alternating flow found no feasible point")
-  | Some (mapped, objective, rounds) ->
-    certified_or_error "alternating result" mapped
-      (Certify.check cfg mapped) ~objective:(fun () -> objective) ~rounds
+  (* Pair [k] starts from the best mapping's budgets; a failed or
+     non-improving pair ends the descent at the best so far. *)
+  let rec descend ((best, best_obj, _) as kept) k =
+    if k >= max_rounds then kept
+    else
+      match pair best.Config.budget with
+      | Ok (mapped, obj) when obj < best_obj -. 1e-6 ->
+        descend (mapped, obj, (2 * k) + 2) (k + 1)
+      | Ok _ | Error _ -> kept
+  in
+  let* mapped, obj = pair budget0 in
+  let mapped, objective, rounds = descend (mapped, obj, 2) 1 in
+  certified_or_error "alternating result" mapped (Certify.check cfg mapped)
+    ~objective:(fun () -> objective)
+    ~rounds
 
 let buffer_sizing_lp = buffer_lp

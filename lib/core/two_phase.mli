@@ -14,7 +14,12 @@
     - {!buffer_first}: pick buffer capacities by a budget-blind policy,
       then compute minimal budgets with the capacities pinned;
     - {!alternating}: coordinate descent alternating the two phases
-      until the objective stops improving. *)
+      until the objective stops improving.
+
+    The simplex LP of Algorithm 1 is written once, as
+    {!linear_program}: the buffer LP of {!budget_first} and
+    {!alternating} fixes the budgets, and {!Slp}'s frozen-λ step frees
+    them. *)
 
 (** Budget policy for the buffer-blind first phase. *)
 type budget_policy =
@@ -78,10 +83,30 @@ val budget_first :
   Taskgraph.Config.t ->
   (result, error) Stdlib.result
 
+(** [linear_program cfg ~duration ~budget] is Algorithm 1 as a linear
+    program, solved with the two-phase simplex (float pivots): with
+    every ρ(v2) frozen at [duration w], Constraints (6), (7) and (10)
+    are linear in the start times and the continuous space tokens δ′.
+    With [`Fixed beta] the budgets are constants: (6) keeps [̺ − β] on
+    its right-hand side, a task with ρ(v2) > µ gets a constant
+    infeasible row, and the objective weighs only buffers.  With
+    [`Free] each β is a variable under Constraint (9), less one
+    granule per task kept for rounding, and the objective is
+    Objective (5).  Returns the optimum's budgets (the fixed ones
+    under [`Fixed]) and δ′. *)
+val linear_program :
+  Taskgraph.Config.t ->
+  duration:(Taskgraph.Config.task -> float) ->
+  budget:[ `Fixed of Taskgraph.Config.task -> float | `Free ] ->
+  ( (Taskgraph.Config.task -> float) * (Taskgraph.Config.buffer -> float),
+    [ `Infeasible | `Unbounded ] )
+  Stdlib.result
+
 (** [buffer_sizing_lp cfg ~budget] is the phase-2 linear program alone:
-    minimal (rounded) buffer capacities for the given fixed budgets, by
-    the two-phase simplex (float pivots).  Exposed so the benches can cross-check the
-    simplex and interior-point solvers on the very same LP. *)
+    minimal (rounded) buffer capacities for the given fixed budgets,
+    {!linear_program} at [`Fixed budget] with ρ(v2) = ̺·χ/β.  Exposed
+    so the benches can cross-check the simplex and interior-point
+    solvers on the very same LP. *)
 val buffer_sizing_lp :
   Taskgraph.Config.t ->
   budget:(Taskgraph.Config.task -> float) ->
@@ -101,7 +126,8 @@ val buffer_first :
     alternates buffer-LP and budget-minimisation phases until the
     objective improves by less than 1e-6 or [max_rounds] (default 10)
     phase pairs ran.  Monotonically non-increasing in the objective but
-    can settle above the joint optimum. *)
+    can settle above the joint optimum.
+    @raise Invalid_argument if [max_rounds < 1]. *)
 val alternating :
   ?max_rounds:int ->
   Taskgraph.Config.t ->

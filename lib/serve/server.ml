@@ -827,11 +827,6 @@ let process_buffer state conn =
 
 let sig_flag = Atomic.make 0
 
-(* OCaml signal numbers are negative encodings; [Signalled] carries the
-   OS number so the CLI's exit code is the conventional 128+n. *)
-let os_signal_number s =
-  if s = Sys.sigint then 2 else if s = Sys.sigterm then 15 else abs s
-
 let install_signals () =
   Atomic.set sig_flag 0;
   List.map
@@ -1083,7 +1078,7 @@ let run scfg =
         let rec loop () =
           let signalled = Atomic.get sig_flag in
           if scfg.signals && signalled <> 0 then begin
-            let n = os_signal_number signalled in
+            let n = Durable.Os_signal.number signalled in
             log state "draining on signal %d" n;
             finish ~graceful:true (Signalled n)
           end

@@ -130,23 +130,10 @@ let create cfg =
     breaker_trips = 0;
   }
 
-(* OCaml encodes signal numbers in its own namespace; render the
-   conventional OS number so "signal 9" means what an operator
-   expects. *)
-let os_signal n =
-  if n = Sys.sigkill then 9
-  else if n = Sys.sigsegv then 11
-  else if n = Sys.sigterm then 15
-  else if n = Sys.sigint then 2
-  else if n = Sys.sigabrt then 6
-  else if n = Sys.sigbus then 7
-  else if n = Sys.sigxcpu then 24
-  else if n = Sys.sigxfsz then 25
-  else abs n
-
 let describe_status = function
   | Unix.WEXITED n -> Printf.sprintf "exit %d" n
-  | Unix.WSIGNALED s | Unix.WSTOPPED s -> Printf.sprintf "signal %d" (os_signal s)
+  | Unix.WSIGNALED s | Unix.WSTOPPED s ->
+    Printf.sprintf "signal %d" (Durable.Os_signal.number s)
 
 (* ---- spawning ---------------------------------------------------- *)
 

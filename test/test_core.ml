@@ -425,6 +425,94 @@ let test_alternating_converges () =
     Alcotest.(check bool) "joint ≤ alternating" true
       (joint.Mapping.rounded_objective <= r.Two_phase.objective +. 1e-6)
 
+(* The simplex baselines bit for bit: buffer-LP capacities at two
+   budget levels (fractions of the even split of each processor), the
+   [budget_first] objective under both policies, the [alternating]
+   objective and rounds and the [Slp] objective and iterations, floats
+   in hex.  Any reordering of the LP's variables, rows or float
+   expressions moves one of these lines. *)
+let simplex_lines name cfg =
+  let hex = Printf.sprintf "%h" in
+  let lp frac =
+    let budget w =
+      let p = Config.task_proc cfg w in
+      frac
+      *. (Config.replenishment cfg p -. Config.overhead cfg p)
+      /. float_of_int (List.length (Config.tasks_on cfg p))
+    in
+    match Two_phase.buffer_sizing_lp cfg ~budget with
+    | Error e -> Format.asprintf "%a" Two_phase.pp_error e
+    | Ok capacity ->
+      String.concat " "
+        (List.map
+           (fun b -> string_of_int (capacity b))
+           (Config.all_buffers cfg))
+  in
+  let flow = function
+    | Error e -> Format.asprintf "%a" Two_phase.pp_error e
+    | Ok r -> Printf.sprintf "%s rounds %d" (hex r.Two_phase.objective) r.rounds
+  in
+  let slp =
+    match Budgetbuf.Slp.solve cfg with
+    | Error e -> Format.asprintf "%a" Budgetbuf.Slp.pp_error e
+    | Ok o ->
+      Printf.sprintf "%s iterations %d" (hex o.Budgetbuf.Slp.objective)
+        o.iterations
+  in
+  List.map
+    (fun (what, v) -> Printf.sprintf "%s %s: %s" name what v)
+    [
+      ("lp 0.4", lp 0.4);
+      ("lp 0.8", lp 0.8);
+      ("min", flow (Two_phase.budget_first ~policy:Two_phase.Min_budget cfg));
+      ("fair", flow (Two_phase.budget_first ~policy:Two_phase.Fair_share cfg));
+      ("alternating", flow (Two_phase.alternating cfg));
+      ("slp", slp);
+    ]
+
+let test_simplex_baselines_pinned () =
+  let lines =
+    List.concat_map
+      (fun (name, cfg) -> simplex_lines name cfg)
+      [
+        ("t1", Workloads.Gen.paper_t1 ());
+        ("t2", Workloads.Gen.paper_t2 ());
+        ("car-radio", Workloads.Apps.car_radio ());
+        ("chain8", Workloads.Gen.chain ~n:8 ());
+      ]
+  in
+  Alcotest.(check (list string))
+    "simplex baselines"
+    [
+      "t1 lp 0.4: 6";
+      "t1 lp 0.8: 2";
+      "t1 min: 0x1.0051eb851eb85p+3 rounds 2";
+      "t1 fair: 0x1.40010624dd2f2p+6 rounds 2";
+      "t1 alternating: 0x1.28010624dd2f2p+6 rounds 2";
+      "t1 slp: 0x1.0051eb851eb85p+3 iterations 2";
+      "t2 lp 0.4: 6 6";
+      "t2 lp 0.8: 2 2";
+      "t2 min: 0x1.80a3d70a3d70ap+3 rounds 2";
+      "t2 fair: 0x1.e0020c49ba5e3p+6 rounds 2";
+      "t2 alternating: 0x1.ac020c49ba5e3p+6 rounds 2";
+      "t2 slp: 0x1.80a3d70a3d70ap+3 iterations 2";
+      "car-radio lp 0.4: 5 2";
+      "car-radio lp 0.8: 4 1";
+      "car-radio min: solver failure: two-phase result failed \
+       certification: refuted: task graph audio: positive cycle aud.drc.2 \
+       (excess 1/1125899906842624)";
+      "car-radio fair: 0x1.4028f5c28f5c3p+6 rounds 2";
+      "car-radio alternating: 0x1.0828f5c28f5c3p+6 rounds 2";
+      "car-radio slp: 0x1.23851eb851eb8p+3 iterations 2";
+      "chain8 lp 0.4: 6 6 6 6 6 6 6";
+      "chain8 lp 0.8: 2 2 2 2 2 2 2";
+      "chain8 min: 0x1.008f5c28f5c29p+5 rounds 2";
+      "chain8 fair: 0x1.4001cac083127p+8 rounds 2";
+      "chain8 alternating: 0x1.2801cac083127p+8 rounds 2";
+      "chain8 slp: 0x1.008f5c28f5c29p+5 iterations 2";
+    ]
+    lines
+
 (* ------------------------------------------------------------------ *)
 (* Multi-job configurations (shared processors)                        *)
 (* ------------------------------------------------------------------ *)
@@ -951,6 +1039,8 @@ let () =
             test_joint_no_worse_than_two_phase;
           Alcotest.test_case "alternating converges" `Quick
             test_alternating_converges;
+          Alcotest.test_case "simplex baselines pinned" `Quick
+            test_simplex_baselines_pinned;
         ] );
       ( "builder",
         [

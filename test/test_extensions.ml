@@ -1235,6 +1235,12 @@ let test_error_paths () =
     (match Budgetbuf.Two_phase.buffer_first ~fallback:0 cfg with
     | exception Invalid_argument _ -> true
     | _ -> false);
+  (* Two_phase: alternating max_rounds < 1 is a bad argument, not an
+     infeasibility verdict. *)
+  Alcotest.(check bool) "alternating rounds 0 rejected" true
+    (match Budgetbuf.Two_phase.alternating ~max_rounds:0 cfg with
+    | exception Invalid_argument _ -> true
+    | _ -> false);
   (* Binding: exhaustive limit < 1 reports an error. *)
   Alcotest.(check bool) "limit 0 errors" true
     (match Binding.optimize ~strategy:(Binding.Exhaustive 0) cfg with

@@ -1556,6 +1556,38 @@ let test_supervisor_reaps_hang () =
   check_int "reap counts as a crash" 1 c.Supervisor.crashed;
   Supervisor.shutdown sup
 
+(* A worker killed by a signal is reported by its OS number: SIGQUIT
+   (OCaml's [Sys.sigquit] is -9) must read "signal 3", never the
+   "signal 9" of a SIGKILL.  The hung worker is found by the pid its
+   spawn logs and quit from a second thread while the solve waits. *)
+let test_supervisor_reports_os_signal () =
+  let quit_spawned line =
+    match Scanf.sscanf_opt line "worker %d spawned" Fun.id with
+    | Some pid ->
+      ignore
+        (Thread.create
+           (fun () ->
+             Thread.delay 0.2;
+             try Unix.kill pid Sys.sigquit with Unix.Unix_error _ -> ())
+           ())
+    | None -> ()
+  in
+  let sup =
+    Supervisor.create
+      { (supervisor_config ()) with Supervisor.log = Some quit_spawned }
+  in
+  (match
+     Supervisor.solve sup
+       {
+         (good_task "q1") with
+         Worker.task_fault = Some "hang";
+         task_deadline_s = Some 30.0;
+       }
+   with
+  | Supervisor.Crashed reason -> check_string "quit reason" "signal 3" reason
+  | o -> Alcotest.failf "quit solve: %s" (describe_outcome o));
+  Supervisor.shutdown sup
+
 let test_supervisor_breaker () =
   let cfg =
     {
@@ -2109,6 +2141,8 @@ let () =
             test_supervisor_oom_respawn;
           Alcotest.test_case "supervisor reaps a hang" `Quick
             test_supervisor_reaps_hang;
+          Alcotest.test_case "worker signal by its OS number" `Quick
+            test_supervisor_reports_os_signal;
           Alcotest.test_case "circuit breaker" `Quick test_supervisor_breaker;
           Alcotest.test_case "isolated crash quarantines, poisons" `Quick
             test_server_isolated_crash_poison;

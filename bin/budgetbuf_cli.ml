@@ -24,13 +24,16 @@ let load_config path =
     Error (Printf.sprintf "%s:%d: %s" path line msg)
   | exception Sys_error msg -> Error msg
 
+(* A command that cannot run: one [error:] line, exit code 1. *)
+let exit_error msg =
+  Format.eprintf "error: %s@." msg;
+  1
+
 (* Loads the configuration for a command body; a load failure is one
    [error:] line and exit 1. *)
 let with_config path f =
   match load_config path with
-  | Error msg ->
-    Format.eprintf "error: %s@." msg;
-    1
+  | Error msg -> exit_error msg
   | Ok cfg -> f cfg
 
 (* ------------------------------------------------------------------ *)
@@ -60,9 +63,7 @@ let resolve_jobs = function
    passes no pool at all, which is exactly the sequential code path. *)
 let with_jobs jobs f =
   match resolve_jobs jobs with
-  | Error msg ->
-    Format.eprintf "error: %s@." msg;
-    1
+  | Error msg -> exit_error msg
   | Ok 1 -> f None
   | Ok n -> Parallel.Pool.with_pool ~domains:n (fun pool -> f (Some pool))
 
@@ -272,9 +273,7 @@ let with_durability ~fingerprint ~resume ~deadline ~candidate_deadline run =
     | None -> Ok None
     | Some path -> Result.map Option.some (Journal.resume ~fingerprint path)
   with
-  | Error msg ->
-    Format.eprintf "error: %s@." msg;
-    1
+  | Error msg -> exit_error msg
   | Ok journal ->
     let deadline = Option.map Deadline.after deadline in
     let cancelled = Atomic.make 0 in
@@ -355,9 +354,7 @@ let run_sweep ~command path solver flags
     (plan : Config.t -> (string * 'a sweep * ('a -> int), string) result) =
   with_config path @@ fun cfg ->
   match plan cfg with
-  | Error msg ->
-    Format.eprintf "error: %s@." msg;
-    1
+  | Error msg -> exit_error msg
   | Ok (grid, sweep, report) ->
     with_jobs flags.jobs @@ fun pool ->
     let fingerprint =
@@ -431,9 +428,7 @@ let do_solve () path simulate continuous output { fault; trace; metrics } =
   match
     Mapping.solve ?obs ?fault:(override_fault fault) cfg
   with
-  | Error e ->
-    Format.eprintf "error: %a@." Mapping.pp_error e;
-    1
+  | Error e -> exit_error (Format.asprintf "%a" Mapping.pp_error e)
   | Ok r ->
     Format.printf "%a@." (Config.pp_mapped cfg) r.Mapping.mapped;
     Format.printf
@@ -591,7 +586,10 @@ let do_tradeoff () path (lo, hi) buffer_names solver flags =
               tasks;
             Format.printf "@.")
         points;
-      print_skipped (Tradeoff.skipped points);
+      print_skipped
+        (Mapping.skipped
+           (fun (p : Tradeoff.point) -> (p.cap, p.result))
+           points);
       let solved =
         List.filter_map
           (fun (p : Tradeoff.point) -> Result.to_option p.Tradeoff.result)
@@ -709,9 +707,7 @@ let do_generate () kind n seed =
       with Invalid_argument m -> Error m)
     | App name -> Ok ((List.assoc name Workloads.Apps.all) ())
   with
-  | Error msg ->
-    Format.eprintf "error: %s@." msg;
-    1
+  | Error msg -> exit_error msg
   | Ok cfg ->
     Format.printf "%a@." Config.pp cfg;
     0
@@ -747,9 +743,7 @@ let period_up ~digits p =
 let do_check () path mapped_path =
   with_config path @@ fun cfg ->
   match load_mapped cfg mapped_path with
-  | Error msg ->
-    Format.eprintf "error: %s@." msg;
-    1
+  | Error msg -> exit_error msg
   | Ok mapped -> begin
     (* The certificate's verdict, and per graph the exact MCR and the
        required period, both rounded up: a printed minimal period is
@@ -792,9 +786,7 @@ let check_cmd =
 let do_certify () path mapped_path =
   with_config path @@ fun cfg ->
   match load_mapped cfg mapped_path with
-  | Error msg ->
-    Format.eprintf "error: %s@." msg;
-    1
+  | Error msg -> exit_error msg
   | Ok mapped ->
     let cert = Budgetbuf.Certify.check cfg mapped in
     (match cert with
@@ -838,14 +830,10 @@ let vcd_arg =
 let do_simulate () path mapped_path iterations trace vcd =
   with_config path @@ fun cfg ->
   match load_mapped cfg mapped_path with
-  | Error msg ->
-    Format.eprintf "error: %s@." msg;
-    1
+  | Error msg -> exit_error msg
   | Ok mapped -> begin
     match Tdm_sim.Sim.run cfg mapped ~iterations () with
-    | Error e ->
-      Format.eprintf "error: %s@." e;
-      1
+    | Error e -> exit_error e
     | Ok report ->
       List.iter
         (fun g ->
@@ -931,9 +919,7 @@ let do_tighten () path banks iterations jobs output resume deadline
           ?on_progress ~iterations ~bank:banks cfg r.Mapping.mapped
     in
     let report = function
-      | Error msg ->
-        Format.eprintf "error: %s@." msg;
-        1
+      | Error msg -> exit_error msg
       | Ok t ->
         List.iter
           (fun (o : Tighten.outcome) ->
@@ -1137,7 +1123,10 @@ let do_dse () path (lo, hi) solver flags =
           | Ok None -> Format.printf "%-6d %-12s@." p.Budgetbuf.Dse.cap "infeasible"
           | Error _ -> ())
         points;
-      print_skipped (Budgetbuf.Dse.curve_skipped points);
+      print_skipped
+        (Mapping.skipped
+           (fun (p : Budgetbuf.Dse.curve_point) -> (p.cap, p.outcome))
+           points);
       (* The search accepts only certified probes: every point counts. *)
       print_certified ~certify:flags.certify
         (List.map (fun _ -> true) (Budgetbuf.Dse.curve_points points));
@@ -1179,9 +1168,7 @@ let strategy_arg =
 let do_bind () path strategy =
   with_config path @@ fun cfg ->
   match Budgetbuf.Binding.optimize ~strategy cfg with
-  | Error msg ->
-    Format.eprintf "error: %s@." msg;
-    1
+  | Error msg -> exit_error msg
   | Ok o ->
     List.iter
       (fun (task, proc) -> Format.printf "bind %s -> %s@." task proc)
@@ -1206,9 +1193,7 @@ let bind_cmd =
 let do_latency () path =
   with_config path @@ fun cfg ->
   match Mapping.solve cfg with
-  | Error e ->
-    Format.eprintf "error: %a@." Mapping.pp_error e;
-    1
+  | Error e -> exit_error (Format.asprintf "%a" Mapping.pp_error e)
   | Ok r ->
     (* The latency of each graph's earliest PAS, rounded up; a refuted
        mapping fails with its certificate after them. *)
@@ -1264,9 +1249,7 @@ let do_dot () path srdf =
   end
   else begin
     match Mapping.solve cfg with
-    | Error e ->
-      Format.eprintf "error: %a@." Mapping.pp_error e;
-      1
+    | Error e -> exit_error (Format.asprintf "%a" Mapping.pp_error e)
     | Ok r ->
       List.fold_left
         (fun code g ->
@@ -1274,9 +1257,7 @@ let do_dot () path srdf =
           | Ok srdf ->
             Format.printf "%a" Dataflow.Srdf.pp_dot srdf;
             code
-          | Error v ->
-            Format.eprintf "error: %s@." (Budgetbuf.Violation.to_string v);
-            1)
+          | Error v -> exit_error (Budgetbuf.Violation.to_string v))
         0 (Config.graphs cfg)
   end
 
@@ -1309,9 +1290,7 @@ let do_analyze () path mapped_path =
     end
   in
   match mapped with
-  | Error msg ->
-    Format.eprintf "error: %s@." msg;
-    1
+  | Error msg -> exit_error msg
   | Ok mapped ->
     List.iter
       (fun g ->
@@ -1358,9 +1337,7 @@ let do_report () path mapped_path =
     end
   in
   match mapped with
-  | Error msg ->
-    Format.eprintf "error: %s@." msg;
-    1
+  | Error msg -> exit_error msg
   | Ok mapped ->
     let report = Budgetbuf.Report.build cfg mapped in
     Format.printf "%a@." (Budgetbuf.Report.pp cfg) report;
@@ -1392,16 +1369,11 @@ let sdf_dot_flag =
 let do_sdf () path serialize dot =
   match Dataflow.Sdf_parse.of_file path with
   | exception Dataflow.Sdf_parse.Parse_error (line, msg) ->
-    Format.eprintf "error: %s:%d: %s@." path line msg;
-    1
-  | exception Sys_error msg ->
-    Format.eprintf "error: %s@." msg;
-    1
+    exit_error (Printf.sprintf "%s:%d: %s" path line msg)
+  | exception Sys_error msg -> exit_error msg
   | t, _find -> begin
     match Dataflow.Csdf.repetition_vector t with
-    | Error msg ->
-      Format.eprintf "error: %s@." msg;
-      1
+    | Error msg -> exit_error msg
     | Ok q ->
       Dataflow.Csdf.actors t
       |> List.iter (fun a ->
@@ -1410,9 +1382,7 @@ let do_sdf () path serialize dot =
                (Dataflow.Csdf.phases t a)
                (q a));
       (match Dataflow.Csdf.expand ~serialize t with
-      | Error msg ->
-        Format.eprintf "error: %s@." msg;
-        1
+      | Error msg -> exit_error msg
       | Ok { Dataflow.Csdf.srdf; _ } ->
         Format.printf "expansion: %d actors, %d queues@."
           (Dataflow.Srdf.num_actors srdf)
@@ -1442,9 +1412,7 @@ let trace_file_arg =
 
 let do_trace_cat () path =
   match Obs.Sink.read_file path with
-  | Error msg ->
-    Format.eprintf "error: %s@." msg;
-    1
+  | Error msg -> exit_error msg
   | Ok events ->
     List.iter (fun e -> print_endline (Obs.Trace.summary e)) events;
     0
@@ -1636,14 +1604,10 @@ let do_serve () socket cache cache_max queue batch jobs deadline chaos
     resolve_jobs jobs
   with
   | Ok _ when isolate = None && rlimit_mem <> None ->
-    Format.eprintf "error: --rlimit-mem needs --isolate@.";
-    1
+    exit_error "--rlimit-mem needs --isolate"
   | Ok _ when isolate = None && rlimit_cpu <> None ->
-    Format.eprintf "error: --rlimit-cpu needs --isolate@.";
-    1
-  | Error msg ->
-    Format.eprintf "error: %s@." msg;
-    1
+    exit_error "--rlimit-cpu needs --isolate"
+  | Error msg -> exit_error msg
   | Ok domains -> (
     with_obs ~trace ~metrics @@ fun obs ->
     match
@@ -1651,9 +1615,7 @@ let do_serve () socket cache cache_max queue batch jobs deadline chaos
       | Some _ -> Ok chaos
       | None -> ( try Ok (Serve.Chaos.of_env ()) with Invalid_argument m -> Error m)
     with
-    | Error msg ->
-      Format.eprintf "error: %s@." msg;
-      1
+    | Error msg -> exit_error msg
     | Ok chaos ->
     let config =
       {
@@ -1685,9 +1647,7 @@ let do_serve () socket cache cache_max queue batch jobs deadline chaos
       }
     in
     match Serve.Server.run config with
-    | Error msg ->
-      Format.eprintf "error: %s@." msg;
-      1
+    | Error msg -> exit_error msg
     | Ok (reason, s) ->
       Format.printf "serve: %s; %s@."
         (Serve.Server.describe reason)

@@ -45,8 +45,9 @@ let period_bound ?deadline ?obs cfg =
 
 (* The search behind [min_period_scale]: the accepted scale and the
    periods, one per graph in [Config.graphs] order, at which the
-   mapping behind it is certified. *)
-let search ?deadline ?fault ?obs ?on_probe ?on_failure ?on_feasible cfg =
+   mapping behind it is certified; without one, the first probe's
+   solver failure or timeout, else [Ok None]. *)
+let search ?deadline ?fault ?obs ?on_probe ?on_feasible cfg =
   let fault = match fault with Some f -> f | None -> Robust.Fault.of_env () in
   (* One mutable clone serves every probe: only the periods change
      between probes, so rescaling them in place beats rebuilding the
@@ -115,7 +116,8 @@ let search ?deadline ?fault ?obs ?on_probe ?on_failure ?on_feasible cfg =
      probes, so that point is the closest seed there is), and the first
      runs cold.  The chain lives and dies with this one search, so the probes' seeds
      are a pure function of [cfg] and the probe sequence. *)
-  let seed = ref None in
+  let seed = ref None and failed = ref None in
+  let fail e = if !failed = None then failed := Some e in
   (* [Some point] for a probe whose mapping is certified. *)
   let feasible scale =
     (match on_probe with None -> () | Some f -> f scale);
@@ -129,15 +131,14 @@ let search ?deadline ?fault ?obs ?on_probe ?on_failure ?on_feasible cfg =
                exact_point r.Mapping.mapped scale))
       else None
     | Error (Mapping.Solver_failure _ as e) ->
-      (* A solver failure is not an infeasibility verdict: let callers
-         (the sweep drivers) distinguish a broken probe from a genuine
-         dead end before treating the whole search as infeasible. *)
-      (match on_failure with None -> () | Some f -> f e);
+      (* A solver failure is not an infeasibility verdict: the sweep
+         reports a broken probe apart from a genuine dead end. *)
+      fail e;
       None
     | Error (Mapping.Timed_out _ as e) ->
-      (match on_failure with None -> () | Some f -> f e);
+      fail e;
       raise Probe_expired
-    | Error _ -> None
+    | Error (Mapping.Infeasible _) -> None
   in
   (* Bisect between a failed probe (or the bound) [lo] and the
      certified point [hi]; every certified probe moves [hi] down to its
@@ -204,24 +205,25 @@ let search ?deadline ?fault ?obs ?on_probe ?on_failure ?on_feasible cfg =
       | None -> gallop lo (Float.max lo 1.0) first_step None
   in
   (* No mapping at any period, and none to probe for. *)
-  if Option.is_some (Mapping.capped_below_tokens cfg) then None
-  else match run () with v -> v | exception Probe_expired -> None
+  if Option.is_some (Mapping.capped_below_tokens cfg) then Ok None
+  else
+    match ((try run () with Probe_expired -> None), !failed) with
+    | Some point, _ -> Ok (Some point)
+    | None, Some e -> Error e
+    | None, None -> Ok None
 
-let min_period_scale ?fault ?obs ?on_probe ?on_failure ?on_feasible cfg =
-  Option.map fst (search ?fault ?obs ?on_probe ?on_failure ?on_feasible cfg)
+let min_period_scale ?fault ?obs ?on_probe ?on_feasible cfg =
+  match search ?fault ?obs ?on_probe ?on_feasible cfg with
+  | Ok (Some (s, _)) -> Some s
+  | Ok None | Error _ -> None
 
-type curve_point = { cap : int; outcome : (float option, string) Stdlib.result }
+type curve_point =
+  { cap : int; outcome : (float option, Mapping.error) Stdlib.result }
 
 let curve_points points =
   List.filter_map
     (fun p ->
       match p.outcome with Ok (Some period) -> Some (p.cap, period) | _ -> None)
-    points
-
-let curve_skipped points =
-  List.filter_map
-    (fun p ->
-      match p.outcome with Error reason -> Some (p.cap, reason) | Ok _ -> None)
     points
 
 (* A mapping certified under cap j keeps every buffer within any larger
@@ -253,9 +255,8 @@ let encode_point p =
   match p.outcome with
   | Ok (Some period) -> Some ("period " ^ Durability.float_to_token period)
   | Ok None -> Some "infeasible"
-  | Error reason ->
-    if String.equal reason "timed out" then None
-    else Some (Printf.sprintf "skip %S" reason)
+  | Error (Mapping.Timed_out _) -> None
+  | Error e -> Some (Printf.sprintf "skip %S" (Mapping.label e))
 
 let decode_point cap payload =
   if String.equal payload "infeasible" then
@@ -271,7 +272,10 @@ let decode_point cap payload =
         | "" | "cert" -> ()
         | _ -> raise (Scanf.Scan_failure "malformed period record"));
         Some { cap; outcome = Ok (Some period) }
-      | "skip" -> Some { cap; outcome = Error (Durability.scan_quoted ib) }
+      | "skip" ->
+        (* Only the cause is journaled: a restored skip has no detail. *)
+        Mapping.failure_of_name (Durability.scan_quoted ib)
+        |> Option.map (fun cause -> { cap; outcome = Mapping.fail cause "" })
       | _ -> None
     with
     | v -> v
@@ -285,10 +289,6 @@ let throughput_curve ?fault ?pool ?deadline ?candidate_deadline
      fault plan. *)
   let solve_cap ~deadline index =
     let cap = caps.(index) in
-    let failed = ref None in
-    let on_failure e =
-      if !failed = None then failed := Some (Mapping.short_reason e)
-    in
     let capped = Config.copy cfg in
     List.iter
       (fun b -> Config.set_max_capacity capped b (Some cap))
@@ -297,22 +297,15 @@ let throughput_curve ?fault ?pool ?deadline ?candidate_deadline
        any, runs cold and seeds the next one, and so on down the
        candidate's own probe sequence: no seed crosses candidates, so
        the point is bit-identical however the sweep is scheduled or
-       resumed. *)
-    match
+       resumed.  [search] accepts only certified probes, and the period
+       is the one the accepted mapping is certified at. *)
+    let outcome =
       search ~deadline ?obs
         ~fault:(Robust.Fault.for_candidate fault ~index)
-        ~on_failure capped
-    with
-    | Some (_, period :: _) ->
-      (* [search] accepts only certified probes, and the period is the
-         one the accepted mapping is certified at. *)
-      { cap; outcome = Ok (Some period) }
-    | _ -> (
-      (* No feasible scale: an infeasibility verdict everywhere is the
-         honest [Ok None]; a failing solver is a skip with a reason. *)
-      match !failed with
-      | Some reason -> { cap; outcome = Error reason }
-      | None -> { cap; outcome = Ok None })
+        capped
+      |> Result.map (function Some (_, period :: _) -> Some period | _ -> None)
+    in
+    { cap; outcome }
   in
   let results, _ =
     Durable.Sweep.run ?pool ?journal ?obs ?deadline ?candidate_deadline ?cancel
@@ -322,13 +315,9 @@ let throughput_curve ?fault ?pool ?deadline ?candidate_deadline
         match p.outcome with
         | Ok (Some _) -> "feasible"
         | Ok None -> "infeasible"
-        | Error "timed out" -> "timed out"
-        | Error _ -> "skipped")
-      ~failed:(fun i e ->
-        {
-          cap = caps.(i);
-          outcome = Error ("uncaught exception: " ^ Printexc.to_string e);
-        })
+        | Error (Mapping.Solver_failure _) -> "skipped"
+        | Error e -> Mapping.label e)
+      ~failed:(fun i e -> { cap = caps.(i); outcome = Mapping.of_exn e })
       ~n:(Array.length caps) solve_cap
   in
   envelope (List.filter_map Fun.id (Array.to_list results))

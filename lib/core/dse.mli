@@ -63,35 +63,28 @@
     the bound mapping, so its probes still climb the ladder.
     [on_probe] is called with the scale of every
     feasibility probe (solve); the regression tests use it to pin the
-    probe count so the fast path cannot silently regress.
-    [on_failure] is called with every probe error that is a solver
-    failure (not an infeasibility verdict): the sweep drivers use it to
-    tell a broken candidate from a genuine dead end and report it as
-    skipped instead of infeasible.  A mapping is feasible iff its
-    exact certificate ({!Certify}) is [Certified]; [on_feasible] is
-    called with every such mapping, the bound's or a probe's.  Each
-    becomes the answer, so the last call describes the mapping behind
-    the accepted scale.
+    probe count so the fast path cannot silently regress.  A mapping
+    is feasible iff its exact certificate ({!Certify}) is [Certified];
+    [on_feasible] is called with every such mapping, the bound's or a
+    probe's.  Each becomes the answer, so the last call describes the
+    mapping behind the accepted scale.
 
     Inside {!throughput_curve}, whose per-candidate deadline rides into
-    every probe, a probe that times out abandons the whole search
-    ([None]) after reporting the timeout through [on_failure] — past
-    the deadline, searching on further timed-out probes could only
-    manufacture garbage bounds. *)
+    every probe, a probe that times out abandons the whole search: past
+    the deadline, further probes could only time out too. *)
 val min_period_scale :
   ?fault:Robust.Fault.plan option ->
   ?obs:Obs.Ctx.t ->
   ?on_probe:(float -> unit) ->
-  ?on_failure:(Mapping.error -> unit) ->
   ?on_feasible:(Taskgraph.Config.mapped -> unit) ->
   Taskgraph.Config.t ->
   float option
 
 (** One capacity point of a throughput curve.  [outcome] is
     [Ok (Some period)] for a feasible cap, [Ok None] when no period up
-    to the 1000× relaxation is feasible under that cap, and
-    [Error reason] when the candidate failed rather than proved
-    infeasible — its solver failed past the whole recovery ladder, or
+    to the 1000× relaxation is feasible under that cap, and [Error e]
+    when the candidate failed rather than proved infeasible: its first
+    probe's [Solver_failure] or [Timed_out], or {!Mapping.of_exn} when
     its evaluation crashed (the sweep carries on — see
     {!Parallel.Pool.map_result}).  The period is the exact period of
     the mapping behind it, rounded up to a float, at which that
@@ -100,15 +93,20 @@ val min_period_scale :
     ({!throughput_curve}).  The search accepts
     only probes whose mapping carries an exact rational certificate
     ({!Certify}), so every [Ok (Some _)] point is certified. *)
-type curve_point = { cap : int; outcome : (float option, string) Stdlib.result }
+type curve_point =
+  { cap : int; outcome : (float option, Mapping.error) Stdlib.result }
 
 (** [curve_points points] keeps the feasible [(cap, period)] pairs, in
     sweep order — the historical shape of the curve. *)
 val curve_points : curve_point list -> (int * float) list
 
-(** [curve_skipped points] lists the [(cap, reason)] of candidates that
-    failed outright (not the merely infeasible ones). *)
-val curve_skipped : curve_point list -> (int * string) list
+(** The journal codec of {!throughput_curve}: [encode_point p] is
+    [None] for [Timed_out]; [decode_point cap s] is [None] for a payload
+    it refuses, such as a skip of no known cause, and restores a skip
+    with an empty detail. *)
+val encode_point : curve_point -> string option
+
+val decode_point : int -> string -> curve_point option
 
 (** [throughput_curve ?fault ?pool cfg ~caps] sweeps a shared
     buffer capacity cap and reports, per cap, the minimal feasible
@@ -135,8 +133,9 @@ val curve_skipped : curve_point list -> (int * string) list
     points once the sweep ends.
 
     Candidate verdicts: ["feasible"], ["infeasible"], ["skipped"] or
-    ["timed out"].  The journal records each cap's own search outcome,
-    floats bit-exact, and a resume takes the envelope again. *)
+    ["timed out"].  The journal records each cap's own search outcome
+    ({!encode_point}), floats bit-exact, and a resume takes the
+    envelope again. *)
 val throughput_curve :
   ?fault:Robust.Fault.plan option ->
   ?pool:Parallel.Pool.t ->

@@ -88,7 +88,8 @@ let encode_result cfg (r : Mapping.result) =
 let encode_outcome cfg = function
   | Ok r -> Some (encode_result cfg r)
   | Error (Mapping.Infeasible msg) -> Some (Printf.sprintf "infeasible %S" msg)
-  | Error (Mapping.Solver_failure msg) -> Some (Printf.sprintf "failure %S" msg)
+  | Error (Mapping.Solver_failure { detail; _ } as e) ->
+    Some (Printf.sprintf "failure %S %S" (Mapping.label e) detail)
   | Error (Mapping.Timed_out _) -> None
 
 (* [candidate] is the clone the result was originally solved on: the
@@ -164,7 +165,11 @@ let decode_outcome cfg ~candidate payload =
     match scan_token ib with
     | "ok" -> Some (Ok (decode_result cfg ~candidate ib))
     | "infeasible" -> Some (Error (Mapping.Infeasible (scan_quoted ib)))
-    | "failure" -> Some (Error (Mapping.Solver_failure (scan_quoted ib)))
+    | "failure" ->
+      (* An unknown cause refuses the record, and so does a record of
+         the older [failure <string>] form. *)
+      Mapping.failure_of_name (scan_quoted ib)
+      |> Option.map (fun cause -> Mapping.fail cause (scan_quoted ib))
     | _ -> None
   with
   | v -> v
@@ -190,13 +195,9 @@ let solve_candidates ?fault ?pool ?deadline ?candidate_deadline ?journal
       ~decode:(fun i -> decode_outcome cfg ~candidate:(candidate i))
       ~verdict:(function
         | Ok _ -> "ok"
-        | Error (Mapping.Infeasible _) -> "infeasible"
-        | Error (Mapping.Timed_out _) -> "timed out"
-        | Error (Mapping.Solver_failure _) -> "skipped")
-      ~failed:(fun _ e ->
-        Error
-          (Mapping.Solver_failure
-             ("uncaught exception: " ^ Printexc.to_string e)))
+        | Error (Mapping.Solver_failure _) -> "skipped"
+        | Error e -> Mapping.label e)
+      ~failed:(fun _ e -> Mapping.of_exn e)
       ~n
       (fun ~deadline i ->
         Mapping.solve ~deadline ?warm

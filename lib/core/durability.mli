@@ -36,13 +36,13 @@ val warm_anchor :
     - [fault] is read as by {!Mapping.solve}, once per sweep, and
       candidate [i] gets {!Robust.Fault.for_candidate} of it: a plan
       restricted with [only=I] applies to the 0-based [I]-th candidate.
-    - A candidate that raises becomes a [Solver_failure] whose message
-      starts ["uncaught exception: "].
+    - A candidate that raises becomes {!Mapping.of_exn} of it.
     - Candidate verdicts: ["ok"], ["infeasible"], ["skipped"] (a
       solver failure) or ["timed out"].
-    - Journal payload: the objectives, continuous values and rounded
-      mapping of a solved candidate, or the message of an infeasibility
-      or solver-failure verdict; a timed-out candidate is not
+    - Journal payload ({!encode_outcome}): the objectives, continuous
+      values and rounded mapping of a solved candidate, the message of
+      an infeasibility verdict, or a solver failure's cause and
+      detail; a timed-out candidate is not
       journaled.  A restored result carries those bits plus a
       {e freshly recomputed} exact certificate — the decoder
       re-certifies the restored mapping against [candidate i] (the CRC
@@ -63,6 +63,17 @@ val solve_candidates :
   candidate:(int -> Taskgraph.Config.t) ->
   (Mapping.result, Mapping.error) Stdlib.result option array
 
+(** The journal codec of {!solve_candidates}: [encode_outcome cfg o]
+    is [None] for [Timed_out]; [decode_outcome cfg ~candidate p]
+    re-certifies a restored mapping against [candidate], and is [None]
+    for a payload it refuses, such as a failure of no known cause. *)
+val encode_outcome :
+  Taskgraph.Config.t -> (Mapping.result, Mapping.error) result -> string option
+
+val decode_outcome :
+  Taskgraph.Config.t -> candidate:Taskgraph.Config.t -> string ->
+  (Mapping.result, Mapping.error) result option
+
 (** [float_to_token f] renders [f] as a hex float literal. *)
 val float_to_token : float -> string
 
@@ -73,4 +84,3 @@ val scan_token : Scanf.Scanning.in_channel -> string
 val scan_float : Scanf.Scanning.in_channel -> float
 val scan_int : Scanf.Scanning.in_channel -> int
 val scan_quoted : Scanf.Scanning.in_channel -> string
-val expect_token : Scanf.Scanning.in_channel -> string -> unit

@@ -39,31 +39,47 @@ type result = {
   warm : Socp.warm option;
 }
 
+type failure =
+  | Stalled | Iteration_limit | Unbounded
+  | Uncertifiable | Non_finite | Exception
+
 type error =
   | Infeasible of string
-  | Solver_failure of string
+  | Solver_failure of { cause : failure; detail : string }
   | Timed_out of string
+
+(* The one table of failure labels: skip summaries print them and
+   journals record them. *)
+let failures =
+  [ (Stalled, "stalled"); (Iteration_limit, "iteration limit");
+    (Unbounded, "unbounded"); (Uncertifiable, "uncertifiable");
+    (Non_finite, "non-finite"); (Exception, "exception") ]
+
+let failure_of_name name =
+  List.find_map (fun (c, n) -> if n = name then Some c else None) failures
+
+let label = function
+  | Infeasible _ -> "infeasible"
+  | Timed_out _ -> "timed out"
+  | Solver_failure { cause; _ } -> List.assoc cause failures
+
+let fail cause detail = Error (Solver_failure { cause; detail })
+
+let of_exn e = fail Exception ("uncaught exception: " ^ Printexc.to_string e)
+
+let skipped outcome points =
+  List.filter_map
+    (fun p ->
+      match outcome p with
+      | _, (Ok _ | Error (Infeasible _)) -> None
+      | key, Error e -> Some (key, label e))
+    points
 
 let pp_error ppf = function
   | Infeasible msg -> Format.fprintf ppf "infeasible: %s" msg
-  | Solver_failure msg -> Format.fprintf ppf "solver failure: %s" msg
+  | Solver_failure { detail; _ } ->
+    Format.fprintf ppf "solver failure: %s" detail
   | Timed_out msg -> Format.fprintf ppf "timed out: %s" msg
-
-(* Short, stable label for sweep skip summaries ("skipped: 1 (stalled)").
-   The Solver_failure messages below all start with the status word. *)
-let short_reason = function
-  | Infeasible _ -> "infeasible"
-  | Timed_out _ -> "timed out"
-  | Solver_failure msg ->
-    if String.length msg >= 15 && String.sub msg 0 15 = "iteration limit" then
-      "iteration limit"
-    else if String.length msg >= 7 && String.sub msg 0 7 = "stalled" then
-      "stalled"
-    else if String.length msg >= 9 && String.sub msg 0 9 = "unbounded" then
-      "unbounded"
-    else if String.length msg >= 8 && String.sub msg 0 8 = "uncaught" then
-      "exception"
-    else "failure"
 
 (* The [bad_round] fault: corrupt the rounded solution — one budget
    down a granule (or, lacking tasks, one capacity down a container) —
@@ -157,16 +173,15 @@ let finish_optimal cfg ~fault ~obs builder result trace stats =
     round_and_certify ~fault ?obs cfg ~budget:continuous.Socp_builder.budget
       ~space:continuous.Socp_builder.space
   with
-  | Error msg -> Error (Solver_failure msg)
+  | Error detail -> fail Non_finite detail
   | Ok (mapped, certificate) ->
     if recovered trace && not (Certify.certified certificate) then
-      Error
-        (Solver_failure
-           (Format.asprintf
-              "stalled recovery produced an uncertifiable mapping (%s) after \
-               %d attempt(s) (%a)"
-              (Certify.summary certificate)
-              (List.length trace) pp_recovery trace))
+      fail Uncertifiable
+        (Format.asprintf
+           "stalled recovery produced an uncertifiable mapping (%s) after \
+            %d attempt(s) (%a)"
+           (Certify.summary certificate)
+           (List.length trace) pp_recovery trace)
     else
       Ok
         {
@@ -337,11 +352,15 @@ let solve_program ?(params = Socp.default_params) ?deadline ?warm ?fault ?obs
       kkt_fallbacks = last.Model.raw.Socp.kkt_fallbacks;
     }
   in
-  (* Failure messages name the cone attempts only. *)
+  (* Only a stalled or iteration-limited cone rung leaves the ladder
+     without an answer; the message names the cone attempts only. *)
   let failure detail =
     let cone = List.filter (fun a -> a.stage <> Fallback_lp) trace in
-    Format.asprintf "%a after %d attempt(s) (%a); %s" Socp.pp_status
-      last.Model.status (List.length cone) pp_recovery cone detail
+    fail
+      (if last.Model.status = Socp.Iteration_limit then Iteration_limit
+       else Stalled)
+      (Format.asprintf "%a after %d attempt(s) (%a); %s" Socp.pp_status
+         last.Model.status (List.length cone) pp_recovery cone detail)
   in
   match answer with
   | Cone r -> (
@@ -358,7 +377,7 @@ let solve_program ?(params = Socp.default_params) ?deadline ?warm ?fault ?obs
     | Socp.Dual_infeasible ->
       (* Objective (5) has non-negative weights over non-negative
          variables, so unboundedness indicates a modelling error. *)
-      Error (Solver_failure "unbounded cone program (dual infeasible)")
+      fail Unbounded "unbounded cone program (dual infeasible)"
     | Socp.Timed_out ->
       (* The deadline that stopped the cone solve is already blown; the
          sweep layer decides whether a resume re-solves. *)
@@ -367,13 +386,10 @@ let solve_program ?(params = Socp.default_params) ?deadline ?warm ?fault ?obs
            (Format.asprintf "deadline expired after %d attempt(s) (%a)"
               (List.length trace) pp_recovery trace))
     | Socp.Iteration_limit | Socp.Stalled ->
-      Error (Solver_failure (failure "fallback LP disabled by fault plan")))
+      failure "fallback LP disabled by fault plan")
   | Simplex (Error e) ->
-    Error
-      (Solver_failure
-         (failure
-            (Format.asprintf "fallback LP also failed: %a" Two_phase.pp_error
-               e)))
+    failure
+      (Format.asprintf "fallback LP also failed: %a" Two_phase.pp_error e)
   | Simplex (Ok tp) -> Ok (of_fallback cfg tp trace stats)
 
 let solve ?params ?deadline ?warm ?fault ?obs cfg =

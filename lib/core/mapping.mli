@@ -97,14 +97,24 @@ type result = {
           [None] on the LP-fallback path *)
 }
 
+(** Why a solve failed without a verdict on the instance. *)
+type failure =
+  | Stalled  (** the last cone rung stalled and no fallback answered *)
+  | Iteration_limit  (** the same, with the iteration limit hit *)
+  | Unbounded  (** the cone program is dual infeasible *)
+  | Uncertifiable  (** a recovered mapping was refuted *)
+  | Non_finite  (** the optimum held a value rounding refuses *)
+  | Exception  (** the candidate raised, in a sweep *)
+
 type error =
   | Infeasible of string
       (** the cone program is primal infeasible: no budget/buffer
           assignment meets the throughput requirement under the given
           processor, memory and capacity bounds *)
-  | Solver_failure of string
+  | Solver_failure of { cause : failure; detail : string }
       (** every rung of the recovery ladder returned an unusable status
-          (or a recovered mapping was refuted by its certificate) *)
+          (or a recovered mapping was refuted by its certificate);
+          [detail] is the message {!pp_error} prints *)
   | Timed_out of string
       (** the solve's cooperative deadline ([?deadline] of {!solve})
           expired mid-solve.  Unlike a
@@ -159,10 +169,27 @@ val round_and_certify :
     building the cone program. *)
 val capped_below_tokens : Taskgraph.Config.t -> Taskgraph.Config.buffer option
 
-(** [short_reason e] is a short stable label for sweep skip summaries:
-    ["infeasible"], ["timed out"], ["stalled"], ["iteration limit"],
-    ["unbounded"], ["exception"] or ["failure"]. *)
-val short_reason : error -> string
+(** [label e] is ["infeasible"], ["timed out"] or the label of a
+    failure's cause, from the one table that skip summaries and
+    journals share: ["stalled"], ["iteration limit"], ["unbounded"],
+    ["uncertifiable"], ["non-finite"] or ["exception"]. *)
+val label : error -> string
+
+(** [failure_of_name s] is the cause labelled [s], if any. *)
+val failure_of_name : string -> failure option
+
+(** [fail cause detail] is [Error (Solver_failure { cause; detail })]. *)
+val fail : failure -> string -> ('a, error) Stdlib.result
+
+(** [of_exn e] is the [Exception] failure of a candidate that raised
+    [e]: its detail starts ["uncaught exception: "]. *)
+val of_exn : exn -> ('a, error) Stdlib.result
+
+(** [skipped outcome points] lists the [(key, label e)] of every point
+    whose [outcome] is [(key, Error e)] with [e] not [Infeasible], for
+    the sweeps' ["skipped: N (labels)"] summaries. *)
+val skipped :
+  ('p -> 'k * ('a, error) Stdlib.result) -> 'p list -> ('k * string) list
 
 (** [pp_error ppf e] prints an error. *)
 val pp_error : Format.formatter -> error -> unit

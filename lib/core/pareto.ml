@@ -67,15 +67,7 @@ let frontier ?(steps = 9) ?fault ?pool ?deadline ?candidate_deadline
      while the rest of the frontier survives; a plain infeasibility
      verdict is silently dropped (an infeasible instance has no
      frontier points at any ratio). *)
-  let skipped =
-    List.filter_map
-      (function
-        | ratio, Error ((Mapping.Solver_failure _ | Mapping.Timed_out _) as e)
-          ->
-          Some (ratio, Mapping.short_reason e)
-        | _, (Ok _ | Error (Mapping.Infeasible _)) -> None)
-      outcomes
-  in
+  let skipped = Mapping.skipped Fun.id outcomes in
   (* Keep the non-dominated points (smaller budget AND smaller
      buffers is better), sorted by buffer use.  Budgets compare in
      whole granules: the continuous sum differs by solver noise from

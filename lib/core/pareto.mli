@@ -22,9 +22,9 @@ type point = {
 }
 
 (** A frontier sweep: the surviving non-dominated points plus the
-    [(ratio, reason)] of candidates whose solve failed outright (the
-    rest of the frontier is still returned — one permanently failing
-    candidate costs one point, not the sweep). *)
+    {!Mapping.skipped} [(ratio, label)] of candidates whose solve failed
+    outright (the rest of the frontier is still returned — one
+    permanently failing candidate costs one point, not the sweep). *)
 type sweep = { points : point list; skipped : (float * string) list }
 
 (** [frontier ?steps ?fault ?pool cfg] solves the joint

@@ -25,15 +25,6 @@ let capacity_sweep ?fault ?pool ?deadline ?candidate_deadline ?journal
   |> List.mapi (fun i -> Option.map (fun result -> { cap = caps.(i); result }))
   |> List.filter_map Fun.id
 
-let skipped points =
-  List.filter_map
-    (fun p ->
-      match p.result with
-      | Error ((Mapping.Solver_failure _ | Mapping.Timed_out _) as e) ->
-        Some (p.cap, Mapping.short_reason e)
-      | Error (Mapping.Infeasible _) | Ok _ -> None)
-    points
-
 let budget_of point task =
   match point.result with
   | Error _ -> None

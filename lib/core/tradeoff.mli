@@ -18,7 +18,7 @@ type point = {
     [caps], minus any abandoned to the deadline or cancellation.  The
     caps are solved by {!Durability.solve_candidates} — pool, journal
     and its payload, deadlines, cancellation, exception barrier
-    (a candidate that raises becomes that point's [Solver_failure]),
+    (a candidate that raises becomes that point's [Exception] failure),
     trace events and verdicts, warm starts and fault plans alike: a
     plan restricted with [only=I] applies to the 0-based [I]-th cap,
     and the warm anchor solves the first cap. *)
@@ -35,11 +35,6 @@ val capacity_sweep :
   buffers:Taskgraph.Config.buffer list ->
   caps:int list ->
   point list
-
-(** [skipped points] lists the [(cap, reason)] of points whose solve
-    failed (solver failures, not infeasibility verdicts), for the
-    sweep reports' ["skipped: N (reason)"] summaries. *)
-val skipped : point list -> (int * string) list
 
 (** [budget_of point task] extracts a task's continuous budget from a
     sweep point, or [None] if that run failed. *)

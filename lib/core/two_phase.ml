@@ -2,6 +2,7 @@ module Config = Taskgraph.Config
 module Lp = Simplex.Lp
 module Model = Conic.Model
 module Socp = Conic.Socp
+module Rat = Exact.Rat
 
 type budget_policy = Min_budget | Fair_share
 type buffer_policy = At_bound | Uniform of int
@@ -38,11 +39,26 @@ let objective_of cfg (mapped : Config.mapped) =
 (* Phase 1 budget policies                                             *)
 (* ------------------------------------------------------------------ *)
 
-let min_budget cfg w =
-  let p = Config.task_proc cfg w in
-  let mu = Config.period cfg (Config.task_graph cfg w) in
-  let need = Config.replenishment cfg p *. Config.wcet cfg w /. mu in
-  Rounding.round_budget ~granularity:(Config.granularity cfg) need
+(* The least granule multiple β with ̺·χ/β ≤ µ in the exact rationals
+   of the float inputs, which {!Certify} reads: a float quotient, or a
+   snap to a nearby grid point, can land a granule short.  The search
+   starts a granule below the float estimate, which float error cannot
+   put past the answer. *)
+let min_budget cfg =
+  let g = Config.granularity cfg in
+  let least w =
+    let repl = Config.replenishment cfg (Config.task_proc cfg w)
+    and chi = Config.wcet cfg w
+    and mu = Config.period cfg (Config.task_graph cfg w) in
+    let need = Rat.(div (mul (of_float repl) (of_float chi)) (of_float mu)) in
+    let rec up q =
+      let beta = g *. float_of_int q in
+      if Rat.compare (Rat.of_float beta) need >= 0 then beta else up (q + 1)
+    in
+    up (Int.max 1 (int_of_float (ceil (repl *. chi /. mu /. g)) - 1))
+  in
+  let budgets = Array.of_list (List.map least (Config.all_tasks cfg)) in
+  fun w -> budgets.(Config.task_id w)
 
 let fair_share cfg w =
   let p = Config.task_proc cfg w in

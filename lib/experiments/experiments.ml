@@ -12,6 +12,13 @@ let solve_exn cfg =
 
 let header ppf title = Format.fprintf ppf "@.=== %s ===@.@." title
 
+(* The sweeps' summary of their skipped candidates, one label each. *)
+let pp_skipped ppf = function
+  | [] -> ()
+  | skipped ->
+    Format.fprintf ppf "  skipped: %d (%s)@." (List.length skipped)
+      (String.concat ", " (List.sort_uniq compare (List.map snd skipped)))
+
 let t1_budget_at cap =
   let cfg = Workloads.Gen.paper_t1 () in
   List.iter
@@ -297,12 +304,7 @@ let pareto ?pool ppf =
         p.Budgetbuf.Pareto.weight_ratio p.Budgetbuf.Pareto.budget_sum
         p.Budgetbuf.Pareto.buffer_containers)
     sweep.Budgetbuf.Pareto.points;
-  (match sweep.Budgetbuf.Pareto.skipped with
-  | [] -> ()
-  | skipped ->
-    Format.fprintf ppf "  skipped: %d (%s)@." (List.length skipped)
-      (String.concat ", "
-         (List.sort_uniq compare (List.map snd skipped))));
+  pp_skipped ppf sweep.Budgetbuf.Pareto.skipped;
   Format.fprintf ppf
     "@.  (the frontier spans the same curve as Figure 2(a): 2x39 budget@.    \  with 1 container down to 2x4 budget with 10 containers)@."
 
@@ -458,12 +460,10 @@ let dse ?pool ppf =
       Format.fprintf ppf "  %-9d %-24s@." cap
         (Exact.Rat.to_decimal ~round:`Up ~digits:4 (Exact.Rat.of_float period)))
     (Budgetbuf.Dse.curve_points curve);
-  (match Budgetbuf.Dse.curve_skipped curve with
-  | [] -> ()
-  | skipped ->
-    Format.fprintf ppf "  skipped: %d (%s)@." (List.length skipped)
-      (String.concat ", "
-         (List.sort_uniq compare (List.map snd skipped))));
+  pp_skipped ppf
+    (Mapping.skipped
+       (fun (p : Budgetbuf.Dse.curve_point) -> (p.cap, p.outcome))
+       curve);
   Format.fprintf ppf
     "@.  the dual reading of Figure 2(a): with d containers the platform@.\
     \  sustains the printed period at best.  The floor rho*chi/(rho-o-g)@.\

@@ -211,7 +211,7 @@ let solve ?obs ~deadline cfg plan =
       }
   | Error (Mapping.Infeasible msg) -> R_unsat msg
   | Error (Mapping.Timed_out msg) -> R_late msg
-  | Error (Mapping.Solver_failure msg) -> R_failed msg
+  | Error (Mapping.Solver_failure { detail; _ }) -> R_failed detail
   | exception exn -> R_failed (Printexc.to_string exn)
 
 (* A task is the shared parse step, the process fault it asks for —

@@ -16,6 +16,7 @@ module Mapping = Budgetbuf.Mapping
 module Tradeoff = Budgetbuf.Tradeoff
 module Dse = Budgetbuf.Dse
 module Pareto = Budgetbuf.Pareto
+module Durability = Budgetbuf.Durability
 module Fault = Robust.Fault
 
 let check_float eps = Alcotest.(check (float eps))
@@ -508,8 +509,8 @@ let test_tradeoff_resume_restores_results () =
           (Budgetbuf.Certify.summary ra.Mapping.certificate)
           (Budgetbuf.Certify.summary rb.Mapping.certificate)
       | Error ea, Error eb ->
-        Alcotest.(check string) "same verdict" (Mapping.short_reason ea)
-          (Mapping.short_reason eb)
+        Alcotest.(check string) "same verdict" (Mapping.label ea)
+          (Mapping.label eb)
       | _ -> Alcotest.fail "verdict changed across resume")
     full restored;
   Sys.remove path
@@ -693,6 +694,73 @@ let test_dse_cert_payload_restores () =
   | None -> Alcotest.fail "no progress report");
   Sys.remove path
 
+(* Every verdict round-trips through both journal codecs with its
+   constructor and cause, except [Timed_out], which is never journaled;
+   an unknown cause and the older [failure "<text>"] / [skip "<text>"]
+   forms are refused. *)
+let test_verdict_codecs () =
+  let cfg = Workloads.Gen.paper_t1 () in
+  let causes =
+    Mapping.
+      [ Stalled; Iteration_limit; Unbounded; Uncertifiable; Non_finite; Exception ]
+  in
+  let failure cause =
+    Mapping.Solver_failure { cause; detail = "two  words and a \"quote\"" }
+  in
+  let same a b =
+    match (a, b) with
+    | Mapping.Infeasible x, Mapping.Infeasible y -> x = y
+    | Mapping.Solver_failure x, Mapping.Solver_failure y -> x.cause = y.cause
+    | _ -> false
+  in
+  let errors =
+    Mapping.Infeasible "no mapping" :: List.map failure causes
+  in
+  List.iter
+    (fun e ->
+      let name = Mapping.label e in
+      match Durability.encode_outcome cfg (Error e) with
+      | None -> Alcotest.failf "%s: not journaled" name
+      | Some payload -> (
+        match Durability.decode_outcome cfg ~candidate:cfg payload with
+        | Some (Error d) ->
+          Alcotest.(check bool) (name ^ " outcome") true (same e d);
+          Alcotest.(check string) (name ^ " detail")
+            (Format.asprintf "%a" Mapping.pp_error e)
+            (Format.asprintf "%a" Mapping.pp_error d)
+        | Some (Ok _) | None -> Alcotest.failf "%s: %S refused" name payload))
+    errors;
+  let point outcome = { Dse.cap = 3; outcome } in
+  List.iter
+    (fun outcome ->
+      match Dse.encode_point (point outcome) with
+      | None -> Alcotest.fail "point not journaled"
+      | Some payload -> (
+        match (outcome, Dse.decode_point 3 payload) with
+        | Ok a, Some { Dse.cap = 3; outcome = Ok b } ->
+          Alcotest.(check (option (float 0.0))) payload a b
+        | Error a, Some { Dse.cap = 3; outcome = Error b } ->
+          Alcotest.(check bool) payload true (same a b)
+        | _ -> Alcotest.failf "%S decodes to another verdict" payload))
+    (Ok (Some 1.5) :: Ok None
+    :: List.map (fun c -> Error (failure c)) causes);
+  Alcotest.(check (option string)) "timed-out candidate" None
+    (Durability.encode_outcome cfg (Error (Mapping.Timed_out "late")));
+  Alcotest.(check (option string)) "timed-out point" None
+    (Dse.encode_point (point (Error (Mapping.Timed_out "late"))));
+  List.iter
+    (fun payload ->
+      Alcotest.(check bool) payload true
+        (Durability.decode_outcome cfg ~candidate:cfg payload = None))
+    [
+      {|failure "wedged" "detail"|};
+      {|failure "stalled after 2 attempt(s) (base: stalled; relaxed: stalled); fallback LP disabled by fault plan"|};
+    ];
+  List.iter
+    (fun payload ->
+      Alcotest.(check bool) payload true (Dse.decode_point 3 payload = None))
+    [ {|skip "wedged"|}; {|skip "uncaught exception: Failure(\"boom\")"|} ]
+
 (* ------------------------------------------------------------------ *)
 (* Warm starts: determinism across pool sizes and resumes              *)
 (* ------------------------------------------------------------------ *)
@@ -715,8 +783,8 @@ let check_tradeoff_points_identical expected actual =
         check_float 0.0 "rounded objective" ra.Mapping.rounded_objective
           rb.Mapping.rounded_objective
       | Error ea, Error eb ->
-        Alcotest.(check string) "same verdict" (Mapping.short_reason ea)
-          (Mapping.short_reason eb)
+        Alcotest.(check string) "same verdict" (Mapping.label ea)
+          (Mapping.label eb)
       | _ -> Alcotest.fail "verdict differs")
     expected actual
 
@@ -744,8 +812,8 @@ let test_warm_sweep_jobs_determinism () =
           (Float.abs (ra.Mapping.objective -. rb.Mapping.objective)
           <= 1e-4 *. (1.0 +. Float.abs rb.Mapping.objective))
       | Error ea, Error eb ->
-        Alcotest.(check string) "same verdict" (Mapping.short_reason ea)
-          (Mapping.short_reason eb)
+        Alcotest.(check string) "same verdict" (Mapping.label ea)
+          (Mapping.label eb)
       | _ -> Alcotest.fail "warm start changed a verdict")
     seq
 
@@ -804,6 +872,8 @@ let test_warm_dse_resume_bit_identical () =
    attempt, making a candidate deliberately slow without changing its
    answer. *)
 
+let skipped = Mapping.skipped (fun (p : Tradeoff.point) -> (p.cap, p.result))
+
 let test_tradeoff_candidate_deadline () =
   let cfg = Workloads.Gen.paper_t1 () in
   let buffers = Config.all_buffers cfg in
@@ -827,7 +897,7 @@ let test_tradeoff_candidate_deadline () =
         points;
       Alcotest.(check (list (pair int string))) "skipped summary"
         [ (2, "timed out") ]
-        (Tradeoff.skipped points));
+        (skipped points));
   (* The timeout was not journaled: a resume with a healthy solver
      re-solves exactly that candidate and completes the sweep. *)
   let prog = ref None in
@@ -841,7 +911,7 @@ let test_tradeoff_candidate_deadline () =
       in
       Alcotest.(check int) "sweep completed" 3 (List.length points);
       Alcotest.(check (list (pair int string))) "no skips left" []
-        (Tradeoff.skipped points));
+        (skipped points));
   (match !prog with
   | Some p ->
     Alcotest.(check int) "restored the two verdicts" 2 p.Sweep.resumed;
@@ -878,7 +948,7 @@ let test_tradeoff_sweep_deadline () =
         match pt.Tradeoff.result with
         | Ok _ | Error (Mapping.Timed_out _) -> ()
         | Error e ->
-          Alcotest.failf "unexpected verdict: %s" (Mapping.short_reason e))
+          Alcotest.failf "unexpected verdict: %s" (Mapping.label e))
       points
 
 let () =
@@ -940,6 +1010,7 @@ let () =
             test_pareto_old_journal_resolved;
           Alcotest.test_case "dse resume from cert payloads" `Quick
             test_dse_cert_payload_restores;
+          Alcotest.test_case "verdict codecs" `Quick test_verdict_codecs;
           Alcotest.test_case "warm sweep jobs determinism" `Quick
             test_warm_sweep_jobs_determinism;
           Alcotest.test_case "warm dse resume bit-identical" `Quick

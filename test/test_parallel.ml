@@ -121,7 +121,7 @@ let test_throughput_curve_matches_sequential () =
       (match p.outcome with
        | Ok None -> "none"
        | Ok (Some period) -> Printf.sprintf "%h" period
-       | Error reason -> "error " ^ reason)
+       | Error e -> "error " ^ Mapping.label e)
   in
   let traced ?pool cfg caps =
     let obs, sink = Sweep_iterations.context () in

@@ -446,15 +446,40 @@ let test_permanent_fault_fails_cleanly () =
   | Ok _ -> Alcotest.fail "permanent fault must not produce a mapping"
   | Error (Mapping.Infeasible _) -> Alcotest.fail "not an infeasibility"
   | Error (Mapping.Timed_out _) -> Alcotest.fail "not a timeout"
-  | Error (Mapping.Solver_failure msg as e) ->
+  | Error (Mapping.Solver_failure { cause = Mapping.Stalled; detail } as e) ->
     let contains needle hay =
       let n = String.length needle and h = String.length hay in
       let rec scan i = i + n <= h && (String.sub hay i n = needle || scan (i + 1)) in
       scan 0
     in
-    Alcotest.(check string) "short reason" "stalled" (Mapping.short_reason e);
+    Alcotest.(check string) "label" "stalled" (Mapping.label e);
     Alcotest.(check bool) "mentions the disabled fallback" true
-      (contains "fallback LP disabled" msg)
+      (contains "fallback LP disabled" detail)
+  | Error e -> Alcotest.failf "%s, not stalled" (Mapping.label e)
+
+(* The cause a fault path reaches, and the label it prints: a NaN
+   iterate is caught as a stall, and a solve cut at one iteration per
+   rung (its fallback disabled by the plan) is an iteration limit. *)
+let test_fault_causes () =
+  List.iter
+    (fun (name, result, cause, label) ->
+      match result with
+      | Error (Mapping.Solver_failure f as e) ->
+        Alcotest.(check bool) (name ^ " cause") true (f.cause = cause);
+        Alcotest.(check string) (name ^ " label") label (Mapping.label e)
+      | Error e -> Alcotest.failf "%s: %a" name Mapping.pp_error e
+      | Ok _ -> Alcotest.failf "%s: solved" name)
+    [
+      ("stall", solve_with "stall,attempts=all", Mapping.Stalled, "stalled");
+      ("nan", solve_with "nan,attempts=all", Mapping.Stalled, "stalled");
+      ( "iteration limit",
+        Mapping.solve
+          ~params:{ Socp.default_params with Socp.max_iter = 1 }
+          ~fault:(fault "dense_kkt,attempts=all")
+          (Workloads.Gen.paper_t1 ()),
+        Mapping.Iteration_limit,
+        "iteration limit" );
+    ]
 
 let test_no_recovery_policy () =
   (* The full default ladder with no fault injected (not even one
@@ -607,7 +632,9 @@ let test_throughput_curve_reports_skips () =
   in
   Alcotest.(check int) "three candidates survive" 3
     (List.length (Dse.curve_points curve));
-  match Dse.curve_skipped curve with
+  match
+    Mapping.skipped (fun (p : Dse.curve_point) -> (p.cap, p.outcome)) curve
+  with
   | [ (cap, reason) ] ->
     Alcotest.(check int) "failed cap" 4 cap;
     Alcotest.(check string) "reason" "stalled" reason
@@ -621,7 +648,9 @@ let test_capacity_sweep_reports_skips () =
       ~buffers ~caps:[ 1; 2; 3 ]
   in
   Alcotest.(check int) "all caps reported" 3 (List.length points);
-  match Tradeoff.skipped points with
+  match
+    Mapping.skipped (fun (p : Tradeoff.point) -> (p.cap, p.result)) points
+  with
   | [ (cap, reason) ] ->
     Alcotest.(check int) "failed cap" 1 cap;
     Alcotest.(check string) "reason" "stalled" reason
@@ -702,6 +731,7 @@ let () =
             test_nan_fault_recovers;
           Alcotest.test_case "permanent fault fails cleanly" `Quick
             test_permanent_fault_fails_cleanly;
+          Alcotest.test_case "fault causes" `Quick test_fault_causes;
           Alcotest.test_case "no_recovery policy" `Quick
             test_no_recovery_policy;
           qcheck prop_fault_trace_matches_plan;

@@ -1208,7 +1208,7 @@ let test_verdict_allocation () =
   let mapped =
     match Mapping.solve cfg with
     | Ok r -> r.Mapping.mapped
-    | Error e -> Alcotest.failf "chain 50: %s" (Mapping.short_reason e)
+    | Error e -> Alcotest.failf "chain 50: %s" (Mapping.label e)
   in
   let plan = Sim.plan cfg ~budget:mapped.Config.budget ~iterations:64 in
   let capacity =

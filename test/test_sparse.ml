@@ -455,7 +455,7 @@ let prop_differential_oracle =
         && Certify.certified s.Mapping.certificate
         && Float_verify.verify cfg s.Mapping.mapped = []
       | Error de, Error se ->
-        String.equal (Mapping.short_reason de) (Mapping.short_reason se)
+        String.equal (Mapping.label de) (Mapping.label se)
       | Ok _, Error _ | Error _, Ok _ -> false)
 
 let test_oracle_on_paper_instances () =
@@ -616,7 +616,7 @@ let test_chain300_factor_without_memory_row () =
   let r =
     match Mapping.solve ~obs:(Obs.Ctx.make ~sink ()) cfg with
     | Ok r -> r
-    | Error e -> Alcotest.failf "chain 300: %s" (Mapping.short_reason e)
+    | Error e -> Alcotest.failf "chain 300: %s" (Mapping.label e)
   in
   Alcotest.(check bool)
     "certified" true
@@ -819,7 +819,7 @@ let prop_warm_start_preserves_oracle =
         rel_close d.Mapping.objective s.Mapping.objective
         && Certify.certified s.Mapping.certificate
       | Error de, Error se ->
-        String.equal (Mapping.short_reason de) (Mapping.short_reason se)
+        String.equal (Mapping.label de) (Mapping.label se)
       | Ok _, Error _ | Error _, Ok _ -> false)
 
 (* ------------------------------------------------------------------ *)

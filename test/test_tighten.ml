@@ -58,7 +58,7 @@ let workload seed =
 let solve_exn cfg =
   match Mapping.solve cfg with
   | Ok r -> r
-  | Error e -> Alcotest.failf "solve failed: %s" (Mapping.short_reason e)
+  | Error e -> Alcotest.failf "solve failed: %s" (Mapping.label e)
 
 let run_exn ?pool ?journal cfg mapped =
   match Tighten.run ?pool ?journal cfg mapped with

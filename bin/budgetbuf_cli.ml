@@ -928,9 +928,9 @@ let do_tighten () path banks iterations jobs output resume deadline
                 (Config.buffer_of_id cfg o.Tighten.buffer_id)
             in
             match o.Tighten.skipped with
-            | Some reason ->
+            | Some skip ->
               Format.printf "buffer %-8s analytic %d, kept (%s)@." name
-                o.Tighten.analytic reason
+                o.Tighten.analytic (Tighten.skip_label skip)
             | None ->
               Format.printf
                 "buffer %-8s analytic %d, simulated %d (floor %d, %d \
@@ -1807,7 +1807,7 @@ let do_request () socket op ping file id deadline fault retry =
       | Serve.Protocol.Late { id; reason } ->
         Format.printf "timed out %s: %s@." id reason;
         4
-      | Serve.Protocol.Failed { id; reason } ->
+      | Serve.Protocol.Failed { id; reason; _ } ->
         Format.printf "failed %s: %s@." id reason;
         2
       | Serve.Protocol.Poisoned { id; reason } ->

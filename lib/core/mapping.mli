@@ -175,6 +175,9 @@ val capped_below_tokens : Taskgraph.Config.t -> Taskgraph.Config.buffer option
     ["uncertifiable"], ["non-finite"] or ["exception"]. *)
 val label : error -> string
 
+(** Every failure cause with its label, the table {!label} reads. *)
+val failures : (failure * string) list
+
 (** [failure_of_name s] is the cause labelled [s], if any. *)
 val failure_of_name : string -> failure option
 

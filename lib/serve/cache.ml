@@ -67,24 +67,32 @@ let digest key = Obs.Crc.hex (Obs.Crc.string key)
 
 (* ---- journal payloads -------------------------------------------- *)
 
-type outcome =
-  | Solved of {
-      mapping : string;
-      certificate : string;
-      objective : float;
-      rounded_objective : float;
-    }
-  | Unsat of { reason : string }
-
 let fingerprint = Durable.Journal.fingerprint [ "budgetbuf-serve-cache"; "1" ]
 
-let payload_of ~key outcome =
-  match outcome with
-  | Solved { mapping; certificate; objective; rounded_objective } ->
-    Printf.sprintf "solved %S %S %S %s %s" key mapping certificate
-      (Durability.float_to_token objective)
-      (Durability.float_to_token rounded_objective)
-  | Unsat { reason } -> Printf.sprintf "unsat %S %S" key reason
+(* The journal line of a reply that is a fact about the instance; the
+   others are circumstances of the attempt and have none. *)
+let payload_of ~key = function
+  | Worker.Solved { solved = s; _ } ->
+    Some
+      (Printf.sprintf "solved %S %S %S %s %s" key s.mapping s.certificate
+         (Durability.float_to_token s.objective)
+         (Durability.float_to_token s.rounded_objective))
+  | Worker.Unsat reason -> Some (Printf.sprintf "unsat %S %S" key reason)
+  | Worker.Late _ | Worker.Failed _ -> None
+
+(* What a hit answers: the verdict, as a clean solve of no time. *)
+let hit solved = Worker.Solved { solved; attempts = 1; solve_s = 0.0 }
+
+(* Add [key]'s verdict as the reply a hit answers, evicting the oldest
+   key past [max_entries]. *)
+let insert ~max_entries table order key reply =
+  Hashtbl.add table key
+    (match reply with Worker.Solved { solved; _ } -> hit solved | v -> v);
+  Queue.add key order;
+  match max_entries with
+  | Some m when Hashtbl.length table > m ->
+    Hashtbl.remove table (Queue.pop order)
+  | _ -> ()
 
 let decode_payload payload =
   let ib = Scanf.Scanning.from_string payload in
@@ -95,11 +103,12 @@ let decode_payload payload =
     let certificate = Durability.scan_quoted ib in
     let objective = Durability.scan_float ib in
     let rounded_objective = Durability.scan_float ib in
-    Some (key, Solved { mapping; certificate; objective; rounded_objective })
+    Some
+      (key, hit { Protocol.mapping; certificate; objective; rounded_objective })
   | "unsat" ->
     let key = Durability.scan_quoted ib in
     let reason = Durability.scan_quoted ib in
-    Some (key, Unsat { reason })
+    Some (key, Worker.Unsat reason)
   | _ -> None
   | exception (Scanf.Scan_failure _ | Failure _ | End_of_file) -> None
 
@@ -117,7 +126,7 @@ type stats = {
 type t = {
   journal : Durable.Journal.t;
   lock : Mutex.t;
-  table : (string, outcome) Hashtbl.t;
+  table : (string, Worker.reply) Hashtbl.t;  (* hits: [Solved] or [Unsat] *)
   order : string Queue.t;  (* live keys, oldest first — eviction order *)
   max_entries : int option;
   mutable next_index : int;
@@ -147,15 +156,9 @@ let open_ ?max_entries ?chaos path =
         next_index := max !next_index (index + 1);
         incr lines;
         match decode_payload payload with
-        | Some (key, outcome) ->
-          if not (Hashtbl.mem table key) then begin
-            Hashtbl.add table key outcome;
-            Queue.add key order;
-            match max_entries with
-            | Some m when Hashtbl.length table > m ->
-              Hashtbl.remove table (Queue.pop order)
-            | _ -> ()
-          end
+        | Some (key, verdict) ->
+          if not (Hashtbl.mem table key) then
+            insert ~max_entries table order key verdict
         | None -> ())
       (Durable.Journal.entries journal);
     Ok
@@ -186,12 +189,10 @@ let compact_locked t =
   let entries =
     List.of_seq
       (Seq.mapi
-         (fun index key ->
-           {
-             Durable.Journal.index;
-             payload = payload_of ~key (Hashtbl.find t.table key);
-           })
-         (Queue.to_seq t.order))
+         (fun index payload -> { Durable.Journal.index; payload })
+         (Seq.filter_map
+            (fun key -> payload_of ~key (Hashtbl.find t.table key))
+            (Queue.to_seq t.order)))
   in
   Durable.Journal.replace t.journal ~entries;
   t.journal_lines <- List.length entries;
@@ -206,33 +207,28 @@ let maybe_compact_locked t =
     if t.journal_lines >= 2 * live && t.journal_lines - live >= 4 then
       compact_locked t
 
-let store t ~key outcome =
-  Mutex.lock t.lock;
-  Fun.protect
-    ~finally:(fun () -> Mutex.unlock t.lock)
-    (fun () ->
-      if not (Hashtbl.mem t.table key) then begin
-        let index = t.next_index in
-        t.next_index <- index + 1;
-        (* A failed journal write degrades durability, not service:
-           the verdict still lands in memory and keeps being served;
-           only a crash before a successful re-store would lose it. *)
-        (match
-           Durable.Journal.record t.journal ~index
-             ~payload:(payload_of ~key outcome)
-         with
-        | () ->
-          t.journal_lines <- t.journal_lines + 1;
-          t.total_lines <- t.total_lines + 1
-        | exception Unix.Unix_error _ -> t.io_errors <- t.io_errors + 1);
-        Hashtbl.add t.table key outcome;
-        Queue.add key t.order;
-        (match t.max_entries with
-        | Some m when Hashtbl.length t.table > m ->
-          Hashtbl.remove t.table (Queue.pop t.order)
-        | _ -> ());
-        maybe_compact_locked t
-      end)
+let store t ~key reply =
+  match payload_of ~key reply with
+  | None -> ()
+  | Some payload ->
+    Mutex.lock t.lock;
+    Fun.protect
+      ~finally:(fun () -> Mutex.unlock t.lock)
+      (fun () ->
+        if not (Hashtbl.mem t.table key) then begin
+          let index = t.next_index in
+          t.next_index <- index + 1;
+          (* A failed journal write degrades durability, not service:
+             the verdict still lands in memory and keeps being served;
+             only a crash before a successful re-store would lose it. *)
+          (match Durable.Journal.record t.journal ~index ~payload with
+          | () ->
+            t.journal_lines <- t.journal_lines + 1;
+            t.total_lines <- t.total_lines + 1
+          | exception Unix.Unix_error _ -> t.io_errors <- t.io_errors + 1);
+          insert ~max_entries:t.max_entries t.table t.order key reply;
+          maybe_compact_locked t
+        end)
 
 let size t =
   Mutex.lock t.lock;

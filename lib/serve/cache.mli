@@ -12,20 +12,11 @@
     Persistence rides the CRC-framed {!Durable.Journal}: one fsynced
     line per cached verdict, so after [kill -9] at most an in-flight
     line is lost and {!open_} replays the rest (docs/serving.md
-    documents the payload grammar).  Only settled verdicts are cached —
-    a solved mapping with its exact certificate, or primal
-    infeasibility.  Timeouts and solver failures are circumstances of
-    the attempt, not facts about the instance, and are never
-    journaled. *)
-
-type outcome =
-  | Solved of {
-      mapping : string;  (** {!Taskgraph.Mapped_io} concrete syntax *)
-      certificate : string;  (** {!Budgetbuf.Certify.summary} line *)
-      objective : float;
-      rounded_objective : float;
-    }
-  | Unsat of { reason : string }
+    documents the payload grammar).  The cache holds a solve's
+    {!Worker.reply} and decides alone which replies it keeps: the
+    facts about the instance — a certified {!Protocol.solved} mapping,
+    or primal infeasibility.  Timeouts and failures are circumstances
+    of the attempt and are never journaled. *)
 
 type t
 
@@ -79,15 +70,17 @@ val open_ :
   string ->
   (t, string) Stdlib.result
 
-(** [find t ~key] looks up a canonical key.  Thread-safe. *)
-val find : t -> key:string -> outcome option
+(** [find t ~key] looks up a canonical key: a hit is the reply to
+    answer, [Solved] as a clean solve ([attempts = 1], [solve_s = 0])
+    or [Unsat].  Thread-safe. *)
+val find : t -> key:string -> Worker.reply option
 
-(** [store t ~key outcome] records a settled verdict: inserts into the
-    in-memory table and durably appends one journal line (fsync before
-    returning).  Idempotent — re-storing a present key is a no-op, so
-    concurrent solvers of the same instance cannot double-journal.
-    Thread-safe. *)
-val store : t -> key:string -> outcome -> unit
+(** [store t ~key reply] records [reply] if it is [Solved] or [Unsat]
+    and does nothing otherwise: inserts into the in-memory table and
+    durably appends one journal line (fsync before returning).
+    Idempotent — re-storing a present key is a no-op, so concurrent
+    solvers of the same instance cannot double-journal.  Thread-safe. *)
+val store : t -> key:string -> Worker.reply -> unit
 
 (** [size t] is the number of cached instances. *)
 val size : t -> int

@@ -76,14 +76,7 @@ let read_line t =
 let roundtrip t request =
   if t.closed then Error "connection is closed"
   else begin
-    let line = Protocol.request_to_line request ^ "\n" in
-    match
-      let len = String.length line in
-      let pos = ref 0 in
-      while !pos < len do
-        pos := !pos + Unix.write_substring t.fd line !pos (len - !pos)
-      done
-    with
+    match Wire.write_line t.fd (Protocol.request_to_line request) with
     | exception Unix.Unix_error (e, _, _) ->
       Error (Printf.sprintf "write: %s" (Unix.error_message e))
     | () -> (
@@ -115,8 +108,8 @@ let default_retry =
    twice however many times the reply gets lost.  Retried failure
    modes: transport errors (reset, torn reply, dead server),
    [Overloaded] backpressure (honouring its [retry_after_s] hint,
-   capped), and handler-isolation failures (reason tagged
-   ["handler:"], the server-side residue of an injected exception).
+   capped), and handler-isolation failures (cause [Handler], the
+   server-side residue of an injected exception).
    Genuine verdicts — admitted, rejected, infeasible, timed out,
    poisoned, solver failure — return immediately: in particular a
    [poisoned] reply is the server telling us this exact instance
@@ -150,10 +143,8 @@ let submit ?(retry = default_retry) ~socket request =
         when attempt + 1 < retry.attempts ->
         pause (`Hinted retry_after_s);
         go request (attempt + 1) "overloaded"
-      | Ok (Protocol.Failed { reason; _ })
-        when String.length reason >= 8
-             && String.sub reason 0 8 = "handler:"
-             && attempt + 1 < retry.attempts ->
+      | Ok (Protocol.Failed { cause = Protocol.Handler; reason; _ })
+        when attempt + 1 < retry.attempts ->
         pause `Backoff;
         go (reissue request) (attempt + 1) reason
       | Ok _ as r -> r

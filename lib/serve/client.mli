@@ -71,8 +71,9 @@ val default_retry : retry_policy
 (** [submit ~socket request] runs one request to a final answer:
     each attempt opens a fresh connection; transport errors,
     [Overloaded] (sleeping the hinted [retry_after_s], capped) and
-    handler-isolation failures (reason tagged ["handler:"]) are
-    retried; genuine verdicts return immediately.  Re-issued [Admit]s
+    handler-isolation failures ([Failed] with cause
+    {!Protocol.Handler}) are retried; genuine verdicts, every other
+    failure cause included, return immediately.  Re-issued [Admit]s
     carry the wire [retry] flag, so a reply lost after the server
     admitted cannot double-admit — the server recognises the id and
     answers again.  [Error msg] after the last attempt. *)

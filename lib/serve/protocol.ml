@@ -10,8 +10,78 @@ module Json = Obs.Json
    client/server pair fails the health exchange with one clean line
    instead of a cascade of framing errors.  Version 2 added
    process-isolated workers (the [poisoned] status and the worker
-   counters in stats). *)
-let version = 2
+   counters in stats); version 3 added the [cause] of a [failed]
+   reply. *)
+let version = 3
+
+(* ---- the verdict of one solve ------------------------------------ *)
+
+type solved = {
+  mapping : string;
+  certificate : string;
+  objective : float;
+  rounded_objective : float;
+}
+
+type cause =
+  | Solver of Budgetbuf.Mapping.failure
+  | Worker_crashed
+  | Unavailable
+  | Handler
+
+(* The one table of cause labels: the solve's own failures keep the
+   labels sweeps print and journals record. *)
+let cause_names =
+  List.map (fun (f, name) -> (Solver f, name)) Budgetbuf.Mapping.failures
+  @ [
+      (Worker_crashed, "worker crashed");
+      (Unavailable, "unavailable");
+      (Handler, "handler");
+    ]
+
+(* The inverse of a label table. *)
+let of_name table name =
+  List.find_map (fun (v, n) -> if n = name then Some v else None) table
+
+let causes = List.map fst cause_names
+let cause_name c = List.assoc c cause_names
+
+let ( let* ) = Result.bind
+
+(* A field a frame must carry, of the type [kind] names. *)
+let field get kind obj k =
+  Option.to_result (get obj k)
+    ~none:(Printf.sprintf "missing or non-%s field %S" kind k)
+
+let required_str = field Json.str "string"
+let required_number = field Json.number "number"
+
+let solved_fields s =
+  [
+    ("mapping", Json.String s.mapping);
+    ("certificate", Json.String s.certificate);
+    ("objective", Json.Number s.objective);
+    ("rounded_objective", Json.Number s.rounded_objective);
+  ]
+
+let solved_of_fields obj =
+  let* mapping = required_str obj "mapping" in
+  let* certificate = required_str obj "certificate" in
+  let* objective = required_number obj "objective" in
+  let* rounded_objective = required_number obj "rounded_objective" in
+  Ok { mapping; certificate; objective; rounded_objective }
+
+let failure_fields cause reason =
+  [ ("cause", Json.String (cause_name cause)); ("reason", Json.String reason) ]
+
+let failure_of_fields obj =
+  let* name = required_str obj "cause" in
+  let* cause =
+    Option.to_result (of_name cause_names name)
+      ~none:(Printf.sprintf "unknown cause %S" name)
+  in
+  let* reason = required_str obj "reason" in
+  Ok (cause, reason)
 
 type request =
   | Admit of {
@@ -32,16 +102,10 @@ type request =
 
 type readiness = Starting | Serving | Draining
 
-let readiness_name = function
-  | Starting -> "starting"
-  | Serving -> "serving"
-  | Draining -> "draining"
+let readiness_names =
+  [ (Starting, "starting"); (Serving, "serving"); (Draining, "draining") ]
 
-let readiness_of_name = function
-  | "starting" -> Some Starting
-  | "serving" -> Some Serving
-  | "draining" -> Some Draining
-  | _ -> None
+let readiness_name r = List.assoc r readiness_names
 
 type stats = {
   admitted : int;
@@ -93,7 +157,7 @@ type response =
   | Rejected of { id : string; reason : string }
   | Unsat of { id : string; reason : string }
   | Late of { id : string; reason : string }
-  | Failed of { id : string; reason : string }
+  | Failed of { id : string; cause : cause; reason : string }
   | Poisoned of { id : string; reason : string }
   | Overloaded of { id : string; retry_after_s : float }
   | Released of { id : string; found : bool }
@@ -116,7 +180,33 @@ let status_of_response = function
   | Refused _ -> "error"
   | Bye -> "shutting_down"
 
+let cache_tags = [ (`Hit, "hit"); (`Miss, "miss") ]
+
+let admitted ~id ~cache ~attempts s =
+  Admitted
+    {
+      id;
+      cache;
+      mapping = s.mapping;
+      certificate = s.certificate;
+      objective = s.objective;
+      rounded_objective = s.rounded_objective;
+      attempts;
+    }
+
 (* ---- requests ---------------------------------------------------- *)
+
+(* The version a ping or ready frame announces, if it carries one. *)
+let announced_version obj ~peer =
+  match (List.assoc_opt "v" obj, Json.int obj "v") with
+  | None, _ -> Ok ()
+  | Some _, Some v when v = version -> Ok ()
+  | Some _, Some v ->
+    Error
+      (Printf.sprintf
+         "protocol version mismatch: %s speaks v%d, this build speaks v%d" peer
+         v version)
+  | Some _, None -> Error "ill-typed field \"v\""
 
 let request_to_line = function
   | Admit { id; config; deadline_s; fault; retry } ->
@@ -137,17 +227,11 @@ let request_to_line = function
   | Stats -> Json.render [ ("op", Json.String "stats") ]
   | Shutdown -> Json.render [ ("op", Json.String "shutdown") ]
 
-let ( let* ) = Result.bind
-
 let request_of_line line =
   match Json.parse line with
   | Error msg -> Error ("malformed request: " ^ msg)
   | Ok obj -> (
-    let required k =
-      match Json.str obj k with
-      | Some v -> Ok v
-      | None -> Error (Printf.sprintf "missing or non-string field %S" k)
-    in
+    let required = required_str obj in
     match Json.str obj "op" with
     | None -> Error "missing or non-string field \"op\""
     | Some "admit" ->
@@ -178,26 +262,13 @@ let request_of_line line =
                  fault;
                  retry = Option.value retry ~default:false;
                })
-    | Some "release" -> (
-      match required "id" with
-      | Ok id -> Ok (Release { id })
-      | Error _ as e -> e)
-    | Some "ping" -> (
+    | Some "release" -> Result.map (fun id -> Release { id }) (required "id")
+    | Some "ping" ->
       (* The version handshake rides on ping: a peer that announces a
          different protocol version gets one clean mismatch line back
          instead of per-field decode failures on its next request.  A
          ping without the field is accepted as a bare liveness probe. *)
-      match List.assoc_opt "v" obj with
-      | None -> Ok Ping
-      | Some _ -> (
-        match Json.int obj "v" with
-        | Some v when v = version -> Ok Ping
-        | Some v ->
-          Error
-            (Printf.sprintf
-               "protocol version mismatch: peer speaks v%d, this build speaks \
-                v%d" v version)
-        | None -> Error "ill-typed field \"v\""))
+      Result.map (fun () -> Ping) (announced_version obj ~peer:"peer")
     | Some "stats" -> Ok Stats
     | Some "shutdown" -> Ok Shutdown
     | Some op -> Error (Printf.sprintf "unknown op %S" op))
@@ -229,18 +300,18 @@ let response_to_line r =
   | Admitted { id; cache; mapping; certificate; objective; rounded_objective;
                attempts } ->
     Json.render
-      [
-        status;
-        ("id", Json.String id);
-        ("cache", Json.String (match cache with `Hit -> "hit" | `Miss -> "miss"));
-        ("mapping", Json.String mapping);
-        ("certificate", Json.String certificate);
-        ("objective", Json.Number objective);
-        ("rounded_objective", Json.Number rounded_objective);
-        ("attempts", Json.Int attempts);
-      ]
+      ([
+         status;
+         ("id", Json.String id);
+         ("cache", Json.String (List.assoc cache cache_tags));
+       ]
+      @ solved_fields { mapping; certificate; objective; rounded_objective }
+      @ [ ("attempts", Json.Int attempts) ])
+  | Failed { id; cause; reason } ->
+    Json.render
+      (status :: ("id", Json.String id) :: failure_fields cause reason)
   | Rejected { id; reason } | Unsat { id; reason } | Late { id; reason }
-  | Failed { id; reason } | Poisoned { id; reason } ->
+  | Poisoned { id; reason } ->
     Json.render
       [ status; ("id", Json.String id); ("reason", Json.String reason) ]
   | Overloaded { id; retry_after_s } ->
@@ -267,85 +338,48 @@ let response_of_line line =
   match Json.parse line with
   | Error msg -> Error ("malformed reply: " ^ msg)
   | Ok obj -> (
-    let required k =
-      match Json.str obj k with
-      | Some v -> Ok v
-      | None -> Error (Printf.sprintf "missing or non-string field %S" k)
-    in
+    let required = required_str obj in
     let with_id_reason mk =
-      match (required "id", required "reason") with
-      | Ok id, Ok reason -> Ok (mk id reason)
-      | (Error _ as e), _ | _, (Error _ as e) -> e
+      let* id = required "id" in
+      let* reason = required "reason" in
+      Ok (mk id reason)
     in
     match Json.str obj "status" with
     | None -> Error "missing or non-string field \"status\""
     | Some "admitted" ->
-      let num k =
-        match Json.number obj k with
-        | Some f -> Ok f
-        | None -> Error (Printf.sprintf "missing or non-number field %S" k)
-      in
       let* id = required "id" in
-      let* cache_tag = required "cache" in
-      let* mapping = required "mapping" in
-      let* certificate = required "certificate" in
-      let* objective = num "objective" in
-      let* rounded_objective = num "rounded_objective" in
-      let* attempts =
-        Option.to_result (Json.int obj "attempts")
-          ~none:"missing or non-integer field \"attempts\""
-      in
+      let* tag = required "cache" in
       let* cache =
-        match cache_tag with
-        | "hit" -> Ok `Hit
-        | "miss" -> Ok `Miss
-        | _ -> Error "bad cache tag"
+        Option.to_result (of_name cache_tags tag) ~none:"bad cache tag"
       in
-      Ok
-        (Admitted
-           {
-             id;
-             cache;
-             mapping;
-             certificate;
-             objective;
-             rounded_objective;
-             attempts;
-           })
+      let* solved = solved_of_fields obj in
+      let* attempts = field Json.int "integer" obj "attempts" in
+      Ok (admitted ~id ~cache ~attempts solved)
     | Some "rejected" -> with_id_reason (fun id reason -> Rejected { id; reason })
     | Some "infeasible" -> with_id_reason (fun id reason -> Unsat { id; reason })
     | Some "timed_out" -> with_id_reason (fun id reason -> Late { id; reason })
-    | Some "failed" -> with_id_reason (fun id reason -> Failed { id; reason })
+    | Some "failed" ->
+      let* id = required "id" in
+      let* cause, reason = failure_of_fields obj in
+      Ok (Failed { id; cause; reason })
     | Some "poisoned" ->
       with_id_reason (fun id reason -> Poisoned { id; reason })
-    | Some "overloaded" -> (
-      match (required "id", Json.number obj "retry_after_s") with
-      | Ok id, Some retry_after_s -> Ok (Overloaded { id; retry_after_s })
-      | (Error _ as e), _ -> e
-      | _, None -> Error "missing or non-number field \"retry_after_s\"")
-    | Some "released" -> (
-      match (required "id", Json.bool obj "found") with
-      | Ok id, Some found -> Ok (Released { id; found })
-      | (Error _ as e), _ -> e
-      | _, None -> Error "missing or non-boolean field \"found\"")
-    | Some "ready" -> (
-      match required "state" with
-      | Ok s -> (
-        match readiness_of_name s with
-        | Some state -> (
-          match List.assoc_opt "v" obj with
-          | None -> Ok (Ready { state })
-          | Some _ -> (
-            match Json.int obj "v" with
-            | Some v when v = version -> Ok (Ready { state })
-            | Some v ->
-              Error
-                (Printf.sprintf
-                   "protocol version mismatch: server speaks v%d, this build \
-                    speaks v%d" v version)
-            | None -> Error "ill-typed field \"v\""))
-        | None -> Error (Printf.sprintf "unknown readiness state %S" s))
-      | Error _ as e -> e)
+    | Some "overloaded" ->
+      let* id = required "id" in
+      let* retry_after_s = required_number obj "retry_after_s" in
+      Ok (Overloaded { id; retry_after_s })
+    | Some "released" ->
+      let* id = required "id" in
+      let* found = field Json.bool "boolean" obj "found" in
+      Ok (Released { id; found })
+    | Some "ready" ->
+      let* s = required "state" in
+      let* state =
+        Option.to_result (of_name readiness_names s)
+          ~none:(Printf.sprintf "unknown readiness state %S" s)
+      in
+      let* () = announced_version obj ~peer:"server" in
+      Ok (Ready { state })
     | Some "stats" ->
       let count k =
         match Json.int obj k with
@@ -387,9 +421,7 @@ let response_of_line line =
              queue;
              worker_crashes;
            })
-    | Some "error" -> (
-      match required "reason" with
-      | Ok reason -> Ok (Refused { reason })
-      | Error _ as e -> e)
+    | Some "error" ->
+      Result.map (fun reason -> Refused { reason }) (required "reason")
     | Some "shutting_down" -> Ok Bye
     | Some status -> Error (Printf.sprintf "unknown status %S" status))

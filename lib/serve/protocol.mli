@@ -7,14 +7,15 @@
 
     {v {"op":"admit","id":J,"config":TEXT[,"deadline_s":S][,"fault":SPEC][,"retry":true]}
        {"op":"release","id":J}
-       {"op":"ping","v":2}
+       {"op":"ping","v":3}
        {"op":"stats"}
        {"op":"shutdown"} v}
 
     Every reply carries a ["status"] field naming its constructor
     (["admitted"], ["rejected"], ["infeasible"], ["timed_out"],
     ["failed"], ["poisoned"], ["overloaded"], ["released"], ["ready"],
-    ["stats"], ["error"], ["shutting_down"]).  Replies never carry wall-clock fields — timing
+    ["stats"], ["error"], ["shutting_down"]).  A [failed] reply also
+    names its {!cause}.  Replies never carry wall-clock fields — timing
     lives in the trace stream — so a scripted exchange is byte-stable
     (the cram suite relies on this; the one exception,
     [Overloaded.retry_after_s], is load-dependent by design and is the
@@ -27,6 +28,47 @@
     fail field by field.  A ping {e without} the field is accepted as a
     bare liveness probe. *)
 val version : int
+
+(** {2 The verdict of one solve}
+
+    Shared by the [admitted] and [failed] replies, the worker pipe
+    ({!Worker.reply}) and the memo cache ({!Cache}). *)
+
+(** A certified mapping. *)
+type solved = {
+  mapping : string;  (** {!Taskgraph.Mapped_io} concrete syntax *)
+  certificate : string;  (** {!Budgetbuf.Certify.summary} line *)
+  objective : float;  (** continuous optimum of Objective (5) *)
+  rounded_objective : float;  (** Objective (5) of the rounded mapping *)
+}
+
+(** Why a solve ended without a verdict on the instance. *)
+type cause =
+  | Solver of Budgetbuf.Mapping.failure
+      (** labelled as {!Budgetbuf.Mapping.label} labels it; a refuted
+          certificate is [Uncertifiable], an exception or a task a
+          worker cannot run [Exception] *)
+  | Worker_crashed  (** ["worker crashed"]: the isolated worker died *)
+  | Unavailable  (** ["unavailable"]: the worker pool refused the solve *)
+  | Handler
+      (** ["handler"]: the server's request handler raised — the one
+          cause {!Client.submit} re-issues *)
+
+(** Every cause in label-table order, and the label of each (wire
+    field ["cause"]). *)
+val causes : cause list
+val cause_name : cause -> string
+
+(** Field codecs.  [solved_fields] writes ["mapping"], ["certificate"],
+    ["objective"] and ["rounded_objective"]; [failure_fields] writes
+    ["cause"] and ["reason"].  The readers name the first field missing
+    or ill-typed, or an unknown cause. *)
+val solved_fields : solved -> Obs.Json.obj
+val solved_of_fields : Obs.Json.obj -> (solved, string) Stdlib.result
+val failure_fields : cause -> string -> Obs.Json.obj
+
+val failure_of_fields :
+  Obs.Json.obj -> (cause * string, string) Stdlib.result
 
 type request =
   | Admit of {
@@ -86,11 +128,10 @@ type response =
       id : string;
       cache : [ `Hit | `Miss ];
       mapping : string;
-          (** the mapped configuration in {!Taskgraph.Mapped_io}
-              concrete syntax (multi-line) *)
-      certificate : string;  (** {!Budgetbuf.Certify.summary} line *)
+      certificate : string;
       objective : float;
       rounded_objective : float;
+          (** the {!solved} fields, flat ({!admitted} builds one) *)
       attempts : int;  (** recovery-ladder attempts; 1 = clean solve *)
     }
   | Rejected of { id : string; reason : string }
@@ -101,8 +142,10 @@ type response =
   | Late of { id : string; reason : string }
       (** the request's deadline expired — queued too long or solve
           timed out *)
-  | Failed of { id : string; reason : string }
-      (** solver failure after the whole recovery ladder *)
+  | Failed of { id : string; cause : cause; reason : string }
+      (** no verdict on the instance: a solver failure after the whole
+          recovery ladder, a refuted certificate, a worker crash or an
+          isolated handler exception; [cause] says which *)
   | Poisoned of { id : string; reason : string }
       (** the instance's canonical key is quarantined: it crashed
           isolated workers past the poison threshold, so the server
@@ -118,6 +161,11 @@ type response =
   | Stats_reply of stats
   | Refused of { reason : string }  (** malformed or unparsable request *)
   | Bye  (** acknowledgement of [Shutdown] *)
+
+(** [admitted ~id ~cache ~attempts s] is the [Admitted] reply
+    carrying [s]. *)
+val admitted :
+  id:string -> cache:[ `Hit | `Miss ] -> attempts:int -> solved -> response
 
 (** [status_of_response r] is the stable ["status"] tag (also the
     [Request_done] trace label and the keyed metrics bucket). *)

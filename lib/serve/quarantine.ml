@@ -49,52 +49,50 @@ let decode_payload payload =
   | _ -> None
   | exception (Scanf.Scan_failure _ | Failure _ | End_of_file) -> None
 
+(* One more crash of [key]: its new count. *)
+let bump counts key =
+  match Hashtbl.find_opt counts key with
+  | Some r ->
+    incr r;
+    !r
+  | None ->
+    Hashtbl.add counts key (ref 1);
+    1
+
 let create ?path ?chaos ~threshold () =
   if threshold < 1 then
     invalid_arg "Serve.Quarantine.create: threshold must be >= 1";
-  let counts = Hashtbl.create 16 in
-  let bump key =
-    match Hashtbl.find_opt counts key with
-    | Some r -> incr r
-    | None -> Hashtbl.add counts key (ref 1)
-  in
-  match path with
-  | None ->
+  match
+    Option.fold ~none:(Ok None)
+      ~some:(fun path ->
+        Result.map Option.some
+          (Durable.Journal.resume ~salvage:true ?chaos ~fingerprint path))
+      path
+  with
+  | Error _ as e -> e
+  | Ok journal ->
+    let counts = Hashtbl.create 16 in
+    let next_index = ref 0 in
+    let crashes = ref 0 in
+    List.iter
+      (fun { Durable.Journal.index; payload } ->
+        next_index := max !next_index (index + 1);
+        match decode_payload payload with
+        | Some (key, _reason) ->
+          incr crashes;
+          ignore (bump counts key)
+        | None -> ())
+      (Option.fold ~none:[] ~some:Durable.Journal.entries journal);
     Ok
       {
-        journal = None;
+        journal;
         lock = Mutex.create ();
         threshold;
         counts;
-        next_index = 0;
-        crashes = 0;
+        next_index = !next_index;
+        crashes = !crashes;
         io_errors = 0;
       }
-  | Some path -> (
-    match Durable.Journal.resume ~salvage:true ?chaos ~fingerprint path with
-    | Error _ as e -> e
-    | Ok journal ->
-      let next_index = ref 0 in
-      let crashes = ref 0 in
-      List.iter
-        (fun { Durable.Journal.index; payload } ->
-          next_index := max !next_index (index + 1);
-          match decode_payload payload with
-          | Some (key, _reason) ->
-            incr crashes;
-            bump key
-          | None -> ())
-        (Durable.Journal.entries journal);
-      Ok
-        {
-          journal = Some journal;
-          lock = Mutex.create ();
-          threshold;
-          counts;
-          next_index = !next_index;
-          crashes = !crashes;
-          io_errors = 0;
-        })
 
 let threshold t = t.threshold
 
@@ -119,13 +117,7 @@ let note_crash t ~key ~reason =
         | () -> ()
         | exception Unix.Unix_error _ -> t.io_errors <- t.io_errors + 1));
       t.crashes <- t.crashes + 1;
-      match Hashtbl.find_opt t.counts key with
-      | Some r ->
-        incr r;
-        !r
-      | None ->
-        Hashtbl.add t.counts key (ref 1);
-        1)
+      bump t.counts key)
 
 let crashes t ~key =
   Mutex.lock t.lock;

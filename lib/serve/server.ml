@@ -98,23 +98,16 @@ let close_conn_locked c =
   end
 
 let write_reply c response =
-  let line = Protocol.response_to_line response ^ "\n" in
+  let line = Protocol.response_to_line response in
   Mutex.lock c.lock;
   Fun.protect
     ~finally:(fun () -> Mutex.unlock c.lock)
     (fun () ->
+      (* A torn connection dribbles the reply out one byte per syscall:
+         the client sees maximally fragmented reads, which its framer
+         must reassemble into the identical frame. *)
       if not (c.closed || c.eof) then
-        try
-          let len = String.length line in
-          let pos = ref 0 in
-          (* A torn connection dribbles the reply out one byte per
-             syscall: the client sees maximally fragmented reads, which
-             its framer must reassemble into the identical frame. *)
-          let step = if c.torn then 1 else len in
-          while !pos < len do
-            pos :=
-              !pos + Unix.write_substring c.fd line !pos (min step (len - !pos))
-          done
+        try Wire.write_line ?step:(if c.torn then Some 1 else None) c.fd line
         with Unix.Unix_error _ -> c.eof <- true)
 
 (* ---- jobs and shared state --------------------------------------- *)
@@ -193,6 +186,16 @@ let snapshot state =
 
 (* ---- admission registry ------------------------------------------ *)
 
+(* Free a live job's footprint; answers whether [id] was live.  Runs
+   under the server lock. *)
+let release_locked state id =
+  Hashtbl.mem state.live id
+  && begin
+       Hashtbl.remove state.live id;
+       state.stats <- { state.stats with released = state.stats.released + 1 };
+       true
+     end
+
 (* With [reconcile] on, a connection that is gone releases every
    admission it owned: a crashed client cannot leak capacity.  Called
    (outside any conn lock) whenever a connection fully closes. *)
@@ -205,12 +208,7 @@ let reap_conn state (c : conn) =
               (fun id fp acc -> if fp.fp_cid = c.cid then id :: acc else acc)
               state.live []
           in
-          List.iter
-            (fun id ->
-              Hashtbl.remove state.live id;
-              state.stats <-
-                { state.stats with released = state.stats.released + 1 })
-            ids;
+          List.iter (fun id -> ignore (release_locked state id)) ids;
           ids)
     in
     List.iter
@@ -331,24 +329,9 @@ let admit_locked state id ~retry fp =
         Ok ())
   end
 
-let release state id =
-  with_lock state (fun () ->
-      match Hashtbl.find_opt state.live id with
-      | Some _ ->
-        Hashtbl.remove state.live id;
-        state.stats <- { state.stats with released = state.stats.released + 1 };
-        true
-      | None -> false)
+let release state id = with_lock state (fun () -> release_locked state id)
 
 (* ---- solving ----------------------------------------------------- *)
-
-(* A job's verdict.  Every solve — in-process or on a worker — ends in
-   the shared step's [Worker.reply]; only the server itself answers
-   from the memo cache or the quarantine. *)
-type solve_outcome =
-  | Reply of Worker.reply
-  | Hit of Cache.outcome
-  | Poisoned of string  (* quarantined instance, not solved *)
 
 (* Attribute a worker death to the offending instance.  Crossing the
    poison threshold emits the [quarantined] trace event exactly once
@@ -389,11 +372,16 @@ let solve_isolated state sup job =
   | Supervisor.Done reply -> reply
   | Supervisor.Crashed reason ->
     note_worker_crash state job ~reason;
-    Worker.R_failed (Printf.sprintf "worker crashed (%s)" reason)
+    Worker.Failed
+      {
+        cause = Protocol.Worker_crashed;
+        reason = Printf.sprintf "worker crashed (%s)" reason;
+      }
   | Supervisor.Reaped ->
     note_worker_crash state job ~reason:"reaped";
-    Worker.R_late "solve worker stuck past its deadline and was reaped"
-  | Supervisor.Unavailable reason -> Worker.R_failed reason
+    Worker.Late "solve worker stuck past its deadline and was reaped"
+  | Supervisor.Unavailable reason ->
+    Worker.Failed { cause = Protocol.Unavailable; reason }
 
 (* No shared state either way, so safe on any pool lane. *)
 let solve_job state job =
@@ -403,71 +391,51 @@ let solve_job state job =
     Worker.solve ?obs:state.scfg.obs ~deadline:job.deadline job.job_cfg
       job.fault
 
-(* Settle a job whose verdict is in hand: admission check, reply,
-   counters, trace.  Exactly-once: whoever wins the [settled] flag —
-   this path on the dispatcher thread or the watchdog — writes the
-   reply; the loser's verdict is dropped (the cache store already
-   happened, so a watchdog-reaped solve still pays forward).  Answers
-   whether this call won. *)
-let settle state job ~cache_tag ~dequeued outcome =
+(* The one conversion from a solve's reply — fresh or a cache hit — to
+   the job's response: a solved mapping is admitted if its footprint
+   fits what is live, rejected otherwise. *)
+let respond state job ~cache reply =
+  let id = job.job_id in
+  match reply with
+  | Worker.Solved { solved; attempts; _ } -> (
+    let admission =
+      with_lock state (fun () ->
+          let fp =
+            footprint_of job.job_cfg
+              (Taskgraph.Mapped_io.parse job.job_cfg solved.Protocol.mapping)
+              ~key:job.key ~cid:job.job_conn.cid
+          in
+          let r = admit_locked state id ~retry:job.job_retry fp in
+          (* The connection may have died while we solved: with
+             reconcile on, releasing here (or in [reap_conn] when the
+             close races us) keeps dead clients from leaking
+             capacity. *)
+          (match r with
+          | Ok ()
+            when state.scfg.reconcile
+                 && (job.job_conn.eof || job.job_conn.closed) ->
+            ignore (release_locked state id)
+          | _ -> ());
+          r)
+    in
+    match admission with
+    | Ok () -> Protocol.admitted ~id ~cache ~attempts solved
+    | Error reason -> Protocol.Rejected { id; reason })
+  | Worker.Unsat reason -> Protocol.Unsat { id; reason }
+  | Worker.Late reason -> Protocol.Late { id; reason }
+  | Worker.Failed { cause; reason } -> Protocol.Failed { id; cause; reason }
+
+(* Settle a job: [response] (the admission check included) runs, and
+   its reply is written, counted and traced, exactly once: whoever wins
+   the [settled] flag — this path on the dispatcher thread or the
+   watchdog — answers; the loser's verdict is dropped (the cache store
+   already happened, so a watchdog-reaped solve still pays forward).
+   Answers whether this call won. *)
+let settle state job ~dequeued response =
   with_lock state (fun () ->
       state.inflight <- List.filter (fun j -> j != job) state.inflight);
   if Atomic.compare_and_set job.settled false true then begin
-    let admit ~mapping ~certificate ~objective ~rounded_objective ~attempts =
-      let admission =
-        with_lock state (fun () ->
-            let fp =
-              footprint_of job.job_cfg
-                (Taskgraph.Mapped_io.parse job.job_cfg mapping)
-                ~key:job.key ~cid:job.job_conn.cid
-            in
-            let r = admit_locked state job.job_id ~retry:job.job_retry fp in
-            (* The connection may have died while we solved: with
-               reconcile on, releasing here (or in [reap_conn] when the
-               close races us) keeps dead clients from leaking
-               capacity. *)
-            (match r with
-            | Ok ()
-              when state.scfg.reconcile
-                   && (job.job_conn.eof || job.job_conn.closed) ->
-              Hashtbl.remove state.live job.job_id;
-              state.stats <-
-                { state.stats with released = state.stats.released + 1 }
-            | _ -> ());
-            r)
-      in
-      match admission with
-      | Ok () ->
-        Protocol.Admitted
-          {
-            id = job.job_id;
-            cache = cache_tag;
-            mapping;
-            certificate;
-            objective;
-            rounded_objective;
-            attempts;
-          }
-      | Error reason -> Protocol.Rejected { id = job.job_id; reason }
-    in
-    let response =
-      match outcome with
-      | Reply (Worker.R_solved r) ->
-        admit ~mapping:r.mapping ~certificate:r.certificate
-          ~objective:r.objective ~rounded_objective:r.rounded_objective
-          ~attempts:r.attempts
-      | Hit (Cache.Solved s) ->
-        admit ~mapping:s.mapping ~certificate:s.certificate
-          ~objective:s.objective ~rounded_objective:s.rounded_objective
-          ~attempts:1
-      | Reply (Worker.R_unsat reason) | Hit (Cache.Unsat { reason }) ->
-        Protocol.Unsat { id = job.job_id; reason }
-      | Reply (Worker.R_late reason) ->
-        Protocol.Late { id = job.job_id; reason }
-      | Reply (Worker.R_failed reason) ->
-        Protocol.Failed { id = job.job_id; reason }
-      | Poisoned reason -> Protocol.Poisoned { id = job.job_id; reason }
-    in
+    let response = response () in
     bump state (fun s ->
         match response with
         | Protocol.Admitted _ -> { s with admitted = s.admitted + 1 }
@@ -528,25 +496,32 @@ let dispatch_batch state first =
   in
   let classify job =
     if Durable.Deadline.expired job.deadline then
-      `Settled (job, Reply (Worker.R_late "deadline expired while queued"))
+      `Settled
+        (job, fun () ->
+          Protocol.Late
+            { id = job.job_id; reason = "deadline expired while queued" })
     else
       match quarantined job with
       | Some crashes ->
         `Settled
-          ( job,
-            Poisoned
-              (Printf.sprintf "instance quarantined after %d worker crashes"
-                 crashes) )
+          (job, fun () ->
+            Protocol.Poisoned
+              {
+                id = job.job_id;
+                reason =
+                  Printf.sprintf "instance quarantined after %d worker crashes"
+                    crashes;
+              })
       | None -> (
       match state.cache with
       | None -> `Solve job
       | Some cache -> (
         match Cache.find cache ~key:job.key with
-        | Some outcome ->
+        | Some hit ->
           emit_with state (fun () ->
               Obs.Trace.Cache_hit { key = Cache.digest job.key });
           bump state (fun s -> { s with cache_hits = s.cache_hits + 1 });
-          `Settled (job, Hit outcome)
+          `Settled (job, fun () -> respond state job ~cache:`Hit hit)
         | None ->
           emit_with state (fun () ->
               Obs.Trace.Cache_miss { key = Cache.digest job.key });
@@ -570,42 +545,26 @@ let dispatch_batch state first =
       |> List.map2
            (fun job -> function
              | Ok reply -> (job, reply)
-             | Error exn -> (job, Worker.R_failed (Printexc.to_string exn)))
+             | Error exn ->
+               (job, Worker.exception_failure (Printexc.to_string exn)))
            jobs
   in
   let solved = ref solved in
   List.iter
     (fun entry ->
       match entry with
-      | `Settled (job, outcome) ->
-        ignore (settle state job ~cache_tag:`Hit ~dequeued outcome)
+      | `Settled (job, response) -> ignore (settle state job ~dequeued response)
       | `Solve _ -> (
         match !solved with
         | (job, reply) :: rest ->
           solved := rest;
-          (* Cache the verdicts that are facts about the instance
-             (solved, infeasible), not those about this attempt (timed
-             out, failed). *)
           (match reply with
-          | Worker.R_solved r ->
-            update_ewma state r.solve_s;
-            Option.iter
-              (fun c ->
-                Cache.store c ~key:job.key
-                  (Cache.Solved
-                     {
-                       mapping = r.mapping;
-                       certificate = r.certificate;
-                       objective = r.objective;
-                       rounded_objective = r.rounded_objective;
-                     }))
-              state.cache
-          | Worker.R_unsat reason ->
-            Option.iter
-              (fun c -> Cache.store c ~key:job.key (Cache.Unsat { reason }))
-              state.cache
-          | Worker.R_late _ | Worker.R_failed _ -> ());
-          ignore (settle state job ~cache_tag:`Miss ~dequeued (Reply reply))
+          | Worker.Solved { solve_s; _ } -> update_ewma state solve_s
+          | _ -> ());
+          Option.iter (fun c -> Cache.store c ~key:job.key reply) state.cache;
+          ignore
+            (settle state job ~dequeued (fun () ->
+                 respond state job ~cache:`Miss reply))
         | [] -> assert false))
     classified
 
@@ -619,8 +578,8 @@ let dispatcher state =
          (* A dispatcher death would hang every queued client; answer
             the job that blew up and keep going. *)
          write_reply job.job_conn
-           (Protocol.Failed
-              { id = job.job_id; reason = Printexc.to_string exn });
+           (respond state job ~cache:`Miss
+              (Worker.exception_failure (Printexc.to_string exn)));
          job_done state job.job_conn);
       loop ()
   in
@@ -650,8 +609,8 @@ let watchdog state ~grace stop =
       (fun job ->
         (* Dequeue time = arrival: the trace charges no queue wait. *)
         if
-          settle state job ~cache_tag:`Miss ~dequeued:job.arrival
-            (Reply (Worker.R_late reason))
+          settle state job ~dequeued:job.arrival (fun () ->
+              Protocol.Late { id = job.job_id; reason })
         then log state "watchdog: reaped %s (%s)" job.job_id reason)
       overdue
   done
@@ -705,6 +664,49 @@ let handle_admit state conn ~id ~config_text ~deadline_s ~fault ~retry ~arrival
       write_reply conn (Protocol.Refused { reason = "server is draining" });
       "error")
 
+(* Run one decoded request: its chaos decision, then its op.  Answers
+   the status to trace ("queued" for an admit whose reply the
+   dispatcher writes) and whether to keep serving. *)
+let run_request state (conn : conn) ~arrival request =
+  (* The chaos decision for this request, drawn before dispatch so
+     every kind can hit every op.  [Drop_conn] marks the connection
+     dead {e before} processing: the request still takes effect, its
+     reply is lost — exactly the lost-reply window idempotent retries
+     must cover. *)
+  (match Chaos.on_request state.scfg.chaos with
+  | Chaos.Pass -> ()
+  | Chaos.Torn_reply ->
+    Mutex.lock conn.lock;
+    conn.torn <- true;
+    Mutex.unlock conn.lock
+  | Chaos.Stall_handler -> Thread.delay 0.02
+  | Chaos.Drop_conn -> conn_gone state conn
+  | Chaos.Raise_exn -> failwith "chaos: injected handler failure");
+  match request with
+  | Protocol.Admit { id; config; deadline_s; fault; retry } ->
+    ( handle_admit state conn ~id ~config_text:config ~deadline_s ~fault
+        ~retry ~arrival,
+      Keep_going )
+  | Protocol.Release { id } ->
+    let found = release state id in
+    write_reply conn (Protocol.Released { id; found });
+    ("released", Keep_going)
+  | Protocol.Ping ->
+    bump state (fun s -> { s with pings = s.pings + 1 });
+    write_reply conn (Protocol.Ready { state = Atomic.get state.ready });
+    ("ready", Keep_going)
+  | Protocol.Stats ->
+    write_reply conn (Protocol.Stats_reply (snapshot state));
+    ("stats", Keep_going)
+  | Protocol.Shutdown ->
+    write_reply conn Protocol.Bye;
+    ("shutting_down", Begin_drain)
+
+(* Handler isolation: an exception out of [run_request] — a poisoned
+   request, an injected chaos failure, an unexpected bug — costs that
+   request a [failed] reply with cause [Handler], traced under the
+   request's own op and id, and nothing else.  The acceptor loop and
+   every other connection keep going. *)
 let handle_line state conn line =
   let arrival = Unix.gettimeofday () in
   let finish ~op ~id status =
@@ -735,55 +737,22 @@ let handle_line state conn line =
       | Protocol.Shutdown -> ("shutdown", "")
     in
     emit state (Obs.Trace.Request_start { op; id });
-    (* The chaos decision for this request, drawn before dispatch so
-       every kind can hit every op.  [Drop_conn] marks the connection
-       dead {e before} processing: the request still takes effect, its
-       reply is lost — exactly the lost-reply window idempotent
-       retries must cover. *)
-    (match Chaos.on_request state.scfg.chaos with
-    | Chaos.Pass -> ()
-    | Chaos.Torn_reply ->
-      Mutex.lock conn.lock;
-      conn.torn <- true;
-      Mutex.unlock conn.lock
-    | Chaos.Stall_handler -> Thread.delay 0.02
-    | Chaos.Drop_conn -> conn_gone state conn
-    | Chaos.Raise_exn -> failwith "chaos: injected handler failure");
-    match request with
-    | Protocol.Admit { id; config; deadline_s; fault; retry } ->
-      let status =
-        handle_admit state conn ~id ~config_text:config ~deadline_s ~fault
-          ~retry ~arrival
-      in
+    match run_request state conn ~arrival request with
+    | status, control ->
       finish ~op ~id status;
-      Keep_going
-    | Protocol.Release { id } ->
-      let found = release state id in
-      write_reply conn (Protocol.Released { id; found });
-      finish ~op ~id "released";
-      Keep_going
-    | Protocol.Ping ->
-      bump state (fun s -> { s with pings = s.pings + 1 });
-      write_reply conn (Protocol.Ready { state = Atomic.get state.ready });
-      finish ~op ~id "ready";
-      Keep_going
-    | Protocol.Stats ->
-      write_reply conn (Protocol.Stats_reply (snapshot state));
-      finish ~op ~id "stats";
-      Keep_going
-    | Protocol.Shutdown ->
-      write_reply conn Protocol.Bye;
-      finish ~op ~id "shutting_down";
-      Begin_drain)
+      control
+    | exception exn ->
+      let reason = "handler: " ^ Printexc.to_string exn in
+      bump state (fun s -> { s with failed = s.failed + 1 });
+      write_reply conn
+        (Protocol.Failed { id; cause = Protocol.Handler; reason });
+      finish ~op ~id "failed";
+      log state "isolated a poisoned request: %s" (Printexc.to_string exn);
+      Keep_going)
 
 (* Drain the connection's framer of complete lines.  Returns
    [Begin_drain] as soon as a shutdown request is seen (remaining
-   pipelined input is ignored: the client asked us to stop).
-
-   Handler isolation: an exception out of [handle_line] — a poisoned
-   request, an injected chaos failure, an unexpected bug — costs that
-   request a [failed] reply and nothing else.  The acceptor loop and
-   every other connection keep going. *)
+   pipelined input is ignored: the client asked us to stop). *)
 let process_buffer state conn =
   let rec go () =
     match Wire.Framer.next conn.frames with
@@ -804,22 +773,7 @@ let process_buffer state conn =
     | Some (Wire.Framer.Frame line) -> (
       match handle_line state conn line with
       | Keep_going -> go ()
-      | Begin_drain -> Begin_drain
-      | exception exn ->
-        let reason = "handler: " ^ Printexc.to_string exn in
-        bump state (fun s -> { s with failed = s.failed + 1 });
-        write_reply conn (Protocol.Failed { id = ""; reason });
-        emit state
-          (Obs.Trace.Request_done
-             {
-               op = "admit";
-               id = "";
-               status = "failed";
-               queue_s = 0.0;
-               total_s = 0.0;
-             });
-        log state "isolated a poisoned request: %s" (Printexc.to_string exn);
-        go ())
+      | Begin_drain -> Begin_drain)
   in
   go ()
 

@@ -375,7 +375,7 @@ let solve t (task : Worker.task) =
       remove_crashed t worker ~reason;
       Crashed reason
     in
-    match Worker.write_line worker.to_worker (Worker.task_line task) with
+    match Wire.write_line worker.to_worker (Worker.task_line task) with
     | exception Unix.Unix_error _ ->
       (* the worker died between solves; its EOF was never read *)
       crash ~reason:(reap_status worker.pid)
@@ -389,8 +389,7 @@ let solve t (task : Worker.task) =
             release t worker;
             Done reply
           | Error msg ->
-            let reason = kill_and_wait worker.pid in
-            ignore reason;
+            ignore (kill_and_wait worker.pid);
             crash ~reason:msg)
         | Some Wire.Framer.Oversized ->
           ignore (kill_and_wait worker.pid);

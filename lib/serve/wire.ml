@@ -77,3 +77,11 @@ module Framer = struct
 
   let residue t = if t.dropping then "" else t.pending
 end
+
+let write_line ?(step = max_int) fd line =
+  let line = line ^ "\n" in
+  let len = String.length line in
+  let pos = ref 0 in
+  while !pos < len do
+    pos := !pos + Unix.write_substring fd line !pos (Int.min step (len - !pos))
+  done

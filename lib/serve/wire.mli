@@ -51,3 +51,9 @@ module Framer : sig
       frame is being discarded). *)
   val residue : t -> string
 end
+
+(** [write_line ?step fd line] writes [line ^ "\n"] fully, at most
+    [step] bytes per syscall (default: all at once).  Raises
+    [Unix.Unix_error] on a broken pipe or socket — callers treat that
+    as the peer's death. *)
+val write_line : ?step:int -> Unix.file_descr -> string -> unit

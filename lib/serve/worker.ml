@@ -77,91 +77,56 @@ let parse_task line =
     | _ -> Error "malformed task: missing id or config")
 
 type reply =
-  | R_solved of {
-      mapping : string;
-      certificate : string;
-      objective : float;
-      rounded_objective : float;
-      attempts : int;
-      solve_s : float;
-    }
-  | R_unsat of string
-  | R_late of string
-  | R_failed of string
+  | Solved of { solved : Protocol.solved; attempts : int; solve_s : float }
+  | Unsat of string
+  | Late of string
+  | Failed of { cause : Protocol.cause; reason : string }
 
 let reply_line ~id reply =
-  let id = ("id", Json.String id) in
-  let verdict status reason =
+  let frame status fields =
     Json.render
-      [ ("status", Json.String status); id; ("reason", Json.String reason) ]
+      (("status", Json.String status) :: ("id", Json.String id) :: fields)
   in
   match reply with
-  | R_solved { mapping; certificate; objective; rounded_objective; attempts;
-               solve_s } ->
-    Json.render
-      [
-        ("status", Json.String "solved");
-        id;
-        ("mapping", Json.String mapping);
-        ("certificate", Json.String certificate);
-        ("objective", Json.Number objective);
-        ("rounded_objective", Json.Number rounded_objective);
-        ("attempts", Json.Int attempts);
-        ("solve_s", Json.Number solve_s);
-      ]
-  | R_unsat reason -> verdict "unsat" reason
-  | R_late reason -> verdict "late" reason
-  | R_failed reason -> verdict "failed" reason
+  | Solved { solved; attempts; solve_s } ->
+    frame "solved"
+      (Protocol.solved_fields solved
+      @ [ ("attempts", Json.Int attempts); ("solve_s", Json.Number solve_s) ])
+  | Unsat reason -> frame "unsat" [ ("reason", Json.String reason) ]
+  | Late reason -> frame "late" [ ("reason", Json.String reason) ]
+  | Failed { cause; reason } ->
+    frame "failed" (Protocol.failure_fields cause reason)
+
+let ( let* ) = Result.bind
 
 let parse_reply line =
-  match Json.parse line with
-  | Error msg -> Error (Printf.sprintf "malformed worker reply: %s" msg)
-  | Ok obj -> (
-    let reason () =
-      match Json.str obj "reason" with Some r -> r | None -> "missing reason"
-    in
-    match Json.str obj "status" with
-    | Some "solved" -> (
-      match
-        ( Json.str obj "mapping",
-          Json.str obj "certificate",
-          Json.number obj "objective",
-          Json.number obj "rounded_objective",
-          Json.int obj "attempts",
-          Json.number obj "solve_s" )
-      with
-      | ( Some mapping,
-          Some certificate,
-          Some objective,
-          Some rounded_objective,
-          Some attempts,
-          Some solve_s ) ->
-        Ok
-          (R_solved
-             {
-               mapping;
-               certificate;
-               objective;
-               rounded_objective;
-               attempts;
-               solve_s;
-             })
-      | _ -> Error "malformed worker reply: incomplete solved fields")
-    | Some "unsat" -> Ok (R_unsat (reason ()))
-    | Some "late" -> Ok (R_late (reason ()))
-    | Some "failed" -> Ok (R_failed (reason ()))
-    | Some s -> Error (Printf.sprintf "malformed worker reply: status %S" s)
-    | None -> Error "malformed worker reply: missing status")
+  Result.map_error (fun msg -> "malformed worker reply: " ^ msg)
+  @@ let* obj = Json.parse line in
+     let field get kind k =
+       Option.to_result (get obj k)
+         ~none:(Printf.sprintf "missing or non-%s field %S" kind k)
+     in
+     let reason () = field Json.str "string" "reason" in
+     match Json.str obj "status" with
+     | Some "solved" ->
+       let* solved = Protocol.solved_of_fields obj in
+       let* attempts = field Json.int "integer" "attempts" in
+       let* solve_s = field Json.number "number" "solve_s" in
+       Ok (Solved { solved; attempts; solve_s })
+     | Some "unsat" -> Result.map (fun r -> Unsat r) (reason ())
+     | Some "late" -> Result.map (fun r -> Late r) (reason ())
+     | Some "failed" ->
+       let* cause, reason = Protocol.failure_of_fields obj in
+       Ok (Failed { cause; reason })
+     | Some s -> Error (Printf.sprintf "status %S" s)
+     | None -> Error "missing status"
+
+let solver_failure cause reason =
+  Failed { cause = Protocol.Solver cause; reason }
+
+let exception_failure = solver_failure Mapping.Exception
 
 (* ---- worker-side execution --------------------------------------- *)
-
-let write_line fd line =
-  let line = line ^ "\n" in
-  let len = String.length line in
-  let pos = ref 0 in
-  while !pos < len do
-    pos := !pos + Unix.write_substring fd line !pos (len - !pos)
-  done
 
 (* The OOM fault: allocate (and touch) memory until either the rlimit
    kills the process or [Out_of_memory] escapes.  A 1 GiB safety cap
@@ -186,10 +151,8 @@ let parse ~config ~fault =
   | cfg -> (
     match fault with
     | None -> Ok (cfg, None)
-    | Some spec -> (
-      match Robust.Fault.of_string spec with
-      | Ok plan -> Ok (cfg, Some plan)
-      | Error _ as e -> e))
+    | Some spec ->
+      Result.map (fun plan -> (cfg, Some plan)) (Robust.Fault.of_string spec))
 
 let solve ?obs ~deadline cfg plan =
   (* An admit's fault spec replaces BUDGETBUF_FAULT; without one the
@@ -198,21 +161,27 @@ let solve ?obs ~deadline cfg plan =
   match Mapping.solve ~deadline ?fault ?obs cfg with
   | Ok r when not (Budgetbuf.Certify.certified r.certificate) ->
     (* A refuted mapping is never admitted, and so never memoised. *)
-    R_failed (Budgetbuf.Certify.summary r.certificate)
+    solver_failure Mapping.Uncertifiable
+      (Budgetbuf.Certify.summary r.certificate)
   | Ok r ->
-    R_solved
+    Solved
       {
-        mapping = Format.asprintf "%a" (Taskgraph.Mapped_io.print cfg) r.mapped;
-        certificate = Budgetbuf.Certify.summary r.certificate;
-        objective = r.objective;
-        rounded_objective = r.rounded_objective;
+        solved =
+          {
+            mapping =
+              Format.asprintf "%a" (Taskgraph.Mapped_io.print cfg) r.mapped;
+            certificate = Budgetbuf.Certify.summary r.certificate;
+            objective = r.objective;
+            rounded_objective = r.rounded_objective;
+          };
         attempts = r.stats.attempts;
         solve_s = r.stats.solve_time_s;
       }
-  | Error (Mapping.Infeasible msg) -> R_unsat msg
-  | Error (Mapping.Timed_out msg) -> R_late msg
-  | Error (Mapping.Solver_failure { detail; _ }) -> R_failed detail
-  | exception exn -> R_failed (Printexc.to_string exn)
+  | Error (Mapping.Infeasible msg) -> Unsat msg
+  | Error (Mapping.Timed_out msg) -> Late msg
+  | Error (Mapping.Solver_failure { cause; detail }) ->
+    solver_failure cause detail
+  | exception exn -> exception_failure (Printexc.to_string exn)
 
 (* A task is the shared parse step, the process fault it asks for —
    fired before the solve: it models native crashes and livelocks,
@@ -222,7 +191,7 @@ let solve ?obs ~deadline cfg plan =
    exactly as an in-process solve of a lapsed job does. *)
 let run_task task =
   match parse ~config:task.task_config ~fault:task.task_fault with
-  | Error reason -> R_failed reason
+  | Error reason -> exception_failure reason
   | Ok (cfg, plan) ->
     (match Robust.Fault.process_kind plan with
     | Some Robust.Fault.Crash -> Unix.kill (Unix.getpid ()) Sys.sigkill
@@ -250,7 +219,7 @@ let main argv =
     2
   | _ -> (
     ignore (Sys.signal Sys.sigpipe Sys.Signal_ignore);
-    write_line Unix.stdout (hello_line ());
+    Wire.write_line Unix.stdout (hello_line ());
     let frames = Wire.Framer.create () in
     let scratch = Bytes.create 4096 in
     let rec serve () =
@@ -258,13 +227,14 @@ let main argv =
       | Some (Wire.Framer.Frame line) ->
         let id, reply =
           match parse_task line with
-          | Error reason -> ("", R_failed reason)
+          | Error reason -> ("", exception_failure reason)
           | Ok task -> (task.task_id, run_task task)
         in
-        write_line Unix.stdout (reply_line ~id reply);
+        Wire.write_line Unix.stdout (reply_line ~id reply);
         serve ()
       | Some Wire.Framer.Oversized ->
-        write_line Unix.stdout (reply_line ~id:"" (R_failed "oversized task"));
+        Wire.write_line Unix.stdout
+          (reply_line ~id:"" (exception_failure "oversized task"));
         serve ()
       | None -> (
         match Unix.read Unix.stdin scratch 0 (Bytes.length scratch) with

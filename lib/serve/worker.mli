@@ -15,11 +15,16 @@
     Each frame is one {!Obs.Json} object on one {!Wire} line.  The
     grammar:
 
-    {v worker → {"ev":"hello","v":2,"pid":P}
+    {v worker → {"ev":"hello","v":3,"pid":P}
        server → {"id":J[,"fault":SPEC][,"deadline_s":S],"config":TEXT}
        worker → {"status":"solved","id":J,"mapping":M,"certificate":C,
                  "objective":F,"rounded_objective":F,"attempts":N,"solve_s":F}
-              | {"status":"unsat"|"late"|"failed","id":J,"reason":R} v} *)
+              | {"status":"unsat"|"late","id":J,"reason":R}
+              | {"status":"failed","id":J,"cause":C,"reason":R} v}
+
+    The solved and failed fields are {!Protocol.solved_fields} and
+    {!Protocol.failure_fields}, the codecs of the [admitted] and
+    [failed] wire replies. *)
 
 (** {2 Pipe protocol} *)
 
@@ -42,26 +47,28 @@ type task = {
 val task_line : task -> string
 val parse_task : string -> (task, string) Stdlib.result
 
+(** The verdict of one solve, the only thing a solve returns. *)
 type reply =
-  | R_solved of {
-      mapping : string;
-      certificate : string;
-      objective : float;
-      rounded_objective : float;
-      attempts : int;
-      solve_s : float;
+  | Solved of {
+      solved : Protocol.solved;
+      attempts : int;  (** recovery-ladder attempts; 1 = clean solve *)
+      solve_s : float;  (** wall-clock time of the solve *)
     }
-  | R_unsat of string
-  | R_late of string
-  | R_failed of string
+  | Unsat of string  (** the instance is infeasible: the reason *)
+  | Late of string  (** the deadline lapsed: the reason *)
+  | Failed of { cause : Protocol.cause; reason : string }
+
+(** [exception_failure reason] is [Failed] with cause [Exception]: a
+    task that cannot run (a malformed frame, a configuration or fault
+    spec that does not parse) or a solve that raised. *)
+val exception_failure : string -> reply
 
 val reply_line : id:string -> reply -> string
-val parse_reply : string -> (reply, string) Stdlib.result
 
-(** [write_line fd line] writes [line ^ "\n"] fully.  Raises
-    [Unix.Unix_error] on a broken pipe — callers treat that as the
-    peer's death. *)
-val write_line : Unix.file_descr -> string -> unit
+(** [parse_reply line] decodes a reply frame; a missing field, or a
+    [failed] frame whose cause is missing or unknown, is an [Error]
+    prefixed ["malformed worker reply: "]. *)
+val parse_reply : string -> (reply, string) Stdlib.result
 
 (** {2 The one solve path}
 
@@ -80,11 +87,13 @@ val parse :
 (** [solve ?obs ~deadline cfg plan] runs {!Budgetbuf.Mapping.solve}
     under the deadline with the fault plan [plan] ([None]: the one
     [BUDGETBUF_FAULT] names), and classifies the result: an
-    infeasibility verdict is [R_unsat], a lapsed deadline [R_late], a
-    solver failure, an exception or a mapping whose exact certificate
-    is refuted [R_failed] (the reason is {!Budgetbuf.Certify.summary}
-    of the refutation).  Only a certified mapping is [R_solved], so
-    only a certified mapping is ever admitted or cached. *)
+    infeasibility verdict is [Unsat], a lapsed deadline [Late], a
+    solver failure [Failed] with the failure's own cause, an exception
+    [Failed] with cause [Exception], and a mapping whose exact
+    certificate is refuted [Failed] with cause [Uncertifiable] (the
+    reason is {!Budgetbuf.Certify.summary} of the refutation).  Only a
+    certified mapping is [Solved], so only a certified mapping is ever
+    admitted or cached. *)
 val solve :
   ?obs:Obs.Ctx.t ->
   deadline:Durable.Deadline.t ->

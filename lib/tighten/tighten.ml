@@ -34,6 +34,14 @@ module Durability = Budgetbuf.Durability
    re-simulated once, falling back to the certified analytic
    capacities on any disagreement. *)
 
+type skip = Timed_out | Not_run | Raised of string | Repair_failed
+
+let skip_label = function
+  | Timed_out -> "timed out"
+  | Not_run -> "not run"
+  | Raised msg -> "error: " ^ msg
+  | Repair_failed -> "joint repair failed"
+
 type outcome = {
   buffer_id : int;
   analytic : int;  (** capacity in the certified analytic mapping *)
@@ -43,8 +51,8 @@ type outcome = {
   refuted : int;
       (** of [probes], the capacities the cycle bound refuted without
           a simulation *)
-  skipped : string option;
-      (** [Some reason] when the search did not finish (per-candidate
+  skipped : skip option;
+      (** [Some skip] when the search did not finish (per-candidate
           deadline, global deadline, cancellation, crash) and the
           buffer fell back to its analytic capacity *)
 }
@@ -121,7 +129,8 @@ let decode_outcome ~analytic ~floor ~replay payload =
         None
       else
         let r = replay ~answer:t in
-        if r.tightened = t && r.probes = p && r.skipped = None then Some r
+        if r.tightened = t && r.probes = p && Option.is_none r.skipped then
+          Some r
         else None
     end
   with
@@ -171,7 +180,7 @@ let run ?pool ?journal ?deadline ?candidate_deadline ?cancel ?obs ?on_progress
       let refuted_extra = ref 0 in
       let floor_of b = Int.max 1 (Config.initial_tokens cfg b) in
       (* Buffer [i] at its analytic capacity, its search cut short. *)
-      let kept i reason =
+      let kept i skip =
         {
           buffer_id = i;
           analytic = analytic_caps.(i);
@@ -179,7 +188,7 @@ let run ?pool ?journal ?deadline ?candidate_deadline ?cancel ?obs ?on_progress
           tightened = analytic_caps.(i);
           probes = 0;
           refuted = 0;
-          skipped = Some reason;
+          skipped = Some skip;
         }
       in
       (* Search one buffer: dichotomy over bank levels k with candidate
@@ -204,7 +213,7 @@ let run ?pool ?journal ?deadline ?candidate_deadline ?cancel ?obs ?on_progress
         let skipped = ref None in
         let try_cap cap =
           if Durable.Deadline.expired deadline then begin
-            skipped := Some "timed out";
+            skipped := Some Timed_out;
             false
           end
           else begin
@@ -226,12 +235,12 @@ let run ?pool ?journal ?deadline ?candidate_deadline ?cancel ?obs ?on_progress
         List.iter
           (fun s ->
             let s = Int.min hi (Int.max floor s) in
-            if level s < !hi_k && !skipped = None then begin
+            if level s < !hi_k && Option.is_none !skipped then begin
               if try_cap (cap_of (level s)) then hi_k := level s
               else lo_k := Int.max !lo_k (level s + 1)
             end)
           seeds;
-        while !lo_k < !hi_k && !skipped = None do
+        while !lo_k < !hi_k && Option.is_none !skipped do
           let mid = (!lo_k + !hi_k) / 2 in
           if try_cap (cap_of mid) then hi_k := mid else lo_k := mid + 1
         done;
@@ -239,7 +248,8 @@ let run ?pool ?journal ?deadline ?candidate_deadline ?cancel ?obs ?on_progress
           buffer_id;
           analytic;
           floor;
-          tightened = (if !skipped = None then cap_of !hi_k else analytic);
+          tightened =
+            (if Option.is_none !skipped then cap_of !hi_k else analytic);
           probes = !probes;
           refuted = !refuted;
           skipped = !skipped;
@@ -315,15 +325,16 @@ let run ?pool ?journal ?deadline ?candidate_deadline ?cancel ?obs ?on_progress
             decode_outcome ~analytic:analytic_caps.(i)
               ~floor:(floor_of (Config.buffer_of_id cfg i))
               ~replay:(replay i) payload)
-          ~verdict:(fun o -> Option.value o.skipped ~default:"ok")
-          ~failed:(fun i e -> kept i ("error: " ^ Printexc.to_string e))
+          ~verdict:(fun o ->
+            match o.skipped with Some skip -> skip_label skip | None -> "ok")
+          ~failed:(fun i e -> kept i (Raised (Printexc.to_string e)))
           ~n solve_buffer
       in
       let outcomes =
         (* an empty slot was abandoned to the global deadline or
            cancellation *)
         List.init n (fun i ->
-            match results.(i) with Some o -> o | None -> kept i "not run")
+            match results.(i) with Some o -> o | None -> kept i Not_run)
       in
       (* Phase 2: per-buffer minima need not compose — verify the
          combination once, and on a miss fall back to a sequential
@@ -349,7 +360,7 @@ let run ?pool ?journal ?deadline ?candidate_deadline ?cancel ?obs ?on_progress
           let outcomes =
             List.map
               (fun o ->
-                if o.skipped <> None then o
+                if Option.is_some o.skipped then o
                 else begin
                   let probe b cap =
                     let caps = Array.copy current in
@@ -399,12 +410,12 @@ let run ?pool ?journal ?deadline ?candidate_deadline ?cancel ?obs ?on_progress
             ( Array.copy analytic_caps,
               List.map
                 (fun o ->
-                  if o.skipped <> None then o
+                  if Option.is_some o.skipped then o
                   else
                     {
                       o with
                       tightened = o.analytic;
-                      skipped = Some "joint repair failed";
+                      skipped = Some Repair_failed;
                     })
                 outcomes,
               true )

@@ -19,6 +19,19 @@
     machine-checked — the certificate is the fallback story, not a
     property of the tightened point.  See docs/tightening.md. *)
 
+(** Why a buffer's search did not finish. *)
+type skip =
+  | Timed_out  (** its own or the run's deadline lapsed mid-search *)
+  | Not_run  (** abandoned to the global deadline or cancellation *)
+  | Raised of string  (** the search raised; the exception's text *)
+  | Repair_failed
+      (** the repaired joint configuration failed its final check *)
+
+(** [skip_label s] is ["timed out"], ["not run"], ["error: <text>"] or
+    ["joint repair failed"], as the CLI and the sweep's [candidate]
+    events print it. *)
+val skip_label : skip -> string
+
 type outcome = {
   buffer_id : int;  (** dense buffer id ({!Taskgraph.Config.buffer_id}) *)
   analytic : int;  (** capacity in the certified analytic mapping *)
@@ -31,11 +44,10 @@ type outcome = {
       (** of [probes], the capacities the cycle bound refuted without
           a simulation; a resumed buffer recovers it by replaying its
           recorded search *)
-  skipped : string option;
-      (** [Some reason] ("timed out", "not run", "error: ...") when
-          the search did not finish and the buffer kept its analytic
-          capacity; such buffers are not journaled, so a resume
-          retries them *)
+  skipped : skip option;
+      (** [Some skip] when the search did not finish and the buffer
+          kept its analytic capacity; such buffers are not journaled,
+          so a resume retries them *)
 }
 
 type t = {

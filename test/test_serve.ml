@@ -244,6 +244,14 @@ let qcheck_framer_oversized_chunking =
 (* Protocol round trips                                                *)
 (* ------------------------------------------------------------------ *)
 
+let t1_solved =
+  {
+    Protocol.mapping = "budget wa 4\nbudget wb 4\ncapacity bab 10\n";
+    certificate = "ok (exact, 4 start times)";
+    objective = 18.25;
+    rounded_objective = 18.5;
+  }
+
 let roundtrip_request r =
   match Protocol.request_of_line (Protocol.request_to_line r) with
   | Ok r' -> check_bool "request round trip" true (r = r')
@@ -275,20 +283,16 @@ let test_protocol_roundtrip () =
     ];
   List.iter roundtrip_response
     [
-      Protocol.Admitted
-        {
-          id = "j1";
-          cache = `Miss;
-          mapping = "budget wa 4\nbudget wb 4\ncapacity bab 10\n";
-          certificate = "ok (exact, 4 start times)";
-          objective = 18.25;
-          rounded_objective = 18.5;
-          attempts = 2;
-        };
+      Protocol.admitted ~id:"j1" ~cache:`Miss ~attempts:2 t1_solved;
       Protocol.Rejected { id = "j"; reason = "duplicate" };
       Protocol.Unsat { id = "j"; reason = "no assignment" };
       Protocol.Late { id = "j"; reason = "deadline expired" };
-      Protocol.Failed { id = "j"; reason = "rungs exhausted" };
+      Protocol.Failed
+        {
+          id = "j";
+          cause = Protocol.Solver Budgetbuf.Mapping.Stalled;
+          reason = "rungs exhausted";
+        };
       Protocol.Poisoned
         { id = "j"; reason = "instance quarantined after 2 worker crashes" };
       Protocol.Overloaded { id = "j"; retry_after_s = 0.75 };
@@ -305,6 +309,57 @@ let test_protocol_roundtrip () =
         };
       Protocol.Refused { reason = "malformed request: nesting" };
       Protocol.Bye;
+    ]
+
+(* The verdict codecs: every reply a solve can give, with every
+   failure cause, round-trips through the worker pipe and through the
+   wire, and the two agree on the shared fields; a [failed] line whose
+   cause is missing or unknown is refused by both. *)
+let test_verdict_codecs () =
+  let module W = Serve.Worker in
+  let failed cause = W.Failed { cause; reason = "why" } in
+  let replies =
+    [
+      W.Solved { solved = t1_solved; attempts = 2; solve_s = 0.125 };
+      W.Unsat "no assignment";
+      W.Late "deadline expired";
+    ]
+    @ List.map failed Protocol.causes
+  in
+  check_int "nine causes" 9 (List.length Protocol.causes);
+  List.iter
+    (fun reply ->
+      let line = W.reply_line ~id:"j" reply in
+      check_bool ("pipe round trip " ^ line) true
+        (W.parse_reply line = Ok reply);
+      let wire =
+        match reply with
+        | W.Solved { solved; attempts; _ } ->
+          Protocol.admitted ~id:"j" ~cache:`Miss ~attempts solved
+        | W.Unsat reason -> Protocol.Unsat { id = "j"; reason }
+        | W.Late reason -> Protocol.Late { id = "j"; reason }
+        | W.Failed { cause; reason } -> Protocol.Failed { id = "j"; cause; reason }
+      in
+      roundtrip_response wire)
+    replies;
+  check_string "wire failed line"
+    "{\"status\":\"failed\",\"id\":\"j\",\"cause\":\"worker crashed\",\"reason\":\"why\"}"
+    (Protocol.response_to_line
+       (Protocol.Failed { id = "j"; cause = Protocol.Worker_crashed; reason = "why" }));
+  check_string "pipe failed line"
+    "{\"status\":\"failed\",\"id\":\"j\",\"cause\":\"handler\",\"reason\":\"why\"}"
+    (W.reply_line ~id:"j" (failed Protocol.Handler));
+  List.iter
+    (fun (name, fields) ->
+      let wire = "{\"status\":\"failed\",\"id\":\"j\"" ^ fields ^ "}" in
+      check_bool ("wire refuses " ^ name) true
+        (Result.is_error (Protocol.response_of_line wire));
+      check_bool ("pipe refuses " ^ name) true
+        (Result.is_error (W.parse_reply wire)))
+    [
+      ("missing cause", ",\"reason\":\"why\"");
+      ("unknown cause", ",\"cause\":\"gremlins\",\"reason\":\"why\"");
+      ("ill-typed cause", ",\"cause\":3,\"reason\":\"why\"");
     ]
 
 let test_protocol_rejects () =
@@ -347,8 +402,9 @@ let test_codec_errors_name_the_message () =
   let reply = input_line from_worker in
   ignore (Unix.close_process (from_worker, to_worker));
   match Serve.Worker.parse_reply reply with
-  | Ok (Serve.Worker.R_failed reason) ->
-    check_string "worker process" "malformed task: bad value" reason
+  | Ok (Serve.Worker.Failed { cause; reason }) ->
+    check_string "worker process" "malformed task: bad value" reason;
+    check_string "worker process cause" "exception" (Protocol.cause_name cause)
   | Ok _ | Error _ -> Alcotest.failf "worker answered %S" reply
 
 (* Protocol versioning: ping and ready carry [Protocol.version]; a
@@ -696,16 +752,9 @@ let tmp_path suffix =
 
 let rm path = try Sys.remove path with Sys_error _ -> ()
 
-let solved =
-  Cache.Solved
-    {
-      mapping = "budget wa 4\nbudget wb 4\ncapacity bab 10\n";
-      certificate = "ok (exact, 4 start times)";
-      objective = 18.25;
-      rounded_objective = 18.5;
-    }
-
-let unsat = Cache.Unsat { reason = "no assignment satisfies the throughput" }
+(* What the cache answers for [t1_solved]: a clean solve of no time. *)
+let solved = Serve.Worker.Solved { solved = t1_solved; attempts = 1; solve_s = 0.0 }
+let unsat = Serve.Worker.Unsat "no assignment satisfies the throughput"
 
 let test_cache_store_reopen () =
   let path = tmp_path "cache" in
@@ -719,13 +768,27 @@ let test_cache_store_reopen () =
     Cache.store t ~key:"k1" solved;
     (* idempotent *)
     check_int "two instances" 2 (Cache.size t);
+    (* The cache alone decides what is a fact about the instance: a
+       recovered solve is kept as a clean one, a timeout or a failure
+       not at all. *)
+    Cache.store t ~key:"k4"
+      (Serve.Worker.Solved { solved = t1_solved; attempts = 3; solve_s = 0.5 });
+    check_bool "a hit answers attempts = 1" true
+      (Cache.find t ~key:"k4" = Some solved);
+    Cache.store t ~key:"k5" (Serve.Worker.Late "deadline expired");
+    Cache.store t ~key:"k6"
+      (Serve.Worker.Failed
+         { cause = Protocol.Solver Budgetbuf.Mapping.Stalled; reason = "r" });
+    check_bool "late and failed not kept" true
+      (Cache.find t ~key:"k5" = None && Cache.find t ~key:"k6" = None);
+    check_int "three instances" 3 (Cache.size t);
     check_bool "find hit" true (Cache.find t ~key:"k1" = Some solved);
     check_bool "find miss" true (Cache.find t ~key:"k3" = None);
     Cache.close t);
   (match Cache.open_ path with
   | Error e -> Alcotest.failf "reopen: %s" e
   | Ok t ->
-    check_int "replayed" 2 (Cache.size t);
+    check_int "replayed" 3 (Cache.size t);
     check_bool "solved survives byte-identically" true
       (Cache.find t ~key:"k1" = Some solved);
     check_bool "unsat survives" true (Cache.find t ~key:"k2" = Some unsat);
@@ -1391,10 +1454,11 @@ let describe_outcome = function
   | Supervisor.Done r ->
     "done: "
     ^ (match r with
-      | Worker.R_solved _ -> "solved"
-      | Worker.R_unsat m -> "unsat " ^ m
-      | Worker.R_late m -> "late " ^ m
-      | Worker.R_failed m -> "failed " ^ m)
+      | Worker.Solved _ -> "solved"
+      | Worker.Unsat m -> "unsat " ^ m
+      | Worker.Late m -> "late " ^ m
+      | Worker.Failed { cause; reason } ->
+        Printf.sprintf "failed (%s) %s" (Protocol.cause_name cause) reason)
   | Supervisor.Crashed reason -> "crashed: " ^ reason
   | Supervisor.Reaped -> "reaped"
   | Supervisor.Unavailable reason -> "unavailable: " ^ reason
@@ -1485,10 +1549,10 @@ let good_task id =
 let test_supervisor_solve_crash_respawn () =
   let sup = Supervisor.create (supervisor_config ()) in
   (match Supervisor.solve sup (good_task "g1") with
-  | Supervisor.Done (Worker.R_solved r) ->
-    check_bool "worker returns a mapping" true (String.length r.mapping > 0);
+  | Supervisor.Done (Worker.Solved r) ->
+    check_bool "worker returns a mapping" true (String.length r.solved.mapping > 0);
     check_bool "worker returns a certificate" true
-      (String.length r.certificate > 0)
+      (String.length r.solved.certificate > 0)
   | o -> Alcotest.failf "good solve: %s" (describe_outcome o));
   (* A crash fault kills the worker mid-solve; the supervisor survives
      and reports the signal. *)
@@ -1500,7 +1564,7 @@ let test_supervisor_solve_crash_respawn () =
   | o -> Alcotest.failf "crash solve: %s" (describe_outcome o));
   (* The pool respawns: the next solve gets a fresh worker. *)
   (match Supervisor.solve sup (good_task "g2") with
-  | Supervisor.Done (Worker.R_solved _) -> ()
+  | Supervisor.Done (Worker.Solved _) -> ()
   | o -> Alcotest.failf "solve after crash: %s" (describe_outcome o));
   let c = Supervisor.counters sup in
   check_int "two workers spawned" 2 c.Supervisor.spawned;
@@ -1520,7 +1584,7 @@ let test_supervisor_oom_respawn () =
   in
   let good id =
     match Supervisor.solve sup (good_task id) with
-    | Supervisor.Done (Worker.R_solved _) -> ()
+    | Supervisor.Done (Worker.Solved _) -> ()
     | o -> Alcotest.failf "good solve %s: %s" id (describe_outcome o)
   in
   good "m1";
@@ -1549,7 +1613,7 @@ let test_supervisor_reaps_hang () =
   | o -> Alcotest.failf "hung solve: %s" (describe_outcome o));
   (* The reaped slot respawns like any crash. *)
   (match Supervisor.solve sup (good_task "h2") with
-  | Supervisor.Done (Worker.R_solved _) -> ()
+  | Supervisor.Done (Worker.Solved _) -> ()
   | o -> Alcotest.failf "solve after reap: %s" (describe_outcome o));
   let c = Supervisor.counters sup in
   check_int "one reap" 1 c.Supervisor.reaped;
@@ -1641,9 +1705,10 @@ let test_server_isolated_crash_poison () =
   (match
      Client.with_connection sock (fun c ->
          (match admit c ~id:"p1" ~fault:"crash" crash_text with
-         | Protocol.Failed { reason; _ } ->
+         | Protocol.Failed { cause; reason; _ } ->
            check_bool "crash contained, reported" true
-             (contains ~sub:"worker crashed" reason)
+             (cause = Protocol.Worker_crashed
+             && contains ~sub:"worker crashed" reason)
          | r -> Alcotest.failf "p1: %s" (Protocol.status_of_response r));
          (match admit c ~id:"p2" ~fault:"crash" crash_text with
          | Protocol.Failed _ -> ()
@@ -1693,11 +1758,11 @@ let test_supervisor_expired_deadline () =
          { (good_task "e1") with Worker.task_deadline_s = Some 0.0 },
        in_process )
    with
-  | Supervisor.Done (Worker.R_late reason), Worker.R_late expected ->
+  | Supervisor.Done (Worker.Late reason), Worker.Late expected ->
     check_string "same reason as in-process" expected reason
   | o, _ -> Alcotest.failf "lapsed deadline: %s" (describe_outcome o));
   (match Supervisor.solve sup (good_task "e2") with
-  | Supervisor.Done (Worker.R_solved _) -> ()
+  | Supervisor.Done (Worker.Solved _) -> ()
   | o -> Alcotest.failf "solve after lapse: %s" (describe_outcome o));
   let c = Supervisor.counters sup in
   check_int "no worker lost" 0 c.Supervisor.crashed;
@@ -1711,7 +1776,7 @@ let pipelined sock requests =
   let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
   Fun.protect ~finally:(fun () -> Unix.close fd) @@ fun () ->
   Unix.connect fd (Unix.ADDR_UNIX sock);
-  Worker.write_line fd
+  Wire.write_line fd
     (String.concat "\n" (List.map Protocol.request_to_line requests));
   let frames = Wire.Framer.create () in
   let buf = Bytes.create 4096 in
@@ -1801,12 +1866,13 @@ let test_server_isolated_lapsed_deadline () =
 (* Everything a reply says about the instance — all of it but the
    solve's wall-clock time. *)
 let reply_facts = function
-  | Worker.R_solved r ->
-    Printf.sprintf "solved\n%s%s\n%h %h attempts=%d" r.mapping r.certificate
-      r.objective r.rounded_objective r.attempts
-  | Worker.R_unsat m -> "unsat " ^ m
-  | Worker.R_late m -> "late " ^ m
-  | Worker.R_failed m -> "failed " ^ m
+  | Worker.Solved { solved = s; attempts; _ } ->
+    Printf.sprintf "solved\n%s%s\n%h %h attempts=%d" s.mapping s.certificate
+      s.objective s.rounded_objective attempts
+  | Worker.Unsat m -> "unsat " ^ m
+  | Worker.Late m -> "late " ^ m
+  | Worker.Failed { cause; reason } ->
+    Printf.sprintf "failed (%s) %s" (Protocol.cause_name cause) reason
 
 let test_in_process_matches_isolated () =
   let t1 = t1_text () in
@@ -1829,7 +1895,7 @@ let test_in_process_matches_isolated () =
     (fun (name, config, fault) ->
       let in_process =
         match Worker.parse ~config ~fault with
-        | Error reason -> Worker.R_failed reason
+        | Error reason -> Worker.exception_failure reason
         | Ok (cfg, plan) ->
           Worker.solve ~deadline:Durable.Deadline.none cfg plan
       in
@@ -1868,9 +1934,11 @@ let refuted_never_admitted ~isolate () =
   (match
      Client.with_connection sock (fun c ->
          (match admit c ~id:"a" ~fault:"bad_round" (t1_text ()) with
-         | Protocol.Failed { reason; _ } ->
+         | Protocol.Failed { cause; reason; _ } ->
            check_string "refutation is the reason"
-             "refuted: task graph t1: positive cycle wa.2 (excess 10/3)" reason
+             "refuted: task graph t1: positive cycle wa.2 (excess 10/3)" reason;
+           check_string "refutation is the cause" "uncertifiable"
+             (Protocol.cause_name cause)
          | r -> Alcotest.failf "a: %s" (Protocol.status_of_response r));
          (match Client.roundtrip c (Protocol.Release { id = "a" }) with
          | Ok (Protocol.Released { found = false; _ }) -> ()
@@ -1932,7 +2000,7 @@ let test_fault_spec_errors_pass_through () =
   List.iter2
     (fun (spec, reason) reply ->
       check_string ("worker " ^ spec)
-        (Worker.reply_line ~id:spec (Worker.R_failed reason))
+        (Worker.reply_line ~id:spec (Worker.exception_failure reason))
         reply)
     fault_spec_errors replies;
   let sock = tmp_path "faultspec.sock" in
@@ -2047,6 +2115,134 @@ let test_server_isolated_kill9_recovery () =
   rm cache;
   rm quarantine
 
+(* Handler isolation keeps a failed request's identity.  A [budgetbuf
+   serve] whose every request raises in its handler answers each one
+   [failed] with cause [handler] and the request's own id, and traces
+   every [request_start] with a [request_done] of the same op and id.
+   [Client.submit] re-issues such a failure until its attempts run
+   out. *)
+let test_handler_failure_keeps_op_and_id () =
+  let sock = tmp_path "hfail.sock" and trace = tmp_path "hfail.trace" in
+  rm trace;
+  let pid =
+    spawn_serve
+      [ "serve"; "--socket"; sock; "--chaos"; "exn,n=1"; "--trace"; trace ]
+  in
+  let backoff = { Client.default_backoff with Client.retries = 40 } in
+  let requests =
+    [
+      ( "h1",
+        Protocol.Admit
+          {
+            id = "h1";
+            config = t1_text ();
+            deadline_s = None;
+            fault = None;
+            retry = false;
+          } );
+      ("h1", Protocol.Release { id = "h1" });
+      ("", Protocol.Ping);
+      ("", Protocol.Stats);
+    ]
+  in
+  (match
+     Client.with_connection ~backoff sock (fun c ->
+         List.iter
+           (fun (want, request) ->
+             match Client.roundtrip c request with
+             | Ok (Protocol.Failed { id; cause = Protocol.Handler; reason }) ->
+               check_string "failed reply keeps the id" want id;
+               check_bool "reason names the exception" true
+                 (contains ~sub:"injected handler failure" reason)
+             | Ok r -> Alcotest.failf "expected failed, got %s"
+                         (Protocol.status_of_response r)
+             | Error e -> Alcotest.failf "roundtrip: %s" e)
+           requests;
+         Ok ())
+   with
+  | Ok () -> ()
+  | Error e -> Alcotest.failf "client: %s" e);
+  let retry =
+    { Client.default_retry with attempts = 3; backoff = { backoff with base_s = 0.001 } }
+  in
+  (match
+     Client.submit ~retry ~socket:sock (Protocol.Release { id = "h2" })
+   with
+  | Ok (Protocol.Failed { cause = Protocol.Handler; _ }) -> ()
+  | Ok r -> Alcotest.failf "submit: %s" (Protocol.status_of_response r)
+  | Error e -> Alcotest.failf "submit: %s" e);
+  Unix.kill pid Sys.sigterm;
+  ignore (Unix.waitpid [] pid);
+  let events =
+    match Obs.Sink.read_file trace with
+    | Ok evs -> List.map (fun e -> e.Obs.Trace.event) evs
+    | Error e -> Alcotest.failf "trace: %s" e
+  in
+  rm trace;
+  let starts =
+    List.filter_map
+      (function Obs.Trace.Request_start { op; id } -> Some (op, id) | _ -> None)
+      events
+  and dones =
+    List.filter_map
+      (function
+        | Obs.Trace.Request_done { op; id; status; _ } ->
+          check_string "traced status" "failed" status;
+          Some (op, id)
+        | _ -> None)
+      events
+  in
+  Alcotest.(check (list (pair string string)))
+    "every request_start has its request_done"
+    ([ ("admit", "h1"); ("release", "h1"); ("ping", ""); ("stats", "") ]
+    @ List.init 3 (fun _ -> ("release", "h2")))
+    starts;
+  Alcotest.(check (list (pair string string))) "same op and id" starts dones
+
+(* A failure that is a verdict about the solve is returned at once:
+   [Client.submit] retries only the server's [handler] failures. *)
+let test_submit_returns_solver_failure () =
+  let sock = tmp_path "sfail.sock" in
+  let sink = Obs.Sink.ring ~capacity:256 in
+  let th, res =
+    start_server
+      {
+        (Server.default_config ~socket_path:sock) with
+        Server.obs = Some (Obs.Ctx.make ~sink ());
+      }
+  in
+  (match
+     Client.submit ~socket:sock
+       (Protocol.Admit
+          {
+            id = "s1";
+            config = t1_text ();
+            deadline_s = None;
+            fault = Some "stall,attempts=all";
+            retry = false;
+          })
+   with
+  | Ok (Protocol.Failed { cause; _ }) ->
+    check_string "solver cause" "stalled" (Protocol.cause_name cause)
+  | Ok r -> Alcotest.failf "s1: %s" (Protocol.status_of_response r)
+  | Error e -> Alcotest.failf "s1: %s" e);
+  (match Client.with_connection sock (fun c -> shutdown c; Ok ()) with
+  | Ok () -> ()
+  | Error e -> Alcotest.failf "client: %s" e);
+  Thread.join th;
+  (match !res with
+  | Ok (Server.Shutdown_request, s) -> check_int "one failed" 1 s.Protocol.failed
+  | Ok (r, _) -> Alcotest.failf "stop reason: %s" (Server.describe r)
+  | Error e -> Alcotest.failf "server: %s" e);
+  check_int "one attempt" 1
+    (List.length
+       (List.filter
+          (fun e ->
+            match e.Obs.Trace.event with
+            | Obs.Trace.Request_start { op = "admit"; _ } -> true
+            | _ -> false)
+          (Obs.Sink.events sink)))
+
 (* ------------------------------------------------------------------ *)
 
 (* Client-side writes can race a halting server that has restored the
@@ -2070,6 +2266,7 @@ let () =
         [
           Alcotest.test_case "round trips" `Quick test_protocol_roundtrip;
           Alcotest.test_case "rejects" `Quick test_protocol_rejects;
+          Alcotest.test_case "verdict codecs" `Quick test_verdict_codecs;
           Alcotest.test_case "version handshake" `Quick test_protocol_version;
           Alcotest.test_case "codec errors name the message" `Quick
             test_codec_errors_name_the_message;
@@ -2086,8 +2283,11 @@ let () =
             test_bounded_domains_halt;
         ] );
       ( "client",
-        [ Alcotest.test_case "backoff schedule" `Quick test_backoff_schedule ]
-      );
+        [
+          Alcotest.test_case "backoff schedule" `Quick test_backoff_schedule;
+          Alcotest.test_case "submit returns a solver failure" `Quick
+            test_submit_returns_solver_failure;
+        ] );
       ( "canonical key",
         [
           Alcotest.test_case "respelling unit" `Quick test_key_respelling_unit;
@@ -2123,6 +2323,8 @@ let () =
             test_server_watchdog_reaps;
           Alcotest.test_case "reconcile releases crashed client" `Quick
             test_server_reconcile_releases;
+          Alcotest.test_case "handler failure keeps op and id" `Quick
+            test_handler_failure_keeps_op_and_id;
         ] );
       ( "chaos",
         [

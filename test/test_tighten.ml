@@ -305,7 +305,7 @@ let test_repair_path () =
   List.iter
     (fun (o : Tighten.outcome) ->
       match o.Tighten.skipped with
-      | Some "joint repair failed" ->
+      | Some Tighten.Repair_failed ->
         Alcotest.failf "buffer %d hit the repair fallback" o.Tighten.buffer_id
       | _ -> ())
     t.Tighten.outcomes;

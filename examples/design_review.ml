@@ -36,8 +36,18 @@ let () =
     List.iter
       (fun p -> Format.printf "  %a@." Pareto.pp_point p)
       (Pareto.frontier ~steps:7 cfg).Pareto.points;
-    (* A what-if: can the pipeline run at twice the rate? *)
-    match Budgetbuf.Dse.min_period_scale cfg with
+    (* A what-if: can the pipeline run at twice the rate, with every
+       buffer capped at the largest capacity this mapping chose? *)
+    let capped = Config.copy cfg in
+    let cap =
+      List.fold_left
+        (fun acc b -> Int.max acc (mapped.Config.capacity b))
+        1 (Config.all_buffers cfg)
+    in
+    List.iter
+      (fun b -> Config.set_max_capacity capped b (Some cap))
+      (Config.all_buffers capped);
+    match Budgetbuf.Dse.min_period_scale capped with
     | Some s when s <= 0.5 ->
       Format.printf
         "@.what-if: the pipeline could sustain half the period (scale %.3f \

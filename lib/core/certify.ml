@@ -378,8 +378,8 @@ let schedulable_budget cfg g mapped w =
   | Error _ -> fun _ -> false
   | Ok m ->
       (* One model, its two durations of [w] rewritten per probe.  The
-         cycle that refuted the last probe is tried first: bisecting
-         the budget, it usually refutes the next one too. *)
+         cycle that refuted the last probe is tried first: halving
+         the budget's interval, it usually refutes the next one too. *)
       let srdf = float_graph m in
       let last = ref [] in
       let v1 = m.node.(Config.task_id w) in

@@ -1,20 +1,9 @@
 module Config = Taskgraph.Config
 module Rat = Exact.Rat
 
-(* Raised inside a search when a probe times out: once the deadline
-   is blown, further probes could only time out too, so the search is
-   abandoned wholesale instead of bisecting on garbage. *)
-exception Probe_expired
-
-(* The bisection stops at this relative width. *)
-let tolerance = 1e-4
-
-(* The first probe sits this far above the min-period bound, half the
-   tolerance: a certified probe there ends the search. *)
-let first_step = 5e-5
-
-(* Probes beyond this scale are not tried: the search gives up. *)
-let max_scale = 1000.0
+(* The bound mapping is certified this far above the min-period
+   optimum: the margin absorbs the solver's accuracy. *)
+let margin = 5e-5
 
 (* The smallest float at or above [q]. *)
 let float_up q =
@@ -23,57 +12,72 @@ let float_up q =
   in
   up (Rat.to_float q)
 
-(* The optimum of the min-period form of Algorithm 1
-   ({!Socp_builder.build_min_period}), solved once and cold: no scale
-   below it admits a cone-program mapping.  [Some (s, β′)] with the
-   scale and the optimum's budgets, [None] unless the solve is optimal.
-   It runs in a ["socp"] span of [obs], so a trace counts it with the
-   probes' solves. *)
-let period_bound ?deadline ?obs cfg =
-  let b = Socp_builder.build_min_period cfg in
-  let r =
-    Obs.Ctx.with_span obs "socp" (fun () ->
-        Conic.Model.solve
-          ?deadline:(Option.bind deadline Durable.Deadline.check)
-          ?obs b.Socp_builder.bound_model)
+(* Lower the caps of every memory whose buffers, each at its cap, would
+   overfill it: one container at a time, from the buffer with the
+   largest ζ·cap (the lowest id on ties), never below max(1, ι), the
+   least capacity whose token cycle does not deadlock.  [false] when
+   even those floors overfill a memory: no mapping exists then. *)
+let fit_memories cfg =
+  let cap b = Option.get (Config.max_capacity cfg b) in
+  let size b = Config.container_size cfg b * cap b in
+  let lowerable b = cap b > Int.max 1 (Config.initial_tokens cfg b) in
+  let larger b c =
+    size b > size c
+    || (size b = size c && Config.buffer_id b < Config.buffer_id c)
   in
-  let s = r.Conic.Model.value b.Socp_builder.scale_var in
-  if r.Conic.Model.status = Conic.Socp.Optimal && Float.is_finite s && s > 0.0
-  then
-    Some (s, fun w -> r.Conic.Model.value (b.Socp_builder.bound_budget_var w))
-  else None
+  List.for_all
+    (fun m ->
+      let bufs = Config.buffers_in cfg m in
+      let rec fit used =
+        used <= Config.memory_capacity cfg m
+        ||
+        match List.filter lowerable bufs with
+        | [] -> false
+        | b :: rest ->
+          let b =
+            List.fold_left (fun b c -> if larger c b then c else b) b rest
+          in
+          Config.set_max_capacity cfg b (Some (cap b - 1));
+          fit (used - Config.container_size cfg b)
+      in
+      fit (List.fold_left (fun acc b -> acc + size b) 0 bufs))
+    (Config.memories cfg)
 
-(* The search behind [min_period_scale]: the accepted scale and the
-   periods, one per graph in [Config.graphs] order, at which the
-   mapping behind it is certified; without one, the first probe's
-   solver failure or timeout, else [Ok None]. *)
-let search ?deadline ?fault ?obs ?on_probe ?on_feasible cfg =
+(* The solve behind [min_period_scale]: the scale and the periods, one
+   per graph in [Config.graphs] order, at which the mapping behind it
+   is certified; [Ok None] when no mapping exists at any period. *)
+let search ?deadline ?fault ?obs ?on_feasible cfg =
   let fault = match fault with Some f -> f | None -> Robust.Fault.of_env () in
-  (* One mutable clone serves every probe: only the periods change
-     between probes, so rescaling them in place beats rebuilding the
-     whole configuration each time. *)
-  let probe_cfg = Config.copy cfg in
+  (match
+     List.find_opt
+       (fun b -> Option.is_none (Config.max_capacity cfg b))
+       (Config.all_buffers cfg)
+   with
+  | Some b ->
+    invalid_arg
+      (Printf.sprintf "Dse: buffer %s has no capacity cap"
+         (Config.buffer_name cfg b))
+  | None -> ());
+  (* One clone carries the lowered caps and the periods of the point
+     being certified; [cfg] itself is never mutated. *)
+  let point_cfg = Config.copy cfg in
   let base =
     List.map (fun g -> (g, Config.period cfg g)) (Config.graphs cfg)
   in
   let set_periods periods =
-    List.iter2 (fun (g, _) mu -> Config.set_period probe_cfg g mu) base periods
-  in
-  let set_scale scale =
-    set_periods (List.map (fun (_, mu) -> mu *. scale) base)
+    List.iter2 (fun (g, _) mu -> Config.set_period point_cfg g mu) base periods
   in
   (* A certified mapping sustains every scale from its exact one,
      max over graphs of MCR(g)/µ(g), up: the periods at that scale,
      rounded up, are re-certified (a latency bound need not hold at a
-     shorter period) and replace the probe's own.  Exact certification
-     work: callers run it in a ["finish"] span. *)
+     shorter period) and replace the point's own, [scale]. *)
   let exact_point mapped scale =
     (match on_feasible with None -> () | Some f -> f mapped);
-    let probed = List.map (fun (g, _) -> Config.period probe_cfg g) base in
+    let own = List.map (fun (g, _) -> Config.period point_cfg g) base in
     let ratio (g, mu) =
       Option.map
         (fun c -> Rat.div c.Certify.ratio (Rat.of_float mu))
-        (Certify.max_cycle_ratio probe_cfg g mapped)
+        (Certify.max_cycle_ratio point_cfg g mapped)
     in
     match
       List.fold_left
@@ -86,134 +90,66 @@ let search ?deadline ?fault ?obs ?on_probe ?on_feasible cfg =
         List.map (fun (_, mu) -> float_up (Rat.mul (Rat.of_float mu) q)) base
       in
       set_periods periods;
-      if Certify.certified (Certify.check probe_cfg mapped) then
+      if Certify.certified (Certify.check point_cfg mapped) then
         (float_up q, periods)
-      else (scale, probed)
-    | _ -> (scale, probed)
+      else (scale, own)
+    | _ -> (scale, own)
   in
-  (* The min-period optimum is a mapping at the bound [s] already:
-     its budgets rounded up (which never slows an SRDF, and (9)
-     reserves the granule) with every buffer at its cap (the form fixes
-     δ′ = cap − ι).  Certified at s·(1 + [first_step]), whose margin
-     absorbs the solver's accuracy, it is the answer without a probe.
-     A row the form leaves out (memory) or one the rounding breaks
-     (latency) refutes it, and the probes take over. *)
-  let bound_point s budget =
-    let scale = s *. (1.0 +. first_step) in
-    set_scale scale;
-    let space b =
-      float_of_int
-        (Option.get (Config.max_capacity probe_cfg b)
-        - Config.initial_tokens probe_cfg b)
-    in
-    Obs.Ctx.with_span obs "finish" @@ fun () ->
-    match Mapping.round_and_certify ~fault ?obs probe_cfg ~budget ~space with
-    | Ok (mapped, c) when Certify.certified c -> Some (exact_point mapped scale)
-    | Ok _ | Error _ -> None
-  in
-  (* The warm chain: each probe starts from the optimum of the latest
-     earlier probe that reached one (only the periods differ between
-     probes, so that point is the closest seed there is), and the first
-     runs cold.  The chain lives and dies with this one search, so the probes' seeds
-     are a pure function of [cfg] and the probe sequence. *)
-  let seed = ref None and failed = ref None in
-  let fail e = if !failed = None then failed := Some e in
-  (* [Some point] for a probe whose mapping is certified. *)
-  let feasible scale =
-    (match on_probe with None -> () | Some f -> f scale);
-    set_scale scale;
-    match Mapping.solve ?deadline ?warm:!seed ~fault ?obs probe_cfg with
-    | Ok r ->
-      if Option.is_some r.Mapping.warm then seed := r.Mapping.warm;
-      if Certify.certified r.Mapping.certificate then
-        Some
-          (Obs.Ctx.with_span obs "finish" (fun () ->
-               exact_point r.Mapping.mapped scale))
-      else None
-    | Error (Mapping.Solver_failure _ as e) ->
-      (* A solver failure is not an infeasibility verdict: the sweep
-         reports a broken probe apart from a genuine dead end. *)
-      fail e;
-      None
-    | Error (Mapping.Timed_out _ as e) ->
-      fail e;
-      raise Probe_expired
-    | Error (Mapping.Infeasible _) -> None
-  in
-  (* Bisect between a failed probe (or the bound) [lo] and the
-     certified point [hi]; every certified probe moves [hi] down to its
-     mapping's exact scale. *)
-  let rec bisect lo ((h, _) as hi) iters =
-    if iters = 0 || h -. lo <= tolerance *. h then Some hi
+  (* The min-period optimum [s] is a mapping at the bound already: its
+     budgets rounded up (which never slows an SRDF, and (9) reserves
+     the granule) with every buffer at its cap (the form fixes
+     δ′ = cap − ι), certified at s·(1 + [margin]).  A latency row the
+     rounding breaks refutes it: no other mapping is tried. *)
+  let bound_point bound (r : Conic.Model.result) _ _ =
+    let s = r.Conic.Model.value bound.Socp_builder.scale_var in
+    if not (Float.is_finite s && s > 0.0) then
+      Mapping.fail Mapping.Non_finite
+        (Printf.sprintf "min-period scale %h" s)
     else
-      let mid = 0.5 *. (lo +. h) in
-      match feasible mid with
-      | Some hi -> bisect lo hi (iters - 1)
-      | None -> bisect mid hi (iters - 1)
+      let scale = s *. (1.0 +. margin) in
+      set_periods (List.map (fun (_, mu) -> mu *. scale) base);
+      let space b =
+        float_of_int
+          (Option.get (Config.max_capacity point_cfg b)
+          - Config.initial_tokens point_cfg b)
+      in
+      let budget w =
+        r.Conic.Model.value (bound.Socp_builder.bound_budget_var w)
+      in
+      match Mapping.round_and_certify ~fault ?obs point_cfg ~budget ~space with
+      | Ok (mapped, c) when Certify.certified c ->
+        Ok (Some (exact_point mapped scale))
+      | Ok (_, c) ->
+        Mapping.fail Mapping.Uncertifiable
+          ("the rounded min-period optimum is refuted: " ^ Certify.summary c)
+      | Error detail -> Mapping.fail Mapping.Non_finite detail
   in
-  (* Gallop up from [bound]: probe bound·(1 + ε), ε doubling from
-     [first_step], until a probe is certified or would reach [hi];
-     probes at or below a failed one ([lo]) are skipped. *)
-  let rec gallop bound lo step hi =
-    let scale = bound *. (1.0 +. step) in
-    if scale <= lo then gallop bound lo (2.0 *. step) hi
-    else
-      match hi with
-      | Some ((h, _) as hi) when scale >= h -> bisect lo hi 60
-      | None when scale > max_scale -> None
-      | _ -> (
-        match feasible scale with
-        | Some hi -> bisect lo hi 60
-        | None -> gallop bound scale (2.0 *. step) hi)
+  (* The simplex rung's mapping is certified at the stated periods,
+     scale 1, and sustains its own exact scale. *)
+  let fallback_point (tp : Two_phase.result) _ _ =
+    Ok
+      (Some
+         (Obs.Ctx.with_span obs "finish" (fun () ->
+              exact_point tp.Two_phase.mapped 1.0)))
   in
-  (* With no bound, the period can never drop below the largest WCET. *)
-  let wcet_bound () =
-    List.fold_left
-      (fun acc w ->
-        let mu = Config.period cfg (Config.task_graph cfg w) in
-        Float.max acc (Config.wcet cfg w /. mu))
-      1e-9 (Config.all_tasks cfg)
-  in
-  let run () =
-    let bound = period_bound ?deadline ?obs probe_cfg in
-    let lo = match bound with Some (s, _) -> s | None -> wcet_bound () in
-    (* The bound's optimum answers unless a buffer is uncapped (its
-       space is no variable of the form) or the plan faults the first
-       ladder attempt, which the probes exist to exercise. *)
-    let hi =
-      match bound with
-      | Some (s, budget)
-        when (not (Robust.Fault.covers fault ~attempt:1))
-             && List.for_all
-                  (fun b -> Option.is_some (Config.max_capacity cfg b))
-                  (Config.all_buffers cfg) ->
-        bound_point s budget
-      | _ -> None
-    in
-    (* A certified bound point lies at or below s·(1 + [first_step]),
-       within the bisection's width of the bound: it is the answer. *)
-    if Option.is_some hi then hi
-    else if Option.is_some bound && lo >= 1.0 then
-      (* The cold probe at the unscaled period, unless the bound rules
-         it out: a certified answer caps the gallop, and its optimum
-         seeds the probes near the bound, which stall more often
-         cold. *)
-      gallop lo lo first_step None
-    else
-      match feasible 1.0 with
-      | Some _ as hi -> gallop lo lo first_step hi
-      | None -> gallop lo (Float.max lo 1.0) first_step None
-  in
-  (* No mapping at any period, and none to probe for. *)
-  if Option.is_some (Mapping.capped_below_tokens cfg) then Ok None
+  (* No mapping at any period: a cap below a buffer's initial tokens,
+     or a memory that even the least caps overfill. *)
+  if
+    Option.is_some (Mapping.capped_below_tokens cfg)
+    || not (fit_memories point_cfg)
+  then Ok None
   else
-    match ((try run () with Probe_expired -> None), !failed) with
-    | Some point, _ -> Ok (Some point)
-    | None, Some e -> Error e
-    | None, None -> Ok None
+    let bound = Socp_builder.build_min_period point_cfg in
+    match
+      Mapping.climb ?deadline ~fault ?obs point_cfg
+        bound.Socp_builder.bound_model ~optimal:(bound_point bound)
+        ~fallback:fallback_point
+    with
+    | Error (Mapping.Infeasible _) -> Ok None
+    | verdict -> verdict
 
-let min_period_scale ?fault ?obs ?on_probe ?on_feasible cfg =
-  match search ?fault ?obs ?on_probe ?on_feasible cfg with
+let min_period_scale ?fault ?obs ?on_feasible cfg =
+  match search ?fault ?obs ?on_feasible cfg with
   | Ok (Some (s, _)) -> Some s
   | Ok None | Error _ -> None
 
@@ -228,7 +164,7 @@ let curve_points points =
 
 (* A mapping certified under cap j keeps every buffer within any larger
    cap, so each feasible cap reports the best period of the swept caps
-   at or below it.  A pure pass over the search results: the journal
+   at or below it.  A pure pass over the caps' own points: the journal
    keeps each cap's own point, so pool sizes and resumes see the same
    curve. *)
 let envelope points =
@@ -285,20 +221,16 @@ let throughput_curve ?fault ?pool ?deadline ?candidate_deadline
     ?journal ?cancel ?obs ?on_progress cfg ~caps =
   let fault = match fault with Some f -> f | None -> Robust.Fault.of_env () in
   let caps = Array.of_list caps in
-  (* Each candidate searches on its own clone with its own slice of the
-     fault plan. *)
+  (* Each candidate solves on its own clone, cold, with its own slice of
+     the fault plan: no seed crosses candidates, so the point is
+     bit-identical however the sweep is scheduled or resumed.  The
+     period is the one the cap's certified mapping is certified at. *)
   let solve_cap ~deadline index =
     let cap = caps.(index) in
     let capped = Config.copy cfg in
     List.iter
       (fun b -> Config.set_max_capacity capped b (Some cap))
       (Config.all_buffers capped);
-    (* The search solves this cap's bound cold; its first probe, if
-       any, runs cold and seeds the next one, and so on down the
-       candidate's own probe sequence: no seed crosses candidates, so
-       the point is bit-identical however the sweep is scheduled or
-       resumed.  [search] accepts only certified probes, and the period
-       is the one the accepted mapping is certified at. *)
     let outcome =
       search ~deadline ?obs
         ~fault:(Robust.Fault.for_candidate fault ~index)

@@ -7,8 +7,8 @@ module Deadline = Durable.Deadline
    candidate to its neighbour) keeps the sweep order-independent:
    candidates solved in parallel lanes, in journal-restored order, or
    alone all see the same seed, which is what makes warm starts pool-
-   and resume-safe.  [dse] needs no anchor: its candidates chain the
-   seed through their own probes ([Dse.min_period_scale]).
+   and resume-safe.  [dse] needs no anchor: each candidate is one cold
+   solve of its own ([Dse.min_period_scale]).
    The anchor runs without observability (its iterations must not
    pollute the sweep's trace or metrics), fault injection (it is not a
    candidate; plans count attempts of candidates only) or a warm

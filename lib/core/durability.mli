@@ -18,7 +18,7 @@
     rather than chaining neighbours, so the seed — and therefore every
     candidate's iteration trajectory — is independent of solve order:
     bit-identical across [--jobs] levels and across journal-restored
-    resumes.  {!Dse} chains seeds inside each candidate instead
+    resumes.  A {!Dse} candidate is one cold solve and needs no seed
     ({!Dse.min_period_scale}). *)
 val warm_anchor :
   ?deadline:Durable.Deadline.t -> Taskgraph.Config.t -> Conic.Socp.warm option

@@ -259,9 +259,15 @@ let climbs = function
    [Rung_exit] — one fired fault, one faulted exit.  A plan that covers
    the simplex rung's attempt disables it, and the last cone answer
    stands.  The cone rungs lead the ladder and share one ["socp"] span,
-   which closes before the simplex rung runs.  Returns the final
-   answer, the attempts in order and the last cone result. *)
-let climb cfg ~fault ~obs ~params ~deadline ~warm model =
+   which closes before the simplex rung runs.  The answer becomes the
+   verdict: [optimal] (in a ["finish"] span) or [fallback] turns a
+   rung's answer into the caller's result. *)
+let climb ?(params = Socp.default_params) ?deadline ?warm ~fault ?obs cfg
+    model ~optimal ~fallback =
+  (* [Deadline.none] installs no poll: an unlimited solve keeps a
+     hook-free iteration loop. *)
+  let deadline = Option.bind deadline Durable.Deadline.check in
+  let t0 = Unix.gettimeofday () in
   let emit ev = Option.iter (fun o -> Obs.Ctx.emit o ev) obs in
   let close_socp = ref (Obs.Ctx.open_span obs "socp") in
   let leave_socp () =
@@ -320,28 +326,7 @@ let climb cfg ~fault ~obs ~params ~deadline ~warm model =
   let answer, trace =
     Fun.protect ~finally:leave_socp (fun () -> go 1 [] ladder)
   in
-  (answer, trace, Option.get !last_cone)
-
-let capped_below_tokens cfg =
-  List.find_opt
-    (fun b ->
-      match Config.max_capacity cfg b with
-      | Some cap -> cap < Config.initial_tokens cfg b
-      | None -> false)
-    (Config.all_buffers cfg)
-
-let solve_program ?(params = Socp.default_params) ?deadline ?warm ?fault ?obs
-    cfg =
-  let fault = match fault with Some f -> f | None -> Fault.of_env () in
-  (* [Deadline.none] installs no poll: an unlimited solve keeps a
-     hook-free iteration loop. *)
-  let deadline = Option.bind deadline Durable.Deadline.check in
-  let builder = Socp_builder.build cfg in
-  let model = builder.Socp_builder.model in
-  let t0 = Unix.gettimeofday () in
-  let answer, trace, last =
-    climb cfg ~fault ~obs ~params ~deadline ~warm model
-  in
+  let last = Option.get !last_cone in
   let stats =
     {
       variables = Model.num_variables model;
@@ -366,8 +351,7 @@ let solve_program ?(params = Socp.default_params) ?deadline ?warm ?fault ?obs
   | Cone r -> (
     match r.Model.status with
     | Socp.Optimal ->
-      Obs.Ctx.with_span obs "finish" (fun () ->
-          finish_optimal cfg ~fault ~obs builder r trace stats)
+      Obs.Ctx.with_span obs "finish" (fun () -> optimal r trace stats)
     | Socp.Primal_infeasible ->
       Error
         (Infeasible
@@ -390,7 +374,15 @@ let solve_program ?(params = Socp.default_params) ?deadline ?warm ?fault ?obs
   | Simplex (Error e) ->
     failure
       (Format.asprintf "fallback LP also failed: %a" Two_phase.pp_error e)
-  | Simplex (Ok tp) -> Ok (of_fallback cfg tp trace stats)
+  | Simplex (Ok tp) -> fallback tp trace stats
+
+let capped_below_tokens cfg =
+  List.find_opt
+    (fun b ->
+      match Config.max_capacity cfg b with
+      | Some cap -> cap < Config.initial_tokens cfg b
+      | None -> false)
+    (Config.all_buffers cfg)
 
 let solve ?params ?deadline ?warm ?fault ?obs cfg =
   match capped_below_tokens cfg with
@@ -403,4 +395,9 @@ let solve ?params ?deadline ?warm ?fault ?obs cfg =
             (Config.buffer_name cfg b)
             (Config.initial_tokens cfg b)
             (Option.get (Config.max_capacity cfg b))))
-  | None -> solve_program ?params ?deadline ?warm ?fault ?obs cfg
+  | None ->
+    let fault = match fault with Some f -> f | None -> Fault.of_env () in
+    let builder = Socp_builder.build cfg in
+    climb ?params ?deadline ?warm ~fault ?obs cfg builder.Socp_builder.model
+      ~optimal:(finish_optimal cfg ~fault ~obs builder)
+      ~fallback:(fun tp trace stats -> Ok (of_fallback cfg tp trace stats))

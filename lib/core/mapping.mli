@@ -93,8 +93,7 @@ type result = {
   warm : Conic.Socp.warm option;
       (** the optimal primal/dual point of the cone rung that answered,
           in the original coordinates — a warm-start seed for a nearby
-          instance ({!Dse.min_period_scale} chains its probes on it);
-          [None] on the LP-fallback path *)
+          instance; [None] on the LP-fallback path *)
 }
 
 (** Why a solve failed without a verdict on the instance. *)
@@ -146,6 +145,35 @@ val solve :
   Taskgraph.Config.t ->
   (result, error) Stdlib.result
 
+(** [climb ?params ?deadline ?warm ~fault ?obs cfg model ~optimal
+    ~fallback] runs [model] up the recovery ladder of {!solve}, its
+    cone rungs on [model] and its simplex rung on [cfg], and turns the
+    answer into a verdict: an [Optimal] cone answer goes to [optimal]
+    (in a ["finish"] span), the simplex rung's certified mapping to
+    [fallback], each with the attempts so far and the solve's stats.
+    Every other answer is the error {!solve} reports for it: an
+    infeasibility ray is [Infeasible], a dual-infeasible one
+    [Unbounded], an expired deadline [Timed_out], and a ladder that
+    ran out of rungs [Stalled] or [Iteration_limit].  {!solve} climbs
+    Algorithm 1's program with {!Socp_builder.build}; {!Dse} climbs
+    its min-period form. *)
+val climb :
+  ?params:Conic.Socp.params ->
+  ?deadline:Durable.Deadline.t ->
+  ?warm:Conic.Socp.warm ->
+  fault:Robust.Fault.plan option ->
+  ?obs:Obs.Ctx.t ->
+  Taskgraph.Config.t ->
+  Conic.Model.model ->
+  optimal:
+    (Conic.Model.result ->
+    attempt list ->
+    stats ->
+    ('a, error) Stdlib.result) ->
+  fallback:
+    (Two_phase.result -> attempt list -> stats -> ('a, error) Stdlib.result) ->
+  ('a, error) Stdlib.result
+
 (** [round_and_certify ~fault ?obs cfg ~budget ~space] is the rounding
     step of {!solve}, applied to a continuous point given as its
     budgets [β′] and initially-empty containers [δ′]: the budgets
@@ -165,8 +193,8 @@ val round_and_certify :
 
 (** [capped_below_tokens cfg] is a buffer whose capacity cap is below
     its initial tokens, if any: no mapping of [cfg] exists then, at any
-    period, and {!solve} returns [Infeasible] naming it without
-    building the cone program. *)
+    period: {!solve} returns [Infeasible] naming it, and a {!Dse} cap
+    is infeasible, both without building a cone program. *)
 val capped_below_tokens : Taskgraph.Config.t -> Taskgraph.Config.buffer option
 
 (** [label e] is ["infeasible"], ["timed out"] or the label of a

@@ -14,7 +14,7 @@
 (** [budget_slack cfg g mapped w] is the largest reduction of [β(w)]
     (keeping every other budget and capacity fixed) that still admits a
     PAS with period [µ(g)] ({!Certify.schedulable}), computed by
-    bisection to [tolerance] (default 1e-6); [0.] when the budget is
+    interval halving to [tolerance] (default 1e-6); [0.] when the budget is
     already critical or the mapping misses its period.
     @raise Invalid_argument if [w] is not a task of [g]. *)
 val budget_slack :

@@ -60,16 +60,29 @@ let min_budget cfg =
   let budgets = Array.of_list (List.map least (Config.all_tasks cfg)) in
   fun w -> budgets.(Config.task_id w)
 
-let fair_share cfg w =
-  let p = Config.task_proc cfg w in
-  let n = List.length (Config.tasks_on cfg p) in
-  let share =
-    (Config.replenishment cfg p -. Config.overhead cfg p) /. float_of_int n
+(* The largest granule multiple β with n·β ≤ ̺ − o over the n tasks of
+   a processor, in the exact rationals {!Certify} reads, and at least
+   one granule: a float share can land above the exact room
+   (0.1·3 = 0.30000000000000004 > 0.4 − 0.1).  The search starts a
+   granule above the float estimate, which float error cannot put
+   below the answer. *)
+let fair_share cfg =
+  let g = Config.granularity cfg in
+  let share w =
+    let p = Config.task_proc cfg w in
+    let n = List.length (Config.tasks_on cfg p) in
+    let repl = Config.replenishment cfg p and o = Config.overhead cfg p in
+    let room = Rat.(sub (of_float repl) (of_float o)) in
+    let rec down q =
+      let beta = g *. float_of_int q in
+      if q <= 1 then g
+      else if Rat.(compare (mul (of_int n) (of_float beta)) room) <= 0 then beta
+      else down (q - 1)
+    in
+    down (int_of_float (floor ((repl -. o) /. float_of_int n /. g)) + 1)
   in
-  (* Round the share DOWN to the granularity so the shares still fit. *)
-  let granularity = Config.granularity cfg in
-  let share = granularity *. Float.max 1.0 (floor (share /. granularity)) in
-  share
+  let budgets = Array.of_list (List.map share (Config.all_tasks cfg)) in
+  fun w -> budgets.(Config.task_id w)
 
 let budgets_of_policy cfg = function
   | Min_budget -> min_budget cfg

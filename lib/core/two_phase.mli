@@ -31,6 +31,11 @@ type budget_policy =
       (** split each processor's interval evenly over its tasks:
           generous budgets, smallest buffers, poor budget objective *)
 
+(** [fair_share cfg w] is [w]'s [Fair_share] budget: the largest
+    granule multiple [β] with [n·β ≤ ̺ − o] over the [n] tasks of its
+    processor, in exact rationals, and at least one granule. *)
+val fair_share : Taskgraph.Config.t -> Taskgraph.Config.task -> float
+
 (** Buffer policy for the budget-blind first phase. *)
 type buffer_policy =
   | At_bound

@@ -55,8 +55,8 @@ val pareto : ?pool:Parallel.Pool.t -> Format.formatter -> unit
 val binding : Format.formatter -> unit
 
 (** [dse ?pool ppf] — extension: the dual of Figure 2(a): best
-    sustainable period per buffer-capacity cap, by bisection over the
-    joint program.  The capacity points batch onto [?pool] when
+    sustainable period per buffer-capacity cap, one min-period solve
+    of the joint program per cap.  The capacity points batch onto [?pool] when
     given. *)
 val dse : ?pool:Parallel.Pool.t -> Format.formatter -> unit
 

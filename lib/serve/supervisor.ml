@@ -211,10 +211,7 @@ let spawn_worker t ~slot =
       close_quietly task_w;
       close_quietly reply_r;
       Error msg
-    | Ok hello_pid ->
-      (* With the sh wrapper, exec keeps the pid: both views agree.
-         Trust the kernel's. *)
-      ignore hello_pid;
+    | Ok () ->
       emit t (Obs.Trace.Worker_spawn { pid; slot });
       log t "worker %d spawned in slot %d" pid slot;
       Ok { slot; pid; to_worker = task_w; from_worker = reply_r; frames;

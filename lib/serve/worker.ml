@@ -26,16 +26,15 @@ let hello_line () =
     [
       ("ev", Json.String "hello");
       ("v", Json.Int Protocol.version);
-      ("pid", Json.Int (Unix.getpid ()));
     ]
 
 let parse_hello line =
   match Json.parse line with
   | Error msg -> Error (Printf.sprintf "malformed worker hello: %s" msg)
   | Ok obj -> (
-    match (Json.str obj "ev", Json.int obj "v", Json.int obj "pid") with
-    | Some "hello", Some v, Some pid ->
-      if v = Protocol.version then Ok pid
+    match (Json.str obj "ev", Json.int obj "v") with
+    | Some "hello", Some v ->
+      if v = Protocol.version then Ok ()
       else
         Error
           (Printf.sprintf

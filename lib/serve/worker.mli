@@ -15,7 +15,7 @@
     Each frame is one {!Obs.Json} object on one {!Wire} line.  The
     grammar:
 
-    {v worker → {"ev":"hello","v":3,"pid":P}
+    {v worker → {"ev":"hello","v":3}
        server → {"id":J[,"fault":SPEC][,"deadline_s":S],"config":TEXT}
        worker → {"status":"solved","id":J,"mapping":M,"certificate":C,
                  "objective":F,"rounded_objective":F,"attempts":N,"solve_s":F}
@@ -31,9 +31,10 @@
 (** [hello_line ()] is the frame a worker writes on startup. *)
 val hello_line : unit -> string
 
-(** [parse_hello line] checks the announced protocol version and
-    returns the worker's pid; a clean one-line error otherwise. *)
-val parse_hello : string -> (int, string) Stdlib.result
+(** [parse_hello line] checks the announced protocol version; a clean
+    one-line error otherwise.  The supervisor knows the worker's pid
+    from the spawn itself. *)
+val parse_hello : string -> (unit, string) Stdlib.result
 
 type task = {
   task_id : string;

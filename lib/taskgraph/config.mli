@@ -84,8 +84,8 @@ val add_buffer :
 val copy : ?period_scale:float -> t -> t
 
 (** [set_period t g mu] replaces the throughput requirement of graph
-    [g] (used by bisection probes to rescale one configuration in
-    place).
+    [g] (used by the design-space exploration to rescale one
+    configuration in place).
     @raise Invalid_argument if [mu <= 0]. *)
 val set_period : t -> graph -> float -> unit
 

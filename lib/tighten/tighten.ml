@@ -199,11 +199,11 @@ let run ?pool ?journal ?deadline ?candidate_deadline ?cancel ?obs ?on_progress
          level the baseline trace never exceeded replays that trace
          verbatim — while the repair pass passes the analytic capacity
          itself, feasible by the joint invariant.  [seeds] are probed
-         before bisecting, in order: a hit halves the interval
-         immediately.  Every probe overrides this one buffer, so the
+         first, in order: a hit halves the interval immediately.  Every
+         probe overrides this one buffer, so the
          cycle bound, which holds whatever the other buffers hold,
          decides first; [probe] simulates only what it leaves open. *)
-      let search_buffer ~probe ~deadline ~on_probe ~hi ~seeds buffer_id =
+      let search_buffer ~probe ~deadline ~on_verdict ~hi ~seeds buffer_id =
         let b = Config.buffer_of_id cfg buffer_id in
         let analytic = analytic_caps.(buffer_id) in
         let floor = floor_of b in
@@ -221,12 +221,12 @@ let run ?pool ?journal ?deadline ?candidate_deadline ?cancel ?obs ?on_progress
             if Sim.cycle_refutes plan ~buffer:buffer_id ~capacity:cap ~threshold
             then begin
               incr refuted;
-              on_probe b cap false "cycle";
+              on_verdict b cap false "cycle";
               false
             end
             else begin
               let ok = probe b cap in
-              on_probe b cap ok "sim";
+              on_verdict b cap ok "sim";
               ok
             end
           end
@@ -289,13 +289,13 @@ let run ?pool ?journal ?deadline ?candidate_deadline ?cancel ?obs ?on_progress
          pool, journaled per buffer.  Each search owns its workspace and
          capacity vector, so concurrent searches share only the
          immutable plan. *)
-      let search_phase1 ~probe ~deadline ~on_probe index =
+      let search_phase1 ~probe ~deadline ~on_verdict index =
         let b = Config.buffer_of_id cfg index in
         let hw =
           Int.min analytic_caps.(index)
             (Int.max (floor_of b) (Sim.(baseline.buffer_high_water) b))
         in
-        search_buffer ~probe ~deadline ~on_probe ~hi:hw
+        search_buffer ~probe ~deadline ~on_verdict ~hi:hw
           ~seeds:[ Sim.(baseline.buffer_high_water_steady) b ]
           index
       in
@@ -307,7 +307,7 @@ let run ?pool ?journal ?deadline ?candidate_deadline ?cancel ?obs ?on_progress
           caps.(Config.buffer_id b) <- cap;
           meets ws caps
         in
-        let o = search_phase1 ~probe ~deadline ~on_probe:emit_probe index in
+        let o = search_phase1 ~probe ~deadline ~on_verdict:emit_probe index in
         emit_decision o;
         o
       in
@@ -315,7 +315,7 @@ let run ?pool ?journal ?deadline ?candidate_deadline ?cancel ?obs ?on_progress
         search_phase1
           ~probe:(fun _ cap -> cap >= answer)
           ~deadline:Durable.Deadline.none
-          ~on_probe:(fun _ _ _ _ -> ())
+          ~on_verdict:(fun _ _ _ _ -> ())
           i
       in
       let results, progress =
@@ -381,7 +381,7 @@ let run ?pool ?journal ?deadline ?candidate_deadline ?cancel ?obs ?on_progress
                       ~deadline:
                         (Durable.Sweep.candidate_deadline deadline
                            candidate_deadline)
-                      ~on_probe:emit_probe ~hi:o.analytic
+                      ~on_verdict:emit_probe ~hi:o.analytic
                       ~seeds:
                         [
                           Sim.(baseline.buffer_high_water_steady) b;

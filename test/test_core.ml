@@ -342,6 +342,53 @@ let test_budget_first_fair_share_works_unbounded () =
       "verifies" []
       (vnotes (Float_verify.verify cfg r.Two_phase.mapped))
 
+(* A Fair_share budget above one granule fits its processor in the
+   exact rationals the certificate reads, and one granule more would
+   not.  The corners are the float shares that used to overfill:
+   granularity 0.1, ̺ 0.4, o 0.1 and one task gave 0.30000000000000004,
+   and ̺ 0.5 with two tasks gave two shares of 0.2 above 0.5 − 0.1. *)
+let prop_fair_share_fits_exactly =
+  let module Rat = Exact.Rat in
+  QCheck2.Test.make ~name:"fair shares fit exactly" ~count:300
+    ~print:(fun (g, repl, o, n) ->
+      Printf.sprintf "g %g, replenishment %h, overhead %h, %d tasks" g repl o n)
+    QCheck2.Gen.(
+      graft_corners
+        (let* g = oneofl [ 1.0; 0.5; 0.25; 0.1; 0.05 ] in
+         let* k = int_range 1 5000 in
+         let* j = int_range 0 (k - 1) in
+         let* n = int_range 1 8 in
+         let* unit = oneofl [ 0.1; 0.01; 0.3 ] in
+         return (g, float_of_int k *. unit, float_of_int j *. unit, n))
+        [ (0.1, 0.4, 0.1, 1); (0.1, 0.5, 0.1, 2) ]
+        ())
+    (fun (g, repl, o, n) ->
+      let cfg = Config.create ~granularity:g () in
+      let p =
+        Config.add_processor cfg ~name:"p" ~replenishment:repl ~overhead:o ()
+      in
+      let gr = Config.add_graph cfg ~name:"t" ~period:1000.0 () in
+      let tasks =
+        List.init n (fun i ->
+            Config.add_task cfg gr ~name:(Printf.sprintf "w%d" i) ~proc:p
+              ~wcet:0.001 ())
+      in
+      let beta = Two_phase.fair_share cfg (List.hd tasks) in
+      let q = Float.round (beta /. g) in
+      let fits b =
+        Rat.(
+          compare
+            (add (mul (of_int n) (of_float b)) (of_float o))
+            (of_float repl))
+        <= 0
+      in
+      List.for_all (fun w -> Two_phase.fair_share cfg w = beta) tasks
+      && beta = g *. q
+      && (q <= 1.0 || fits beta
+          || QCheck2.Test.fail_reportf "share %h overfills" beta)
+      && ((not (fits (g *. (q +. 1.0))))
+         || QCheck2.Test.fail_reportf "share %h is not the largest" beta))
+
 let test_budget_first_min_budget_false_negative () =
   (* With capacity capped at 6, the joint flow succeeds but the
      min-budget two-phase flow is infeasible: the false negative of
@@ -1098,5 +1145,6 @@ let () =
             prop_rounded_dominates_continuous;
             prop_mapped_io_roundtrips_solver_output;
             prop_tighter_period_needs_more;
+            prop_fair_share_fits_exactly;
           ] );
     ]

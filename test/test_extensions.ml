@@ -582,11 +582,18 @@ let test_copy_period_scale () =
   check_float 1e-12 "original untouched" 10.0
     (Config.period cfg (Config.find_graph cfg "t1"))
 
+let cap_all cfg cap =
+  let capped = Config.copy cfg in
+  List.iter
+    (fun b -> Config.set_max_capacity capped b (Some cap))
+    (Config.all_buffers capped);
+  capped
+
 let test_dse_min_period_t1 () =
-  (* Unbounded buffers: the best sustainable period is the self-loop
+  (* Ample buffers: the best sustainable period is the self-loop
      bound... scaled µ with β ≤ 39 → ̺χ/β = 40/39 ≈ 1.0256 is the
-     physical floor; bisection must land at scale ≈ 0.10256. *)
-  let cfg = Workloads.Gen.paper_t1 () in
+     physical floor; the scale must land at ≈ 0.10256. *)
+  let cfg = cap_all (Workloads.Gen.paper_t1 ()) 100 in
   match Dse.min_period_scale cfg with
   | None -> Alcotest.fail "expected a feasible scale"
   | Some s ->
@@ -604,23 +611,29 @@ let test_dse_min_period_infeasible_structure () =
   let wa = Config.add_task cfg g ~name:"wa" ~proc:p1 ~wcet:1.0 () in
   let wb = Config.add_task cfg g ~name:"wb" ~proc:p2 ~wcet:1.0 () in
   ignore (Config.add_buffer cfg g ~name:"b" ~src:wa ~dst:wb ~memory:m ());
+  let obs = Obs.Ctx.make () in
   Alcotest.(check bool) "structural dead end" true
-    (Dse.min_period_scale cfg = None)
+    (Dse.min_period_scale ~obs (cap_all cfg 4) = None);
+  Alcotest.(check bool) "no cone solve" true
+    (List.mem "solves: 0 (0 iterations)" (Obs.Ctx.report obs));
+  (* Every buffer must be capped. *)
+  match Dse.min_period_scale cfg with
+  | _ -> Alcotest.fail "an uncapped buffer must be refused"
+  | exception Invalid_argument msg ->
+    Alcotest.(check string) "names the buffer"
+      "Dse: buffer b has no capacity cap" msg
 
-(* The bisection accepts a probe on its exact certificate alone.  On
-   car-radio at caps 7-10 (then each cap seeded from its own warm
-   anchor), a float dataflow check accepted probes the certificate
-   refutes, which left cap 10 at a period twice that of cap 9.  The
-   mapping behind every accepted scale must be certified there, and
-   more buffering can only help.  Each cap searches as
+(* A point stands on its exact certificate alone.  On car-radio at
+   caps 7-10 (then each cap seeded from its own warm anchor), a float
+   dataflow check of the old probe search accepted probes the
+   certificate refutes, which left cap 10 at a period twice that of
+   cap 9.  The mapping behind every accepted scale must be certified
+   there, and more buffering can only help.  Each cap solves as
    [Dse.throughput_curve] does. *)
 let test_dse_accepts_only_certified () =
   let cfg = List.assoc "car-radio" Workloads.Apps.all () in
   let min_period cap =
-    let capped = Config.copy cfg in
-    List.iter
-      (fun b -> Config.set_max_capacity capped b (Some cap))
-      (Config.all_buffers capped);
+    let capped = cap_all cfg cap in
     let last = ref None in
     match
       Dse.min_period_scale ~on_feasible:(fun m -> last := Some m) capped
@@ -648,17 +661,10 @@ let test_dse_accepts_only_certified () =
       true (p10 <= p9)
   | _ -> assert false
 
-let cap_all cfg cap =
-  let capped = Config.copy cfg in
-  List.iter
-    (fun b -> Config.set_max_capacity capped b (Some cap))
-    (Config.all_buffers capped);
-  capped
-
 (* A cap below a buffer's initial tokens admits no mapping at any
-   period.  [Mapping.solve] says so, naming the buffer, and the search
-   gives up, both without a cone solve; the curve prints the cap as
-   infeasible instead of skipping it as stalled. *)
+   period.  [Mapping.solve] says so, naming the buffer, and the dse
+   solve gives up, both without a cone solve; the curve prints the cap
+   as infeasible instead of skipping it as stalled. *)
 let test_dse_cap_below_tokens () =
   let ring = Workloads.Gen.ring ~n:6 ~initial:2 () in
   let capped = cap_all ring 1 in
@@ -668,10 +674,8 @@ let test_dse_cap_below_tokens () =
     Alcotest.(check string) "names the buffer"
       "buffer b5 holds 2 initial tokens, above its cap 1" msg
   | Ok _ | Error _ -> Alcotest.fail "expected an infeasibility verdict");
-  let probes = ref 0 in
   Alcotest.(check bool) "no scale" true
-    (Dse.min_period_scale ~obs ~on_probe:(fun _ -> incr probes) capped = None);
-  Alcotest.(check int) "no probe" 0 !probes;
+    (Dse.min_period_scale ~obs capped = None);
   Alcotest.(check bool) "no cone solve" true
     (List.mem "solves: 0 (0 iterations)" (Obs.Ctx.report obs));
   match Dse.throughput_curve ~fault:None ring ~caps:[ 1; 2 ] with
@@ -713,9 +717,9 @@ let sweep_small_dse () =
     app "car-radio";
   ]
 
-(* Searching up from the min-period bound never does worse than the
-   blind bisection it replaced ({!Dse_bisection}), within that
-   bisection's own width, and finds a point wherever it did. *)
+(* The rounded min-period bound never does worse than the blind
+   bisection it replaced ({!Dse_bisection}), within that bisection's
+   own width, and finds a point wherever it did. *)
 let test_dse_no_worse_than_bisection () =
   let caps = List.init 10 succ in
   List.iter
@@ -736,24 +740,57 @@ let test_dse_no_worse_than_bisection () =
         (Dse.throughput_curve ~fault:None cfg ~caps))
     (sweep_small_dse ())
 
-(* A random capped-sweep instance: a chain of 2-8 tasks or a
-   split-join, all in a memory far larger than any cap needs. *)
-let random_dse_instance (seed, split) =
-  let module Rng = Workloads.Rng in
-  let rng = Rng.create (Int64.of_int seed) in
-  if split then
-    Workloads.Gen.split_join
-      ~branches:(1 + Rng.int rng ~bound:6)
-      ~wcet:(Rng.float rng ~lo:0.5 ~hi:2.0)
-      ~replenishment:(Rng.float rng ~lo:20.0 ~hi:60.0)
-      ~period:(Rng.float rng ~lo:5.0 ~hi:20.0)
-      ()
-  else Workloads.Gen.random_chain rng ~n:(2 + Rng.int rng ~bound:7) ()
+(* A capped-sweep instance: a random chain of 2-8 tasks or split-join,
+   all in a memory far larger than any cap needs, or a memory-tight one:
+   T1 or split-join 4 with every buffer in one memory of [k] containers
+   per buffer. *)
+type dse_instance = Random of int * bool | Tight of string * int
 
-let print_dse_instance (seed, split) =
-  Printf.sprintf "seed %d, split-join %b" seed split
+let random_dse_instance = function
+  | Random (seed, split) ->
+    let module Rng = Workloads.Rng in
+    let rng = Rng.create (Int64.of_int seed) in
+    if split then
+      Workloads.Gen.split_join
+        ~branches:(1 + Rng.int rng ~bound:6)
+        ~wcet:(Rng.float rng ~lo:0.5 ~hi:2.0)
+        ~replenishment:(Rng.float rng ~lo:20.0 ~hi:60.0)
+        ~period:(Rng.float rng ~lo:5.0 ~hi:20.0)
+        ()
+    else Workloads.Gen.random_chain rng ~n:(2 + Rng.int rng ~bound:7) ()
+  | Tight (name, k) ->
+    let cfg =
+      if name = "t1" then Workloads.Gen.paper_t1 ()
+      else Workloads.Gen.split_join ~branches:4 ()
+    in
+    let buffers = Config.all_buffers cfg in
+    let m =
+      Config.add_memory cfg ~name:"tight"
+        ~capacity:
+          (k
+          * List.fold_left
+              (fun acc b -> acc + Config.container_size cfg b)
+              0 buffers)
+    in
+    List.iter (fun b -> Config.set_buffer_memory cfg b m) buffers;
+    cfg
 
-(* The mapping behind a cap's own search: the last one it accepted. *)
+(* A generator that tries every memory-tight instance first: each
+   property needs its own, as the corners are consumed. *)
+let dse_instance_gen () =
+  QCheck2.Gen.(
+    graft_corners
+      (map (fun (seed, split) -> Random (seed, split))
+         (pair (int_range 0 10_000) bool))
+      [ Tight ("t1", 2); Tight ("t1", 3); Tight ("splitjoin4", 2);
+        Tight ("splitjoin4", 3) ]
+      ())
+
+let print_dse_instance = function
+  | Random (seed, split) -> Printf.sprintf "seed %d, split-join %b" seed split
+  | Tight (name, k) -> Printf.sprintf "%s, %d containers per buffer" name k
+
+(* The mapping behind a cap's own solve: the one it accepted. *)
 let dse_mapping cfg cap =
   let last = ref None in
   ignore
@@ -780,13 +817,11 @@ let backs cfg ~cap ~period mapped =
   at period <= 0 && at (Float.pred period) > 0
 
 (* Every printed point is the exact period of a certified mapping
-   behind it, rounded up: the mapping of the last certified answer of
-   the search at that cap, or at a smaller swept cap when the curve's
-   envelope took that one's point. *)
+   behind it, rounded up: the mapping of the solve at that cap, or at a
+   smaller swept cap when the curve's envelope took that one's point. *)
 let prop_dse_points_recertify =
   QCheck2.Test.make ~name:"dse points re-certify at their period" ~count:25
-    ~print:print_dse_instance
-    QCheck2.Gen.(pair (int_range 0 10_000) bool)
+    ~print:print_dse_instance (dse_instance_gen ())
     (fun instance ->
       let cfg = random_dse_instance instance in
       let curve = Dse.throughput_curve ~fault:None cfg ~caps:[ 1; 2; 3; 4 ] in
@@ -810,14 +845,13 @@ let prop_dse_points_recertify =
       in
       List.for_all recertifies curve)
 
-(* On capped instances whose memory never binds, the rounded optimum
-   of the min-period bound is certified: each cap costs exactly its one
-   cone solve, and its point lies at or below the bound's period
-   ·(1 + 5e-5), the scale the bound mapping is certified at. *)
+(* Each cap costs exactly its one cone solve, and its point lies at or
+   below the bound's period ·(1 + 5e-5), the scale the bound mapping is
+   certified at.  A memory-tight instance's caps above [k] are lowered
+   to [k] before the solve, so its bound is cap [k]'s. *)
 let prop_dse_one_solve_per_cap =
   QCheck2.Test.make ~name:"dse ends each capped search on its bound"
-    ~count:40 ~print:print_dse_instance
-    QCheck2.Gen.(pair (int_range 0 10_000) bool)
+    ~count:40 ~print:print_dse_instance (dse_instance_gen ())
     (fun instance ->
       let cfg = random_dse_instance instance in
       let caps = [ 1; 2; 3; 4 ] in
@@ -843,6 +877,7 @@ let prop_dse_one_solve_per_cap =
               (List.nth caps index) n)
         per_cap;
       let bound_period cap =
+        let cap = match instance with Tight (_, k) -> min cap k | _ -> cap in
         let capped = cap_all cfg cap in
         let b = Budgetbuf.Socp_builder.build_min_period capped in
         let r = Conic.Model.solve b.Budgetbuf.Socp_builder.bound_model in
@@ -862,12 +897,11 @@ let prop_dse_one_solve_per_cap =
                QCheck2.Test.fail_reportf "cap %d: no point" p.cap)
            curve)
 
-(* T1 with room for 3 containers: the bound mapping of caps 4-6 puts 4
-   or more in the memory, which refutes it, and the probes take over;
-   their cone program reserves a container per buffer in the memory
-   row (10), so their best point is cap 2's.  Those points still
-   certify, and the curve reports caps 4-6 at cap 3's point, which
-   their mappings' bound also allows. *)
+(* T1 with room for 3 containers: caps 4-6 would put 4 or more in the
+   memory, so the buffer's cap is lowered to 3 before the solve, and
+   each of them answers cap 3's point in its one cone solve.  (The
+   probe search this replaced answered 2.0257 at cap 4 alone: its cone
+   program reserves a container per buffer in the memory row (10).) *)
 let memory_tight_t1 () =
   Taskgraph.Parse.config_of_string
     (String.concat "\n"
@@ -883,7 +917,7 @@ let memory_tight_t1 () =
           0.001";
        ])
 
-let test_dse_memory_forces_probes () =
+let test_dse_memory_lowers_caps () =
   let cfg = memory_tight_t1 () in
   let obs = Obs.Ctx.make () in
   let last = ref None in
@@ -894,22 +928,47 @@ let test_dse_memory_forces_probes () =
   with
   | None -> Alcotest.fail "cap 4: expected a feasible scale"
   | Some scale ->
-    let solves =
-      List.find (String.starts_with ~prefix:"solves: ") (Obs.Ctx.report obs)
-    in
     Alcotest.(check bool)
-      (Printf.sprintf "probes ran (%s)" solves)
+      "one cone solve" true
+      (List.exists
+         (String.starts_with ~prefix:"solves: 1 ")
+         (Obs.Ctx.report obs));
+    let mapped = Option.get !last in
+    Alcotest.(check int) "capacity lowered to the memory" 3
+      (mapped.Config.capacity (List.hd (Config.all_buffers cfg)));
+    Alcotest.(check bool)
+      (Printf.sprintf "cap 4 (%.4f) at most 1.3505" (10.0 *. scale))
       true
-      (Scanf.sscanf solves "solves: %d" Fun.id > 1);
+      (10.0 *. scale <= 1.3505);
     (* The accepted scale is rounded up; one ulp more keeps the period
        at or above the mapping's exact one. *)
     let capped = cap_all cfg 4 in
     List.iter
       (fun g -> Config.set_period capped g (Float.succ (10.0 *. scale)))
       (Config.graphs capped);
-    Alcotest.(check bool) "probe point certifies" true
-      (Budgetbuf.Certify.certified
-         (Budgetbuf.Certify.check capped (Option.get !last)))
+    Alcotest.(check bool) "lowered point certifies" true
+      (Budgetbuf.Certify.certified (Budgetbuf.Certify.check capped mapped));
+    (* A memory that even one container per buffer overfills has no
+       mapping, and no cone solve is run to say so. *)
+    let none = Taskgraph.Parse.config_of_string
+        (String.concat "\n"
+           [
+             "granularity 1";
+             "processor p1 replenishment 40 overhead 0";
+             "memory m0 capacity 1";
+             "taskgraph t period 10";
+             "  task wa proc p1 wcet 1 weight 1";
+             "  task wb proc p1 wcet 1 weight 1";
+             "  task wc proc p1 wcet 1 weight 1";
+             "  buffer b0 from wa to wb memory m0 container 1 initial 0";
+             "  buffer b1 from wb to wc memory m0 container 1 initial 0";
+           ])
+    in
+    let obs = Obs.Ctx.make () in
+    Alcotest.(check bool) "floors overfill" true
+      (Dse.min_period_scale ~fault:None ~obs (cap_all none 5) = None);
+    Alcotest.(check bool) "no cone solve" true
+      (List.mem "solves: 0 (0 iterations)" (Obs.Ctx.report obs))
 
 let test_dse_envelope_memory_tight () =
   let cfg = memory_tight_t1 () in
@@ -923,12 +982,11 @@ let test_dse_envelope_memory_tight () =
       check_float 0.0 (Printf.sprintf "cap %d at cap 3's point" cap) (at 3)
         (at cap))
     [ 4; 5; 6 ];
-  (* Cap 4 alone does worse: the envelope, not the search, lowers it. *)
+  (* Cap 4 alone answers cap 3's point too: the lowered cap, not the
+     envelope, brings it there. *)
   (match Dse.curve_points (Dse.throughput_curve ~fault:None cfg ~caps:[ 4 ]) with
   | [ (4, alone) ] ->
-    Alcotest.(check bool)
-      (Printf.sprintf "cap 4 alone (%.4f) above cap 3 (%.4f)" alone (at 3))
-      true (alone > at 3)
+    check_float 0.0 "cap 4 alone at cap 3's point" (at 3) alone
   | _ -> Alcotest.fail "cap 4 alone: expected a point");
   let rec monotone = function
     | (_, p1) :: ((_, p2) :: _ as rest) -> p1 >= p2 && monotone rest
@@ -1371,8 +1429,8 @@ let () =
             test_dse_splitjoin_cap2_no_worse;
           Alcotest.test_case "no worse than the bisection" `Quick
             test_dse_no_worse_than_bisection;
-          Alcotest.test_case "binding memory forces the probes" `Quick
-            test_dse_memory_forces_probes;
+          Alcotest.test_case "binding memory lowers the caps" `Quick
+            test_dse_memory_lowers_caps;
           Alcotest.test_case "monotone envelope, memory-tight T1" `Quick
             test_dse_envelope_memory_tight;
         ] );

@@ -106,9 +106,9 @@ let prop_pool_map_matches_sequential =
       true)
 
 (* The journal-less pooled curve against the sequential one, point by
-   point: period bits and failure reasons alike.  Each
-   dse candidate chains warm starts through its own probes only, so
-   its cone iterations are a pure function of the candidate too:
+   point: period bits and failure reasons alike.  Each dse candidate
+   is one cold solve of its own, so its cone iterations are a pure
+   function of the candidate too:
    - the sequential sweep's per-candidate totals equal those of each
      cap swept alone (the single-cap sweeps run side by side on the
      pool), so a seed that leaks from one candidate into the next
@@ -162,14 +162,14 @@ let test_throughput_curve_matches_sequential () =
 (* The cone iterations of a T1 throughput curve over caps 1:4, from the
    solve counters of its context: per cap one cold solve of the
    min-period bound, whose rounded optimum (every buffer at its cap) is
-   certified at once and ends the search, 4 solves in 65 iterations.
-   The search that probed from that bound instead (a cold probe at the
-   unscaled period and a warm one just above the bound) took 12 solves
-   in 188 iterations; the blind bisection before it, 69 probes in 713
-   iterations with the same warm chain and 1095 cold.  A change to the
-   search, the bound program or the solver's trajectory moves this
-   pin.  No fault plan applies, whatever [BUDGETBUF_FAULT] says: a plan
-   that faults the first rung sends every cap to the probes. *)
+   certified at once, 4 solves in 65 iterations.  The search that
+   probed from that bound instead (a cold probe at the unscaled period
+   and a warm one just above the bound) took 12 solves in 188
+   iterations; the blind bisection before it, 69 probes in 713
+   iterations with a warm chain and 1095 cold.  A change to the bound
+   program or the solver's trajectory moves this pin.  No fault plan
+   applies, whatever [BUDGETBUF_FAULT] says: a plan that faults the
+   first rung sends every cap up the recovery ladder. *)
 let test_throughput_curve_iterations_pinned () =
   let obs = Obs.Ctx.make () in
   ignore
@@ -356,41 +356,41 @@ let test_default_domains_env () =
     (Pool.default_domains () >= 1)
 
 (* ------------------------------------------------------------------ *)
-(* Dse.min_period_scale probe budget (satellite of the pool rework)    *)
+(* Dse.min_period_scale solve budget                                   *)
 (* ------------------------------------------------------------------ *)
 
-(* One shared clone is rescaled in place across all probes.  T1's
-   buffer has no cap, so its min-period bound (0.10256, the self-loop
-   floor 40/39 over µ = 10) is no mapping and the search probes: it
-   costs exactly 2 probes besides the cold bound solve, the cold probe
-   at scale 1 and a certified one at the bound ·(1 + 5e-5), which ends
-   the search.  (A capped config ends on the bound's own mapping with
-   no probe: see the iterations pin above.)  The blind bisection before
-   it took 18 (the probe at scale 1, then halving from the utilisation
-   anchor 0.1 to relative 1e-4).  A regression that rebuilds the config
-   per probe keeps this count — the pin is on the solve count, which is
-   the dominant cost and must not creep. *)
-let test_min_period_scale_probe_count () =
+(* T1 with its buffer capped at 100 sustains ~10x its stated rate in
+   exactly one cone solve: the rounded min-period bound (0.10256, the
+   self-loop floor 40/39 over µ = 10) is certified at once.  The pin
+   is on the solve count, the dominant cost, which must not creep. *)
+let test_min_period_scale_one_solve () =
   let cfg = Workloads.Gen.paper_t1 () in
-  let probes = ref 0 in
-  let scale =
-    Budgetbuf.Dse.min_period_scale ~on_probe:(fun _ -> incr probes) cfg
-  in
-  (match scale with
+  List.iter
+    (fun b -> Config.set_max_capacity cfg b (Some 100))
+    (Config.all_buffers cfg);
+  let obs = Obs.Ctx.make () in
+  (match Budgetbuf.Dse.min_period_scale ~fault:None ~obs cfg with
   | Some s ->
-    (* T1 sustains ~10x its stated rate: the self-loop floor ̺χ/β′
-       with β′ ≤ 39, over µ = 10. *)
+    (* The self-loop floor ̺χ/β′ with β′ ≤ 39, over µ = 10. *)
     check_float 1e-3 "min feasible scale" 0.1026 s;
     Alcotest.(check bool) "requirement holds with margin" true (s <= 1.0)
   | None -> Alcotest.fail "T1 must have a feasible scale");
-  Alcotest.(check int) "probe count pinned" 2 !probes
+  Alcotest.(check bool) "one cone solve pinned" true
+    (List.exists
+       (String.starts_with ~prefix:"solves: 1 ")
+       (Obs.Ctx.report obs))
 
 let test_min_period_scale_leaves_input_untouched () =
   let cfg = Workloads.Gen.paper_t1 () in
   let g = Config.find_graph cfg "t1" in
+  let b = List.hd (Config.all_buffers cfg) in
   let before = Config.period cfg g in
+  (* A cap the memory cannot hold is lowered on the solve's clone. *)
+  Config.set_max_capacity cfg b (Some 100_000);
   ignore (Budgetbuf.Dse.min_period_scale cfg);
-  check_float 0.0 "period unchanged" before (Config.period cfg g)
+  check_float 0.0 "period unchanged" before (Config.period cfg g);
+  Alcotest.(check (option int)) "cap unchanged" (Some 100_000)
+    (Config.max_capacity cfg b)
 
 (* ------------------------------------------------------------------ *)
 
@@ -434,8 +434,8 @@ let () =
         ] );
       ( "dse",
         [
-          Alcotest.test_case "probe count pinned" `Quick
-            test_min_period_scale_probe_count;
+          Alcotest.test_case "one cone solve pinned" `Quick
+            test_min_period_scale_one_solve;
           Alcotest.test_case "input config untouched" `Quick
             test_min_period_scale_leaves_input_untouched;
         ] );

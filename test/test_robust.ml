@@ -640,6 +640,53 @@ let test_throughput_curve_reports_skips () =
     Alcotest.(check string) "reason" "stalled" reason
   | sk -> Alcotest.failf "expected one skip, got %d" (List.length sk)
 
+(* A dse cap's bound solve climbs the recovery ladder of
+   [Mapping.solve], so the faults the old probe search absorbed land
+   there: a stalled base rung is recovered by the relaxed one at every
+   cap, a stall on every rung leaves each cap a [stalled] skip, and a
+   corrupted rounding is refuted (an [uncertifiable] skip), never
+   mistaken for an infeasible cap. *)
+let test_dse_faults_climb_the_ladder () =
+  let caps = [ 1; 2; 3; 4 ] in
+  List.iter
+    (fun (name, cfg) ->
+      let run plan =
+        let obs = Obs.Ctx.make () in
+        let curve = Dse.throughput_curve ~fault:plan ~obs cfg ~caps in
+        (curve, Obs.Ctx.report obs)
+      in
+      let clean, _ = run None in
+      let stalled, report = run (fault "stall") in
+      Alcotest.(check int)
+        (name ^ ": every cap certified under stall")
+        4
+        (List.length (Dse.curve_points stalled));
+      Alcotest.(check bool)
+        (name ^ ": base and relaxed rung per cap")
+        true
+        (List.mem "rungs: base=4 relaxed=4" report);
+      let always, _ = run (fault "stall,attempts=all") in
+      Alcotest.(check (list (pair int string)))
+        (name ^ ": every cap stalled")
+        (List.map (fun cap -> (cap, "stalled")) caps)
+        (Mapping.skipped
+           (fun (p : Dse.curve_point) -> (p.cap, p.outcome))
+           always);
+      let bad, _ = run (fault "bad_round") in
+      List.iter2
+        (fun (c : Dse.curve_point) (b : Dse.curve_point) ->
+          match (c.outcome, b.outcome) with
+          | Ok (Some _), Ok None ->
+            Alcotest.failf "%s cap %d: infeasible under bad_round" name c.cap
+          | _ -> ())
+        clean bad)
+    [
+      ("t1", Workloads.Gen.paper_t1 ());
+      ( "multijob3",
+        Workloads.Gen.multi_job (Workloads.Rng.create 1L) ~jobs:3
+          ~tasks_per_job:3 ~procs:3 () );
+    ]
+
 let test_capacity_sweep_reports_skips () =
   let cfg = Workloads.Gen.paper_t1 () in
   let buffers = Config.all_buffers cfg in
@@ -744,6 +791,8 @@ let () =
             test_throughput_curve_reports_skips;
           Alcotest.test_case "capacity sweep reports skips" `Quick
             test_capacity_sweep_reports_skips;
+          Alcotest.test_case "dse faults climb the ladder" `Quick
+            test_dse_faults_climb_the_ladder;
         ] );
       ( "pool",
         [

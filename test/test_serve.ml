@@ -445,7 +445,7 @@ let test_protocol_version () =
           Protocol.version)
   | Ok _ -> Alcotest.fail "mismatched ready version must be refused");
   (* Worker hello: same discipline on the pipe protocol. *)
-  (match Serve.Worker.parse_hello "{\"ev\":\"hello\",\"v\":1,\"pid\":42}" with
+  (match Serve.Worker.parse_hello "{\"ev\":\"hello\",\"v\":1}" with
   | Error msg ->
     check_bool "hello mismatch" true
       (msg
@@ -453,8 +453,11 @@ let test_protocol_version () =
           "protocol version mismatch: worker speaks v1, supervisor speaks v%d"
           Protocol.version)
   | Ok _ -> Alcotest.fail "stale worker hello must be refused");
+  check_bool "hello carries the version only" true
+    (Serve.Worker.hello_line ()
+    = Printf.sprintf "{\"ev\":\"hello\",\"v\":%d}" Protocol.version);
   match Serve.Worker.parse_hello (Serve.Worker.hello_line ()) with
-  | Ok pid -> check_int "hello pid" (Unix.getpid ()) pid
+  | Ok () -> ()
   | Error e -> Alcotest.failf "own hello refused: %s" e
 
 (* ------------------------------------------------------------------ *)
